@@ -31,28 +31,3 @@ val lower :
     [Aggregate] sink.
     @raise Query_common.Query_error on an empty query, a name with
     no map entry, or a [sum]/[avg] over a non-aggregatable tag. *)
-
-val run :
-  Client_filter.t ->
-  mapping:Mapping.t ->
-  strictness:Query_common.strictness ->
-  Secshare_xpath.Ast.t ->
-  Secshare_rpc.Protocol.node_meta list
-(** Same contract as {!Simple_query.run}. *)
-
-val run_explained :
-  Client_filter.t ->
-  mapping:Mapping.t ->
-  strictness:Query_common.strictness ->
-  Secshare_xpath.Ast.t ->
-  Secshare_rpc.Protocol.node_meta list * Metrics.op_stats list
-(** Same contract as {!Simple_query.run_explained}. *)
-
-val run_value :
-  Client_filter.t ->
-  mapping:Mapping.t ->
-  strictness:Query_common.strictness ->
-  agg:Secshare_xpath.Ast.agg_func ->
-  Secshare_xpath.Ast.t ->
-  Query_common.value * Metrics.op_stats list
-(** Same contract as {!Simple_query.run_value}. *)

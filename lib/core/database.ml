@@ -260,21 +260,20 @@ let run_query_on filter ~map ?(engine = Advanced) ?(strictness = Query_common.St
   match
     Obs.Trace.with_ambient trace_id (fun () ->
         Obs.Trace.with_span ~kind:Obs.Span.Client "query" (fun () ->
-            match (agg, engine) with
-            | None, Simple ->
-                let nodes, operators =
-                  Simple_query.run_explained filter ~mapping:map ~strictness ast
-                in
-                (Query_common.Nodes nodes, operators)
-            | None, Advanced ->
-                let nodes, operators =
-                  Advanced_query.run_explained filter ~mapping:map ~strictness ast
-                in
-                (Query_common.Nodes nodes, operators)
-            | Some func, Simple ->
-                Simple_query.run_value filter ~mapping:map ~strictness ~agg:func ast
-            | Some func, Advanced ->
-                Advanced_query.run_value filter ~mapping:map ~strictness ~agg:func ast))
+            (* a name with no map entry cannot occur in the document:
+               answer the empty-set value without a single RPC, as
+               plaintext XPath would *)
+            if List.exists (fun n -> Mapping.value map n = None) (Ast.name_tests ast) then
+              (Query_common.empty_value agg, [])
+            else
+              let lower =
+                match engine with
+                | Simple -> Simple_query.lower
+                | Advanced -> Advanced_query.lower
+              in
+              Operator.run filter
+                (lower ?agg ~fused:(Client_filter.fused_scan filter) ~mapping:map
+                   ~strictness ast)))
   with
   | value, operators ->
       let seconds = Unix.gettimeofday () -. t0 in

@@ -138,7 +138,13 @@ val query :
     tag is mapped but not flagged aggregatable (not every occurrence a
     numeric leaf) fails here, client-side, with no server round trip;
     an unmapped final tag returns the empty-set value (0), mirroring
-    plaintext XPath over a document that cannot contain the name. *)
+    plaintext XPath over a document that cannot contain the name.
+
+    Any query naming an unmapped tag, node or aggregate, on either
+    engine, short-circuits to that empty-set value ([Nodes []],
+    [Count 0], a zero sum) with no RPC and no operators.  Otherwise
+    the engine's [lower] builds the plan and {!Operator.run} executes
+    it. *)
 
 val query_ast :
   ?engine:engine ->

@@ -16,7 +16,6 @@ let add a b =
   if s >= modulus then s - modulus else s
 
 let sub a b = if a >= b then a - b else a - b + modulus
-let neg a = if a = 0 then 0 else modulus - a
 
 (* Double-and-add ladder: 61 conditional additions, each staying below
    2^62.  Multiplication only runs for Shamir dealing and Lagrange
@@ -127,31 +126,16 @@ let dealer_draws ~seed ~pre ~count = draws ~seed ~pre ~tag:"ndea" ~count
 
 (* --- Shamir over F_M ------------------------------------------------- *)
 
-let shard_value ~threshold ~gen ~xs v =
-  if threshold < 1 then invalid_arg "Numeric.shard_value: threshold < 1";
-  let coeffs = Array.init (threshold - 1) (fun _ -> gen ()) in
-  List.map
-    (fun x ->
-      if x <= 0 then invalid_arg "Numeric.shard_value: x must be positive";
-      let x = normalize x in
-      let acc = ref 0 in
-      for i = Array.length coeffs - 1 downto 0 do
-        acc := mul (add !acc coeffs.(i)) x
-      done;
-      add !acc v)
-    xs
+module Shamir = Secshare_poly.Shamir.Make (struct
+  type t = unit
 
-let lambdas_at_zero xs =
-  let xs = List.map normalize xs in
-  List.map
-    (fun xi ->
-      List.fold_left
-        (fun acc xj -> if xj = xi then acc else mul acc (mul xj (inv (sub xj xi))))
-        1 xs)
-    xs
-
-let combine ~lambdas shares =
-  List.fold_left2 (fun acc l s -> add acc (mul l s)) 0 lambdas shares
+  (* first, while [mul] is still the two-argument field product *)
+  let div () a b = mul a (inv b)
+  let add () = add
+  let sub () = sub
+  let mul () = mul
+  let normalize () = normalize
+end)
 
 let to_bytes v =
   let b = Bytes.create 8 in

@@ -8,8 +8,8 @@
     element — constant size, independent of how many rows went into
     it.  Because the split is linear, the same Lagrange-at-zero
     recombination the polynomial shares use carries partial sums
-    across a Shamir t-of-n shard fleet (see {!shard_value} /
-    {!lambdas_at_zero}).
+    across a Shamir t-of-n shard fleet: {!Shamir} is the generic
+    {!Secshare_poly.Shamir} instantiated over this field.
 
     M is a Mersenne prime small enough that every element fits OCaml's
     63-bit [int] and the sum of two elements never overflows;
@@ -30,7 +30,6 @@ val add : int -> int -> int
 (** Field addition; arguments must already be normalized. *)
 
 val sub : int -> int -> int
-val neg : int -> int
 
 val mul : int -> int -> int
 (** Field multiplication (double-and-add; no intermediate overflow). *)
@@ -62,18 +61,11 @@ val dealer_draws :
 (** [count] uniform field elements for the offline dealer (Shamir
     coefficients), again domain-separated per [pre]. *)
 
-val shard_value : threshold:int -> gen:(unit -> int) -> xs:int list -> int -> int list
-(** Shamir-share a field element: a degree-[threshold - 1] polynomial
-    with constant term the value and [gen]-drawn coefficients,
-    evaluated at each x in [xs] (nonzero, distinct, in order). *)
-
-val lambdas_at_zero : int list -> int list
-(** Lagrange weights recombining evaluations at [xs] into the value at
-    zero: value = sum_i lambda_i * share_i.  Linear, so the same
-    weights recombine per-shard partial {e sums}. *)
-
-val combine : lambdas:int list -> int list -> int
-(** [sum_i lambda_i * share_i] in F_M. *)
+module Shamir : Secshare_poly.Shamir.S with type field := unit
+(** Shamir t-of-n sharing over F_M, the field handle being [()]:
+    [Shamir.share () ~threshold ~xs ~gen v] deals a cell to the shards,
+    [Shamir.lambdas_at_zero ()] / [Shamir.combine ()] recombine
+    per-shard partial sums. *)
 
 val to_bytes : int -> bytes
 (** 8-byte little-endian cell for the numeric column. *)

@@ -46,8 +46,6 @@ type t = {
           operator leaves it [None] *)
 }
 
-let stats t = t.stats
-
 let close t =
   if not t.closed then begin
     t.closed <- true;
@@ -94,8 +92,6 @@ let make ?(close = fun () -> ()) ?(agg_ref = ref None) stats next_fn =
     op_started = 0.0;
     agg_ref;
   }
-
-let agg_value t = !(t.agg_ref)
 
 (* Pull one batch from upstream, counting it as this operator's input.
    Goes through [next] (not [next_fn]) so the upstream operator's own
@@ -652,6 +648,15 @@ let drain ops =
           go ();
           List.rev !acc)
 
-let stats_list ops = List.map (fun t -> Metrics.copy_op_stats t.stats) ops
-
-let run filter plan = drain (build filter plan)
+(* The one query driver: an engine only chooses the plan.  A plan
+   ending in an [Aggregate] sink evaluates to the value the sink
+   deposited; any other plan to its rows in document order. *)
+let run filter plan =
+  let ops = build filter plan in
+  let metas = drain ops in
+  let value =
+    match List.rev ops with
+    | { agg_ref = { contents = Some value }; _ } :: _ -> value
+    | _ -> Query_common.Nodes (Query_common.sort_dedup metas)
+  in
+  (value, List.map (fun t -> Metrics.copy_op_stats t.stats) ops)

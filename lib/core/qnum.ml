@@ -17,7 +17,6 @@ let pow10 k =
   let rec go acc i = if i = 0 then acc else go (acc * 10) (i - 1) in
   go 1 k
 
-let of_scaled v ~scale = make v (pow10 scale)
 let equal a b = a.num = b.num && a.den = b.den
 
 (* denominators are positive, so cross-multiplication preserves order *)

@@ -18,10 +18,6 @@ val of_int : int -> t
 val pow10 : int -> int
 (** 10^k for k in [0, 18]. *)
 
-val of_scaled : int -> scale:int -> t
-(** The fixed-point integer [v] with [scale] fractional digits, i.e.
-    [v / 10^scale]. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val add : t -> t -> t

@@ -31,10 +31,11 @@ let sort_dedup metas =
   in
   List.map snd (Int_map.bindings by_pre)
 
-let empty_agg_value = function
-  | Secshare_xpath.Ast.Count -> Count 0
-  | Secshare_xpath.Ast.Sum -> Sum Qnum.zero
-  | Secshare_xpath.Ast.Avg -> Avg Qnum.zero
+let empty_value = function
+  | None -> Nodes []
+  | Some Secshare_xpath.Ast.Count -> Count 0
+  | Some Secshare_xpath.Ast.Sum -> Sum Qnum.zero
+  | Some Secshare_xpath.Ast.Avg -> Avg Qnum.zero
 
 (* The fixed-point scale an aggregate plan needs: Count has none;
    Sum/Avg read the aggregatable flag of the path's final tag.  Runs
@@ -60,9 +61,3 @@ let agg_scale mapping ~func query =
             (Query_error
                (Printf.sprintf "%s() needs a path ending in a tag name"
                   (Secshare_xpath.Ast.func_to_string func))))
-
-let parents_of filter metas =
-  sort_dedup
-    (List.filter_map
-       (fun (m : Protocol.node_meta) -> Client_filter.parent filter ~pre:m.Protocol.pre)
-       metas)

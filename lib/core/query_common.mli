@@ -29,18 +29,13 @@ val sort_dedup :
   Secshare_rpc.Protocol.node_meta list -> Secshare_rpc.Protocol.node_meta list
 (** Document order ([pre]), duplicates removed. *)
 
-val empty_agg_value : Secshare_xpath.Ast.agg_func -> value
-(** What an aggregate evaluates to over the empty set ([Count 0], zero
-    sums) — the short-circuit answer when a query name is unmapped. *)
+val empty_value : Secshare_xpath.Ast.agg_func option -> value
+(** What a query evaluates to over the empty set: [Nodes []] for a
+    location path, [Count 0] or a zero sum for an aggregate — the
+    short-circuit answer when a query name is unmapped. *)
 
 val agg_scale : Mapping.t -> func:Secshare_xpath.Ast.agg_func -> Secshare_xpath.Ast.t -> int
 (** The fixed-point scale an [Aggregate] plan operator needs: 0 for
     [Count], the final tag's aggregatable scale for [Sum]/[Avg].
     @raise Query_error when that tag is not flagged aggregatable or
     the path does not end in a tag name. *)
-
-val parents_of :
-  Client_filter.t ->
-  Secshare_rpc.Protocol.node_meta list ->
-  Secshare_rpc.Protocol.node_meta list
-(** Distinct parents of a node set (the [..] step). *)

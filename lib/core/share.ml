@@ -22,32 +22,13 @@ module Ring = Secshare_poly.Ring
 
 let shard_xs ~shards = List.init shards (fun i -> i + 1)
 
-let check_shards (ring : Ring.t) ~threshold ~shards =
-  if shards < 1 then invalid_arg "Share.shard: shards < 1";
-  if threshold < 1 || threshold > shards then
-    invalid_arg
-      (Printf.sprintf "Share.shard: threshold %d outside [1, %d]" threshold shards);
-  if shards >= ring.Ring.order then
-    invalid_arg
-      (Printf.sprintf
-         "Share.shard: %d shards need %d distinct nonzero x-coordinates but the \
-          field has only %d"
-         shards shards
-         (ring.Ring.order - 1))
-
 let shard_server_share (ring : Ring.t) ~threshold ~shards ~gen packed =
-  check_shards ring ~threshold ~shards;
   let q = ring.Ring.order and n = ring.Ring.n in
   let coeffs = Codec.unpack ~q ~n packed in
   Shamir.share_vector ring ~threshold ~xs:(shard_xs ~shards) ~gen coeffs
   |> List.map (Codec.pack ~q)
 
-let shard_lambdas (ring : Ring.t) ~xs = Shamir.lambdas_at_zero ring ~xs
-
 let reconstruct_packed (ring : Ring.t) ~lambdas packed_shares =
   let q = ring.Ring.order and n = ring.Ring.n in
   Shamir.combine_vectors ring ~lambdas (List.map (Codec.unpack ~q ~n) packed_shares)
   |> Codec.pack ~q
-
-let combine_threshold_evaluations (ring : Ring.t) ~lambdas values =
-  Shamir.combine ring ~lambdas values

@@ -37,9 +37,9 @@ val combine_evaluations : Secshare_poly.Ring.t -> client:int -> server:int -> in
     coefficient-wise Shamir with x-coordinates [1 .. shards], so shard
     [i]'s table stores a polynomial share that any [threshold] shards
     recombine by the fixed Lagrange multipliers
-    {!shard_lambdas} — and, by linearity, the same multipliers
-    recombine per-shard {e evaluations}
-    ({!combine_threshold_evaluations}), which is all the containment
+    {!Secshare_poly.Shamir.lambdas_at_zero} — and, by linearity, the
+    same multipliers recombine per-shard {e evaluations}
+    ({!Secshare_poly.Shamir.combine}), which is all the containment
     test needs.  Every shard share packs byte-identically to a
     single-server share, so storage, kernels and the wire format are
     unchanged. *)
@@ -60,16 +60,8 @@ val shard_server_share :
     draws, [threshold - 1] per coefficient.  @raise Invalid_argument
     unless [1 <= threshold <= shards < field order]. *)
 
-val shard_lambdas : Secshare_poly.Ring.t -> xs:int list -> int list
-(** Lagrange-at-zero multipliers for a live subset of shard ids. *)
-
 val reconstruct_packed :
   Secshare_poly.Ring.t -> lambdas:int list -> bytes list -> bytes
 (** Recombine [t] packed shard shares into the original packed server
     share — exact, bit-identical bytes (field arithmetic, then the
     same codec). *)
-
-val combine_threshold_evaluations :
-  Secshare_poly.Ring.t -> lambdas:int list -> int list -> int
-(** Fold [t] per-shard evaluations at one point into the server
-    share's evaluation there: [sum_i lambda_i v_i]. *)

@@ -13,9 +13,6 @@
 
 type t
 
-val dim : Ring.t -> int
-(** The ring dimension [n = q - 1]. *)
-
 val zero : Ring.t -> t
 val one : Ring.t -> t
 val is_zero : t -> bool
@@ -29,10 +26,10 @@ val to_dense : Ring.t -> t -> Dense.t
 val of_int_array : Ring.t -> int array -> t
 (** Coefficient vector, least degree first.  Entries are normalised
     into the field.  @raise Invalid_argument if the length is not
-    [dim r]. *)
+    the ring dimension [n = q - 1]. *)
 
 val to_int_array : t -> int array
-(** Fresh coefficient vector of length [dim r]. *)
+(** Fresh coefficient vector of length [n]. *)
 
 val view : t -> int array
 (** The underlying coefficient buffer, NOT a copy: zero-allocation

@@ -18,6 +18,7 @@
 module Protocol = Secshare_rpc.Protocol
 module Transport = Secshare_rpc.Transport
 module Ring = Secshare_poly.Ring
+module Shamir = Secshare_poly.Shamir
 module Share = Secshare_core.Share
 module Numeric = Secshare_core.Numeric
 module Obs = Secshare_obs
@@ -142,7 +143,8 @@ let group_for t ~partition =
   in
   collect [] 0 0
 
-let lambdas_of t group = Share.shard_lambdas t.ring ~xs:(List.map (fun s -> s.id) group)
+let ids group = List.map (fun s -> s.id) group
+let lambdas_of t group = Shamir.lambdas_at_zero t.ring ~xs:(ids group)
 
 (* Run [f] against a fresh group, retrying with the survivors whenever
    a member dies mid-flight.  Only for stateless (idempotent) work —
@@ -169,7 +171,7 @@ let rec transpose = function
 
 let combine_points t ~lambdas member_vals =
   List.map
-    (fun column -> Share.combine_threshold_evaluations t.ring ~lambdas column)
+    (fun column -> Shamir.combine t.ring ~lambdas column)
     (transpose member_vals)
 
 (* --- scan sub-targets --- *)
@@ -503,98 +505,77 @@ let rec legacy_next t st ~max_items =
 
 (* --- grouped point operations --- *)
 
-let eval_one t ~pre ~point =
-  on_group t ~partition:(partition_of t pre) (fun group lambdas ->
-      let values =
-        List.map
-          (fun s ->
-            match call_shard t s (Protocol.Eval { pre; point }) with
-            | Protocol.Value v -> v
-            | response ->
-                raise
-                  (Diverged
-                     (Format.asprintf "unexpected eval reply: %a" Protocol.pp_response
-                        response)))
-          group
-      in
-      Protocol.Value (Share.combine_threshold_evaluations t.ring ~lambdas values))
+(* Send one request to every member of [group], in order, and decode
+   each reply; a reply [decode] does not recognise is a divergence. *)
+let gather ?(name_shard = false) t group ~what request decode =
+  List.map
+    (fun s ->
+      let response = call_shard t s request in
+      match decode response with
+      | Some v -> v
+      | None ->
+          let from = if name_shard then Printf.sprintf " from shard %d" s.id else "" in
+          raise
+            (Diverged
+               (Format.asprintf "unexpected %s reply%s: %a" what from Protocol.pp_response
+                  response)))
+    group
 
-(* Split a batch at partition boundaries, keeping every result at its
-   caller-visible index. *)
-let eval_batch t ~pres ~point =
-  let results = Array.make (List.length pres) 0 in
-  let chunks = runs (List.mapi (fun i pre -> (i, pre)) pres) ~key:(fun (_, pre) -> partition_of t pre) in
+let with_arity ~what ~expected vs =
+  if List.length vs <> List.length expected then
+    raise (Diverged (what ^ " reply has the wrong arity"));
+  Some vs
+
+(* Split [pres] at partition boundaries, run [f] on each run's group,
+   and put every result back at its caller-visible index. *)
+let per_partition t pres ~empty f =
+  let results = Array.make (List.length pres) empty in
+  let chunks =
+    runs (List.mapi (fun i pre -> (i, pre)) pres) ~key:(fun (_, pre) -> partition_of t pre)
+  in
   List.iter
     (fun (partition, chunk) ->
       let sub_pres = List.map snd chunk in
-      let combined =
-        on_group t ~partition (fun group lambdas ->
-            let per_member =
-              List.map
-                (fun s ->
-                  match call_shard t s (Protocol.Eval_batch { pres = sub_pres; point }) with
-                  | Protocol.Values vs when List.length vs = List.length sub_pres -> vs
-                  | Protocol.Values _ ->
-                      raise (Diverged "eval batch reply has the wrong arity")
-                  | response ->
-                      raise
-                        (Diverged
-                           (Format.asprintf "unexpected eval batch reply: %a"
-                              Protocol.pp_response response)))
-                group
-            in
-            combine_points t ~lambdas per_member)
-      in
+      let combined = on_group t ~partition (fun group lambdas -> f group lambdas sub_pres) in
       List.iter2 (fun (i, _) v -> results.(i) <- v) chunk combined)
     chunks;
-  Protocol.Values (Array.to_list results)
+  Array.to_list results
+
+let eval_one t ~pre ~point =
+  on_group t ~partition:(partition_of t pre) (fun group lambdas ->
+      let values =
+        gather t group ~what:"eval" (Protocol.Eval { pre; point }) (function
+          | Protocol.Value v -> Some v
+          | _ -> None)
+      in
+      Protocol.Value (Shamir.combine t.ring ~lambdas values))
+
+let eval_batch t ~pres ~point =
+  Protocol.Values
+    (per_partition t pres ~empty:0 (fun group lambdas sub_pres ->
+         gather t group ~what:"eval batch" (Protocol.Eval_batch { pres = sub_pres; point })
+           (function
+           | Protocol.Values vs -> with_arity ~what:"eval batch" ~expected:sub_pres vs
+           | _ -> None)
+         |> combine_points t ~lambdas))
 
 let share_one t pre =
   on_group t ~partition:(partition_of t pre) (fun group lambdas ->
       let packed =
-        List.map
-          (fun s ->
-            match call_shard t s (Protocol.Share pre) with
-            | Protocol.Share_data b -> b
-            | response ->
-                raise
-                  (Diverged
-                     (Format.asprintf "unexpected share reply: %a"
-                        Protocol.pp_response response)))
-          group
+        gather t group ~what:"share" (Protocol.Share pre) (function
+          | Protocol.Share_data b -> Some b
+          | _ -> None)
       in
       Protocol.Share_data (Share.reconstruct_packed t.ring ~lambdas packed))
 
 let shares_batch t pres =
-  let results = Array.make (List.length pres) Bytes.empty in
-  let chunks = runs (List.mapi (fun i pre -> (i, pre)) pres) ~key:(fun (_, pre) -> partition_of t pre) in
-  List.iter
-    (fun (partition, chunk) ->
-      let sub_pres = List.map snd chunk in
-      let combined =
-        on_group t ~partition (fun group lambdas ->
-            let per_member =
-              List.map
-                (fun s ->
-                  match call_shard t s (Protocol.Shares sub_pres) with
-                  | Protocol.Shares_data bs when List.length bs = List.length sub_pres ->
-                      bs
-                  | Protocol.Shares_data _ ->
-                      raise (Diverged "shares reply has the wrong arity")
-                  | response ->
-                      raise
-                        (Diverged
-                           (Format.asprintf "unexpected shares reply: %a"
-                              Protocol.pp_response response)))
-                group
-            in
-            List.map
-              (fun column -> Share.reconstruct_packed t.ring ~lambdas column)
-              (transpose per_member))
-      in
-      List.iter2 (fun (i, _) b -> results.(i) <- b) chunk combined)
-    chunks;
-  Protocol.Shares_data (Array.to_list results)
+  Protocol.Shares_data
+    (per_partition t pres ~empty:Bytes.empty (fun group lambdas sub_pres ->
+         gather t group ~what:"shares" (Protocol.Shares sub_pres) (function
+           | Protocol.Shares_data bs -> with_arity ~what:"shares" ~expected:sub_pres bs
+           | _ -> None)
+         |> transpose
+         |> List.map (Share.reconstruct_packed t.ring ~lambdas)))
 
 (* --- aggregation --- *)
 
@@ -610,18 +591,11 @@ let agg_eval t pres =
     (fun (partition, sub_pres) ->
       let count, sum =
         on_group t ~partition (fun group _poly_lambdas ->
-            let lambdas = Numeric.lambdas_at_zero (List.map (fun s -> s.id) group) in
             let per_member =
-              List.map
-                (fun s ->
-                  match call_shard t s (Protocol.Agg_eval { pres = sub_pres }) with
-                  | Protocol.Agg_partial { count; sum } -> (count, sum)
-                  | response ->
-                      raise
-                        (Diverged
-                           (Format.asprintf "unexpected aggregate reply from shard %d: %a"
-                              s.id Protocol.pp_response response)))
-                group
+              gather ~name_shard:true t group ~what:"aggregate"
+                (Protocol.Agg_eval { pres = sub_pres }) (function
+                | Protocol.Agg_partial { count; sum } -> Some (count, sum)
+                | _ -> None)
             in
             let expected = List.length sub_pres in
             List.iter
@@ -629,7 +603,8 @@ let agg_eval t pres =
                 if count <> expected then
                   raise (Diverged "aggregate partials diverged (row counts differ)"))
               per_member;
-            (expected, Numeric.combine ~lambdas (List.map snd per_member)))
+            let lambdas = Numeric.Shamir.lambdas_at_zero () ~xs:(ids group) in
+            (expected, Numeric.Shamir.combine () ~lambdas (List.map snd per_member)))
       in
       total_count := !total_count + count;
       total_sum := Numeric.add !total_sum sum)

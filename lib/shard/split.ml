@@ -5,6 +5,7 @@ module Node_table = Secshare_store.Node_table
 module Page = Secshare_store.Page
 module Share = Secshare_core.Share
 module Node_prg = Secshare_prg.Node_prg
+module Numeric = Secshare_core.Numeric
 
 let bounds_of_table ~shards table =
   if shards < 1 then invalid_arg "Split.bounds_of_table: shards < 1";
@@ -22,32 +23,48 @@ let bounds_of_table ~shards table =
   done;
   bounds
 
-let split_table (ring : Ring.t) ~threshold ~shards ~dealer_seed ~source ~sinks =
+(* The one geometry check both dealers run before writing a row: a
+   group of [threshold] must exist among [shards] distinct nonzero
+   x-coordinates of a field of [order] elements. *)
+let check_geometry ~what ~order ~threshold ~shards ~sinks =
   if Array.length sinks <> shards then
     invalid_arg
-      (Printf.sprintf "Split.split_table: %d sinks for %d shards"
-         (Array.length sinks) shards);
-  let q = ring.Ring.order and n = ring.Ring.n in
-  let draws_per_row = (threshold - 1) * n in
+      (Printf.sprintf "Split.%s: %d sinks for %d shards" what (Array.length sinks) shards);
+  if shards < 1 then invalid_arg (Printf.sprintf "Split.%s: shards < 1" what);
+  if threshold < 1 || threshold > shards then
+    invalid_arg
+      (Printf.sprintf "Split.%s: threshold %d outside [1, %d]" what threshold shards);
+  if shards >= order then
+    invalid_arg
+      (Printf.sprintf
+         "Split.%s: %d shards need %d distinct nonzero x-coordinates but the field has \
+          only %d"
+         what shards shards (order - 1))
+
+(* The per-row dealer loop: one PRG stream per row, keyed by pre and
+   consumed left to right by [share_cell], whose [shards] outputs go to
+   the sinks in x-coordinate order with the row's numbering intact. *)
+let deal ~what ~order ~threshold ~shards ~source ~sinks ~draws share_cell =
+  check_geometry ~what ~order ~threshold ~shards ~sinks;
   Node_table.iter source ~f:(fun row ->
-      (* one PRG stream per row, keyed by pre: threshold - 1 dealer
-         draws per coefficient, consumed left to right *)
-      let draws =
-        Node_prg.coefficients ~seed:dealer_seed ~pre:row.Page.pre ~q
-          ~count:draws_per_row
-      in
+      let draws = draws row.Page.pre in
       let next = ref 0 in
       let gen () =
         let v = draws.(!next) in
         incr next;
         v
       in
-      let shares =
-        Share.shard_server_share ring ~threshold ~shards ~gen row.Page.share
-      in
       List.iteri
         (fun i share -> Node_table.insert sinks.(i) { row with Page.share })
-        shares);
+        (share_cell ~gen row.Page.share))
+
+let split_table (ring : Ring.t) ~threshold ~shards ~dealer_seed ~source ~sinks =
+  let q = ring.Ring.order in
+  (* threshold - 1 dealer draws per coefficient *)
+  let count = (threshold - 1) * ring.Ring.n in
+  deal ~what:"split_table" ~order:q ~threshold ~shards ~source ~sinks
+    ~draws:(fun pre -> Node_prg.coefficients ~seed:dealer_seed ~pre ~q ~count)
+    (Share.shard_server_share ring ~threshold ~shards);
   let bounds = bounds_of_table ~shards source in
   let rows = Node_table.row_count source in
   Array.init shards (fun i ->
@@ -62,28 +79,11 @@ let split_table (ring : Ring.t) ~threshold ~shards ~dealer_seed ~source ~sinks =
       })
 
 let split_numbers ~threshold ~shards ~dealer_seed ~source ~sinks =
-  if Array.length sinks <> shards then
-    invalid_arg
-      (Printf.sprintf "Split.split_numbers: %d sinks for %d shards"
-         (Array.length sinks) shards);
-  let module Numeric = Secshare_core.Numeric in
-  let xs = List.init shards (fun i -> i + 1) in
-  Node_table.iter source ~f:(fun row ->
-      (* one dealer stream per row, domain-separated from the
-         polynomial dealer's draws *)
-      let draws =
-        Numeric.dealer_draws ~seed:dealer_seed ~pre:row.Page.pre
-          ~count:(threshold - 1)
-      in
-      let next = ref 0 in
-      let gen () =
-        let v = draws.(!next) in
-        incr next;
-        v
-      in
-      let value = Numeric.of_bytes row.Page.share in
-      let shares = Numeric.shard_value ~threshold ~gen ~xs value in
-      List.iteri
-        (fun i v ->
-          Node_table.insert sinks.(i) { row with Page.share = Numeric.to_bytes v })
-        shares)
+  let xs = Share.shard_xs ~shards in
+  (* the numeric dealer stream is domain-separated from the polynomial
+     dealer's draws under the same seed *)
+  deal ~what:"split_numbers" ~order:Numeric.modulus ~threshold ~shards ~source ~sinks
+    ~draws:(fun pre -> Numeric.dealer_draws ~seed:dealer_seed ~pre ~count:(threshold - 1))
+    (fun ~gen cell ->
+      Numeric.Shamir.share () ~threshold ~xs ~gen (Numeric.of_bytes cell)
+      |> List.map Numeric.to_bytes)

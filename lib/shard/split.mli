@@ -30,7 +30,9 @@ val split_table :
     source's insertion order, so shard tables scan in the same order
     the single-server table does.
     @raise Invalid_argument if [sinks] has the wrong length or the
-    threshold geometry is invalid for the ring. *)
+    threshold geometry is invalid for the ring — unless
+    [1 <= threshold <= shards < field order], checked before any row
+    is written. *)
 
 val split_numbers :
   threshold:int ->
@@ -44,8 +46,10 @@ val split_numbers :
     polynomial over {!Secshare_core.Numeric}'s field (shard [i]
     receives x = [i + 1]), so any [threshold] shards recombine per-row
     values — and, by linearity, per-shard partial {e sums} — with
-    {!Secshare_core.Numeric.lambdas_at_zero}.  Use the same
-    (discarded) dealer seed as {!split_table}: the numeric dealer
-    draws are domain-separated from the polynomial ones.
-    @raise Invalid_argument if [sinks] has the wrong length or a cell
-    is not a normalized field element. *)
+    [Numeric.Shamir.lambdas_at_zero] and [Numeric.Shamir.combine].  Use
+    the same (discarded) dealer seed as {!split_table}: the numeric
+    dealer draws are domain-separated from the polynomial ones.  Runs
+    the same dealer loop and geometry check as {!split_table}.
+    @raise Invalid_argument if [sinks] has the wrong length, the
+    threshold geometry is invalid (checked before any row is written),
+    or a cell is not a normalized field element. *)

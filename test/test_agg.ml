@@ -115,7 +115,7 @@ let test_shamir_numeric () =
            v
          in
          let xs = List.init shards (fun i -> i + 1) in
-         let shares = Numeric.shard_value ~threshold ~gen ~xs value in
+         let shares = Numeric.Shamir.share () ~threshold ~gen ~xs value in
          let indexed = List.combine xs shares in
          (* every contiguous window of size [threshold], plus a
             scattered subset *)
@@ -130,8 +130,8 @@ let test_shamir_numeric () =
              let sub_xs = List.map fst subset in
              if List.length sub_xs < threshold then true
              else
-               let lambdas = Numeric.lambdas_at_zero sub_xs in
-               Numeric.combine ~lambdas (List.map snd subset) = value)
+               let lambdas = Numeric.Shamir.lambdas_at_zero () ~xs:sub_xs in
+               Numeric.Shamir.combine () ~lambdas (List.map snd subset) = value)
            subsets))
 
 (* --- documents with numeric leaves --- *)

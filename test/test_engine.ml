@@ -326,9 +326,25 @@ let test_query_errors () =
   (match DB.query db "not a query" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed query accepted");
-  match DB.query db "/unmapped_tag_name" with
-  | Ok r -> check Alcotest.(list int) "unmapped name matches nothing" [] (pres (DB.result_nodes r))
-  | Error e -> Alcotest.fail e
+  (* an unmapped name short-circuits in the driver, on either engine,
+     for node and aggregate queries alike: the empty-set value, no RPC,
+     no operators *)
+  List.iter
+    (fun (engine, engine_name) ->
+      List.iter
+        (fun (q, expect_empty) ->
+          let label = Printf.sprintf "%s %s" engine_name q in
+          match DB.query ~engine db q with
+          | Error e -> Alcotest.failf "%s: %s" label e
+          | Ok r ->
+              check Alcotest.bool (label ^ ": empty-set value") true (expect_empty r.DB.value);
+              check Alcotest.int (label ^ ": no RPC") 0 r.DB.rpc_calls;
+              check Alcotest.int (label ^ ": no operators") 0 (List.length r.DB.operators))
+        [
+          ("/unmapped_tag_name", function QC.Nodes [] -> true | _ -> false);
+          ("count(/unmapped_tag_name)", function QC.Count 0 -> true | _ -> false);
+        ])
+    [ (DB.Simple, "simple"); (DB.Advanced, "advanced") ]
 
 let test_create_errors () =
   (match DB.create "<broken" with

@@ -262,7 +262,11 @@ let test_limit_closes_cursors () =
   List.iter
     (fun fused ->
       let server, filter = small_batch_parts ~fused () in
-      let nodes = Operator.run filter (descendants_plan @ [ Plan.Limit 3 ]) in
+      let nodes =
+        match Operator.run filter (descendants_plan @ [ Plan.Limit 3 ]) with
+        | QC.Nodes nodes, _ -> nodes
+        | _ -> Alcotest.fail "a node plan evaluated to an aggregate"
+      in
       check Alcotest.int
         (Printf.sprintf "limit result size (fused=%b)" fused)
         3 (List.length nodes);

@@ -1,7 +1,10 @@
 (* Threshold-sharing properties (lib/poly/shamir.ml): reconstruction
    exactness over both a prime field and a proper extension field,
    rejection of degenerate x-coordinates, below-threshold secrecy, and
-   the evaluation linearity the sharded serving path rests on. *)
+   the evaluation linearity the sharded serving path rests on.  The
+   code under test is the [Shamir.Make] functor body, which the
+   F_(2^61-1) aggregate column instantiates too ([Numeric.Shamir]), so
+   the exhaustive F_5 proofs cover the aggregate dealer as well. *)
 
 module Ring = Secshare_poly.Ring
 module Dense = Secshare_poly.Dense

@@ -209,7 +209,7 @@ let test_split_reconstructs () =
               in
               let got =
                 Share.reconstruct_packed ring
-                  ~lambdas:(Share.shard_lambdas ring ~xs)
+                  ~lambdas:(Secshare_poly.Shamir.lambdas_at_zero ring ~xs)
                   shares
               in
               if not (Bytes.equal got row.Page.share) then
@@ -262,6 +262,95 @@ let test_bounds_of_table () =
             check Alcotest.bool "strictly ascending" true (b > bounds.(i - 1)))
         bounds;
       check Alcotest.int "first window starts at the first pre" 1 bounds.(0))
+
+(* A fixed document with numeric leaves, so both dealer paths have
+   rows to share. *)
+let dealer_db =
+  lazy
+    (match
+       Secshare_xml.Tree.of_string
+         "<site><item><price>12.50</price><name>lamp</name><qty>3</qty></item>\
+          <item><price>-0.07</price><name>desk</name><qty>10</qty></item>\
+          <item><price>999</price><name>chair</name><qty>0</qty></item></site>"
+     with
+    | Ok tree -> Test_support.db_of_tree tree
+    | Error e -> failwith e)
+
+let numbers_of db =
+  match DB.numbers_table db with Some t -> t | None -> failwith "no numeric column"
+
+let digest_tables tables =
+  let buf = Buffer.create 4096 in
+  Array.iter
+    (fun t ->
+      Node_table.iter t ~f:(fun r ->
+          Printf.bprintf buf "%d/%d/%d:" r.Page.pre r.Page.post r.Page.parent;
+          Buffer.add_bytes buf r.Page.share;
+          Buffer.add_char buf '\n');
+      Buffer.add_char buf '|')
+    tables;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* MD5 of every shard table the dealer writes, pinned so a refactor of
+   the sharing code cannot change a single stored byte: ((threshold,
+   shards), (polynomial tables, numeric tables)). *)
+let pinned_dealer_digests =
+  [
+    ((2, 3), ("ad5db840bf4a89113f0826fe39fe64fa", "d85e7435237c7cc882be84e0c3aa61dd"));
+    ((3, 4), ("0a521a2e467cba8bde09b59102c681cb", "41b6669810f44c754d45c39925be8f8f"));
+  ]
+
+let test_dealer_digests () =
+  let db = Lazy.force dealer_db in
+  List.iter
+    (fun ((threshold, shards), (want_poly, want_num)) ->
+      let dealer_seed =
+        Seed.of_passphrase (Printf.sprintf "dealer-%d-of-%d" threshold shards)
+      in
+      let poly = Array.init shards (fun _ -> Node_table.create ()) in
+      let num = Array.init shards (fun _ -> Node_table.create ()) in
+      ignore
+        (Split.split_table ring ~threshold ~shards ~dealer_seed ~source:(DB.table db)
+           ~sinks:poly
+          : Manifest.t array);
+      Split.split_numbers ~threshold ~shards ~dealer_seed ~source:(numbers_of db)
+        ~sinks:num;
+      let label = Printf.sprintf "%d-of-%d" threshold shards in
+      check Alcotest.string (label ^ " polynomial shards") want_poly (digest_tables poly);
+      check Alcotest.string (label ^ " numeric shards") want_num (digest_tables num))
+    pinned_dealer_digests
+
+(* Both dealers reject a geometry no group could recombine, before
+   writing anything — also when the source table is empty. *)
+let test_split_rejects_bad_geometry () =
+  let db = Lazy.force dealer_db in
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (threshold, shards) ->
+      List.iter
+        (fun (what, source, numbers) ->
+          let name = Printf.sprintf "%s %d-of-%d" what threshold shards in
+          let sinks = Array.init shards (fun _ -> Node_table.create ()) in
+          raises (name ^ " split_table") (fun () ->
+              ignore
+                (Split.split_table ring ~threshold ~shards
+                   ~dealer_seed:(Seed.generate ()) ~source ~sinks
+                  : Manifest.t array));
+          raises (name ^ " split_numbers") (fun () ->
+              Split.split_numbers ~threshold ~shards ~dealer_seed:(Seed.generate ())
+                ~source:numbers ~sinks);
+          Array.iter
+            (fun t -> check Alcotest.int (name ^ ": nothing written") 0 (Node_table.row_count t))
+            sinks)
+        [
+          ("document", DB.table db, numbers_of db);
+          ("empty", Node_table.create (), Node_table.create ());
+        ])
+    [ (4, 3); (0, 3); (2, 0) ]
 
 (* --- router golden equality --- *)
 
@@ -502,6 +591,10 @@ let () =
           Alcotest.test_case "metadata preserved, shares masked" `Quick
             test_split_metadata_and_masking;
           Alcotest.test_case "balanced ascending bounds" `Quick test_bounds_of_table;
+          Alcotest.test_case "dealer output is byte-identical" `Quick
+            test_dealer_digests;
+          Alcotest.test_case "bad threshold geometry is rejected" `Quick
+            test_split_rejects_bad_geometry;
         ] );
       ( "router",
         [
