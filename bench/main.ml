@@ -818,12 +818,48 @@ let micro () =
 (* Kernel micro bench: flat byte-table kernels vs the reference path  *)
 (* ------------------------------------------------------------------ *)
 
+(* The reference for the [regen] row: the client-share sampler as it
+   was before the single rejection sampler, over the public keystream.
+   It draws 2 * n * k bytes up front, refills 256 bytes at a time from
+   block [len / 64], and normalises every coefficient on the way into
+   the ring.  It must produce the same polynomial as
+   [Node_prg.client_poly]. *)
+let reference_client_poly (ring : Secshare_poly.Ring.t) ~seed ~pre =
+  let module Chacha20 = Secshare_prg.Chacha20 in
+  let q = ring.Secshare_poly.Ring.order and count = ring.Secshare_poly.Ring.n in
+  let k =
+    let rec go k cap = if cap >= q then k else go (k + 1) (cap * 256) in
+    go 1 256
+  in
+  let cap = 1 lsl (8 * k) in
+  let accept_below = cap - (cap mod q) in
+  let key = Secshare_prg.Seed.to_bytes seed in
+  let nonce = Bytes.make Chacha20.nonce_length '\000' in
+  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
+  Bytes.blit_string "poly" 0 nonce 8 4;
+  let buf = ref (Chacha20.keystream ~key ~nonce ~counter:0 (max 64 (count * k * 2))) in
+  let pos = ref 0 in
+  let next_counter = ref (Bytes.length !buf / 64) in
+  let rec draw () =
+    if !pos + k > Bytes.length !buf then begin
+      buf := Bytes.cat !buf (Chacha20.keystream ~key ~nonce ~counter:!next_counter 256);
+      next_counter := !next_counter + 4
+    end;
+    let v = ref 0 in
+    for i = 0 to k - 1 do
+      v := (!v lsl 8) lor Bytes.get_uint8 !buf (!pos + i)
+    done;
+    pos := !pos + k;
+    if !v < accept_below then !v mod q else draw ()
+  in
+  Secshare_poly.Cyclic.of_int_array ring (Array.init count (fun _ -> draw ()))
+
 (* The regression gate: CI compares the speedup columns of this
    experiment's --json rows against bench/kernel_baseline.json.  The
    gate is on the *ratio* kernel-vs-reference (machine-independent),
    never on absolute nanoseconds. *)
 let kernel () =
-  heading "Flat field kernels vs reference (containment + equality)";
+  heading "Flat field kernels vs reference (containment, equality, regen, reconstruct)";
   let db = xmark_db 100_000 in
   let ring = DB.ring db in
   let table = DB.table db in
@@ -936,6 +972,87 @@ let kernel () =
       ("ref_us_per_product", J_float ref_us);
       ("kernel_us_per_product", J_float ker_us);
       ("speedup", J_float e_speedup);
+      ("identical", J_int 1);
+    ];
+  (* regeneration: one client polynomial from the seed, the per-miss
+     cost of the client share cache *)
+  let regens = if !quick then 2000 else 10_000 in
+  (* alternate the two paths in chunks small enough that the kept
+     results never leave the minor heap: the row times regeneration,
+     not promotion of a large result array *)
+  let chunk = 200 in
+  let reference = Array.make chunk (Cyclic.one ring) in
+  let regenerated = Array.make chunk (Cyclic.one ring) in
+  let ref_s = ref 0.0 and ker_s = ref 0.0 in
+  for c = 0 to (regens / chunk) - 1 do
+    let (), dt =
+      time_it (fun () ->
+          for i = 0 to chunk - 1 do
+            reference.(i) <- reference_client_poly ring ~seed ~pre:((c * chunk) + i)
+          done)
+    in
+    ref_s := !ref_s +. dt;
+    let (), dt =
+      time_it (fun () ->
+          for i = 0 to chunk - 1 do
+            regenerated.(i) <-
+              Secshare_prg.Node_prg.client_poly ~ring ~seed ~pre:((c * chunk) + i)
+          done)
+    in
+    ker_s := !ker_s +. dt;
+    if not (Array.for_all2 Cyclic.equal reference regenerated) then
+      failwith "kernel bench: regenerated client polynomials differ"
+  done;
+  let ref_s = !ref_s and ker_s = !ker_s in
+  let ref_us = ref_s /. float_of_int regens *. 1e6 in
+  let ker_us = ker_s /. float_of_int regens *. 1e6 in
+  let g_speedup = ref_us /. ker_us in
+  printf "%-24s %12.2f %12.2f %8.2fx  (%d pres, identical polynomials)\n"
+    "regen(us)" ref_us ker_us g_speedup regens;
+  record "kernel"
+    [
+      ("op", J_str "regen");
+      ("regens", J_int regens);
+      ("ref_us_per_regen", J_float ref_us);
+      ("kernel_us_per_regen", J_float ker_us);
+      ("speedup", J_float g_speedup);
+      ("identical", J_int 1);
+    ];
+  (* reconstruct: client half + packed server half, once per child of
+     every equality test *)
+  let clients = Array.init batch (fun pre -> Secshare_prg.Node_prg.client_poly ~ring ~seed ~pre) in
+  let expect = Array.make batch (Cyclic.one ring) in
+  let (), ref_s =
+    time_it (fun () ->
+        for _ = 1 to reps do
+          for i = 0 to batch - 1 do
+            expect.(i) <- Cyclic.add ring clients.(i) (Codec.unpack_cyclic ring shares.(i))
+          done
+        done)
+  in
+  let outs = Array.init batch (fun _ -> Array.make n 0) in
+  let (), ker_s =
+    time_it (fun () ->
+        for _ = 1 to reps do
+          for i = 0 to batch - 1 do
+            Flat.reconstruct_into tab ~n ~client:(Cyclic.view clients.(i)) shares.(i)
+              ~out:outs.(i)
+          done
+        done)
+  in
+  if not (Array.for_all2 (fun e o -> Cyclic.to_int_array e = o) expect outs) then
+    failwith "kernel bench: reconstructed polynomials differ";
+  let ref_ns = ref_s /. evals *. 1e9 and ker_ns = ker_s /. evals *. 1e9 in
+  let r_speedup = ref_ns /. ker_ns in
+  printf "%-24s %12.1f %12.1f %8.2fx  (batch=%d, identical polynomials)\n"
+    "reconstruct" ref_ns ker_ns r_speedup batch;
+  record "kernel"
+    [
+      ("op", J_str "reconstruct");
+      ("batch", J_int batch);
+      ("ref_ns_per_share", J_float ref_ns);
+      ("kernel_ns_per_share", J_float ker_ns);
+      ("speedup", J_float r_speedup);
       ("identical", J_int 1);
     ]
 

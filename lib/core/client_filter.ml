@@ -85,27 +85,35 @@ let client_poly t ~pre =
             obs_cache_evictions;
           poly)
 
-(* Evaluate a regenerated client polynomial.  With ring byte tables
-   (any q <= 256) this is the flat Horner kernel over the cached
-   coefficient buffer — no unpacking, no closure calls; the zero
-   point defers to [Cyclic.eval] so its error is unchanged. *)
-let eval_poly t poly point =
+(* A query point prepared for evaluating many client polynomials: with
+   ring byte tables (any q <= 256) its multiplication-table row is built
+   once per batch, and every evaluation is the flat Horner kernel over
+   the cached coefficient buffer — no unpacking, no closure calls.  The
+   zero point keeps no row and defers to [Cyclic.eval], so its error is
+   unchanged. *)
+type evaluator = { point : int; mul_row : Bytes.t option }
+
+let evaluator t point =
   match t.ring.Secshare_poly.Ring.table with
-  | None -> Cyclic.eval t.ring poly point
+  | None -> { point; mul_row = None }
   | Some tab ->
       let p = t.ring.Secshare_poly.Ring.normalize point in
-      if p = 0 then Cyclic.eval t.ring poly point
-      else
-        Secshare_poly.Flat.eval_coeffs tab
-          ~mul_row:(Secshare_poly.Flat.point_row tab ~point:p)
-          (Cyclic.view poly)
+      {
+        point;
+        mul_row = (if p = 0 then None else Some (Secshare_poly.Flat.point_row tab ~point:p));
+      }
 
-let client_eval t ~pre ~point =
+let eval_poly t ev poly =
+  match (t.ring.Secshare_poly.Ring.table, ev.mul_row) with
+  | Some tab, Some mul_row -> Secshare_poly.Flat.eval_coeffs tab ~mul_row (Cyclic.view poly)
+  | _ -> Cyclic.eval t.ring poly ev.point
+
+let client_eval t ev ~pre =
   match t.eval_cache with
-  | None -> eval_poly t (client_poly t ~pre) point
+  | None -> eval_poly t ev (client_poly t ~pre)
   | Some cache ->
-      Lru.find_or_add cache (pre, point) ~compute:(fun _ ->
-          eval_poly t (client_poly t ~pre) point)
+      Lru.find_or_add cache (pre, ev.point) ~compute:(fun _ ->
+          eval_poly t ev (client_poly t ~pre))
 
 let call t request =
   match Transport.call t.transport request with
@@ -176,6 +184,7 @@ let filter_scan_rows t rows ~points =
   | [] -> List.map fst rows
   | _ ->
       let n_points = List.length points in
+      let evaluators = List.map (evaluator t) points in
       (* counters accumulate in a batch-local instance and merge once
          at the end: [t.metrics] is only ever touched at batch
          boundaries, on the thread that owns this filter *)
@@ -187,12 +196,12 @@ let filter_scan_rows t rows ~points =
               raise (Filter_error "Scan_batch arity mismatch");
             batch.Metrics.nodes_examined <- batch.Metrics.nodes_examined + 1;
             batch.Metrics.evaluations <- batch.Metrics.evaluations + n_points;
-            let contains point server_value =
-              let client_value = client_eval t ~pre:meta.Protocol.pre ~point in
+            let contains ev server_value =
+              let client_value = client_eval t ev ~pre:meta.Protocol.pre in
               Share.combine_evaluations t.ring ~client:client_value ~server:server_value
               = 0
             in
-            if List.for_all2 contains points server_values then Some meta else None)
+            if List.for_all2 contains evaluators server_values then Some meta else None)
           rows
       in
       Metrics.add t.metrics batch;
@@ -216,7 +225,7 @@ let containment t (meta : Protocol.node_meta) ~point =
   in
   t.metrics.Metrics.evaluations <- t.metrics.Metrics.evaluations + 1;
   t.metrics.Metrics.nodes_examined <- t.metrics.Metrics.nodes_examined + 1;
-  let client_value = client_eval t ~pre:meta.Protocol.pre ~point in
+  let client_value = client_eval t (evaluator t point) ~pre:meta.Protocol.pre in
   Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
 
 let containment_batch t metas ~point =
@@ -236,9 +245,10 @@ let containment_batch t metas ~point =
           batch.Metrics.evaluations <- List.length metas;
           batch.Metrics.nodes_examined <- List.length metas;
           Metrics.add t.metrics batch;
+          let ev = evaluator t point in
           List.filter_map
             (fun ((meta : Protocol.node_meta), server_value) ->
-              let client_value = client_eval t ~pre:meta.Protocol.pre ~point in
+              let client_value = client_eval t ev ~pre:meta.Protocol.pre in
               if Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
               then Some meta
               else None)
@@ -289,12 +299,24 @@ let product_of_children t child_polys =
           acc := !scratch;
           scratch := swap)
         rest;
-      Cyclic.of_int_array t.ring !acc
+      Cyclic.of_canonical t.ring !acc
 
+(* client + server, with the client half served from the cache.  With
+   ring byte tables the flat kernel decodes the packed server half
+   inline and adds through the table, straight into the result vector;
+   same validation, bit-identical polynomial. *)
 let reconstruct t ~pre share_bytes =
-  let server = Secshare_poly.Codec.unpack_cyclic t.ring share_bytes in
-  (* client + server, with the client half served from the cache *)
-  Cyclic.add t.ring (client_poly t ~pre) server
+  match t.ring.Secshare_poly.Ring.table with
+  | None ->
+      let server = Secshare_poly.Codec.unpack_cyclic t.ring share_bytes in
+      Cyclic.add t.ring (client_poly t ~pre) server
+  | Some tab ->
+      let n = t.ring.Secshare_poly.Ring.n in
+      let out = Array.make n 0 in
+      Secshare_poly.Flat.reconstruct_into tab ~n
+        ~client:(Cyclic.view (client_poly t ~pre))
+        share_bytes ~out;
+      Cyclic.of_canonical t.ring out
 
 let tag_value t (meta : Protocol.node_meta) =
   let child_metas = children t ~pre:meta.Protocol.pre in

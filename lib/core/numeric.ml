@@ -97,28 +97,14 @@ let mask61 = (1 lsl 61) - 1
 let draws ~seed ~pre ~tag ~count =
   if pre < 0 then invalid_arg "Numeric: negative pre";
   if count < 0 then invalid_arg "Numeric: negative count";
-  let key = Seed.to_bytes seed in
-  let nonce = nonce ~pre ~tag in
   let out = Array.make count 0 in
-  let buf = ref (Chacha20.keystream ~key ~nonce ~counter:0 (max 64 (count * 8))) in
-  let pos = ref 0 in
-  let next_counter = ref (Bytes.length !buf / 64) in
-  let refill () =
-    let extra = Chacha20.keystream ~key ~nonce ~counter:!next_counter 64 in
-    next_counter := !next_counter + 1;
-    buf := Bytes.cat !buf extra
-  in
-  (* 61 masked bits are uniform over [0, 2^61); only the single value
-     2^61 - 1 = M falls outside the field and is redrawn *)
-  let rec draw () =
-    if !pos + 8 > Bytes.length !buf then refill ();
-    let v = Int64.to_int (Bytes.get_int64_le !buf !pos) land mask61 in
-    pos := !pos + 8;
-    if v < modulus then v else draw ()
-  in
-  for i = 0 to count - 1 do
-    out.(i) <- draw ()
-  done;
+  (* 8-byte little-endian words masked to 61 bits are uniform over
+     [0, 2^61); only the single value 2^61 - 1 = M falls outside the
+     field and is redrawn *)
+  Secshare_prg.Sampler.fill
+    (Chacha20.create ~key:(Seed.to_bytes seed) ~nonce:(nonce ~pre ~tag))
+    ~first_chunk:(max 64 (count * 8))
+    ~width:8 ~big_endian:false ~mask:mask61 ~below:modulus ~modulo:modulus out;
   out
 
 let blind ~seed ~pre = (draws ~seed ~pre ~tag:"nval" ~count:1).(0)

@@ -27,6 +27,18 @@ let of_int_array (r : Ring.t) a =
          (dim r) (Array.length a));
   Array.map r.Ring.normalize a
 
+let of_canonical (r : Ring.t) a =
+  if Array.length a <> dim r then
+    invalid_arg
+      (Printf.sprintf "Cyclic.of_canonical: expected %d coefficients, got %d"
+         (dim r) (Array.length a));
+  for i = 0 to Array.length a - 1 do
+    let c = Array.unsafe_get a i in
+    if c < 0 || c >= r.Ring.order then
+      invalid_arg (Printf.sprintf "Cyclic.of_canonical: %d is not in [0,%d)" c r.Ring.order)
+  done;
+  a
+
 let to_int_array v = Array.copy v
 let view (v : t) = v
 let coeff v i = v.(i)

@@ -28,6 +28,13 @@ val of_int_array : Ring.t -> int array -> t
     into the field.  @raise Invalid_argument if the length is not
     the ring dimension [n = q - 1]. *)
 
+val of_canonical : Ring.t -> int array -> t
+(** Like {!of_int_array} for entries already canonical: checks them
+    against [[0, q)] instead of normalising, and takes ownership of the
+    array (NOT a copy), so the caller must not mutate it afterwards.
+    @raise Invalid_argument on a wrong length or an entry outside
+    [[0, q)]. *)
+
 val to_int_array : t -> int array
 (** Fresh coefficient vector of length [n]. *)
 

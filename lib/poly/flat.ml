@@ -33,16 +33,14 @@ let[@inline] coeff_at buf ~bits ~mask i =
   in
   w land mask
 
-let check_share tab ~n buf =
+let check_share fn tab ~n buf =
   let bits = Table.bits tab in
   let needed = ((n * bits) + 7) / 8 in
   if Bytes.length buf < needed then
-    invalid_arg
-      (Printf.sprintf "Flat.eval_share: need %d bytes, got %d" needed
-         (Bytes.length buf))
+    invalid_arg (Printf.sprintf "%s: need %d bytes, got %d" fn needed (Bytes.length buf))
 
 let eval_share tab ~mul_row ~n buf =
-  check_share tab ~n buf;
+  check_share "Flat.eval_share" tab ~n buf;
   let bits = Table.bits tab in
   let mask = (1 lsl bits) - 1 in
   let q = Table.order tab in
@@ -65,6 +63,21 @@ let eval_share_batch tab ~mul_row ~n shares ~out =
          (Array.length out) batch);
   for i = 0 to batch - 1 do
     Array.unsafe_set out i (eval_share tab ~mul_row ~n (Array.unsafe_get shares i))
+  done
+
+let reconstruct_into tab ~n ~(client : int array) buf ~(out : int array) =
+  check_share "Flat.reconstruct_into" tab ~n buf;
+  if Array.length client < n || Array.length out < n then
+    invalid_arg "Flat.reconstruct_into: buffers shorter than the ring dimension";
+  let bits = Table.bits tab in
+  let mask = (1 lsl bits) - 1 in
+  let q = Table.order tab in
+  for i = 0 to n - 1 do
+    let c = coeff_at buf ~bits ~mask i in
+    if c >= q then
+      invalid_arg
+        (Printf.sprintf "Flat.reconstruct_into: decoded coefficient %d >= %d" c q);
+    Array.unsafe_set out i (Table.unsafe_add tab (Array.unsafe_get client i) c)
   done
 
 let mul_into tab ~n ~(a : int array) ~(b : int array) ~(out : int array) =

@@ -55,6 +55,26 @@ val eval_share_batch :
     itself allocates nothing.
     @raise Invalid_argument if [out] is shorter than the batch. *)
 
+val reconstruct_into :
+  Secshare_field.Table.t ->
+  n:int ->
+  client:int array ->
+  Bytes.t ->
+  out:int array ->
+  unit
+(** [reconstruct_into tab ~n ~client share ~out] writes the
+    reconstructed polynomial [client + server] to [out.(0 .. n-1)],
+    where the server half is decoded inline from the {!Codec}-packed
+    [share] and the client half is a canonical coefficient vector
+    (e.g. {!Cyclic.view} of the regenerated client polynomial).
+    Bit-identical to [Cyclic.add ring client (Codec.unpack_cyclic ring
+    share)], without the intermediate unpacked vector.  [out] is
+    caller-provided, so the kernel allocates nothing.  Validates like
+    {!eval_share}:
+    @raise Invalid_argument if the buffer is short, a decoded
+    coefficient is outside [0, q), or [client] or [out] is shorter
+    than [n]. *)
+
 val mul_into :
   Secshare_field.Table.t ->
   n:int ->

@@ -13,42 +13,23 @@ let coefficients ~seed ~pre ~q ~count =
   if pre < 0 then invalid_arg "Node_prg: negative pre";
   if q < 2 then invalid_arg "Node_prg: field order must be >= 2";
   if count < 0 then invalid_arg "Node_prg: negative count";
-  let key = Seed.to_bytes seed in
-  let nonce = nonce_of_pre pre in
   let k = bytes_needed q in
   let cap =
     let rec pow acc i = if i = 0 then acc else pow (acc * 256) (i - 1) in
     pow 1 k
   in
-  let accept_below = cap - (cap mod q) in
   let out = Array.make count 0 in
-  (* Pull the keystream in chunks; rejection means we occasionally need
-     more, so grow on demand. *)
-  let buf = ref (Chacha20.keystream ~key ~nonce ~counter:0 (max 64 (count * k * 2))) in
-  let pos = ref 0 in
-  let next_counter = ref (Bytes.length !buf / 64) in
-  let refill () =
-    let extra = Chacha20.keystream ~key ~nonce ~counter:!next_counter 256 in
-    next_counter := !next_counter + 4;
-    buf := Bytes.cat !buf extra
-  in
-  let draw () =
-    let rec attempt () =
-      if !pos + k > Bytes.length !buf then refill ();
-      let v = ref 0 in
-      for i = 0 to k - 1 do
-        v := (!v lsl 8) lor Bytes.get_uint8 !buf (!pos + i)
-      done;
-      pos := !pos + k;
-      if !v < accept_below then !v mod q else attempt ()
-    in
-    attempt ()
-  in
-  for i = 0 to count - 1 do
-    out.(i) <- draw ()
-  done;
+  (* k-byte big-endian words, uniform in [0, cap); keep those below the
+     largest multiple of q.  The first chunk of 2 * count * k bytes is
+     what the stream was pinned to (see Sampler). *)
+  Sampler.fill
+    (Chacha20.create ~key:(Seed.to_bytes seed) ~nonce:(nonce_of_pre pre))
+    ~first_chunk:(max 64 (count * k * 2))
+    ~width:k ~big_endian:true ~mask:(-1)
+    ~below:(cap - (cap mod q))
+    ~modulo:q out;
   out
 
 let client_poly ~ring ~seed ~pre =
   let n = Secshare_poly.Ring.(ring.n) and q = Secshare_poly.Ring.(ring.order) in
-  Secshare_poly.Cyclic.of_int_array ring (coefficients ~seed ~pre ~q ~count:n)
+  Secshare_poly.Cyclic.of_canonical ring (coefficients ~seed ~pre ~q ~count:n)

@@ -5,14 +5,26 @@
     the node at pre-order position [pre]: ChaCha20 keyed by the seed,
     nonce domain-separated by [pre], coefficients drawn uniformly in
     [0, q) by rejection sampling (so the shares are uniform — the
-    secret-sharing hiding property depends on this). *)
+    secret-sharing hiding property depends on this).
+
+    Each coefficient is a [k]-byte big-endian word of the keystream,
+    with [k] the fewest bytes covering [q], kept when below the largest
+    multiple of [q] that fits and then reduced mod [q].  The draw runs
+    on {!Sampler}, which generates the blocks lazily (two for q = 83)
+    and allocates only the output; the stream, including the
+    first-refill re-read documented there, is pinned bit for bit by
+    digests in the test suite, because every stored server share
+    depends on it. *)
 
 val client_poly :
   ring:Secshare_poly.Ring.t -> seed:Seed.t -> pre:int -> Secshare_poly.Cyclic.t
 (** The client polynomial for node [pre].  Deterministic in
-    [(seed, ring, pre)].  @raise Invalid_argument on negative
-    [pre]. *)
+    [(seed, ring, pre)].  The coefficients are already canonical, so
+    they go into the ring without normalisation
+    ({!Secshare_poly.Cyclic.of_canonical}).
+    @raise Invalid_argument on negative [pre]. *)
 
 val coefficients : seed:Seed.t -> pre:int -> q:int -> count:int -> int array
 (** The underlying uniform draw in [0, q), exposed for statistical
-    tests. *)
+    tests and for the Shamir dealer's per-row draws.
+    @raise Invalid_argument on negative [pre] or [count], or [q < 2]. *)

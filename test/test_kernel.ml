@@ -137,6 +137,76 @@ let test_eval_share_rejects_bad_coeff () =
   | (_ : int) -> Alcotest.fail "expected Invalid_argument on coefficient >= q"
   | exception Invalid_argument _ -> ()
 
+(* --- reconstruct kernel vs unpack + Cyclic.add ---------------------- *)
+
+let reference_reconstruct ring ~client buf = Cyclic.add ring client (Codec.unpack_cyclic ring buf)
+
+let flat_reconstruct ring ~client buf =
+  let n = ring.Ring.n in
+  let out = Array.make n (-1) in
+  Flat.reconstruct_into (table_of ring) ~n ~client:(Cyclic.view client) buf ~out;
+  Cyclic.of_int_array ring out
+
+(* Exhaustive per coefficient value: coefficient i of the client half
+   is (u + i) mod q and of the server half (v + 3i) mod q, so across
+   all (u, v) every position sees every (client, server) value pair. *)
+let test_reconstruct_exhaustive ring name () =
+  let q = ring.Ring.order and n = ring.Ring.n in
+  for u = 0 to q - 1 do
+    for v = 0 to q - 1 do
+      let client = Cyclic.of_int_array ring (Array.init n (fun i -> (u + i) mod q)) in
+      let server = Cyclic.of_int_array ring (Array.init n (fun i -> (v + (3 * i)) mod q)) in
+      let buf = Codec.pack_cyclic ring server in
+      if
+        not
+          (Cyclic.equal (flat_reconstruct ring ~client buf)
+             (reference_reconstruct ring ~client buf))
+      then Alcotest.failf "%s: reconstruct differs at (u=%d, v=%d)" name u v
+    done
+  done
+
+let reconstruct_suite ring name =
+  let gc = gen_cyclic ring in
+  [
+    Alcotest.test_case (name ^ ": every coefficient pair") `Quick
+      (test_reconstruct_exhaustive ring name);
+    qtest
+      (name ^ ": reconstruct_into = unpack + Cyclic.add")
+      (QCheck2.Gen.pair gc gc)
+      (fun (client, server) ->
+        let buf = Codec.pack_cyclic ring server in
+        Cyclic.equal (flat_reconstruct ring ~client buf) (reference_reconstruct ring ~client buf));
+  ]
+
+let test_reconstruct_rejects ring name () =
+  let tab = table_of ring in
+  let n = ring.Ring.n and q = ring.Ring.order in
+  let client = Cyclic.view (Cyclic.one ring) in
+  let out = Array.make n 0 in
+  let rejects what buf =
+    match Flat.reconstruct_into tab ~n ~client buf ~out with
+    | () -> Alcotest.failf "%s: %s accepted" name what
+    | exception Invalid_argument _ -> ()
+  in
+  let len = Codec.byte_length ~q ~n in
+  rejects "short buffer" (Bytes.make (len - 1) '\000');
+  rejects "empty buffer" Bytes.empty;
+  (* all-ones decodes 2^bits - 1 >= q in every coefficient *)
+  rejects "coefficient >= q" (Bytes.make len '\xff');
+  (* a single bad coefficient, in the last position *)
+  let coeffs = Array.make n 0 in
+  let buf = Codec.pack ~q coeffs in
+  let bits = Codec.bits_per_coeff q in
+  for b = 0 to bits - 1 do
+    let pos = ((n - 1) * bits) + b in
+    Bytes.set_uint8 buf (pos lsr 3) (Bytes.get_uint8 buf (pos lsr 3) lor (1 lsl (pos land 7)))
+  done;
+  rejects "last coefficient >= q" buf;
+  (* both reference and kernel reject the same buffers *)
+  match Codec.unpack_cyclic ring buf with
+  | (_ : Cyclic.t) -> Alcotest.failf "%s: reference accepted a bad buffer" name
+  | exception Invalid_argument _ -> ()
+
 (* --- product kernel vs Cyclic.mul ---------------------------------- *)
 
 let mul_suite ring name =
@@ -191,7 +261,13 @@ let () =
         [
           Alcotest.test_case "eval_share rejects coeff >= q" `Quick
             test_eval_share_rejects_bad_coeff;
+          Alcotest.test_case "F83 reconstruct rejects bad shares" `Quick
+            (test_reconstruct_rejects r83 "F83");
+          Alcotest.test_case "GF81 reconstruct rejects bad shares" `Quick
+            (test_reconstruct_rejects r81 "GF81");
         ] );
+      ("recon F83", reconstruct_suite r83 "F83");
+      ("recon GF81", reconstruct_suite r81 "GF81");
       ("mul F83", mul_suite r83 "F83");
       ("mul GF81", mul_suite r81 "GF81");
     ]

@@ -3,6 +3,7 @@ module Xoshiro = Secshare_prg.Xoshiro
 module Chacha = Secshare_prg.Chacha20
 module Seed = Secshare_prg.Seed
 module Node_prg = Secshare_prg.Node_prg
+module Numeric = Secshare_core.Numeric
 
 let check = Alcotest.check
 let qtest ?(count = 100) name gen prop =
@@ -36,6 +37,26 @@ let test_chacha_rfc_block () =
   let block = Chacha.block ~key:rfc_key ~counter:1 ~nonce:rfc_nonce in
   check Alcotest.string "rfc block" expected (hex_of_bytes block)
 
+let test_chacha_rfc_keystream () =
+  (* RFC 8439 §2.4.2: the 114-byte "sunscreen" plaintext encrypted from
+     counter 1 spans two blocks and ends mid-block *)
+  let nonce = Bytes.make 12 '\000' in
+  Bytes.set_uint8 nonce 7 0x4a;
+  let plaintext =
+    Bytes.of_string
+      "Ladies and Gentlemen of the class of '99: If I could offer you only one \
+       tip for the future, sunscreen would be it."
+  in
+  let expected =
+    "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
+     f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
+     07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736\
+     5af90bbf74a35be6b40b8eedf2785e42874d"
+  in
+  check Alcotest.int "plaintext length" 114 (Bytes.length plaintext);
+  let ciphertext = Chacha.xor_with ~key:rfc_key ~nonce ~counter:1 plaintext in
+  check Alcotest.string "rfc ciphertext" expected (hex_of_bytes ciphertext)
+
 let test_chacha_keystream_consistency () =
   (* keystream across block boundaries equals concatenated blocks *)
   let ks = Chacha.keystream ~key:rfc_key ~nonce:rfc_nonce ~counter:1 100 in
@@ -62,6 +83,29 @@ let test_chacha_rejects () =
   Alcotest.check_raises "negative counter"
     (Invalid_argument "Chacha20.block: negative counter") (fun () ->
       ignore (Chacha.block ~key:rfc_key ~counter:(-1) ~nonce:rfc_nonce))
+
+(* The block counter is 32 bits: a counter of 2^32 must not wrap to
+   block 0 (keystream reuse), and no keystream may run past it. *)
+let test_chacha_counter_limit () =
+  let raises name f =
+    match f () with
+    | (_ : bytes) -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let last = 0xFFFFFFFF in
+  raises "block 2^32" (fun () -> Chacha.block ~key:rfc_key ~counter:(last + 1) ~nonce:rfc_nonce);
+  raises "keystream past 2^32 - 1" (fun () ->
+      Chacha.keystream ~key:rfc_key ~nonce:rfc_nonce ~counter:last 65);
+  raises "keystream from 2^32" (fun () ->
+      Chacha.keystream ~key:rfc_key ~nonce:rfc_nonce ~counter:(last + 1) 1);
+  raises "xor_with past 2^32 - 1" (fun () ->
+      Chacha.xor_with ~key:rfc_key ~nonce:rfc_nonce ~counter:last (Bytes.make 100 'x'));
+  (* the last block itself is fine, and differs from block 0 *)
+  let top = Chacha.block ~key:rfc_key ~counter:last ~nonce:rfc_nonce in
+  check Alcotest.string "keystream ends at the last block" (hex_of_bytes top)
+    (hex_of_bytes (Chacha.keystream ~key:rfc_key ~nonce:rfc_nonce ~counter:last 64));
+  check Alcotest.bool "last block is not block 0" false
+    (Bytes.equal top (Chacha.block ~key:rfc_key ~counter:0 ~nonce:rfc_nonce))
 
 (* --- SplitMix64 / xoshiro --- *)
 
@@ -216,6 +260,111 @@ let test_client_poly_matches_coefficients () =
   let raw = Node_prg.coefficients ~seed:seed_a ~pre:9 ~q:83 ~count:82 in
   check Alcotest.(array int) "same coefficients" raw (Secshare_poly.Cyclic.to_int_array poly)
 
+(* --- the PRG stream, pinned bit for bit ---------------------------- *)
+
+(* Digests of the coefficient and numeric streams, computed before the
+   sampler was rewritten.  Any change to the keystream, the rejection
+   rule, or the first-refill re-read below changes every stored share,
+   so these must never be regenerated to make a test pass. *)
+
+let digest_ints arrays =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map
+             (fun a -> String.concat "," (Array.to_list (Array.map string_of_int a)))
+             arrays)))
+
+let golden_pres = [ 0; 7; 4242 ]
+
+let node_prg_digest q =
+  digest_ints
+    (List.concat_map
+       (fun pre ->
+         List.map
+           (fun count -> Node_prg.coefficients ~seed:seed_a ~pre ~q ~count)
+           [ 1; 40; 82; 500 ])
+       golden_pres)
+
+(* q = 129 and q = 32769 reject about half their draws, so they reach
+   the first refill at every count *)
+let node_prg_golden =
+  [
+    (2, "f8d753a9e98084d84e587aefe25a0854");
+    (5, "a951b30c0bfe15d379ae614f2244b3ce");
+    (29, "551a706932da0ea47bc81f395ca52ff1");
+    (81, "726ee01aaf7d34d7ac32af51acedc4eb");
+    (83, "c97de23f3042a4c495061389fdd2bba8");
+    (129, "818b63bdf20224898d26ee8aa37769bc");
+    (257, "338d8572562f8537479ac04d068514ee");
+    (1021, "832ad9135b9659a16542880d5a4caf1b");
+    (32769, "5f2d4e3f3d9f10f881eaa7855d247d55");
+  ]
+
+let test_node_prg_golden () =
+  List.iter
+    (fun (q, expected) ->
+      check Alcotest.string (Printf.sprintf "q=%d" q) expected (node_prg_digest q))
+    node_prg_golden
+
+let test_numeric_golden () =
+  check Alcotest.string "blind" "fd8f96e20feb2773c0683b7eb28b4630"
+    (digest_ints [ Array.init 64 (fun pre -> Numeric.blind ~seed:seed_a ~pre) ]);
+  check Alcotest.string "dealer_draws" "47b19b493165d06ba319c2eec555b566"
+    (digest_ints
+       (List.concat_map
+          (fun pre ->
+            List.map
+              (fun count -> Numeric.dealer_draws ~seed:seed_a ~pre ~count)
+              [ 1; 2; 5; 40 ])
+          golden_pres))
+
+(* The sampler as it stood before the rewrite, over the public
+   keystream: draw [2 * count * k] bytes up front, then refill 256
+   bytes at a time from block [len / 64] — re-reading the tail of the
+   first chunk when its length is not a multiple of 64. *)
+let reference_coefficients ~seed ~pre ~q ~count =
+  let k =
+    let rec go k cap = if cap >= q then k else go (k + 1) (cap * 256) in
+    go 1 256
+  in
+  let cap = 1 lsl (8 * k) in
+  let accept_below = cap - (cap mod q) in
+  let key = Seed.to_bytes seed in
+  let nonce = Bytes.make Chacha.nonce_length '\000' in
+  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
+  Bytes.blit_string "poly" 0 nonce 8 4;
+  let buf = ref (Chacha.keystream ~key ~nonce ~counter:0 (max 64 (count * k * 2))) in
+  let pos = ref 0 in
+  let next_counter = ref (Bytes.length !buf / 64) in
+  let rec draw () =
+    if !pos + k > Bytes.length !buf then begin
+      buf := Bytes.cat !buf (Chacha.keystream ~key ~nonce ~counter:!next_counter 256);
+      next_counter := !next_counter + 4
+    end;
+    let v = ref 0 in
+    for i = 0 to k - 1 do
+      v := (!v lsl 8) lor Bytes.get_uint8 !buf (!pos + i)
+    done;
+    pos := !pos + k;
+    if !v < accept_below then !v mod q else draw ()
+  in
+  Array.init count (fun _ -> draw ())
+
+let gen_seed =
+  QCheck2.Gen.(map (fun s -> Seed.of_bytes (Bytes.of_string s)) (string_size (return 32)))
+
+let sampler_matches_reference ~ring name =
+  let q = ring.Secshare_poly.Ring.order in
+  qtest ~count:200
+    (name ^ ": client_poly = reference sampler")
+    QCheck2.Gen.(triple gen_seed (int_range 0 1_000_000) (int_range 0 (3 * q)))
+    (fun (seed, pre, count) ->
+      Node_prg.coefficients ~seed ~pre ~q ~count
+      = reference_coefficients ~seed ~pre ~q ~count
+      && Secshare_poly.Cyclic.to_int_array (Node_prg.client_poly ~ring ~seed ~pre)
+         = reference_coefficients ~seed ~pre ~q ~count:ring.Secshare_poly.Ring.n)
+
 let () =
   Alcotest.run "prg"
     [
@@ -225,6 +374,8 @@ let () =
           Alcotest.test_case "keystream consistency" `Quick test_chacha_keystream_consistency;
           Alcotest.test_case "xor involution" `Quick test_chacha_xor_involution;
           Alcotest.test_case "input validation" `Quick test_chacha_rejects;
+          Alcotest.test_case "RFC 8439 multi-block keystream" `Quick test_chacha_rfc_keystream;
+          Alcotest.test_case "32-bit counter limit" `Quick test_chacha_counter_limit;
         ] );
       ( "generators",
         [
@@ -260,5 +411,12 @@ let () =
           Alcotest.test_case "rough uniformity" `Quick test_node_prg_uniformity;
           Alcotest.test_case "input validation" `Quick test_node_prg_rejects;
           Alcotest.test_case "client_poly consistency" `Quick test_client_poly_matches_coefficients;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "coefficient digests" `Quick test_node_prg_golden;
+          Alcotest.test_case "numeric digests" `Quick test_numeric_golden;
+          sampler_matches_reference ~ring:(Secshare_poly.Ring.of_prime ~p:83) "F83";
+          sampler_matches_reference ~ring:(Secshare_poly.Ring.of_prime_power ~p:3 ~e:4) "GF81";
         ] );
     ]
