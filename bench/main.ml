@@ -414,10 +414,10 @@ let batching_ablation () =
     "Three cost models for the same queries.  Per-node is the paper's RMI
      filter: one round trip per evaluation.  Batched folds each filtering
      step into one Eval_batch message but still navigates with per-parent
-     Children calls and descendant cursors.  Fused sends the axis scan and
-     the share evaluations in a single Scan_eval message, halving the round
-     trips of the batched protocol on chain queries.  Results must be (and
-     are asserted) identical (simple engine, containment test):
+     Children calls and point-free descendant scans.  Fused sends the axis
+     scan and the share evaluations in a single Scan_eval message, halving
+     the round trips of the batched protocol on chain queries.  Results
+     must be (and are asserted) identical (simple engine, containment test):
 
 ";
   let doc = xmark_doc (if !quick then 100_000 else 300_000) in

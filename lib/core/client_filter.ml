@@ -23,7 +23,6 @@ type t = {
   ring : Secshare_poly.Ring.t;
   seed : Secshare_prg.Seed.t;
   transport : Transport.t;
-  batch_size : int;
   scan_batch : int;
   batch_eval : bool;
   fused_scan : bool;
@@ -36,13 +35,12 @@ type t = {
          even the O(degree) Horner pass *)
 }
 
-let create ring ~seed ?(batch_size = 64) ?(scan_batch = 256) ?(batch_eval = true)
-    ?(fused_scan = true) ?(share_cache = 4096) transport =
+let create ring ~seed ?(scan_batch = 256) ?(batch_eval = true) ?(fused_scan = true)
+    ?(share_cache = 4096) transport =
   {
     ring;
     seed;
     transport;
-    batch_size = max 1 batch_size;
     scan_batch = max 1 scan_batch;
     batch_eval;
     fused_scan;
@@ -60,7 +58,6 @@ let reset_metrics t =
   Option.iter Lru.clear t.eval_cache
 
 let rpc_counters t = Transport.counters t.transport
-let batch_size t = t.batch_size
 let scan_batch t = t.scan_batch
 let batch_eval t = t.batch_eval
 let fused_scan t = t.fused_scan
@@ -140,31 +137,7 @@ let parent t ~pre =
   | Protocol.Node_opt meta -> meta
   | response -> protocol_error "Parent" response
 
-let descendants_cursor t ~pre ~post =
-  match call t (Protocol.Descendants { pre; post }) with
-  | Protocol.Cursor id -> id
-  | response -> protocol_error "Descendants" response
-
-let cursor_next t ~cursor ~max_items =
-  match call t (Protocol.Cursor_next { cursor; max_items }) with
-  | Protocol.Batch (items, exhausted) -> (items, exhausted)
-  | response -> protocol_error "Cursor_next" response
-
-let cursor_close t cursor =
-  match call t (Protocol.Cursor_close cursor) with
-  | Protocol.Pong -> ()
-  | response -> protocol_error "Cursor_close" response
-
-let iter_descendants t (meta : Protocol.node_meta) ~f =
-  let cursor = descendants_cursor t ~pre:meta.Protocol.pre ~post:meta.Protocol.post in
-  let rec drain () =
-    let items, exhausted = cursor_next t ~cursor ~max_items:t.batch_size in
-    List.iter f items;
-    if not exhausted then drain ()
-  in
-  drain ()
-
-(* --- fused scans (Scan_eval) --- *)
+(* --- scans (Scan_eval / Scan_next) --- *)
 
 let scan_eval t ~target ~points ~max_items =
   match call t (Protocol.Scan_eval { target; points; max_items }) with
@@ -175,6 +148,11 @@ let scan_next t ~cursor ~max_items =
   match call t (Protocol.Scan_next { cursor; max_items }) with
   | Protocol.Scan_batch { rows; cursor } -> (rows, cursor)
   | response -> protocol_error "Scan_next" response
+
+let cursor_close t cursor =
+  match call t (Protocol.Cursor_close cursor) with
+  | Protocol.Pong -> ()
+  | response -> protocol_error "Cursor_close" response
 
 (* Merge one fused batch: for each row, regenerate the client share,
    combine with the server evaluations, and keep the rows where every
@@ -206,11 +184,6 @@ let filter_scan_rows t rows ~points =
       in
       Metrics.add t.metrics batch;
       kept
-
-let descendants t meta =
-  let acc = ref [] in
-  iter_descendants t meta ~f:(fun m -> acc := m :: !acc);
-  List.rev !acc
 
 let table_stats t =
   match call t Protocol.Table_stats with

@@ -19,23 +19,23 @@ exception Filter_error of string
 val create :
   Secshare_poly.Ring.t ->
   seed:Secshare_prg.Seed.t ->
-  ?batch_size:int ->
   ?scan_batch:int ->
   ?batch_eval:bool ->
   ?fused_scan:bool ->
   ?share_cache:int ->
   Secshare_rpc.Transport.t ->
   t
-(** [batch_size] bounds cursor batches (default 64): the client holds
-    at most one batch of node metadata at a time.  [scan_batch]
-    (default 256) bounds fused [Scan_eval] batches.  [batch_eval]
+(** [scan_batch] (default 256) bounds every scan batch — the
+    [max_items] of each [Scan_eval] and [Scan_next] — so the client
+    holds at most one batch of node metadata at a time.  [batch_eval]
     (default true) lets {!containment_batch} use one [Eval_batch]
     round trip; disabling it reproduces the per-node-call cost model
     of the paper's RMI filter (see the batching ablation).
-    [fused_scan] (default true) lets the execution pipeline use the
-    fused [Scan_eval] request — axis scan and share evaluation in one
-    message — instead of per-parent [Children] / [Descendants] calls
-    followed by a separate [Eval_batch].  [share_cache] (default 4096
+    [fused_scan] (default true) lets the execution pipeline evaluate
+    shares inside the [Scan_eval] request — axis scan and share
+    evaluation in one message — instead of per-parent [Children] calls
+    and point-free descendant scans followed by a separate
+    [Eval_batch].  [share_cache] (default 4096
     polynomials, 0 = off) bounds the LRU cache of regenerated client
     polynomials keyed by [pre]; regeneration is a pure function of the
     seed and [pre], so a cached entry is exact forever and eviction
@@ -50,7 +50,6 @@ val reset_metrics : t -> unit
     polynomial cache itself survives: its entries stay exact). *)
 
 val rpc_counters : t -> Secshare_rpc.Transport.counters
-val batch_size : t -> int
 val scan_batch : t -> int
 val batch_eval : t -> bool
 val fused_scan : t -> bool
@@ -68,34 +67,15 @@ val root : t -> Secshare_rpc.Protocol.node_meta option
 val children : t -> pre:int -> Secshare_rpc.Protocol.node_meta list
 val parent : t -> pre:int -> Secshare_rpc.Protocol.node_meta option
 
-val iter_descendants :
-  t -> Secshare_rpc.Protocol.node_meta -> f:(Secshare_rpc.Protocol.node_meta -> unit) -> unit
-(** Stream the strict descendants of a node in document order through
-    a server-side cursor. *)
-
-val descendants :
-  t -> Secshare_rpc.Protocol.node_meta -> Secshare_rpc.Protocol.node_meta list
-
-(** {2 Cursor-level access}
-
-    The streaming operators manage cursors themselves so they can stop
-    early (e.g. a satisfied [limit]) and close the server side
-    eagerly instead of waiting for TTL eviction. *)
-
-val descendants_cursor : t -> pre:int -> post:int -> int
-val cursor_next :
-  t -> cursor:int -> max_items:int -> Secshare_rpc.Protocol.node_meta list * bool
-(** Items plus whether the cursor is exhausted (exhausted cursors are
-    freed server-side). *)
-
-val cursor_close : t -> int -> unit
-
-(** {2 Fused scans}
+(** {2 Scans}
 
     One [Scan_eval] round trip both walks an axis range server-side
     and evaluates every scanned share at the supplied points — the
     scan and the containment test of a name step travel in the same
-    message. *)
+    message.  With no points it is a plain streamed axis scan.  The
+    streaming operators manage the continuation cursor themselves so
+    they can stop early (e.g. a satisfied [limit]) and close the server
+    side eagerly instead of waiting for TTL eviction. *)
 
 val scan_eval :
   t ->
@@ -110,6 +90,9 @@ val scan_next :
   cursor:int ->
   max_items:int ->
   (Secshare_rpc.Protocol.node_meta * int list) list * int option
+
+val cursor_close : t -> int -> unit
+(** Abandon a scan cursor before it is drained. *)
 
 val filter_scan_rows :
   t ->

@@ -261,78 +261,27 @@ let scan_children name filter ~eval input =
 
 let scan_descendants name filter ~eval ~include_self input =
   let stats = Metrics.op_stats name in
-  if Client_filter.fused_scan filter then
-    (* subtree ranges against the accelerator encoding: descendants of
-       v are exactly the rows with pre > v.pre and post < v.post; the
-       +self variant starts at v.pre and admits post = v.post *)
-    let next_batch, close =
-      fused_scan_stream filter stats ~points:(Option.to_list eval)
-        ~target_of_batch:(fun batch ->
-          if Array.length batch = 0 then None
-          else
-            Some
-              (Protocol.Pre_ranges
-                 (List.map
-                    (fun (m : Protocol.node_meta) ->
-                      if include_self then (m.Protocol.pre, m.Protocol.post + 1)
-                      else (m.Protocol.pre + 1, m.Protocol.post))
-                    (Array.to_list batch))))
-        input
-    in
-    make ~close stats next_batch
-  else begin
-    (* one server cursor per source node, streamed in cursor batches *)
-    let pending = ref [] in
-    let current = ref None in
-    let apply metas =
-      match eval with
-      | None -> metas
-      | Some point -> contains_all filter stats metas [ point ]
-    in
-    let rec next_batch () =
-      match !current with
-      | Some c -> (
-          let items, exhausted =
-            with_rpc filter stats (fun () ->
-                Client_filter.cursor_next filter ~cursor:c
-                  ~max_items:(Client_filter.batch_size filter))
-          in
-          if exhausted then current := None;
-          match apply items with
-          | [] -> next_batch ()
-          | metas -> Some (Array.of_list metas))
-      | None -> (
-          match !pending with
-          | (m : Protocol.node_meta) :: rest ->
-              pending := rest;
-              current :=
-                Some
-                  (with_rpc filter stats (fun () ->
-                       Client_filter.descendants_cursor filter ~pre:m.Protocol.pre
-                         ~post:m.Protocol.post));
-              next_batch ()
-          | [] -> (
-              match pull stats input with
-              | None -> None
-              | Some batch -> (
-                  let sources = Array.to_list batch in
-                  pending := sources;
-                  if not include_self then next_batch ()
-                  else
-                    match apply sources with
-                    | [] -> next_batch ()
-                    | metas -> Some (Array.of_list metas))))
-    in
-    let close () =
-      match !current with
-      | Some c ->
-          current := None;
-          (try Client_filter.cursor_close filter c
-           with Client_filter.Filter_error _ -> ())
-      | None -> ()
-    in
-    make ~close stats next_batch
-  end
+  (* subtree ranges against the accelerator encoding: descendants of
+     v are exactly the rows with pre > v.pre and post < v.post; the
+     +self variant starts at v.pre and admits post = v.post.  Whether
+     a containment point rides in the scan is the plan's decision: an
+     unfused lowering leaves [eval] empty and follows the scan with its
+     own [Eval_batch] step. *)
+  let next_batch, close =
+    fused_scan_stream filter stats ~points:(Option.to_list eval)
+      ~target_of_batch:(fun batch ->
+        if Array.length batch = 0 then None
+        else
+          Some
+            (Protocol.Pre_ranges
+               (List.map
+                  (fun (m : Protocol.node_meta) ->
+                    if include_self then (m.Protocol.pre, m.Protocol.post + 1)
+                    else (m.Protocol.pre + 1, m.Protocol.post))
+                  (Array.to_list batch))))
+      input
+  in
+  make ~close stats next_batch
 
 (* The advanced engine's look-ahead walk: descend level by level from
    the source nodes, keeping (and descending into) only children whose

@@ -22,7 +22,7 @@ let obs_cursors_opened =
 
 let obs_queries =
   Obs.Registry.counter
-    ~help:"Query-opening requests handled (scan_eval and descendants)."
+    ~help:"Query-opening requests handled (scan_eval)."
     "ssdb_server_queries_total"
 
 let obs_slow_queries =
@@ -30,11 +30,10 @@ let obs_slow_queries =
     ~help:"Query lifetimes that exceeded the slow-query threshold."
     "ssdb_server_slow_queries_total"
 
-(* A fused scan in flight: what remains to be walked, plus the points
-   every emitted row is evaluated at.  Unlike the legacy [Descendants]
-   buffer, nothing is materialized up front — the scan resumes from
-   the node table one batch at a time (the resumable range-scan API),
-   so an abandoned scan pins no row memory. *)
+(* A scan in flight: what remains to be walked, plus the points every
+   emitted row is evaluated at.  Nothing is materialized up front — the
+   scan resumes from the node table one batch at a time (the resumable
+   range-scan API), so an abandoned scan pins no row memory. *)
 type scan_state = {
   points : int list;
   point_tabs : point_tabs;
@@ -58,21 +57,15 @@ and point_tabs =
   | Reference  (** no tables: closure-based unpack + eval *)
   | Kernel of Secshare_field.Table.t * Bytes.t option list
 
-type cursor_state =
-  | Buffered of Protocol.node_meta list  (** legacy [Descendants] buffer *)
-  | Scanning of scan_state
-
 (* Besides its payload, a cursor carries the accounting the slow-query
    log reports when its lifetime ends: nothing here derives from query
    plaintext — opcode names, counts, sizes and times only. *)
 type cursor = {
-  mutable state : cursor_state;
+  scan : scan_state;
   mutable last_used : float;
   created : float;
   trace_id : int64;  (** the opener's ambient trace; 0 = untraced *)
-  opened_op : string;
-  next_op : string;  (** the opcode that drains this cursor *)
-  mutable next_calls : int;
+  mutable next_calls : int;  (** [Scan_next] requests served *)
   mutable batches : int;
   mutable rows : int;
   mutable resp_bytes : int;  (** approximate response payload bytes *)
@@ -187,8 +180,8 @@ let reason_label = function
    Everything in it is safe under the information-flow argument
    (DESIGN.md §9): trace id, opcode names, counts, sizes, duration —
    never evaluation points, pre/post numbers, or share values. *)
-let maybe_log_slow t ~trace_id ~cursor ~opened_op ~next_op ~next_calls ~batches ~rows
-    ~resp_bytes ~duration ~reason =
+let maybe_log_slow t ~trace_id ~cursor ~next_calls ~batches ~rows ~resp_bytes ~duration
+    ~reason =
   match t.slow_query_ms with
   | None -> ()
   | Some threshold_ms ->
@@ -196,8 +189,8 @@ let maybe_log_slow t ~trace_id ~cursor ~opened_op ~next_op ~next_calls ~batches 
       if ms >= threshold_ms then begin
         Obs.Registry.inc obs_slow_queries;
         let ops =
-          if next_calls = 0 then Printf.sprintf "%s:1" opened_op
-          else Printf.sprintf "%s:1,%s:%d" opened_op next_op next_calls
+          if next_calls = 0 then "scan_eval:1"
+          else Printf.sprintf "scan_eval:1,scan_next:%d" next_calls
         in
         Obs.Events.info
           "slow-query trace=%016Lx cursor=%s ops=%s batches=%d rows=%d bytes=%d \
@@ -220,9 +213,8 @@ let finish_cursor_locked t id c ~reason =
            ~labels:[ ("reason", reason_label reason) ]
            "ssdb_server_cursor_evictions_total")
   | Drained | Client_close -> ());
-  maybe_log_slow t ~trace_id:c.trace_id ~cursor:(Some id) ~opened_op:c.opened_op
-    ~next_op:c.next_op ~next_calls:c.next_calls ~batches:c.batches ~rows:c.rows
-    ~resp_bytes:c.resp_bytes
+  maybe_log_slow t ~trace_id:c.trace_id ~cursor:(Some id) ~next_calls:c.next_calls
+    ~batches:c.batches ~rows:c.rows ~resp_bytes:c.resp_bytes
     ~duration:(t.now () -. c.created)
     ~reason:(reason_label reason)
 
@@ -268,20 +260,17 @@ let enforce_cap_locked t =
 (* Register a cursor under a fresh id, seeded with the accounting of
    whatever the opening request already returned.  Called with the
    lock held, on the thread that carries the opener's ambient trace. *)
-let register_cursor_locked t state ~opened_op ~next_op ~created ~batches ~rows
-    ~resp_bytes =
+let register_cursor_locked t scan ~created ~batches ~rows ~resp_bytes =
   ignore (sweep_locked t);
   enforce_cap_locked t;
   let id = t.next_cursor in
   t.next_cursor <- t.next_cursor + 1;
   Hashtbl.replace t.cursors id
     {
-      state;
+      scan;
       last_used = t.now ();
       created;
       trace_id = Obs.Trace.current_id ();
-      opened_op;
-      next_op;
       next_calls = 0;
       batches;
       rows;
@@ -400,50 +389,6 @@ let handle t (request : Protocol.request) : Protocol.response =
       Protocol.Nodes (List.map meta_of_row (Node_table.children t.table ~parent))
   | Protocol.Parent pre ->
       Protocol.Node_opt (Option.map meta_of_row (Node_table.parent_of t.table ~pre))
-  | Protocol.Descendants { pre; post } ->
-      Obs.Registry.inc obs_queries;
-      let started = t.now () in
-      (* The server buffers the intermediate result; the client drains
-         it one batch at a time (nextNode). *)
-      let items =
-        List.rev
-          (Node_table.fold_descendants t.table ~pre ~post ~init:[] ~f:(fun acc row ->
-               meta_of_row row :: acc))
-      in
-      with_lock t (fun () ->
-          Protocol.Cursor
-            (register_cursor_locked t (Buffered items) ~opened_op:"descendants"
-               ~next_op:"cursor_next" ~created:started ~batches:0 ~rows:0 ~resp_bytes:0))
-  | Protocol.Cursor_next { cursor; max_items } ->
-      with_lock t (fun () ->
-          ignore (sweep_locked t);
-          match Hashtbl.find_opt t.cursors cursor with
-          | None -> Protocol.Error_msg (Printf.sprintf "unknown cursor %d" cursor)
-          | Some ({ state = Scanning _; _ } as c) ->
-              c.last_used <- t.now ();
-              Protocol.Error_msg
-                (Printf.sprintf "cursor %d is a scan cursor (use Scan_next)" cursor)
-          | Some ({ state = Buffered items; _ } as c) ->
-              let max_items = max 1 max_items in
-              let rec take n items =
-                if n = 0 then ([], items)
-                else
-                  match items with
-                  | [] -> ([], [])
-                  | x :: rest ->
-                      let taken, remaining = take (n - 1) rest in
-                      (x :: taken, remaining)
-              in
-              let batch, remaining = take max_items items in
-              c.state <- Buffered remaining;
-              c.last_used <- t.now ();
-              c.next_calls <- c.next_calls + 1;
-              c.batches <- c.batches + 1;
-              c.rows <- c.rows + List.length batch;
-              c.resp_bytes <- c.resp_bytes + (12 * List.length batch);
-              let exhausted = remaining = [] in
-              if exhausted then finish_cursor_locked t cursor c ~reason:Drained;
-              Protocol.Batch (batch, exhausted))
   | Protocol.Scan_eval { target; points; max_items } ->
       Obs.Registry.inc obs_queries;
       let started = t.now () in
@@ -496,8 +441,7 @@ let handle t (request : Protocol.request) : Protocol.response =
            slow-query check happens inline *)
         maybe_log_slow t
           ~trace_id:(Obs.Trace.current_id ())
-          ~cursor:None ~opened_op:"scan_eval" ~next_op:"scan_next" ~next_calls:0
-          ~batches:1 ~rows:(List.length rows) ~resp_bytes:bytes
+          ~cursor:None ~next_calls:0 ~batches:1 ~rows:(List.length rows) ~resp_bytes:bytes
           ~duration:(t.now () -. started)
           ~reason:"drained";
         Protocol.Scan_batch { rows; cursor = None }
@@ -505,30 +449,28 @@ let handle t (request : Protocol.request) : Protocol.response =
       else
         with_lock t (fun () ->
             let id =
-              register_cursor_locked t (Scanning scan) ~opened_op:"scan_eval"
-                ~next_op:"scan_next" ~created:started ~batches:1
+              register_cursor_locked t scan ~created:started ~batches:1
                 ~rows:(List.length rows) ~resp_bytes:bytes
             in
             Protocol.Scan_batch { rows; cursor = Some id })
   | Protocol.Scan_next { cursor; max_items } -> (
       (* Phase 1 (locked): advance the scan position and collect raw
          rows.  Cursor affinity — a cursor is only ever drained by the
-         connection that opened it — means no two drains race on one
-         scan state; the lock protects the cursor table itself. *)
+         connection that opened it ({!connection} answers any other
+         session as if the id were unknown) — means no two drains race
+         on one scan state; the lock protects the cursor table itself. *)
       let step =
         with_lock t (fun () ->
             ignore (sweep_locked t);
             match Hashtbl.find_opt t.cursors cursor with
-            | None -> Error (Printf.sprintf "unknown cursor %d" cursor)
-            | Some { state = Buffered _; _ } ->
-                Error (Printf.sprintf "cursor %d is a batch cursor (use Cursor_next)" cursor)
-            | Some ({ state = Scanning scan; _ } as c) ->
+            | None -> None
+            | Some c ->
                 c.last_used <- t.now ();
-                Ok (scan, scan_collect t scan ~max_items:(max 1 max_items)))
+                Some (c.scan, scan_collect t c.scan ~max_items:(max 1 max_items)))
       in
       match step with
-      | Error msg -> Protocol.Error_msg msg
-      | Ok (scan, (rows_raw, done_)) ->
+      | None -> Secshare_rpc.Session_cursors.unknown_cursor cursor
+      | Some (scan, (rows_raw, done_)) ->
           (* Phase 2 (unlocked): pool-parallel share evaluation. *)
           let rows = eval_rows t scan rows_raw in
           (* Phase 3 (locked): accounting, and the single removal path
@@ -537,13 +479,13 @@ let handle t (request : Protocol.request) : Protocol.response =
              already closed its accounting lifetime, so skip it here. *)
           with_lock t (fun () ->
               match Hashtbl.find_opt t.cursors cursor with
-              | Some ({ state = Scanning _; _ } as c) ->
+              | Some c ->
                   c.next_calls <- c.next_calls + 1;
                   c.batches <- c.batches + 1;
                   c.rows <- c.rows + List.length rows;
                   c.resp_bytes <- c.resp_bytes + batch_bytes rows;
                   if done_ then finish_cursor_locked t cursor c ~reason:Drained
-              | Some _ | None -> ());
+              | None -> ());
           Protocol.Scan_batch
             { rows; cursor = (if done_ then None else Some cursor) })
   | Protocol.Cursor_close cursor ->
@@ -646,33 +588,17 @@ let handler t request =
   | response -> response
   | exception exn -> Protocol.Error_msg (Printexc.to_string exn)
 
-(* A per-connection view: remembers which cursors this connection
-   opened so they can be evicted the moment it goes away, instead of
-   lingering until the TTL sweep. *)
+(* A per-connection view: the session owns the cursors it opened, so
+   they are evicted the moment it goes away instead of lingering until
+   the TTL sweep. *)
 let connection t =
-  let owned = ref [] in
-  let on_request request =
-    let response = handler t request in
-    (match (request, response) with
-    | Protocol.Descendants _, Protocol.Cursor id -> owned := id :: !owned
-    | Protocol.Scan_eval _, Protocol.Scan_batch { cursor = Some id; _ } ->
-        if not (List.mem id !owned) then owned := id :: !owned
-    | _ -> ());
-    response
-  in
-  let on_close () =
-    with_lock t (fun () ->
-        List.iter
-          (fun id ->
-            match Hashtbl.find_opt t.cursors id with
-            | Some c ->
-                finish_cursor_locked t id c ~reason:Connection_close;
-                t.evicted_total <- t.evicted_total + 1
-            | None -> ())
-          !owned;
-        owned := [])
-  in
-  (on_request, on_close)
+  Secshare_rpc.Session_cursors.connection ~handler:(handler t) ~release:(fun id ->
+      with_lock t (fun () ->
+          match Hashtbl.find_opt t.cursors id with
+          | Some c ->
+              finish_cursor_locked t id c ~reason:Connection_close;
+              t.evicted_total <- t.evicted_total + 1
+          | None -> ()))
 
 let sweep_cursors t = with_lock t (fun () -> sweep_locked t)
 let open_cursors t = with_lock t (fun () -> Hashtbl.length t.cursors)

@@ -6,15 +6,17 @@
     a query is about (it evaluates shares at client-supplied field
     points, which are themselves meaningless without the map).
 
-    Cursors implement the [nextNode()] pipeline: a [Descendants]
-    request opens a server-side scan buffer; the client drains it in
-    small batches so it holds only one batch at a time.  Abandoned
-    cursors cannot accumulate: each cursor carries a last-used
-    timestamp and is evicted once idle past [cursor_ttl] (swept on
-    every cursor operation or via {!sweep_cursors}); the total is
-    capped at [max_cursors] with least-recently-used eviction; and a
-    {!connection}-scoped handler evicts a connection's cursors the
-    moment it closes. *)
+    Cursors implement the [nextNode()] pipeline: a [Scan_eval] whose
+    first batch does not exhaust its ranges leaves a cursor holding
+    only the scan's resume position, and the client drains it with
+    [Scan_next] in small batches so it holds only one batch at a time;
+    the server reads each batch from the node table on demand and never
+    materialises the result.  Abandoned cursors cannot accumulate: each
+    cursor carries a last-used timestamp and is evicted once idle past
+    [cursor_ttl] (swept on every cursor operation or via
+    {!sweep_cursors}); the total is capped at [max_cursors] with
+    least-recently-used eviction; and a {!connection}-scoped handler
+    evicts a connection's cursors the moment it closes. *)
 
 type t
 
@@ -68,9 +70,11 @@ val handler : t -> Secshare_rpc.Protocol.request -> Secshare_rpc.Protocol.respon
 val connection :
   t ->
   (Secshare_rpc.Protocol.request -> Secshare_rpc.Protocol.response) * (unit -> unit)
-(** A per-connection handler plus its close hook: the hook evicts
-    every cursor the connection opened and still holds.  Feed the pair
-    to {!Secshare_rpc.Server.start_sessions}. *)
+(** A per-connection handler plus its close hook, built on
+    {!Secshare_rpc.Session_cursors}: a connection can drain or close
+    only the cursors it opened (any other id is answered as unknown),
+    and the hook evicts every cursor it still holds.  Feed the pair to
+    {!Secshare_rpc.Server.start_sessions}. *)
 
 val sweep_cursors : t -> int
 (** Evict cursors idle past the TTL now; returns how many. *)

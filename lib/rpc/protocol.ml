@@ -25,8 +25,6 @@ type request =
   | Root
   | Children of int
   | Parent of int
-  | Descendants of { pre : int; post : int }
-  | Cursor_next of { cursor : int; max_items : int }
   | Cursor_close of int
   | Eval of { pre : int; point : int }
   | Eval_batch of { pres : int list; point : int }
@@ -54,8 +52,6 @@ type response =
   | Pong
   | Node_opt of node_meta option
   | Nodes of node_meta list
-  | Cursor of int
-  | Batch of node_meta list * bool
   | Value of int
   | Values of int list
   | Share_data of bytes
@@ -95,14 +91,9 @@ let encode_request req =
   | Parent pre ->
       Wire.write_u8 w 3;
       Wire.write_u32 w pre
-  | Descendants { pre; post } ->
-      Wire.write_u8 w 4;
-      Wire.write_u32 w pre;
-      Wire.write_u32 w post
-  | Cursor_next { cursor; max_items } ->
-      Wire.write_u8 w 5;
-      Wire.write_u32 w cursor;
-      Wire.write_u32 w max_items
+  (* tags 4 and 5, in both directions, belonged to a retired
+     materialising subtree cursor: decoders reject them, and they are
+     never reused *)
   | Cursor_close cursor ->
       Wire.write_u8 w 6;
       Wire.write_u32 w cursor
@@ -162,14 +153,6 @@ let decode_request s =
     | 1 -> Root
     | 2 -> Children (Wire.read_u32 r)
     | 3 -> Parent (Wire.read_u32 r)
-    | 4 ->
-        let pre = Wire.read_u32 r in
-        let post = Wire.read_u32 r in
-        Descendants { pre; post }
-    | 5 ->
-        let cursor = Wire.read_u32 r in
-        let max_items = Wire.read_u32 r in
-        Cursor_next { cursor; max_items }
     | 6 -> Cursor_close (Wire.read_u32 r)
     | 7 ->
         let pre = Wire.read_u32 r in
@@ -227,13 +210,6 @@ let encode_response resp =
   | Nodes metas ->
       Wire.write_u8 w 3;
       Wire.write_list w (write_meta w) metas
-  | Cursor c ->
-      Wire.write_u8 w 4;
-      Wire.write_u32 w c
-  | Batch (metas, exhausted) ->
-      Wire.write_u8 w 5;
-      Wire.write_list w (write_meta w) metas;
-      Wire.write_u8 w (if exhausted then 1 else 0)
   | Value v ->
       Wire.write_u8 w 6;
       Wire.write_u32 w v
@@ -287,11 +263,6 @@ let decode_response s =
     | 1 -> Node_opt None
     | 2 -> Node_opt (Some (read_meta r))
     | 3 -> Nodes (Wire.read_list r (fun () -> read_meta r))
-    | 4 -> Cursor (Wire.read_u32 r)
-    | 5 ->
-        let metas = Wire.read_list r (fun () -> read_meta r) in
-        let exhausted = Wire.read_u8 r = 1 in
-        Batch (metas, exhausted)
     | 6 -> Value (Wire.read_u32 r)
     | 7 -> Values (Wire.read_list r (fun () -> Wire.read_u32 r))
     | 8 -> Share_data (Wire.read_bytes r)
@@ -343,8 +314,6 @@ let request_name = function
   | Root -> "root"
   | Children _ -> "children"
   | Parent _ -> "parent"
-  | Descendants _ -> "descendants"
-  | Cursor_next _ -> "cursor_next"
   | Cursor_close _ -> "cursor_close"
   | Eval _ -> "eval"
   | Eval_batch _ -> "eval_batch"
@@ -363,9 +332,6 @@ let pp_request fmt = function
   | Root -> Format.pp_print_string fmt "Root"
   | Children pre -> Format.fprintf fmt "Children(%d)" pre
   | Parent pre -> Format.fprintf fmt "Parent(%d)" pre
-  | Descendants { pre; post } -> Format.fprintf fmt "Descendants(pre=%d,post=%d)" pre post
-  | Cursor_next { cursor; max_items } ->
-      Format.fprintf fmt "Cursor_next(%d,max=%d)" cursor max_items
   | Cursor_close c -> Format.fprintf fmt "Cursor_close(%d)" c
   (* pp_request runs on the trusted client only (protocol_error
      diagnostics, tests); the server formats requests solely through
@@ -400,10 +366,6 @@ let pp_response fmt = function
   | Node_opt None -> Format.pp_print_string fmt "Node_opt(none)"
   | Node_opt (Some m) -> Format.fprintf fmt "Node_opt%a" pp_meta m
   | Nodes metas -> Format.fprintf fmt "Nodes(%d)" (List.length metas)
-  | Cursor c -> Format.fprintf fmt "Cursor(%d)" c
-  | Batch (metas, exhausted) ->
-      Format.fprintf fmt "Batch(%d,%s)" (List.length metas)
-        (if exhausted then "exhausted" else "more")
   | Value v -> Format.fprintf fmt "Value(%d)" v
   | Values vs -> Format.fprintf fmt "Values(%d)" (List.length vs)
   | Share_data b -> Format.fprintf fmt "Share_data(%d bytes)" (Bytes.length b)

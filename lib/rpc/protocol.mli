@@ -1,16 +1,21 @@
 (** The client/server filter protocol.
 
     This is the message vocabulary of the paper's [Filter] interface
-    (§5.2): tree-structure queries ([Root], [Children], [Parent],
-    [Descendants]), share evaluation on the server ([Eval],
-    [Eval_batch]), raw share fetch for the equality test ([Share],
-    [Shares]), and a cursor discipline mirroring the [nextNode()]
-    pipeline — "the thin client only needs to have one node in memory
-    at a time.  The big server will do the buffering of the
-    intermediate results."
+    (§5.2): tree-structure queries ([Root], [Children], [Parent]),
+    share evaluation on the server ([Eval], [Eval_batch]), raw share
+    fetch for the equality test ([Share], [Shares]), and one cursor
+    discipline mirroring the [nextNode()] pipeline — "the thin client
+    only needs to have one node in memory at a time.  The big server
+    will do the buffering of the intermediate results."  A [Scan_eval]
+    walks an axis range (optionally evaluating every scanned share);
+    its reply carries a cursor while rows remain, drained with
+    [Scan_next] or abandoned with [Cursor_close].  The server resumes
+    the scan from its node table one batch at a time rather than
+    materialising it.
 
     Everything is structural metadata and share data; tag names and the
-    map never cross the wire. *)
+    map never cross the wire.  Request and response tags 4 and 5 are
+    retired: the decoders reject them and they are never reused. *)
 
 type node_meta = { pre : int; post : int; parent : int }
 
@@ -49,10 +54,7 @@ type request =
   | Root
   | Children of int  (** parent's [pre] *)
   | Parent of int  (** child's [pre] *)
-  | Descendants of { pre : int; post : int }
-      (** opens a server-side cursor over the subtree *)
-  | Cursor_next of { cursor : int; max_items : int }
-  | Cursor_close of int
+  | Cursor_close of int  (** abandon a [Scan_eval] cursor; answered with [Pong] *)
   | Eval of { pre : int; point : int }
       (** evaluate the stored share of node [pre] at [point] *)
   | Eval_batch of { pres : int list; point : int }
@@ -62,13 +64,15 @@ type request =
   | Scan_eval of { target : scan_target; points : int list; max_items : int }
       (** Fused axis scan + share evaluation: one round trip returns a
           batch of scanned rows, each with its server-share evaluated
-          at every point.  Replaces a per-parent [Children] (or
-          [Descendants] cursor drain) followed by an [Eval_batch].
-          The reply is a [Scan_batch]; when it carries a cursor,
-          continue with [Scan_next] or abandon with [Cursor_close]. *)
+          at every point.  Replaces per-parent [Children] calls
+          followed by an [Eval_batch]; with no points it is a plain
+          streamed axis scan.  The reply is a [Scan_batch]; when it
+          carries a cursor, continue with [Scan_next] or abandon with
+          [Cursor_close]. *)
   | Scan_next of { cursor : int; max_items : int }
-      (** Next batch of a [Scan_eval] (not idempotent, like
-          [Cursor_next]). *)
+      (** Next batch of a [Scan_eval] — the one request that is not
+          idempotent: it advances the cursor, so a resend could skip a
+          batch. *)
   | Manifest
       (** Topology handshake: answered with [Manifest_data].  A
           non-sharded server reports the trivial 1-of-1 manifest, so
@@ -86,8 +90,6 @@ type response =
   | Pong
   | Node_opt of node_meta option
   | Nodes of node_meta list
-  | Cursor of int
-  | Batch of node_meta list * bool  (** items, exhausted? *)
   | Value of int
   | Values of int list
   | Share_data of bytes
@@ -106,7 +108,7 @@ type response =
   | Error_msg of string
 
 val request_name : request -> string
-(** Stable lowercase opcode name ("scan_eval", "cursor_next", …) —
+(** Stable lowercase opcode name ("scan_eval", "scan_next", …) —
     safe as a metric label value: carries the opcode only, never the
     request payload. *)
 

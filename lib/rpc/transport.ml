@@ -101,14 +101,12 @@ let socket ?(policy = default_policy) path =
         }
   | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
 
-(* Every request is a pure read of server state except [Cursor_next]
-   and [Scan_next], which advance a server-side cursor: resending one
-   after an ambiguous failure could silently skip a batch.
-   ([Scan_eval], like [Descendants], only creates a cursor — a retried
-   duplicate leaks until evicted, which is safe.) *)
-let idempotent = function
-  | Protocol.Cursor_next _ | Protocol.Scan_next _ -> false
-  | _ -> true
+(* Every request is a pure read of server state except [Scan_next],
+   which advances a server-side cursor: resending it after an
+   ambiguous failure could silently skip a batch.  ([Scan_eval] only
+   creates a cursor — a retried duplicate leaks until evicted, which
+   is safe.) *)
+let idempotent = function Protocol.Scan_next _ -> false | _ -> true
 
 (* Jitter noise comes from the project's seeded SplitMix64, not
    Stdlib.Random: every random draw in the tree stays auditable

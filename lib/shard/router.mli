@@ -55,9 +55,11 @@ val handler :
 
 val connection :
   t -> (Secshare_rpc.Protocol.request -> Secshare_rpc.Protocol.response) * (unit -> unit)
-(** A session-scoped handler for {!Secshare_rpc.Server.start_sessions}:
-    the second component closes every cursor the connection still has
-    open (router-side and on the shards). *)
+(** A session-scoped handler for {!Secshare_rpc.Server.start_sessions},
+    built on {!Secshare_rpc.Session_cursors}: a connection can drain or
+    close only the cursors it opened (any other id is answered as
+    unknown), and the second component closes every cursor the
+    connection still has open (router-side and on the shards). *)
 
 val manifest : t -> Manifest.t
 (** The deployment summary ([shard_id = 0]). *)

@@ -266,23 +266,37 @@ let test_cursor_accounting () =
     Secshare_rpc.Transport.local ~handler:(Secshare_core.Server_filter.handler server)
   in
   let filter =
-    Secshare_core.Client_filter.create ring ~seed:Test_support.test_seed ~batch_size:2
-      transport
+    Secshare_core.Client_filter.create ring ~seed:Test_support.test_seed transport
   in
   let root = Option.get (Secshare_core.Client_filter.root filter) in
-  (* tiny batches force several Cursor_next round trips *)
+  let open Secshare_rpc.Protocol in
+  let subtree = Pre_ranges [ (root.pre + 1, root.post) ] in
+  (* tiny batches force several Scan_next round trips *)
   let visited = ref 0 in
-  Secshare_core.Client_filter.iter_descendants filter root ~f:(fun _ -> incr visited);
+  let rec drain = function
+    | None -> ()
+    | Some cursor ->
+        let rows, next =
+          Secshare_core.Client_filter.scan_next filter ~cursor ~max_items:2
+        in
+        visited := !visited + List.length rows;
+        drain next
+  in
+  let rows, cursor =
+    Secshare_core.Client_filter.scan_eval filter ~target:subtree ~points:[] ~max_items:2
+  in
+  visited := List.length rows;
+  check Alcotest.bool "the first batch leaves a cursor" true (cursor <> None);
+  drain cursor;
   check Alcotest.int "all descendants streamed" 11 !visited;
   check Alcotest.int "drained cursors are freed" 0
     (Secshare_core.Server_filter.open_cursors server);
   (* an abandoned cursor stays open until closed explicitly *)
-  let open Secshare_rpc.Protocol in
   (match
      Secshare_rpc.Transport.call transport
-       (Descendants { pre = root.pre; post = root.post })
+       (Scan_eval { target = subtree; points = []; max_items = 2 })
    with
-  | Cursor id ->
+  | Scan_batch { cursor = Some id; _ } ->
       check Alcotest.int "abandoned cursor counted" 1
         (Secshare_core.Server_filter.open_cursors server);
       (match Secshare_rpc.Transport.call transport (Cursor_close id) with
@@ -290,9 +304,9 @@ let test_cursor_accounting () =
       | r -> Alcotest.failf "close: %s" (Format.asprintf "%a" pp_response r));
       check Alcotest.int "closed cursor freed" 0
         (Secshare_core.Server_filter.open_cursors server)
-  | r -> Alcotest.failf "descendants: %s" (Format.asprintf "%a" pp_response r));
+  | r -> Alcotest.failf "scan_eval: %s" (Format.asprintf "%a" pp_response r));
   (* unknown cursors are an error, not a crash *)
-  match Secshare_rpc.Transport.call transport (Cursor_next { cursor = 999; max_items = 5 }) with
+  match Secshare_rpc.Transport.call transport (Scan_next { cursor = 999; max_items = 5 }) with
   | Error_msg _ -> ()
   | r -> Alcotest.failf "unknown cursor: %s" (Format.asprintf "%a" pp_response r)
 

@@ -247,8 +247,8 @@ let small_batch_parts ?(fused = true) ?(wrap = fun h -> h) () =
     Transport.local ~handler:(wrap (Server_filter.handler server))
   in
   let filter =
-    Client_filter.create (DB.ring db) ~seed:Test_support.test_seed ~batch_size:2
-      ~scan_batch:2 ~fused_scan:fused transport
+    Client_filter.create (DB.ring db) ~seed:Test_support.test_seed ~scan_batch:2
+      ~fused_scan:fused transport
   in
   (server, filter)
 

@@ -105,26 +105,30 @@ module Transport = Secshare_rpc.Transport
 module Protocol = Secshare_rpc.Protocol
 module Server_filter = Secshare_core.Server_filter
 
-(* Open a Descendants cursor over the whole document on a raw
-   transport and pull a single batch, leaving the cursor mid-drain. *)
+let root_of call =
+  match call Protocol.Root with
+  | Protocol.Node_opt (Some meta) -> meta
+  | r -> Alcotest.failf "root: %a" Protocol.pp_response r
+
+(* A point-free scan over the root's strict descendants: the whole
+   document but the root, one row per batch. *)
+let subtree_scan ?(points = []) ?(max_items = 1) (root : Protocol.node_meta) =
+  Protocol.Scan_eval
+    {
+      target = Protocol.Pre_ranges [ (root.Protocol.pre + 1, root.Protocol.post) ];
+      points;
+      max_items;
+    }
+
+(* Open a scan cursor over the whole document on a raw transport,
+   leaving it mid-drain after the first one-row batch. *)
 let open_dangling_cursor transport =
-  let root =
-    match Transport.call transport Protocol.Root with
-    | Protocol.Node_opt (Some meta) -> meta
-    | r -> Alcotest.failf "root: %a" (fun fmt -> Protocol.pp_response fmt) r
-  in
-  (match
-     Transport.call transport
-       (Protocol.Descendants { pre = root.Protocol.pre; post = root.Protocol.post })
-   with
-  | Protocol.Cursor id -> id
-  | r -> Alcotest.failf "descendants: %a" (fun fmt -> Protocol.pp_response fmt) r)
-  |> fun cursor ->
-  (match Transport.call transport (Protocol.Cursor_next { cursor; max_items = 1 }) with
-  | Protocol.Batch (_, false) -> ()
-  | Protocol.Batch (_, true) -> Alcotest.fail "document too small: cursor drained"
-  | r -> Alcotest.failf "cursor_next: %a" (fun fmt -> Protocol.pp_response fmt) r);
-  cursor
+  let root = root_of (Transport.call transport) in
+  match Transport.call transport (subtree_scan root) with
+  | Protocol.Scan_batch { cursor = Some cursor; _ } -> cursor
+  | Protocol.Scan_batch { cursor = None; _ } ->
+      Alcotest.fail "document too small: scan drained"
+  | r -> Alcotest.failf "scan_eval: %a" Protocol.pp_response r
 
 let wait_for ~msg predicate =
   let rec go n =
@@ -181,16 +185,9 @@ let test_cursor_ttl_eviction () =
     Server_filter.create ~cursor_ttl:30.0 ~now:(fun () -> !clock) (DB.ring db)
       (DB.table db)
   in
-  let root =
-    match Server_filter.handler filter Protocol.Root with
-    | Protocol.Node_opt (Some meta) -> meta
-    | _ -> Alcotest.fail "no root"
-  in
-  (match
-     Server_filter.handler filter
-       (Protocol.Descendants { pre = root.Protocol.pre; post = root.Protocol.post })
-   with
-  | Protocol.Cursor _ -> ()
+  let root = root_of (Server_filter.handler filter) in
+  (match Server_filter.handler filter (subtree_scan root) with
+  | Protocol.Scan_batch { cursor = Some _; _ } -> ()
   | _ -> Alcotest.fail "no cursor");
   check Alcotest.int "cursor open" 1 (Server_filter.open_cursors filter);
   clock := !clock +. 10.0;
@@ -209,30 +206,76 @@ let test_cursor_cap_evicts_lru () =
   let filter =
     Server_filter.create ~max_cursors:3 ~now:(fun () -> !clock) (DB.ring db) (DB.table db)
   in
-  let root =
-    match Server_filter.handler filter Protocol.Root with
-    | Protocol.Node_opt (Some meta) -> meta
-    | _ -> Alcotest.fail "no root"
-  in
+  let root = root_of (Server_filter.handler filter) in
   let open_cursor () =
     clock := !clock +. 1.0;
-    match
-      Server_filter.handler filter
-        (Protocol.Descendants { pre = root.Protocol.pre; post = root.Protocol.post })
-    with
-    | Protocol.Cursor id -> id
+    match Server_filter.handler filter (subtree_scan root) with
+    | Protocol.Scan_batch { cursor = Some id; _ } -> id
     | _ -> Alcotest.fail "no cursor"
   in
   let first = open_cursor () in
   let _ = open_cursor () and _ = open_cursor () and _ = open_cursor () in
   check Alcotest.int "cap respected" 3 (Server_filter.open_cursors filter);
   (match
-     Server_filter.handler filter (Protocol.Cursor_next { cursor = first; max_items = 1 })
+     Server_filter.handler filter (Protocol.Scan_next { cursor = first; max_items = 1 })
    with
   | Protocol.Error_msg _ -> () (* the oldest cursor was the LRU victim *)
   | _ -> Alcotest.fail "LRU cursor should have been evicted");
   let stats = Server_filter.cursor_stats filter in
   check Alcotest.int "one cap eviction" 1 stats.Server_filter.evicted_cursors
+
+let test_sessions_own_their_cursors () =
+  (* Cursor ids are sequential and process-wide, so a second session
+     can name the first one's cursor.  It must get exactly the reply an
+     unknown id gets, and must not drain or close the cursor: the owner
+     still reads every row. *)
+  with_served_db (fun db path ->
+      let connect () =
+        match Transport.socket path with Ok t -> t | Error e -> Alcotest.fail e
+      in
+      let a = connect () and b = connect () in
+      Fun.protect
+        ~finally:(fun () ->
+          Transport.close a;
+          Transport.close b)
+        (fun () ->
+          let root = root_of (Transport.call a) in
+          let reference =
+            let filter = Server_filter.create (DB.ring db) (DB.table db) in
+            match
+              Server_filter.handler filter
+                (subtree_scan ~points:[ 5 ] ~max_items:1_000_000 root)
+            with
+            | Protocol.Scan_batch { rows; cursor = None } -> rows
+            | r -> Alcotest.failf "reference scan: %a" Protocol.pp_response r
+          in
+          let first, cursor =
+            match Transport.call a (subtree_scan ~points:[ 5 ] ~max_items:10 root) with
+            | Protocol.Scan_batch { rows; cursor = Some c } -> (rows, c)
+            | r -> Alcotest.failf "scan_eval: %a" Protocol.pp_response r
+          in
+          let unknown id = Protocol.Error_msg (Printf.sprintf "unknown cursor %d" id) in
+          let reply = Alcotest.testable Protocol.pp_response ( = ) in
+          check reply "another session's cursor reads as unknown" (unknown cursor)
+            (Transport.call b (Protocol.Scan_next { cursor; max_items = 10 }));
+          check reply "as does an id never issued" (unknown (cursor + 1000))
+            (Transport.call b (Protocol.Scan_next { cursor = cursor + 1000; max_items = 10 }));
+          check reply "closing it is a silent no-op" Protocol.Pong
+            (Transport.call b (Protocol.Cursor_close cursor));
+          check Alcotest.int "the owner's cursor is still open" 1 (DB.open_cursors db);
+          let rec drain acc = function
+            | None -> List.concat (List.rev acc)
+            | Some c -> (
+                match Transport.call a (Protocol.Scan_next { cursor = c; max_items = 10 }) with
+                | Protocol.Scan_batch { rows; cursor } -> drain (rows :: acc) cursor
+                | r -> Alcotest.failf "scan_next: %a" Protocol.pp_response r)
+          in
+          let rows = drain [ first ] (Some cursor) in
+          check Alcotest.int "the owner reads every row" (List.length reference)
+            (List.length rows);
+          check Alcotest.bool "rows and evaluations match a one-shot scan" true
+            (rows = reference);
+          check Alcotest.int "drained" 0 (DB.open_cursors db)))
 
 let test_remote_recovers_across_server_restart () =
   (* the acceptance scenario at the query level: the server dies and
@@ -293,6 +336,8 @@ let () =
           Alcotest.test_case "drain evicts cursors" `Quick test_drain_evicts_cursors;
           Alcotest.test_case "cursor ttl eviction" `Quick test_cursor_ttl_eviction;
           Alcotest.test_case "cursor cap evicts lru" `Quick test_cursor_cap_evicts_lru;
+          Alcotest.test_case "sessions own their cursors" `Quick
+            test_sessions_own_their_cursors;
           Alcotest.test_case "session recovers across restart" `Quick
             test_remote_recovers_across_server_restart;
         ] );

@@ -61,10 +61,6 @@ let gen_request =
         return Protocol.Root;
         map (fun p -> Protocol.Children p) (int_range 0 100000);
         map (fun p -> Protocol.Parent p) (int_range 0 100000);
-        map (fun (a, b) -> Protocol.Descendants { pre = a; post = b })
-          (pair (int_range 0 100000) (int_range 0 100000));
-        map (fun (c, m) -> Protocol.Cursor_next { cursor = c; max_items = m })
-          (pair (int_range 0 1000) (int_range 1 100));
         map (fun c -> Protocol.Cursor_close c) (int_range 0 1000);
         map (fun (p, x) -> Protocol.Eval { pre = p; point = x })
           (pair (int_range 0 100000) (int_range 1 82));
@@ -98,6 +94,8 @@ let gen_request =
         map (fun (c, m) -> Protocol.Scan_next { cursor = c; max_items = m })
           (pair (int_range 0 1000) (int_range 1 100));
         return Protocol.Manifest;
+        map (fun ps -> Protocol.Agg_eval { pres = ps })
+          (list_size (int_range 0 20) (int_range 0 100000));
       ])
 
 let gen_bytes = QCheck2.Gen.(map Bytes.of_string (string_size (int_range 0 50)))
@@ -110,9 +108,6 @@ let gen_response =
         return (Protocol.Node_opt None);
         map (fun m -> Protocol.Node_opt (Some m)) gen_meta;
         map (fun ms -> Protocol.Nodes ms) (list_size (int_range 0 20) gen_meta);
-        map (fun c -> Protocol.Cursor c) (int_range 0 100000);
-        map (fun (ms, e) -> Protocol.Batch (ms, e))
-          (pair (list_size (int_range 0 20) gen_meta) bool);
         map (fun v -> Protocol.Value v) (int_range 0 100000);
         map (fun vs -> Protocol.Values vs) (list_size (int_range 0 30) (int_range 0 100000));
         map (fun b -> Protocol.Share_data b) gen_bytes;
@@ -134,6 +129,9 @@ let gen_response =
           (pair
              (pair (int_range 0 8) (pair (int_range 1 8) (int_range 1 8)))
              (pair (int_range 0 100000) (list_size (int_range 1 8) (int_range 1 100000))));
+        map
+          (fun (count, sum) -> Protocol.Agg_partial { count; sum })
+          (pair (int_range 0 100000) (int_range 0 ((1 lsl 61) - 2)));
       ])
 
 let protocol_codec_suite =
@@ -179,6 +177,194 @@ let test_decode_garbage () =
   match Protocol.decode_response (Protocol.encode_response Protocol.Pong ^ "x") with
   | exception Wire.Decode_error _ -> ()
   | _ -> Alcotest.fail "trailing bytes accepted"
+
+(* Byte-exact encodings of one fixed instance of every constructor,
+   so no tag number or field layout can drift silently. *)
+let pinned_requests =
+  let open Protocol in
+  [
+    (Ping, "00");
+    (Root, "01");
+    (Children 17, "0211000000");
+    (Parent 18, "0312000000");
+    (Cursor_close 9, "0609000000");
+    (Eval { pre = 42; point = 5 }, "072a00000005000000");
+    (Eval_batch { pres = [ 1; 2; 70000 ]; point = 82 }, "080300000001000000020000007011010052000000");
+    (Share 3, "0903000000");
+    (Shares [ 4; 5 ], "0a020000000400000005000000");
+    (Table_stats, "0b");
+    ( Scan_eval { target = Children_of [ 1; 9 ]; points = [ 5; 17 ]; max_items = 256 },
+      "0c0002000000010000000900000002000000050000001100000000010000" );
+    ( Scan_eval { target = Pre_ranges [ (2, 40); (50, 60) ]; points = []; max_items = 64 },
+      "0c01020000000200000028000000320000003c0000000000000040000000" );
+    ( Scan_eval { target = Bounded_pre_ranges [ (2, 30, 40) ]; points = [ 42 ]; max_items = 1 },
+      "0c0201000000020000001e00000028000000010000002a00000001000000" );
+    (Scan_next { cursor = 11; max_items = 256 }, "0d0b00000000010000");
+    (Manifest, "0e");
+    (Agg_eval { pres = [ 8; 0xFFFFFFFF ] }, "0f0200000008000000ffffffff");
+  ]
+
+let pinned_responses =
+  let open Protocol in
+  let meta = { pre = 7; post = 300; parent = 1 } in
+  [
+    (Pong, "00");
+    (Node_opt None, "01");
+    (Node_opt (Some meta), "02070000002c01000001000000");
+    (Nodes [ meta; meta ], "0302000000070000002c01000001000000070000002c01000001000000");
+    (Value 81, "0651000000");
+    (Values [ 0; 82 ], "07020000000000000052000000");
+    (Share_data (Bytes.of_string "\x00\xffab"), "080400000000ff6162");
+    (Shares_data [ Bytes.empty; Bytes.of_string "z" ], "090200000000000000010000007a");
+    ( Stats { rows = 12; data_bytes = 1 lsl 40; index_bytes = 3 },
+      "0a0c00000000000000000100000300000000000000" );
+    (Error_msg "unknown cursor 3", "0b10000000756e6b6e6f776e20637572736f722033");
+    ( Scan_batch { rows = [ (meta, [ 1; 2 ]) ]; cursor = Some 5 },
+      "0c01000000070000002c010000010000000200000001000000020000000105000000" );
+    (Scan_batch { rows = []; cursor = None }, "0c0000000000");
+    ( Manifest_data { shard_id = 2; shards = 3; threshold = 2; total_rows = 100; bounds = [ 1; 50 ] },
+      "0d02000000030000000200000064000000020000000100000032000000" );
+    (Agg_partial { count = 3; sum = (1 lsl 61) - 2 }, "0e03000000feffffffffffff1f");
+  ]
+
+let hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let test_pinned_encodings () =
+  List.iter
+    (fun (req, expected) ->
+      let name = Format.asprintf "%a" Protocol.pp_request req in
+      check Alcotest.string name expected (hex (Protocol.encode_request req));
+      check Alcotest.bool (name ^ " decodes back") true
+        (Protocol.decode_request (Protocol.encode_request req) = req))
+    pinned_requests;
+  List.iter
+    (fun (resp, expected) ->
+      let name = Format.asprintf "%a" Protocol.pp_response resp in
+      check Alcotest.string name expected (hex (Protocol.encode_response resp));
+      check Alcotest.bool (name ^ " decodes back") true
+        (Protocol.decode_response (Protocol.encode_response resp) = resp))
+    pinned_responses
+
+(* Tags 4 and 5 belonged to a retired subtree cursor.  Frames carrying
+   them, with the payloads they used to have, must be rejected by both
+   decoders. *)
+let retired_frames = [ "\x04\x01\x00\x00\x00\x09\x00\x00\x00"; "\x05\x01\x00\x00\x00\x40\x00\x00\x00"; "\x04"; "\x05" ]
+
+let test_retired_tags_rejected () =
+  List.iter
+    (fun frame ->
+      (match Protocol.decode_request frame with
+      | exception Wire.Decode_error _ -> ()
+      | r -> Alcotest.failf "retired request tag decoded as %a" Protocol.pp_request r);
+      match Protocol.decode_response frame with
+      | exception Wire.Decode_error _ -> ()
+      | r -> Alcotest.failf "retired response tag decoded as %a" Protocol.pp_response r)
+    (retired_frames @ [ "\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00" ])
+
+(* --- structure-aware fuzzing ---
+
+   Start from valid encodings and damage them the ways a real stream
+   does: a flipped bit, a cut-short frame, a stray byte, a neighbouring
+   opcode.  Decoding must either produce a value that round-trips or
+   raise [Wire.Decode_error]; and whatever decodes must get a reply
+   from the serving handlers, never an exception. *)
+
+type mutation =
+  | Keep
+  | Flip of int * int  (** byte position, bit *)
+  | Truncate of int
+  | Insert of int * int  (** position, byte *)
+  | Swap_tag of int  (** replace the leading opcode *)
+
+let gen_mutation =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Keep;
+        map2 (fun pos bit -> Flip (pos, bit)) (int_range 0 1000) (int_range 0 7);
+        map (fun n -> Truncate n) (int_range 0 1000);
+        map2 (fun pos b -> Insert (pos, b)) (int_range 0 1000) (int_range 0 255);
+        map (fun tag -> Swap_tag tag) (int_range 0 17);
+      ])
+
+let mutate s = function
+  | Keep -> s
+  | _ when s = "" -> s
+  | Flip (pos, bit) ->
+      let b = Bytes.of_string s in
+      let pos = pos mod Bytes.length b in
+      Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl bit));
+      Bytes.to_string b
+  | Truncate n -> String.sub s 0 (n mod String.length s)
+  | Insert (pos, byte) ->
+      let pos = pos mod (String.length s + 1) in
+      String.sub s 0 pos ^ String.make 1 (Char.chr byte)
+      ^ String.sub s pos (String.length s - pos)
+  | Swap_tag tag -> String.make 1 (Char.chr tag) ^ String.sub s 1 (String.length s - 1)
+
+let decodes_cleanly decode encode s =
+  match decode s with
+  | v -> decode (encode v) = v
+  | exception Wire.Decode_error _ -> true
+
+(* A small document served two ways: one server filter, and a 2-of-3
+   router over three dealt shards. *)
+let fuzz_handlers =
+  lazy
+    (let module DB = Secshare_core.Database in
+     let module Server_filter = Secshare_core.Server_filter in
+     let ring = Secshare_poly.Ring.of_prime ~p:83 in
+     let db = Test_support.db_of_tree (Secshare_xmark.Generate.generate ~factor:0.02 ()) in
+     let tables = Array.init 3 (fun _ -> Secshare_store.Node_table.create ()) in
+     let manifests =
+       Secshare_shard.Split.split_table ring ~threshold:2 ~shards:3
+         ~dealer_seed:Test_support.test_seed ~source:(DB.table db) ~sinks:tables
+     in
+     let shards =
+       List.init 3 (fun i ->
+           let filter =
+             Server_filter.create
+               ~manifest:(Secshare_shard.Manifest.to_info manifests.(i))
+               ring tables.(i)
+           in
+           Transport.local ~handler:(Server_filter.handler filter))
+     in
+     let router =
+       match Secshare_shard.Router.of_transports ring shards with
+       | Ok r -> r
+       | Error e -> failwith e
+     in
+     [
+       ("server", Server_filter.handler (Server_filter.create ring (DB.table db)));
+       ("router", Secshare_shard.Router.handler router);
+     ])
+
+let structured_fuzz_suite =
+  [
+    qtest ~count:1000 "mutated requests decode or fail cleanly"
+      QCheck2.Gen.(pair gen_request gen_mutation)
+      (fun (req, m) ->
+        decodes_cleanly Protocol.decode_request Protocol.encode_request
+          (mutate (Protocol.encode_request req) m));
+    qtest ~count:1000 "mutated responses decode or fail cleanly"
+      QCheck2.Gen.(pair gen_response gen_mutation)
+      (fun (resp, m) ->
+        decodes_cleanly Protocol.decode_response Protocol.encode_response
+          (mutate (Protocol.encode_response resp) m));
+    qtest ~count:300 "handlers answer every decodable mutated request"
+      QCheck2.Gen.(pair gen_request gen_mutation)
+      (fun (req, m) ->
+        match Protocol.decode_request (mutate (Protocol.encode_request req) m) with
+        | exception Wire.Decode_error _ -> true
+        | req ->
+            List.for_all
+              (fun (_, handler) ->
+                (* the reply must also survive the codec *)
+                ignore (Protocol.encode_response (handler req));
+                true)
+              (Lazy.force fuzz_handlers));
+  ]
 
 (* --- transports --- *)
 
@@ -271,6 +457,38 @@ let test_server_survives_handler_exception () =
           | _ -> Alcotest.fail "connection broken after handler error");
           Transport.close t)
 
+let test_retired_tag_over_socket () =
+  (* a peer still speaking the retired tags gets a codec error back,
+     and the connection keeps serving *)
+  let module Frame = Secshare_rpc.Frame in
+  let path = Filename.temp_file "ssdb" ".sock" in
+  Sys.remove path;
+  let server = Server.start ~path ~handler:toy_handler in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          let deadline () = Unix.gettimeofday () +. 5.0 in
+          let roundtrip payload =
+            Frame.send ~deadline:(deadline ()) fd payload;
+            Protocol.decode_response (Frame.recv ~deadline:(deadline ()) fd)
+          in
+          List.iter
+            (fun frame ->
+              match roundtrip frame with
+              | Protocol.Error_msg msg ->
+                  check Alcotest.bool ("codec error: " ^ msg) true
+                    (String.length msg >= 6 && String.sub msg 0 6 = "codec:")
+              | r -> Alcotest.failf "retired tag answered with %a" Protocol.pp_response r)
+            retired_frames;
+          match roundtrip (Protocol.encode_request (Protocol.Eval { pre = 40; point = 2 })) with
+          | Protocol.Value 42 -> ()
+          | r -> Alcotest.failf "connection broken: %a" Protocol.pp_response r))
+
 (* --- resilience: deadlines, retry, reconnect, drain --- *)
 
 module Flaky = Test_support.Flaky
@@ -344,14 +562,14 @@ let test_truncated_reply_recovers () =
         ((Transport.counters t).Transport.reconnects >= 1);
       Transport.close t)
 
-let test_cursor_next_never_retried () =
-  (* Cursor_next is not idempotent (a resend could skip a batch): the
+let test_scan_next_never_retried () =
+  (* Scan_next is not idempotent (a resend could skip a batch): the
      failure must surface instead of being retried *)
   with_flaky ~handler:toy_handler
     (fun n -> if n = 1 then Some Flaky.Close_before_reply else None)
     (fun flaky path ->
       let t = must_connect ~policy:fast_policy path in
-      (match Transport.call t (Protocol.Cursor_next { cursor = 1; max_items = 4 }) with
+      (match Transport.call t (Protocol.Scan_next { cursor = 1; max_items = 4 }) with
       | Protocol.Error_msg _ -> ()
       | r -> Alcotest.failf "expected failure, got %a" Protocol.pp_response r);
       check Alcotest.int "no retries" 0 (Transport.counters t).Transport.retries;
@@ -545,8 +763,12 @@ let () =
           Alcotest.test_case "errors" `Quick test_wire_errors;
         ] );
       ( "protocol",
-        protocol_codec_suite @ fuzz_suite
-        @ [ Alcotest.test_case "garbage rejected" `Quick test_decode_garbage ] );
+        protocol_codec_suite @ fuzz_suite @ structured_fuzz_suite
+        @ [
+            Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
+            Alcotest.test_case "pinned encodings" `Quick test_pinned_encodings;
+            Alcotest.test_case "retired tags rejected" `Quick test_retired_tags_rejected;
+          ] );
       ( "transport",
         [
           Alcotest.test_case "local" `Quick test_local_transport;
@@ -555,6 +777,8 @@ let () =
           Alcotest.test_case "connect failure" `Quick test_socket_connect_failure;
           Alcotest.test_case "handler exceptions contained" `Quick
             test_server_survives_handler_exception;
+          Alcotest.test_case "retired tags get a codec error" `Quick
+            test_retired_tag_over_socket;
         ] );
       ( "resilience",
         [
@@ -562,8 +786,8 @@ let () =
           Alcotest.test_case "retry reconnects" `Quick test_retry_reconnects;
           Alcotest.test_case "truncated reply recovers" `Quick
             test_truncated_reply_recovers;
-          Alcotest.test_case "cursor_next never retried" `Quick
-            test_cursor_next_never_retried;
+          Alcotest.test_case "scan_next never retried" `Quick
+            test_scan_next_never_retried;
           Alcotest.test_case "protocol errors not retried" `Quick
             test_protocol_error_not_retried;
           Alcotest.test_case "server restart recovery" `Quick

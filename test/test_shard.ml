@@ -158,9 +158,9 @@ let teardown d =
   Router.close d.router;
   DB.close d.db
 
-let client_of d =
+let client_of ?client d =
   match
-    DB.of_transport ~p:83 ~e:1 ~mapping:(DB.mapping d.db) ~seed:(DB.seed d.db)
+    DB.of_transport ?client ~p:83 ~e:1 ~mapping:(DB.mapping d.db) ~seed:(DB.seed d.db)
       (Transport.local ~handler:(Router.handler d.router))
   with
   | Ok c -> c
@@ -354,17 +354,31 @@ let test_split_rejects_bad_geometry () =
 
 (* --- router golden equality --- *)
 
+(* The three cost models of the batching ablation: each drives the
+   router through a different request mix. *)
+let client_configs =
+  [
+    ("fused", DB.default_client_config);
+    ("batched", { DB.default_client_config with rpc_fused_scan = false });
+    ( "per-node",
+      { DB.default_client_config with rpc_fused_scan = false; rpc_batching = false } );
+  ]
+
 let test_router_golden () =
   let d = make_deployment xmark_tree in
   Fun.protect
     ~finally:(fun () -> teardown d)
     (fun () ->
-      let client = client_of d in
-      Fun.protect
-        ~finally:(fun () -> DB.close client)
-        (fun () ->
-          check_golden d client;
-          check Alcotest.int "no cursor leaks" 0 (Router.open_cursors d.router)))
+      List.iter
+        (fun (name, client) ->
+          let client = client_of ~client d in
+          Fun.protect
+            ~finally:(fun () -> DB.close client)
+            (fun () ->
+              check_golden ~note:(name ^ " client: ") d client;
+              check Alcotest.int (name ^ ": no cursor leaks") 0
+                (Router.open_cursors d.router)))
+        client_configs)
 
 let test_router_single_shard () =
   (* a 1-of-1 "deployment" over a plain unsharded server: the filter
@@ -486,18 +500,22 @@ let test_app_error_propagates () =
 
 (* --- fused scans: splitting exactness and mid-scan failover --- *)
 
+(* Every row left behind [cursor], drained with [Scan_next]. *)
+let drain handler ~max_items cursor =
+  let rec go acc = function
+    | None -> List.concat (List.rev acc)
+    | Some c -> (
+        match handler (Protocol.Scan_next { cursor = c; max_items }) with
+        | Protocol.Scan_batch { rows; cursor } -> go (rows :: acc) cursor
+        | r -> Alcotest.failf "scan_next: %a" Protocol.pp_response r)
+  in
+  go [] cursor
+
 let scan_all ?(after_first = fun () -> ()) handler ~points ~max_items target =
   match handler (Protocol.Scan_eval { target; points; max_items }) with
   | Protocol.Scan_batch { rows; cursor } ->
       after_first ();
-      let rec go acc = function
-        | None -> List.concat (List.rev acc)
-        | Some c -> (
-            match handler (Protocol.Scan_next { cursor = c; max_items }) with
-            | Protocol.Scan_batch { rows; cursor } -> go (rows :: acc) cursor
-            | r -> Alcotest.failf "scan_next: %a" Protocol.pp_response r)
-      in
-      go [ rows ] cursor
+      rows @ drain handler ~max_items cursor
   | r -> Alcotest.failf "scan_eval: %a" Protocol.pp_response r
 
 let points = [ 5; 17; 42 ]
@@ -524,32 +542,39 @@ let test_bounded_target_equivalence () =
       check Alcotest.bool "splitting at a partition boundary is exact" true
         (full = split))
 
+(* Both scan shapes: with points (the fused step) and point-free (the
+   unfused descendant step, whose containment test follows separately). *)
 let test_mid_scan_failover () =
-  let d = make_deployment xmark_tree in
-  Fun.protect
-    ~finally:(fun () -> teardown d)
-    (fun () ->
-      let rows = Node_table.row_count (DB.table d.db) in
-      let reference =
-        let filter = Server_filter.create ring (DB.table d.db) in
-        scan_all (Server_filter.handler filter) ~points ~max_items:5
-          (Protocol.Pre_ranges [ (1, rows + 1) ])
-      in
-      check Alcotest.bool "reference drains the table" true
-        (List.length reference = rows);
-      (* kill shard 1's transport after the first batch so the scan
-         must fail over mid-stream *)
-      let h = Router.handler d.router in
-      let routed =
-        scan_all h
-          ~after_first:(fun () -> d.switches.(0) := Transport_down)
-          ~points ~max_items:5
-          (Protocol.Pre_ranges [ (1, rows + 1) ])
-      in
-      check Alcotest.bool "identical rows and evaluations across the failover" true
-        (reference = routed);
-      check Alcotest.int "the dead shard was noticed" 2 (Router.live_shards d.router);
-      check Alcotest.int "no cursor leaks" 0 (Router.open_cursors d.router))
+  List.iter
+    (fun points ->
+      let what = Printf.sprintf " (%d points)" (List.length points) in
+      let d = make_deployment xmark_tree in
+      Fun.protect
+        ~finally:(fun () -> teardown d)
+        (fun () ->
+          let rows = Node_table.row_count (DB.table d.db) in
+          let reference =
+            let filter = Server_filter.create ring (DB.table d.db) in
+            scan_all (Server_filter.handler filter) ~points ~max_items:5
+              (Protocol.Pre_ranges [ (1, rows + 1) ])
+          in
+          check Alcotest.bool ("reference drains the table" ^ what) true
+            (List.length reference = rows);
+          (* kill shard 1's transport after the first batch so the scan
+             must fail over mid-stream *)
+          let routed =
+            scan_all (Router.handler d.router)
+              ~after_first:(fun () -> d.switches.(0) := Transport_down)
+              ~points ~max_items:5
+              (Protocol.Pre_ranges [ (1, rows + 1) ])
+          in
+          check Alcotest.bool
+            ("identical rows and evaluations across the failover" ^ what)
+            true (reference = routed);
+          check Alcotest.int ("the dead shard was noticed" ^ what) 2
+            (Router.live_shards d.router);
+          check Alcotest.int ("no cursor leaks" ^ what) 0 (Router.open_cursors d.router)))
+    [ points; [] ]
 
 let test_connection_scoped_cursors () =
   let d = make_deployment xmark_tree in
@@ -572,6 +597,42 @@ let test_connection_scoped_cursors () =
       on_close ();
       check Alcotest.int "closed with the connection" 0
         (Router.open_cursors d.router))
+
+let test_sessions_own_their_cursors () =
+  (* router cursor ids are sequential too: a second session naming the
+     first one's cursor gets the unknown-cursor reply, cannot close it,
+     and the owner still drains every row *)
+  let d = make_deployment xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      let rows = Node_table.row_count (DB.table d.db) in
+      let target = Protocol.Pre_ranges [ (1, rows + 1) ] in
+      let reference =
+        let filter = Server_filter.create ring (DB.table d.db) in
+        scan_all (Server_filter.handler filter) ~points ~max_items:5 target
+      in
+      let a, close_a = Router.connection d.router in
+      let b, close_b = Router.connection d.router in
+      let first, cursor =
+        match a (Protocol.Scan_eval { target; points; max_items = 5 }) with
+        | Protocol.Scan_batch { rows; cursor = Some c } -> (rows, c)
+        | r -> Alcotest.failf "expected a cursor: %a" Protocol.pp_response r
+      in
+      let reply = Alcotest.testable Protocol.pp_response ( = ) in
+      let unknown id = Protocol.Error_msg (Printf.sprintf "unknown cursor %d" id) in
+      check reply "another session's cursor reads as unknown" (unknown cursor)
+        (b (Protocol.Scan_next { cursor; max_items = 5 }));
+      check reply "as does an id never issued" (unknown (cursor + 1000))
+        (b (Protocol.Scan_next { cursor = cursor + 1000; max_items = 5 }));
+      check reply "closing it is a silent no-op" Protocol.Pong
+        (b (Protocol.Cursor_close cursor));
+      close_b ();
+      check Alcotest.int "the owner's cursor survives" 1 (Router.open_cursors d.router);
+      check Alcotest.bool "the owner reads every row" true
+        (first @ drain a ~max_items:5 (Some cursor) = reference);
+      close_a ();
+      check Alcotest.int "no cursor leaks" 0 (Router.open_cursors d.router))
 
 let () =
   Alcotest.run "shard"
@@ -622,5 +683,7 @@ let () =
             test_mid_scan_failover;
           Alcotest.test_case "connection close evicts cursors" `Quick
             test_connection_scoped_cursors;
+          Alcotest.test_case "sessions own their cursors" `Quick
+            test_sessions_own_their_cursors;
         ] );
     ]
