@@ -26,7 +26,6 @@ type t = {
   scan_batch : int;
   batch_eval : bool;
   fused_scan : bool;
-  metrics : Metrics.t;
   share_cache : (int, Cyclic.t) Lru.t option;
       (* pre -> regenerated client polynomial; [Cyclic] ops are pure,
          so cached polynomials can never be mutated through use *)
@@ -44,25 +43,17 @@ let create ring ~seed ?(scan_batch = 256) ?(batch_eval = true) ?(fused_scan = tr
     scan_batch = max 1 scan_batch;
     batch_eval;
     fused_scan;
-    metrics = Metrics.create ();
     share_cache = (if share_cache <= 0 then None else Some (Lru.create share_cache));
     eval_cache = (if share_cache <= 0 then None else Some (Lru.create (4 * share_cache)));
   }
 
-let metrics t = t.metrics
-
-let reset_metrics t =
-  Metrics.reset t.metrics;
-  (* the evaluation memo is per-workload state like the metrics; the
-     polynomial cache survives resets (entries stay exact forever) *)
-  Option.iter Lru.clear t.eval_cache
-
+(* the polynomial cache is never cleared: its entries stay exact
+   forever *)
+let clear_eval_memo t = Option.iter Lru.clear t.eval_cache
 let rpc_counters t = Transport.counters t.transport
 let scan_batch t = t.scan_batch
-let batch_eval t = t.batch_eval
 let fused_scan t = t.fused_scan
 let share_cache_stats t = Option.map Lru.stats t.share_cache
-let share_cache_capacity t = Option.fold ~none:0 ~some:Lru.capacity t.share_cache
 
 (* Regenerate (or recall) the client polynomial for [pre]. *)
 let client_poly t ~pre =
@@ -157,67 +148,51 @@ let cursor_close t cursor =
 (* Merge one fused batch: for each row, regenerate the client share,
    combine with the server evaluations, and keep the rows where every
    point sums to zero (the containment test, one pair per point). *)
-let filter_scan_rows t rows ~points =
+let filter_scan_rows t ~(counts : Metrics.t) rows ~points =
   match points with
   | [] -> List.map fst rows
   | _ ->
       let n_points = List.length points in
       let evaluators = List.map (evaluator t) points in
-      (* counters accumulate in a batch-local instance and merge once
-         at the end: [t.metrics] is only ever touched at batch
-         boundaries, on the thread that owns this filter *)
-      let batch = Metrics.create () in
-      let kept =
-        List.filter_map
-          (fun ((meta : Protocol.node_meta), server_values) ->
-            if List.length server_values <> n_points then
-              raise (Filter_error "Scan_batch arity mismatch");
-            batch.Metrics.nodes_examined <- batch.Metrics.nodes_examined + 1;
-            batch.Metrics.evaluations <- batch.Metrics.evaluations + n_points;
-            let contains ev server_value =
-              let client_value = client_eval t ev ~pre:meta.Protocol.pre in
-              Share.combine_evaluations t.ring ~client:client_value ~server:server_value
-              = 0
-            in
-            if List.for_all2 contains evaluators server_values then Some meta else None)
-          rows
-      in
-      Metrics.add t.metrics batch;
-      kept
+      List.filter_map
+        (fun ((meta : Protocol.node_meta), server_values) ->
+          if List.length server_values <> n_points then
+            raise (Filter_error "Scan_batch arity mismatch");
+          counts.nodes_examined <- counts.nodes_examined + 1;
+          counts.evaluations <- counts.evaluations + n_points;
+          let contains ev server_value =
+            let client_value = client_eval t ev ~pre:meta.Protocol.pre in
+            Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
+          in
+          if List.for_all2 contains evaluators server_values then Some meta else None)
+        rows
 
-let table_stats t =
-  match call t Protocol.Table_stats with
-  | Protocol.Stats stats -> stats
-  | response -> protocol_error "Table_stats" response
-
-let containment t (meta : Protocol.node_meta) ~point =
+let containment t ~(counts : Metrics.t) (meta : Protocol.node_meta) ~point =
   let server_value =
     match call t (Protocol.Eval { pre = meta.Protocol.pre; point }) with
     | Protocol.Value v -> v
     | response -> protocol_error "Eval" response
   in
-  t.metrics.Metrics.evaluations <- t.metrics.Metrics.evaluations + 1;
-  t.metrics.Metrics.nodes_examined <- t.metrics.Metrics.nodes_examined + 1;
+  counts.evaluations <- counts.evaluations + 1;
+  counts.nodes_examined <- counts.nodes_examined + 1;
   let client_value = client_eval t (evaluator t point) ~pre:meta.Protocol.pre in
   Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
 
-let containment_batch t metas ~point =
+let containment_batch t ~(counts : Metrics.t) metas ~point =
   match metas with
   | [] -> []
   | _ when not t.batch_eval ->
       (* one Eval round trip per node: the cost model of the paper's
          per-call RMI filter *)
-      List.filter (fun meta -> containment t meta ~point) metas
+      List.filter (fun meta -> containment t ~counts meta ~point) metas
   | _ -> (
       let pres = List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) metas in
       match call t (Protocol.Eval_batch { pres; point }) with
       | Protocol.Values values ->
           if List.length values <> List.length metas then
             raise (Filter_error "Eval_batch arity mismatch");
-          let batch = Metrics.create () in
-          batch.Metrics.evaluations <- List.length metas;
-          batch.Metrics.nodes_examined <- List.length metas;
-          Metrics.add t.metrics batch;
+          counts.evaluations <- counts.evaluations + List.length metas;
+          counts.nodes_examined <- counts.nodes_examined + List.length metas;
           let ev = evaluator t point in
           List.filter_map
             (fun ((meta : Protocol.node_meta), server_value) ->
@@ -291,17 +266,16 @@ let reconstruct t ~pre share_bytes =
         share_bytes ~out;
       Cyclic.of_canonical t.ring out
 
-let tag_value t (meta : Protocol.node_meta) =
+let tag_value t ~(counts : Metrics.t) (meta : Protocol.node_meta) =
   let child_metas = children t ~pre:meta.Protocol.pre in
   let pres =
     meta.Protocol.pre :: List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) child_metas
   in
   let shares = fetch_shares t pres in
   let polys = List.map2 (fun pre share -> reconstruct t ~pre share) pres shares in
-  t.metrics.Metrics.equality_tests <- t.metrics.Metrics.equality_tests + 1;
-  t.metrics.Metrics.reconstructions <-
-    t.metrics.Metrics.reconstructions + List.length polys;
-  t.metrics.Metrics.nodes_examined <- t.metrics.Metrics.nodes_examined + 1;
+  counts.equality_tests <- counts.equality_tests + 1;
+  counts.reconstructions <- counts.reconstructions + List.length polys;
+  counts.nodes_examined <- counts.nodes_examined + 1;
   match polys with
   | [] -> assert false
   | node_poly :: child_polys -> (
@@ -309,13 +283,12 @@ let tag_value t (meta : Protocol.node_meta) =
       match Cyclic.recover_linear_factor t.ring ~product ~node:node_poly with
       | Ok value -> Some value
       | Error `Degenerate ->
-          t.metrics.Metrics.degenerate_divisions <-
-            t.metrics.Metrics.degenerate_divisions + 1;
+          counts.degenerate_divisions <- counts.degenerate_divisions + 1;
           None
       | Error `Not_linear -> None)
 
-let equality t meta ~point =
-  match tag_value t meta with
+let equality t ~counts meta ~point =
+  match tag_value t ~counts meta with
   | Some value -> value = point
   | None -> false
 

@@ -41,25 +41,22 @@ val create :
     seed and [pre], so a cached entry is exact forever and eviction
     can only cost time, never correctness.  An evaluation memo keyed
     by [(pre, point)] rides along at 4x that capacity and is dropped
-    by {!reset_metrics}. *)
+    by {!clear_eval_memo}.
 
-val metrics : t -> Metrics.t
+    The filter keeps no counters: every counting call below takes the
+    calling operator's [~counts] and adds its work there. *)
 
-val reset_metrics : t -> unit
-(** Zero the metrics and drop the per-workload evaluation memo (the
-    polynomial cache itself survives: its entries stay exact). *)
+val clear_eval_memo : t -> unit
+(** Drop the per-query evaluation memo (the polynomial cache itself
+    survives: its entries stay exact). *)
 
 val rpc_counters : t -> Secshare_rpc.Transport.counters
 val scan_batch : t -> int
-val batch_eval : t -> bool
 val fused_scan : t -> bool
 
 val share_cache_stats : t -> Lru.stats option
 (** Hit/miss/eviction counts of the polynomial cache; [None] when the
     cache is disabled. *)
-
-val share_cache_capacity : t -> int
-(** Configured capacity in polynomials (0 = disabled). *)
 
 (** {2 Structure navigation} *)
 
@@ -96,16 +93,15 @@ val cursor_close : t -> int -> unit
 
 val filter_scan_rows :
   t ->
+  counts:Metrics.t ->
   (Secshare_rpc.Protocol.node_meta * int list) list ->
   points:int list ->
   Secshare_rpc.Protocol.node_meta list
 (** Client half of a fused batch: combine each row's server
     evaluations with regenerated client shares and keep the rows
-    passing the containment test at every point (counted in the
-    metrics, one evaluation pair per point).  With no points, strips
-    the (empty) value lists. *)
-
-val table_stats : t -> Secshare_rpc.Protocol.stats
+    passing the containment test at every point (counted in [counts],
+    one evaluation pair per point).  With no points, strips the
+    (empty) value lists. *)
 
 (** {2 Oblivious aggregation} *)
 
@@ -121,25 +117,22 @@ val blind_sum : t -> int list -> int
 
 (** {2 The two tests of §5.2 / §6.3} *)
 
-val containment : t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool
-(** Non-strict: does the node's subtree (including itself) contain a
-    node mapped to [point]?  One evaluation pair. *)
-
 val containment_batch :
   t ->
+  counts:Metrics.t ->
   Secshare_rpc.Protocol.node_meta list ->
   point:int ->
   Secshare_rpc.Protocol.node_meta list
-(** Filter a candidate list by containment at one point with a single
-    round trip (still one evaluation per node in the metrics). *)
+(** Non-strict: keep the candidates whose subtree (including the node
+    itself) contains a node mapped to [point].  One [Eval_batch] round
+    trip, or one [Eval] per node without [batch_eval]; one evaluation
+    pair per node in [counts] either way. *)
 
-val tag_value : t -> Secshare_rpc.Protocol.node_meta -> int option
-(** Strict machinery: reconstruct the node and all its children,
-    divide out the child product and return the node's own mapped
-    value.  [None] when the division is degenerate (counted in the
-    metrics). *)
-
-val equality : t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool
-(** Strict: is the node itself mapped to [point]? *)
+val equality :
+  t -> counts:Metrics.t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool
+(** Strict: is the node itself mapped to [point]?  Reconstructs the
+    node and all its children and divides out the child product; one
+    equality test plus one reconstruction per polynomial in [counts],
+    and a degenerate division (never a match) counted there too. *)
 
 val close : t -> unit

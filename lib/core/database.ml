@@ -50,8 +50,8 @@ let default_config =
     client = default_client_config;
   }
 
-(* Process-wide client-side query families, mirroring the per-query
-   [Metrics.t] deltas into the registry after each query. *)
+(* Process-wide client-side query families: each query's
+   [Metrics.total] of its operator rows is added after it finishes. *)
 let obs_client_queries =
   Obs.Registry.counter ~help:"Queries executed by this process's clients."
     "ssdb_client_queries_total"
@@ -141,17 +141,22 @@ let local_exn t what =
    them instead of letting [p^e] wrap around silently. *)
 let max_field_order = 1 lsl 20
 
-let checked_field_order ~p ~e =
-  let rec go acc i =
-    if i = 0 then Ok acc
-    else if acc > max_field_order / p then
-      Error
-        (Printf.sprintf
-           "p^e = %d^%d exceeds the safe field-order bound of %d (would overflow)" p e
-           max_field_order)
-    else go (acc * p) (i - 1)
+(* The one (p, e) admission check every constructor runs before it
+   builds anything: a bad pair is an [Error], never an exception out of
+   [Ring.of_prime_power]. *)
+let checked_ring ~p ~e =
+  let rec order_ok acc i =
+    i = 0 || (acc <= max_field_order / p && order_ok (acc * p) (i - 1))
   in
-  go 1 e
+  if not (Secshare_field.Prime.is_prime p) then
+    Error (Printf.sprintf "p = %d is not prime" p)
+  else if e < 1 then Error "e must be >= 1"
+  else if not (order_ok 1 e) then
+    Error
+      (Printf.sprintf
+         "p^e = %d^%d exceeds the safe field-order bound of %d (would overflow)" p e
+         max_field_order)
+  else Ok (Ring.of_prime_power ~p ~e)
 
 let build_mapping config ~q tree =
   let base =
@@ -182,18 +187,10 @@ let assemble_local ~(client : client_config) ~ring ~map ~seed ~table ?numbers
   { ring; map; seed; filter; local = Some { table; numbers; server; encode_stats } }
 
 let create_tree ?(config = default_config) tree =
-  match
-    if not (Secshare_field.Prime.is_prime config.p) then
-      Error (Printf.sprintf "p = %d is not prime" config.p)
-    else if config.e < 1 then Error "e must be >= 1"
-    else
-      match checked_field_order ~p:config.p ~e:config.e with
-      | Error _ as e -> e
-      | Ok q -> Ok (Ring.of_prime_power ~p:config.p ~e:config.e, q)
-  with
+  match checked_ring ~p:config.p ~e:config.e with
   | Error _ as e -> e
-  | Ok (ring, q) -> (
-      match build_mapping config ~q tree with
+  | Ok ring -> (
+      match build_mapping config ~q:ring.Ring.order tree with
       | Error _ as e -> e
       | Ok map -> (
           let seed =
@@ -225,17 +222,11 @@ let zero_encode_stats =
 
 let of_parts ?(client = default_client_config) ~p ~e ~mapping:map ~seed ~table ?numbers
     () =
-  if not (Secshare_field.Prime.is_prime p) then
-    Error (Printf.sprintf "p = %d is not prime" p)
-  else if e < 1 then Error "e must be >= 1"
-  else
-    match checked_field_order ~p ~e with
-    | Error _ as err -> err
-    | Ok _ ->
-        let ring = Ring.of_prime_power ~p ~e in
-        Ok
-          (assemble_local ~client ~ring ~map ~seed ~table ?numbers
-             ~encode_stats:zero_encode_stats ())
+  Result.map
+    (fun ring ->
+      assemble_local ~client ~ring ~map ~seed ~table ?numbers
+        ~encode_stats:zero_encode_stats ())
+    (checked_ring ~p ~e)
 
 let create ?config xml =
   match Secshare_xml.Tree.of_string xml with
@@ -249,10 +240,7 @@ let create_file ?config path =
 
 let run_query_on filter ~map ?(engine = Advanced) ?(strictness = Query_common.Strict)
     ?agg ast =
-  Client_filter.reset_metrics filter;
-  let counters = Client_filter.rpc_counters filter in
-  let calls0 = counters.Transport.calls in
-  let bytes0 = counters.Transport.bytes_sent + counters.Transport.bytes_received in
+  Client_filter.clear_eval_memo filter;
   (* one trace per query: the ambient id flows into every operator
      span and rides the frame header of every RPC the query makes *)
   let trace_id = Obs.Trace.genid () in
@@ -277,8 +265,10 @@ let run_query_on filter ~map ?(engine = Advanced) ?(strictness = Query_common.St
   with
   | value, operators ->
       let seconds = Unix.gettimeofday () -. t0 in
-      let counters = Client_filter.rpc_counters filter in
-      let metrics = Metrics.copy (Client_filter.metrics filter) in
+      (* the operator rows are the only counters: the query's totals
+         are their sums *)
+      let metrics = Metrics.total operators in
+      let sum field = List.fold_left (fun acc s -> acc + field s) 0 operators in
       Obs.Registry.inc obs_client_queries;
       Obs.Histogram.observe obs_query_seconds seconds;
       mirror_query_metrics metrics;
@@ -287,9 +277,8 @@ let run_query_on filter ~map ?(engine = Advanced) ?(strictness = Query_common.St
           value;
           operators;
           metrics;
-          rpc_calls = counters.Transport.calls - calls0;
-          rpc_bytes =
-            counters.Transport.bytes_sent + counters.Transport.bytes_received - bytes0;
+          rpc_calls = sum (fun s -> s.Metrics.rpc_calls);
+          rpc_bytes = sum (fun s -> s.Metrics.rpc_bytes);
           seconds;
           trace_id;
         }
@@ -402,20 +391,19 @@ let open_cursors t = Server_filter.open_cursors (local_exn t "open_cursors").ser
 let cursor_stats t = Server_filter.cursor_stats (local_exn t "cursor_stats").server
 let sweep_cursors t = Server_filter.sweep_cursors (local_exn t "sweep_cursors").server
 
+let remote ~client ~ring ~mapping ~seed transport =
+  let filter =
+    Client_filter.create ring ~seed ~batch_eval:client.rpc_batching
+      ~fused_scan:client.rpc_fused_scan ~share_cache:client.share_cache transport
+  in
+  { ring; map = mapping; seed; filter; local = None }
+
 let of_transport ?(client = default_client_config) ~p ~e ~mapping ~seed transport =
-  if not (Secshare_field.Prime.is_prime p) then
-    Error (Printf.sprintf "p = %d is not prime" p)
-  else
-    match checked_field_order ~p ~e with
-    | Error _ as err -> err
-    | Ok _ ->
-        let ring = Ring.of_prime_power ~p ~e in
-        let filter =
-          Client_filter.create ring ~seed ~batch_eval:client.rpc_batching
-            ~fused_scan:client.rpc_fused_scan ~share_cache:client.share_cache
-            transport
-        in
-        Ok { ring; map = mapping; seed; filter; local = None }
+  match checked_ring ~p ~e with
+  | Error _ as err ->
+      Transport.close transport;
+      err
+  | Ok ring -> Ok (remote ~client ~ring ~mapping ~seed transport)
 
 let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
   let policy =
@@ -425,9 +413,13 @@ let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
       max_retries = client.max_retries;
     }
   in
-  match Transport.socket ~policy path with
-  | Error msg -> Error ("connect: " ^ msg)
-  | Ok transport -> of_transport ~client ~p ~e ~mapping ~seed transport
+  (* validate before the socket opens, so a bad (p, e) leaks nothing *)
+  match checked_ring ~p ~e with
+  | Error _ as err -> err
+  | Ok ring -> (
+      match Transport.socket ~policy path with
+      | Error msg -> Error ("connect: " ^ msg)
+      | Ok transport -> Ok (remote ~client ~ring ~mapping ~seed transport))
 
 let close t =
   Client_filter.close t.filter;

@@ -86,12 +86,13 @@ type query_result = {
       (** what the query produced: the node set of a location path
           ([Nodes], document order) or the scalar of an aggregate
           ([Count]/[Sum]/[Avg]) *)
-  metrics : Metrics.t;
+  metrics : Metrics.t;  (** {!Metrics.total} of [operators] *)
   operators : Metrics.op_stats list;
       (** per-operator execution counters, in plan order (the data
-          behind [ssdb_query --explain]) *)
-  rpc_calls : int;
-  rpc_bytes : int;
+          behind [ssdb_query --explain]); the only place a query's
+          work is counted *)
+  rpc_calls : int;  (** sum of the operators' [rpc_calls] *)
+  rpc_bytes : int;  (** sum of the operators' [rpc_bytes] *)
   seconds : float;
   trace_id : int64;
       (** the query's trace id: every client span and — over a socket
@@ -185,8 +186,9 @@ val is_remote : t -> bool
 
 val rpc_counters : t -> Secshare_rpc.Transport.counters
 (** Live transport counters (calls, bytes, retries, reconnects,
-    timeouts).  On a local handle the transport is in-process: calls
-    count, byte counters stay 0. *)
+    timeouts).  On a local handle the transport is in-process but still
+    round-trips every request and response through the codec, so bytes
+    count exactly as over a socket. *)
 
 val share_cache_stats : t -> Lru.stats option
 (** Hit/miss/eviction counts of the client share-regeneration cache;
@@ -222,7 +224,8 @@ val of_transport :
 (** A remote handle over an already-built transport — any endpoint
     speaking the filter protocol: a socket to one server, an
     in-process handler, or a shard router.  The handle owns the
-    transport and closes it with {!close}. *)
+    transport and closes it with {!close}; an [Error] (a bad [p]/[e])
+    closes it at once. *)
 
 val connect :
   ?client:client_config ->
@@ -234,7 +237,8 @@ val connect :
   unit ->
   (t, string) result
 (** {!of_transport} over a socket: the client's secret state across a
-    Unix-domain-socket transport.  [client.timeout],
+    Unix-domain-socket transport; [p] and [e] are checked before the
+    socket opens.  [client.timeout],
     [client.max_retries] configure the transport; the cursor and
     worker fields are server-side and ignored here. *)
 

@@ -15,13 +15,6 @@ let create () =
     degenerate_divisions = 0;
   }
 
-let reset t =
-  t.evaluations <- 0;
-  t.equality_tests <- 0;
-  t.reconstructions <- 0;
-  t.nodes_examined <- 0;
-  t.degenerate_divisions <- 0
-
 (* Destructuring patterns make these field-exhaustive: adding a
    counter to [t] without extending the aggregation here is a fatal
    missing-field warning under the dev profile, not a silently dropped
@@ -35,17 +28,6 @@ let add acc
   acc.nodes_examined <- acc.nodes_examined + nodes_examined;
   acc.degenerate_divisions <- acc.degenerate_divisions + degenerate_divisions
 
-let copy
-    { evaluations; equality_tests; reconstructions; nodes_examined; degenerate_divisions }
-    =
-  { evaluations; equality_tests; reconstructions; nodes_examined; degenerate_divisions }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "{evals=%d; eq_tests=%d; reconstructions=%d; examined=%d; degenerate=%d}"
-    t.evaluations t.equality_tests t.reconstructions t.nodes_examined
-    t.degenerate_divisions
-
 (* --- per-operator counters for the streaming pipeline --- *)
 
 type op_stats = {
@@ -53,7 +35,7 @@ type op_stats = {
   mutable batches : int;  (** output batches emitted *)
   mutable rows_in : int;
   mutable rows_out : int;
-  mutable eval_pairs : int;
+  counts : t;
   mutable rpc_calls : int;
   mutable rpc_bytes : int;
   mutable wall_seconds : float;
@@ -65,19 +47,23 @@ let op_stats op_name =
     batches = 0;
     rows_in = 0;
     rows_out = 0;
-    eval_pairs = 0;
+    counts = create ();
     rpc_calls = 0;
     rpc_bytes = 0;
     wall_seconds = 0.0;
   }
 
-let copy_op_stats s = { s with op_name = s.op_name }
-
-let pp_op_stats fmt s =
-  Format.fprintf fmt "%-28s %8d %8d %8d %8d %6d %10d %9.4f" s.op_name s.rows_in
-    s.rows_out s.batches s.eval_pairs s.rpc_calls s.rpc_bytes s.wall_seconds
+let total ops =
+  let acc = create () in
+  List.iter (fun s -> add acc s.counts) ops;
+  acc
 
 let pp_op_table fmt ops =
-  Format.fprintf fmt "%-28s %8s %8s %8s %8s %6s %10s %9s" "operator" "rows_in"
-    "rows_out" "batches" "evals" "rpcs" "bytes" "wall(s)";
-  List.iter (fun s -> Format.fprintf fmt "@\n%a" pp_op_stats s) ops
+  Format.fprintf fmt "%-28s %8s %8s %8s %8s %6s %8s %6s %10s %9s" "operator" "rows_in"
+    "rows_out" "batches" "evals" "eqs" "recons" "rpcs" "bytes" "wall(s)";
+  List.iter
+    (fun s ->
+      Format.fprintf fmt "@\n%-28s %8d %8d %8d %8d %6d %8d %6d %10d %9.4f" s.op_name
+        s.rows_in s.rows_out s.batches s.counts.evaluations s.counts.equality_tests
+        s.counts.reconstructions s.rpc_calls s.rpc_bytes s.wall_seconds)
+    ops

@@ -5,13 +5,12 @@
     measures wall-clock time.  One containment check is exactly one
     evaluation pair (server share + regenerated client share).
 
-    {b Ownership}: a [t] (and an {!op_stats}) is plain mutable state
-    with no internal locking.  The discipline under concurrency is
-    single-owner: each instance is read and written by exactly one
-    thread; parallel work accumulates into per-worker or per-batch
-    instances which the owner merges at batch boundaries with {!add}.
-    [add] destructures every field, so adding a counter without
-    extending the merge is a compile error, not a silent drop. *)
+    {b Ownership}: a query's work is counted in exactly one place, the
+    {!op_stats} row of the operator that did it; a query's [t] is
+    {!total} over its rows.  Neither record locks: each row is written
+    only by the thread driving its operator.  [add] destructures every
+    field, so adding a counter without extending the sum is a compile
+    error, not a silent drop. *)
 
 type t = {
   mutable evaluations : int;
@@ -27,12 +26,8 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val add : t -> t -> unit
 (** Accumulate the second argument into the first. *)
-
-val copy : t -> t
-val pp : Format.formatter -> t -> unit
 
 (** {2 Per-operator counters}
 
@@ -45,8 +40,7 @@ type op_stats = {
   mutable batches : int;  (** output batches emitted *)
   mutable rows_in : int;  (** rows pulled from the upstream operator *)
   mutable rows_out : int;
-  mutable eval_pairs : int;
-      (** (client, server) share-evaluation pairs this operator combined *)
+  counts : t;  (** the paper's counters for the work this operator did *)
   mutable rpc_calls : int;
   mutable rpc_bytes : int;  (** request + response bytes of those calls *)
   mutable wall_seconds : float;
@@ -55,8 +49,8 @@ type op_stats = {
 val op_stats : string -> op_stats
 (** Fresh zeroed counters with the given operator label. *)
 
-val copy_op_stats : op_stats -> op_stats
-val pp_op_stats : Format.formatter -> op_stats -> unit
+val total : op_stats list -> t
+(** The sum of the rows' [counts]: a query's {!t}. *)
 
 val pp_op_table : Format.formatter -> op_stats list -> unit
 (** Aligned table, one row per operator, header included. *)

@@ -103,17 +103,24 @@ let pull stats input =
       Some batch
   | None -> None
 
-(* Attribute the transport traffic of [f] to this operator. *)
+(* Attribute the transport traffic of [f] to this operator, also when
+   [f] fails: a round trip the transport counted is never dropped. *)
 let with_rpc filter stats f =
   let c = Client_filter.rpc_counters filter in
   let calls0 = c.Transport.calls in
   let bytes0 = c.Transport.bytes_sent + c.Transport.bytes_received in
-  let result = f () in
-  stats.Metrics.rpc_calls <- stats.Metrics.rpc_calls + (c.Transport.calls - calls0);
-  stats.Metrics.rpc_bytes <-
-    stats.Metrics.rpc_bytes
-    + (c.Transport.bytes_sent + c.Transport.bytes_received - bytes0);
-  result
+  Fun.protect f ~finally:(fun () ->
+      stats.Metrics.rpc_calls <- stats.Metrics.rpc_calls + (c.Transport.calls - calls0);
+      stats.Metrics.rpc_bytes <-
+        stats.Metrics.rpc_bytes
+        + (c.Transport.bytes_sent + c.Transport.bytes_received - bytes0))
+
+(* Release an abandoned scan cursor at teardown, attributed to the
+   operator that opened it.  Best effort: a server that already dropped
+   the cursor (TTL, disconnect) has nothing left to release. *)
+let close_cursor filter stats c =
+  try with_rpc filter stats (fun () -> Client_filter.cursor_close filter c)
+  with Client_filter.Filter_error _ -> ()
 
 let pres_of metas = List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) metas
 
@@ -126,9 +133,9 @@ let contains_all filter stats metas points =
       match metas with
       | [] -> []
       | _ ->
-          stats.Metrics.eval_pairs <- stats.Metrics.eval_pairs + List.length metas;
           with_rpc filter stats (fun () ->
-              Client_filter.containment_batch filter metas ~point))
+              Client_filter.containment_batch filter ~counts:stats.Metrics.counts metas
+                ~point))
     metas points
 
 (* --- fused scan plumbing -------------------------------------------- *)
@@ -143,9 +150,7 @@ let fused_scan_stream filter stats ~points ~target_of_batch input =
   let max_items = Client_filter.scan_batch filter in
   let cursor = ref None in
   let merge rows =
-    stats.Metrics.eval_pairs <-
-      stats.Metrics.eval_pairs + (List.length rows * List.length points);
-    Client_filter.filter_scan_rows filter rows ~points
+    Client_filter.filter_scan_rows filter ~counts:stats.Metrics.counts rows ~points
   in
   let rec next_batch () =
     match !cursor with
@@ -174,12 +179,9 @@ let fused_scan_stream filter stats ~points ~target_of_batch input =
                 else Some (Array.of_list metas)))
   in
   let close () =
-    match !cursor with
-    | Some c ->
-        cursor := None;
-        (try Client_filter.cursor_close filter c
-         with Client_filter.Filter_error _ -> ())
-    | None -> ()
+    let c = !cursor in
+    cursor := None;
+    Option.iter (close_cursor filter stats) c
   in
   (next_batch, close)
 
@@ -311,9 +313,7 @@ let pruned_scan name filter ~prune ~include_self input =
               ~points ~max_items)
       in
       let merge rows =
-        stats.Metrics.eval_pairs <-
-          stats.Metrics.eval_pairs + (List.length rows * List.length points);
-        Client_filter.filter_scan_rows filter rows ~points
+        Client_filter.filter_scan_rows filter ~counts:stats.Metrics.counts rows ~points
       in
       acc := merge rows;
       open_cursor := k;
@@ -377,12 +377,9 @@ let pruned_scan name filter ~prune ~include_self input =
     end
   in
   let close () =
-    match !open_cursor with
-    | Some c ->
-        open_cursor := None;
-        (try Client_filter.cursor_close filter c
-         with Client_filter.Filter_error _ -> ())
-    | None -> ()
+    let c = !open_cursor in
+    open_cursor := None;
+    Option.iter (close_cursor filter stats) c
   in
   make ~close stats next_batch
 
@@ -427,7 +424,7 @@ let filter_equality name filter ~point input =
           List.filter
             (fun m ->
               with_rpc filter stats (fun () ->
-                  Client_filter.equality filter m ~point))
+                  Client_filter.equality filter ~counts:stats.Metrics.counts m ~point))
             (Array.to_list batch)
         in
         match survivors with [] -> next_batch () | _ -> Some (Array.of_list survivors))
@@ -608,4 +605,4 @@ let run filter plan =
     | { agg_ref = { contents = Some value }; _ } :: _ -> value
     | _ -> Query_common.Nodes (Query_common.sort_dedup metas)
   in
-  (value, List.map (fun t -> Metrics.copy_op_stats t.stats) ops)
+  (value, List.map (fun t -> t.stats) ops)

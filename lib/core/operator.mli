@@ -9,9 +9,10 @@
     of lingering until TTL eviction.
 
     Every operator carries a {!Metrics.op_stats} record: batches and
-    rows in/out, evaluation pairs, and the RPC calls/bytes and
-    (cumulative) wall time attributable to it — the data behind
-    [--explain]. *)
+    rows in/out, the paper's counters for the work it did, and the RPC
+    calls/bytes (teardown's [Cursor_close] included) and (cumulative)
+    wall time attributable to it — the data behind [--explain], and
+    the only place a query's work is counted. *)
 
 type t
 
@@ -38,4 +39,5 @@ val run :
     close every operator (also on exception).  A plan ending in an
     [Aggregate] sink evaluates to the sink's value; any other plan to
     [Nodes] of its rows in document order, duplicates removed.  Also
-    returns a snapshot of every operator's counters, in plan order. *)
+    returns every operator's counters, in plan order; the operators are
+    closed by then, so the rows are final. *)

@@ -55,16 +55,6 @@ let eval_share tab ~mul_row ~n buf =
   done;
   !acc
 
-let eval_share_batch tab ~mul_row ~n shares ~out =
-  let batch = Array.length shares in
-  if Array.length out < batch then
-    invalid_arg
-      (Printf.sprintf "Flat.eval_share_batch: out has %d slots for %d shares"
-         (Array.length out) batch);
-  for i = 0 to batch - 1 do
-    Array.unsafe_set out i (eval_share tab ~mul_row ~n (Array.unsafe_get shares i))
-  done
-
 let reconstruct_into tab ~n ~(client : int array) buf ~(out : int array) =
   check_share "Flat.reconstruct_into" tab ~n buf;
   if Array.length client < n || Array.length out < n then

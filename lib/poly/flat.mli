@@ -42,19 +42,6 @@ val eval_share :
     @raise Invalid_argument if the buffer is short or a decoded
     coefficient is outside [0, q). *)
 
-val eval_share_batch :
-  Secshare_field.Table.t ->
-  mul_row:Bytes.t ->
-  n:int ->
-  Bytes.t array ->
-  out:int array ->
-  unit
-(** Evaluate a whole scan batch of packed shares at one point in a
-    single pass, writing [out.(i) <- eval of shares.(i)].  [out] is
-    caller-allocated (at least as long as the batch) so the kernel
-    itself allocates nothing.
-    @raise Invalid_argument if [out] is shorter than the batch. *)
-
 val reconstruct_into :
   Secshare_field.Table.t ->
   n:int ->

@@ -84,22 +84,6 @@ let eval_suite ring name =
         let mul_row = Flat.point_row tab ~point in
         Flat.eval_share tab ~mul_row ~n buf
         = Cyclic.eval ring (Codec.unpack_cyclic ring buf) point);
-    qtest
-      (name ^ ": eval_share_batch elementwise, any batch size")
-      QCheck2.Gen.(
-        let* batch = int_range 0 40 in
-        let* polys = list_repeat batch gc in
-        let* point = gpt in
-        return (polys, point))
-      (fun (polys, point) ->
-        let shares = Array.of_list (List.map (Codec.pack_cyclic ring) polys) in
-        let out = Array.make (Array.length shares) (-1) in
-        let mul_row = Flat.point_row tab ~point in
-        Flat.eval_share_batch tab ~mul_row ~n shares ~out;
-        List.for_all2
-          (fun c v -> v = Cyclic.eval ring c point)
-          polys
-          (Array.to_list out));
     (* degree edges: a constant share evaluates to its constant
        everywhere, and a share with every coefficient live (max degree
        in the quotient) still matches the reference *)

@@ -1,7 +1,8 @@
 (* The streaming operator pipeline: golden results for the paper's
    §5.3 queries, engine/config agreement (fused, unfused, per-node),
-   property tests against the plaintext reference, plan lowering
-   shapes, cursor teardown, and the --explain counters. *)
+   pinned counters that agree across deployments, property tests
+   against the plaintext reference, plan lowering shapes, cursor
+   teardown, and the --explain counters. *)
 
 module DB = Secshare_core.Database
 module QC = Secshare_core.Query_common
@@ -14,6 +15,10 @@ module Reference = Secshare_core.Reference
 module Protocol = Secshare_rpc.Protocol
 module Transport = Secshare_rpc.Transport
 module Generate = Secshare_xmark.Generate
+module Node_table = Secshare_store.Node_table
+module Split = Secshare_shard.Split
+module Manifest = Secshare_shard.Manifest
+module Router = Secshare_shard.Router
 module Parser = Secshare_xpath.Parser
 module Ast = Secshare_xpath.Ast
 
@@ -28,13 +33,15 @@ let parse = Parser.parse_exn
 let xmark_doc = lazy (Generate.generate_bytes ~seed:20050905L ~target_bytes:30_000 ())
 let xmark_db = lazy (Test_support.db_of_tree (Lazy.force xmark_doc))
 
+let client_with ~fused ~batching =
+  { DB.default_client_config with rpc_fused_scan = fused; rpc_batching = batching }
+
 let db_with ~fused ~batching tree =
   let config =
     {
       DB.default_config with
       seed = Some Test_support.test_seed;
-      client =
-        { DB.default_client_config with rpc_fused_scan = fused; rpc_batching = batching };
+      client = client_with ~fused ~batching;
     }
   in
   match DB.create_tree ~config tree with
@@ -136,6 +143,101 @@ let test_config_agreement () =
       "/site/regions/europe/item/description/parlist";
       "/site/regions/europe/item/description/parlist/listitem/text/keyword";
     ]
+
+(* --- counters: pinned, and independent of the deployment --- *)
+
+(* The paper's counters and the query's RPC totals, one line per
+   golden query, strictness and engine. *)
+let counter_lines db =
+  List.concat_map
+    (fun (q, strictness, _) ->
+      List.map
+        (fun engine ->
+          let r = Test_support.must_query ~engine ~strictness db q in
+          let m = r.DB.metrics in
+          Printf.sprintf "%s %s %s: evals=%d eqs=%d recons=%d examined=%d degenerate=%d \
+                          calls=%d bytes=%d"
+            q
+            (if engine = DB.Simple then "simple" else "advanced")
+            (if strictness = QC.Strict then "strict" else "non-strict")
+            m.Metrics.evaluations m.Metrics.equality_tests m.Metrics.reconstructions
+            m.Metrics.nodes_examined m.Metrics.degenerate_divisions r.DB.rpc_calls
+            r.DB.rpc_bytes)
+        [ DB.Simple; DB.Advanced ])
+    golden
+
+let client_configs =
+  [ ("fused", true, true); ("batched", false, true); ("per-node", false, false) ]
+
+(* Digest of the in-process [counter_lines] of every client
+   configuration, in [client_configs] order.  A mismatch means some
+   count moved; the failing run prints the lines it digested. *)
+let pinned_counters_digest = "74f9dd291727b68a9170a1c7fab12185"
+
+(* The same database behind a 2-of-3 Shamir router over in-process
+   shard servers. *)
+let routed_transport db =
+  let ring = DB.ring db in
+  let tables = Array.init 3 (fun _ -> Node_table.create ()) in
+  let manifests =
+    Split.split_table ring ~threshold:2 ~shards:3
+      ~dealer_seed:(Secshare_prg.Seed.of_passphrase "counter-dealer")
+      ~source:(DB.table db) ~sinks:tables
+  in
+  let shards =
+    List.init 3 (fun i ->
+        Transport.local
+          ~handler:
+            (Server_filter.handler
+               (Server_filter.create ~manifest:(Manifest.to_info manifests.(i)) ring
+                  tables.(i))))
+  in
+  match Router.of_transports ring shards with
+  | Ok router -> (router, Transport.local ~handler:(Router.handler router))
+  | Error e -> failwith ("router: " ^ e)
+
+let test_counters_pinned_across_deployments () =
+  let doc = Lazy.force xmark_doc in
+  let served = Lazy.force xmark_db in
+  let path = Filename.temp_file "ssdb-counters" ".sock" in
+  Sys.remove path;
+  let server = DB.serve served ~path in
+  let router, routed = routed_transport served in
+  let mapping = DB.mapping served and seed = DB.seed served in
+  let must = function Ok db -> db | Error e -> failwith e in
+  let counter_lines_closing db =
+    Fun.protect ~finally:(fun () -> DB.close db) (fun () -> counter_lines db)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.close router;
+      Secshare_rpc.Server.stop server)
+    (fun () ->
+      let in_process =
+        List.concat_map
+          (fun (name, fused, batching) ->
+            let client = client_with ~fused ~batching in
+            let local = counter_lines_closing (db_with ~fused ~batching doc) in
+            let socket =
+              counter_lines_closing
+                (must (DB.connect ~client ~p:83 ~e:1 ~mapping ~seed ~path ()))
+            in
+            let through_router =
+              counter_lines_closing
+                (must (DB.of_transport ~client ~p:83 ~e:1 ~mapping ~seed routed))
+            in
+            check Alcotest.(list string) (name ^ ": socket = in-process") local socket;
+            check Alcotest.(list string)
+              (name ^ ": 2-of-3 router = in-process")
+              local through_router;
+            local)
+          client_configs
+      in
+      let digest = Digest.to_hex (Digest.string (String.concat "\n" in_process)) in
+      if digest <> pinned_counters_digest then
+        List.iter prerr_endline in_process;
+      check Alcotest.string "in-process counters match the pinned digest"
+        pinned_counters_digest digest)
 
 (* --- lowering shapes --- *)
 
@@ -258,13 +360,33 @@ let descendants_plan =
     Plan.Scan { axis = Plan.Descendant_scan { include_self = false }; eval = None };
   ]
 
+let transport_marks (c : Transport.counters) =
+  (c.Transport.calls, c.Transport.bytes_sent + c.Transport.bytes_received)
+
+(* Every round trip the transport counted since [before] is attributed
+   to exactly one operator. *)
+let check_rpc_attribution label counters ~before:(calls0, bytes0) ops =
+  let calls, bytes = transport_marks counters in
+  let sum field = List.fold_left (fun acc s -> acc + field s) 0 ops in
+  check Alcotest.int (label ^ ": rpc calls attributed") (calls - calls0)
+    (sum (fun s -> s.Metrics.rpc_calls));
+  check Alcotest.int (label ^ ": rpc bytes attributed") (bytes - bytes0)
+    (sum (fun s -> s.Metrics.rpc_bytes))
+
 let test_limit_closes_cursors () =
   List.iter
     (fun fused ->
       let server, filter = small_batch_parts ~fused () in
+      let counters = Client_filter.rpc_counters filter in
+      let before = transport_marks counters in
       let nodes =
         match Operator.run filter (descendants_plan @ [ Plan.Limit 3 ]) with
-        | QC.Nodes nodes, _ -> nodes
+        | QC.Nodes nodes, ops ->
+            (* the satisfied limit's close-time Cursor_close included *)
+            check_rpc_attribution
+              (Printf.sprintf "limit (fused=%b)" fused)
+              counters ~before ops;
+            nodes
         | _ -> Alcotest.fail "a node plan evaluated to an aggregate"
       in
       check Alcotest.int
@@ -323,6 +445,8 @@ let test_operator_stats () =
     (fun q ->
       List.iter
         (fun (engine, strictness) ->
+          let counters = DB.rpc_counters db in
+          let before = transport_marks counters in
           let r = Test_support.must_query ~engine ~strictness db q in
           Alcotest.(check bool) (q ^ " has operators") true (r.DB.operators <> []);
           let first = List.hd r.DB.operators in
@@ -331,14 +455,7 @@ let test_operator_stats () =
             true
             (String.length first.Metrics.op_name >= 9
             && String.sub first.Metrics.op_name 0 9 = "scan-root");
-          (* every round trip of the query is attributed to exactly
-             one operator *)
-          check Alcotest.int (q ^ " rpc calls attributed")
-            r.DB.rpc_calls
-            (List.fold_left (fun acc s -> acc + s.Metrics.rpc_calls) 0 r.DB.operators);
-          check Alcotest.int (q ^ " rpc bytes attributed")
-            r.DB.rpc_bytes
-            (List.fold_left (fun acc s -> acc + s.Metrics.rpc_bytes) 0 r.DB.operators);
+          check_rpc_attribution q counters ~before r.DB.operators;
           (* the sink's output is the (deduplicated) result *)
           let sink = List.nth r.DB.operators (List.length r.DB.operators - 1) in
           check Alcotest.int (q ^ " sink rows = result size")
@@ -359,6 +476,11 @@ let () =
         [
           Alcotest.test_case "paper queries, both engines" `Quick test_golden_results;
           Alcotest.test_case "fused/batched/per-node agree" `Quick test_config_agreement;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "pinned, in-process = socket = 2-of-3 router" `Quick
+            test_counters_pinned_across_deployments;
         ] );
       ("lowering", [ Alcotest.test_case "plan shapes" `Quick test_plan_shapes ]);
       ( "reference",

@@ -318,6 +318,42 @@ let test_remote_recovers_across_server_restart () =
         (counters.Transport.reconnects >= 1);
       DB.close session)
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* The server shares this process, so a closed client socket frees
+   the server's end only once its event loop sees the hang-up. *)
+let fds_settle_to target =
+  let rec go tries =
+    let now = open_fds () in
+    if now = target || tries = 0 then now
+    else begin
+      Thread.delay 0.02;
+      go (tries - 1)
+    end
+  in
+  go 100
+
+let test_bad_field_rejected_without_leak () =
+  with_served_db (fun db path ->
+      let mapping = DB.mapping db and seed = DB.seed db in
+      let before = open_fds () in
+      List.iter
+        (fun (p, e) ->
+          let label = Printf.sprintf "p = %d, e = %d" p e in
+          let refused what = function
+            | Error _ -> ()
+            | Ok handle ->
+                DB.close handle;
+                Alcotest.failf "%s: %s accepted a bad field" label what
+          in
+          refused "connect" (DB.connect ~p ~e ~mapping ~seed ~path ());
+          match Transport.socket path with
+          | Error msg -> Alcotest.failf "%s: socket: %s" label msg
+          | Ok transport ->
+              refused "of_transport" (DB.of_transport ~p ~e ~mapping ~seed transport))
+        [ (83, 0); (84, 1) ];
+      check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
+
 let () =
   Alcotest.run "remote"
     [
@@ -328,6 +364,8 @@ let () =
             test_remote_wrong_seed_finds_nothing;
           Alcotest.test_case "independent sessions" `Quick test_remote_sessions_are_independent;
           Alcotest.test_case "server stop surfaces errors" `Quick test_session_after_server_stop;
+          Alcotest.test_case "bad field refused, nothing leaked" `Quick
+            test_bad_field_rejected_without_leak;
         ] );
       ( "resilience",
         [

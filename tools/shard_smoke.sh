@@ -5,8 +5,9 @@
 #      database and one 2-of-3 Shamir shard deployment;
 #   2. boot three shard servers and the router over Unix sockets;
 #   3. run the golden queries through the router and diff the full
-#      ssdb_query output (matches, metrics, rpc/byte counts; the
-#      time line excluded) against the single server's;
+#      ssdb_query output (matches, metrics, rpc/byte counts; only the
+#      wall-time prefix of the counter line stripped) against the
+#      single server's;
 #   4. SIGKILL one shard server and re-run: answers must still be
 #      byte-identical through the surviving 2-of-3;
 #   5. SIGKILL a second shard: the router must refuse with a clean
@@ -14,10 +15,11 @@
 #
 # Exits non-zero on the first divergence.  Run from the repo root:
 #   tools/shard_smoke.sh
+# Scratch files go under $TMPDIR (default /tmp) and are removed on exit.
 set -u
 
 B="$PWD/_build/default/bin"
-WORK=$(mktemp -d /tmp/ssdb-shard-smoke.XXXXXX)
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/ssdb-shard-smoke.XXXXXX")
 PIDS=()
 
 log() { printf 'shard smoke: %s\n' "$*"; }
@@ -75,17 +77,20 @@ done
 
 QUERIES=('/site' '/site/regions' '//item' '/site/people/person' '//keyword')
 
+# The counter line starts "time: <s> s | "; only that prefix varies.
+untimed() { sed -E 's/^time: [0-9.]+ s \| //'; }
+
 run_golden() {
   local note=$1 q
   for q in "${QUERIES[@]}"; do
     "$B/ssdb_query.exe" --db single.db --map c.map --seed c.seed "$q" 2>&1 \
-      | grep -v '^time' >single.out
+      | untimed >single.out
     "$B/ssdb_query.exe" --connect r.sock --map c.map --seed c.seed "$q" 2>&1 \
-      | grep -v '^time' >routed.out
+      | untimed >routed.out
     if ! diff -u single.out routed.out >diff.out; then
       die "$note: '$q' diverged: $(head -5 diff.out)"
     fi
-    log "$note: '$q' identical"
+    log "$note: '$q' identical: $(grep '^evaluations' single.out)"
   done
 }
 
