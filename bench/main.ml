@@ -859,7 +859,9 @@ let reference_client_poly (ring : Secshare_poly.Ring.t) ~seed ~pre =
    gate is on the *ratio* kernel-vs-reference (machine-independent),
    never on absolute nanoseconds. *)
 let kernel () =
-  heading "Flat field kernels vs reference (containment, equality, regen, reconstruct)";
+  heading
+    "Flat field kernels vs reference (containment, equality, regen, reconstruct, \
+     recombine)";
   let db = xmark_db 100_000 in
   let ring = DB.ring db in
   let table = DB.table db in
@@ -1056,6 +1058,71 @@ let kernel () =
       ("ref_ns_per_share", J_float ref_ns);
       ("kernel_ns_per_share", J_float ker_ns);
       ("speedup", J_float r_speedup);
+      ("identical", J_int 1);
+    ];
+  (* recombine: the router rebuilding one packed server share from the
+     2-of-3 shard shares of every subset in turn, lambdas precomputed
+     per subset as the router does per group call.  The reference is
+     the unpack / combine_vectors / pack path [Share.reconstruct_packed]
+     keeps for fields without byte tables. *)
+  let module Shamir = Secshare_poly.Shamir in
+  let module Share = Secshare_core.Share in
+  let polys = min batch 512 in
+  let dealer = Secshare_prg.Xoshiro.create 3L in
+  let dealt =
+    Array.init polys (fun i ->
+        Array.of_list
+          (Share.shard_server_share ring ~threshold:2 ~shards:3
+             ~gen:(fun () -> Secshare_prg.Xoshiro.next_int dealer ~bound:83)
+             shares.(i)))
+  in
+  let subsets = [| [ 1; 2 ]; [ 2; 3 ]; [ 3; 1 ] |] in
+  let lambdas = Array.map (fun xs -> Shamir.lambdas_at_zero ring ~xs) subsets in
+  let members i = List.map (fun x -> dealt.(i).(x - 1)) subsets.(i mod 3) in
+  let q = ring.Secshare_poly.Ring.order in
+  let reference = Array.make polys Bytes.empty in
+  let recombined = Array.make polys Bytes.empty in
+  (* the two paths alternate pass by pass, so load that comes and goes
+     on a shared machine lands on both sides of the ratio *)
+  let ref_s = ref 0.0 and ker_s = ref 0.0 in
+  for _ = 1 to reps do
+    let (), dt =
+      time_it (fun () ->
+          for i = 0 to polys - 1 do
+            reference.(i) <-
+              Codec.pack ~q
+                (Shamir.combine_vectors ring ~lambdas:lambdas.(i mod 3)
+                   (List.map (Codec.unpack ~q ~n) (members i)))
+          done)
+    in
+    ref_s := !ref_s +. dt;
+    let (), dt =
+      time_it (fun () ->
+          for i = 0 to polys - 1 do
+            recombined.(i) <-
+              Share.reconstruct_packed ring ~lambdas:lambdas.(i mod 3) (members i)
+          done)
+    in
+    ker_s := !ker_s +. dt
+  done;
+  let ref_s = !ref_s and ker_s = !ker_s in
+  if
+    not
+      (Array.for_all2 Bytes.equal reference recombined
+      && Array.for_all2 Bytes.equal recombined (Array.sub shares 0 polys))
+  then failwith "kernel bench: recombined shares differ";
+  let combos = float_of_int (reps * polys) in
+  let ref_ns = ref_s /. combos *. 1e9 and ker_ns = ker_s /. combos *. 1e9 in
+  let m_speedup = ref_ns /. ker_ns in
+  printf "%-24s %12.1f %12.1f %8.2fx  (%d shares, 2-of-3, identical bytes)\n"
+    "recombine" ref_ns ker_ns m_speedup polys;
+  record "kernel"
+    [
+      ("op", J_str "recombine");
+      ("polys", J_int polys);
+      ("ref_ns_per_share", J_float ref_ns);
+      ("kernel_ns_per_share", J_float ker_ns);
+      ("speedup", J_float m_speedup);
       ("identical", J_int 1);
     ]
 

@@ -28,7 +28,23 @@ let shard_server_share (ring : Ring.t) ~threshold ~shards ~gen packed =
   Shamir.share_vector ring ~threshold ~xs:(shard_xs ~shards) ~gen coeffs
   |> List.map (Codec.pack ~q)
 
+(* Fields with byte tables (q <= 256, the paper's F_83 included)
+   recombine through the flat kernel; larger fields keep the unpack /
+   combine / pack path, which is also the kernel's test oracle. *)
 let reconstruct_packed (ring : Ring.t) ~lambdas packed_shares =
   let q = ring.Ring.order and n = ring.Ring.n in
-  Shamir.combine_vectors ring ~lambdas (List.map (Codec.unpack ~q ~n) packed_shares)
-  |> Codec.pack ~q
+  match ring.Ring.table with
+  | Some tab ->
+      let rows =
+        Array.of_list
+          (List.map
+             (fun l -> Secshare_field.Table.mul_row tab ~point:(ring.Ring.normalize l))
+             lambdas)
+      in
+      let out = Bytes.create (Codec.byte_length ~q ~n) in
+      Secshare_poly.Flat.combine_packed_into tab ~n ~rows (Array.of_list packed_shares)
+        ~out;
+      out
+  | None ->
+      Shamir.combine_vectors ring ~lambdas (List.map (Codec.unpack ~q ~n) packed_shares)
+      |> Codec.pack ~q

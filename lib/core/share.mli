@@ -63,5 +63,11 @@ val shard_server_share :
 val reconstruct_packed :
   Secshare_poly.Ring.t -> lambdas:int list -> bytes list -> bytes
 (** Recombine [t] packed shard shares into the original packed server
-    share — exact, bit-identical bytes (field arithmetic, then the
-    same codec). *)
+    share — exact, bit-identical bytes.  Fields with byte tables
+    ([q <= 256]) run {!Secshare_poly.Flat.combine_packed_into}, which
+    decodes, scales and sums in one pass with no per-coefficient
+    allocation; larger fields (no table) fall back to unpacking every
+    share, {!Secshare_poly.Shamir.combine_vectors} and repacking.  Both
+    paths validate every share like [Codec.unpack].
+    @raise Invalid_argument if a share is short or decodes a
+    coefficient outside [0, q), or on a lambda/share count mismatch. *)

@@ -86,3 +86,46 @@ let mul_into tab ~n ~(a : int array) ~(b : int array) ~(out : int array) =
              (Table.unsafe_mul tab ai (Array.unsafe_get b j)))
       done
   done
+
+let combine_packed_into tab ~n ~(rows : Bytes.t array) (shares : Bytes.t array)
+    ~(out : Bytes.t) =
+  let t = Array.length shares in
+  if t = 0 then invalid_arg "Flat.combine_packed_into: no shares";
+  if Array.length rows <> t then
+    invalid_arg "Flat.combine_packed_into: lambda/share count mismatch";
+  let q = Table.order tab in
+  for k = 0 to t - 1 do
+    check_share "Flat.combine_packed_into" tab ~n (Array.unsafe_get shares k);
+    if Bytes.length (Array.unsafe_get rows k) < q then
+      invalid_arg "Flat.combine_packed_into: lambda row shorter than the field order"
+  done;
+  let bits = Table.bits tab in
+  let needed = ((n * bits) + 7) / 8 in
+  if Bytes.length out < needed then
+    invalid_arg
+      (Printf.sprintf "Flat.combine_packed_into: out needs %d bytes, got %d" needed
+         (Bytes.length out));
+  Bytes.fill out 0 needed '\000';
+  let mask = (1 lsl bits) - 1 in
+  for i = 0 to n - 1 do
+    let acc = ref 0 in
+    for k = 0 to t - 1 do
+      let c = coeff_at (Array.unsafe_get shares k) ~bits ~mask i in
+      if c >= q then
+        invalid_arg
+          (Printf.sprintf "Flat.combine_packed_into: decoded coefficient %d >= %d" c q);
+      acc :=
+        Table.unsafe_add tab !acc
+          (Char.code (Bytes.unsafe_get (Array.unsafe_get rows k) c))
+    done;
+    (* Pack little-endian at bit [i * bits], the mirror of [coeff_at].
+       Coefficients are written in ascending bit order, so the byte a
+       straddling coefficient spills into is still zero. *)
+    let pos = i * bits in
+    let byte = pos lsr 3 in
+    let shift = pos land 7 in
+    let low = Char.code (Bytes.unsafe_get out byte) lor ((!acc lsl shift) land 0xff) in
+    Bytes.unsafe_set out byte (Char.unsafe_chr low);
+    if shift + bits > 8 then
+      Bytes.unsafe_set out (byte + 1) (Char.unsafe_chr (!acc lsr (8 - shift)))
+  done

@@ -75,3 +75,25 @@ val mul_into :
     have length at least [n].  The equality path ping-pongs two
     caller-owned scratch buffers through this to fold a product of
     children without allocating per step. *)
+
+val combine_packed_into :
+  Secshare_field.Table.t ->
+  n:int ->
+  rows:Bytes.t array ->
+  Bytes.t array ->
+  out:Bytes.t ->
+  unit
+(** [combine_packed_into tab ~n ~rows shares ~out] recombines [t]
+    {!Codec}-packed Shamir shares of one polynomial (the router's
+    shard replies) into the packed original, written to the first
+    [Codec.byte_length ~q ~n] bytes of [out].  [rows.(k)] is
+    [Table.mul_row tab ~point:lambda_k], the Lagrange multiplier of
+    [shares.(k)]: each decoded coefficient is scaled through its row
+    and summed through the addition table, then bit-packed in place.
+    Bit-identical to [Codec.pack (Shamir.combine_vectors ring ~lambdas
+    (List.map Codec.unpack shares))] without the unpacked vectors or
+    any per-coefficient allocation.  Validates every share like
+    {!eval_share}:
+    @raise Invalid_argument if [shares] is empty, [rows] and [shares]
+    differ in length, a row is shorter than [q], a share or [out] is
+    short, or a decoded coefficient is outside [0, q). *)

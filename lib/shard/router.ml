@@ -13,11 +13,16 @@
    marks the shard dead and the work fails over; an application error
    from a live shard propagates to the client untouched.  Mid-scan
    failover reopens the active sub-target on a fresh group and
-   skip-drains the rows already merged. *)
+   skip-drains the rows already merged.  A reply the router cannot
+   combine (wrong shape, a share of the wrong length or with a
+   coefficient outside the field, a value outside the field) is a
+   lying member: [Diverged], naming the shard, never a raw exception
+   or a silently wrong combination. *)
 
 module Protocol = Secshare_rpc.Protocol
 module Transport = Secshare_rpc.Transport
 module Ring = Secshare_poly.Ring
+module Codec = Secshare_poly.Codec
 module Shamir = Secshare_poly.Shamir
 module Share = Secshare_core.Share
 module Numeric = Secshare_core.Numeric
@@ -27,6 +32,11 @@ exception Unavailable of string
 exception App_error of string
 exception Diverged of string
 exception Member_down
+
+(* A member reply of the right kind but the wrong content, raised
+   where the shard is not at hand and reported as [Diverged] by the
+   caller that knows it. *)
+exception Malformed of string
 
 type shard = {
   id : int;  (* 1-based Shamir x-coordinate *)
@@ -60,6 +70,7 @@ type cursor = { scan : scan_state; mutable last_used : int }
 
 type t = {
   ring : Ring.t;
+  share_len : int;  (* packed bytes of one share at this ring *)
   manifest : Manifest.t;  (* group summary, shard_id = 0 *)
   members_by_id : shard array;  (* shard id i at index i - 1 *)
   cursors : (int, cursor) Hashtbl.t;
@@ -96,16 +107,22 @@ let kill_shard t id =
   if id >= 1 && id <= Array.length t.members_by_id then
     mark_dead t t.members_by_id.(id - 1)
 
+(* Every request the router sends a member goes through here (the
+   manifest handshake is counted when the member is built), so the
+   per-shard counter is what the member saw. *)
+let send shard request =
+  Obs.Registry.inc shard.calls;
+  Transport.call shard.transport request
+
 (* One call to one shard.  An [Error_msg] reply is ambiguous — the
    transport wraps its own failures in it too — so probe with a [Ping]:
    a live shard answering the probe means the error was the
    application's and must propagate; a dead probe means the shard is
    gone and the caller should fail over. *)
 let call_shard t shard request =
-  Obs.Registry.inc shard.calls;
-  match Transport.call shard.transport request with
+  match send shard request with
   | Protocol.Error_msg msg -> (
-      match Transport.call shard.transport Protocol.Ping with
+      match send shard Protocol.Ping with
       | Protocol.Pong -> raise (App_error msg)
       | _ ->
           mark_dead t shard;
@@ -152,7 +169,54 @@ let rec on_one : 'a. t -> partition:int -> (shard -> 'a) -> 'a =
   | [] -> assert false (* threshold >= 1 *)
   | s :: _ -> ( match f s with v -> v | exception Member_down -> on_one t ~partition f)
 
-(* --- combining --- *)
+(* --- checking and combining member replies --- *)
+
+let malformed ~what shard why =
+  Diverged (Printf.sprintf "malformed %s reply from shard %d: %s" what shard.id why)
+
+let check_values t values =
+  List.iter
+    (fun v ->
+      if v < 0 || v >= t.ring.Ring.order then raise (Malformed "value outside the field"))
+    values
+
+let check_row t ~arity values =
+  if List.length values <> arity then
+    raise
+      (Malformed
+         (Printf.sprintf "row with %d values for %d points" (List.length values) arity));
+  check_values t values
+
+let check_share_len t share =
+  if Bytes.length share <> t.share_len then
+    raise
+      (Malformed
+         (Printf.sprintf "share of %d bytes, expected %d" (Bytes.length share)
+            t.share_len))
+
+(* Recombine one node's member shares, already length-checked.  The
+   kernel checks every coefficient as it decodes it, so only a
+   rejected combination pays for finding the member at fault: a
+   one-share recombination with lambda 1 is the identity, and fails
+   exactly on the bad share. *)
+let recombine t group ~lambdas shares =
+  match Share.reconstruct_packed t.ring ~lambdas shares with
+  | share -> share
+  | exception Invalid_argument _ ->
+      let rejects share =
+        match Share.reconstruct_packed t.ring ~lambdas:[ 1 ] [ share ] with
+        | (_ : bytes) -> false
+        | exception Invalid_argument _ -> true
+      in
+      let culprit =
+        match List.find_opt (fun (_, b) -> rejects b) (List.combine group shares) with
+        | Some (s, _) -> Printf.sprintf "shard %d" s.id
+        | None -> "a shard"
+      in
+      raise
+        (Diverged
+           (Printf.sprintf "malformed share reply from %s: coefficient outside the field"
+              culprit))
 
 let rec transpose = function
   | [] -> []
@@ -252,20 +316,19 @@ let fresh_active t (partition, target) =
     skip = 0;
   }
 
-let close_active_members _t active =
+let close_active_members active =
   List.iter
     (fun m ->
       (match m.remote with
       | Some c -> (
           (* best effort: the shard may be the one that just died *)
-          try ignore (Transport.call m.shard.transport (Protocol.Cursor_close c))
-          with _ -> ())
+          try ignore (send m.shard (Protocol.Cursor_close c)) with _ -> ())
       | None -> ());
       m.remote <- None)
     active.members
 
 let failover_active t active =
-  close_active_members t active;
+  close_active_members active;
   let group = group_for t ~partition:active.partition in
   active.members <- List.map (fun s -> { shard = s; remote = None }) group;
   active.lambdas <- lambdas_of t group;
@@ -274,8 +337,10 @@ let failover_active t active =
   active.skip <- active.merged
 
 (* One lockstep round: the same request size to every member, metas
-   zip-checked, values folded with the lambdas. *)
+   zip-checked, values folded with the lambdas.  Every row must carry
+   one field value per point. *)
 let pull_round t scan active ~req =
+  let arity = List.length scan.points in
   let per_member =
     List.map
       (fun m ->
@@ -291,6 +356,8 @@ let pull_round t scan active ~req =
         match call_shard t m.shard request with
         | Protocol.Scan_batch { rows; cursor } ->
             m.remote <- cursor;
+            (try List.iter (fun (_, values) -> check_row t ~arity values) rows
+             with Malformed why -> raise (malformed ~what:"scan" m.shard why));
             (m, Array.of_list rows)
         | response ->
             raise
@@ -367,12 +434,11 @@ let rec fill t scan ~want acc =
 
 (* --- cursor table (mutex-guarded; network calls stay outside) --- *)
 
-let close_cursor_remotes t cursor =
-  let scan = cursor.scan in
+let close_scan scan =
   scan.pending <- [];
   match scan.active with
   | Some active ->
-      close_active_members t active;
+      close_active_members active;
       scan.active <- None
   | None -> ()
 
@@ -396,7 +462,7 @@ let register_cursor t scan =
         end
         else None)
   in
-  Option.iter (close_cursor_remotes t) victim;
+  Option.iter (fun c -> close_scan c.scan) victim;
   with_lock t (fun () ->
       let id = t.next_cursor in
       t.next_cursor <- id + 1;
@@ -421,12 +487,16 @@ let take_cursor t id =
           Some c
       | None -> None)
 
+(* Forget cursor [id] and close its member cursors. *)
+let drop_cursor t id = Option.iter (fun c -> close_scan c.scan) (take_cursor t id)
+
 let open_cursors t = with_lock t (fun () -> Hashtbl.length t.cursors)
 
 (* --- grouped point operations --- *)
 
 (* Send one request to every member of [group], in order, and decode
-   each reply; a reply [decode] does not recognise is a divergence. *)
+   each reply; a reply [decode] does not recognise, or whose content it
+   rejects with [Malformed], is a divergence. *)
 let gather ?(name_shard = false) t group ~what request decode =
   List.map
     (fun s ->
@@ -438,12 +508,16 @@ let gather ?(name_shard = false) t group ~what request decode =
           raise
             (Diverged
                (Format.asprintf "unexpected %s reply%s: %a" what from Protocol.pp_response
-                  response)))
+                  response))
+      | exception Malformed why -> raise (malformed ~what s why))
     group
 
-let with_arity ~what ~expected vs =
+let with_arity ~expected vs =
   if List.length vs <> List.length expected then
-    raise (Diverged (what ^ " reply has the wrong arity"));
+    raise
+      (Malformed
+         (Printf.sprintf "%d entries for %d nodes" (List.length vs)
+            (List.length expected)));
   Some vs
 
 (* Split [pres] at partition boundaries, run [f] on each run's group,
@@ -465,7 +539,9 @@ let eval_one t ~pre ~point =
   on_group t ~partition:(partition_of t pre) (fun group lambdas ->
       let values =
         gather t group ~what:"eval" (Protocol.Eval { pre; point }) (function
-          | Protocol.Value v -> Some v
+          | Protocol.Value v ->
+              check_values t [ v ];
+              Some v
           | _ -> None)
       in
       Protocol.Value (Shamir.combine t.ring ~lambdas values))
@@ -475,27 +551,37 @@ let eval_batch t ~pres ~point =
     (per_partition t pres ~empty:0 (fun group lambdas sub_pres ->
          gather t group ~what:"eval batch" (Protocol.Eval_batch { pres = sub_pres; point })
            (function
-           | Protocol.Values vs -> with_arity ~what:"eval batch" ~expected:sub_pres vs
+           | Protocol.Values vs ->
+               check_values t vs;
+               with_arity ~expected:sub_pres vs
            | _ -> None)
          |> combine_points t ~lambdas))
 
 let share_one t pre =
   on_group t ~partition:(partition_of t pre) (fun group lambdas ->
       let packed =
-        gather t group ~what:"share" (Protocol.Share pre) (function
-          | Protocol.Share_data b -> Some b
+        gather ~name_shard:true t group ~what:"share" (Protocol.Share pre) (function
+          | Protocol.Share_data b ->
+              check_share_len t b;
+              Some b
           | _ -> None)
       in
-      Protocol.Share_data (Share.reconstruct_packed t.ring ~lambdas packed))
+      Protocol.Share_data (recombine t group ~lambdas packed))
 
 let shares_batch t pres =
   Protocol.Shares_data
     (per_partition t pres ~empty:Bytes.empty (fun group lambdas sub_pres ->
-         gather t group ~what:"shares" (Protocol.Shares sub_pres) (function
-           | Protocol.Shares_data bs -> with_arity ~what:"shares" ~expected:sub_pres bs
-           | _ -> None)
-         |> transpose
-         |> List.map (Share.reconstruct_packed t.ring ~lambdas)))
+         let replies =
+           gather ~name_shard:true t group ~what:"shares" (Protocol.Shares sub_pres)
+             (function
+             | Protocol.Shares_data bs ->
+                 List.iter (check_share_len t) bs;
+                 Option.map Array.of_list (with_arity ~expected:sub_pres bs)
+             | _ -> None)
+         in
+         List.mapi
+           (fun j _ -> recombine t group ~lambdas (List.map (fun bs -> bs.(j)) replies))
+           sub_pres))
 
 (* --- aggregation --- *)
 
@@ -518,11 +604,13 @@ let agg_eval t pres =
                 | _ -> None)
             in
             let expected = List.length sub_pres in
-            List.iter
-              (fun (count, _) ->
+            List.iter2
+              (fun s (count, sum) ->
                 if count <> expected then
-                  raise (Diverged "aggregate partials diverged (row counts differ)"))
-              per_member;
+                  raise (Diverged "aggregate partials diverged (row counts differ)");
+                if sum < 0 || sum >= Numeric.modulus then
+                  raise (malformed ~what:"aggregate" s "sum outside the field"))
+              group per_member;
             let lambdas = Numeric.Shamir.lambdas_at_zero () ~xs:(ids group) in
             (expected, Numeric.Shamir.combine () ~lambdas (List.map snd per_member)))
       in
@@ -548,23 +636,32 @@ let dispatch t request =
   | Protocol.Shares pres -> shares_batch t pres
   | Protocol.Agg_eval { pres } -> agg_eval t pres
   | Protocol.Cursor_close cursor ->
-      Option.iter (close_cursor_remotes t) (take_cursor t cursor);
+      drop_cursor t cursor;
       Protocol.Pong
   | Protocol.Scan_eval { target; points; max_items } ->
       let scan = { points; pending = sub_targets t target; active = None } in
-      let rows = fill t scan ~want:(max 1 max_items) [] in
+      let rows =
+        (* a failed scan must not strand the member cursors it opened *)
+        try fill t scan ~want:(max 1 max_items) []
+        with e ->
+          close_scan scan;
+          raise e
+      in
       if scan_more scan then
         Protocol.Scan_batch { rows; cursor = Some (register_cursor t scan) }
       else Protocol.Scan_batch { rows; cursor = None }
   | Protocol.Scan_next { cursor; max_items } -> (
       match find_cursor t cursor with
-      | Some scan ->
-          let rows = fill t scan ~want:(max 1 max_items) [] in
-          if scan_more scan then Protocol.Scan_batch { rows; cursor = Some cursor }
-          else begin
-            Option.iter (close_cursor_remotes t) (take_cursor t cursor);
-            Protocol.Scan_batch { rows; cursor = None }
-          end
+      | Some scan -> (
+          match fill t scan ~want:(max 1 max_items) [] with
+          | rows when scan_more scan -> Protocol.Scan_batch { rows; cursor = Some cursor }
+          | rows ->
+              drop_cursor t cursor;
+              Protocol.Scan_batch { rows; cursor = None }
+          | exception e ->
+              (* a failed or diverged stream cannot resume *)
+              drop_cursor t cursor;
+              raise e)
       | None -> Secshare_rpc.Session_cursors.unknown_cursor cursor)
 
 let handler t request =
@@ -578,8 +675,7 @@ let handler t request =
    it opened, and they are closed with it (router-side and on the
    shards). *)
 let connection t =
-  Secshare_rpc.Session_cursors.connection ~handler:(handler t) ~release:(fun id ->
-      Option.iter (close_cursor_remotes t) (take_cursor t id))
+  Secshare_rpc.Session_cursors.connection ~handler:(handler t) ~release:(drop_cursor t)
 
 (* --- construction --- *)
 
@@ -632,20 +728,18 @@ let of_transports (ring : Ring.t) ?(max_cursors = 1024) transports =
                 let members = Array.make n None in
                 List.iter
                   (fun (transport, (m : Manifest.t)) ->
+                    let calls = shard_calls_counter m.Manifest.shard_id in
+                    (* the manifest handshake was the shard's first request *)
+                    Obs.Registry.inc calls;
                     members.(m.Manifest.shard_id - 1) <-
-                      Some
-                        {
-                          id = m.Manifest.shard_id;
-                          transport;
-                          alive = true;
-                          calls = shard_calls_counter m.Manifest.shard_id;
-                        })
+                      Some { id = m.Manifest.shard_id; transport; alive = true; calls })
                   pairs;
                 let members_by_id = Array.map Option.get members in
                 Obs.Registry.gauge_set obs_live_gauge n;
                 Ok
                   {
                     ring;
+                    share_len = Codec.byte_length ~q:ring.Ring.order ~n:ring.Ring.n;
                     manifest = summary;
                     members_by_id;
                     cursors = Hashtbl.create 16;
@@ -684,5 +778,5 @@ let close t =
       Hashtbl.reset t.cursors;
       cs)
   in
-  List.iter (close_cursor_remotes t) all;
+  List.iter (fun c -> close_scan c.scan) all;
   Array.iter (fun s -> Transport.close s.transport) t.members_by_id

@@ -224,6 +224,163 @@ let mul_suite ring name =
         Cyclic.equal (Cyclic.of_int_array ring !acc) reference);
   ]
 
+(* --- Shamir recombination kernel vs unpack + combine_vectors + pack -- *)
+
+module Shamir = Secshare_poly.Shamir
+
+let r5 = Ring.of_prime ~p:5
+let r9 = Ring.of_prime_power ~p:3 ~e:2
+let r256 = Ring.of_prime_power ~p:2 ~e:8
+
+(* The reference path [Share.reconstruct_packed] keeps for fields
+   without byte tables. *)
+let reference_combine ring ~lambdas shares =
+  let q = ring.Ring.order and n = ring.Ring.n in
+  Codec.pack ~q
+    (Shamir.combine_vectors ring ~lambdas (List.map (Codec.unpack ~q ~n) shares))
+
+let flat_combine ring ~lambdas shares =
+  let tab = table_of ring in
+  let q = ring.Ring.order and n = ring.Ring.n in
+  let rows = Array.of_list (List.map (fun l -> Table.mul_row tab ~point:l) lambdas) in
+  (* prefilled garbage: the kernel must clear what it packs into *)
+  let out = Bytes.make (Codec.byte_length ~q ~n) '\xff' in
+  Flat.combine_packed_into tab ~n ~rows (Array.of_list shares) ~out;
+  out
+
+(* Every [threshold]-subset of the x-coordinates [1 .. shards], each in
+   ascending and in reversed order. *)
+let subsets ~threshold ~shards =
+  let rec choose k from =
+    if k = 0 then [ [] ]
+    else if from > shards then []
+    else
+      List.map (fun rest -> from :: rest) (choose (k - 1) (from + 1))
+      @ choose k (from + 1)
+  in
+  List.concat_map (fun xs -> [ xs; List.rev xs ]) (choose threshold 1)
+
+let geometries = [ (2, 3); (3, 4) ]
+
+(* Exhaustive over share values: every tuple of [threshold] field
+   elements appears as the member coefficients at every coefficient
+   position (so at every bit offset of the packed layout), for every
+   subset and order of both geometries. *)
+let test_combine_exhaustive ring name () =
+  let q = ring.Ring.order and n = ring.Ring.n in
+  let rec digit v k = if k = 0 then v mod q else digit (v / q) (k - 1) in
+  List.iter
+    (fun (threshold, shards) ->
+      let tuples = int_of_float (float_of_int q ** float_of_int threshold) in
+      let chunks = (tuples + n - 1) / n in
+      List.iter
+        (fun xs ->
+          let lambdas = Shamir.lambdas_at_zero ring ~xs in
+          for chunk = 0 to chunks - 1 do
+            for rot = 0 to n - 1 do
+              (* coefficient i of member k is digit k of tuple
+                 [chunk * n + (i + rot) mod n] in base q *)
+              let shares =
+                List.init threshold (fun k ->
+                    Codec.pack ~q
+                      (Array.init n (fun i ->
+                           let tuple = (chunk * n) + ((i + rot) mod n) in
+                           if tuple < tuples then digit tuple k else 0)))
+              in
+              if
+                not
+                  (Bytes.equal (flat_combine ring ~lambdas shares)
+                     (reference_combine ring ~lambdas shares))
+              then
+                Alcotest.failf "%s: %d-of-%d subset %s differs (chunk %d, rotation %d)"
+                  name threshold shards
+                  (String.concat "," (List.map string_of_int xs))
+                  chunk rot
+            done
+          done)
+        (subsets ~threshold ~shards))
+    geometries
+
+(* Real dealings: the kernel returns the dealt share itself, byte for
+   byte, from every subset in either order. *)
+let combine_qcheck ring name =
+  let q = ring.Ring.order in
+  qtest ~count:100
+    (name ^ ": combine_packed_into recovers every dealt share")
+    (* the dealer's draws: threshold - 1 per coefficient, summed over
+       both geometries *)
+    QCheck2.Gen.(
+      pair (gen_cyclic ring) (array_repeat (3 * ring.Ring.n) (int_range 0 (q - 1))))
+    (fun (secret, draws) ->
+      let original = Codec.pack_cyclic ring secret in
+      let next = ref 0 in
+      let gen () =
+        incr next;
+        draws.(!next - 1)
+      in
+      List.for_all
+        (fun (threshold, shards) ->
+          let dealt =
+            Shamir.share_vector ring ~threshold
+              ~xs:(List.init shards (fun i -> i + 1))
+              ~gen
+              (Cyclic.to_int_array secret)
+            |> List.map (Codec.pack ~q)
+            |> Array.of_list
+          in
+          List.for_all
+            (fun xs ->
+              let lambdas = Shamir.lambdas_at_zero ring ~xs in
+              let shares = List.map (fun x -> dealt.(x - 1)) xs in
+              let got = flat_combine ring ~lambdas shares in
+              Bytes.equal got original
+              && Bytes.equal got (reference_combine ring ~lambdas shares))
+            (subsets ~threshold ~shards))
+        geometries)
+
+(* Kernel and reference reject the same malformed shares, each with
+   [Invalid_argument]. *)
+let test_combine_rejects ring name () =
+  let q = ring.Ring.order and n = ring.Ring.n in
+  let lambdas = Shamir.lambdas_at_zero ring ~xs:[ 1; 2 ] in
+  let good = Codec.pack ~q (Array.make n 1) in
+  let len = Codec.byte_length ~q ~n in
+  let rejects what f =
+    match f () with
+    | (_ : Bytes.t) -> Alcotest.failf "%s: %s accepted" name what
+    | exception Invalid_argument _ -> ()
+  in
+  let bits = Codec.bits_per_coeff q in
+  (* a share whose last coefficient decodes to [v], bypassing the
+     codec's own range check *)
+  let with_last v =
+    let buf = Codec.pack ~q (Array.make n 0) in
+    for b = 0 to bits - 1 do
+      let pos = ((n - 1) * bits) + b in
+      if (v lsr b) land 1 = 1 then
+        Bytes.set_uint8 buf (pos lsr 3)
+          (Bytes.get_uint8 buf (pos lsr 3) lor (1 lsl (pos land 7)))
+    done;
+    buf
+  in
+  List.iter
+    (fun (what, shares) ->
+      rejects (what ^ " (kernel)") (fun () -> flat_combine ring ~lambdas shares);
+      rejects (what ^ " (reference)") (fun () -> reference_combine ring ~lambdas shares))
+    ([
+       ("short second share", [ good; Bytes.sub good 0 (len - 1) ]);
+       ("empty first share", [ Bytes.empty; good ]);
+       ("one share for two lambdas", [ good ]);
+     ]
+    (* at q = 2^bits every bit pattern is a field element *)
+    @
+    if 1 lsl bits > q then
+      [
+        ("coefficient = q", [ good; with_last q ]);
+        ("coefficient = 2^bits - 1", [ with_last ((1 lsl bits) - 1); good ]);
+      ]
+    else [])
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -254,4 +411,17 @@ let () =
       ("recon GF81", reconstruct_suite r81 "GF81");
       ("mul F83", mul_suite r83 "F83");
       ("mul GF81", mul_suite r81 "GF81");
+      ( "combine",
+        [
+          Alcotest.test_case "F5 every share tuple, every subset" `Quick
+            (test_combine_exhaustive r5 "F5");
+          Alcotest.test_case "GF9 every share tuple, every subset" `Quick
+            (test_combine_exhaustive r9 "GF9");
+          combine_qcheck r83 "F83";
+          combine_qcheck r256 "GF256";
+          Alcotest.test_case "F83 rejects bad shares" `Quick
+            (test_combine_rejects r83 "F83");
+          Alcotest.test_case "GF256 rejects bad shares" `Quick
+            (test_combine_rejects r256 "GF256");
+        ] );
     ]

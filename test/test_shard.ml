@@ -17,6 +17,7 @@ module Transport = Secshare_rpc.Transport
 module Protocol = Secshare_rpc.Protocol
 module Ring = Secshare_poly.Ring
 module Seed = Secshare_prg.Seed
+module Registry = Secshare_obs.Registry
 
 let check = Alcotest.check
 
@@ -115,52 +116,93 @@ let test_wire_roundtrip () =
    Each shard is a real [Server_filter] over its own share table,
    reached through a [Transport.local] wrapped in a fault switch so
    tests can kill a shard's transport (every call fails, including the
-   router's Ping probe) or make it misbehave at the application level
-   (calls fail but Ping still answers). *)
+   router's Ping probe), make it misbehave at the application level
+   (calls fail but Ping still answers), or make it lie (it answers
+   with a reply of the right kind but the wrong content). *)
 
-type fault = Healthy | Transport_down | App_failing
+type fault =
+  | Healthy
+  | Transport_down
+  | App_failing
+  | Short_share  (** every share cut to 10 bytes *)
+  | Bad_coefficient  (** every share's first coefficient set to 127 >= 83 *)
+  | Missing_value  (** every scan row one value short *)
+  | Extra_value  (** every scan row one value long *)
+  | Dropped_row  (** the first row of every scan batch left out *)
 
 type deployment = {
   db : DB.t;  (** the single-server reference (local handle) *)
   tables : Node_table.t array;
+  filters : Server_filter.t array;
   switches : fault ref array;
+  seen : int ref array;  (** requests each member's wrapper received *)
   router : Router.t;
 }
 
-let wrap switch handler request =
+let lie fault response =
+  let share b =
+    match fault with
+    | Short_share -> Bytes.sub b 0 10
+    | _ ->
+        let b = Bytes.copy b in
+        Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lor 0x7f);
+        b
+  in
+  let reshape rows f = List.map (fun (meta, values) -> (meta, f values)) rows in
+  match (fault, response) with
+  | (Short_share | Bad_coefficient), Protocol.Share_data b ->
+      Protocol.Share_data (share b)
+  | (Short_share | Bad_coefficient), Protocol.Shares_data bs ->
+      Protocol.Shares_data (List.map share bs)
+  | Missing_value, Protocol.Scan_batch { rows; cursor } ->
+      Protocol.Scan_batch
+        { rows = reshape rows (function _ :: rest -> rest | [] -> []); cursor }
+  | Extra_value, Protocol.Scan_batch { rows; cursor } ->
+      Protocol.Scan_batch { rows = reshape rows (fun values -> 0 :: values); cursor }
+  | Dropped_row, Protocol.Scan_batch { rows = _ :: rows; cursor } ->
+      Protocol.Scan_batch { rows; cursor }
+  | _, response -> response
+
+let wrap ~seen switch handler request =
+  incr seen;
   match (!switch, request) with
   | Healthy, _ -> handler request
   | Transport_down, _ -> Protocol.Error_msg "injected: transport down"
   | App_failing, Protocol.Ping -> handler request
   | App_failing, _ -> Protocol.Error_msg "injected application error"
+  | fault, _ -> lie fault (handler request)
 
-let make_deployment ?(threshold = 2) ?(shards = 3) tree =
-  let db = Test_support.db_of_tree tree in
+let make_deployment ?(ring = ring) ?(threshold = 2) ?(shards = 3) tree =
+  let db = Test_support.db_of_tree ~p:ring.Ring.characteristic ~e:ring.Ring.degree tree in
   let tables = Array.init shards (fun _ -> Node_table.create ()) in
   let manifests =
     Split.split_table ring ~threshold ~shards ~dealer_seed:(Seed.generate ())
       ~source:(DB.table db) ~sinks:tables
   in
   let switches = Array.init shards (fun _ -> ref Healthy) in
+  let seen = Array.init shards (fun _ -> ref 0) in
+  let filters =
+    Array.init shards (fun i ->
+        Server_filter.create ~manifest:(Manifest.to_info manifests.(i)) ring tables.(i))
+  in
   let transports =
     List.init shards (fun i ->
-        let filter =
-          Server_filter.create ~manifest:(Manifest.to_info manifests.(i)) ring
-            tables.(i)
-        in
-        Transport.local ~handler:(wrap switches.(i) (Server_filter.handler filter)))
+        Transport.local
+          ~handler:(wrap ~seen:seen.(i) switches.(i) (Server_filter.handler filters.(i))))
   in
   match Router.of_transports ring transports with
   | Error e -> failwith ("router: " ^ e)
-  | Ok router -> { db; tables; switches; router }
+  | Ok router -> { db; tables; filters; switches; seen; router }
 
 let teardown d =
   Router.close d.router;
   DB.close d.db
 
 let client_of ?client d =
+  let ring = DB.ring d.db in
   match
-    DB.of_transport ?client ~p:83 ~e:1 ~mapping:(DB.mapping d.db) ~seed:(DB.seed d.db)
+    DB.of_transport ?client ~p:ring.Ring.characteristic ~e:ring.Ring.degree
+      ~mapping:(DB.mapping d.db) ~seed:(DB.seed d.db)
       (Transport.local ~handler:(Router.handler d.router))
   with
   | Ok c -> c
@@ -364,8 +406,8 @@ let client_configs =
       { DB.default_client_config with rpc_fused_scan = false; rpc_batching = false } );
   ]
 
-let test_router_golden () =
-  let d = make_deployment xmark_tree in
+let test_router_golden ?ring () =
+  let d = make_deployment ?ring xmark_tree in
   Fun.protect
     ~finally:(fun () -> teardown d)
     (fun () ->
@@ -576,6 +618,135 @@ let test_mid_scan_failover () =
           check Alcotest.int ("no cursor leaks" ^ what) 0 (Router.open_cursors d.router)))
     [ points; [] ]
 
+(* --- lying members ---
+
+   Shard 1 sits in partition 0's group (shards 1 and 2), which serves
+   the root and the start of every full-table scan. *)
+
+let router_call d request =
+  match Router.handler d.router request with
+  | response -> response
+  | exception e ->
+      Alcotest.failf "the router raised %s on %a" (Printexc.to_string e)
+        Protocol.pp_request request
+
+let expect_router_error ~what ?naming d request =
+  match router_call d request with
+  | Protocol.Error_msg msg ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: a typed router error (got %S)" what msg)
+        true
+        (String.length msg > 8 && String.sub msg 0 8 = "router: ");
+      Option.iter
+        (fun sub ->
+          check Alcotest.bool (Printf.sprintf "%s: %S names %s" what msg sub) true
+            (contains ~sub msg))
+        naming
+  | r -> Alcotest.failf "%s: expected an error, got %a" what Protocol.pp_response r
+
+let check_no_open_cursors ~what d =
+  check Alcotest.int (what ^ ": router cursors") 0 (Router.open_cursors d.router);
+  Array.iteri
+    (fun i f ->
+      check Alcotest.int
+        (Printf.sprintf "%s: shard %d cursors" what (i + 1))
+        0 (Server_filter.open_cursors f))
+    d.filters
+
+let test_lying_shares () =
+  let d = make_deployment xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      let root = (Option.get (Node_table.root (DB.table d.db))).Page.pre in
+      List.iter
+        (fun (fault, name) ->
+          d.switches.(0) := fault;
+          expect_router_error ~what:(name ^ " share") ~naming:"shard 1" d
+            (Protocol.Share root);
+          expect_router_error ~what:(name ^ " shares") ~naming:"shard 1" d
+            (Protocol.Shares [ root; root + 1; root + 2 ]);
+          d.switches.(0) := Healthy)
+        [ (Short_share, "short"); (Bad_coefficient, "coefficient >= q") ];
+      check Alcotest.int "a lying shard is not a dead one" 3
+        (Router.live_shards d.router))
+
+(* Each scan lie, both from the first batch ([Scan_eval]) and from a
+   later one ([Scan_next]): a typed error, then no cursor left open
+   anywhere. *)
+let test_lying_scans () =
+  let d = make_deployment xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      let rows = Node_table.row_count (DB.table d.db) in
+      let target = Protocol.Pre_ranges [ (1, rows + 1) ] in
+      List.iter
+        (fun (fault, name) ->
+          let what = name ^ " from the first batch" in
+          d.switches.(0) := fault;
+          expect_router_error ~what d
+            (Protocol.Scan_eval { target; points; max_items = 5 });
+          d.switches.(0) := Healthy;
+          check_no_open_cursors ~what d;
+          let what = name ^ " mid-scan" in
+          (match router_call d (Protocol.Scan_eval { target; points; max_items = 5 }) with
+          | Protocol.Scan_batch { cursor = Some cursor; _ } ->
+              d.switches.(0) := fault;
+              expect_router_error ~what d (Protocol.Scan_next { cursor; max_items = 5 });
+              d.switches.(0) := Healthy
+          | r ->
+              Alcotest.failf "%s: expected a cursor, got %a" what Protocol.pp_response r);
+          check_no_open_cursors ~what d)
+        [
+          (Missing_value, "a row one value short");
+          (Extra_value, "a row one value long");
+          (Dropped_row, "a dropped row");
+        ];
+      check Alcotest.int "a lying shard is not a dead one" 3
+        (Router.live_shards d.router))
+
+(* Every request a member received — the failing request, the router's
+   Ping probe, the scan and the Cursor_close of the abandoned scan — is
+   in its ssdb_router_shard_calls_total child. *)
+let test_shard_calls_counted () =
+  let d = make_deployment xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      let counters =
+        Array.init 3 (fun i ->
+            Registry.counter ~labels:[ ("shard", string_of_int (i + 1)) ]
+              "ssdb_router_shard_calls_total")
+      in
+      let counted () = Array.map Registry.counter_value counters in
+      let seen () = Array.map ( ! ) d.seen in
+      let counted0 = counted () and seen0 = seen () in
+      let root = (Option.get (Node_table.root (DB.table d.db))).Page.pre in
+      d.switches.(0) := App_failing;
+      (match router_call d (Protocol.Share root) with
+      | Protocol.Error_msg _ -> ()
+      | r -> Alcotest.failf "a failing shard answered: %a" Protocol.pp_response r);
+      d.switches.(0) := Healthy;
+      (match
+         router_call d
+           (Protocol.Scan_eval
+              { target = Protocol.Pre_ranges [ (1, 1_000_000) ]; points; max_items = 2 })
+       with
+      | Protocol.Scan_batch { cursor = Some cursor; _ } ->
+          ignore (router_call d (Protocol.Cursor_close cursor) : Protocol.response)
+      | r -> Alcotest.failf "expected a cursor: %a" Protocol.pp_response r);
+      let counted = counted () and seen = seen () in
+      check Alcotest.int "shard 1 saw share, probe, scan and close" 4
+        (seen.(0) - seen0.(0));
+      Array.iteri
+        (fun i _ ->
+          check Alcotest.int
+            (Printf.sprintf "shard %d: counted = received" (i + 1))
+            (seen.(i) - seen0.(i))
+            (counted.(i) - counted0.(i)))
+        counters)
+
 let test_connection_scoped_cursors () =
   let d = make_deployment xmark_tree in
   Fun.protect
@@ -661,6 +832,10 @@ let () =
         [
           Alcotest.test_case "golden equality vs single server" `Quick
             test_router_golden;
+          (* F_257 has no byte tables: shares recombine through the
+             unpack / combine_vectors / pack fallback *)
+          Alcotest.test_case "golden equality over a table-less field" `Quick
+            (test_router_golden ~ring:(Ring.of_prime ~p:257));
           Alcotest.test_case "trivial 1-shard deployment" `Quick
             test_router_single_shard;
           test_router_qcheck;
@@ -685,5 +860,13 @@ let () =
             test_connection_scoped_cursors;
           Alcotest.test_case "sessions own their cursors" `Quick
             test_sessions_own_their_cursors;
+        ] );
+      ( "lying",
+        [
+          Alcotest.test_case "malformed shares are typed errors" `Quick test_lying_shares;
+          Alcotest.test_case "malformed scans are typed errors, cursors closed" `Quick
+            test_lying_scans;
+          Alcotest.test_case "every member request is counted" `Quick
+            test_shard_calls_counted;
         ] );
     ]
