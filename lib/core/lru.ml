@@ -2,7 +2,7 @@
    an intrusive doubly-linked recency list, so find/add/evict are all
    O(1).  Used for the client's share-regeneration cache, where every
    entry is recomputable — eviction can never lose information, only
-   time. *)
+   time — and, behind a lock, as the storage of {!Cursor_table}. *)
 
 type ('k, 'v) node = {
   key : 'k;
@@ -68,7 +68,15 @@ let find t key =
       end;
       Some node.value
 
-let mem t key = Hashtbl.mem t.table key
+let remove t key =
+  match Hashtbl.find_opt t.table key with
+  | None -> None
+  | Some node ->
+      unlink t node;
+      Hashtbl.remove t.table key;
+      Some node.value
+
+let oldest t = Option.map (fun node -> (node.key, node.value)) t.tail
 
 let evict_lru t =
   match t.tail with
@@ -79,9 +87,7 @@ let evict_lru t =
       t.evictions <- t.evictions + 1
 
 let add t ~key ~value =
-  (match Hashtbl.find_opt t.table key with
-  | Some existing -> unlink t existing; Hashtbl.remove t.table existing.key
-  | None -> ());
+  ignore (remove t key);
   if Hashtbl.length t.table >= t.capacity then evict_lru t;
   let node = { key; value; prev = None; next = None } in
   Hashtbl.replace t.table key node;
@@ -99,6 +105,3 @@ let clear t =
   Hashtbl.reset t.table;
   t.head <- None;
   t.tail <- None
-
-let fold t ~init ~f =
-  Hashtbl.fold (fun key node acc -> f acc ~key ~value:node.value) t.table init

@@ -2,7 +2,8 @@
 
     Hash table over an intrusive recency list: [find], [add] and the
     eviction they trigger are all O(1).  Not thread-safe — owned by one
-    thread, like the {!Client_filter} that embeds it. *)
+    thread, like the {!Client_filter} that embeds it, or by a lock, like
+    the {!Cursor_table} built on it. *)
 
 type ('k, 'v) t
 
@@ -16,20 +17,22 @@ val size : ('k, 'v) t -> int
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Marks the entry most recently used and counts a hit/miss. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership without touching recency or hit/miss counters. *)
-
 val add : ('k, 'v) t -> key:'k -> value:'v -> unit
 (** Insert (or replace) an entry, evicting the least recently used one
     when the cache is full. *)
+
+val remove : ('k, 'v) t -> 'k -> 'v option
+(** Drop an entry and return its value; [None] when absent.  Not
+    counted as an eviction. *)
+
+val oldest : ('k, 'v) t -> ('k * 'v) option
+(** The least recently used entry, without touching recency. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> compute:('k -> 'v) -> 'v
 (** [find] then [add compute key] on a miss. *)
 
 val clear : ('k, 'v) t -> unit
 (** Drop every entry (capacity and counters are kept). *)
-
-val fold : ('k, 'v) t -> init:'a -> f:('a -> key:'k -> value:'v -> 'a) -> 'a
 
 type stats = { hits : int; misses : int; evictions : int }
 

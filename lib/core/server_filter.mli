@@ -82,7 +82,7 @@ val sweep_cursors : t -> int
 val open_cursors : t -> int
 (** Number of cursors currently open (for leak tests). *)
 
-type cursor_stats = {
+type cursor_stats = Cursor_table.stats = {
   open_cursors : int;
   evicted_cursors : int;  (** removed by TTL, cap pressure, or connection close *)
   expired_cursors : int;  (** the TTL subset of [evicted_cursors] *)

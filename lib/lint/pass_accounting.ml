@@ -1,9 +1,10 @@
 (* Accounting discipline:
 
-   - Cursor-table removals happen only inside [finish_cursor_locked]
-     (DESIGN.md §10: the single removal path keeps the open-cursor
-     gauge, per-reason eviction counters and slow-query lifetimes from
-     drifting apart).
+   - Cursor-table removals happen only inside [remove_locked], the
+     single removal path of [Cursor_table] (DESIGN.md §10: it hands
+     every removed cursor to the owner's hook exactly once, which keeps
+     the open-cursor gauge, per-reason eviction counters and slow-query
+     lifetimes from drifting apart, and closes router member cursors).
    - [Metrics.t] instances are merged only via the field-exhaustive
      [Metrics.add]: a manual `acc.f <- acc.f + other.f` silently drops
      counters the moment a new field is added. *)
@@ -53,19 +54,20 @@ let run (source : Lint_source.t) : Finding.t list =
   Ast_util.iter_expressions_with_bindings source.Lint_source.structure
     (fun ~bindings e ->
       match e.pexp_desc with
-      (* Hashtbl.remove <x>.cursors _ outside finish_cursor_locked *)
+      (* Hashtbl/Lru.remove <x>.cursors _ outside remove_locked *)
       | Pexp_apply (fn, ((_, first) :: _ as _args))
         when in_core path
              && (match Ast_util.ident_path fn with
-                | Some [ "Hashtbl"; "remove" ] -> true
+                | Some [ ("Hashtbl" | "Lru"); "remove" ] -> true
                 | _ -> false) -> (
           match first.pexp_desc with
           | Pexp_field (_, lid) when String.equal (Ast_util.field_last lid) "cursors" ->
-              if not (List.mem "finish_cursor_locked" bindings) then
+              if not (List.mem "remove_locked" bindings) then
                 finding ~loc:e.pexp_loc ~rule:"accounting/cursor-removal"
                   ~allow_key:"cursor-removal"
-                  "cursor-table removal outside finish_cursor_locked: every cursor \
-                   must leave through the single removal path (DESIGN.md \u{00a7}10)"
+                  "cursor-table removal outside Cursor_table.remove_locked: every \
+                   cursor must leave through the single removal path (DESIGN.md \
+                   \u{00a7}10)"
           | _ -> ())
       (* acc.f <- ... other.f ... where f is a Metrics counter *)
       | Pexp_setfield (base, lid, rhs)

@@ -39,6 +39,7 @@ let random_allowed path =
 let concurrent_files =
   [
     "lib/core/server_filter.ml";
+    "lib/core/cursor_table.ml";
     "lib/core/pool.ml";
     "lib/store/pager.ml";
     "lib/obs/trace.ml";

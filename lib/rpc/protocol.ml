@@ -28,7 +28,6 @@ type request =
   | Cursor_close of int
   | Eval of { pre : int; point : int }
   | Eval_batch of { pres : int list; point : int }
-  | Share of int
   | Shares of int list
   | Table_stats
   | Scan_eval of { target : scan_target; points : int list; max_items : int }
@@ -54,7 +53,6 @@ type response =
   | Nodes of node_meta list
   | Value of int
   | Values of int list
-  | Share_data of bytes
   | Shares_data of bytes list
   | Stats of stats
   | Scan_batch of { rows : (node_meta * int list) list; cursor : int option }
@@ -92,8 +90,9 @@ let encode_request req =
       Wire.write_u8 w 3;
       Wire.write_u32 w pre
   (* tags 4 and 5, in both directions, belonged to a retired
-     materialising subtree cursor: decoders reject them, and they are
-     never reused *)
+     materialising subtree cursor, and request tag 9 / response tag 8
+     to a retired single-share fetch: decoders reject them, and they
+     are never reused *)
   | Cursor_close cursor ->
       Wire.write_u8 w 6;
       Wire.write_u32 w cursor
@@ -105,9 +104,6 @@ let encode_request req =
       Wire.write_u8 w 8;
       Wire.write_list w (Wire.write_u32 w) pres;
       Wire.write_u32 w point
-  | Share pre ->
-      Wire.write_u8 w 9;
-      Wire.write_u32 w pre
   | Shares pres ->
       Wire.write_u8 w 10;
       Wire.write_list w (Wire.write_u32 w) pres
@@ -162,7 +158,6 @@ let decode_request s =
         let pres = Wire.read_list r (fun () -> Wire.read_u32 r) in
         let point = Wire.read_u32 r in
         Eval_batch { pres; point }
-    | 9 -> Share (Wire.read_u32 r)
     | 10 -> Shares (Wire.read_list r (fun () -> Wire.read_u32 r))
     | 11 -> Table_stats
     | 12 ->
@@ -216,9 +211,6 @@ let encode_response resp =
   | Values vs ->
       Wire.write_u8 w 7;
       Wire.write_list w (Wire.write_u32 w) vs
-  | Share_data b ->
-      Wire.write_u8 w 8;
-      Wire.write_bytes w b
   | Shares_data bs ->
       Wire.write_u8 w 9;
       Wire.write_list w (Wire.write_bytes w) bs
@@ -265,7 +257,6 @@ let decode_response s =
     | 3 -> Nodes (Wire.read_list r (fun () -> read_meta r))
     | 6 -> Value (Wire.read_u32 r)
     | 7 -> Values (Wire.read_list r (fun () -> Wire.read_u32 r))
-    | 8 -> Share_data (Wire.read_bytes r)
     | 9 -> Shares_data (Wire.read_list r (fun () -> Wire.read_bytes r))
     | 10 ->
         let rows = Wire.read_u32 r in
@@ -317,7 +308,6 @@ let request_name = function
   | Cursor_close _ -> "cursor_close"
   | Eval _ -> "eval"
   | Eval_batch _ -> "eval_batch"
-  | Share _ -> "share"
   | Shares _ -> "shares"
   | Table_stats -> "table_stats"
   | Scan_eval _ -> "scan_eval"
@@ -343,7 +333,6 @@ let pp_request fmt = function
   | Eval_batch { pres; point } ->
       (Format.fprintf fmt "Eval_batch(%d nodes,point=%d)" (List.length pres) point
       [@lint.suppress "secret-sink" ~reason:"same: client-side diagnostic printer"])
-  | Share pre -> Format.fprintf fmt "Share(%d)" pre
   | Shares pres -> Format.fprintf fmt "Shares(%d nodes)" (List.length pres)
   | Table_stats -> Format.pp_print_string fmt "Table_stats"
   | Scan_eval { target; points; max_items } ->
@@ -368,7 +357,6 @@ let pp_response fmt = function
   | Nodes metas -> Format.fprintf fmt "Nodes(%d)" (List.length metas)
   | Value v -> Format.fprintf fmt "Value(%d)" v
   | Values vs -> Format.fprintf fmt "Values(%d)" (List.length vs)
-  | Share_data b -> Format.fprintf fmt "Share_data(%d bytes)" (Bytes.length b)
   | Shares_data bs -> Format.fprintf fmt "Shares_data(%d)" (List.length bs)
   | Stats s ->
       Format.fprintf fmt "Stats(rows=%d,data=%d,index=%d)" s.rows s.data_bytes

@@ -3,7 +3,7 @@
     This is the message vocabulary of the paper's [Filter] interface
     (§5.2): tree-structure queries ([Root], [Children], [Parent]),
     share evaluation on the server ([Eval], [Eval_batch]), raw share
-    fetch for the equality test ([Share], [Shares]), and one cursor
+    fetch for the equality test ([Shares]), and one cursor
     discipline mirroring the [nextNode()] pipeline — "the thin client
     only needs to have one node in memory at a time.  The big server
     will do the buffering of the intermediate results."  A [Scan_eval]
@@ -14,8 +14,9 @@
     materialising it.
 
     Everything is structural metadata and share data; tag names and the
-    map never cross the wire.  Request and response tags 4 and 5 are
-    retired: the decoders reject them and they are never reused. *)
+    map never cross the wire.  Request and response tags 4 and 5,
+    request tag 9 and response tag 8 are retired: the decoders reject
+    them and they are never reused. *)
 
 type node_meta = { pre : int; post : int; parent : int }
 
@@ -58,8 +59,7 @@ type request =
   | Eval of { pre : int; point : int }
       (** evaluate the stored share of node [pre] at [point] *)
   | Eval_batch of { pres : int list; point : int }
-  | Share of int  (** raw share of node [pre] *)
-  | Shares of int list
+  | Shares of int list  (** raw shares of the listed nodes, in order *)
   | Table_stats
   | Scan_eval of { target : scan_target; points : int list; max_items : int }
       (** Fused axis scan + share evaluation: one round trip returns a
@@ -92,7 +92,6 @@ type response =
   | Nodes of node_meta list
   | Value of int
   | Values of int list
-  | Share_data of bytes
   | Shares_data of bytes list
   | Stats of stats
   | Scan_batch of { rows : (node_meta * int list) list; cursor : int option }

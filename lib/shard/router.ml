@@ -25,6 +25,7 @@ module Ring = Secshare_poly.Ring
 module Codec = Secshare_poly.Codec
 module Shamir = Secshare_poly.Shamir
 module Share = Secshare_core.Share
+module Cursor_table = Secshare_core.Cursor_table
 module Numeric = Secshare_core.Numeric
 module Obs = Secshare_obs
 
@@ -66,25 +67,15 @@ type scan_state = {
   mutable active : active option;
 }
 
-type cursor = { scan : scan_state; mutable last_used : int }
-
 type t = {
   ring : Ring.t;
   share_len : int;  (* packed bytes of one share at this ring *)
   manifest : Manifest.t;  (* group summary, shard_id = 0 *)
   members_by_id : shard array;  (* shard id i at index i - 1 *)
-  cursors : (int, cursor) Hashtbl.t;
-  mutable next_cursor : int;
-  mutable ticks : int;
-  max_cursors : int;
-  lock : Mutex.t;  (* guards the cursor table and its accounting only *)
+  cursors : scan_state Cursor_table.t;  (* removal closes the member cursors *)
   failovers : Obs.Registry.counter;
   live_gauge : Obs.Registry.gauge;
 }
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let manifest t = t.manifest
 let shards t = t.manifest.Manifest.shards
@@ -432,8 +423,8 @@ let rec fill t scan ~want acc =
               fill t scan ~want acc
         end
 
-(* --- cursor table (mutex-guarded; network calls stay outside) --- *)
-
+(* Close a scan's member cursors.  The cursor table runs this for every
+   cursor it removes, outside its lock: closing is network I/O. *)
 let close_scan scan =
   scan.pending <- [];
   match scan.active with
@@ -442,55 +433,7 @@ let close_scan scan =
       scan.active <- None
   | None -> ()
 
-let register_cursor t scan =
-  let victim =
-    with_lock t (fun () ->
-        if Hashtbl.length t.cursors >= t.max_cursors then begin
-          let victim_id = ref (-1) and victim_ts = ref max_int in
-          Hashtbl.iter
-            (fun id c ->
-              if c.last_used < !victim_ts then begin
-                victim_id := id;
-                victim_ts := c.last_used
-              end)
-            t.cursors;
-          match Hashtbl.find_opt t.cursors !victim_id with
-          | Some c ->
-              Hashtbl.remove t.cursors !victim_id;
-              Some c
-          | None -> None
-        end
-        else None)
-  in
-  Option.iter (fun c -> close_scan c.scan) victim;
-  with_lock t (fun () ->
-      let id = t.next_cursor in
-      t.next_cursor <- id + 1;
-      t.ticks <- t.ticks + 1;
-      Hashtbl.replace t.cursors id { scan; last_used = t.ticks };
-      id)
-
-let find_cursor t id =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.cursors id with
-      | Some c ->
-          t.ticks <- t.ticks + 1;
-          c.last_used <- t.ticks;
-          Some c.scan
-      | None -> None)
-
-let take_cursor t id =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.cursors id with
-      | Some c ->
-          Hashtbl.remove t.cursors id;
-          Some c
-      | None -> None)
-
-(* Forget cursor [id] and close its member cursors. *)
-let drop_cursor t id = Option.iter (fun c -> close_scan c.scan) (take_cursor t id)
-
-let open_cursors t = with_lock t (fun () -> Hashtbl.length t.cursors)
+let open_cursors t = Cursor_table.size t.cursors
 
 (* --- grouped point operations --- *)
 
@@ -557,17 +500,6 @@ let eval_batch t ~pres ~point =
            | _ -> None)
          |> combine_points t ~lambdas))
 
-let share_one t pre =
-  on_group t ~partition:(partition_of t pre) (fun group lambdas ->
-      let packed =
-        gather ~name_shard:true t group ~what:"share" (Protocol.Share pre) (function
-          | Protocol.Share_data b ->
-              check_share_len t b;
-              Some b
-          | _ -> None)
-      in
-      Protocol.Share_data (recombine t group ~lambdas packed))
-
 let shares_batch t pres =
   Protocol.Shares_data
     (per_partition t pres ~empty:Bytes.empty (fun group lambdas sub_pres ->
@@ -632,11 +564,10 @@ let dispatch t request =
   | Protocol.Parent pre -> forward_one t ~partition:(partition_of t pre) request
   | Protocol.Eval { pre; point } -> eval_one t ~pre ~point
   | Protocol.Eval_batch { pres; point } -> eval_batch t ~pres ~point
-  | Protocol.Share pre -> share_one t pre
   | Protocol.Shares pres -> shares_batch t pres
   | Protocol.Agg_eval { pres } -> agg_eval t pres
   | Protocol.Cursor_close cursor ->
-      drop_cursor t cursor;
+      Cursor_table.remove t.cursors cursor Client_close;
       Protocol.Pong
   | Protocol.Scan_eval { target; points; max_items } ->
       let scan = { points; pending = sub_targets t target; active = None } in
@@ -648,19 +579,20 @@ let dispatch t request =
           raise e
       in
       if scan_more scan then
-        Protocol.Scan_batch { rows; cursor = Some (register_cursor t scan) }
+        Protocol.Scan_batch { rows; cursor = Some (Cursor_table.add t.cursors scan) }
       else Protocol.Scan_batch { rows; cursor = None }
   | Protocol.Scan_next { cursor; max_items } -> (
-      match find_cursor t cursor with
+      (* the table lock is not held while the members are drained *)
+      match Cursor_table.use t.cursors cursor Fun.id with
       | Some scan -> (
           match fill t scan ~want:(max 1 max_items) [] with
           | rows when scan_more scan -> Protocol.Scan_batch { rows; cursor = Some cursor }
           | rows ->
-              drop_cursor t cursor;
+              Cursor_table.remove t.cursors cursor Drained;
               Protocol.Scan_batch { rows; cursor = None }
           | exception e ->
               (* a failed or diverged stream cannot resume *)
-              drop_cursor t cursor;
+              Cursor_table.remove t.cursors cursor Drained;
               raise e)
       | None -> Secshare_rpc.Session_cursors.unknown_cursor cursor)
 
@@ -675,7 +607,8 @@ let handler t request =
    it opened, and they are closed with it (router-side and on the
    shards). *)
 let connection t =
-  Secshare_rpc.Session_cursors.connection ~handler:(handler t) ~release:(drop_cursor t)
+  Secshare_rpc.Session_cursors.connection ~handler:(handler t) ~release:(fun id ->
+      Cursor_table.remove t.cursors id Connection_close)
 
 (* --- construction --- *)
 
@@ -742,11 +675,10 @@ let of_transports (ring : Ring.t) ?(max_cursors = 1024) transports =
                     share_len = Codec.byte_length ~q:ring.Ring.order ~n:ring.Ring.n;
                     manifest = summary;
                     members_by_id;
-                    cursors = Hashtbl.create 16;
-                    next_cursor = 1;
-                    ticks = 0;
-                    max_cursors = max 1 max_cursors;
-                    lock = Mutex.create ();
+                    cursors =
+                      Cursor_table.create ~max:max_cursors
+                        ~on_remove:(fun _reason _id scan -> close_scan scan)
+                        ();
                     failovers = obs_failovers;
                     live_gauge = obs_live_gauge;
                   }
@@ -773,10 +705,5 @@ let connect ?policy ~p ~e ?max_cursors paths =
           e)
 
 let close t =
-  let all = with_lock t (fun () ->
-      let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.cursors [] in
-      Hashtbl.reset t.cursors;
-      cs)
-  in
-  List.iter (fun c -> close_scan c.scan) all;
+  Cursor_table.clear t.cursors;
   Array.iter (fun s -> Transport.close s.transport) t.members_by_id

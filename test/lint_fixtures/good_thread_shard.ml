@@ -1,6 +1,6 @@
-(* lint: pretend-path lib/shard/router.ml *)
-(* Negative fixture: router code that fans calls out synchronously and
-   keeps every cursor-table mutation under the lock. *)
+(* lint: pretend-path lib/shard/cursor_table.ml *)
+(* Negative fixture: shard code that fans calls out synchronously and
+   keeps every cursor-table mutation under the cursor-table lock. *)
 
 let fan_out t request = List.map (fun shard -> call shard request) t.shards
 

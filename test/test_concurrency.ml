@@ -186,6 +186,162 @@ let prop_lru_never_exceeds_capacity =
            (fun k -> match Lru.find lru k with Some v -> v = k | None -> true)
            keys)
 
+(* --- the cursor table: a list model, and concurrent registration ---- *)
+
+module Cursor_table = Secshare_core.Cursor_table
+
+type table_op =
+  | Add
+  | Use of int
+  | Remove of int * Cursor_table.reason
+  | Sweep
+  | Advance of int
+
+let op_to_string = function
+  | Add -> "add"
+  | Use id -> Printf.sprintf "use %d" id
+  | Remove (id, reason) ->
+      Printf.sprintf "remove %d %s" id (Cursor_table.reason_label reason)
+  | Sweep -> "sweep"
+  | Advance dt -> Printf.sprintf "advance %d" dt
+
+let gen_table_case =
+  QCheck2.Gen.(
+    let op =
+      frequency
+        [
+          (4, return Add);
+          (3, map (fun id -> Use id) (int_range 0 20));
+          ( 2,
+            map2
+              (fun id reason -> Remove (id, reason))
+              (int_range 0 20)
+              (oneofl Cursor_table.[ Drained; Client_close; Connection_close ]) );
+          (1, return Sweep);
+          (2, map (fun dt -> Advance dt) (int_range 0 3));
+        ]
+    in
+    triple (int_range 1 5) (opt (int_range 1 4)) (list_size (int_range 0 60) op))
+
+(* The reference: (id, last use) pairs, most recent first.  A sweep
+   scans the whole list; the table pops from its cold end instead. *)
+let prop_cursor_table_matches_model =
+  QCheck2.Test.make ~name:"cursor table = list model" ~count:300
+    ~print:(fun (cap, ttl, ops) ->
+      Printf.sprintf "cap %d, ttl %s: %s" cap
+        (match ttl with Some s -> string_of_int s | None -> "none")
+        (String.concat "; " (List.map op_to_string ops)))
+    gen_table_case
+    (fun (cap, ttl, ops) ->
+      let clock = ref 0 in
+      let fired = ref [] in
+      let self = ref None in
+      let table =
+        Cursor_table.create
+          ?ttl:(Option.map float_of_int ttl)
+          ~now:(fun () -> float_of_int !clock)
+          ~max:cap
+          ~on_remove:(fun reason id payload ->
+            if payload <> id then failwith "hook got another entry's payload";
+            (* the hook runs after the unlock: the table is usable *)
+            Option.iter (fun t -> ignore (Cursor_table.size t)) !self;
+            fired := (reason, id) :: !fired)
+          ()
+      in
+      self := Some table;
+      let live = ref [] and next = ref 1 and expected = ref [] in
+      let evicted = ref 0 and expired = ref 0 in
+      let drop reason id =
+        live := List.filter (fun (i, _) -> i <> id) !live;
+        expected := (reason, id) :: !expected;
+        match reason with
+        | Cursor_table.Drained | Client_close -> ()
+        | Ttl ->
+            incr expired;
+            incr evicted
+        | Cap | Connection_close | Shutdown -> incr evicted
+      in
+      let sweep () =
+        match ttl with
+        | None -> 0
+        | Some ttl ->
+            let stale = List.filter (fun (_, used) -> !clock - used > ttl) !live in
+            List.iter (fun (id, _) -> drop Cursor_table.Ttl id) (List.rev stale);
+            List.length stale
+      in
+      let step op =
+        match op with
+        | Add ->
+            ignore (sweep ());
+            if List.length !live >= cap then
+              drop Cursor_table.Cap (fst (List.nth !live (List.length !live - 1)));
+            let id = !next in
+            incr next;
+            live := (id, !clock) :: !live;
+            Cursor_table.add table id = id
+        | Use id ->
+            ignore (sweep ());
+            let want = List.mem_assoc id !live in
+            if want then live := (id, !clock) :: List.remove_assoc id !live;
+            Cursor_table.use table id Fun.id = if want then Some id else None
+        | Remove (id, reason) ->
+            if List.mem_assoc id !live then drop reason id;
+            Cursor_table.remove table id reason;
+            true
+        | Sweep ->
+            let n = sweep () in
+            Cursor_table.sweep table = n
+        | Advance dt ->
+            clock := !clock + dt;
+            true
+      in
+      let agrees op =
+        step op
+        && List.rev !fired = List.rev !expected
+        && Cursor_table.size table = List.length !live
+        &&
+        let s = Cursor_table.stats table in
+        s.Cursor_table.evicted_cursors = !evicted && s.Cursor_table.expired_cursors = !expired
+      in
+      List.for_all agrees ops
+      && begin
+           List.iter (fun (id, _) -> drop Cursor_table.Shutdown id) (List.rev !live);
+           Cursor_table.clear table;
+           List.rev !fired = List.rev !expected
+         end
+      (* every id ever issued left exactly once *)
+      && List.sort compare (List.map snd !fired) = List.init (!next - 1) (fun i -> i + 1))
+
+(* N domains register and drop cursors against one small table.  The
+   cap must hold at every instant — registration evicts and inserts in
+   one critical section — and every cursor's hook fires exactly once. *)
+let test_cursor_table_concurrent_cap () =
+  let cap = 3 and domains = 4 and rounds = 300 in
+  let fired = Array.init ((domains * rounds) + 1) (fun _ -> Atomic.make 0) in
+  let table =
+    Cursor_table.create ~max:cap ~on_remove:(fun _ id _ -> Atomic.incr fired.(id)) ()
+  in
+  let over_cap = Atomic.make 0 in
+  let worker d () =
+    for i = 1 to rounds do
+      let id = Cursor_table.add table () in
+      if Cursor_table.size table > cap then Atomic.incr over_cap;
+      if (i + d) mod 3 = 0 then Cursor_table.remove table id Client_close
+      else ignore (Cursor_table.use table id Fun.id)
+    done
+  in
+  List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
+  check Alcotest.int "the cap held at every instant" 0 (Atomic.get over_cap);
+  check Alcotest.bool "at most cap left open" true (Cursor_table.size table <= cap);
+  Cursor_table.clear table;
+  check Alcotest.int "empty after clear" 0 (Cursor_table.size table);
+  Array.iteri
+    (fun id n ->
+      let want = if id = 0 then 0 else 1 in
+      if Atomic.get n <> want then
+        Alcotest.failf "cursor %d: on_remove fired %d times" id (Atomic.get n))
+    fired
+
 (* --- the lockset witness: real traffic silent, seeded race fires ---- *)
 
 module Race_check = Secshare_obs.Race_check
@@ -256,6 +412,12 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_lru_basics;
           QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity;
+        ] );
+      ( "cursor table",
+        [
+          QCheck_alcotest.to_alcotest prop_cursor_table_matches_model;
+          Alcotest.test_case "concurrent adds respect the cap" `Quick
+            test_cursor_table_concurrent_cap;
         ] );
       ( "race witness",
         [

@@ -66,7 +66,6 @@ let gen_request =
           (pair (int_range 0 100000) (int_range 1 82));
         map (fun (ps, x) -> Protocol.Eval_batch { pres = ps; point = x })
           (pair (list_size (int_range 0 20) (int_range 0 100000)) (int_range 1 82));
-        map (fun p -> Protocol.Share p) (int_range 0 100000);
         map (fun ps -> Protocol.Shares ps) (list_size (int_range 0 20) (int_range 0 100000));
         return Protocol.Table_stats;
         map
@@ -110,7 +109,6 @@ let gen_response =
         map (fun ms -> Protocol.Nodes ms) (list_size (int_range 0 20) gen_meta);
         map (fun v -> Protocol.Value v) (int_range 0 100000);
         map (fun vs -> Protocol.Values vs) (list_size (int_range 0 30) (int_range 0 100000));
-        map (fun b -> Protocol.Share_data b) gen_bytes;
         map (fun bs -> Protocol.Shares_data bs) (list_size (int_range 0 10) gen_bytes);
         map
           (fun (r, d, i) -> Protocol.Stats { rows = r; data_bytes = d; index_bytes = i })
@@ -190,7 +188,6 @@ let pinned_requests =
     (Cursor_close 9, "0609000000");
     (Eval { pre = 42; point = 5 }, "072a00000005000000");
     (Eval_batch { pres = [ 1; 2; 70000 ]; point = 82 }, "080300000001000000020000007011010052000000");
-    (Share 3, "0903000000");
     (Shares [ 4; 5 ], "0a020000000400000005000000");
     (Table_stats, "0b");
     ( Scan_eval { target = Children_of [ 1; 9 ]; points = [ 5; 17 ]; max_items = 256 },
@@ -214,7 +211,6 @@ let pinned_responses =
     (Nodes [ meta; meta ], "0302000000070000002c01000001000000070000002c01000001000000");
     (Value 81, "0651000000");
     (Values [ 0; 82 ], "07020000000000000052000000");
-    (Share_data (Bytes.of_string "\x00\xffab"), "080400000000ff6162");
     (Shares_data [ Bytes.empty; Bytes.of_string "z" ], "090200000000000000010000007a");
     ( Stats { rows = 12; data_bytes = 1 lsl 40; index_bytes = 3 },
       "0a0c00000000000000000100000300000000000000" );
@@ -251,16 +247,26 @@ let test_pinned_encodings () =
    decoders. *)
 let retired_frames = [ "\x04\x01\x00\x00\x00\x09\x00\x00\x00"; "\x05\x01\x00\x00\x00\x40\x00\x00\x00"; "\x04"; "\x05" ]
 
+(* Request tag 9 and response tag 8 belonged to the retired
+   single-share fetch ([Share]/[Share_data]), in the encodings they
+   used to have.  The other direction's tags 8 and 9 are live. *)
+let retired_requests = retired_frames @ [ "\x09\x03\x00\x00\x00" ]
+let retired_responses = retired_frames @ [ "\x08\x04\x00\x00\x00\x00\xff\x61\x62" ]
+
 let test_retired_tags_rejected () =
+  let cursor_batch = "\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00" in
   List.iter
     (fun frame ->
-      (match Protocol.decode_request frame with
+      match Protocol.decode_request frame with
       | exception Wire.Decode_error _ -> ()
-      | r -> Alcotest.failf "retired request tag decoded as %a" Protocol.pp_request r);
+      | r -> Alcotest.failf "retired request tag decoded as %a" Protocol.pp_request r)
+    (cursor_batch :: retired_requests);
+  List.iter
+    (fun frame ->
       match Protocol.decode_response frame with
       | exception Wire.Decode_error _ -> ()
       | r -> Alcotest.failf "retired response tag decoded as %a" Protocol.pp_response r)
-    (retired_frames @ [ "\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00" ])
+    (cursor_batch :: retired_responses)
 
 (* --- structure-aware fuzzing ---
 
@@ -374,7 +380,6 @@ let toy_handler : Protocol.request -> Protocol.response = function
   | Protocol.Eval { pre; point } -> Protocol.Value (pre + point)
   | Protocol.Children parent ->
       Protocol.Nodes [ { Protocol.pre = parent + 1; post = parent + 2; parent } ]
-  | Protocol.Share pre -> Protocol.Share_data (Bytes.make (pre mod 10) 'z')
   | _ -> Protocol.Pong
 
 let test_local_transport () =
@@ -484,7 +489,7 @@ let test_retired_tag_over_socket () =
                   check Alcotest.bool ("codec error: " ^ msg) true
                     (String.length msg >= 6 && String.sub msg 0 6 = "codec:")
               | r -> Alcotest.failf "retired tag answered with %a" Protocol.pp_response r)
-            retired_frames;
+            retired_requests;
           match roundtrip (Protocol.encode_request (Protocol.Eval { pre = 40; point = 2 })) with
           | Protocol.Value 42 -> ()
           | r -> Alcotest.failf "connection broken: %a" Protocol.pp_response r))

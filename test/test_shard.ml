@@ -18,6 +18,9 @@ module Protocol = Secshare_rpc.Protocol
 module Ring = Secshare_poly.Ring
 module Seed = Secshare_prg.Seed
 module Registry = Secshare_obs.Registry
+module Server = Secshare_rpc.Server
+module Trace = Secshare_obs.Trace
+module Span = Secshare_obs.Span
 
 let check = Alcotest.check
 
@@ -150,8 +153,6 @@ let lie fault response =
   in
   let reshape rows f = List.map (fun (meta, values) -> (meta, f values)) rows in
   match (fault, response) with
-  | (Short_share | Bad_coefficient), Protocol.Share_data b ->
-      Protocol.Share_data (share b)
   | (Short_share | Bad_coefficient), Protocol.Shares_data bs ->
       Protocol.Shares_data (List.map share bs)
   | Missing_value, Protocol.Scan_batch { rows; cursor } ->
@@ -172,7 +173,7 @@ let wrap ~seen switch handler request =
   | App_failing, _ -> Protocol.Error_msg "injected application error"
   | fault, _ -> lie fault (handler request)
 
-let make_deployment ?(ring = ring) ?(threshold = 2) ?(shards = 3) tree =
+let make_deployment ?(ring = ring) ?(threshold = 2) ?(shards = 3) ?max_cursors tree =
   let db = Test_support.db_of_tree ~p:ring.Ring.characteristic ~e:ring.Ring.degree tree in
   let tables = Array.init shards (fun _ -> Node_table.create ()) in
   let manifests =
@@ -190,7 +191,7 @@ let make_deployment ?(ring = ring) ?(threshold = 2) ?(shards = 3) tree =
         Transport.local
           ~handler:(wrap ~seen:seen.(i) switches.(i) (Server_filter.handler filters.(i))))
   in
-  match Router.of_transports ring transports with
+  match Router.of_transports ring ?max_cursors transports with
   | Error e -> failwith ("router: " ^ e)
   | Ok router -> { db; tables; filters; switches; seen; router }
 
@@ -663,7 +664,7 @@ let test_lying_shares () =
         (fun (fault, name) ->
           d.switches.(0) := fault;
           expect_router_error ~what:(name ^ " share") ~naming:"shard 1" d
-            (Protocol.Share root);
+            (Protocol.Shares [ root ]);
           expect_router_error ~what:(name ^ " shares") ~naming:"shard 1" d
             (Protocol.Shares [ root; root + 1; root + 2 ]);
           d.switches.(0) := Healthy)
@@ -724,7 +725,7 @@ let test_shard_calls_counted () =
       let counted0 = counted () and seen0 = seen () in
       let root = (Option.get (Node_table.root (DB.table d.db))).Page.pre in
       d.switches.(0) := App_failing;
-      (match router_call d (Protocol.Share root) with
+      (match router_call d (Protocol.Shares [ root ]) with
       | Protocol.Error_msg _ -> ()
       | r -> Alcotest.failf "a failing shard answered: %a" Protocol.pp_response r);
       d.switches.(0) := Healthy;
@@ -805,6 +806,130 @@ let test_sessions_own_their_cursors () =
       close_a ();
       check Alcotest.int "no cursor leaks" 0 (Router.open_cursors d.router))
 
+(* Past the cap the least recently used router cursor goes, and its
+   member cursors are closed with it. *)
+let test_router_cap_evicts_lru () =
+  let d = make_deployment ~max_cursors:2 xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      let target = Protocol.Pre_ranges [ (1, 1_000_000) ] in
+      let open_scan () =
+        match router_call d (Protocol.Scan_eval { target; points; max_items = 2 }) with
+        | Protocol.Scan_batch { cursor = Some c; _ } -> c
+        | r -> Alcotest.failf "expected a cursor: %a" Protocol.pp_response r
+      in
+      let first = open_scan () in
+      let survivors = [ open_scan (); open_scan () ] in
+      check Alcotest.int "router cap respected" 2 (Router.open_cursors d.router);
+      check
+        (Alcotest.testable Protocol.pp_response ( = ))
+        "the LRU cursor reads as unknown"
+        (Protocol.Error_msg (Printf.sprintf "unknown cursor %d" first))
+        (router_call d (Protocol.Scan_next { cursor = first; max_items = 5 }));
+      check Alcotest.int "members hold only the survivors' cursors"
+        (2 * Router.threshold d.router)
+        (Array.fold_left (fun acc f -> acc + Server_filter.open_cursors f) 0 d.filters);
+      List.iter
+        (fun c -> ignore (drain (Router.handler d.router) ~max_items:1000 (Some c)))
+        survivors;
+      check_no_open_cursors ~what:"survivors drained" d)
+
+(* Client -> router -> shards, every hop a socket: each request a
+   server handled joined the client's trace.  The client's own calls
+   reach the router; the router's member calls (counted by
+   ssdb_router_shard_calls_total) reach the shards. *)
+let test_routed_trace_over_sockets () =
+  let tree =
+    match
+      Secshare_xml.Tree.of_string
+        "<site><regions><europe><item><name>lamp</name></item>\
+         <item><name>desk</name></item></europe></regions></site>"
+    with
+    | Ok tree -> tree
+    | Error e -> failwith e
+  in
+  let d = make_deployment tree in
+  let sock () =
+    let path = Filename.temp_file "ssdb-shard" ".sock" in
+    Sys.remove path;
+    path
+  in
+  let serve path (on_request, on_close) =
+    Server.start_sessions ~path ~session:(fun () -> { Server.on_request; on_close }) ()
+  in
+  let shard_paths = Array.to_list (Array.map (fun _ -> sock ()) d.filters) in
+  let shard_servers =
+    List.mapi
+      (fun i path -> serve path (Server_filter.connection d.filters.(i)))
+      shard_paths
+  in
+  let router =
+    match Router.connect ~p:83 ~e:1 shard_paths with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let router_path = sock () in
+  let router_server = serve router_path (Router.connection router) in
+  let client =
+    match
+      DB.connect ~p:83 ~e:1 ~mapping:(DB.mapping d.db) ~seed:(DB.seed d.db)
+        ~path:router_path ()
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      DB.close client;
+      Server.stop router_server;
+      Router.close router;
+      List.iter Server.stop shard_servers;
+      teardown d)
+    (fun () ->
+      let member_calls () =
+        List.fold_left
+          (fun acc id ->
+            acc
+            + Registry.counter_value
+                (Registry.counter ~labels:[ ("shard", string_of_int id) ]
+                   "ssdb_router_shard_calls_total"))
+          0 [ 1; 2; 3 ]
+      in
+      Trace.clear_recent ();
+      let before = member_calls () in
+      let r =
+        match DB.query client "/site/regions/europe/item" with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e
+      in
+      let member_calls = member_calls () - before in
+      let local = Test_support.must_query d.db "/site/regions/europe/item" in
+      check Alcotest.(list int) "routed = local" (pres (DB.result_nodes local))
+        (pres (DB.result_nodes r));
+      check Alcotest.bool "a real trace id (0 is the untraced sentinel)" true
+        (r.DB.trace_id <> 0L);
+      let spans =
+        List.filter
+          (fun (s : Span.t) -> s.Span.trace_id = r.DB.trace_id)
+          (Trace.recent ())
+      in
+      let named prefix (s : Span.t) =
+        String.length s.Span.name > String.length prefix
+        && String.sub s.Span.name 0 (String.length prefix) = prefix
+      in
+      let serve = List.filter (named "serve:") spans in
+      let serve_ids = List.map (fun (s : Span.t) -> s.Span.span_id) serve in
+      (* the router's own member calls are rpc spans inside its serve spans *)
+      let in_serve (s : Span.t) =
+        match s.Span.parent_id with Some p -> List.mem p serve_ids | None -> false
+      in
+      let client_rpc = List.filter (fun s -> named "rpc:" s && not (in_serve s)) spans in
+      check Alcotest.bool "the router called its members" true (member_calls > 0);
+      check Alcotest.int "every served request joined the client's trace"
+        (List.length client_rpc + member_calls)
+        (List.length serve))
+
 let () =
   Alcotest.run "shard"
     [
@@ -860,6 +985,7 @@ let () =
             test_connection_scoped_cursors;
           Alcotest.test_case "sessions own their cursors" `Quick
             test_sessions_own_their_cursors;
+          Alcotest.test_case "router cap evicts lru" `Quick test_router_cap_evicts_lru;
         ] );
       ( "lying",
         [
@@ -868,5 +994,10 @@ let () =
             test_lying_scans;
           Alcotest.test_case "every member request is counted" `Quick
             test_shard_calls_counted;
+        ] );
+      ( "tracing",
+        [
+          Alcotest.test_case "routed trace over sockets" `Quick
+            test_routed_trace_over_sockets;
         ] );
     ]
