@@ -73,35 +73,13 @@ let client_poly t ~pre =
             obs_cache_evictions;
           poly)
 
-(* A query point prepared for evaluating many client polynomials: with
-   ring byte tables (any q <= 256) its multiplication-table row is built
-   once per batch, and every evaluation is the flat Horner kernel over
-   the cached coefficient buffer — no unpacking, no closure calls.  The
-   zero point keeps no row and defers to [Cyclic.eval], so its error is
-   unchanged. *)
-type evaluator = { point : int; mul_row : Bytes.t option }
-
-let evaluator t point =
-  match t.ring.Secshare_poly.Ring.table with
-  | None -> { point; mul_row = None }
-  | Some tab ->
-      let p = t.ring.Secshare_poly.Ring.normalize point in
-      {
-        point;
-        mul_row = (if p = 0 then None else Some (Secshare_poly.Flat.point_row tab ~point:p));
-      }
-
-let eval_poly t ev poly =
-  match (t.ring.Secshare_poly.Ring.table, ev.mul_row) with
-  | Some tab, Some mul_row -> Secshare_poly.Flat.eval_coeffs tab ~mul_row (Cyclic.view poly)
-  | _ -> Cyclic.eval t.ring poly ev.point
-
-let client_eval t ev ~pre =
+(* The client share of [pre] evaluated at a point prepared once per
+   batch ({!Share.point}). *)
+let client_eval t pt ~pre =
+  let eval () = Share.eval_poly t.ring pt (client_poly t ~pre) in
   match t.eval_cache with
-  | None -> eval_poly t ev (client_poly t ~pre)
-  | Some cache ->
-      Lru.find_or_add cache (pre, ev.point) ~compute:(fun _ ->
-          eval_poly t ev (client_poly t ~pre))
+  | None -> eval ()
+  | Some cache -> Lru.find_or_add cache (pre, Share.coordinate pt) ~compute:(fun _ -> eval ())
 
 let call t request =
   match Transport.call t.transport request with
@@ -153,18 +131,18 @@ let filter_scan_rows t ~(counts : Metrics.t) rows ~points =
   | [] -> List.map fst rows
   | _ ->
       let n_points = List.length points in
-      let evaluators = List.map (evaluator t) points in
+      let pts = List.map (Share.point t.ring) points in
       List.filter_map
         (fun ((meta : Protocol.node_meta), server_values) ->
           if List.length server_values <> n_points then
             raise (Filter_error "Scan_batch arity mismatch");
           counts.nodes_examined <- counts.nodes_examined + 1;
           counts.evaluations <- counts.evaluations + n_points;
-          let contains ev server_value =
-            let client_value = client_eval t ev ~pre:meta.Protocol.pre in
+          let contains pt server_value =
+            let client_value = client_eval t pt ~pre:meta.Protocol.pre in
             Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
           in
-          if List.for_all2 contains evaluators server_values then Some meta else None)
+          if List.for_all2 contains pts server_values then Some meta else None)
         rows
 
 let containment t ~(counts : Metrics.t) (meta : Protocol.node_meta) ~point =
@@ -175,7 +153,7 @@ let containment t ~(counts : Metrics.t) (meta : Protocol.node_meta) ~point =
   in
   counts.evaluations <- counts.evaluations + 1;
   counts.nodes_examined <- counts.nodes_examined + 1;
-  let client_value = client_eval t (evaluator t point) ~pre:meta.Protocol.pre in
+  let client_value = client_eval t (Share.point t.ring point) ~pre:meta.Protocol.pre in
   Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
 
 let containment_batch t ~(counts : Metrics.t) metas ~point =
@@ -193,10 +171,10 @@ let containment_batch t ~(counts : Metrics.t) metas ~point =
             raise (Filter_error "Eval_batch arity mismatch");
           counts.evaluations <- counts.evaluations + List.length metas;
           counts.nodes_examined <- counts.nodes_examined + List.length metas;
-          let ev = evaluator t point in
+          let pt = Share.point t.ring point in
           List.filter_map
             (fun ((meta : Protocol.node_meta), server_value) ->
-              let client_value = client_eval t ev ~pre:meta.Protocol.pre in
+              let client_value = client_eval t pt ~pre:meta.Protocol.pre in
               if Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
               then Some meta
               else None)
@@ -225,46 +203,13 @@ let fetch_shares t pres =
       shares
   | response -> protocol_error "Shares" response
 
-(* The equality test's product of child polynomials.  The reference
-   fold allocates a fresh n-vector per child ([Cyclic.mul]); the
-   kernel path ping-pongs two scratch buffers through
-   [Flat.mul_into], so an arbitrarily wide node costs exactly two
-   allocations.  Same fold order, same field ops (the tables are
-   built from them) — bit-identical product. *)
-let product_of_children t child_polys =
-  match (t.ring.Secshare_poly.Ring.table, child_polys) with
-  | None, _ | _, [] ->
-      List.fold_left (Cyclic.mul t.ring) (Cyclic.one t.ring) child_polys
-  | Some tab, first :: rest ->
-      let n = t.ring.Secshare_poly.Ring.n in
-      let acc = ref (Array.copy (Cyclic.view first)) in
-      let scratch = ref (Array.make n 0) in
-      List.iter
-        (fun p ->
-          Secshare_poly.Flat.mul_into tab ~n ~a:!acc ~b:(Cyclic.view p)
-            ~out:!scratch;
-          let swap = !acc in
-          acc := !scratch;
-          scratch := swap)
-        rest;
-      Cyclic.of_canonical t.ring !acc
-
-(* client + server, with the client half served from the cache.  With
-   ring byte tables the flat kernel decodes the packed server half
-   inline and adds through the table, straight into the result vector;
-   same validation, bit-identical polynomial. *)
+(* client + server, with the client half served from the cache.  A
+   short or out-of-range share is the server's fault, reported like any
+   other bad reply rather than escaping as [Invalid_argument]. *)
 let reconstruct t ~pre share_bytes =
-  match t.ring.Secshare_poly.Ring.table with
-  | None ->
-      let server = Secshare_poly.Codec.unpack_cyclic t.ring share_bytes in
-      Cyclic.add t.ring (client_poly t ~pre) server
-  | Some tab ->
-      let n = t.ring.Secshare_poly.Ring.n in
-      let out = Array.make n 0 in
-      Secshare_poly.Flat.reconstruct_into tab ~n
-        ~client:(Cyclic.view (client_poly t ~pre))
-        share_bytes ~out;
-      Cyclic.of_canonical t.ring out
+  let client = client_poly t ~pre in
+  try Share.add_packed t.ring ~client share_bytes
+  with Invalid_argument msg -> raise (Filter_error ("malformed Shares_data reply: " ^ msg))
 
 let tag_value t ~(counts : Metrics.t) (meta : Protocol.node_meta) =
   let child_metas = children t ~pre:meta.Protocol.pre in
@@ -279,7 +224,7 @@ let tag_value t ~(counts : Metrics.t) (meta : Protocol.node_meta) =
   match polys with
   | [] -> assert false
   | node_poly :: child_polys -> (
-      let product = product_of_children t child_polys in
+      let product = Share.product t.ring child_polys in
       match Cyclic.recover_linear_factor t.ring ~product ~node:node_poly with
       | Ok value -> Some value
       | Error `Degenerate ->

@@ -35,9 +35,7 @@ let obs_slow_queries =
    scan resumes from the node table one batch at a time (the resumable
    range-scan API), so an abandoned scan pins no row memory. *)
 type scan_state = {
-  points : int list;
-  point_tabs : point_tabs;
-      (** per-query evaluation tables, precomputed once per scan *)
+  points : Share.point list;  (** prepared once, when the scan opens *)
   mutable pending_parents : int list;  (** Children_of mode *)
   mutable buffered_rows : Page.row list;  (** children fetched but not yet sent *)
   mutable current_range : (int * int * int) option;
@@ -45,17 +43,6 @@ type scan_state = {
           for an unbounded range *)
   mutable pending_ranges : (int * int * int) list;
 }
-
-(* The flat-kernel plumbing (DESIGN.md §13): when the ring carries
-   byte op-tables (always true for the paper's F_83; any q <= 256), a
-   scan precomputes one multiplication-table row per query point and
-   every row evaluation becomes an allocation-free Horner pass
-   straight over the packed share bytes.  [None] per point marks the
-   zero point, which must keep raising exactly like the reference
-   path ([Cyclic.eval]) — we defer to it on first use. *)
-and point_tabs =
-  | Reference  (** no tables: closure-based unpack + eval *)
-  | Kernel of Secshare_field.Table.t * Bytes.t option list
 
 (* Besides its payload, a cursor carries the accounting the slow-query
    log reports when its lifetime ends: nothing here derives from query
@@ -153,39 +140,7 @@ let close t = Pool.close t.pool
 let meta_of_row (row : Page.row) =
   { Protocol.pre = row.Page.pre; post = row.Page.post; parent = row.Page.parent }
 
-let kernel t = t.ring.Secshare_poly.Ring.table
-
-(* Reference path: per-row unpack into an int array, then Horner over
-   the ring's closure-cached field operations.  Kept as the fallback
-   for rings without byte tables (q > 256) and for the zero point,
-   whose [Invalid_argument] the kernels must reproduce exactly. *)
-let eval_share_ref t (row : Page.row) point =
-  let poly = Secshare_poly.Codec.unpack_cyclic t.ring row.Page.share in
-  Secshare_poly.Cyclic.eval t.ring poly point
-
-let point_tabs t points =
-  match kernel t with
-  | None -> Reference
-  | Some tab ->
-      Kernel
-        ( tab,
-          List.map
-            (fun point ->
-              let p = t.ring.Secshare_poly.Ring.normalize point in
-              if p = 0 then None
-              else Some (Secshare_poly.Flat.point_row tab ~point:p))
-            points )
-
-let eval_share t (row : Page.row) point =
-  match kernel t with
-  | None -> eval_share_ref t row point
-  | Some tab ->
-      let p = t.ring.Secshare_poly.Ring.normalize point in
-      if p = 0 then eval_share_ref t row point
-      else
-        Secshare_poly.Flat.eval_share tab
-          ~mul_row:(Secshare_poly.Flat.point_row tab ~point:p)
-          ~n:t.ring.Secshare_poly.Ring.n row.Page.share
+let eval_row t pt (row : Page.row) = Share.eval_packed t.ring pt row.Page.share
 
 (* Approximate response payload: 12 bytes of metadata per row plus 4
    per evaluated value — what the slow-query log reports as [bytes].
@@ -206,27 +161,10 @@ let dedup_ranges ranges =
   in
   keep min_int sorted
 
-(* Evaluate one row's share at every point of the scan.  With kernel
-   tables the share is never unpacked: each point's precomputed table
-   row drives a Horner pass directly over the packed bytes.  Pure:
-   reads only the immutable row payload, so it is safe on any pool
-   worker. *)
+(* Evaluate one row's share at every point of the scan.  Pure: reads
+   only the immutable row payload, so it is safe on any pool worker. *)
 let row_values t (scan : scan_state) (row : Page.row) =
-  match (scan.points, scan.point_tabs) with
-  | [], _ -> (meta_of_row row, [])
-  | points, Kernel (tab, rows_tabs) ->
-      let n = t.ring.Secshare_poly.Ring.n in
-      ( meta_of_row row,
-        List.map2
-          (fun point mul_row ->
-            match mul_row with
-            | Some mul_row ->
-                Secshare_poly.Flat.eval_share tab ~mul_row ~n row.Page.share
-            | None -> eval_share_ref t row point)
-          points rows_tabs )
-  | points, Reference ->
-      let poly = Secshare_poly.Codec.unpack_cyclic t.ring row.Page.share in
-      (meta_of_row row, List.map (Secshare_poly.Cyclic.eval t.ring poly) points)
+  (meta_of_row row, List.map (fun pt -> eval_row t pt row) scan.points)
 
 (* Fan a batch's share evaluations out across the worker pool.  Called
    OUTSIDE the cursor lock: evaluation is the dominant cost of a scan
@@ -297,6 +235,7 @@ let handle t (request : Protocol.request) : Protocol.response =
   | Protocol.Parent pre ->
       Protocol.Node_opt (Option.map meta_of_row (Node_table.parent_of t.table ~pre))
   | Protocol.Scan_eval { target; points; max_items } ->
+      let points = List.map (Share.point t.ring) points in
       Obs.Registry.inc obs_queries;
       let started = t.now () in
       let pending_parents, pending_ranges =
@@ -312,7 +251,6 @@ let handle t (request : Protocol.request) : Protocol.response =
       let scan =
         {
           points;
-          point_tabs = point_tabs t points;
           pending_parents;
           buffered_rows = [];
           current_range = None;
@@ -387,10 +325,14 @@ let handle t (request : Protocol.request) : Protocol.response =
       Cursor_table.remove t.cursors cursor Client_close;
       Protocol.Pong
   | Protocol.Eval { pre; point } -> (
+      let pt = Share.point t.ring point in
       match Node_table.find_by_pre t.table pre with
       | None -> Protocol.Error_msg (Printf.sprintf "unknown node pre=%d" pre)
-      | Some row -> Protocol.Value (eval_share t row point))
+      | Some row -> Protocol.Value (eval_row t pt row))
   | Protocol.Eval_batch { pres; point } -> (
+      (* one prepared point for the whole batch; each pool task is then
+         a single Horner pass *)
+      let pt = Share.point t.ring point in
       (* row lookups stay on the handler thread (cheap, latch-striped);
          the evaluations fan out across the pool *)
       match
@@ -401,21 +343,7 @@ let handle t (request : Protocol.request) : Protocol.response =
             | Some row -> row)
           pres
       with
-      | rows ->
-          (* one evaluation table for the whole batch; each pool task
-             is then a single allocation-free Horner pass *)
-          let eval_one =
-            match kernel t with
-            | Some tab
-              when t.ring.Secshare_poly.Ring.normalize point <> 0 ->
-                let p = t.ring.Secshare_poly.Ring.normalize point in
-                let mul_row = Secshare_poly.Flat.point_row tab ~point:p in
-                let n = t.ring.Secshare_poly.Ring.n in
-                fun (row : Page.row) ->
-                  Secshare_poly.Flat.eval_share tab ~mul_row ~n row.Page.share
-            | Some _ | None -> fun row -> eval_share_ref t row point
-          in
-          Protocol.Values (Pool.map_list t.pool rows ~f:eval_one)
+      | rows -> Protocol.Values (Pool.map_list t.pool rows ~f:(eval_row t pt))
       | exception Failure msg -> Protocol.Error_msg msg)
   | Protocol.Shares pres -> (
       match

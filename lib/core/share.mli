@@ -31,6 +31,49 @@ val combine_evaluations : Secshare_poly.Ring.t -> client:int -> server:int -> in
     the true polynomial evaluates to zero there (the containment
     test). *)
 
+(** {2 The filters' share arithmetic}
+
+    Every operation the containment test (paper §5.2) and the equality
+    test (§6.3) perform on shares, and the one place that picks how it
+    runs: through the allocation-free kernels of {!Secshare_poly.Flat}
+    when the field has byte tables ([q <= 256], the paper's F_83
+    included), through the reference {!Secshare_poly.Cyclic} and
+    {!Secshare_poly.Codec} otherwise.  Both give bit-identical results
+    and reject the same inputs with [Invalid_argument].
+    {!Server_filter} calls {!point} and {!eval_packed}; {!Client_filter}
+    calls {!point}, {!eval_poly}, {!add_packed} and {!product}. *)
+
+type point
+(** A query point prepared once per request or batch: normalised and,
+    with byte tables, carrying its {!Secshare_poly.Flat.point_row}. *)
+
+val point : Secshare_poly.Ring.t -> int -> point
+(** The system's one zero-point check.
+    @raise Invalid_argument on a point that normalises to 0, exactly as
+    {!Secshare_poly.Cyclic.eval} (the cyclic reduction does not
+    preserve evaluation at 0). *)
+
+val coordinate : point -> int
+(** The normalised field element, in [\[1, q)]. *)
+
+val eval_packed : Secshare_poly.Ring.t -> point -> bytes -> int
+(** [Cyclic.eval (Codec.unpack_cyclic share)] for a packed server
+    share, validated exactly like [Codec.unpack].
+    @raise Invalid_argument on a short share or a coefficient outside
+    [\[0, q)]. *)
+
+val eval_poly : Secshare_poly.Ring.t -> point -> Secshare_poly.Cyclic.t -> int
+(** [Cyclic.eval]: the regenerated client share at the point. *)
+
+val add_packed :
+  Secshare_poly.Ring.t -> client:Secshare_poly.Cyclic.t -> bytes -> Secshare_poly.Cyclic.t
+(** [client + server] with the server half packed: the node's true
+    polynomial.  @raise Invalid_argument like {!eval_packed}. *)
+
+val product : Secshare_poly.Ring.t -> Secshare_poly.Cyclic.t list -> Secshare_poly.Cyclic.t
+(** The left fold of [Cyclic.mul] from [Cyclic.one]: the equality
+    test's product of child polynomials. *)
+
 (** {2 Shamir t-of-n re-sharing of the server share}
 
     Sharded serving (lib/shard) splits the {e server} share again:

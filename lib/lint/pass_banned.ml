@@ -102,6 +102,8 @@ let poly_fns =
     ("Share", "client");
     ("Share", "server_share");
     ("Share", "reconstruct");
+    ("Share", "add_packed");
+    ("Share", "product");
   ]
 
 let rec polyish expr =

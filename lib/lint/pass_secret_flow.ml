@@ -42,6 +42,8 @@ let secret_producers =
     ("Share", "client");
     ("Share", "server_share");
     ("Share", "reconstruct");
+    ("Share", "add_packed");
+    ("Share", "product");
     ("Codec", "unpack_cyclic");
     ("Seed", "generate");
     ("Seed", "load");

@@ -14,6 +14,15 @@
     module is a designated kernel module for [ssdb_lint]: allocating
     combinators ([Array.map], [List.map], ...) are banned inside it.
 
+    Outside this library only [Secshare_core.Share] calls these
+    kernels, choosing them whenever the ring has byte tables:
+    [Share.point] builds {!point_row}; [Share.eval_packed] (server
+    scans and batches) runs {!eval_share}; [Share.eval_poly] (client
+    containment) runs {!eval_coeffs}; [Share.add_packed] and
+    [Share.product] (client equality) run {!reconstruct_into} and
+    {!mul_into}; [Share.reconstruct_packed] (shard router) runs
+    {!combine_packed_into}.
+
     All evaluation here is evaluation in the cyclic quotient
     [F_q[x]/(x^n - 1)], which agrees with the unreduced polynomial
     only at nonzero points — {!point_row} enforces that, mirroring
@@ -22,8 +31,8 @@
 val point_row : Secshare_field.Table.t -> point:int -> Bytes.t
 (** The per-query evaluation table for [point]: the multiplication-
     table row [x -> x * point] every Horner step multiplies by.
-    [point] must already be canonical (callers hold a {!Ring.t} and
-    normalise with it, exactly as {!Cyclic.eval} does internally).
+    [point] must already be canonical ([Share.point] normalises it and
+    rejects 0 first, exactly as {!Cyclic.eval} does internally).
     @raise Invalid_argument on the zero point (evaluation at 0 is not
     preserved by cyclic reduction; see {!Cyclic.eval}) or a
     non-canonical one. *)
@@ -72,9 +81,9 @@ val mul_into :
 (** Cyclic schoolbook product [out <- a * b] in [F_q[x]/(x^n - 1)],
     identical fold order to {!Cyclic.mul} but through the byte
     tables.  [out] must be distinct from [a] and [b]; all three must
-    have length at least [n].  The equality path ping-pongs two
-    caller-owned scratch buffers through this to fold a product of
-    children without allocating per step. *)
+    have length at least [n].  [Share.product] ping-pongs two scratch
+    buffers through this to fold a product of children without
+    allocating per step. *)
 
 val combine_packed_into :
   Secshare_field.Table.t ->

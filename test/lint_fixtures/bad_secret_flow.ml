@@ -4,6 +4,7 @@
 let leak_ident share = Printf.printf "share=%d\n" share
 let leak_field t = Events.debug "poly degree %d" t.node_poly
 let leak_producer () = failwith (Seed.to_hex (Seed.generate ()))
+let leak_node ring ~c b = Printf.printf "%s\n" (Share.add_packed ring ~client:c b)
 
 let leak_label tag_name =
   Registry.counter ~labels:[ ("tag", tag_name) ] "ssdb_fixture_total"

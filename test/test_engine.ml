@@ -97,15 +97,19 @@ let test_engines_match_reference_small () =
 
 let gen_case = QCheck2.Gen.pair Test_support.gen_tree Test_support.gen_query
 
+(* The paper's F_83 runs the byte-table kernels; F_257 (no tables) and
+   the extension field GF(3^4) check the other share-arithmetic branch
+   and non-prime encodings against the plaintext reference too. *)
 let engine_reference_suite =
   List.concat_map
-    (fun (ename, engine) ->
+    (fun ((field, p, e, count), (ename, engine)) ->
+      let ename = field ^ ename in
       [
-        qtest
+        qtest ?count
           (Printf.sprintf "%s strict = reference exact" ename)
           gen_case
           (fun (tree, query) ->
-            let db = Test_support.db_of_tree tree in
+            let db = Test_support.db_of_tree ~p ~e tree in
             let expected = Reference.run tree query in
             let got =
               pres
@@ -114,11 +118,11 @@ let engine_reference_suite =
                       (Ast.to_string query)))
             in
             got = expected);
-        qtest
+        qtest ?count
           (Printf.sprintf "%s non-strict = reference containment" ename)
           gen_case
           (fun (tree, query) ->
-            let db = Test_support.db_of_tree tree in
+            let db = Test_support.db_of_tree ~p ~e tree in
             let expected = Reference.run ~semantics:Reference.Containment tree query in
             let got =
               pres
@@ -128,7 +132,9 @@ let engine_reference_suite =
             in
             got = expected);
       ])
-    engines
+    (List.concat_map
+       (fun field -> List.map (fun engine -> (field, engine)) engines)
+       [ ("", 83, 1, None); ("F_257 ", 257, 1, Some 20); ("F_81 ", 3, 4, Some 20) ])
 
 let cross_engine_suite =
   [
@@ -251,7 +257,8 @@ let test_contains_uncompressed () =
 
 (* --- the nextNode() pipeline: server-side cursor accounting --- *)
 
-let test_cursor_accounting () =
+(* [doc_small] encoded over F_83 behind a bare server filter. *)
+let small_server () =
   let ring = Secshare_poly.Ring.of_prime ~p:83 in
   let mapping = Result.get_ok (Secshare_core.Mapping.of_tree ~q:83 doc_small) in
   let table = Secshare_store.Node_table.create () in
@@ -261,7 +268,10 @@ let test_cursor_accounting () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Secshare_core.Encode.error_to_string e));
-  let server = Secshare_core.Server_filter.create ring table in
+  (ring, Secshare_core.Server_filter.create ring table)
+
+let test_cursor_accounting () =
+  let ring, server = small_server () in
   let transport =
     Secshare_rpc.Transport.local ~handler:(Secshare_core.Server_filter.handler server)
   in
@@ -309,6 +319,43 @@ let test_cursor_accounting () =
   match Secshare_rpc.Transport.call transport (Scan_next { cursor = 999; max_items = 5 }) with
   | Error_msg _ -> ()
   | r -> Alcotest.failf "unknown cursor: %s" (Format.asprintf "%a" pp_response r)
+
+(* A point that is 0 in the field (written 0 or q) is rejected when the
+   request is read: the same error whether or not any row would have
+   been evaluated, and no cursor is left behind. *)
+let test_zero_point_rejected () =
+  let _, server = small_server () in
+  let open Secshare_rpc.Protocol in
+  let zero_point =
+    Printexc.to_string
+      (Invalid_argument "Cyclic.eval: evaluation at 0 is not preserved by reduction")
+  in
+  let subtree = Pre_ranges [ (2, 12) ] in
+  (match
+     Secshare_core.Server_filter.handler server
+       (Scan_eval { target = subtree; points = [ 5 ]; max_items = 20 })
+   with
+  | Scan_batch { rows = _ :: _; cursor = None } -> ()
+  | r -> Alcotest.failf "nonzero scan: %s" (Format.asprintf "%a" pp_response r));
+  List.iter
+    (fun zero ->
+      List.iter
+        (fun (what, request) ->
+          let label = Printf.sprintf "%s at point %d" what zero in
+          match Secshare_core.Server_filter.handler server request with
+          | Error_msg msg -> check Alcotest.string label zero_point msg
+          | r -> Alcotest.failf "%s answered %s" label (Format.asprintf "%a" pp_response r))
+        [
+          ("Eval", Eval { pre = 1; point = zero });
+          ("empty Eval_batch", Eval_batch { pres = []; point = zero });
+          ("Eval_batch", Eval_batch { pres = [ 1; 2; 3 ]; point = zero });
+          ( "Scan_eval over no rows",
+            Scan_eval { target = Pre_ranges []; points = [ zero ]; max_items = 2 } );
+          ( "Scan_eval over rows",
+            Scan_eval { target = subtree; points = [ 5; zero ]; max_items = 2 } );
+        ])
+    [ 0; 83 ];
+  check Alcotest.int "no cursor opened" 0 (Secshare_core.Server_filter.open_cursors server)
 
 (* --- corrupted share detection --- *)
 
@@ -405,6 +452,7 @@ let () =
         [
           Alcotest.test_case "cursor accounting" `Quick test_cursor_accounting;
           Alcotest.test_case "corrupt shares surface" `Quick test_corrupt_share_surfaces;
+          Alcotest.test_case "zero point rejected" `Quick test_zero_point_rejected;
         ] );
       ( "errors",
         [

@@ -381,6 +381,78 @@ let test_combine_rejects ring name () =
       ]
     else [])
 
+(* --- Share: the one entry point per filter operation ---------------- *)
+
+module Share = Secshare_core.Share
+
+let r257 = Ring.of_prime ~p:257
+
+(* [Share] picks the kernel or the reference path per ring; either way
+   each entry point must equal its reference composition.  F_257 has no
+   byte tables, so it pins the reference branch. *)
+let share_suite ring name =
+  let gc = gen_cyclic ring and gpt = gen_point ring in
+  [
+    qtest ~count:100
+      (name ^ ": eval_packed = unpack + Cyclic.eval")
+      (QCheck2.Gen.pair gc gpt)
+      (fun (c, x) ->
+        let buf = Codec.pack_cyclic ring c in
+        Share.eval_packed ring (Share.point ring x) buf
+        = Cyclic.eval ring (Codec.unpack_cyclic ring buf) x);
+    qtest ~count:100
+      (name ^ ": eval_poly = Cyclic.eval")
+      (QCheck2.Gen.pair gc gpt)
+      (fun (c, x) -> Share.eval_poly ring (Share.point ring x) c = Cyclic.eval ring c x);
+    qtest ~count:100
+      (name ^ ": add_packed = Cyclic.add client (unpack)")
+      (QCheck2.Gen.pair gc gc)
+      (fun (client, server) ->
+        let buf = Codec.pack_cyclic ring server in
+        Cyclic.equal
+          (Share.add_packed ring ~client buf)
+          (Cyclic.add ring client (Codec.unpack_cyclic ring buf)));
+    (* few cases: the GF(2^8) reference multiplies through the field's
+       closures, about 65 000 of them per product step *)
+    qtest ~count:12
+      (name ^ ": product = Cyclic.mul fold")
+      QCheck2.Gen.(
+        let* k = int_range 0 3 in
+        list_repeat k gc)
+      (fun polys ->
+        Cyclic.equal (Share.product ring polys)
+          (List.fold_left (Cyclic.mul ring) (Cyclic.one ring) polys));
+  ]
+
+(* The zero point (also written as q) and malformed shares raise on
+   both kinds of ring, exactly as the reference does. *)
+let test_share_rejects ring name () =
+  let q = ring.Ring.order in
+  let zero_point = Invalid_argument "Cyclic.eval: evaluation at 0 is not preserved by reduction" in
+  Alcotest.check_raises (name ^ ": point 0") zero_point (fun () -> ignore (Share.point ring 0));
+  Alcotest.check_raises (name ^ ": point q") zero_point (fun () -> ignore (Share.point ring q));
+  let pt = Share.point ring 1 and client = Cyclic.one ring in
+  let rejects what buf =
+    (match Share.eval_packed ring pt buf with
+    | (_ : int) -> Alcotest.failf "%s: eval_packed accepted %s" name what
+    | exception Invalid_argument _ -> ());
+    match Share.add_packed ring ~client buf with
+    | (_ : Cyclic.t) -> Alcotest.failf "%s: add_packed accepted %s" name what
+    | exception Invalid_argument _ -> ()
+  in
+  let good = Codec.pack_cyclic ring client in
+  rejects "a short share" (Bytes.sub good 0 (Bytes.length good - 1));
+  rejects "an empty share" Bytes.empty;
+  (* a first coefficient of 2^bits - 1, outside [0, q) *)
+  let bits = Codec.bits_per_coeff q in
+  if 1 lsl bits > q then begin
+    let bad = Bytes.copy good in
+    for b = 0 to bits - 1 do
+      Bytes.set_uint8 bad (b lsr 3) (Bytes.get_uint8 bad (b lsr 3) lor (1 lsl (b land 7)))
+    done;
+    rejects "a coefficient >= q" bad
+  end
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -424,4 +496,13 @@ let () =
           Alcotest.test_case "GF256 rejects bad shares" `Quick
             (test_combine_rejects r256 "GF256");
         ] );
+      ( "share",
+        List.concat_map
+          (fun (ring, name) ->
+            share_suite ring name
+            @ [
+                Alcotest.test_case (name ^ " rejects zero and bad shares") `Quick
+                  (test_share_rejects ring name);
+              ])
+          [ (r5, "F5"); (r9, "GF9"); (r83, "F83"); (r256, "GF256"); (r257, "F257") ] );
     ]

@@ -113,14 +113,14 @@ let tree_is_clean () =
 
 let positive_cases =
   [
-    ("bad_secret_flow.ml", "secret-flow/sink", 4);
+    ("bad_secret_flow.ml", "secret-flow/sink", 5);
     ("bad_secret_flow.ml", "secret-flow/label", 1);
     ("bad_agg_log.ml", "secret-flow/agg-sink", 3);
     ("bad_lock_order.ml", "lock-order/inversion", 2);
     ("bad_lock_order.ml", "lock-order/undeclared", 1);
     ("bad_banned.ml", "banned/random", 1);
     ("bad_banned.ml", "banned/obj-magic", 1);
-    ("bad_banned.ml", "banned/poly-compare", 2);
+    ("bad_banned.ml", "banned/poly-compare", 3);
     ("bad_banned.ml", "banned/hashtbl-hash", 2);
     ("bad_unguarded.ml", "banned/unguarded-hashtbl", 1);
     ("bad_thread_rpc.ml", "banned/thread-in-rpc", 1);

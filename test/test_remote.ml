@@ -354,6 +354,74 @@ let test_bad_field_rejected_without_leak () =
         [ (83, 0); (84, 1) ];
       check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
 
+(* A server whose Shares_data replies are malformed.  The client checks
+   every share it reconstructs, so the query fails with a filter error,
+   in-process and over a socket, on a field with byte tables (F_83) and
+   on one without (F_257) — never with a stray exception or an answer. *)
+let test_malformed_shares_reply () =
+  let doc =
+    Result.get_ok
+      (Secshare_xml.Tree.of_string
+         "<site><regions><europe><item><name/></item><item/></europe></regions></site>")
+  in
+  List.iter
+    (fun p ->
+      let db = Test_support.db_of_tree ~p doc in
+      let server = Server_filter.create (DB.ring db) (DB.table db) in
+      let mapping = DB.mapping db and seed = DB.seed db in
+      let bits = Secshare_poly.Codec.bits_per_coeff p in
+      (* the first coefficient decodes to 2^bits - 1 >= q *)
+      let out_of_range share =
+        let share = Bytes.copy share in
+        for b = 0 to bits - 1 do
+          Bytes.set_uint8 share (b lsr 3)
+            (Bytes.get_uint8 share (b lsr 3) lor (1 lsl (b land 7)))
+        done;
+        share
+      in
+      List.iter
+        (fun (what, corrupt) ->
+          let handler request =
+            match Server_filter.handler server request with
+            | Protocol.Shares_data shares -> Protocol.Shares_data (List.map corrupt shares)
+            | response -> response
+          in
+          let expect_filter_error how handle =
+            let label = Printf.sprintf "F_%d %s shares, %s" p what how in
+            Fun.protect
+              ~finally:(fun () -> DB.close handle)
+              (fun () ->
+                match
+                  DB.query ~engine:DB.Advanced ~strictness:QC.Strict handle
+                    "/site/regions/europe/item"
+                with
+                | Error msg ->
+                    let prefix = "filter: malformed Shares_data reply: " in
+                    check Alcotest.string label prefix
+                      (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+                | Ok _ -> Alcotest.failf "%s: answered" label
+                | exception exn ->
+                    Alcotest.failf "%s: raised %s" label (Printexc.to_string exn))
+          in
+          (match DB.of_transport ~p ~e:1 ~mapping ~seed (Transport.local ~handler) with
+          | Ok handle -> expect_filter_error "in-process" handle
+          | Error e -> Alcotest.fail e);
+          let path = Filename.temp_file "ssdb-lying" ".sock" in
+          Sys.remove path;
+          let flaky = Test_support.Flaky.start ~handler ~plan:(fun _ -> None) path in
+          Fun.protect
+            ~finally:(fun () -> Test_support.Flaky.stop flaky)
+            (fun () ->
+              match DB.connect ~p ~e:1 ~mapping ~seed ~path () with
+              | Ok handle -> expect_filter_error "socket" handle
+              | Error e -> Alcotest.fail e))
+        [
+          ("halved", fun share -> Bytes.sub share 0 (Bytes.length share / 2));
+          ("out-of-range", out_of_range);
+        ];
+      Server_filter.close server)
+    [ 83; 257 ]
+
 let () =
   Alcotest.run "remote"
     [
@@ -366,6 +434,8 @@ let () =
           Alcotest.test_case "server stop surfaces errors" `Quick test_session_after_server_stop;
           Alcotest.test_case "bad field refused, nothing leaked" `Quick
             test_bad_field_rejected_without_leak;
+          Alcotest.test_case "malformed shares reply is an error" `Quick
+            test_malformed_shares_reply;
         ] );
       ( "resilience",
         [
