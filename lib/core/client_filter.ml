@@ -29,9 +29,6 @@ type t = {
   share_cache : (int, Cyclic.t) Lru.t option;
       (* pre -> regenerated client polynomial; [Cyclic] ops are pure,
          so cached polynomials can never be mutated through use *)
-  eval_cache : (int * int, int) Lru.t option;
-      (* (pre, point) -> client evaluation, so a repeated query skips
-         even the O(degree) Horner pass *)
 }
 
 let create ring ~seed ?(scan_batch = 256) ?(batch_eval = true) ?(fused_scan = true)
@@ -44,12 +41,8 @@ let create ring ~seed ?(scan_batch = 256) ?(batch_eval = true) ?(fused_scan = tr
     batch_eval;
     fused_scan;
     share_cache = (if share_cache <= 0 then None else Some (Lru.create share_cache));
-    eval_cache = (if share_cache <= 0 then None else Some (Lru.create (4 * share_cache)));
   }
 
-(* the polynomial cache is never cleared: its entries stay exact
-   forever *)
-let clear_eval_memo t = Option.iter Lru.clear t.eval_cache
 let rpc_counters t = Transport.counters t.transport
 let scan_batch t = t.scan_batch
 let fused_scan t = t.fused_scan
@@ -72,14 +65,6 @@ let client_poly t ~pre =
           Obs.Registry.inc ~by:((Lru.stats cache).Lru.evictions - before)
             obs_cache_evictions;
           poly)
-
-(* The client share of [pre] evaluated at a point prepared once per
-   batch ({!Share.point}). *)
-let client_eval t pt ~pre =
-  let eval () = Share.eval_poly t.ring pt (client_poly t ~pre) in
-  match t.eval_cache with
-  | None -> eval ()
-  | Some cache -> Lru.find_or_add cache (pre, Share.coordinate pt) ~compute:(fun _ -> eval ())
 
 let call t request =
   match Transport.call t.transport request with
@@ -123,69 +108,73 @@ let cursor_close t cursor =
   | Protocol.Pong -> ()
   | response -> protocol_error "Cursor_close" response
 
-(* Merge one fused batch: for each row, regenerate the client share,
-   combine with the server evaluations, and keep the rows where every
-   point sums to zero (the containment test, one pair per point). *)
-let filter_scan_rows t ~(counts : Metrics.t) rows ~points =
+(* The containment test (paper §5.2), the one place it is decided:
+   for each point, regenerate the client share of [meta], evaluate it,
+   add the server's value, and keep the node when every sum is zero.
+   [pts] are prepared once per batch ({!Share.point}); [reply] names
+   the response in errors.  A server value outside the field is the
+   server's fault, refused like any other bad reply rather than
+   silently reduced. *)
+let verdict t ~(counts : Metrics.t) ~reply pts (meta : Protocol.node_meta) server_values =
+  if List.length server_values <> List.length pts then
+    raise (Filter_error (reply ^ " arity mismatch"));
+  List.iter
+    (fun v ->
+      if v < 0 || v >= t.ring.Secshare_poly.Ring.order then
+        raise (Filter_error ("malformed " ^ reply ^ " reply: value outside the field")))
+    server_values;
+  counts.nodes_examined <- counts.nodes_examined + 1;
+  counts.evaluations <- counts.evaluations + List.length pts;
+  let poly = client_poly t ~pre:meta.Protocol.pre in
+  let contains pt server =
+    Share.combine_evaluations t.ring ~client:(Share.eval_poly t.ring pt poly) ~server = 0
+  in
+  List.for_all2 contains pts server_values
+
+(* Merge one fused batch: each row carries its server evaluations at
+   every point, in order. *)
+let filter_scan_rows t ~counts rows ~points =
   match points with
   | [] -> List.map fst rows
   | _ ->
-      let n_points = List.length points in
       let pts = List.map (Share.point t.ring) points in
       List.filter_map
-        (fun ((meta : Protocol.node_meta), server_values) ->
-          if List.length server_values <> n_points then
-            raise (Filter_error "Scan_batch arity mismatch");
-          counts.nodes_examined <- counts.nodes_examined + 1;
-          counts.evaluations <- counts.evaluations + n_points;
-          let contains pt server_value =
-            let client_value = client_eval t pt ~pre:meta.Protocol.pre in
-            Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
-          in
-          if List.for_all2 contains pts server_values then Some meta else None)
+        (fun (meta, server_values) ->
+          if verdict t ~counts ~reply:"Scan_batch" pts meta server_values then Some meta
+          else None)
         rows
 
-let containment t ~(counts : Metrics.t) (meta : Protocol.node_meta) ~point =
-  let server_value =
-    match call t (Protocol.Eval { pre = meta.Protocol.pre; point }) with
-    | Protocol.Value v -> v
-    | response -> protocol_error "Eval" response
-  in
-  counts.evaluations <- counts.evaluations + 1;
-  counts.nodes_examined <- counts.nodes_examined + 1;
-  let client_value = client_eval t (Share.point t.ring point) ~pre:meta.Protocol.pre in
-  Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
+(* One [Eval_batch] round trip for [metas], one value per node. *)
+let eval_batch t ~counts metas ~point =
+  let pres = List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) metas in
+  match call t (Protocol.Eval_batch { pres; point }) with
+  | Protocol.Values values ->
+      if List.length values <> List.length metas then
+        raise (Filter_error "Eval_batch arity mismatch");
+      let pts = [ Share.point t.ring point ] in
+      List.filter_map
+        (fun (meta, v) ->
+          if verdict t ~counts ~reply:"Values" pts meta [ v ] then Some meta else None)
+        (List.combine metas values)
+  | response -> protocol_error "Eval_batch" response
 
-let containment_batch t ~(counts : Metrics.t) metas ~point =
+let containment_batch t ~counts metas ~point =
   match metas with
   | [] -> []
   | _ when not t.batch_eval ->
-      (* one Eval round trip per node: the cost model of the paper's
-         per-call RMI filter *)
-      List.filter (fun meta -> containment t ~counts meta ~point) metas
-  | _ -> (
-      let pres = List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) metas in
-      match call t (Protocol.Eval_batch { pres; point }) with
-      | Protocol.Values values ->
-          if List.length values <> List.length metas then
-            raise (Filter_error "Eval_batch arity mismatch");
-          counts.evaluations <- counts.evaluations + List.length metas;
-          counts.nodes_examined <- counts.nodes_examined + List.length metas;
-          let pt = Share.point t.ring point in
-          List.filter_map
-            (fun ((meta : Protocol.node_meta), server_value) ->
-              let client_value = client_eval t pt ~pre:meta.Protocol.pre in
-              if Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
-              then Some meta
-              else None)
-            (List.combine metas values)
-      | response -> protocol_error "Eval_batch" response)
+      (* one one-row round trip per node: the cost model of the
+         paper's per-call RMI filter *)
+      List.concat_map (fun meta -> eval_batch t ~counts [ meta ] ~point) metas
+  | _ -> eval_batch t ~counts metas ~point
 
 (* --- aggregation (Agg_eval) --- *)
 
 let agg_eval t pres =
   match call t (Protocol.Agg_eval { pres }) with
-  | Protocol.Agg_partial { count; sum } -> (count, sum)
+  | Protocol.Agg_partial { count; sum } ->
+      if sum < 0 || sum >= Numeric.modulus then
+        raise (Filter_error "malformed Agg_partial reply: sum outside the field");
+      (count, sum)
   | response -> protocol_error "Agg_eval" response
 
 (* The client's half of an aggregate: the sum of the PRG blinding

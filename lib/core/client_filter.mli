@@ -29,8 +29,9 @@ val create :
     [max_items] of each [Scan_eval] and [Scan_next] — so the client
     holds at most one batch of node metadata at a time.  [batch_eval]
     (default true) lets {!containment_batch} use one [Eval_batch]
-    round trip; disabling it reproduces the per-node-call cost model
-    of the paper's RMI filter (see the batching ablation).
+    round trip for the whole candidate list; disabling it sends a
+    one-row [Eval_batch] per node, reproducing the per-node-call cost
+    model of the paper's RMI filter (see the batching ablation).
     [fused_scan] (default true) lets the execution pipeline evaluate
     shares inside the [Scan_eval] request — axis scan and share
     evaluation in one message — instead of per-parent [Children] calls
@@ -39,16 +40,11 @@ val create :
     polynomials, 0 = off) bounds the LRU cache of regenerated client
     polynomials keyed by [pre]; regeneration is a pure function of the
     seed and [pre], so a cached entry is exact forever and eviction
-    can only cost time, never correctness.  An evaluation memo keyed
-    by [(pre, point)] rides along at 4x that capacity and is dropped
-    by {!clear_eval_memo}.
+    can only cost time, never correctness.  It is the client's only
+    cache.
 
     The filter keeps no counters: every counting call below takes the
     calling operator's [~counts] and adds its work there. *)
-
-val clear_eval_memo : t -> unit
-(** Drop the per-query evaluation memo (the polynomial cache itself
-    survives: its entries stay exact). *)
 
 val rpc_counters : t -> Secshare_rpc.Transport.counters
 val scan_batch : t -> int
@@ -101,14 +97,17 @@ val filter_scan_rows :
     evaluations with regenerated client shares and keep the rows
     passing the containment test at every point (counted in [counts],
     one evaluation pair per point).  With no points, strips the
-    (empty) value lists. *)
+    (empty) value lists.
+    @raise Filter_error on a row whose value count differs from the
+    point count, or with a value outside [\[0, q)]. *)
 
 (** {2 Oblivious aggregation} *)
 
 val agg_eval : t -> int list -> int * int
 (** One [Agg_eval] round trip: [(count, sum)] where [sum] is the
     server's blinded partial sum over the listed [pre]s — constant
-    reply bytes whatever the list length. *)
+    reply bytes whatever the list length.
+    @raise Filter_error on a sum outside [\[0, Numeric.modulus)]. *)
 
 val blind_sum : t -> int list -> int
 (** The client's half: the {!Numeric} sum of the PRG blinding values
@@ -125,8 +124,9 @@ val containment_batch :
   Secshare_rpc.Protocol.node_meta list
 (** Non-strict: keep the candidates whose subtree (including the node
     itself) contains a node mapped to [point].  One [Eval_batch] round
-    trip, or one [Eval] per node without [batch_eval]; one evaluation
-    pair per node in [counts] either way. *)
+    trip, or a one-row [Eval_batch] per node without [batch_eval]; one
+    evaluation pair per node in [counts] either way.  The verdict is
+    the one {!filter_scan_rows} uses, and refuses the same replies. *)
 
 val equality :
   t -> counts:Metrics.t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool

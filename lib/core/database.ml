@@ -240,7 +240,6 @@ let create_file ?config path =
 
 let run_query_on filter ~map ?(engine = Advanced) ?(strictness = Query_common.Strict)
     ?agg ast =
-  Client_filter.clear_eval_memo filter;
   (* one trace per query: the ambient id flows into every operator
      span and rides the frame header of every RPC the query makes *)
   let trace_id = Obs.Trace.genid () in

@@ -92,16 +92,3 @@ let add t ~key ~value =
   let node = { key; value; prev = None; next = None } in
   Hashtbl.replace t.table key node;
   push_front t node
-
-let find_or_add t key ~compute =
-  match find t key with
-  | Some v -> v
-  | None ->
-      let v = compute key in
-      add t ~key ~value:v;
-      v
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None

@@ -28,12 +28,6 @@ val remove : ('k, 'v) t -> 'k -> 'v option
 val oldest : ('k, 'v) t -> ('k * 'v) option
 (** The least recently used entry, without touching recency. *)
 
-val find_or_add : ('k, 'v) t -> 'k -> compute:('k -> 'v) -> 'v
-(** [find] then [add compute key] on a miss. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop every entry (capacity and counters are kept). *)
-
 type stats = { hits : int; misses : int; evictions : int }
 
 val stats : ('k, 'v) t -> stats

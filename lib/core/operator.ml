@@ -140,13 +140,14 @@ let contains_all filter stats metas points =
 
 (* --- fused scan plumbing -------------------------------------------- *)
 
-(* Drive a [Scan_eval] / [Scan_next] conversation over the upstream
-   batches: each upstream batch opens one scan (axis ranges + share
+(* Drive a [Scan_eval] / [Scan_next] conversation over the batches
+   [upstream] yields: each batch opens one scan (axis ranges + share
    evaluation in a single message), continuation batches stream through
    [Scan_next], and every batch is merged with the regenerated client
    shares so only rows containing [points] come out.  The open cursor
-   is tracked so teardown can release it eagerly. *)
-let fused_scan_stream filter stats ~points ~target_of_batch input =
+   is tracked so teardown can release it eagerly.  This is the client's
+   only cursor loop. *)
+let fused_scan_stream filter stats ~points ~target_of_batch upstream =
   let max_items = Client_filter.scan_batch filter in
   let cursor = ref None in
   let merge rows =
@@ -163,7 +164,7 @@ let fused_scan_stream filter stats ~points ~target_of_batch input =
         let metas = merge rows in
         if metas = [] then next_batch () else Some (Array.of_list metas)
     | None -> (
-        match pull stats input with
+        match upstream () with
         | None -> None
         | Some batch -> (
             match target_of_batch batch with
@@ -208,7 +209,8 @@ let scan_root name filter ~eval =
         fused_scan_stream filter stats ~points:[ point ]
           ~target_of_batch:(fun batch ->
             Some (Protocol.Children_of (pres_of (Array.to_list batch))))
-          (document_node_source ())
+          (let source = document_node_source () in
+           fun () -> pull stats source)
       in
       make ~close stats next_batch
   | _ ->
@@ -235,7 +237,7 @@ let scan_children name filter ~eval input =
         ~target_of_batch:(fun batch ->
           if Array.length batch = 0 then None
           else Some (Protocol.Children_of (pres_of (Array.to_list batch))))
-        input
+        (fun () -> pull stats input)
     in
     make ~close stats next_batch
   else
@@ -281,7 +283,7 @@ let scan_descendants name filter ~eval ~include_self input =
                     if include_self then (m.Protocol.pre, m.Protocol.post + 1)
                     else (m.Protocol.pre + 1, m.Protocol.post))
                   (Array.to_list batch))))
-      input
+      (fun () -> pull stats input)
   in
   make ~close stats next_batch
 
@@ -296,7 +298,7 @@ let pruned_scan name filter ~prune ~include_self input =
   let fused = Client_filter.fused_scan filter in
   let started = ref false in
   let frontier = ref [] in
-  let open_cursor = ref None in
+  let close_level = ref (fun () -> ()) in
   let gather_level level =
     if fused then begin
       (* first prune point rides in the scan; the rest drop out via
@@ -304,33 +306,23 @@ let pruned_scan name filter ~prune ~include_self input =
       let points, rest =
         match prune with [] -> ([], []) | p :: rest -> ([ p ], rest)
       in
-      let max_items = Client_filter.scan_batch filter in
-      let acc = ref [] in
-      let rows, k =
-        with_rpc filter stats (fun () ->
-            Client_filter.scan_eval filter
-              ~target:(Protocol.Children_of (pres_of level))
-              ~points ~max_items)
+      let pending = ref (Some (Array.of_list level)) in
+      let next_batch, close =
+        fused_scan_stream filter stats ~points
+          ~target_of_batch:(fun batch ->
+            Some (Protocol.Children_of (pres_of (Array.to_list batch))))
+          (fun () ->
+            let batch = !pending in
+            pending := None;
+            batch)
       in
-      let merge rows =
-        Client_filter.filter_scan_rows filter ~counts:stats.Metrics.counts rows ~points
+      close_level := close;
+      let rec drain acc =
+        match next_batch () with
+        | Some metas -> drain (metas :: acc)
+        | None -> List.concat_map Array.to_list (List.rev acc)
       in
-      acc := merge rows;
-      open_cursor := k;
-      let cursor = ref k in
-      while !cursor <> None do
-        match !cursor with
-        | None -> ()
-        | Some c ->
-            let rows, k =
-              with_rpc filter stats (fun () ->
-                  Client_filter.scan_next filter ~cursor:c ~max_items)
-            in
-            cursor := k;
-            open_cursor := k;
-            acc := List.rev_append (merge rows) !acc
-      done;
-      contains_all filter stats (List.rev !acc) rest
+      contains_all filter stats (drain []) rest
     end
     else
       let children =
@@ -376,12 +368,7 @@ let pruned_scan name filter ~prune ~include_self input =
         | keep -> Some (Array.of_list keep)
     end
   in
-  let close () =
-    let c = !open_cursor in
-    open_cursor := None;
-    Option.iter (close_cursor filter stats) c
-  in
-  make ~close stats next_batch
+  make ~close:(fun () -> !close_level ()) stats next_batch
 
 (* --- per-row transforms --------------------------------------------- *)
 

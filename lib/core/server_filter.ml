@@ -324,11 +324,6 @@ let handle t (request : Protocol.request) : Protocol.response =
   | Protocol.Cursor_close cursor ->
       Cursor_table.remove t.cursors cursor Client_close;
       Protocol.Pong
-  | Protocol.Eval { pre; point } -> (
-      let pt = Share.point t.ring point in
-      match Node_table.find_by_pre t.table pre with
-      | None -> Protocol.Error_msg (Printf.sprintf "unknown node pre=%d" pre)
-      | Some row -> Protocol.Value (eval_row t pt row))
   | Protocol.Eval_batch { pres; point } -> (
       (* one prepared point for the whole batch; each pool task is then
          a single Horner pass *)
@@ -356,13 +351,6 @@ let handle t (request : Protocol.request) : Protocol.response =
       with
       | shares -> Protocol.Shares_data shares
       | exception Failure msg -> Protocol.Error_msg msg)
-  | Protocol.Table_stats ->
-      Protocol.Stats
-        {
-          Protocol.rows = Node_table.row_count t.table;
-          data_bytes = Node_table.data_bytes t.table;
-          index_bytes = Node_table.index_bytes t.table;
-        }
   | Protocol.Manifest ->
       Protocol.Manifest_data
         (match t.manifest with

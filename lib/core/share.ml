@@ -24,8 +24,6 @@ let point (ring : Ring.t) x =
   if x = 0 then invalid_arg "Cyclic.eval: evaluation at 0 is not preserved by reduction";
   { x; kernel = Option.map (fun tab -> (tab, Flat.point_row tab ~point:x)) ring.Ring.table }
 
-let coordinate pt = pt.x
-
 let eval_packed (ring : Ring.t) pt packed =
   match pt.kernel with
   | Some (tab, mul_row) -> Flat.eval_share tab ~mul_row ~n:ring.Ring.n packed

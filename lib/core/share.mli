@@ -53,9 +53,6 @@ val point : Secshare_poly.Ring.t -> int -> point
     {!Secshare_poly.Cyclic.eval} (the cyclic reduction does not
     preserve evaluation at 0). *)
 
-val coordinate : point -> int
-(** The normalised field element, in [\[1, q)]. *)
-
 val eval_packed : Secshare_poly.Ring.t -> point -> bytes -> int
 (** [Cyclic.eval (Codec.unpack_cyclic share)] for a packed server
     share, validated exactly like [Codec.unpack].

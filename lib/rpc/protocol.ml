@@ -26,10 +26,8 @@ type request =
   | Children of int
   | Parent of int
   | Cursor_close of int
-  | Eval of { pre : int; point : int }
   | Eval_batch of { pres : int list; point : int }
   | Shares of int list
-  | Table_stats
   | Scan_eval of { target : scan_target; points : int list; max_items : int }
       (** Fused scan + evaluation: walk the target ranges and return
           each row's metadata together with its share evaluated at
@@ -45,16 +43,12 @@ type request =
           partial sum — the constant-size aggregation reply
           ([Agg_partial]), however many rows matched. *)
 
-type stats = { rows : int; data_bytes : int; index_bytes : int }
-
 type response =
   | Pong
   | Node_opt of node_meta option
   | Nodes of node_meta list
-  | Value of int
   | Values of int list
   | Shares_data of bytes list
-  | Stats of stats
   | Scan_batch of { rows : (node_meta * int list) list; cursor : int option }
       (** One batch of a fused scan: each row carries the server-share
           evaluations at the request's points, in order.  [cursor] is
@@ -90,16 +84,14 @@ let encode_request req =
       Wire.write_u8 w 3;
       Wire.write_u32 w pre
   (* tags 4 and 5, in both directions, belonged to a retired
-     materialising subtree cursor, and request tag 9 / response tag 8
-     to a retired single-share fetch: decoders reject them, and they
-     are never reused *)
+     materialising subtree cursor, request tag 9 / response tag 8 to
+     a retired single-share fetch, request tag 7 / response tag 6 to
+     the retired single-node evaluation (a one-row [Eval_batch] now)
+     and request tag 11 / response tag 10 to the retired table-stats
+     probe: decoders reject them, and they are never reused *)
   | Cursor_close cursor ->
       Wire.write_u8 w 6;
       Wire.write_u32 w cursor
-  | Eval { pre; point } ->
-      Wire.write_u8 w 7;
-      Wire.write_u32 w pre;
-      Wire.write_u32 w point
   | Eval_batch { pres; point } ->
       Wire.write_u8 w 8;
       Wire.write_list w (Wire.write_u32 w) pres;
@@ -107,7 +99,6 @@ let encode_request req =
   | Shares pres ->
       Wire.write_u8 w 10;
       Wire.write_list w (Wire.write_u32 w) pres
-  | Table_stats -> Wire.write_u8 w 11
   | Scan_eval { target; points; max_items } ->
       Wire.write_u8 w 12;
       (match target with
@@ -150,16 +141,11 @@ let decode_request s =
     | 2 -> Children (Wire.read_u32 r)
     | 3 -> Parent (Wire.read_u32 r)
     | 6 -> Cursor_close (Wire.read_u32 r)
-    | 7 ->
-        let pre = Wire.read_u32 r in
-        let point = Wire.read_u32 r in
-        Eval { pre; point }
     | 8 ->
         let pres = Wire.read_list r (fun () -> Wire.read_u32 r) in
         let point = Wire.read_u32 r in
         Eval_batch { pres; point }
     | 10 -> Shares (Wire.read_list r (fun () -> Wire.read_u32 r))
-    | 11 -> Table_stats
     | 12 ->
         let target =
           match Wire.read_u8 r with
@@ -205,20 +191,12 @@ let encode_response resp =
   | Nodes metas ->
       Wire.write_u8 w 3;
       Wire.write_list w (write_meta w) metas
-  | Value v ->
-      Wire.write_u8 w 6;
-      Wire.write_u32 w v
   | Values vs ->
       Wire.write_u8 w 7;
       Wire.write_list w (Wire.write_u32 w) vs
   | Shares_data bs ->
       Wire.write_u8 w 9;
       Wire.write_list w (Wire.write_bytes w) bs
-  | Stats { rows; data_bytes; index_bytes } ->
-      Wire.write_u8 w 10;
-      Wire.write_u32 w rows;
-      Wire.write_i64 w data_bytes;
-      Wire.write_i64 w index_bytes
   | Error_msg msg ->
       Wire.write_u8 w 11;
       Wire.write_string w msg
@@ -255,14 +233,8 @@ let decode_response s =
     | 1 -> Node_opt None
     | 2 -> Node_opt (Some (read_meta r))
     | 3 -> Nodes (Wire.read_list r (fun () -> read_meta r))
-    | 6 -> Value (Wire.read_u32 r)
     | 7 -> Values (Wire.read_list r (fun () -> Wire.read_u32 r))
     | 9 -> Shares_data (Wire.read_list r (fun () -> Wire.read_bytes r))
-    | 10 ->
-        let rows = Wire.read_u32 r in
-        let data_bytes = Wire.read_i64 r in
-        let index_bytes = Wire.read_i64 r in
-        Stats { rows; data_bytes; index_bytes }
     | 11 -> Error_msg (Wire.read_string r)
     | 12 ->
         let rows =
@@ -306,10 +278,8 @@ let request_name = function
   | Children _ -> "children"
   | Parent _ -> "parent"
   | Cursor_close _ -> "cursor_close"
-  | Eval _ -> "eval"
   | Eval_batch _ -> "eval_batch"
   | Shares _ -> "shares"
-  | Table_stats -> "table_stats"
   | Scan_eval _ -> "scan_eval"
   | Scan_next _ -> "scan_next"
   | Manifest -> "manifest"
@@ -326,15 +296,11 @@ let pp_request fmt = function
   (* pp_request runs on the trusted client only (protocol_error
      diagnostics, tests); the server formats requests solely through
      request_name, which carries no payload. *)
-  | Eval { pre; point } ->
-      (Format.fprintf fmt "Eval(pre=%d,point=%d)" pre point
-      [@lint.suppress
-        "secret-sink" ~reason:"client-side diagnostic printer; server uses request_name"])
   | Eval_batch { pres; point } ->
       (Format.fprintf fmt "Eval_batch(%d nodes,point=%d)" (List.length pres) point
-      [@lint.suppress "secret-sink" ~reason:"same: client-side diagnostic printer"])
+      [@lint.suppress
+        "secret-sink" ~reason:"client-side diagnostic printer; server uses request_name"])
   | Shares pres -> Format.fprintf fmt "Shares(%d nodes)" (List.length pres)
-  | Table_stats -> Format.pp_print_string fmt "Table_stats"
   | Scan_eval { target; points; max_items } ->
       let target_s =
         match target with
@@ -355,12 +321,8 @@ let pp_response fmt = function
   | Node_opt None -> Format.pp_print_string fmt "Node_opt(none)"
   | Node_opt (Some m) -> Format.fprintf fmt "Node_opt%a" pp_meta m
   | Nodes metas -> Format.fprintf fmt "Nodes(%d)" (List.length metas)
-  | Value v -> Format.fprintf fmt "Value(%d)" v
   | Values vs -> Format.fprintf fmt "Values(%d)" (List.length vs)
   | Shares_data bs -> Format.fprintf fmt "Shares_data(%d)" (List.length bs)
-  | Stats s ->
-      Format.fprintf fmt "Stats(rows=%d,data=%d,index=%d)" s.rows s.data_bytes
-        s.index_bytes
   | Scan_batch { rows; cursor } ->
       Format.fprintf fmt "Scan_batch(%d,%s)" (List.length rows)
         (match cursor with None -> "exhausted" | Some c -> Printf.sprintf "cursor=%d" c)

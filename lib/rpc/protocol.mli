@@ -2,7 +2,7 @@
 
     This is the message vocabulary of the paper's [Filter] interface
     (§5.2): tree-structure queries ([Root], [Children], [Parent]),
-    share evaluation on the server ([Eval], [Eval_batch]), raw share
+    share evaluation on the server ([Eval_batch]), raw share
     fetch for the equality test ([Shares]), and one cursor
     discipline mirroring the [nextNode()] pipeline — "the thin client
     only needs to have one node in memory at a time.  The big server
@@ -15,8 +15,8 @@
 
     Everything is structural metadata and share data; tag names and the
     map never cross the wire.  Request and response tags 4 and 5,
-    request tag 9 and response tag 8 are retired: the decoders reject
-    them and they are never reused. *)
+    request tags 7, 9 and 11 and response tags 6, 8 and 10 are
+    retired: the decoders reject them and they are never reused. *)
 
 type node_meta = { pre : int; post : int; parent : int }
 
@@ -56,11 +56,11 @@ type request =
   | Children of int  (** parent's [pre] *)
   | Parent of int  (** child's [pre] *)
   | Cursor_close of int  (** abandon a [Scan_eval] cursor; answered with [Pong] *)
-  | Eval of { pre : int; point : int }
-      (** evaluate the stored share of node [pre] at [point] *)
   | Eval_batch of { pres : int list; point : int }
+      (** evaluate the stored shares of the listed nodes at [point],
+          answered with [Values] in the same order; the per-node
+          client sends one-row batches *)
   | Shares of int list  (** raw shares of the listed nodes, in order *)
-  | Table_stats
   | Scan_eval of { target : scan_target; points : int list; max_items : int }
       (** Fused axis scan + share evaluation: one round trip returns a
           batch of scanned rows, each with its server-share evaluated
@@ -84,16 +84,12 @@ type request =
           node-set fetch reveals — and receives a constant-size reply
           whatever the selectivity. *)
 
-type stats = { rows : int; data_bytes : int; index_bytes : int }
-
 type response =
   | Pong
   | Node_opt of node_meta option
   | Nodes of node_meta list
-  | Value of int
   | Values of int list
   | Shares_data of bytes list
-  | Stats of stats
   | Scan_batch of { rows : (node_meta * int list) list; cursor : int option }
       (** One batch of a fused scan; [cursor] is present when more
           rows remain. *)

@@ -478,17 +478,6 @@ let per_partition t pres ~empty f =
     chunks;
   Array.to_list results
 
-let eval_one t ~pre ~point =
-  on_group t ~partition:(partition_of t pre) (fun group lambdas ->
-      let values =
-        gather t group ~what:"eval" (Protocol.Eval { pre; point }) (function
-          | Protocol.Value v ->
-              check_values t [ v ];
-              Some v
-          | _ -> None)
-      in
-      Protocol.Value (Shamir.combine t.ring ~lambdas values))
-
 let eval_batch t ~pres ~point =
   Protocol.Values
     (per_partition t pres ~empty:0 (fun group lambdas sub_pres ->
@@ -559,10 +548,9 @@ let dispatch t request =
   match request with
   | Protocol.Ping -> Protocol.Pong
   | Protocol.Manifest -> Protocol.Manifest_data (Manifest.to_info t.manifest)
-  | Protocol.Root | Protocol.Table_stats -> forward_one t ~partition:0 request
+  | Protocol.Root -> forward_one t ~partition:0 request
   | Protocol.Children parent -> forward_one t ~partition:(partition_of t parent) request
   | Protocol.Parent pre -> forward_one t ~partition:(partition_of t pre) request
-  | Protocol.Eval { pre; point } -> eval_one t ~pre ~point
   | Protocol.Eval_batch { pres; point } -> eval_batch t ~pres ~point
   | Protocol.Shares pres -> shares_batch t pres
   | Protocol.Agg_eval { pres } -> agg_eval t pres

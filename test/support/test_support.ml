@@ -80,7 +80,8 @@ module Flaky = struct
     | Stall of float  (** read the request, sleep, then drop the link *)
     | Close_before_reply  (** read the request, close without answering *)
     | Truncate_reply  (** send half a frame, then close *)
-    | Garbage_reply  (** a well-framed but undecodable payload *)
+    | Garbage_reply of string
+        (** a well-framed payload sent verbatim, meant to be undecodable *)
 
   type t = {
     path : string;
@@ -136,8 +137,8 @@ module Flaky = struct
                    (Unix.write fd (Bytes.of_string partial) 0 (String.length partial))
                with Failure _ | Unix.Unix_error _ -> ());
               finished := true
-          | Some Garbage_reply -> (
-              match Frame.send ~trace_id fd "\xde\xad\xbe\xef" with
+          | Some (Garbage_reply payload) -> (
+              match Frame.send ~trace_id fd payload with
               | () -> ()
               | exception (Failure _ | Unix.Unix_error _) -> finished := true))
     done;

@@ -171,9 +171,7 @@ let test_lru_basics () =
   check Alcotest.(option string) "3 kept" (Some "c") (Lru.find lru 3);
   let s = Lru.stats lru in
   check Alcotest.int "evictions" 1 s.Lru.evictions;
-  check Alcotest.int "size" 2 (Lru.size lru);
-  Lru.clear lru;
-  check Alcotest.int "cleared" 0 (Lru.size lru)
+  check Alcotest.int "size" 2 (Lru.size lru)
 
 let prop_lru_never_exceeds_capacity =
   QCheck2.Test.make ~name:"lru size <= capacity" ~count:100

@@ -346,7 +346,6 @@ let test_zero_point_rejected () =
           | Error_msg msg -> check Alcotest.string label zero_point msg
           | r -> Alcotest.failf "%s answered %s" label (Format.asprintf "%a" pp_response r))
         [
-          ("Eval", Eval { pre = 1; point = zero });
           ("empty Eval_batch", Eval_batch { pres = []; point = zero });
           ("Eval_batch", Eval_batch { pres = [ 1; 2; 3 ]; point = zero });
           ( "Scan_eval over no rows",
@@ -373,7 +372,8 @@ let test_corrupt_share_surfaces () =
     };
   let server = Secshare_core.Server_filter.create ring table in
   match
-    Secshare_core.Server_filter.handler server (Secshare_rpc.Protocol.Eval { pre = 1; point = 5 })
+    Secshare_core.Server_filter.handler server
+      (Secshare_rpc.Protocol.Eval_batch { pres = [ 1 ]; point = 5 })
   with
   | Secshare_rpc.Protocol.Error_msg _ -> ()
   | r ->

@@ -354,21 +354,65 @@ let test_bad_field_rejected_without_leak () =
         [ (83, 0); (84, 1) ];
       check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
 
-(* A server whose Shares_data replies are malformed.  The client checks
-   every share it reconstructs, so the query fails with a filter error,
-   in-process and over a socket, on a field with byte tables (F_83) and
-   on one without (F_257) — never with a stray exception or an answer. *)
+(* A server whose replies are malformed.  The client checks every
+   share it reconstructs, every evaluation it combines and every
+   aggregate sum it unblinds, so the query fails with a filter error,
+   in-process and over a socket — never with a stray exception or an
+   answer.  Shares are corrupted on a field with byte tables (F_83)
+   and on one without (F_257); evaluations and sums are pushed out of
+   their field (by q, resp. the numeric modulus) on F_83 and
+   GF(3^4). *)
 let test_malformed_shares_reply () =
   let doc =
     Result.get_ok
       (Secshare_xml.Tree.of_string
-         "<site><regions><europe><item><name/></item><item/></europe></regions></site>")
+         ("<site><regions><europe><item><name/><price>3.50</price></item>"
+         ^ "<item><price>1.25</price></item></europe></regions></site>"))
+  in
+  let fused = DB.default_client_config in
+  let batched = { fused with DB.rpc_fused_scan = false } in
+  let per_node = { batched with DB.rpc_batching = false } in
+  let item = "/site/regions/europe/item" in
+  let lying_query ~p ~e ~db ~label ~client ~lie ~query ~engine ~strictness ~expect =
+    let server =
+      Server_filter.create ?numbers:(DB.numbers_table db) (DB.ring db) (DB.table db)
+    in
+    let handler request = lie (Server_filter.handler server request) in
+    let mapping = DB.mapping db and seed = DB.seed db in
+    let expect_filter_error how handle =
+      let label = Printf.sprintf "%s, %s" label how in
+      Fun.protect
+        ~finally:(fun () -> DB.close handle)
+        (fun () ->
+          match DB.query ~engine ~strictness handle query with
+          | Error msg ->
+              check Alcotest.string label expect
+                (String.sub msg 0 (min (String.length msg) (String.length expect)))
+          | Ok _ -> Alcotest.failf "%s: answered" label
+          | exception exn ->
+              Alcotest.failf "%s: raised %s" label (Printexc.to_string exn))
+    in
+    Fun.protect
+      ~finally:(fun () -> Server_filter.close server)
+      (fun () ->
+        (match
+           DB.of_transport ~client ~p ~e ~mapping ~seed (Transport.local ~handler)
+         with
+        | Ok handle -> expect_filter_error "in-process" handle
+        | Error e -> Alcotest.fail e);
+        let path = Filename.temp_file "ssdb-lying" ".sock" in
+        Sys.remove path;
+        let flaky = Test_support.Flaky.start ~handler ~plan:(fun _ -> None) path in
+        Fun.protect
+          ~finally:(fun () -> Test_support.Flaky.stop flaky)
+          (fun () ->
+            match DB.connect ~client ~p ~e ~mapping ~seed ~path () with
+            | Ok handle -> expect_filter_error "socket" handle
+            | Error e -> Alcotest.fail e))
   in
   List.iter
     (fun p ->
       let db = Test_support.db_of_tree ~p doc in
-      let server = Server_filter.create (DB.ring db) (DB.table db) in
-      let mapping = DB.mapping db and seed = DB.seed db in
       let bits = Secshare_poly.Codec.bits_per_coeff p in
       (* the first coefficient decodes to 2^bits - 1 >= q *)
       let out_of_range share =
@@ -381,46 +425,62 @@ let test_malformed_shares_reply () =
       in
       List.iter
         (fun (what, corrupt) ->
-          let handler request =
-            match Server_filter.handler server request with
-            | Protocol.Shares_data shares -> Protocol.Shares_data (List.map corrupt shares)
-            | response -> response
-          in
-          let expect_filter_error how handle =
-            let label = Printf.sprintf "F_%d %s shares, %s" p what how in
-            Fun.protect
-              ~finally:(fun () -> DB.close handle)
-              (fun () ->
-                match
-                  DB.query ~engine:DB.Advanced ~strictness:QC.Strict handle
-                    "/site/regions/europe/item"
-                with
-                | Error msg ->
-                    let prefix = "filter: malformed Shares_data reply: " in
-                    check Alcotest.string label prefix
-                      (String.sub msg 0 (min (String.length msg) (String.length prefix)))
-                | Ok _ -> Alcotest.failf "%s: answered" label
-                | exception exn ->
-                    Alcotest.failf "%s: raised %s" label (Printexc.to_string exn))
-          in
-          (match DB.of_transport ~p ~e:1 ~mapping ~seed (Transport.local ~handler) with
-          | Ok handle -> expect_filter_error "in-process" handle
-          | Error e -> Alcotest.fail e);
-          let path = Filename.temp_file "ssdb-lying" ".sock" in
-          Sys.remove path;
-          let flaky = Test_support.Flaky.start ~handler ~plan:(fun _ -> None) path in
-          Fun.protect
-            ~finally:(fun () -> Test_support.Flaky.stop flaky)
-            (fun () ->
-              match DB.connect ~p ~e:1 ~mapping ~seed ~path () with
-              | Ok handle -> expect_filter_error "socket" handle
-              | Error e -> Alcotest.fail e))
+          lying_query ~p ~e:1 ~db
+            ~label:(Printf.sprintf "F_%d %s shares" p what)
+            ~client:fused
+            ~lie:(function
+              | Protocol.Shares_data shares ->
+                  Protocol.Shares_data (List.map corrupt shares)
+              | response -> response)
+            ~query:item ~engine:DB.Advanced ~strictness:QC.Strict
+            ~expect:"filter: malformed Shares_data reply: ")
         [
           ("halved", fun share -> Bytes.sub share 0 (Bytes.length share / 2));
           ("out-of-range", out_of_range);
         ];
-      Server_filter.close server)
-    [ 83; 257 ]
+      DB.close db)
+    [ 83; 257 ];
+  List.iter
+    (fun (p, e) ->
+      let db = Test_support.db_of_tree ~p ~e doc in
+      let q = (DB.ring db).Secshare_poly.Ring.order in
+      let label what =
+        if e = 1 then Printf.sprintf "F_%d %s" p what
+        else Printf.sprintf "GF(%d^%d) %s" p e what
+      in
+      let shift = List.map (fun v -> v + q) in
+      List.iter
+        (fun (what, client) ->
+          lying_query ~p ~e ~db ~label:(label what) ~client
+            ~lie:(function
+              | Protocol.Values vs -> Protocol.Values (shift vs)
+              | response -> response)
+            ~query:item ~engine:DB.Simple ~strictness:QC.Non_strict
+            ~expect:"filter: malformed Values reply: value outside the field")
+        [ ("batched values + q", batched); ("per-node values + q", per_node) ];
+      lying_query ~p ~e ~db ~label:(label "scan values + q") ~client:fused
+        ~lie:(function
+          | Protocol.Scan_batch { rows; cursor } ->
+              Protocol.Scan_batch
+                { rows = List.map (fun (meta, vs) -> (meta, shift vs)) rows; cursor }
+          | response -> response)
+        ~query:item ~engine:DB.Simple ~strictness:QC.Non_strict
+        ~expect:"filter: malformed Scan_batch reply: value outside the field";
+      List.iter
+        (fun query ->
+          lying_query ~p ~e ~db
+            ~label:(label (query ^ ", sum + modulus"))
+            ~client:fused
+            ~lie:(function
+              | Protocol.Agg_partial { count; sum } ->
+                  Protocol.Agg_partial
+                    { count; sum = sum + Secshare_core.Numeric.modulus }
+              | response -> response)
+            ~query ~engine:DB.Advanced ~strictness:QC.Strict
+            ~expect:"filter: malformed Agg_partial reply: sum outside the field")
+        [ "sum(//price)"; "avg(//price)" ];
+      DB.close db)
+    [ (83, 1); (3, 4) ]
 
 let () =
   Alcotest.run "remote"

@@ -62,12 +62,9 @@ let gen_request =
         map (fun p -> Protocol.Children p) (int_range 0 100000);
         map (fun p -> Protocol.Parent p) (int_range 0 100000);
         map (fun c -> Protocol.Cursor_close c) (int_range 0 1000);
-        map (fun (p, x) -> Protocol.Eval { pre = p; point = x })
-          (pair (int_range 0 100000) (int_range 1 82));
         map (fun (ps, x) -> Protocol.Eval_batch { pres = ps; point = x })
           (pair (list_size (int_range 0 20) (int_range 0 100000)) (int_range 1 82));
         map (fun ps -> Protocol.Shares ps) (list_size (int_range 0 20) (int_range 0 100000));
-        return Protocol.Table_stats;
         map
           (fun (ps, (xs, m)) ->
             Protocol.Scan_eval
@@ -107,12 +104,8 @@ let gen_response =
         return (Protocol.Node_opt None);
         map (fun m -> Protocol.Node_opt (Some m)) gen_meta;
         map (fun ms -> Protocol.Nodes ms) (list_size (int_range 0 20) gen_meta);
-        map (fun v -> Protocol.Value v) (int_range 0 100000);
         map (fun vs -> Protocol.Values vs) (list_size (int_range 0 30) (int_range 0 100000));
         map (fun bs -> Protocol.Shares_data bs) (list_size (int_range 0 10) gen_bytes);
-        map
-          (fun (r, d, i) -> Protocol.Stats { rows = r; data_bytes = d; index_bytes = i })
-          (triple (int_range 0 100000) (int_range 0 10000000) (int_range 0 10000000));
         map (fun s -> Protocol.Error_msg s) (string_size (int_range 0 40));
         map
           (fun (rows, c) -> Protocol.Scan_batch { rows; cursor = c })
@@ -186,10 +179,8 @@ let pinned_requests =
     (Children 17, "0211000000");
     (Parent 18, "0312000000");
     (Cursor_close 9, "0609000000");
-    (Eval { pre = 42; point = 5 }, "072a00000005000000");
     (Eval_batch { pres = [ 1; 2; 70000 ]; point = 82 }, "080300000001000000020000007011010052000000");
     (Shares [ 4; 5 ], "0a020000000400000005000000");
-    (Table_stats, "0b");
     ( Scan_eval { target = Children_of [ 1; 9 ]; points = [ 5; 17 ]; max_items = 256 },
       "0c0002000000010000000900000002000000050000001100000000010000" );
     ( Scan_eval { target = Pre_ranges [ (2, 40); (50, 60) ]; points = []; max_items = 64 },
@@ -209,11 +200,8 @@ let pinned_responses =
     (Node_opt None, "01");
     (Node_opt (Some meta), "02070000002c01000001000000");
     (Nodes [ meta; meta ], "0302000000070000002c01000001000000070000002c01000001000000");
-    (Value 81, "0651000000");
     (Values [ 0; 82 ], "07020000000000000052000000");
     (Shares_data [ Bytes.empty; Bytes.of_string "z" ], "090200000000000000010000007a");
-    ( Stats { rows = 12; data_bytes = 1 lsl 40; index_bytes = 3 },
-      "0a0c00000000000000000100000300000000000000" );
     (Error_msg "unknown cursor 3", "0b10000000756e6b6e6f776e20637572736f722033");
     ( Scan_batch { rows = [ (meta, [ 1; 2 ]) ]; cursor = Some 5 },
       "0c01000000070000002c010000010000000200000001000000020000000105000000" );
@@ -247,11 +235,23 @@ let test_pinned_encodings () =
    decoders. *)
 let retired_frames = [ "\x04\x01\x00\x00\x00\x09\x00\x00\x00"; "\x05\x01\x00\x00\x00\x40\x00\x00\x00"; "\x04"; "\x05" ]
 
-(* Request tag 9 and response tag 8 belonged to the retired
-   single-share fetch ([Share]/[Share_data]), in the encodings they
-   used to have.  The other direction's tags 8 and 9 are live. *)
-let retired_requests = retired_frames @ [ "\x09\x03\x00\x00\x00" ]
-let retired_responses = retired_frames @ [ "\x08\x04\x00\x00\x00\x00\xff\x61\x62" ]
+(* Request tag 9 / response tag 8 belonged to the retired single-share
+   fetch ([Share]/[Share_data]), request tag 7 / response tag 6 to the
+   retired single-node evaluation ([Eval]/[Value], now a one-row
+   [Eval_batch]), and request tag 11 / response tag 10 to the retired
+   table-stats probe ([Table_stats]/[Stats]), each in the encoding it
+   used to have.  The other direction's tags 6 to 11 are live. *)
+let retired_requests =
+  retired_frames
+  @ [ "\x09\x03\x00\x00\x00"; "\x07\x2a\x00\x00\x00\x05\x00\x00\x00"; "\x0b" ]
+
+let retired_responses =
+  retired_frames
+  @ [
+      "\x08\x04\x00\x00\x00\x00\xff\x61\x62";
+      "\x06\x51\x00\x00\x00";
+      "\x0a\x0c\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00";
+    ]
 
 let test_retired_tags_rejected () =
   let cursor_batch = "\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00" in
@@ -374,18 +374,22 @@ let structured_fuzz_suite =
 
 (* --- transports --- *)
 
-(* A tiny handler: Eval returns pre + point, Children returns one fake
-   node, everything else pongs. *)
+(* A tiny handler: Eval_batch returns pre + point for each pre,
+   Children returns one fake node, everything else pongs. *)
 let toy_handler : Protocol.request -> Protocol.response = function
-  | Protocol.Eval { pre; point } -> Protocol.Value (pre + point)
+  | Protocol.Eval_batch { pres; point } ->
+      Protocol.Values (List.map (fun pre -> pre + point) pres)
   | Protocol.Children parent ->
       Protocol.Nodes [ { Protocol.pre = parent + 1; post = parent + 2; parent } ]
   | _ -> Protocol.Pong
 
+(* A one-row [Eval_batch]: the toy handler answers [Values [ pre + point ]]. *)
+let one_eval pre point = Protocol.Eval_batch { pres = [ pre ]; point }
+
 let test_local_transport () =
   let t = Transport.local ~handler:toy_handler in
-  (match Transport.call t (Protocol.Eval { pre = 40; point = 2 }) with
-  | Protocol.Value 42 -> ()
+  (match Transport.call t (one_eval 40 2) with
+  | Protocol.Values [ 42 ] -> ()
   | r -> Alcotest.failf "unexpected %s" (Format.asprintf "%a" Protocol.pp_response r));
   let counters = Transport.counters t in
   check Alcotest.int "calls" 1 counters.Transport.calls;
@@ -404,8 +408,8 @@ let test_socket_transport () =
       | Error e -> Alcotest.fail e
       | Ok t ->
           for i = 0 to 20 do
-            match Transport.call t (Protocol.Eval { pre = i; point = 1 }) with
-            | Protocol.Value v -> check Alcotest.int "value" (i + 1) v
+            match Transport.call t (one_eval i 1) with
+            | Protocol.Values [ v ] -> check Alcotest.int "value" (i + 1) v
             | r -> Alcotest.failf "unexpected %s" (Format.asprintf "%a" Protocol.pp_response r)
           done;
           (match Transport.call t (Protocol.Children 7) with
@@ -428,8 +432,8 @@ let test_socket_multiple_clients () =
       in
       List.iteri
         (fun i t ->
-          match Transport.call t (Protocol.Eval { pre = 100 * i; point = 5 }) with
-          | Protocol.Value v -> check Alcotest.int "value" ((100 * i) + 5) v
+          match Transport.call t (one_eval (100 * i) 5) with
+          | Protocol.Values [ v ] -> check Alcotest.int "value" ((100 * i) + 5) v
           | _ -> Alcotest.fail "call failed")
         clients;
       List.iter Transport.close clients)
@@ -457,8 +461,8 @@ let test_server_survives_handler_exception () =
           | Protocol.Error_msg _ -> ()
           | _ -> Alcotest.fail "expected handler error");
           (* connection must still work *)
-          (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
-          | Protocol.Value 2 -> ()
+          (match Transport.call t (one_eval 1 1) with
+          | Protocol.Values [ 2 ] -> ()
           | _ -> Alcotest.fail "connection broken after handler error");
           Transport.close t)
 
@@ -490,8 +494,8 @@ let test_retired_tag_over_socket () =
                     (String.length msg >= 6 && String.sub msg 0 6 = "codec:")
               | r -> Alcotest.failf "retired tag answered with %a" Protocol.pp_response r)
             retired_requests;
-          match roundtrip (Protocol.encode_request (Protocol.Eval { pre = 40; point = 2 })) with
-          | Protocol.Value 42 -> ()
+          match roundtrip (Protocol.encode_request (one_eval 40 2)) with
+          | Protocol.Values [ 42 ] -> ()
           | r -> Alcotest.failf "connection broken: %a" Protocol.pp_response r))
 
 (* --- resilience: deadlines, retry, reconnect, drain --- *)
@@ -547,8 +551,8 @@ let test_retry_reconnects () =
     (fun n -> if n = 1 then Some Flaky.Close_before_reply else None)
     (fun _flaky path ->
       let t = must_connect ~policy:fast_policy path in
-      (match Transport.call t (Protocol.Eval { pre = 40; point = 2 }) with
-      | Protocol.Value 42 -> ()
+      (match Transport.call t (one_eval 40 2) with
+      | Protocol.Values [ 42 ] -> ()
       | r -> Alcotest.failf "expected recovery, got %a" Protocol.pp_response r);
       let counters = Transport.counters t in
       check Alcotest.int "one retry" 1 counters.Transport.retries;
@@ -560,8 +564,8 @@ let test_truncated_reply_recovers () =
     (fun n -> if n = 1 then Some Flaky.Truncate_reply else None)
     (fun _flaky path ->
       let t = must_connect ~policy:fast_policy path in
-      (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
-      | Protocol.Value 2 -> ()
+      (match Transport.call t (one_eval 1 1) with
+      | Protocol.Values [ 2 ] -> ()
       | r -> Alcotest.failf "expected recovery, got %a" Protocol.pp_response r);
       check Alcotest.bool "reconnected" true
         ((Transport.counters t).Transport.reconnects >= 1);
@@ -582,20 +586,26 @@ let test_scan_next_never_retried () =
       Transport.close t)
 
 let test_protocol_error_not_retried () =
-  (* an undecodable reply from a live peer is a protocol error: no
-     retry, and the connection stays usable *)
+  (* an undecodable reply from a live peer — garbage, or a retired
+     response tag — is a protocol error: no retry, and the connection
+     stays usable *)
+  let replies = Array.of_list ("\xde\xad\xbe\xef" :: retired_responses) in
+  let n_bad = Array.length replies in
   with_flaky ~handler:toy_handler
-    (fun n -> if n = 1 then Some Flaky.Garbage_reply else None)
+    (fun n -> if n <= n_bad then Some (Flaky.Garbage_reply replies.(n - 1)) else None)
     (fun _flaky path ->
       let t = must_connect ~policy:fast_policy path in
-      (match Transport.call t Protocol.Ping with
-      | Protocol.Error_msg msg ->
-          check Alcotest.bool "codec error" true
-            (String.length msg >= 5 && String.sub msg 0 5 = "codec")
-      | r -> Alcotest.failf "expected codec error, got %a" Protocol.pp_response r);
+      Array.iter
+        (fun _ ->
+          match Transport.call t Protocol.Ping with
+          | Protocol.Error_msg msg ->
+              check Alcotest.bool ("codec error: " ^ msg) true
+                (String.length msg >= 6 && String.sub msg 0 6 = "codec:")
+          | r -> Alcotest.failf "expected codec error, got %a" Protocol.pp_response r)
+        replies;
       check Alcotest.int "no retries" 0 (Transport.counters t).Transport.retries;
-      (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
-      | Protocol.Value 2 -> ()
+      (match Transport.call t (one_eval 1 1) with
+      | Protocol.Values [ 2 ] -> ()
       | r -> Alcotest.failf "connection broken: %a" Protocol.pp_response r);
       check Alcotest.int "no reconnect" 0 (Transport.counters t).Transport.reconnects;
       Transport.close t)
@@ -611,16 +621,16 @@ let test_server_restart_recovery () =
       ~policy:{ fast_policy with Transport.max_retries = 5; call_timeout = Some 1.0 }
       path
   in
-  (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
-  | Protocol.Value 2 -> ()
+  (match Transport.call t (one_eval 1 1) with
+  | Protocol.Values [ 2 ] -> ()
   | r -> Alcotest.failf "before restart: %a" Protocol.pp_response r);
   Server.stop server;
   let server = Server.start ~path ~handler:toy_handler in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
-      (match Transport.call t (Protocol.Eval { pre = 40; point = 2 }) with
-      | Protocol.Value 42 -> ()
+      (match Transport.call t (one_eval 40 2) with
+      | Protocol.Values [ 42 ] -> ()
       | r -> Alcotest.failf "after restart: %a" Protocol.pp_response r);
       check Alcotest.bool "reconnected" true
         ((Transport.counters t).Transport.reconnects >= 1);
@@ -638,7 +648,7 @@ let test_stopped_server_fails_fast () =
   | r -> Alcotest.failf "ping failed: %a" Protocol.pp_response r);
   Server.stop server;
   let t0 = Unix.gettimeofday () in
-  (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
+  (match Transport.call t (one_eval 1 1) with
   | Protocol.Error_msg _ -> ()
   | r -> Alcotest.failf "expected failure, got %a" Protocol.pp_response r);
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -650,7 +660,7 @@ let test_graceful_drain () =
      out) before returning, then leave no handler thread behind *)
   let slow_handler request =
     match request with
-    | Protocol.Eval _ ->
+    | Protocol.Eval_batch _ ->
         Thread.delay 0.3;
         toy_handler request
     | r -> toy_handler r
@@ -662,7 +672,7 @@ let test_graceful_drain () =
   let result = ref None in
   let client =
     Thread.create
-      (fun () -> result := Some (Transport.call t (Protocol.Eval { pre = 40; point = 2 })))
+      (fun () -> result := Some (Transport.call t (one_eval 40 2)))
       ()
   in
   Thread.delay 0.1;
@@ -671,7 +681,7 @@ let test_graceful_drain () =
   let stop_elapsed = Unix.gettimeofday () -. t0 in
   Thread.join client;
   (match !result with
-  | Some (Protocol.Value 42) -> ()
+  | Some (Protocol.Values [ 42 ]) -> ()
   | Some r -> Alcotest.failf "in-flight request lost: %a" Protocol.pp_response r
   | None -> Alcotest.fail "client never finished");
   check Alcotest.bool "stop waited for the in-flight request" true (stop_elapsed > 0.05);
@@ -747,8 +757,8 @@ let test_many_concurrent_connections () =
           for round = 1 to 3 do
             Array.iteri
               (fun i t ->
-                match Transport.call t (Protocol.Eval { pre = 40 + i; point = round }) with
-                | Protocol.Value v ->
+                match Transport.call t (one_eval (40 + i) round) with
+                | Protocol.Values [ v ] ->
                     check Alcotest.int
                       (Printf.sprintf "conn %d round %d" i round)
                       (40 + i + round) v

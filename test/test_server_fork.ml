@@ -18,11 +18,11 @@ module Server = Secshare_rpc.Server
 module Frame = Secshare_rpc.Frame
 
 let handler : Protocol.request -> Protocol.response = function
-  | Protocol.Eval { pre; point } ->
+  | Protocol.Eval_batch { pres; point } ->
       (* long enough for the client to close its socket before the
          reply write happens *)
       Unix.sleepf 0.3;
-      Protocol.Value (pre + point)
+      Protocol.Values (List.map (fun pre -> pre + point) pres)
   | _ -> Protocol.Pong
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("FAIL: " ^ msg); exit 1) fmt
@@ -59,7 +59,8 @@ let () =
              vanish before it arrives *)
           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           Unix.connect fd (Unix.ADDR_UNIX path);
-          Frame.send fd (Protocol.encode_request (Protocol.Eval { pre = 1; point = 1 }));
+          Frame.send fd
+            (Protocol.encode_request (Protocol.Eval_batch { pres = [ 1 ]; point = 1 }));
           Unix.close fd;
           (* give the server time to attempt the doomed write *)
           Unix.sleepf 0.6;
@@ -72,8 +73,10 @@ let () =
           (match Transport.socket path with
           | Error e -> fail "reconnect after disconnect mid-write: %s" e
           | Ok t ->
-              (match Transport.call t (Protocol.Eval { pre = 40; point = 2 }) with
-              | Protocol.Value 42 -> ()
+              (match
+                 Transport.call t (Protocol.Eval_batch { pres = [ 40 ]; point = 2 })
+               with
+              | Protocol.Values [ 42 ] -> ()
               | r ->
                   fail "server broken after disconnect: %s"
                     (Format.asprintf "%a" Protocol.pp_response r));
