@@ -9,8 +9,11 @@ open Cmdliner
 module Mapping = Secshare_core.Mapping
 module Encode = Secshare_core.Encode
 module Seed = Secshare_prg.Seed
+module Ring = Secshare_poly.Ring
+module Node_table = Secshare_store.Node_table
+module Manifest = Secshare_shard.Manifest
 
-let err fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
+let err = Cli.err
 
 let load_or_create_seed path =
   if Sys.file_exists path then Seed.load path
@@ -21,11 +24,7 @@ let load_or_create_seed path =
     Ok seed
   end
 
-let load_or_create_mapping path ~p ~e ~trie xml_path =
-  let q =
-    let rec pow acc i = if i = 0 then acc else pow (acc * p) (i - 1) in
-    pow 1 e
-  in
+let load_or_create_mapping path ~q ~trie xml_path =
   if Sys.file_exists path then Mapping.load path
   else begin
     match In_channel.with_open_bin xml_path In_channel.input_all with
@@ -48,7 +47,38 @@ let load_or_create_mapping path ~p ~e ~trie xml_path =
                 Ok m))
   end
 
-let nums_path db_path = db_path ^ ".nums"
+(* Encode the document at [xml_path] into [table] and [numbers]. *)
+let encode_file ring ~mapping ~seed ~trie ~agg_scale ~table ~numbers xml_path =
+  match open_in_bin xml_path with
+  | exception Sys_error m -> Error (Encode.Xml_error m)
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          Encode.encode_channel ring ~mapping ~seed ~table ~numbers ~agg_scale ?trie ic)
+
+let encode_single ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
+    ~checkpoint_every xml_path =
+  let table = Node_table.create_file ~durable ?checkpoint_every db_path in
+  let numbers =
+    Node_table.create_file ~durable ?checkpoint_every (Cli.nums_path db_path)
+  in
+  let result =
+    encode_file ring ~mapping ~seed ~trie ~agg_scale ~table ~numbers xml_path
+  in
+  let data_bytes = Node_table.data_bytes table in
+  Node_table.close table;
+  Node_table.close numbers;
+  match result with
+  | Error e -> err "encoding failed: %s" (Encode.error_to_string e)
+  | Ok stats ->
+      Printf.printf
+        "encoded %d nodes (%d elements, %d trie nodes, %d numeric) in %.2f s\n\
+         database: %s (%d data bytes), numeric column: %s\n"
+        stats.Encode.nodes stats.Encode.elements stats.Encode.trie_nodes
+        stats.Encode.numeric_nodes stats.Encode.duration_seconds db_path data_bytes
+        (Cli.nums_path db_path);
+      `Ok 0
 
 (* Sharded output: encode into a scratch in-memory table, then deal
    every server share into n Shamir shard tables (threshold t) with a
@@ -58,33 +88,24 @@ let nums_path db_path = db_path ^ ".nums"
    (discarded) seed into one X.shardI.nums file per shard. *)
 let encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
     ~checkpoint_every ~shards ~threshold xml_path =
-  let module Node_table = Secshare_store.Node_table in
-  let module Manifest = Secshare_shard.Manifest in
   let source = Node_table.create () in
   let num_source = Node_table.create () in
-  let result =
-    match open_in_bin xml_path with
-    | exception Sys_error m -> Error (Encode.Xml_error m)
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            Encode.encode_channel ring ~mapping ~seed ~table:source
-              ~numbers:num_source ~agg_scale ?trie ic)
-  in
-  match result with
+  match
+    encode_file ring ~mapping ~seed ~trie ~agg_scale ~table:source ~numbers:num_source
+      xml_path
+  with
   | Error e -> err "encoding failed: %s" (Encode.error_to_string e)
   | Ok stats -> (
       let dealer_seed = Seed.generate () in
+      let shard_db i = Manifest.shard_db_path db_path (i + 1) in
       let sinks =
         Array.init shards (fun i ->
-            Node_table.create_file ~durable ?checkpoint_every
-              (Manifest.shard_db_path db_path (i + 1)))
+            Node_table.create_file ~durable ?checkpoint_every (shard_db i))
       in
       let num_sinks =
         Array.init shards (fun i ->
             Node_table.create_file ~durable ?checkpoint_every
-              (nums_path (Manifest.shard_db_path db_path (i + 1))))
+              (Cli.nums_path (shard_db i)))
       in
       let close_all () =
         Array.iter Node_table.close sinks;
@@ -105,8 +126,7 @@ let encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
       | manifests ->
           Array.iteri
             (fun i manifest ->
-              let shard_db = Manifest.shard_db_path db_path (i + 1) in
-              Manifest.save (Manifest.manifest_path shard_db) manifest)
+              Manifest.save (Manifest.manifest_path (shard_db i)) manifest)
             manifests;
           close_all ();
           Printf.printf
@@ -118,7 +138,7 @@ let encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
             (Manifest.partitions manifests.(0));
           `Ok 0)
 
-let run xml_path map_path seed_path db_path p e trie_mode durable checkpoint_every
+let run xml_path map_path seed_path db_path ring trie_mode durable checkpoint_every
     shards threshold agg_scale =
   let trie =
     match trie_mode with
@@ -129,93 +149,38 @@ let run xml_path map_path seed_path db_path p e trie_mode durable checkpoint_eve
   in
   match trie with
   | Error other -> err "unknown --trie mode %S (none|compressed|uncompressed)" other
+  | Ok _ when shards < 1 -> err "--shards must be >= 1"
+  | Ok _ when threshold < 1 || threshold > shards ->
+      err "--threshold %d outside [1, %d]" threshold shards
+  | Ok _ when agg_scale < 0 || agg_scale > Mapping.max_agg_scale ->
+      err "--agg-scale %d outside [0, %d]" agg_scale Mapping.max_agg_scale
   | Ok trie -> (
-      if not (Secshare_field.Prime.is_prime p) then err "p = %d is not prime" p
-      else if shards < 1 then err "--shards must be >= 1"
-      else if threshold < 1 || threshold > shards then
-        err "--threshold %d outside [1, %d]" threshold shards
-      else
-        if agg_scale < 0 || agg_scale > Mapping.max_agg_scale then
-          err "--agg-scale %d outside [0, %d]" agg_scale Mapping.max_agg_scale
-        else
-        match load_or_create_seed seed_path with
-        | Error m -> err "seed: %s" m
-        | Ok seed -> (
-            match load_or_create_mapping map_path ~p ~e ~trie xml_path with
-            | Error m -> err "map: %s" m
-            | Ok mapping -> (
-                let ring = Secshare_poly.Ring.of_prime_power ~p ~e in
-                let status =
-                  if shards > 1 then
-                    encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path
-                      ~durable ~checkpoint_every ~shards ~threshold xml_path
-                  else
-                  let table =
-                    Secshare_store.Node_table.create_file ~durable ?checkpoint_every
-                      db_path
-                  in
-                  let numbers =
-                    Secshare_store.Node_table.create_file ~durable ?checkpoint_every
-                      (nums_path db_path)
-                  in
-                  let result =
-                    match open_in_bin xml_path with
-                    | exception Sys_error m -> Error (Encode.Xml_error m)
-                    | ic ->
-                        Fun.protect
-                          ~finally:(fun () -> close_in ic)
-                          (fun () ->
-                            Encode.encode_channel ring ~mapping ~seed ~table ~numbers
-                              ~agg_scale ?trie ic)
-                  in
-                  match result with
-                  | Error e ->
-                      Secshare_store.Node_table.close table;
-                      Secshare_store.Node_table.close numbers;
-                      err "encoding failed: %s" (Encode.error_to_string e)
-                  | Ok stats ->
-                      let data_bytes = Secshare_store.Node_table.data_bytes table in
-                      Secshare_store.Node_table.close table;
-                      Secshare_store.Node_table.close numbers;
-                      Printf.printf
-                        "encoded %d nodes (%d elements, %d trie nodes, %d numeric) \
-                         in %.2f s\n\
-                         database: %s (%d data bytes), numeric column: %s\n"
-                        stats.Encode.nodes stats.Encode.elements stats.Encode.trie_nodes
-                        stats.Encode.numeric_nodes stats.Encode.duration_seconds db_path
-                        data_bytes (nums_path db_path);
-                      `Ok 0
-                in
-                (* the encoder learned which tags are aggregatable; the
-                   client needs those flags, so re-save the map *)
-                (match status with
-                | `Ok 0 -> Mapping.save map_path mapping
-                | _ -> ());
-                status)))
+      match load_or_create_seed seed_path with
+      | Error m -> err "seed: %s" m
+      | Ok seed -> (
+          match load_or_create_mapping map_path ~q:ring.Ring.order ~trie xml_path with
+          | Error m -> err "map: %s" m
+          | Ok mapping ->
+              let status =
+                if shards > 1 then
+                  encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
+                    ~checkpoint_every ~shards ~threshold xml_path
+                else
+                  encode_single ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
+                    ~checkpoint_every xml_path
+              in
+              (* the encoder learned which tags are aggregatable; the
+                 client needs those flags, so re-save the map *)
+              if status = `Ok 0 then Mapping.save map_path mapping;
+              status))
 
 let xml_path =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"XML" ~doc:"Input XML document.")
-
-let map_path =
-  Arg.(
-    value & opt string "secshare.map"
-    & info [ "map" ] ~docv:"FILE" ~doc:"Map file (created from the document if missing).")
-
-let seed_path =
-  Arg.(
-    value & opt string "secshare.seed"
-    & info [ "seed" ] ~docv:"FILE" ~doc:"Seed file (generated if missing); keep it secret.")
 
 let db_path =
   Arg.(
     value & opt string "secshare.db"
     & info [ "o"; "db" ] ~docv:"FILE" ~doc:"Output database (server share) file.")
-
-let p_arg =
-  Arg.(value & opt int 83 & info [ "p" ] ~docv:"P" ~doc:"Field characteristic (prime).")
-
-let e_arg =
-  Arg.(value & opt int 1 & info [ "e" ] ~docv:"E" ~doc:"Field extension degree.")
 
 let trie_arg =
   Arg.(
@@ -223,10 +188,7 @@ let trie_arg =
     & info [ "trie" ] ~docv:"MODE" ~doc:"Text handling: none, compressed or uncompressed.")
 
 let durable_arg =
-  Arg.(
-    value & flag
-    & info [ "durable" ]
-        ~doc:"Write every row through a write-ahead log (crash-safe encoding).")
+  Cli.durable ~doc:"Write every row through a write-ahead log (crash-safe encoding)."
 
 let checkpoint_every_arg =
   Arg.(
@@ -271,7 +233,10 @@ let cmd =
   Cmd.v (Cmd.info "ssdb_encode" ~doc)
     Term.(
       ret
-        (const run $ xml_path $ map_path $ seed_path $ db_path $ p_arg $ e_arg $ trie_arg
+        (const run $ xml_path
+        $ Cli.map_path ~doc:"Map file (created from the document if missing)."
+        $ Cli.seed_path ~doc:"Seed file (generated if missing); keep it secret."
+        $ db_path $ Cli.ring $ trie_arg
        $ durable_arg $ checkpoint_every_arg $ shards_arg $ threshold_arg
        $ agg_scale_arg))
 

@@ -3,22 +3,23 @@
 open Cmdliner
 
 let run target_kb factor gen_seed output pretty =
-  let doc =
-    match (target_kb, factor) with
-    | Some kb, _ ->
-        Secshare_xmark.Generate.generate_bytes ~seed:(Int64.of_int gen_seed)
-          ~target_bytes:(kb * 1024) ()
-    | None, factor ->
-        Secshare_xmark.Generate.generate ~seed:(Int64.of_int gen_seed) ~factor ()
-  in
-  let indent = if pretty then Some 2 else None in
-  let text = Secshare_xml.Print.to_string ~decl:true ?indent doc in
-  (match output with
-  | None -> print_string text
-  | Some path -> Out_channel.with_open_text path (fun oc -> output_string oc text));
-  let elements = Secshare_xml.Tree.element_count doc in
-  Printf.eprintf "generated %d elements, %d bytes\n" elements (String.length text);
-  0
+  let seed = Int64.of_int gen_seed in
+  match
+    match target_kb with
+    | Some kb -> Secshare_xmark.Generate.generate_bytes ~seed ~target_bytes:(kb * 1024) ()
+    | None -> Secshare_xmark.Generate.generate ~seed ~factor ()
+  with
+  (* a target the generator cannot meet is a command-line error *)
+  | exception Invalid_argument m -> Cli.err "%s" m
+  | doc ->
+      let indent = if pretty then Some 2 else None in
+      let text = Secshare_xml.Print.to_string ~decl:true ?indent doc in
+      (match output with
+      | None -> print_string text
+      | Some path -> Out_channel.with_open_text path (fun oc -> output_string oc text));
+      let elements = Secshare_xml.Tree.element_count doc in
+      Printf.eprintf "generated %d elements, %d bytes\n" elements (String.length text);
+      `Ok 0
 
 let target_kb =
   let doc = "Target serialised size in KiB (overrides --factor)." in
@@ -43,6 +44,6 @@ let pretty =
 let cmd =
   let doc = "generate a synthetic XMark auction document" in
   let info = Cmd.info "ssdb_gen" ~doc in
-  Cmd.v info Term.(const run $ target_kb $ factor $ gen_seed $ output $ pretty)
+  Cmd.v info Term.(ret (const run $ target_kb $ factor $ gen_seed $ output $ pretty))
 
 let () = exit (Cmd.eval' cmd)

@@ -7,8 +7,9 @@ module DB = Secshare_core.Database
 module QC = Secshare_core.Query_common
 module Metrics = Secshare_core.Metrics
 module Obs = Secshare_obs
+module Ring = Secshare_poly.Ring
 
-let err fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
+let err = Cli.err
 
 let report ~explain ~trace query result =
   let r : DB.query_result = result in
@@ -36,7 +37,7 @@ let report ~explain ~trace query result =
     Format.printf "%a@." Metrics.pp_op_table r.DB.operators
   end
 
-let run db_path socket_path map_path seed_path p e engine_name strictness_name timeout
+let run db_path socket_path map_path seed_path ring engine_name strictness_name timeout
     max_retries explain trace trace_log queries =
   Obs.Trace.set_log_file trace_log;
   let engine =
@@ -60,23 +61,22 @@ let run db_path socket_path map_path seed_path p e engine_name strictness_name t
           match Secshare_prg.Seed.load seed_path with
           | Error m -> err "seed: %s" m
           | Ok seed -> (
-              let run_all query_fn =
-                let failures = ref 0 in
-                List.iter
-                  (fun q ->
-                    match query_fn q with
-                    | Ok result -> report ~explain ~trace q result
-                    | Error m ->
-                        incr failures;
-                        Printf.eprintf "query %s failed: %s\n%!" q m)
-                  queries;
-                `Ok (if !failures > 0 then 1 else 0)
-              in
               let client = { DB.default_client_config with timeout; max_retries } in
+              let p = ring.Ring.characteristic and e = ring.Ring.degree in
               let with_db db =
                 Fun.protect
                   ~finally:(fun () -> DB.close db)
-                  (fun () -> run_all (fun q -> DB.query ~engine ~strictness db q))
+                  (fun () ->
+                    let failures = ref 0 in
+                    List.iter
+                      (fun q ->
+                        match DB.query ~engine ~strictness db q with
+                        | Ok result -> report ~explain ~trace q result
+                        | Error m ->
+                            incr failures;
+                            Printf.eprintf "query %s failed: %s\n%!" q m)
+                      queries;
+                    `Ok (if !failures > 0 then 1 else 0))
               in
               match socket_path with
               | Some path -> (
@@ -87,15 +87,7 @@ let run db_path socket_path map_path seed_path p e engine_name strictness_name t
                   match Secshare_store.Node_table.open_file db_path with
                   | Error m -> err "database: %s" m
                   | Ok table -> (
-                      let nums_path = db_path ^ ".nums" in
-                      let numbers =
-                        if not (Sys.file_exists nums_path) then Ok None
-                        else
-                          match Secshare_store.Node_table.open_file nums_path with
-                          | Ok t -> Ok (Some t)
-                          | Error m -> Error m
-                      in
-                      match numbers with
+                      match Cli.open_numbers db_path with
                       | Error m -> err "numeric column: %s" m
                       | Ok numbers -> (
                           match
@@ -104,24 +96,10 @@ let run db_path socket_path map_path seed_path p e engine_name strictness_name t
                           | Error m -> err "%s" m
                           | Ok db -> with_db db))))))
 
-let db_path =
-  Arg.(
-    value & opt string "secshare.db"
-    & info [ "db" ] ~docv:"FILE" ~doc:"Database file written by ssdb_encode.")
-
 let socket_path =
   Arg.(
     value & opt (some string) None
     & info [ "connect" ] ~docv:"SOCKET" ~doc:"Query a remote ssdb_server instead.")
-
-let map_path =
-  Arg.(value & opt string "secshare.map" & info [ "map" ] ~docv:"FILE" ~doc:"Map file.")
-
-let seed_path =
-  Arg.(value & opt string "secshare.seed" & info [ "seed" ] ~docv:"FILE" ~doc:"Seed file.")
-
-let p_arg = Arg.(value & opt int 83 & info [ "p" ] ~docv:"P" ~doc:"Field characteristic.")
-let e_arg = Arg.(value & opt int 1 & info [ "e" ] ~docv:"E" ~doc:"Extension degree.")
 
 let engine_arg =
   Arg.(
@@ -141,12 +119,10 @@ let timeout_arg =
         ~doc:"Per-RPC deadline for remote queries (with --connect).")
 
 let max_retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:
-          "Retry failed idempotent RPCs up to N times with exponential backoff, \
-           reconnecting a dead socket (with --connect).")
+  Cli.max_retries ~default:0
+    ~doc:
+      "Retry failed idempotent RPCs up to N times with exponential backoff, \
+       reconnecting a dead socket (with --connect)."
 
 let explain_arg =
   Arg.(
@@ -165,14 +141,6 @@ let trace_arg =
            query sends, so a server started with --trace-log records its spans under \
            it.")
 
-let trace_log_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace-log" ] ~docv:"FILE"
-        ~doc:
-          "Append every finished client-side span (query, operators, RPCs) to FILE as \
-           JSON lines.")
-
 let queries =
   Arg.(
     non_empty & pos_all string []
@@ -186,8 +154,12 @@ let cmd =
   Cmd.v (Cmd.info "ssdb_query" ~doc)
     Term.(
       ret
-        (const run $ db_path $ socket_path $ map_path $ seed_path $ p_arg $ e_arg
-       $ engine_arg $ strictness_arg $ timeout_arg $ max_retries_arg $ explain_arg
-       $ trace_arg $ trace_log_arg $ queries))
+        (const run $ Cli.db_path $ socket_path
+        $ Cli.map_path ~doc:"Map file."
+        $ Cli.seed_path ~doc:"Seed file."
+        $ Cli.ring $ engine_arg $ strictness_arg $ timeout_arg $ max_retries_arg
+        $ explain_arg $ trace_arg
+        $ Cli.trace_log ~spans:"client-side span (query, operators, RPCs)"
+        $ queries))
 
 let () = exit (Cmd.eval' cmd)

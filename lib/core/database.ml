@@ -136,28 +136,6 @@ let local_exn t what =
       invalid_arg
         (Printf.sprintf "Database.%s: remote handle (no local server half)" what)
 
-(* Field orders past this are useless for the scheme (a share stores
-   q - 1 packed coefficients) and risk int overflow downstream; reject
-   them instead of letting [p^e] wrap around silently. *)
-let max_field_order = 1 lsl 20
-
-(* The one (p, e) admission check every constructor runs before it
-   builds anything: a bad pair is an [Error], never an exception out of
-   [Ring.of_prime_power]. *)
-let checked_ring ~p ~e =
-  let rec order_ok acc i =
-    i = 0 || (acc <= max_field_order / p && order_ok (acc * p) (i - 1))
-  in
-  if not (Secshare_field.Prime.is_prime p) then
-    Error (Printf.sprintf "p = %d is not prime" p)
-  else if e < 1 then Error "e must be >= 1"
-  else if not (order_ok 1 e) then
-    Error
-      (Printf.sprintf
-         "p^e = %d^%d exceeds the safe field-order bound of %d (would overflow)" p e
-         max_field_order)
-  else Ok (Ring.of_prime_power ~p ~e)
-
 let build_mapping config ~q tree =
   let base =
     match config.mapping with
@@ -187,7 +165,7 @@ let assemble_local ~(client : client_config) ~ring ~map ~seed ~table ?numbers
   { ring; map; seed; filter; local = Some { table; numbers; server; encode_stats } }
 
 let create_tree ?(config = default_config) tree =
-  match checked_ring ~p:config.p ~e:config.e with
+  match Ring.checked ~p:config.p ~e:config.e with
   | Error _ as e -> e
   | Ok ring -> (
       match build_mapping config ~q:ring.Ring.order tree with
@@ -226,7 +204,7 @@ let of_parts ?(client = default_client_config) ~p ~e ~mapping:map ~seed ~table ?
     (fun ring ->
       assemble_local ~client ~ring ~map ~seed ~table ?numbers
         ~encode_stats:zero_encode_stats ())
-    (checked_ring ~p ~e)
+    (Ring.checked ~p ~e)
 
 let create ?config xml =
   match Secshare_xml.Tree.of_string xml with
@@ -398,7 +376,7 @@ let remote ~client ~ring ~mapping ~seed transport =
   { ring; map = mapping; seed; filter; local = None }
 
 let of_transport ?(client = default_client_config) ~p ~e ~mapping ~seed transport =
-  match checked_ring ~p ~e with
+  match Ring.checked ~p ~e with
   | Error _ as err ->
       Transport.close transport;
       err
@@ -413,7 +391,7 @@ let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
     }
   in
   (* validate before the socket opens, so a bad (p, e) leaks nothing *)
-  match checked_ring ~p ~e with
+  match Ring.checked ~p ~e with
   | Error _ as err -> err
   | Ok ring -> (
       match Transport.socket ~policy path with

@@ -46,6 +46,8 @@ type t = {
           operator leaves it [None] *)
 }
 
+let stats t = t.stats
+
 let close t =
   if not t.closed then begin
     t.closed <- true;
@@ -439,25 +441,6 @@ let dedup name input =
   in
   make stats next_batch
 
-let limit name n ~upstream input =
-  let stats = Metrics.op_stats name in
-  let remaining = ref (max 0 n) in
-  let rec next_batch () =
-    if !remaining <= 0 then None
-    else
-      match pull stats input with
-      | None -> None
-      | Some batch ->
-          let take = min !remaining (Array.length batch) in
-          remaining := !remaining - take;
-          if !remaining = 0 then
-            (* satisfied: tear the pipeline down eagerly so server
-               cursors are released now, not at end-of-query *)
-            List.iter close upstream;
-          if take = 0 then next_batch () else Some (Array.sub batch 0 take)
-  in
-  make stats next_batch
-
 (* The aggregate sink: drain the whole pipeline, then fold the matched
    set into one number.  Count never talks to the server beyond what
    the pipeline already did; Sum/Avg make exactly one [Agg_eval] round
@@ -538,25 +521,12 @@ let build filter plan =
         filter_containment name filter ~points (input ())
     | Plan.Filter_equality { point } -> filter_equality name filter ~point (input ())
     | Plan.Dedup -> dedup name (input ())
-    | Plan.Limit n -> limit name n ~upstream:[] (input ())
     | Plan.Aggregate { func; scale } -> aggregate name filter ~func ~scale (input ())
   in
   let rec go prev built = function
     | [] -> List.rev built
     | op :: rest ->
-        let t =
-          match op with
-          | Plan.Limit n ->
-              (* limit wants to close everything upstream when it is
-                 satisfied, so rebuild it with the full prefix *)
-              let input =
-                match prev with
-                | Some t -> t
-                | None -> invalid_arg "plan operator needs an input: limit"
-              in
-              limit (Plan.op_to_string op) n ~upstream:(List.rev built) input
-          | _ -> build_op prev op
-        in
+        let t = build_op prev op in
         go (Some t) (t :: built) rest
   in
   go None [] plan
@@ -592,4 +562,4 @@ let run filter plan =
     | { agg_ref = { contents = Some value }; _ } :: _ -> value
     | _ -> Query_common.Nodes (Query_common.sort_dedup metas)
   in
-  (value, List.map (fun t -> t.stats) ops)
+  (value, List.map stats ops)

@@ -4,9 +4,9 @@
     into a chain of operators, {!next} pulls one bounded batch of node
     metadata from an operator (pulling upstream on demand), and
     {!run} drains the chain to exhaustion with guaranteed teardown —
-    server cursors opened by scans are closed eagerly when an operator
-    stops early (a satisfied [Limit], an exception mid-query) instead
-    of lingering until TTL eviction.
+    server cursors opened by scans are closed eagerly when a pipeline
+    stops early (abandoned, or an exception mid-query) instead of
+    lingering until TTL eviction.
 
     Every operator carries a {!Metrics.op_stats} record: batches and
     rows in/out, the paper's counters for the work it did, and the RPC
@@ -32,6 +32,9 @@ val next : t -> batch option
 
 val close : t -> unit
 (** Release the operator's server-side resources (idempotent). *)
+
+val stats : t -> Metrics.op_stats
+(** The operator's counters, final once it is closed. *)
 
 val run :
   Client_filter.t -> Plan.t -> Query_common.value * Metrics.op_stats list

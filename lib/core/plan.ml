@@ -38,7 +38,6 @@ type op =
       (** keep nodes themselves mapped to the point (strict test:
           reconstruction + child-product division) *)
   | Dedup  (** drop nodes already emitted (pre-keyed hash buffer) *)
-  | Limit of int  (** stop the pipeline after this many rows *)
   | Aggregate of { func : Ast.agg_func; scale : int }
       (** terminal sink: drain the pipeline, then fold the matched set
           into one number — [Count] client-side, [Sum]/[Avg] with a
@@ -71,7 +70,6 @@ let op_to_string = function
       (Printf.sprintf "filter-equality@%d" point
       [@lint.suppress "secret-sink" ~reason:"same: --explain runs on the trusted client"])
   | Dedup -> "dedup"
-  | Limit n -> Printf.sprintf "limit(%d)" n
   | Aggregate { func; scale } ->
       if scale = 0 then Printf.sprintf "aggregate(%s)" (Ast.func_to_string func)
       else Printf.sprintf "aggregate(%s,scale=%d)" (Ast.func_to_string func) scale

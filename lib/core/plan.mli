@@ -26,7 +26,6 @@ type op =
           first failing point *)
   | Filter_equality of { point : int }
   | Dedup
-  | Limit of int
   | Aggregate of { func : Secshare_xpath.Ast.agg_func; scale : int }
       (** terminal sink: fold the matched set into one number —
           [Count] locally, [Sum]/[Avg] via a single constant-size

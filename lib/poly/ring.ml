@@ -46,3 +46,26 @@ let make field =
 
 let of_prime_power ~p ~e = make (Secshare_field.Gf.create ~p ~e)
 let of_prime ~p = make (Secshare_field.Modp.create ~p)
+
+(* Field orders past this are useless for the scheme (a share stores
+   q - 1 packed coefficients) and risk int overflow downstream. *)
+let max_order = 1 lsl 20
+
+(** The one (p, e) admission check: p prime, e >= 1 and p^e <= 2^20,
+    computed without letting p^e wrap around.  Every binary and every
+    constructor that takes a (p, e) pair runs it before it opens a file
+    or a socket, so a bad pair is an [Error], never an exception out of
+    {!of_prime_power}. *)
+let checked ~p ~e =
+  let rec order_ok acc i =
+    i = 0 || (acc <= max_order / p && order_ok (acc * p) (i - 1))
+  in
+  if not (Secshare_field.Prime.is_prime p) then
+    Error (Printf.sprintf "p = %d is not prime" p)
+  else if e < 1 then Error "e must be >= 1"
+  else if not (order_ok 1 e) then
+    Error
+      (Printf.sprintf
+         "p^e = %d^%d exceeds the safe field-order bound of %d (would overflow)" p e
+         max_order)
+  else Ok (of_prime_power ~p ~e)

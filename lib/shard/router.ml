@@ -440,18 +440,17 @@ let open_cursors t = Cursor_table.size t.cursors
 (* Send one request to every member of [group], in order, and decode
    each reply; a reply [decode] does not recognise, or whose content it
    rejects with [Malformed], is a divergence. *)
-let gather ?(name_shard = false) t group ~what request decode =
+let gather t group ~what request decode =
   List.map
     (fun s ->
       let response = call_shard t s request in
       match decode response with
       | Some v -> v
       | None ->
-          let from = if name_shard then Printf.sprintf " from shard %d" s.id else "" in
           raise
             (Diverged
-               (Format.asprintf "unexpected %s reply%s: %a" what from Protocol.pp_response
-                  response))
+               (Format.asprintf "unexpected %s reply from shard %d: %a" what s.id
+                  Protocol.pp_response response))
       | exception Malformed why -> raise (malformed ~what s why))
     group
 
@@ -493,7 +492,7 @@ let shares_batch t pres =
   Protocol.Shares_data
     (per_partition t pres ~empty:Bytes.empty (fun group lambdas sub_pres ->
          let replies =
-           gather ~name_shard:true t group ~what:"shares" (Protocol.Shares sub_pres)
+           gather t group ~what:"shares" (Protocol.Shares sub_pres)
              (function
              | Protocol.Shares_data bs ->
                  List.iter (check_share_len t) bs;
@@ -519,7 +518,7 @@ let agg_eval t pres =
       let count, sum =
         on_group t ~partition (fun group _poly_lambdas ->
             let per_member =
-              gather ~name_shard:true t group ~what:"aggregate"
+              gather t group ~what:"aggregate"
                 (Protocol.Agg_eval { pres = sub_pres }) (function
                 | Protocol.Agg_partial { count; sum } -> Some (count, sum)
                 | _ -> None)
@@ -682,15 +681,18 @@ let connect ?policy ~p ~e ?max_cursors paths =
             List.iter Transport.close acc;
             Error (Printf.sprintf "shard %s: %s" path msg))
   in
-  match open_all [] paths with
+  (* validate before any socket opens, so a bad (p, e) leaks nothing *)
+  match Ring.checked ~p ~e with
   | Error _ as e -> e
-  | Ok transports -> (
-      let ring = Ring.of_prime_power ~p ~e in
-      match of_transports ring ?max_cursors transports with
-      | Ok _ as ok -> ok
-      | Error _ as e ->
-          List.iter Transport.close transports;
-          e)
+  | Ok ring -> (
+      match open_all [] paths with
+      | Error _ as e -> e
+      | Ok transports -> (
+          match of_transports ring ?max_cursors transports with
+          | Ok _ as ok -> ok
+          | Error _ as e ->
+              List.iter Transport.close transports;
+              e))
 
 let close t =
   Cursor_table.clear t.cursors;

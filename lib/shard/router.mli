@@ -46,7 +46,9 @@ val connect :
   string list ->
   (t, string) result
 (** [of_transports] over socket transports to the given Unix-socket
-    paths, each carrying the retry/deadline [policy]. *)
+    paths, each carrying the retry/deadline [policy].  A (p, e) that
+    {!Secshare_poly.Ring.checked} refuses is an [Error] before any
+    socket opens. *)
 
 val handler :
   t -> Secshare_rpc.Protocol.request -> Secshare_rpc.Protocol.response

@@ -373,35 +373,12 @@ let check_rpc_attribution label counters ~before:(calls0, bytes0) ops =
   check Alcotest.int (label ^ ": rpc bytes attributed") (bytes - bytes0)
     (sum (fun s -> s.Metrics.rpc_bytes))
 
-let test_limit_closes_cursors () =
+let test_abandoned_pipeline_closes_cursors () =
   List.iter
     (fun fused ->
       let server, filter = small_batch_parts ~fused () in
       let counters = Client_filter.rpc_counters filter in
       let before = transport_marks counters in
-      let nodes =
-        match Operator.run filter (descendants_plan @ [ Plan.Limit 3 ]) with
-        | QC.Nodes nodes, ops ->
-            (* the satisfied limit's close-time Cursor_close included *)
-            check_rpc_attribution
-              (Printf.sprintf "limit (fused=%b)" fused)
-              counters ~before ops;
-            nodes
-        | _ -> Alcotest.fail "a node plan evaluated to an aggregate"
-      in
-      check Alcotest.int
-        (Printf.sprintf "limit result size (fused=%b)" fused)
-        3 (List.length nodes);
-      check Alcotest.int
-        (Printf.sprintf "no cursor survives a satisfied limit (fused=%b)" fused)
-        0
-        (Server_filter.open_cursors server))
-    [ true; false ]
-
-let test_abandoned_pipeline_closes_cursors () =
-  List.iter
-    (fun fused ->
-      let server, filter = small_batch_parts ~fused () in
       let ops = Operator.build filter descendants_plan in
       let sink = List.nth ops (List.length ops - 1) in
       (* pull one batch and walk away: the scan is mid-stream *)
@@ -416,7 +393,12 @@ let test_abandoned_pipeline_closes_cursors () =
       check Alcotest.int
         (Printf.sprintf "close releases the cursor (fused=%b)" fused)
         0
-        (Server_filter.open_cursors server))
+        (Server_filter.open_cursors server);
+      (* the close-time Cursor_close included *)
+      check_rpc_attribution
+        (Printf.sprintf "abandoned (fused=%b)" fused)
+        counters ~before
+        (List.map Operator.stats ops))
     [ true; false ]
 
 let test_failing_query_closes_cursors () =
@@ -490,8 +472,6 @@ let () =
         ] );
       ( "teardown",
         [
-          Alcotest.test_case "satisfied limit closes cursors" `Quick
-            test_limit_closes_cursors;
           Alcotest.test_case "abandoned pipeline closes cursors" `Quick
             test_abandoned_pipeline_closes_cursors;
           Alcotest.test_case "failing query closes cursors" `Quick

@@ -347,11 +347,16 @@ let test_bad_field_rejected_without_leak () =
                 Alcotest.failf "%s: %s accepted a bad field" label what
           in
           refused "connect" (DB.connect ~p ~e ~mapping ~seed ~path ());
+          (match Secshare_shard.Router.connect ~p ~e [ path ] with
+          | Error _ -> ()
+          | Ok router ->
+              Secshare_shard.Router.close router;
+              Alcotest.failf "%s: Router.connect accepted a bad field" label);
           match Transport.socket path with
           | Error msg -> Alcotest.failf "%s: socket: %s" label msg
           | Ok transport ->
               refused "of_transport" (DB.of_transport ~p ~e ~mapping ~seed transport))
-        [ (83, 0); (84, 1) ];
+        [ (83, 0); (84, 1); (2, 21); (2, 70) ];
       check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
 
 (* A server whose replies are malformed.  The client checks every

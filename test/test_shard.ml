@@ -132,6 +132,9 @@ type fault =
   | Missing_value  (** every scan row one value short *)
   | Extra_value  (** every scan row one value long *)
   | Dropped_row  (** the first row of every scan batch left out *)
+  | Values_kind  (** every [Values] reply swapped for a [Pong] *)
+  | Value_past_q  (** every [Values] reply's first value set to 83 = q *)
+  | Short_values  (** every [Values] reply one value short *)
 
 type deployment = {
   db : DB.t;  (** the single-server reference (local handle) *)
@@ -162,6 +165,9 @@ let lie fault response =
       Protocol.Scan_batch { rows = reshape rows (fun values -> 0 :: values); cursor }
   | Dropped_row, Protocol.Scan_batch { rows = _ :: rows; cursor } ->
       Protocol.Scan_batch { rows; cursor }
+  | Values_kind, Protocol.Values _ -> Protocol.Pong
+  | Value_past_q, Protocol.Values (_ :: vs) -> Protocol.Values (83 :: vs)
+  | Short_values, Protocol.Values (_ :: vs) -> Protocol.Values vs
   | _, response -> response
 
 let wrap ~seen switch handler request =
@@ -672,6 +678,28 @@ let test_lying_shares () =
       check Alcotest.int "a lying shard is not a dead one" 3
         (Router.live_shards d.router))
 
+(* Each lie about a batch of evaluations names the member, whose
+   transport stays up. *)
+let test_lying_evaluations () =
+  let d = make_deployment xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      let root = (Option.get (Node_table.root (DB.table d.db))).Page.pre in
+      List.iter
+        (fun (fault, name) ->
+          d.switches.(0) := fault;
+          expect_router_error ~what:name ~naming:"shard 1" d
+            (Protocol.Eval_batch { pres = [ root; root + 1; root + 2 ]; point = 5 });
+          d.switches.(0) := Healthy)
+        [
+          (Values_kind, "a reply of the wrong kind");
+          (Value_past_q, "a value >= q");
+          (Short_values, "one value too few");
+        ];
+      check Alcotest.int "a lying shard is not a dead one" 3
+        (Router.live_shards d.router))
+
 (* Each scan lie, both from the first batch ([Scan_eval]) and from a
    later one ([Scan_next]): a typed error, then no cursor left open
    anywhere. *)
@@ -992,6 +1020,8 @@ let () =
           Alcotest.test_case "malformed shares are typed errors" `Quick test_lying_shares;
           Alcotest.test_case "malformed scans are typed errors, cursors closed" `Quick
             test_lying_scans;
+          Alcotest.test_case "malformed evaluations name the shard" `Quick
+            test_lying_evaluations;
           Alcotest.test_case "every member request is counted" `Quick
             test_shard_calls_counted;
         ] );
