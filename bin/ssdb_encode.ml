@@ -15,36 +15,29 @@ module Manifest = Secshare_shard.Manifest
 
 let err = Cli.err
 
+(* The seed and the map are made in memory; [run] writes a fresh one
+   only once the encode has succeeded, so a refused document leaves no
+   secret file behind.  [true] marks a fresh one. *)
 let load_or_create_seed path =
-  if Sys.file_exists path then Seed.load path
-  else begin
-    let seed = Seed.generate () in
-    Seed.save path seed;
-    Printf.eprintf "wrote fresh seed to %s\n" path;
-    Ok seed
-  end
+  if Sys.file_exists path then Result.map (fun seed -> (seed, false)) (Seed.load path)
+  else Ok (Seed.generate (), true)
 
 let load_or_create_mapping path ~q ~trie xml_path =
-  if Sys.file_exists path then Mapping.load path
+  if Sys.file_exists path then Result.map (fun m -> (m, false)) (Mapping.load path)
   else begin
     match In_channel.with_open_bin xml_path In_channel.input_all with
     | exception Sys_error m -> Error m
     | contents -> (
         match Secshare_xml.Tree.of_string contents with
         | Error m -> Error m
-        | Ok tree -> (
+        | Ok tree ->
             let base = Mapping.of_tree ~q tree in
             let with_alpha =
               match (base, trie) with
               | Ok m, Some _ -> Mapping.with_trie_alphabet m
               | other, _ -> other
             in
-            match with_alpha with
-            | Error _ as e -> e
-            | Ok m ->
-                Mapping.save path m;
-                Printf.eprintf "wrote map file (%d names) to %s\n" (Mapping.size m) path;
-                Ok m))
+            Result.map (fun m -> (m, true)) with_alpha)
   end
 
 (* Encode the document at [xml_path] into [table] and [numbers]. *)
@@ -152,15 +145,18 @@ let run xml_path map_path seed_path db_path ring trie_mode durable checkpoint_ev
   | Ok _ when shards < 1 -> err "--shards must be >= 1"
   | Ok _ when threshold < 1 || threshold > shards ->
       err "--threshold %d outside [1, %d]" threshold shards
+  | Ok _ when shards >= ring.Ring.order ->
+      err "--shards %d needs %d distinct nonzero x-coordinates but the field has only %d"
+        shards shards ring.Ring.n
   | Ok _ when agg_scale < 0 || agg_scale > Mapping.max_agg_scale ->
       err "--agg-scale %d outside [0, %d]" agg_scale Mapping.max_agg_scale
   | Ok trie -> (
       match load_or_create_seed seed_path with
       | Error m -> err "seed: %s" m
-      | Ok seed -> (
+      | Ok (seed, fresh_seed) -> (
           match load_or_create_mapping map_path ~q:ring.Ring.order ~trie xml_path with
           | Error m -> err "map: %s" m
-          | Ok mapping ->
+          | Ok (mapping, fresh_map) ->
               let status =
                 if shards > 1 then
                   encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
@@ -169,9 +165,19 @@ let run xml_path map_path seed_path db_path ring trie_mode durable checkpoint_ev
                   encode_single ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
                     ~checkpoint_every xml_path
               in
-              (* the encoder learned which tags are aggregatable; the
-                 client needs those flags, so re-save the map *)
-              if status = `Ok 0 then Mapping.save map_path mapping;
+              if status = `Ok 0 then begin
+                if fresh_seed then begin
+                  Seed.save seed_path seed;
+                  Printf.eprintf "wrote fresh seed to %s\n" seed_path
+                end;
+                (* the encoder learned which tags are aggregatable; the
+                   client needs those flags, so the map is saved even
+                   when it was loaded *)
+                Mapping.save map_path mapping;
+                if fresh_map then
+                  Printf.eprintf "wrote map file (%d names) to %s\n" (Mapping.size mapping)
+                    map_path
+              end;
               status))
 
 let xml_path =

@@ -200,11 +200,12 @@ let reconstruct t ~pre share_bytes =
   try Share.add_packed t.ring ~client share_bytes
   with Invalid_argument msg -> raise (Filter_error ("malformed Shares_data reply: " ^ msg))
 
+(* The node's tag value, or a typed refusal: a guess of "not equal"
+   would silently drop a node the reference keeps (DESIGN.md §7). *)
 let tag_value t ~(counts : Metrics.t) (meta : Protocol.node_meta) =
-  let child_metas = children t ~pre:meta.Protocol.pre in
-  let pres =
-    meta.Protocol.pre :: List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) child_metas
-  in
+  let pre = meta.Protocol.pre in
+  let child_metas = children t ~pre in
+  let pres = pre :: List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) child_metas in
   let shares = fetch_shares t pres in
   let polys = List.map2 (fun pre share -> reconstruct t ~pre share) pres shares in
   counts.equality_tests <- counts.equality_tests + 1;
@@ -215,15 +216,23 @@ let tag_value t ~(counts : Metrics.t) (meta : Protocol.node_meta) =
   | node_poly :: child_polys -> (
       let product = Share.product t.ring child_polys in
       match Cyclic.recover_linear_factor t.ring ~product ~node:node_poly with
-      | Ok value -> Some value
+      | Ok value -> value
       | Error `Degenerate ->
           counts.degenerate_divisions <- counts.degenerate_divisions + 1;
-          None
-      | Error `Not_linear -> None)
+          raise
+            (Filter_error
+               (Printf.sprintf
+                  "equality test at pre %d: the children's product is zero (the map \
+                   leaves no spare point)"
+                  pre))
+      | Error `Not_linear ->
+          raise
+            (Filter_error
+               (Printf.sprintf
+                  "malformed Shares_data reply: pre %d is not (x - t) times its \
+                   children's product"
+                  pre)))
 
-let equality t ~counts meta ~point =
-  match tag_value t ~counts meta with
-  | Some value -> value = point
-  | None -> false
+let equality t ~counts meta ~point = tag_value t ~counts meta = point
 
 let close t = Transport.close t.transport

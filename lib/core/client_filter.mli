@@ -132,7 +132,12 @@ val equality :
   t -> counts:Metrics.t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool
 (** Strict: is the node itself mapped to [point]?  Reconstructs the
     node and all its children and divides out the child product; one
-    equality test plus one reconstruction per polynomial in [counts],
-    and a degenerate division (never a match) counted there too. *)
+    equality test plus one reconstruction per polynomial in [counts].
+    @raise Filter_error when the division has no answer, never a guess:
+    a zero child product (possible only when the map leaves no spare
+    point; counted as a degenerate division, and the message names the
+    node's pre) or a node that is not [(x - t)] times its children's
+    product (inconsistent shares, reported as a malformed
+    [Shares_data] reply). *)
 
 val close : t -> unit

@@ -53,7 +53,12 @@ val neg : Ring.t -> t -> t
 val scale : Ring.t -> int -> t -> t
 
 val mul : Ring.t -> t -> t -> t
-(** Schoolbook product with index folding; O(n^2). *)
+(** Schoolbook product with index folding.  The operand with fewer
+    nonzero coefficients drives the zero-skipping outer loop (counted
+    in one O(n) pass; [a] on a tie), so the cost is
+    [min (nnz a) (nnz b) * n] plus O(n): O(n) against a linear factor,
+    O(n^2) for two dense vectors.  The ring is commutative and field
+    addition exact, so the choice never changes the result. *)
 
 val mul_x : Ring.t -> t -> t
 (** Multiplication by [x]: a cyclic shift; O(n). *)

@@ -75,6 +75,14 @@ let mul_into tab ~n ~(a : int array) ~(b : int array) ~(out : int array) =
     invalid_arg "Flat.mul_into: buffers shorter than the ring dimension";
   if out == a || out == b then
     invalid_arg "Flat.mul_into: out must be distinct from the operands";
+  (* Run the convolution from the sparser operand, as {!Cyclic.mul}
+     does: one counting pass, then min(nnz a, nnz b) * n steps. *)
+  let d = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.unsafe_get a i <> 0 then incr d;
+    if Array.unsafe_get b i <> 0 then decr d
+  done;
+  let a, b = if !d > 0 then (b, a) else (a, b) in
   Array.fill out 0 n 0;
   for i = 0 to n - 1 do
     let ai = Array.unsafe_get a i in

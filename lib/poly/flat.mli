@@ -80,10 +80,14 @@ val mul_into :
   unit
 (** Cyclic schoolbook product [out <- a * b] in [F_q[x]/(x^n - 1)],
     identical fold order to {!Cyclic.mul} but through the byte
-    tables.  [out] must be distinct from [a] and [b]; all three must
-    have length at least [n].  [Share.product] ping-pongs two scratch
-    buffers through this to fold a product of children without
-    allocating per step. *)
+    tables.  Like {!Cyclic.mul}, it counts both operands' nonzero
+    coefficients in one allocation-free pass and runs the
+    zero-skipping outer loop over the sparser one ([a] on a tie):
+    [min (nnz a) (nnz b) * n] steps plus O(n), so a leaf child
+    [(x - v)] costs [2n], not [n^2].  [out] must be distinct from [a]
+    and [b]; all three must have length at least [n].
+    [Share.product] ping-pongs two scratch buffers through this to
+    fold a product of children without allocating per step. *)
 
 val combine_packed_into :
   Secshare_field.Table.t ->

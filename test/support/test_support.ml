@@ -40,6 +40,39 @@ let gen_query_of_tags tags : Secshare_xpath.Ast.t QCheck2.Gen.t =
 
 let gen_query = gen_query_of_tags small_tags
 
+(* A factor shaped like the ones the encoder and the equality test
+   multiply: a leaf child's (x - v), a product of 1-3 linear factors,
+   [one] (a node without children) or [zero] (a full map's degenerate
+   product).  Its few nonzero coefficients make the product kernels
+   take the sparse operand as their outer loop. *)
+let gen_tree_factor (ring : Secshare_poly.Ring.t) =
+  let module Cyclic = Secshare_poly.Cyclic in
+  let open QCheck2.Gen in
+  let root = int_range 1 (ring.Secshare_poly.Ring.order - 1) in
+  oneof
+    [
+      map (fun root -> Cyclic.linear ring ~root) root;
+      map
+        (fun roots -> Cyclic.of_dense ring (Secshare_poly.Dense.of_roots ring roots))
+        (list_size (int_range 1 3) root);
+      pure (Cyclic.one ring);
+      pure (Cyclic.zero ring);
+    ]
+
+(* MD5 over every row (pre/post/parent and the stored share) of each
+   table in turn: a pin on the exact bytes an encoder or dealer wrote. *)
+let digest_tables tables =
+  let buf = Buffer.create 4096 in
+  Array.iter
+    (fun t ->
+      Secshare_store.Node_table.iter t ~f:(fun (r : Secshare_store.Page.row) ->
+          Printf.bprintf buf "%d/%d/%d:" r.pre r.post r.parent;
+          Buffer.add_bytes buf r.share;
+          Buffer.add_char buf '\n');
+      Buffer.add_char buf '|')
+    tables;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let pres_of_metas metas =
   List.map (fun (m : Secshare_rpc.Protocol.node_meta) -> m.Secshare_rpc.Protocol.pre) metas
 

@@ -1,8 +1,10 @@
 (* The binaries' shared front end, driven through the built
    executables: every binary refuses a bad (p, e) with the one
    admission check's message and cmdliner's usage exit code (124)
-   before it writes a file, binds a socket or dials a shard; and
-   ssdb_gen refuses a target it cannot meet the same way. *)
+   before it writes a file, binds a socket or dials a shard;
+   ssdb_encode refuses a shard geometry or document it cannot encode
+   without leaving a file behind; and ssdb_gen refuses a target it
+   cannot meet the same way. *)
 
 let check = Alcotest.check
 
@@ -63,15 +65,18 @@ let must_succeed ~dir name args =
   | Some code, _, err -> Alcotest.failf "%s exited %d: %s" name code err
   | None, _, _ -> Alcotest.failf "%s hung" name
 
-(* A fresh directory holding a valid document and its map, seed and
-   database, so the field is the only thing wrong. *)
-let with_encoded f =
+let with_dir f =
   let dir = Filename.temp_dir "ssdb-cli" "" in
   Fun.protect
     ~finally:(fun () ->
       Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
       Sys.rmdir dir)
-    (fun () ->
+    (fun () -> f dir)
+
+(* A fresh directory holding a valid document and its map, seed and
+   database, so the field is the only thing wrong. *)
+let with_encoded f =
+  with_dir (fun dir ->
       must_succeed ~dir "ssdb_gen" [ "--size-kb"; "20"; "-o"; "doc.xml" ];
       must_succeed ~dir "ssdb_encode"
         [ "doc.xml"; "--map"; "c.map"; "--seed"; "c.seed"; "-o"; "c.db" ];
@@ -106,6 +111,44 @@ let test_encode_refuses () =
             (message ~p ~e);
           check_absent ~what dir [ "n.map"; "n.seed"; "n.db"; "n.db.nums" ])
         bad_fields)
+
+(* A refused encode leaves no file behind: the shard geometry is
+   checked before anything is written, and a fresh seed or map is saved
+   only once the document has been encoded. *)
+let test_encode_failure_leaves_nothing () =
+  with_dir (fun dir ->
+      let write name contents =
+        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+            output_string oc contents)
+      in
+      write "three.xml" "<a><b/><c/></a>";
+      write "open.xml" "<a>";
+      write "wide.xml" "<a><b/><c/><d/><e/></a>";
+      let outputs =
+        [ "n.map"; "n.seed"; "n.db"; "n.db.nums" ]
+        @ List.concat_map
+            (fun i ->
+              let shard = Printf.sprintf "n.db.shard%d" i in
+              [ shard; shard ^ ".nums"; shard ^ ".manifest" ])
+            [ 1; 2; 3; 4; 5 ]
+      in
+      List.iter
+        (fun (what, args, message) ->
+          expect_refusal ~what ~dir "ssdb_encode"
+            (args @ [ "--map"; "n.map"; "--seed"; "n.seed"; "-o"; "n.db" ])
+            message;
+          check_absent ~what dir outputs)
+        [
+          ( "--shards 5 at p = 5",
+            [ "three.xml"; "-p"; "5"; "--shards"; "5"; "-t"; "2" ],
+            "--shards 5 needs 5 distinct nonzero x-coordinates but the field has only 4" );
+          ( "an unclosed element",
+            [ "open.xml" ],
+            "map: line 1, column 4: unexpected end of input: '<a>' is not closed" );
+          ( "5 names at p = 5",
+            [ "wide.xml"; "-p"; "5" ],
+            "map: field F_5 has only 4 nonzero values; cannot map 5 distinct names" );
+        ])
 
 let test_server_refuses () =
   with_encoded (fun dir ->
@@ -157,12 +200,7 @@ let test_query_refuses () =
         bad_fields)
 
 let test_gen_refuses_small_targets () =
-  let dir = Filename.temp_dir "ssdb-cli" "" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
+  with_dir (fun dir ->
       List.iter
         (fun (args, message) ->
           expect_refusal
@@ -184,6 +222,11 @@ let () =
           Alcotest.test_case "ssdb_server refuses a bad field" `Quick test_server_refuses;
           Alcotest.test_case "ssdb_router refuses a bad field" `Quick test_router_refuses;
           Alcotest.test_case "ssdb_query refuses a bad field" `Quick test_query_refuses;
+        ] );
+      ( "ssdb_encode",
+        [
+          Alcotest.test_case "a refused encode leaves no file" `Quick
+            test_encode_failure_leaves_nothing;
         ] );
       ( "ssdb_gen",
         [

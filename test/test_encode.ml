@@ -223,6 +223,36 @@ let encode_property_suite =
         Node_table.row_count table = Tree.element_count expanded);
   ]
 
+(* MD5 of the node table the encoder writes for a 20 KB ssdb_gen
+   document (its default generator seed), pinned so a change to the
+   ring product its fold runs ([Cyclic.mul]) cannot move a single
+   stored byte: at the paper's prime, an extension field and a field
+   too large for byte tables. *)
+let pinned_table_digests =
+  [
+    ((83, 1), "0c9b80c906bc1c7be4acdb4c32cc254e");
+    ((3, 4), "ca02598ea78dc0c73141a0efa1dcef1f");
+    ((257, 1), "08c0ba9be757ea5eb9bb2d609e59885f");
+  ]
+
+let test_encoded_table_digests () =
+  let tree =
+    Secshare_xmark.Generate.generate_bytes ~seed:20050905L ~target_bytes:(20 * 1024) ()
+  in
+  List.iter
+    (fun ((p, e), want) ->
+      let ring = Ring.of_prime_power ~p ~e in
+      let mapping = Result.get_ok (Mapping.of_tree ~q:ring.Ring.order tree) in
+      let table = Node_table.create () in
+      (match Encode.encode_tree ring ~mapping ~seed ~table tree with
+      | Ok _ -> ()
+      | Error err -> Alcotest.fail (Encode.error_to_string err));
+      check Alcotest.string
+        (Printf.sprintf "p = %d, e = %d" p e)
+        want
+        (Test_support.digest_tables [| table |]))
+    pinned_table_digests
+
 let test_encode_unmapped_tag () =
   let ring = Ring.of_prime ~p:83 in
   let mapping = mapping_of_string "q = 83\na = 1\n" in
@@ -374,6 +404,8 @@ let () =
             test_encoder_reuse_rejected;
           Alcotest.test_case "share coefficients look uniform" `Quick test_share_uniformity;
           Alcotest.test_case "server view is shape only" `Quick test_server_view_shape_only;
+          Alcotest.test_case "20 KB document tables pinned" `Quick
+            test_encoded_table_digests;
         ]
         @ encode_property_suite );
     ]

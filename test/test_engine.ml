@@ -178,6 +178,29 @@ let test_engine_fig1_field () =
   check Alcotest.(list int) "//a non-strict" [ 1; 4; 5 ]
     (query_pres db ~engine:DB.Simple ~strictness:QC.Non_strict "//a")
 
+(* Four names at p = 5 fill the map: no nonzero point is spare, so the
+   children of the root multiply to the zero element and the root's tag
+   cannot be recovered.  Strict matching refuses with a typed error
+   naming the node instead of guessing "not equal" (which answered
+   {2}); containment never divides and still answers. *)
+let test_engine_full_map_refuses () =
+  let tree = Result.get_ok (Tree.of_string "<a><a/><b/><c/><d/></a>") in
+  let db = Test_support.db_of_tree ~p:5 tree in
+  List.iter
+    (fun (name, engine) ->
+      match DB.query ~engine ~strictness:QC.Strict db "//a" with
+      | Ok r ->
+          Alcotest.failf "%s strict //a answered %s" name
+            (String.concat "," (List.map string_of_int (pres (DB.result_nodes r))))
+      | Error msg ->
+          check Alcotest.string (name ^ ": typed error naming the root")
+            "filter: equality test at pre 1: the children's product is zero (the map \
+             leaves no spare point)"
+            msg)
+    engines;
+  check Alcotest.(list int) "//a non-strict" [ 1; 2 ]
+    (query_pres db ~engine:DB.Simple ~strictness:QC.Non_strict "//a")
+
 (* --- metrics --- *)
 
 let test_metrics_counting () =
@@ -436,6 +459,8 @@ let () =
         [
           Alcotest.test_case "extension field F_81" `Slow test_engine_extension_field;
           Alcotest.test_case "figure 1 field F_5" `Quick test_engine_fig1_field;
+          Alcotest.test_case "full map at F_5 refuses strict" `Quick
+            test_engine_full_map_refuses;
         ] );
       ( "metrics",
         [

@@ -193,35 +193,42 @@ let test_reconstruct_rejects ring name () =
 
 (* --- product kernel vs Cyclic.mul ---------------------------------- *)
 
+(* Both kernels run the convolution from the operand with fewer
+   nonzero coefficients, so operands also come as tree-shaped factors
+   ((x - v), short products of linear factors, one, zero) and every
+   product is checked in both operand orders. *)
 let mul_suite ring name =
   let tab = table_of ring in
   let n = ring.Ring.n in
   let gc = gen_cyclic ring in
+  let operand = QCheck2.Gen.oneof [ gc; Test_support.gen_tree_factor ring ] in
+  let mul_agrees a b =
+    let out = Array.make n (-1) in
+    Flat.mul_into tab ~n ~a:(Cyclic.view a) ~b:(Cyclic.view b) ~out;
+    Cyclic.equal (Cyclic.of_int_array ring out) (Cyclic.mul ring a b)
+  in
+  let fold_agrees children =
+    let reference = List.fold_left (Cyclic.mul ring) (Cyclic.one ring) children in
+    let acc = ref (Cyclic.to_int_array (Cyclic.one ring)) in
+    let scratch = ref (Array.make n 0) in
+    List.iter
+      (fun child ->
+        Flat.mul_into tab ~n ~a:!acc ~b:(Cyclic.view child) ~out:!scratch;
+        let t = !acc in
+        acc := !scratch;
+        scratch := t)
+      children;
+    Cyclic.equal (Cyclic.of_int_array ring !acc) reference
+  in
   [
-    qtest (name ^ ": mul_into = Cyclic.mul") (QCheck2.Gen.pair gc gc)
-      (fun (a, b) ->
-        let out = Array.make n (-1) in
-        Flat.mul_into tab ~n ~a:(Cyclic.view a) ~b:(Cyclic.view b) ~out;
-        Cyclic.equal (Cyclic.of_int_array ring out) (Cyclic.mul ring a b));
+    qtest (name ^ ": mul_into = Cyclic.mul") (QCheck2.Gen.pair operand gc) (fun (a, b) ->
+        mul_agrees a b && mul_agrees b a);
     qtest ~count:50
       (name ^ ": ping-pong product fold = Cyclic.mul fold")
       QCheck2.Gen.(
         let* k = int_range 0 6 in
-        list_repeat k gc)
-      (fun children ->
-        let reference =
-          List.fold_left (Cyclic.mul ring) (Cyclic.one ring) children
-        in
-        let acc = ref (Cyclic.to_int_array (Cyclic.one ring)) in
-        let scratch = ref (Array.make n 0) in
-        List.iter
-          (fun child ->
-            Flat.mul_into tab ~n ~a:!acc ~b:(Cyclic.view child) ~out:!scratch;
-            let t = !acc in
-            acc := !scratch;
-            scratch := t)
-          children;
-        Cyclic.equal (Cyclic.of_int_array ring !acc) reference);
+        list_repeat k operand)
+      (fun children -> fold_agrees children && fold_agrees (List.rev children));
   ]
 
 (* --- Shamir recombination kernel vs unpack + combine_vectors + pack -- *)
@@ -413,15 +420,19 @@ let share_suite ring name =
           (Share.add_packed ring ~client buf)
           (Cyclic.add ring client (Codec.unpack_cyclic ring buf)));
     (* few cases: the GF(2^8) reference multiplies through the field's
-       closures, about 65 000 of them per product step *)
+       closures, about 65 000 of them per dense product step; operands
+       also come as tree-shaped factors, folded in both orders *)
     qtest ~count:12
       (name ^ ": product = Cyclic.mul fold")
       QCheck2.Gen.(
         let* k = int_range 0 3 in
-        list_repeat k gc)
+        list_repeat k (oneof [ gc; Test_support.gen_tree_factor ring ]))
       (fun polys ->
-        Cyclic.equal (Share.product ring polys)
-          (List.fold_left (Cyclic.mul ring) (Cyclic.one ring) polys));
+        List.for_all
+          (fun polys ->
+            Cyclic.equal (Share.product ring polys)
+              (List.fold_left (Cyclic.mul ring) (Cyclic.one ring) polys))
+          [ polys; List.rev polys ]);
   ]
 
 (* The zero point (also written as q) and malformed shares raise on
@@ -504,5 +515,12 @@ let () =
                 Alcotest.test_case (name ^ " rejects zero and bad shares") `Quick
                   (test_share_rejects ring name);
               ])
-          [ (r5, "F5"); (r9, "GF9"); (r83, "F83"); (r256, "GF256"); (r257, "F257") ] );
+          [
+            (r5, "F5");
+            (r9, "GF9");
+            (r81, "GF81");
+            (r83, "F83");
+            (r256, "GF256");
+            (r257, "F257");
+          ] );
     ]

@@ -10,6 +10,8 @@ let qtest ?(count = 200) name gen prop =
 let r5 = Ring.of_prime ~p:5
 let r83 = Ring.of_prime ~p:83
 let r9 = Ring.of_prime_power ~p:3 ~e:2
+let r81 = Ring.of_prime_power ~p:3 ~e:4
+let r257 = Ring.of_prime ~p:257
 
 let gen_dense ring =
   let open QCheck2.Gen in
@@ -134,16 +136,25 @@ let test_dense_division_by_zero () =
 
 let cyclic_suite ring name =
   let gc = gen_cyclic ring and gd = gen_dense ring and gpt = gen_point ring in
+  (* [Cyclic.mul] runs its convolution from the operand with fewer
+     nonzero coefficients, so operands also come as tree-shaped factors
+     and the product is checked in both orders *)
+  let operand =
+    QCheck2.Gen.oneof
+      [ QCheck2.Gen.map (Cyclic.of_dense ring) gd; Test_support.gen_tree_factor ring; gc ]
+  in
   [
     qtest (name ^ ": reduction preserves eval at nonzero points")
       (QCheck2.Gen.pair gd gpt)
       (fun (f, x) -> Cyclic.eval ring (Cyclic.of_dense ring f) x = Dense.eval ring f x);
     qtest (name ^ ": mul agrees with dense mul then reduce")
-      (QCheck2.Gen.pair gd gd)
+      (QCheck2.Gen.pair operand operand)
       (fun (a, b) ->
-        Cyclic.equal
-          (Cyclic.mul ring (Cyclic.of_dense ring a) (Cyclic.of_dense ring b))
-          (Cyclic.of_dense ring (Dense.mul ring a b)));
+        let expected =
+          Cyclic.of_dense ring (Dense.mul ring (Cyclic.to_dense ring a) (Cyclic.to_dense ring b))
+        in
+        Cyclic.equal (Cyclic.mul ring a b) expected
+        && Cyclic.equal (Cyclic.mul ring b a) expected);
     qtest (name ^ ": mul_linear = mul by (x - root)")
       (QCheck2.Gen.pair gc gpt)
       (fun (f, root) ->
@@ -286,6 +297,8 @@ let () =
       ("cyclic F_5", cyclic_suite r5 "F5");
       ("cyclic F_83", cyclic_suite r83 "F83");
       ("cyclic F_9", cyclic_suite r9 "F9");
+      ("cyclic GF_81", cyclic_suite r81 "GF81");
+      ("cyclic F_257", cyclic_suite r257 "F257");
       ( "cyclic units",
         [
           Alcotest.test_case "eval at zero rejected" `Quick test_cyclic_eval_zero_rejected;

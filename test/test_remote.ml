@@ -363,10 +363,11 @@ let test_bad_field_rejected_without_leak () =
    share it reconstructs, every evaluation it combines and every
    aggregate sum it unblinds, so the query fails with a filter error,
    in-process and over a socket — never with a stray exception or an
-   answer.  Shares are corrupted on a field with byte tables (F_83)
-   and on one without (F_257); evaluations and sums are pushed out of
-   their field (by q, resp. the numeric modulus) on F_83 and
-   GF(3^4). *)
+   answer.  Shares are cut short, pushed out of range or tampered in
+   range (so the equality test's division fails) on a field with byte
+   tables (F_83) and on one without (F_257); evaluations and sums are
+   pushed out of their field (by q, resp. the numeric modulus) on F_83
+   and GF(3^4). *)
 let test_malformed_shares_reply () =
   let doc =
     Result.get_ok
@@ -428,6 +429,15 @@ let test_malformed_shares_reply () =
         done;
         share
       in
+      (* every decoded coefficient stays in range, but x^2's moves by
+         one: the node is no longer (x - t) times its children's
+         product, which the division must refuse rather than read as
+         "not equal" *)
+      let tampered share =
+        let coeffs = Secshare_poly.Codec.unpack ~q:p ~n:(p - 1) share in
+        coeffs.(2) <- (coeffs.(2) + 1) mod p;
+        Secshare_poly.Codec.pack ~q:p coeffs
+      in
       List.iter
         (fun (what, corrupt) ->
           lying_query ~p ~e:1 ~db
@@ -442,6 +452,7 @@ let test_malformed_shares_reply () =
         [
           ("halved", fun share -> Bytes.sub share 0 (Bytes.length share / 2));
           ("out-of-range", out_of_range);
+          ("in-range tampered", tampered);
         ];
       DB.close db)
     [ 83; 257 ];

@@ -328,18 +328,6 @@ let dealer_db =
 let numbers_of db =
   match DB.numbers_table db with Some t -> t | None -> failwith "no numeric column"
 
-let digest_tables tables =
-  let buf = Buffer.create 4096 in
-  Array.iter
-    (fun t ->
-      Node_table.iter t ~f:(fun r ->
-          Printf.bprintf buf "%d/%d/%d:" r.Page.pre r.Page.post r.Page.parent;
-          Buffer.add_bytes buf r.Page.share;
-          Buffer.add_char buf '\n');
-      Buffer.add_char buf '|')
-    tables;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* MD5 of every shard table the dealer writes, pinned so a refactor of
    the sharing code cannot change a single stored byte: ((threshold,
    shards), (polynomial tables, numeric tables)). *)
@@ -365,8 +353,8 @@ let test_dealer_digests () =
       Split.split_numbers ~threshold ~shards ~dealer_seed ~source:(numbers_of db)
         ~sinks:num;
       let label = Printf.sprintf "%d-of-%d" threshold shards in
-      check Alcotest.string (label ^ " polynomial shards") want_poly (digest_tables poly);
-      check Alcotest.string (label ^ " numeric shards") want_num (digest_tables num))
+      check Alcotest.string (label ^ " polynomial shards") want_poly (Test_support.digest_tables poly);
+      check Alcotest.string (label ^ " numeric shards") want_num (Test_support.digest_tables num))
     pinned_dealer_digests
 
 (* Both dealers reject a geometry no group could recombine, before
