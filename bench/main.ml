@@ -414,31 +414,23 @@ let batching_ablation () =
     "Three cost models for the same queries.  Per-node is the paper's RMI
      filter: one round trip per evaluation, each a one-row Eval_batch
      message.  Batched folds each filtering step into one Eval_batch
-     message but still navigates with per-parent Children calls and
-     point-free descendant scans.  Fused sends the axis
-     scan and the share evaluations in a single Scan_eval message, halving
-     the round trips of the batched protocol on chain queries.  Results
-     must be (and are asserted) identical (simple engine, containment test):
+     message after a point-free Scan_eval of the axis.  Fused sends the
+     axis scan and the share evaluations in a single Scan_eval message,
+     roughly halving the round trips of the batched protocol on chain
+     queries.
+     Results, evaluation counts and nodes examined must be (and are
+     asserted) identical (simple engine, containment test):
 
 ";
   let doc = xmark_doc (if !quick then 100_000 else 300_000) in
-  let mk ~batching ~fused =
+  let mk rpc_mode =
     make_db
-      ~cfg:
-        {
-          config with
-          DB.client =
-            {
-              DB.default_client_config with
-              rpc_batching = batching;
-              rpc_fused_scan = fused;
-            };
-        }
+      ~cfg:{ config with DB.client = { DB.default_client_config with rpc_mode } }
       doc
   in
-  let per_node = mk ~batching:false ~fused:false in
-  let batched = mk ~batching:true ~fused:false in
-  let fused = mk ~batching:true ~fused:true in
+  let per_node = mk DB.Per_node in
+  let batched = mk DB.Batched in
+  let fused = mk DB.Fused in
   printf "%-46s %8s %11s %12s %12s %12s
 " "query" "matches" "calls(RMI)" "calls(batch)"
     "calls(fused)" "batch/fused";
@@ -459,8 +451,16 @@ let batching_ablation () =
       let pres (r : DB.query_result) =
         List.map (fun (m : Secshare_rpc.Protocol.node_meta) -> m.Secshare_rpc.Protocol.pre) (DB.result_nodes r)
       in
-      if not (pres rn = pres rb && pres rb = pres rf) then
+      let same f = f rn = f rb && f rb = f rf in
+      if not (same pres) then
         failwith (Printf.sprintf "batching ablation: %s results diverge" q);
+      if
+        not
+          (same (fun r -> r.DB.metrics.Metrics.evaluations)
+          && same (fun r -> r.DB.metrics.Metrics.nodes_examined))
+      then
+        failwith
+          (Printf.sprintf "batching ablation: %s evaluation counts diverge" q);
       printf "%-46s %8d %11d %12d %12d %11.1fx
 " q (List.length (DB.result_nodes rf))
         rn.DB.rpc_calls rb.DB.rpc_calls rf.DB.rpc_calls

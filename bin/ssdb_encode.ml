@@ -40,55 +40,51 @@ let load_or_create_mapping path ~q ~trie xml_path =
             Result.map (fun m -> (m, true)) with_alpha)
   end
 
-(* Encode the document at [xml_path] into [table] and [numbers]. *)
-let encode_file ring ~mapping ~seed ~trie ~agg_scale ~table ~numbers xml_path =
+(* Encode the document at [xml_path] into fresh in-memory tables (the
+   shares and the numeric column).  Nothing is written yet: both output
+   shapes create their files only once the document has been encoded,
+   so a refused document leaves every existing output as it was. *)
+let encode_file ring ~mapping ~seed ~trie ~agg_scale xml_path =
   match open_in_bin xml_path with
   | exception Sys_error m -> Error (Encode.Xml_error m)
   | ic ->
+      let table = Node_table.create () and numbers = Node_table.create () in
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
-          Encode.encode_channel ring ~mapping ~seed ~table ~numbers ~agg_scale ?trie ic)
+          Encode.encode_channel ring ~mapping ~seed ~table ~numbers ~agg_scale ?trie ic
+          |> Result.map (fun stats -> (stats, table, numbers)))
 
 let encode_single ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
     ~checkpoint_every xml_path =
-  let table = Node_table.create_file ~durable ?checkpoint_every db_path in
-  let numbers =
-    Node_table.create_file ~durable ?checkpoint_every (Cli.nums_path db_path)
-  in
-  let result =
-    encode_file ring ~mapping ~seed ~trie ~agg_scale ~table ~numbers xml_path
-  in
-  let data_bytes = Node_table.data_bytes table in
-  Node_table.close table;
-  Node_table.close numbers;
-  match result with
+  match encode_file ring ~mapping ~seed ~trie ~agg_scale xml_path with
   | Error e -> err "encoding failed: %s" (Encode.error_to_string e)
-  | Ok stats ->
+  | Ok (stats, source, num_source) ->
+      List.iter
+        (fun (table, path) ->
+          let file = Node_table.create_file ~durable ?checkpoint_every path in
+          Node_table.iter table ~f:(Node_table.insert file);
+          Node_table.close file)
+        [ (source, db_path); (num_source, Cli.nums_path db_path) ];
       Printf.printf
         "encoded %d nodes (%d elements, %d trie nodes, %d numeric) in %.2f s\n\
          database: %s (%d data bytes), numeric column: %s\n"
         stats.Encode.nodes stats.Encode.elements stats.Encode.trie_nodes
-        stats.Encode.numeric_nodes stats.Encode.duration_seconds db_path data_bytes
-        (Cli.nums_path db_path);
+        stats.Encode.numeric_nodes stats.Encode.duration_seconds db_path
+        (Node_table.data_bytes source) (Cli.nums_path db_path);
       `Ok 0
 
-(* Sharded output: encode into a scratch in-memory table, then deal
-   every server share into n Shamir shard tables (threshold t) with a
-   fresh dealer seed that is deliberately NOT persisted — holding it
-   would let anyone collapse the t-of-n masking back to the
-   single-server share.  The numeric column is dealt with the same
-   (discarded) seed into one X.shardI.nums file per shard. *)
+(* Sharded output: deal every server share of the encoded table into n
+   Shamir shard tables (threshold t) with a fresh dealer seed that is
+   deliberately NOT persisted — holding it would let anyone collapse
+   the t-of-n masking back to the single-server share.  The numeric
+   column is dealt with the same (discarded) seed into one
+   X.shardI.nums file per shard. *)
 let encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
     ~checkpoint_every ~shards ~threshold xml_path =
-  let source = Node_table.create () in
-  let num_source = Node_table.create () in
-  match
-    encode_file ring ~mapping ~seed ~trie ~agg_scale ~table:source ~numbers:num_source
-      xml_path
-  with
+  match encode_file ring ~mapping ~seed ~trie ~agg_scale xml_path with
   | Error e -> err "encoding failed: %s" (Encode.error_to_string e)
-  | Ok stats -> (
+  | Ok (stats, source, num_source) -> (
       let dealer_seed = Seed.generate () in
       let shard_db i = Manifest.shard_db_path db_path (i + 1) in
       let sinks =

@@ -10,10 +10,10 @@ open Query_common
    sieve.
 
    With the fused protocol the *first* sieve point rides inside the
-   child scan; the remaining points still drop out one [Eval_batch]
-   round at a time, so the evaluation counts (one pair per surviving
-   node per point) match the unfused lowering — only the round-trip
-   count shrinks. *)
+   step's scan (a child scan, or each level of the pruned walk); the
+   remaining points still drop out one [Eval_batch] round at a time,
+   so the evaluation counts (one pair per surviving node per point)
+   match the unfused lowering — only the round-trip count shrinks. *)
 let lower ?agg ~fused ~mapping ~strictness query =
   if query = [] then raise (Query_error "empty query");
   let look_names = Ast.names_after query in
@@ -25,6 +25,9 @@ let lower ?agg ~fused ~mapping ~strictness query =
       | Ast.Any | Ast.Parent -> None
     in
     let sieve = match own_point with None -> look | Some p -> p :: look in
+    let eval, rest =
+      match sieve with p :: rest when fused -> (Some p, rest) | _ -> (None, sieve)
+    in
     let strict_eq =
       match (own_point, strictness) with
       | Some point, Strict -> [ Plan.Filter_equality { point } ]
@@ -39,11 +42,6 @@ let lower ?agg ~fused ~mapping ~strictness query =
     | Ast.Parent, _ -> (Plan.Parent_step :: Plan.Dedup :: containment look)
     | _, Ast.Child ->
         let axis = if first then Plan.Root_scan else Plan.Child_scan in
-        let eval, rest =
-          if fused then
-            match sieve with [] -> (None, []) | p :: rest -> (Some p, rest)
-          else (None, sieve)
-        in
         (Plan.Scan { axis; eval } :: Plan.Dedup :: containment rest) @ strict_eq
     | _, Ast.Descendant ->
         (* the walk prunes with the full sieve even in strict mode —
@@ -53,7 +51,7 @@ let lower ?agg ~fused ~mapping ~strictness query =
           if first then [ Plan.Scan { axis = Plan.Root_scan; eval = None } ] else []
         in
         prefix
-        @ (Plan.Pruned_scan { prune = sieve; include_self = first } :: strict_eq)
+        @ (Plan.Pruned_scan { eval; prune = rest; include_self = first } :: strict_eq)
         @ [ Plan.Dedup ]
   in
   let rec go ~first index = function

@@ -25,27 +25,24 @@ type t = {
   transport : Transport.t;
   scan_batch : int;
   batch_eval : bool;
-  fused_scan : bool;
   share_cache : (int, Cyclic.t) Lru.t option;
       (* pre -> regenerated client polynomial; [Cyclic] ops are pure,
          so cached polynomials can never be mutated through use *)
 }
 
-let create ring ~seed ?(scan_batch = 256) ?(batch_eval = true) ?(fused_scan = true)
-    ?(share_cache = 4096) transport =
+let create ring ~seed ?(scan_batch = 256) ?(batch_eval = true) ?(share_cache = 4096)
+    transport =
   {
     ring;
     seed;
     transport;
     scan_batch = max 1 scan_batch;
     batch_eval;
-    fused_scan;
     share_cache = (if share_cache <= 0 then None else Some (Lru.create share_cache));
   }
 
 let rpc_counters t = Transport.counters t.transport
 let scan_batch t = t.scan_batch
-let fused_scan t = t.fused_scan
 let share_cache_stats t = Option.map Lru.stats t.share_cache
 
 (* Regenerate (or recall) the client polynomial for [pre]. *)

@@ -21,7 +21,6 @@ val create :
   seed:Secshare_prg.Seed.t ->
   ?scan_batch:int ->
   ?batch_eval:bool ->
-  ?fused_scan:bool ->
   ?share_cache:int ->
   Secshare_rpc.Transport.t ->
   t
@@ -32,23 +31,19 @@ val create :
     round trip for the whole candidate list; disabling it sends a
     one-row [Eval_batch] per node, reproducing the per-node-call cost
     model of the paper's RMI filter (see the batching ablation).
-    [fused_scan] (default true) lets the execution pipeline evaluate
-    shares inside the [Scan_eval] request — axis scan and share
-    evaluation in one message — instead of per-parent [Children] calls
-    and point-free descendant scans followed by a separate
-    [Eval_batch].  [share_cache] (default 4096
-    polynomials, 0 = off) bounds the LRU cache of regenerated client
-    polynomials keyed by [pre]; regeneration is a pure function of the
-    seed and [pre], so a cached entry is exact forever and eviction
-    can only cost time, never correctness.  It is the client's only
-    cache.
+    Whether a scan also evaluates shares is not the filter's choice:
+    the plan puts the points in each [Scan_eval].  [share_cache]
+    (default 4096 polynomials, 0 = off) bounds the LRU cache of
+    regenerated client polynomials keyed by [pre]; regeneration is a
+    pure function of the seed and [pre], so a cached entry is exact
+    forever and eviction can only cost time, never correctness.  It is
+    the client's only cache.
 
     The filter keeps no counters: every counting call below takes the
     calling operator's [~counts] and adds its work there. *)
 
 val rpc_counters : t -> Secshare_rpc.Transport.counters
 val scan_batch : t -> int
-val fused_scan : t -> bool
 
 val share_cache_stats : t -> Lru.stats option
 (** Hit/miss/eviction counts of the polynomial cache; [None] when the
@@ -57,7 +52,6 @@ val share_cache_stats : t -> Lru.stats option
 (** {2 Structure navigation} *)
 
 val root : t -> Secshare_rpc.Protocol.node_meta option
-val children : t -> pre:int -> Secshare_rpc.Protocol.node_meta list
 val parent : t -> pre:int -> Secshare_rpc.Protocol.node_meta option
 
 (** {2 Scans}

@@ -4,9 +4,10 @@ module Transport = Secshare_rpc.Transport
 module Ast = Secshare_xpath.Ast
 module Obs = Secshare_obs
 
+type rpc_mode = Per_node | Batched | Fused
+
 type client_config = {
-  rpc_batching : bool;
-  rpc_fused_scan : bool;
+  rpc_mode : rpc_mode;
   share_cache : int;
   timeout : float option;
   max_retries : int;
@@ -18,8 +19,7 @@ type client_config = {
 
 let default_client_config =
   {
-    rpc_batching = true;
-    rpc_fused_scan = true;
+    rpc_mode = Fused;
     share_cache = 4096;
     timeout = None;
     max_retries = 0;
@@ -113,6 +113,7 @@ type t = {
   map : Mapping.t;
   seed : Secshare_prg.Seed.t;
   filter : Client_filter.t;
+  fused : bool;  (** lower with the first sieve point inside each scan *)
   local : local option;
 }
 
@@ -148,6 +149,16 @@ let build_mapping config ~q tree =
   | (Ok _ as ok), None -> ok
   | Ok m, Some _ -> Mapping.with_trie_alphabet m
 
+(* The client half of every handle.  [rpc_mode] splits into the two
+   places that act on it: the lowering fuses scans ([fused]) and the
+   filter batches [Eval_batch] rounds ([batch_eval]). *)
+let client_handle ~(client : client_config) ~ring ~map ~seed ~local transport =
+  let filter =
+    Client_filter.create ring ~seed ~batch_eval:(client.rpc_mode <> Per_node)
+      ~share_cache:client.share_cache transport
+  in
+  { ring; map; seed; filter; fused = client.rpc_mode = Fused; local }
+
 (* Assemble the in-process client/server pair every local constructor
    ends in: one server filter (with its evaluation pool) over the
    table, a local transport, and a caching client filter on top. *)
@@ -157,12 +168,9 @@ let assemble_local ~(client : client_config) ~ring ~map ~seed ~table ?numbers
     Server_filter.create ?cursor_ttl:client.cursor_ttl ~max_cursors:client.max_cursors
       ?slow_query_ms:client.slow_query_ms ~workers:client.workers ?numbers ring table
   in
-  let transport = Transport.local ~handler:(Server_filter.handler server) in
-  let filter =
-    Client_filter.create ring ~seed ~batch_eval:client.rpc_batching
-      ~fused_scan:client.rpc_fused_scan ~share_cache:client.share_cache transport
-  in
-  { ring; map; seed; filter; local = Some { table; numbers; server; encode_stats } }
+  client_handle ~client ~ring ~map ~seed
+    ~local:(Some { table; numbers; server; encode_stats })
+    (Transport.local ~handler:(Server_filter.handler server))
 
 let create_tree ?(config = default_config) tree =
   match Ring.checked ~p:config.p ~e:config.e with
@@ -216,51 +224,49 @@ let create_file ?config path =
   | contents -> create ?config contents
   | exception Sys_error msg -> Error msg
 
-let run_query_on filter ~map ?(engine = Advanced) ?(strictness = Query_common.Strict)
-    ?agg ast =
+let query_ast ?(engine = Advanced) ?(strictness = Query_common.Strict) ?agg t ast =
   (* one trace per query: the ambient id flows into every operator
      span and rides the frame header of every RPC the query makes *)
   let trace_id = Obs.Trace.genid () in
   let t0 = Unix.gettimeofday () in
-  match
+  let outcome, operators =
     Obs.Trace.with_ambient trace_id (fun () ->
         Obs.Trace.with_span ~kind:Obs.Span.Client "query" (fun () ->
             (* a name with no map entry cannot occur in the document:
                answer the empty-set value without a single RPC, as
                plaintext XPath would *)
-            if List.exists (fun n -> Mapping.value map n = None) (Ast.name_tests ast) then
-              (Query_common.empty_value agg, [])
+            if List.exists (fun n -> Mapping.value t.map n = None) (Ast.name_tests ast)
+            then (Ok (Query_common.empty_value agg), [])
             else
               let lower =
                 match engine with
                 | Simple -> Simple_query.lower
                 | Advanced -> Advanced_query.lower
               in
-              Operator.run filter
-                (lower ?agg ~fused:(Client_filter.fused_scan filter) ~mapping:map
-                   ~strictness ast)))
-  with
-  | value, operators ->
-      let seconds = Unix.gettimeofday () -. t0 in
-      (* the operator rows are the only counters: the query's totals
-         are their sums *)
-      let metrics = Metrics.total operators in
+              match lower ?agg ~fused:t.fused ~mapping:t.map ~strictness ast with
+              | plan -> Operator.run t.filter plan
+              | exception Query_common.Query_error msg -> (Error msg, [])))
+  in
+  let seconds = Unix.gettimeofday () -. t0 in
+  (* the operator rows are the only counters: the query's totals are
+     their sums, and a failed query's work counts too *)
+  let metrics = Metrics.total operators in
+  mirror_query_metrics metrics;
+  Result.map
+    (fun value ->
       let sum field = List.fold_left (fun acc s -> acc + field s) 0 operators in
       Obs.Registry.inc obs_client_queries;
       Obs.Histogram.observe obs_query_seconds seconds;
-      mirror_query_metrics metrics;
-      Ok
-        {
-          value;
-          operators;
-          metrics;
-          rpc_calls = sum (fun s -> s.Metrics.rpc_calls);
-          rpc_bytes = sum (fun s -> s.Metrics.rpc_bytes);
-          seconds;
-          trace_id;
-        }
-  | exception Query_common.Query_error msg -> Error msg
-  | exception Client_filter.Filter_error msg -> Error ("filter: " ^ msg)
+      {
+        value;
+        operators;
+        metrics;
+        rpc_calls = sum (fun s -> s.Metrics.rpc_calls);
+        rpc_bytes = sum (fun s -> s.Metrics.rpc_bytes);
+        seconds;
+        trace_id;
+      })
+    outcome
 
 (* Client-side aggregate admission: a [sum]/[avg] is refused before any
    RPC unless the path ends in a plain tag name whose every occurrence
@@ -295,9 +301,6 @@ let rewrite_parsed (q : Ast.query) =
   match Ast.rewrite_contains q.Ast.path with
   | rewritten -> Ok { q with Ast.path = rewritten }
   | exception Invalid_argument msg -> Error msg
-
-let query_ast ?engine ?strictness ?agg t ast =
-  run_query_on t.filter ~map:t.map ?engine ?strictness ?agg ast
 
 let query ?engine ?strictness t q =
   match Secshare_xpath.Parser.parse_query q with
@@ -368,19 +371,12 @@ let open_cursors t = Server_filter.open_cursors (local_exn t "open_cursors").ser
 let cursor_stats t = Server_filter.cursor_stats (local_exn t "cursor_stats").server
 let sweep_cursors t = Server_filter.sweep_cursors (local_exn t "sweep_cursors").server
 
-let remote ~client ~ring ~mapping ~seed transport =
-  let filter =
-    Client_filter.create ring ~seed ~batch_eval:client.rpc_batching
-      ~fused_scan:client.rpc_fused_scan ~share_cache:client.share_cache transport
-  in
-  { ring; map = mapping; seed; filter; local = None }
-
 let of_transport ?(client = default_client_config) ~p ~e ~mapping ~seed transport =
   match Ring.checked ~p ~e with
   | Error _ as err ->
       Transport.close transport;
       err
-  | Ok ring -> Ok (remote ~client ~ring ~mapping ~seed transport)
+  | Ok ring -> Ok (client_handle ~client ~ring ~map:mapping ~seed ~local:None transport)
 
 let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
   let policy =
@@ -396,7 +392,8 @@ let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
   | Ok ring -> (
       match Transport.socket ~policy path with
       | Error msg -> Error ("connect: " ^ msg)
-      | Ok transport -> Ok (remote ~client ~ring ~mapping ~seed transport))
+      | Ok transport ->
+          Ok (client_handle ~client ~ring ~map:mapping ~seed ~local:None transport))
 
 let close t =
   Client_filter.close t.filter;

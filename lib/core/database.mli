@@ -13,7 +13,7 @@
     handle.
 
     Every client-side knob enters through one {!client_config} record
-    — transport batching, the share-regeneration cache, socket
+    — the round-trip cost model, the share-regeneration cache, socket
     deadlines and retries, server cursor policy and the evaluation
     worker pool — so a configuration can be built once and reused
     across {!create}, {!of_parts}, {!connect} and {!open_bundle}. *)
@@ -21,16 +21,15 @@
 type t
 (** A client handle, local or remote. *)
 
+(** The three client cost models of the batching ablation; all give
+    the same results and evaluation counts.  [Per_node] is the paper's
+    RMI filter: one round trip per evaluation.  [Batched] sends one
+    [Eval_batch] per filtering step and batch.  [Fused] puts a name
+    step's first sieve point in its axis scan's [Scan_eval]. *)
+type rpc_mode = Per_node | Batched | Fused
+
 type client_config = {
-  rpc_batching : bool;
-      (** batch containment evaluations into one round trip (default
-          true); disable to reproduce the per-node-call cost model of
-          the paper's RMI filter *)
-  rpc_fused_scan : bool;
-      (** let the execution pipeline use the fused [Scan_eval] request
-          — axis scan and share evaluation in one message — instead
-          of per-parent [Children] / cursor calls followed by a
-          separate evaluation round trip (default true) *)
+  rpc_mode : rpc_mode;  (** default [Fused] *)
   share_cache : int;
       (** capacity, in polynomials, of the client's LRU cache over
           regenerated share polynomials (default 4096; 0 disables).
@@ -145,7 +144,8 @@ val query :
     engine, short-circuits to that empty-set value ([Nodes []],
     [Count 0], a zero sum) with no RPC and no operators.  Otherwise
     the engine's [lower] builds the plan and {!Operator.run} executes
-    it. *)
+    it.  The operators' counters reach the process registry
+    ([ssdb_client_*_total]) also when the query fails. *)
 
 val query_ast :
   ?engine:engine ->

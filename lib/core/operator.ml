@@ -190,9 +190,29 @@ let fused_scan_stream filter stats ~points ~target_of_batch upstream =
 
 (* --- sources and scans ---------------------------------------------- *)
 
+(* The children of each upstream batch's nodes: one [Scan_eval] over
+   [Children_of] per batch, evaluating the shares at [points] when the
+   plan fused any (with none it is a plain streamed scan).  Every child
+   axis runs through here: the child scan, a fused root scan and each
+   level of the pruned walk. *)
+let children_stream filter stats ~points upstream =
+  fused_scan_stream filter stats ~points
+    ~target_of_batch:(fun batch ->
+      if Array.length batch = 0 then None
+      else Some (Protocol.Children_of (pres_of (Array.to_list batch))))
+    upstream
+
+let scan_children name filter ~eval input =
+  let stats = Metrics.op_stats name in
+  let next_batch, close =
+    children_stream filter stats ~points:(Option.to_list eval) (fun () ->
+        pull stats input)
+  in
+  make ~close stats next_batch
+
 (* A one-shot source emitting the virtual document node, whose only
-   child is the root: feeding it to the fused child scan turns the
-   first query step into a [Scan_eval] too. *)
+   child is the root: feeding it to the child scan turns a fused first
+   query step into a [Scan_eval] too. *)
 let document_node_source () =
   let stats = Metrics.op_stats "document-node" in
   let emitted = ref false in
@@ -204,66 +224,19 @@ let document_node_source () =
       end)
 
 let scan_root name filter ~eval =
-  match (eval, Client_filter.fused_scan filter) with
-  | Some point, true ->
-      let stats = Metrics.op_stats name in
-      let next_batch, close =
-        fused_scan_stream filter stats ~points:[ point ]
-          ~target_of_batch:(fun batch ->
-            Some (Protocol.Children_of (pres_of (Array.to_list batch))))
-          (let source = document_node_source () in
-           fun () -> pull stats source)
-      in
-      make ~close stats next_batch
-  | _ ->
+  match eval with
+  | Some _ -> scan_children name filter ~eval (document_node_source ())
+  | None ->
       let stats = Metrics.op_stats name in
       let emitted = ref false in
       make stats (fun () ->
           if !emitted then None
           else begin
             emitted := true;
-            match with_rpc filter stats (fun () -> Client_filter.root filter) with
-            | None -> None
-            | Some root -> (
-                match eval with
-                | None -> Some [| root |]
-                | Some point ->
-                    Some (Array.of_list (contains_all filter stats [ root ] [ point ])))
+            Option.map
+              (fun root -> [| root |])
+              (with_rpc filter stats (fun () -> Client_filter.root filter))
           end)
-
-let scan_children name filter ~eval input =
-  let stats = Metrics.op_stats name in
-  if Client_filter.fused_scan filter then
-    let next_batch, close =
-      fused_scan_stream filter stats ~points:(Option.to_list eval)
-        ~target_of_batch:(fun batch ->
-          if Array.length batch = 0 then None
-          else Some (Protocol.Children_of (pres_of (Array.to_list batch))))
-        (fun () -> pull stats input)
-    in
-    make ~close stats next_batch
-  else
-    let rec next_batch () =
-      match pull stats input with
-      | None -> None
-      | Some parents -> (
-          let children =
-            List.concat_map
-              (fun (m : Protocol.node_meta) ->
-                with_rpc filter stats (fun () ->
-                    Client_filter.children filter ~pre:m.Protocol.pre))
-              (Array.to_list parents)
-          in
-          let children =
-            match eval with
-            | None -> children
-            | Some point -> contains_all filter stats children [ point ]
-          in
-          match children with
-          | [] -> next_batch ()
-          | _ -> Some (Array.of_list children))
-    in
-    make stats next_batch
 
 let scan_descendants name filter ~eval ~include_self input =
   let stats = Metrics.op_stats name in
@@ -291,51 +264,32 @@ let scan_descendants name filter ~eval ~include_self input =
 
 (* The advanced engine's look-ahead walk: descend level by level from
    the source nodes, keeping (and descending into) only children whose
-   subtree contains every prune point — dead branches are never
-   entered.  The walk needs a whole level to form the next frontier,
-   so it is a per-level pipeline breaker; each [next] emits one
-   level's survivors. *)
-let pruned_scan name filter ~prune ~include_self input =
+   subtree contains [eval] and every prune point — dead branches are
+   never entered.  Each level is one children scan carrying [eval]; the
+   prune points then drop out in [Eval_batch] rounds.  The walk needs a
+   whole level to form the next frontier, so it is a per-level
+   pipeline breaker; each [next] emits one level's survivors. *)
+let pruned_scan name filter ~eval ~prune ~include_self input =
   let stats = Metrics.op_stats name in
-  let fused = Client_filter.fused_scan filter in
+  let points = Option.to_list eval in
   let started = ref false in
   let frontier = ref [] in
   let close_level = ref (fun () -> ()) in
   let gather_level level =
-    if fused then begin
-      (* first prune point rides in the scan; the rest drop out via
-         [Eval_batch] rounds like the unfused path *)
-      let points, rest =
-        match prune with [] -> ([], []) | p :: rest -> ([ p ], rest)
-      in
-      let pending = ref (Some (Array.of_list level)) in
-      let next_batch, close =
-        fused_scan_stream filter stats ~points
-          ~target_of_batch:(fun batch ->
-            Some (Protocol.Children_of (pres_of (Array.to_list batch))))
-          (fun () ->
-            let batch = !pending in
-            pending := None;
-            batch)
-      in
-      close_level := close;
-      let rec drain acc =
-        match next_batch () with
-        | Some metas -> drain (metas :: acc)
-        | None -> List.concat_map Array.to_list (List.rev acc)
-      in
-      contains_all filter stats (drain []) rest
-    end
-    else
-      let children =
-        Query_common.sort_dedup
-          (List.concat_map
-             (fun (m : Protocol.node_meta) ->
-               with_rpc filter stats (fun () ->
-                   Client_filter.children filter ~pre:m.Protocol.pre))
-             level)
-      in
-      contains_all filter stats children prune
+    let pending = ref (Some (Array.of_list level)) in
+    let next_batch, close =
+      children_stream filter stats ~points (fun () ->
+          let batch = !pending in
+          pending := None;
+          batch)
+    in
+    close_level := close;
+    let rec drain acc =
+      match next_batch () with
+      | Some metas -> drain (metas :: acc)
+      | None -> List.concat_map Array.to_list (List.rev acc)
+    in
+    contains_all filter stats (drain []) prune
   in
   let emit_level () =
     match !frontier with
@@ -365,7 +319,7 @@ let pruned_scan name filter ~prune ~include_self input =
       else
         (* the sources themselves are candidates (first [//] step);
            the walk below descends from them unfiltered either way *)
-        match contains_all filter stats !sources prune with
+        match contains_all filter stats !sources (points @ prune) with
         | [] -> emit_level ()
         | keep -> Some (Array.of_list keep)
     end
@@ -514,8 +468,8 @@ let build filter plan =
         scan_children name filter ~eval (input ())
     | Plan.Scan { axis = Plan.Descendant_scan { include_self }; eval } ->
         scan_descendants name filter ~eval ~include_self (input ())
-    | Plan.Pruned_scan { prune; include_self } ->
-        pruned_scan name filter ~prune ~include_self (input ())
+    | Plan.Pruned_scan { eval; prune; include_self } ->
+        pruned_scan name filter ~eval ~prune ~include_self (input ())
     | Plan.Parent_step -> parent_step name filter (input ())
     | Plan.Filter_containment { points } ->
         filter_containment name filter ~points (input ())
@@ -553,13 +507,18 @@ let drain ops =
 
 (* The one query driver: an engine only chooses the plan.  A plan
    ending in an [Aggregate] sink evaluates to the value the sink
-   deposited; any other plan to its rows in document order. *)
+   deposited; any other plan to its rows in document order.  A failed
+   query still hands back its operators' rows: the work it did before
+   the failure is counted like any other. *)
 let run filter plan =
   let ops = build filter plan in
-  let metas = drain ops in
-  let value =
-    match List.rev ops with
-    | { agg_ref = { contents = Some value }; _ } :: _ -> value
-    | _ -> Query_common.Nodes (Query_common.sort_dedup metas)
+  let outcome =
+    match drain ops with
+    | metas -> (
+        match List.rev ops with
+        | { agg_ref = { contents = Some value }; _ } :: _ -> Ok value
+        | _ -> Ok (Query_common.Nodes (Query_common.sort_dedup metas)))
+    | exception Query_common.Query_error msg -> Error msg
+    | exception Client_filter.Filter_error msg -> Error ("filter: " ^ msg)
   in
-  (value, List.map stats ops)
+  (outcome, List.map stats ops)

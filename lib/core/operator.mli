@@ -20,10 +20,11 @@ type batch = Secshare_rpc.Protocol.node_meta array
 
 val build : Client_filter.t -> Plan.t -> t list
 (** Operators in plan order; the last element is the sink to drain.
-    Whether scans use the fused [Scan_eval] protocol or per-parent
-    [Children] / cursor calls follows
-    {!Client_filter.fused_scan}. @raise Invalid_argument on a plan
-    whose first operator is not a source. *)
+    Every axis scan is a [Scan_eval] conversation evaluating exactly
+    the points the plan put in it (none: a plain streamed scan); the
+    operators make no protocol choice of their own.
+    @raise Invalid_argument on a plan whose first operator is not a
+    source. *)
 
 val next : t -> batch option
 (** One batch, or [None] when the stream is dry.  Batches are
@@ -37,10 +38,14 @@ val stats : t -> Metrics.op_stats
 (** The operator's counters, final once it is closed. *)
 
 val run :
-  Client_filter.t -> Plan.t -> Query_common.value * Metrics.op_stats list
+  Client_filter.t ->
+  Plan.t ->
+  (Query_common.value, string) result * Metrics.op_stats list
 (** The query driver: [build], pull every batch from the sink, then
     close every operator (also on exception).  A plan ending in an
     [Aggregate] sink evaluates to the sink's value; any other plan to
-    [Nodes] of its rows in document order, duplicates removed.  Also
-    returns every operator's counters, in plan order; the operators are
-    closed by then, so the rows are final. *)
+    [Nodes] of its rows in document order, duplicates removed.  A
+    {!Query_common.Query_error} is [Error msg], a
+    {!Client_filter.Filter_error} is [Error ("filter: " ^ msg)].
+    Either way it also returns every operator's counters, in plan
+    order; the operators are closed by then, so the rows are final. *)

@@ -24,11 +24,12 @@ type op =
       (** [eval] is a containment point fused into the scan: scanned
           rows come back with server evaluations and only the rows
           containing the point survive *)
-  | Pruned_scan of { prune : int list; include_self : bool }
+  | Pruned_scan of { eval : int option; prune : int list; include_self : bool }
       (** the advanced engine's look-ahead descendant walk: descend
           level by level, keeping (and descending into) only nodes
-          whose subtree contains every prune point — dead branches are
-          never entered *)
+          whose subtree contains [eval] and every prune point — dead
+          branches are never entered.  [eval] rides in each level's
+          scan; the [prune] points drop out in [Eval_batch] rounds *)
   | Parent_step  (** parent of every input node *)
   | Filter_containment of { points : int list }
       (** keep nodes whose subtree contains every point; applied one
@@ -54,12 +55,15 @@ let axis_to_string = function
 
 let points_to_string points = String.concat "," (List.map string_of_int points)
 
+let with_eval name = function
+  | None -> name
+  | Some p -> Printf.sprintf "%s+eval@%d" name p
+
 let op_to_string = function
-  | Scan { axis; eval = None } -> axis_to_string axis
-  | Scan { axis; eval = Some p } -> Printf.sprintf "%s+eval@%d" (axis_to_string axis) p
-  | Pruned_scan { prune; include_self } ->
-      Printf.sprintf "pruned-scan%s[%s]"
-        (if include_self then "(+self)" else "")
+  | Scan { axis; eval } -> with_eval (axis_to_string axis) eval
+  | Pruned_scan { eval; prune; include_self } ->
+      Printf.sprintf "%s[%s]"
+        (with_eval (if include_self then "pruned-scan(+self)" else "pruned-scan") eval)
         (points_to_string prune)
   | Parent_step -> "parent"
   | Filter_containment { points } ->

@@ -251,3 +251,9 @@ module Flaky = struct
       try Unix.unlink t.path with Unix.Unix_error _ -> ()
     end
 end
+
+(* The three client cost models of the batching ablation, by name: the
+   list every suite that checks mode agreement iterates. *)
+let rpc_modes =
+  Secshare_core.Database.
+    [ ("fused", Fused); ("batched", Batched); ("per-node", Per_node) ]

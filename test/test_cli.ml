@@ -113,8 +113,10 @@ let test_encode_refuses () =
         bad_fields)
 
 (* A refused encode leaves no file behind: the shard geometry is
-   checked before anything is written, and a fresh seed or map is saved
-   only once the document has been encoded. *)
+   checked before anything is written, a fresh seed or map is saved
+   only once the document has been encoded, and the database files are
+   written only then too, so an existing database survives a document
+   the encoder refuses. *)
 let test_encode_failure_leaves_nothing () =
   with_dir (fun dir ->
       let write name contents =
@@ -124,6 +126,7 @@ let test_encode_failure_leaves_nothing () =
       write "three.xml" "<a><b/><c/></a>";
       write "open.xml" "<a>";
       write "wide.xml" "<a><b/><c/><d/><e/></a>";
+      write "priced.xml" "<a><b>1.5</b><c>2</c></a>";
       let outputs =
         [ "n.map"; "n.seed"; "n.db"; "n.db.nums" ]
         @ List.concat_map
@@ -148,7 +151,21 @@ let test_encode_failure_leaves_nothing () =
           ( "5 names at p = 5",
             [ "wide.xml"; "-p"; "5" ],
             "map: field F_5 has only 4 nonzero values; cannot map 5 distinct names" );
-        ])
+        ];
+      (* with the map present, the unclosed element gets past the map
+         and is refused by the encoder itself *)
+      let existing = [ "d"; "d.nums" ] in
+      let secrets = [ "--map"; "d.map"; "--seed"; "d.seed"; "-o"; "d" ] in
+      must_succeed ~dir "ssdb_encode" ("priced.xml" :: secrets);
+      let before = List.map (fun n -> read_file (Filename.concat dir n)) existing in
+      expect_refusal ~what:"an unclosed element over a database" ~dir "ssdb_encode"
+        ("open.xml" :: secrets)
+        "encoding failed: XML error: line 1, column 4: unexpected end of input: '<a>' \
+         is not closed";
+      check
+        Alcotest.(list string)
+        "d and d.nums unchanged by the refused encode" before
+        (List.map (fun n -> read_file (Filename.concat dir n)) existing))
 
 let test_server_refuses () =
   with_encoded (fun dir ->

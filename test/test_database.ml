@@ -84,17 +84,17 @@ let test_bundle_shares_public () =
 
 let test_rpc_batching_equivalence () =
   let doc = Secshare_xmark.Generate.generate ~factor:0.4 () in
-  let mk batching =
+  let mk rpc_mode =
     let config =
       {
         DB.default_config with
         seed = Some Test_support.test_seed;
-        client = { DB.default_client_config with rpc_batching = batching };
+        client = { DB.default_client_config with rpc_mode };
       }
     in
     Result.get_ok (DB.create_tree ~config doc)
   in
-  let batched = mk true and unbatched = mk false in
+  let batched = mk DB.Batched and unbatched = mk DB.Per_node in
   List.iter
     (fun q ->
       let rb =

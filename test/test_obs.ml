@@ -138,6 +138,27 @@ let test_counter_and_gauge_values () =
   Registry.gauge_add g (-3);
   Alcotest.(check int) "gauge arithmetic" 7 (Registry.gauge_value g)
 
+(* A refused query's work still reaches the process registry: strict
+   //a over a full map (four names at p = 5) divides by a zero child
+   product at the root, so each refusal adds one degenerate division. *)
+let test_failed_query_counts () =
+  let degenerate = Registry.counter "ssdb_client_degenerate_divisions_total" in
+  let tree = must (Tree.of_string "<a><a/><b/><c/><d/></a>") in
+  let db = Test_support.db_of_tree ~p:5 tree in
+  Fun.protect
+    ~finally:(fun () -> DB.close db)
+    (fun () ->
+      List.iter
+        (fun engine ->
+          let before = Registry.counter_value degenerate in
+          (match DB.query ~engine db "//a" with
+          | Ok _ -> Alcotest.fail "strict //a answered on a full map"
+          | Error _ -> ());
+          Alcotest.(check int)
+            "one degenerate division per refused query" (before + 1)
+            (Registry.counter_value degenerate))
+        [ DB.Simple; DB.Advanced ])
+
 (* --- trace propagation -------------------------------------------- *)
 
 let fast_policy =
@@ -425,6 +446,7 @@ let () =
           Alcotest.test_case "render well-formed" `Quick test_render_wellformed;
           Alcotest.test_case "counter and gauge values" `Quick
             test_counter_and_gauge_values;
+          Alcotest.test_case "a failed query counts" `Quick test_failed_query_counts;
         ] );
       ( "trace",
         [

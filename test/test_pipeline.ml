@@ -33,15 +33,14 @@ let parse = Parser.parse_exn
 let xmark_doc = lazy (Generate.generate_bytes ~seed:20050905L ~target_bytes:30_000 ())
 let xmark_db = lazy (Test_support.db_of_tree (Lazy.force xmark_doc))
 
-let client_with ~fused ~batching =
-  { DB.default_client_config with rpc_fused_scan = fused; rpc_batching = batching }
+let client_with rpc_mode = { DB.default_client_config with rpc_mode }
 
-let db_with ~fused ~batching tree =
+let db_with rpc_mode tree =
   let config =
     {
       DB.default_config with
       seed = Some Test_support.test_seed;
-      client = client_with ~fused ~batching;
+      client = client_with rpc_mode;
     }
   in
   match DB.create_tree ~config tree with
@@ -98,9 +97,9 @@ let test_golden_results () =
 
 let test_config_agreement () =
   let doc = Lazy.force xmark_doc in
-  let fused = db_with ~fused:true ~batching:true doc in
-  let batched = db_with ~fused:false ~batching:true doc in
-  let per_node = db_with ~fused:false ~batching:false doc in
+  let fused = db_with DB.Fused doc in
+  let batched = db_with DB.Batched doc in
+  let per_node = db_with DB.Per_node doc in
   List.iter
     (fun (q, strictness, expected) ->
       List.iter
@@ -113,8 +112,18 @@ let test_config_agreement () =
           check Alcotest.(list int) (q ^ " per-node") expected (pres (DB.result_nodes rn)))
         [ ("simple", DB.Simple); ("advanced", DB.Advanced) ])
     golden;
-  (* the acceptance bar for the fused protocol: at most half the round
-     trips of the batched cursor protocol on the §5.3 chain queries *)
+  (* the acceptance bar for the fused protocol on the §5.3 chain
+     queries: both modes send the same scans, and the simple engine's
+     fused plan absorbs every one of the batched plan's [Eval_batch]
+     rounds into them *)
+  let eval_rounds (r : DB.query_result) =
+    List.fold_left
+      (fun acc (s : Metrics.op_stats) ->
+        if String.starts_with ~prefix:"filter-containment" s.Metrics.op_name then
+          acc + s.Metrics.rpc_calls
+        else acc)
+      0 r.DB.operators
+  in
   List.iter
     (fun q ->
       List.iter
@@ -124,13 +133,14 @@ let test_config_agreement () =
           check Alcotest.(list int)
             (q ^ " fused = batched (" ^ name ^ ")")
             (pres (DB.result_nodes rb)) (pres (DB.result_nodes rf));
-          (* on these chains the simple engine's trips halve outright;
-             the advanced engine spends most trips on look-ahead
+          (* the simple engine saves every evaluation round trip; the
+             advanced engine spends most trips on look-ahead
              Eval_batch rounds that fusion cannot absorb, so it only
              has to win *)
           let bar =
-            if engine = DB.Simple then 2 * rf.DB.rpc_calls <= rb.DB.rpc_calls
-            else rf.DB.rpc_calls < rb.DB.rpc_calls
+            rf.DB.rpc_calls < rb.DB.rpc_calls
+            && (engine = DB.Advanced
+               || rf.DB.rpc_calls = rb.DB.rpc_calls - eval_rounds rb)
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s (%s): fused calls (%d) beat batched (%d)" q name
@@ -166,13 +176,10 @@ let counter_lines db =
         [ DB.Simple; DB.Advanced ])
     golden
 
-let client_configs =
-  [ ("fused", true, true); ("batched", false, true); ("per-node", false, false) ]
-
 (* Digest of the in-process [counter_lines] of every client
-   configuration, in [client_configs] order.  A mismatch means some
+   configuration, in [Test_support.rpc_modes] order.  A mismatch means some
    count moved; the failing run prints the lines it digested. *)
-let pinned_counters_digest = "d8eec53c33a030fa222fc5dfc53877b7"
+let pinned_counters_digest = "5f783f33ce986bd9171013e63ac372e4"
 
 (* The same database behind a 2-of-3 Shamir router over in-process
    shard servers. *)
@@ -215,9 +222,9 @@ let test_counters_pinned_across_deployments () =
     (fun () ->
       let in_process =
         List.concat_map
-          (fun (name, fused, batching) ->
-            let client = client_with ~fused ~batching in
-            let local = counter_lines_closing (db_with ~fused ~batching doc) in
+          (fun (name, rpc_mode) ->
+            let client = client_with rpc_mode in
+            let local = counter_lines_closing (db_with rpc_mode doc) in
             let socket =
               counter_lines_closing
                 (must (DB.connect ~client ~p:83 ~e:1 ~mapping ~seed ~path ()))
@@ -231,7 +238,7 @@ let test_counters_pinned_across_deployments () =
               (name ^ ": 2-of-3 router = in-process")
               local through_router;
             local)
-          client_configs
+          Test_support.rpc_modes
       in
       let digest = Digest.to_hex (Digest.string (String.concat "\n" in_process)) in
       if digest <> pinned_counters_digest then
@@ -280,10 +287,26 @@ let test_plan_shapes () =
   (match
      List.find_opt (function Plan.Pruned_scan _ -> true | _ -> false) adv
    with
-  | Some (Plan.Pruned_scan { prune; include_self }) ->
+  | Some (Plan.Pruned_scan { eval; prune; include_self }) ->
       Alcotest.(check bool) "first // includes self" true include_self;
-      check Alcotest.int "prune carries own + look-ahead points" 2 (List.length prune)
+      check
+        Alcotest.(option int)
+        "fused: the own point rides in the walk's scans"
+        (Secshare_core.Mapping.value mapping "bidder")
+        eval;
+      check Alcotest.int "eval + prune carry own + look-ahead points" 2
+        (List.length (Option.to_list eval @ prune))
   | _ -> Alcotest.fail "advanced // plan lost its pruned scan");
+  (* unfused, the walk's scans are bare and every point prunes *)
+  (match
+     Secshare_core.Advanced_query.lower ~fused:false ~mapping ~strictness:QC.Strict
+       (parse "//bidder/date")
+     |> List.find_opt (function Plan.Pruned_scan _ -> true | _ -> false)
+   with
+  | Some (Plan.Pruned_scan { eval; prune; _ }) ->
+      check Alcotest.(option int) "unfused walk has no eval" None eval;
+      check Alcotest.int "unfused prune carries every point" 2 (List.length prune)
+  | _ -> Alcotest.fail "unfused advanced // plan lost its pruned scan");
   (* strict mode never fuses the simple engine's test into the scan:
      the equality test has no containment sieve to ride on *)
   let strict_plan =
@@ -320,8 +343,8 @@ let gen_tree_and_query =
   QCheck2.Gen.pair Test_support.gen_tree gen_child_query
 
 let prop_child_queries_match_reference (tree, query) =
-  let fused = db_with ~fused:true ~batching:true tree in
-  let unfused = db_with ~fused:false ~batching:true tree in
+  let fused = db_with DB.Fused tree in
+  let unfused = db_with DB.Batched tree in
   let expected_strict = Reference.run tree query in
   let expected_loose = Reference.run ~semantics:Reference.Containment tree query in
   let run db engine strictness =
@@ -342,15 +365,14 @@ let prop_child_queries_match_reference (tree, query) =
 (* A database's parts rewired through a client filter with tiny
    batches, so multi-batch scans (and therefore server cursors) appear
    even on small documents. *)
-let small_batch_parts ?(fused = true) ?(wrap = fun h -> h) () =
+let small_batch_parts ?(wrap = fun h -> h) () =
   let db = Lazy.force xmark_db in
   let server = Server_filter.create (DB.ring db) (DB.table db) in
   let transport =
     Transport.local ~handler:(wrap (Server_filter.handler server))
   in
   let filter =
-    Client_filter.create (DB.ring db) ~seed:Test_support.test_seed ~scan_batch:2
-      ~fused_scan:fused transport
+    Client_filter.create (DB.ring db) ~seed:Test_support.test_seed ~scan_batch:2 transport
   in
   (server, filter)
 
@@ -374,32 +396,23 @@ let check_rpc_attribution label counters ~before:(calls0, bytes0) ops =
     (sum (fun s -> s.Metrics.rpc_bytes))
 
 let test_abandoned_pipeline_closes_cursors () =
-  List.iter
-    (fun fused ->
-      let server, filter = small_batch_parts ~fused () in
-      let counters = Client_filter.rpc_counters filter in
-      let before = transport_marks counters in
-      let ops = Operator.build filter descendants_plan in
-      let sink = List.nth ops (List.length ops - 1) in
-      (* pull one batch and walk away: the scan is mid-stream *)
-      (match Operator.next sink with
-      | Some batch -> Alcotest.(check bool) "first batch nonempty" true (Array.length batch > 0)
-      | None -> Alcotest.fail "expected a first batch");
-      Alcotest.(check bool)
-        (Printf.sprintf "scan holds a cursor mid-stream (fused=%b)" fused)
-        true
-        (Server_filter.open_cursors server > 0);
-      List.iter Operator.close ops;
-      check Alcotest.int
-        (Printf.sprintf "close releases the cursor (fused=%b)" fused)
-        0
-        (Server_filter.open_cursors server);
-      (* the close-time Cursor_close included *)
-      check_rpc_attribution
-        (Printf.sprintf "abandoned (fused=%b)" fused)
-        counters ~before
-        (List.map Operator.stats ops))
-    [ true; false ]
+  let server, filter = small_batch_parts () in
+  let counters = Client_filter.rpc_counters filter in
+  let before = transport_marks counters in
+  let ops = Operator.build filter descendants_plan in
+  let sink = List.nth ops (List.length ops - 1) in
+  (* pull one batch and walk away: the scan is mid-stream *)
+  (match Operator.next sink with
+  | Some batch ->
+      Alcotest.(check bool) "first batch nonempty" true (Array.length batch > 0)
+  | None -> Alcotest.fail "expected a first batch");
+  Alcotest.(check bool)
+    "scan holds a cursor mid-stream" true
+    (Server_filter.open_cursors server > 0);
+  List.iter Operator.close ops;
+  check Alcotest.int "close releases the cursor" 0 (Server_filter.open_cursors server);
+  (* the close-time Cursor_close included *)
+  check_rpc_attribution "abandoned" counters ~before (List.map Operator.stats ops)
 
 let test_failing_query_closes_cursors () =
   (* evaluations fail, navigation works: the containment filter dies
@@ -408,11 +421,11 @@ let test_failing_query_closes_cursors () =
     | Protocol.Eval_batch _ -> Protocol.Error_msg "boom"
     | req -> handler req
   in
-  let server, filter = small_batch_parts ~fused:false ~wrap () in
+  let server, filter = small_batch_parts ~wrap () in
   let plan = descendants_plan @ [ Plan.Filter_containment { points = [ 1 ] } ] in
   (match Operator.run filter plan with
-  | _ -> Alcotest.fail "expected the filter to fail"
-  | exception Client_filter.Filter_error _ -> ());
+  | Error _, _ -> ()
+  | Ok _, _ -> Alcotest.fail "expected the filter to fail");
   check Alcotest.int "failure tears the cursor down" 0 (Server_filter.open_cursors server)
 
 (* --- the --explain counters --- *)

@@ -19,39 +19,48 @@ let with_served_db f =
     ~finally:(fun () -> Secshare_rpc.Server.stop server)
     (fun () -> f db path)
 
-let connect db path =
-  match DB.connect ~p:83 ~e:1 ~mapping:(DB.mapping db) ~seed:(DB.seed db) ~path () with
+let connect ?client db path =
+  match
+    DB.connect ?client ~p:83 ~e:1 ~mapping:(DB.mapping db) ~seed:(DB.seed db) ~path ()
+  with
   | Ok session -> session
   | Error e -> failwith e
+
+let client_of rpc_mode = { DB.default_client_config with DB.rpc_mode }
 
 let queries =
   [ "/site"; "/site/regions/europe/item"; "//bidder/date"; "/site/*/person//city" ]
 
+(* Every cost model over the socket answers what the local default
+   handle answers. *)
 let test_remote_matches_local () =
   with_served_db (fun db path ->
-      let session = connect db path in
-      Fun.protect
-        ~finally:(fun () -> DB.close session)
-        (fun () ->
-          List.iter
-            (fun q ->
+      List.iter
+        (fun (mode, rpc_mode) ->
+          let session = connect ~client:(client_of rpc_mode) db path in
+          Fun.protect
+            ~finally:(fun () -> DB.close session)
+            (fun () ->
               List.iter
-                (fun (engine, strictness) ->
-                  let local = Test_support.must_query ~engine ~strictness db q in
-                  match DB.query ~engine ~strictness session q with
-                  | Error e -> Alcotest.failf "%s remote: %s" q e
-                  | Ok remote ->
-                      check
-                        Alcotest.(list int)
-                        (Printf.sprintf "%s" q)
-                        (Test_support.pres_of_metas (DB.result_nodes local))
-                        (Test_support.pres_of_metas (DB.result_nodes remote)))
-                [
-                  (DB.Simple, QC.Non_strict);
-                  (DB.Advanced, QC.Non_strict);
-                  (DB.Advanced, QC.Strict);
-                ])
-            queries))
+                (fun q ->
+                  List.iter
+                    (fun (engine, strictness) ->
+                      let local = Test_support.must_query ~engine ~strictness db q in
+                      match DB.query ~engine ~strictness session q with
+                      | Error e -> Alcotest.failf "%s remote (%s): %s" q mode e
+                      | Ok remote ->
+                          check
+                            Alcotest.(list int)
+                            (Printf.sprintf "%s (%s)" q mode)
+                            (Test_support.pres_of_metas (DB.result_nodes local))
+                            (Test_support.pres_of_metas (DB.result_nodes remote)))
+                    [
+                      (DB.Simple, QC.Non_strict);
+                      (DB.Advanced, QC.Non_strict);
+                      (DB.Advanced, QC.Strict);
+                    ])
+                queries))
+        Test_support.rpc_modes)
 
 let test_remote_wrong_seed_finds_nothing () =
   (* without the right seed the client regenerates garbage shares: the
@@ -376,8 +385,6 @@ let test_malformed_shares_reply () =
          ^ "<item><price>1.25</price></item></europe></regions></site>"))
   in
   let fused = DB.default_client_config in
-  let batched = { fused with DB.rpc_fused_scan = false } in
-  let per_node = { batched with DB.rpc_batching = false } in
   let item = "/site/regions/europe/item" in
   let lying_query ~p ~e ~db ~label ~client ~lie ~query ~engine ~strictness ~expect =
     let server =
@@ -465,15 +472,20 @@ let test_malformed_shares_reply () =
         else Printf.sprintf "GF(%d^%d) %s" p e what
       in
       let shift = List.map (fun v -> v + q) in
+      (* the fused mode's simple plan evaluates in its scans only: it
+         gets the Scan_batch lie below *)
       List.iter
-        (fun (what, client) ->
-          lying_query ~p ~e ~db ~label:(label what) ~client
-            ~lie:(function
-              | Protocol.Values vs -> Protocol.Values (shift vs)
-              | response -> response)
-            ~query:item ~engine:DB.Simple ~strictness:QC.Non_strict
-            ~expect:"filter: malformed Values reply: value outside the field")
-        [ ("batched values + q", batched); ("per-node values + q", per_node) ];
+        (fun (mode, rpc_mode) ->
+          if rpc_mode <> DB.Fused then
+            lying_query ~p ~e ~db
+              ~label:(label (mode ^ " values + q"))
+              ~client:(client_of rpc_mode)
+              ~lie:(function
+                | Protocol.Values vs -> Protocol.Values (shift vs)
+                | response -> response)
+              ~query:item ~engine:DB.Simple ~strictness:QC.Non_strict
+              ~expect:"filter: malformed Values reply: value outside the field")
+        Test_support.rpc_modes;
       lying_query ~p ~e ~db ~label:(label "scan values + q") ~client:fused
         ~lie:(function
           | Protocol.Scan_batch { rows; cursor } ->

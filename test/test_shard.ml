@@ -391,31 +391,23 @@ let test_split_rejects_bad_geometry () =
 
 (* --- router golden equality --- *)
 
-(* The three cost models of the batching ablation: each drives the
-   router through a different request mix. *)
-let client_configs =
-  [
-    ("fused", DB.default_client_config);
-    ("batched", { DB.default_client_config with rpc_fused_scan = false });
-    ( "per-node",
-      { DB.default_client_config with rpc_fused_scan = false; rpc_batching = false } );
-  ]
-
 let test_router_golden ?ring () =
   let d = make_deployment ?ring xmark_tree in
   Fun.protect
     ~finally:(fun () -> teardown d)
     (fun () ->
       List.iter
-        (fun (name, client) ->
-          let client = client_of ~client d in
+        (* each cost model drives the router through a different
+           request mix *)
+        (fun (name, rpc_mode) ->
+          let client = client_of ~client:{ DB.default_client_config with rpc_mode } d in
           Fun.protect
             ~finally:(fun () -> DB.close client)
             (fun () ->
               check_golden ~note:(name ^ " client: ") d client;
               check Alcotest.int (name ^ ": no cursor leaks") 0
                 (Router.open_cursors d.router)))
-        client_configs)
+        Test_support.rpc_modes)
 
 let test_router_single_shard () =
   (* a 1-of-1 "deployment" over a plain unsharded server: the filter
