@@ -17,6 +17,7 @@ module DB = Secshare_core.Database
 module QC = Secshare_core.Query_common
 module Metrics = Secshare_core.Metrics
 module Generate = Secshare_xmark.Generate
+module Paper_queries = Secshare_xmark.Paper_queries
 module Tree = Secshare_xml.Tree
 module Print = Secshare_xml.Print
 module Expand = Secshare_trie.Expand
@@ -153,19 +154,6 @@ let fig4 () =
 (* Table 1 / Figure 5: evaluations vs query length                    *)
 (* ------------------------------------------------------------------ *)
 
-let table1_queries =
-  [
-    "/site";
-    "/site/regions";
-    "/site/regions/europe";
-    "/site/regions/europe/item";
-    "/site/regions/europe/item/description";
-    "/site/regions/europe/item/description/parlist";
-    "/site/regions/europe/item/description/parlist/listitem";
-    "/site/regions/europe/item/description/parlist/listitem/text";
-    "/site/regions/europe/item/description/parlist/listitem/text/keyword";
-  ]
-
 let fig5_bytes () = if !quick then 300_000 else 2_000_000
 
 let fig5 () =
@@ -190,7 +178,7 @@ let fig5 () =
           ("evals_simple", J_int simple.DB.metrics.Metrics.evaluations);
           ("evals_advanced", J_int advanced.DB.metrics.Metrics.evaluations);
         ])
-    table1_queries;
+    Paper_queries.table1;
   printf
     "\nPaper's shape: the two engines stay within a constant factor on these\n\
      chain queries (no dead branches for the look-ahead to kill).\n"
@@ -198,15 +186,6 @@ let fig5 () =
 (* ------------------------------------------------------------------ *)
 (* Table 2 / Figure 6: strictness — execution times                   *)
 (* ------------------------------------------------------------------ *)
-
-let table2_queries =
-  [
-    "/site//europe/item";
-    "/site//europe//item";
-    "/site/*/person//city";
-    "/*/*/open_auction/bidder/date";
-    "//bidder/date";
-  ]
 
 let fig6_bytes () = if !quick then 200_000 else 1_000_000
 
@@ -256,7 +235,7 @@ let fig6 () =
       match List.map snd times with
       | [ a; b; c; d ] -> printf "%3d %-32s %14.3f %14.3f %14.3f %14.3f\n" (i + 1) q a b c d
       | _ -> assert false)
-    table2_queries;
+    Paper_queries.table2;
   fig6_measurements := List.rev !fig6_measurements;
   List.iter
     (fun row ->
@@ -284,15 +263,7 @@ let fig7 () =
   printf "\n%3s %-32s %8s %8s %10s %6s\n" "#" "query" "E" "C" "accuracy" "//s";
   List.iteri
     (fun i row ->
-      let slashes =
-        let count = ref 0 in
-        String.iteri
-          (fun j c ->
-            if c = '/' && j + 1 < String.length row.query && row.query.[j + 1] = '/' then
-              incr count)
-          row.query;
-        !count
-      in
+      let slashes = Paper_queries.descendant_steps row.query in
       let accuracy =
         if row.loose_size = 0 then 1.0
         else float_of_int row.strict_size /. float_of_int row.loose_size
@@ -581,37 +552,6 @@ let concurrency_ablation () =
      domains.  Speedups need real cores — on a single-core host the 4-worker\n\
      row stays near 1x (chunking overhead aside).  The client-side share\n\
      cache is per-connection: round 1 misses, later rounds hit.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Extra ablation: B+tree fan-out                                     *)
-(* ------------------------------------------------------------------ *)
-
-let btree_ablation () =
-  heading "Ablation — B+tree fan-out (the node table's index structure)";
-  let n = if !quick then 50_000 else 200_000 in
-  printf "inserting %d keys, then one full range scan\n\n" n;
-  printf "%8s %10s %8s %8s %14s %12s\n" "order" "insert(s)" "scan(s)" "depth" "nodes"
-    "bytes";
-  List.iter
-    (fun order ->
-      let t = Secshare_store.Btree.create ~order () in
-      let (), insert_s =
-        time_it (fun () ->
-            for i = 0 to n - 1 do
-              ignore (Secshare_store.Btree.insert t ((i * 2654435761) land 0x3FFFFFFF))
-            done)
-      in
-      let count, scan_s =
-        time_it (fun () ->
-            Secshare_store.Btree.fold_range t ~lo:0 ~hi:max_int ~init:0 ~f:(fun acc _ ->
-                acc + 1))
-      in
-      let stats = Secshare_store.Btree.stats t in
-      printf "%8d %10.3f %8.3f %8d %14d %12d\n" order insert_s scan_s
-        stats.Secshare_store.Btree.depth stats.Secshare_store.Btree.nodes
-        stats.Secshare_store.Btree.footprint_bytes;
-      assert (count = Secshare_store.Btree.count t))
-    [ 8; 16; 64; 256 ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: durable store (WAL fsync discipline)                     *)
@@ -1378,7 +1318,6 @@ let experiments =
     ("concurrency", concurrency_ablation);
     ("shard", shard_ablation);
     ("aggregation", aggregation_ablation);
-    ("btree", btree_ablation);
     ("durability", durability_ablation);
     ("micro", micro);
     ("kernel", kernel);

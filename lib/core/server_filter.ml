@@ -191,24 +191,12 @@ let scan_collect t (scan : scan_state) ~max_items =
         match scan.current_range with
         | Some (from_pre, until_pre, below_post) ->
             let rows, resume =
-              Node_table.scan_range t.table ~from_pre ~below_post
+              Node_table.scan_range t.table ~from_pre ~until_pre ~below_post
                 ~max_rows:(max_items - !count)
             in
-            (* Enforce the pre upper bound: subtree ranges are
-               pre-contiguous, so the first row at or past [until_pre]
-               ends this piece (the rest belongs to another bounded
-               piece, served elsewhere). *)
-            let truncated = ref false in
-            List.iter
-              (fun (row : Page.row) ->
-                if row.Page.pre >= until_pre then truncated := true
-                else if not !truncated then emit row)
-              rows;
+            List.iter emit rows;
             scan.current_range <-
-              (match resume with
-              | Some pre when (not !truncated) && pre < until_pre ->
-                  Some (pre, until_pre, below_post)
-              | Some _ | None -> None)
+              Option.map (fun pre -> (pre, until_pre, below_post)) resume
         | None -> (
             match (scan.pending_ranges, scan.pending_parents) with
             | range :: rest, _ ->

@@ -11,7 +11,7 @@
    - [Guarded_by cls]: every access (read or write) holds the lock
      class [cls] from [Lock_table], lexically or via every call site.
    - [Guarded_writes cls]: writes hold [cls]; reads are lock-free by
-     a single-writer publication argument (B+tree readers).
+     a single-writer publication argument (node table readers).
    - [Domain_confined d]: only code running on domain [d] ("evloop")
      or, for ["caller"], on whichever single executor owns the value,
      may touch the root.  Accesses from unknown (pre-publication)
@@ -57,7 +57,6 @@ let strict_container_files =
     "pager.ml";
     "page.ml";
     "node_table.ml";
-    "btree.ml";
     "server_filter.ml";
     "server.ml";
     "evloop.ml";
@@ -115,24 +114,18 @@ let table : ((string * string) * guard) list =
     (("lib/shard/router.ml", "skip"), Domain_confined "caller");
     (("lib/shard/router.ml", "pending"), Domain_confined "caller");
     (("lib/shard/router.ml", "active"), Domain_confined "caller");
-    (* --- lib/store: single-writer B+tree under the table writer lock.
-       Readers are lock-free against published structure, so structural
-       fields are Guarded_writes; the interprocedural entry-lockset
-       proves the write paths reach them only under write_lock. *)
+    (* --- lib/store: the node table's pages and pre-indexed columns,
+       written under the table writer lock.  Readers are lock-free
+       against published structure, so structural fields are
+       Guarded_writes; the interprocedural entry-lockset proves the
+       write paths reach them only under write_lock. *)
     (("lib/store/node_table.ml", "rows"), Guarded_writes "table-writer");
     (("lib/store/node_table.ml", "fill_page"), Guarded_writes "table-writer");
     (("lib/store/node_table.ml", "wal"), Guarded_writes "table-writer");
     (("lib/store/node_table.ml", "since_checkpoint"), Guarded_writes "table-writer");
+    (("lib/store/node_table.ml", "chunks"), Guarded_writes "table-writer");
     ( ("lib/store/node_table.ml", "recovery"),
       Atomic_ok "set once by open_file before the table is shared" );
-    (("lib/store/btree.ml", "lkeys"), Guarded_writes "table-writer");
-    (("lib/store/btree.ml", "ln"), Guarded_writes "table-writer");
-    (("lib/store/btree.ml", "next"), Guarded_writes "table-writer");
-    (("lib/store/btree.ml", "ikeys"), Guarded_writes "table-writer");
-    (("lib/store/btree.ml", "icount"), Guarded_writes "table-writer");
-    (("lib/store/btree.ml", "kids"), Guarded_writes "table-writer");
-    (("lib/store/btree.ml", "root"), Guarded_writes "table-writer");
-    (("lib/store/btree.ml", "count"), Guarded_writes "table-writer");
     (("lib/store/page.ml", "data"), Guarded_writes "table-writer");
     (("lib/store/page.ml", "count"), Guarded_writes "table-writer");
     (("lib/store/page.ml", "free_off"), Guarded_writes "table-writer");

@@ -7,12 +7,32 @@ type recovery_stats = {
   discarded_bytes : int;
 }
 
+(* The node table answers three reads: a row by pre, a node's
+   children, and a pre-contiguous subtree run.  Pre numbers are dense
+   keys, so all three read int columns indexed by pre, built by the
+   page pass of [open_file] and kept current by [insert]:
+
+   - [loc]: the row locator, [-1] for an absent pre;
+   - [last_child]: the largest pre among its children, [0] for none.
+     Slot 0 is the virtual parent of the roots;
+   - [prev_sibling]: the next smaller pre with the same parent, [0] at
+     the end of the list.
+
+   A sibling list runs in descending pre, so the common insertion
+   orders (pre order, and the encoder's post order) link each child
+   at the head in O(1), and a walk that conses the rows yields them
+   in ascending pre.
+
+   The columns live side by side in chunks of [chunk] pres, three ints
+   per pre.  A chunk is allocated when a row's pre or parent first
+   falls in it, up to [max_pre], and never moves: growing copies only
+   the chunk directory.  So building a table leaves no discarded
+   arrays behind, a dense table's capacity stays within one chunk of
+   its largest pre, and a lone row at a far pre costs one chunk. *)
 type t = {
   pager : Pager.t;
   mutable fill_page : int; (* index of the page currently accepting rows, -1 if none *)
-  pre_index : Index.t; (* pre -> row locator *)
-  post_index : Index.t; (* post -> pre *)
-  parent_index : Index.t; (* parent -> pre *)
+  mutable chunks : int array array; (* the columns; [no_chunk] where none yet *)
   mutable rows : int;
   mutable wal : Wal.t option; (* present in durable file mode *)
   checkpoint_every : int option; (* auto-checkpoint after this many inserts *)
@@ -38,7 +58,26 @@ let obs_backfilled_pages =
     ~help:"Unreadable hole pages backfilled with empty images on recovery."
     "ssdb_store_recovery_backfilled_pages_total"
 
-(* Row locator: page index and slot packed into one index value. *)
+let max_pre = (1 lsl 24) - 1
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
+let no_chunk : int array = [||]
+
+(* The columns of a pre, as offsets into its chunk's triple. *)
+let loc = 0
+let last_child = 1
+let prev_sibling = 2
+let get t pre column = t.chunks.(pre lsr chunk_bits).((3 * (pre land (chunk - 1))) + column)
+
+let set t pre column v =
+  t.chunks.(pre lsr chunk_bits).((3 * (pre land (chunk - 1))) + column) <- v
+
+let allocated t pre =
+  pre >= 0
+  && pre lsr chunk_bits < Array.length t.chunks
+  && t.chunks.(pre lsr chunk_bits) != no_chunk
+
+(* Row locator: page index and slot packed into one int. *)
 let slot_bits = 12
 let max_slots = 1 lsl slot_bits
 let locator ~page ~slot = (page lsl slot_bits) lor slot
@@ -49,9 +88,7 @@ let make ?checkpoint_every pager =
   {
     pager;
     fill_page = -1;
-    pre_index = Index.create ();
-    post_index = Index.create ();
-    parent_index = Index.create ();
+    chunks = [||];
     rows = 0;
     wal = None;
     checkpoint_every;
@@ -85,18 +122,60 @@ let[@init_path
   if durable then attach_wal t (Wal.create (wal_path path));
   t
 
-let index_row t (row : Page.row) loc =
-  if not (Index.add t.pre_index ~key:row.Page.pre ~value:loc) then
-    invalid_arg (Printf.sprintf "Node_table.insert: duplicate pre %d" row.Page.pre);
-  ignore (Index.add t.post_index ~key:row.Page.post ~value:row.Page.pre);
-  ignore (Index.add t.parent_index ~key:row.Page.parent ~value:row.Page.pre);
+let mem t pre = allocated t pre && get t pre loc >= 0
+
+(* Refuse a row whose numbers would reach past [max_pre], or
+   whose pre is taken.  Runs before the row reaches a page or the log. *)
+let admit t (row : Page.row) =
+  let check what v ~lo =
+    if v < lo || v > max_pre then
+      invalid_arg
+        (Printf.sprintf "Node_table.insert: %s %d outside [%d, %d]" what v lo max_pre)
+  in
+  check "pre" row.Page.pre ~lo:1;
+  check "parent" row.Page.parent ~lo:0;
+  if mem t row.Page.pre then
+    invalid_arg (Printf.sprintf "Node_table.insert: duplicate pre %d" row.Page.pre)
+
+(* Allocate the chunk holding [pre]; the directory doubles, and the
+   chunks already allocated stay where they are. *)
+let grow t pre =
+  let c = pre lsr chunk_bits in
+  let dir = Array.length t.chunks in
+  if c >= dir then begin
+    let chunks = Array.make (max (c + 1) (2 * dir)) no_chunk in
+    Array.blit t.chunks 0 chunks 0 dir;
+    t.chunks <- chunks
+  end;
+  if t.chunks.(c) == no_chunk then
+    t.chunks.(c) <- Array.init (3 * chunk) (fun i -> if i mod 3 = loc then -1 else 0)
+
+(* Record an admitted row at [row_loc] and link it into its parent's
+   descending sibling list. *)
+let index_row t (row : Page.row) row_loc =
+  let pre = row.Page.pre and parent = row.Page.parent in
+  grow t pre;
+  grow t parent;
+  set t pre loc row_loc;
+  let head = get t parent last_child in
+  if head < pre then begin
+    set t pre prev_sibling head;
+    set t parent last_child pre
+  end
+  else begin
+    let at = ref head in
+    while get t !at prev_sibling > pre do
+      at := get t !at prev_sibling
+    done;
+    set t pre prev_sibling (get t !at prev_sibling);
+    set t !at prev_sibling pre
+  end;
   t.rows <- t.rows + 1
 
-(* Insert into pages and indexes without touching the log (used both
+(* Insert into pages and columns without touching the log (used both
    by the public insert and by WAL recovery). *)
 let insert_unlogged t row =
-  if Index.find_first t.pre_index ~key:row.Page.pre <> None then
-    invalid_arg (Printf.sprintf "Node_table.insert: duplicate pre %d" row.Page.pre);
+  admit t row;
   if Bytes.length row.Page.share > Wal.max_share_len then
     invalid_arg
       (Printf.sprintf "Node_table.insert: share of %d bytes exceeds the %d-byte limit"
@@ -143,7 +222,7 @@ let flush_locked t =
       Wal.checkpoint wal;
       t.since_checkpoint <- 0
 
-(* Inserts are serialised by [write_lock]; index and page reads take
+(* Inserts are serialised by [write_lock]; column and page reads take
    no lock at all (see the .mli for the read-after-load discipline). *)
 let insert t row =
   Mutex.lock t.write_lock;
@@ -193,7 +272,9 @@ let rebuild_indexes ?(tolerate_holes = false) t =
           Obs.Registry.inc obs_backfilled_pages;
           Pager.get t.pager pidx
     in
-    Page.iter_rows page ~f:(fun slot row -> index_row t row (locator ~page:pidx ~slot))
+    Page.iter_rows page ~f:(fun slot row ->
+        admit t row;
+        index_row t row (locator ~page:pidx ~slot))
   done;
   t.fill_page <- Pager.page_count t.pager - 1
 
@@ -264,8 +345,7 @@ let[@init_path
                flush). *)
             List.iter
               (fun row ->
-                if Index.find_first t.pre_index ~key:row.Page.pre = None then
-                  insert_unlogged t row)
+                if not (mem t row.Page.pre) then insert_unlogged t row)
               plan.Wal.redo_rows
           with
           | exception Invalid_argument msg ->
@@ -330,44 +410,64 @@ let[@init_path
 
 let recovery_stats t = t.recovery
 
-let find_by_pre t pre =
-  match Index.find_first t.pre_index ~key:pre with
-  | Some loc -> Some (fetch t loc)
-  | None -> None
+let find_by_pre t pre = if mem t pre then Some (fetch t (get t pre loc)) else None
 
-let root t =
-  match Index.find_first t.parent_index ~key:0 with
-  | Some pre -> find_by_pre t pre
-  | None -> None
+(* A sibling list, consed from its descending links: ascending pre. *)
+let siblings t head =
+  let rec walk pre acc =
+    if pre = 0 then acc else walk (get t pre prev_sibling) (fetch t (get t pre loc) :: acc)
+  in
+  walk head []
 
 let children t ~parent =
-  List.filter_map (fun pre -> find_by_pre t pre) (Index.find_all t.parent_index ~key:parent)
+  if allocated t parent then siblings t (get t parent last_child) else []
+
+let root t =
+  if not (allocated t 0) then None
+  else begin
+    (* the smallest pre with parent 0 ends the roots' list *)
+    let pre = ref (get t 0 last_child) in
+    while !pre <> 0 && get t !pre prev_sibling <> 0 do
+      pre := get t !pre prev_sibling
+    done;
+    find_by_pre t !pre
+  end
+
+(* Rows from [from_pre] in ascending pre, below [until_pre], while
+   their post stays below [below_post]; [f] returns [None] to stop.
+   Absent pres are skipped. *)
+let fold_run t ~from_pre ~until_pre ~below_post ~init ~f =
+  let last = min (until_pre - 1) ((Array.length t.chunks * chunk) - 1) in
+  let rec go pre acc =
+    if pre > last then acc
+    else if not (allocated t pre) then go ((pre lor (chunk - 1)) + 1) acc
+    else if get t pre loc < 0 then go (pre + 1) acc
+    else begin
+      let row = fetch t (get t pre loc) in
+      if row.Page.post >= below_post then acc
+      else match f acc row with Some acc -> go (pre + 1) acc | None -> acc
+    end
+  in
+  go (max 1 from_pre) init
 
 let fold_descendants t ~pre ~post ~init ~f =
-  Index.fold_from t.pre_index ~key:(pre + 1) ~init ~f:(fun acc ~key:_ ~value:loc ->
-      let row = fetch t loc in
-      if row.Page.post < post then Some (f acc row) else None)
+  fold_run t ~from_pre:(pre + 1) ~until_pre:max_int ~below_post:post ~init
+    ~f:(fun acc row -> Some (f acc row))
 
 let descendants t ~pre ~post =
   List.rev (fold_descendants t ~pre ~post ~init:[] ~f:(fun acc row -> row :: acc))
 
-let scan_range t ~from_pre ~below_post ~max_rows =
+let scan_range t ~from_pre ~until_pre ~below_post ~max_rows =
   let max_rows = max 1 max_rows in
   let resume = ref None in
-  let count = ref 0 in
-  let rows =
-    Index.fold_from t.pre_index ~key:from_pre ~init:[]
-      ~f:(fun rows ~key:_ ~value:loc ->
-        let row = fetch t loc in
-        if row.Page.post >= below_post then None
-        else if !count >= max_rows then begin
+  let _, rows =
+    fold_run t ~from_pre ~until_pre ~below_post ~init:(0, [])
+      ~f:(fun (count, rows) row ->
+        if count < max_rows then Some (count + 1, row :: rows)
+        else begin
           (* budget hit: this row was not taken, restart here *)
           resume := Some row.Page.pre;
           None
-        end
-        else begin
-          incr count;
-          Some (row :: rows)
         end)
   in
   (List.rev rows, !resume)
@@ -382,9 +482,8 @@ let row_count t = t.rows
 let data_bytes t = Pager.data_bytes t.pager
 
 let index_bytes t =
-  Index.footprint_bytes t.pre_index
-  + Index.footprint_bytes t.post_index
-  + Index.footprint_bytes t.parent_index
+  Array.fold_left (fun words c -> words + Array.length c) (Array.length t.chunks) t.chunks
+  * (Sys.word_size / 8)
 
 let iter t ~f =
   for pidx = 0 to Pager.page_count t.pager - 1 do

@@ -1,5 +1,3 @@
-module Btree = Secshare_store.Btree
-module Index = Secshare_store.Index
 module Page = Secshare_store.Page
 module Pager = Secshare_store.Pager
 module Node_table = Secshare_store.Node_table
@@ -17,168 +15,6 @@ let test_crc32_vectors () =
   check Alcotest.int32 "empty" 0l (Crc32.digest_string "");
   check Alcotest.bool "different data different crc" true
     (not (Int32.equal (Crc32.digest_string "a") (Crc32.digest_string "b")))
-
-(* --- btree --- *)
-
-let must_ok = function
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "invariant violation: %s" msg
-
-let test_btree_basic () =
-  let t = Btree.create ~order:4 () in
-  check Alcotest.bool "insert 5" true (Btree.insert t 5);
-  check Alcotest.bool "insert 3" true (Btree.insert t 3);
-  check Alcotest.bool "duplicate" false (Btree.insert t 5);
-  check Alcotest.bool "mem 5" true (Btree.mem t 5);
-  check Alcotest.bool "mem 4" false (Btree.mem t 4);
-  check Alcotest.int "count" 2 (Btree.count t);
-  check Alcotest.(list int) "to_list" [ 3; 5 ] (Btree.to_list t);
-  check Alcotest.(option int) "min" (Some 3) (Btree.min_key t);
-  check Alcotest.(option int) "max" (Some 5) (Btree.max_key t);
-  must_ok (Btree.check_invariants t)
-
-let test_btree_sequential_inserts () =
-  List.iter
-    (fun order ->
-      let t = Btree.create ~order () in
-      for i = 0 to 999 do
-        ignore (Btree.insert t i)
-      done;
-      check Alcotest.int "count" 1000 (Btree.count t);
-      must_ok (Btree.check_invariants t);
-      check Alcotest.(list int) "sorted" (List.init 1000 Fun.id) (Btree.to_list t))
-    [ 4; 5; 8; 64 ]
-
-let test_btree_reverse_inserts () =
-  let t = Btree.create ~order:4 () in
-  for i = 999 downto 0 do
-    ignore (Btree.insert t i)
-  done;
-  must_ok (Btree.check_invariants t);
-  check Alcotest.(list int) "sorted" (List.init 1000 Fun.id) (Btree.to_list t)
-
-let test_btree_range () =
-  let t = Btree.create ~order:4 () in
-  List.iter (fun k -> ignore (Btree.insert t (2 * k))) (List.init 100 Fun.id);
-  let got = Btree.fold_range t ~lo:10 ~hi:20 ~init:[] ~f:(fun acc k -> k :: acc) in
-  check Alcotest.(list int) "range" [ 10; 12; 14; 16; 18; 20 ] (List.rev got);
-  let empty = Btree.fold_range t ~lo:300 ~hi:400 ~init:[] ~f:(fun acc k -> k :: acc) in
-  check Alcotest.(list int) "past the end" [] empty;
-  let stop_early =
-    Btree.fold_range_while t ~lo:0 ~init:0 ~f:(fun acc _ -> if acc >= 5 then None else Some (acc + 1))
-  in
-  check Alcotest.int "fold_range_while stops" 5 stop_early
-
-let test_btree_delete () =
-  let t = Btree.create ~order:4 () in
-  for i = 0 to 499 do
-    ignore (Btree.insert t i)
-  done;
-  (* delete every third key *)
-  for i = 0 to 499 do
-    if i mod 3 = 0 then check Alcotest.bool "delete" true (Btree.delete t i)
-  done;
-  check Alcotest.bool "absent delete" false (Btree.delete t 0);
-  must_ok (Btree.check_invariants t);
-  let expected = List.filter (fun i -> i mod 3 <> 0) (List.init 500 Fun.id) in
-  check Alcotest.(list int) "survivors" expected (Btree.to_list t);
-  (* delete everything *)
-  List.iter (fun k -> ignore (Btree.delete t k)) expected;
-  check Alcotest.int "empty" 0 (Btree.count t);
-  must_ok (Btree.check_invariants t)
-
-let test_btree_negative_rejected () =
-  let t = Btree.create () in
-  Alcotest.check_raises "negative" (Invalid_argument "Btree.insert: negative key") (fun () ->
-      ignore (Btree.insert t (-1)))
-
-module Int_set = Set.Make (Int)
-
-let gen_ops =
-  QCheck2.Gen.(
-    pair (int_range 4 16)
-      (list_size (int_range 0 400)
-         (pair (int_range 0 99) bool (* key, insert? *))))
-
-let btree_model_suite =
-  [
-    qtest ~count:150 "btree matches a Set model under insert/delete" gen_ops
-      (fun (order, ops) ->
-        let t = Btree.create ~order () in
-        let model = ref Int_set.empty in
-        List.iter
-          (fun (k, insert) ->
-            if insert then begin
-              let added = Btree.insert t k in
-              let expected = not (Int_set.mem k !model) in
-              model := Int_set.add k !model;
-              if added <> expected then failwith "insert result mismatch"
-            end
-            else begin
-              let removed = Btree.delete t k in
-              let expected = Int_set.mem k !model in
-              model := Int_set.remove k !model;
-              if removed <> expected then failwith "delete result mismatch"
-            end)
-          ops;
-        Btree.to_list t = Int_set.elements !model
-        && Btree.count t = Int_set.cardinal !model
-        && Result.is_ok (Btree.check_invariants t));
-    qtest ~count:100 "range queries match model" gen_ops (fun (order, ops) ->
-        let t = Btree.create ~order () in
-        let model = ref Int_set.empty in
-        List.iter
-          (fun (k, insert) ->
-            if insert then begin
-              ignore (Btree.insert t k);
-              model := Int_set.add k !model
-            end)
-          ops;
-        List.for_all
-          (fun (lo, hi) ->
-            let got =
-              List.rev (Btree.fold_range t ~lo ~hi ~init:[] ~f:(fun acc k -> k :: acc))
-            in
-            let expected =
-              Int_set.elements (Int_set.filter (fun k -> k >= lo && k <= hi) !model)
-            in
-            got = expected)
-          [ (0, 99); (10, 50); (50, 10); (90, 99); (0, 0) ]);
-  ]
-
-(* --- index --- *)
-
-let test_index_duplicates () =
-  let idx = Index.create () in
-  check Alcotest.bool "add" true (Index.add idx ~key:7 ~value:100);
-  check Alcotest.bool "add dup value" true (Index.add idx ~key:7 ~value:50);
-  check Alcotest.bool "exact dup" false (Index.add idx ~key:7 ~value:100);
-  check Alcotest.(list int) "find_all sorted" [ 50; 100 ] (Index.find_all idx ~key:7);
-  check Alcotest.(option int) "find_first" (Some 50) (Index.find_first idx ~key:7);
-  check Alcotest.(option int) "find_first missing" None (Index.find_first idx ~key:8);
-  check Alcotest.bool "remove" true (Index.remove idx ~key:7 ~value:50);
-  check Alcotest.(list int) "after remove" [ 100 ] (Index.find_all idx ~key:7)
-
-let test_index_fold_from () =
-  let idx = Index.create () in
-  List.iter
-    (fun (k, v) -> ignore (Index.add idx ~key:k ~value:v))
-    [ (1, 10); (2, 20); (2, 21); (5, 50) ];
-  let acc = ref [] in
-  ignore
-    (Index.fold_from idx ~key:2 ~init:() ~f:(fun () ~key ~value ->
-         if key > 2 then None
-         else begin
-           acc := (key, value) :: !acc;
-           Some ()
-         end));
-  check Alcotest.(list (pair int int)) "scan from key" [ (2, 20); (2, 21) ] (List.rev !acc)
-
-let test_index_bounds () =
-  let idx = Index.create () in
-  Alcotest.check_raises "key too large"
-    (Invalid_argument (Printf.sprintf "Index: key %d out of [0, 2^31)" (1 lsl 31)))
-    (fun () -> ignore (Index.add idx ~key:(1 lsl 31) ~value:0))
 
 (* --- page --- *)
 
@@ -958,26 +794,93 @@ let test_no_fd_leak_on_failed_opens () =
       done;
       check Alcotest.int "fds after failed opens" before (open_fds ()))
 
-(* Build a random forest shape and compare axes against naive scans. *)
+(* The columns reach as far as the largest pre or parent, so a row
+   beyond [Node_table.max_pre] is refused before it can ask for
+   memory: by [insert] with [Invalid_argument] before any page or log
+   write, and by [open_file] with an [Error] (and no leaked fd) when
+   the heap or the log already holds one. *)
+let test_pre_bound_refused_on_insert () =
+  with_temp_file (fun path ->
+      let t = Node_table.create_file ~page_size:256 ~durable:true path in
+      Node_table.insert t (row 1 2 0 "x");
+      let wal_size () = (Unix.stat (wal_path_of path)).Unix.st_size in
+      let data = Node_table.data_bytes t and index = Node_table.index_bytes t in
+      let logged = wal_size () in
+      let over = Node_table.max_pre + 1 in
+      let refusal what v lo =
+        Printf.sprintf "Node_table.insert: %s %d outside [%d, %d]" what v lo Node_table.max_pre
+      in
+      List.iter
+        (fun (r, msg) ->
+          Alcotest.check_raises msg (Invalid_argument msg) (fun () -> Node_table.insert t r))
+        [
+          (row over 1 0 "y", refusal "pre" over 1);
+          (row 0 1 0 "y", refusal "pre" 0 1);
+          (row 2 1 over "y", refusal "parent" over 0);
+        ];
+      check Alcotest.int "rows" 1 (Node_table.row_count t);
+      check Alcotest.int "no page write" data (Node_table.data_bytes t);
+      check Alcotest.int "no log write" logged (wal_size ());
+      check Alcotest.int "index not grown" index (Node_table.index_bytes t);
+      (* the bound itself is admitted, and a lone far row costs the
+         chunk directory and one chunk, not columns up to it *)
+      Node_table.insert t (row Node_table.max_pre 2 0 "z");
+      check Alcotest.bool "far row found" true
+        (Node_table.find_by_pre t Node_table.max_pre <> None);
+      check Alcotest.bool "far row is cheap" true (Node_table.index_bytes t < 1 lsl 20);
+      Node_table.close t)
+
+let test_pre_bound_refused_on_open () =
+  with_temp_file (fun path ->
+      let over = row (Node_table.max_pre + 1) 1 0 "hostile" in
+      let refused what =
+        let before = open_fds () in
+        for _ = 1 to 20 do
+          match Node_table.open_file path with
+          | Ok _ -> Alcotest.failf "%s: pre beyond the bound accepted" what
+          | Error msg ->
+              check Alcotest.string (what ^ ": refusal")
+                (Printf.sprintf "Node_table.insert: pre %d outside [1, %d]" over.Page.pre
+                   Node_table.max_pre)
+                msg
+        done;
+        check Alcotest.int (what ^ ": fds after refused opens") before (open_fds ())
+      in
+      (* a CRC-valid heap page holding the row *)
+      let pager = Pager.create_file ~page_size:256 path in
+      let page = Page.create ~size:256 in
+      ignore (Page.add_row page over);
+      ignore (Pager.append pager page);
+      Pager.close pager;
+      refused "heap row";
+      (* a valid empty table whose log replays the row *)
+      Node_table.close (Node_table.create_file ~page_size:256 path);
+      let wal = Wal.create (wal_path_of path) in
+      must_append wal over;
+      Wal.sync wal;
+      Wal.close wal;
+      refused "logged row")
+
+(* Build a random forest shape and compare axes against naive scans.
+   Node i (pre = i + 1 before renumbering) hangs under a uniformly
+   chosen earlier node, or starts a new root when the choice lands on
+   0; a DFS renumbering then gives valid pre/post nesting.  Each
+   forest goes in as every row set of [insertion_orders]. *)
 let gen_tree_rows =
   QCheck2.Gen.(
     let* n = int_range 1 60 in
-    (* random parent structure: parent of node i (pre = i+1) is a
-       uniformly chosen earlier node, giving valid pre/post nesting via
-       a DFS renumbering *)
     let* parents = list_repeat n (int_range 0 1000) in
-    return (n, parents))
+    let* keys = list_repeat n (int_range 0 1_000_000) in
+    return (n, parents, keys))
 
-let build_rows (n, parent_choices) =
-  (* children lists in insertion order *)
+let build_rows (n, parent_choices, _) =
+  (* children lists in insertion order; index 0 is the virtual root *)
   let children = Array.make (n + 1) [] in
   List.iteri
     (fun i choice ->
       let node = i + 1 in
-      if node > 1 then begin
-        let parent = 1 + (choice mod (node - 1)) in
-        children.(parent) <- node :: children.(parent)
-      end)
+      let parent = if node = 1 then 0 else choice mod node in
+      children.(parent) <- node :: children.(parent))
     parent_choices;
   Array.iteri (fun i l -> children.(i) <- List.rev l) children;
   (* DFS assigns pre/post *)
@@ -988,54 +891,146 @@ let build_rows (n, parent_choices) =
     let my_pre = !pre in
     List.iter (fun kid -> dfs kid my_pre) children.(node);
     incr post;
-    let row = { Page.pre = my_pre; post = !post; parent = parent_pre; share = Bytes.empty } in
-    rows := row :: !rows
+    let share = Bytes.of_string (Printf.sprintf "share-%d" my_pre) in
+    rows := { Page.pre = my_pre; post = !post; parent = parent_pre; share } :: !rows
   in
-  dfs 1 0;
+  List.iter (fun root -> dfs root 0) children.(0);
   List.sort (fun a b -> compare a.Page.pre b.Page.pre) !rows
+
+(* The insertion orders of one forest: pre order, post order and a
+   shuffle, plus the sparse subset (every other leaf, by the shuffle
+   keys) inserted in post order, and the forest with every number
+   spread 300 apart (a far pre per row). *)
+let insertion_orders ((_, _, keys) as spec) =
+  let rows = build_rows spec in
+  let by f = List.sort (fun a b -> compare (f a) (f b)) rows in
+  let key (r : Page.row) = List.nth keys (r.Page.pre - 1) in
+  let leaf (r : Page.row) = not (List.exists (fun c -> c.Page.parent = r.Page.pre) rows) in
+  [
+    ("pre order", rows);
+    ("post order", by (fun r -> r.Page.post));
+    ("shuffled", by key);
+    ( "sparse leaves",
+      List.filter (fun r -> leaf r && key r mod 2 = 0) (by (fun r -> r.Page.post)) );
+    ( "spread",
+      List.map
+        (fun r ->
+          let spread n = 300 * n in
+          {
+            r with
+            Page.pre = spread r.Page.pre;
+            post = spread r.Page.post;
+            parent = spread r.Page.parent;
+          })
+        rows );
+  ]
+
+(* Every axis of [t] against a naive list scan of [rows]; the first
+   disagreement fails with the axis named. *)
+let check_axes what t rows =
+  let fail axis = QCheck2.Test.fail_reportf "%s: %s disagrees with the naive scan" what axis in
+  let sorted = List.sort (fun a b -> compare a.Page.pre b.Page.pre) rows in
+  let top = List.fold_left (fun m r -> max m r.Page.pre) 0 rows in
+  let find pre = List.find_opt (fun r -> r.Page.pre = pre) rows in
+  let same_row a b =
+    match (a, b) with
+    | None, None -> true
+    | Some a, Some b -> Page.row_equal a b
+    | _ -> false
+  in
+  if Node_table.row_count t <> List.length rows then fail "row_count";
+  (* every pre present, each one's neighbours and parent, and past the top *)
+  let probes =
+    List.sort_uniq compare
+      (0 :: (top + 1) :: (top + 2)
+      :: List.concat_map
+           (fun r -> [ r.Page.pre - 1; r.Page.pre; r.Page.pre + 1; r.Page.parent ])
+           rows)
+  in
+  List.iter
+    (fun pre ->
+      if not (same_row (Node_table.find_by_pre t pre) (find pre)) then fail "find_by_pre";
+      let naive_children = List.filter (fun r -> r.Page.parent = pre) sorted in
+      if pres (Node_table.children t ~parent:pre) <> pres naive_children then fail "children";
+      let naive_parent =
+        match find pre with
+        | Some r when r.Page.parent <> 0 -> find r.Page.parent
+        | _ -> None
+      in
+      if not (same_row (Node_table.parent_of t ~pre) naive_parent) then fail "parent_of")
+    probes;
+  if not (same_row (Node_table.root t) (List.find_opt (fun r -> r.Page.parent = 0) sorted))
+  then fail "root";
+  (* [scan_range] at every budget: the rows taken and the resume pre *)
+  let check_range ~from_pre ~below_post =
+    let rec take_while = function
+      | r :: rest when r.Page.post < below_post -> r :: take_while rest
+      | _ -> []
+    in
+    let run = take_while (List.filter (fun r -> r.Page.pre >= from_pre) sorted) in
+    (* no bound, and a bound that cuts the run in half *)
+    let bounds =
+      match List.nth_opt run (List.length run / 2) with
+      | Some r -> [ max_int; r.Page.pre ]
+      | None -> [ max_int ]
+    in
+    List.iter
+      (fun until_pre ->
+        let naive = List.filter (fun r -> r.Page.pre < until_pre) run in
+        let len = List.length naive in
+        for max_rows = 1 to len + 1 do
+          let got, resume =
+            Node_table.scan_range t ~from_pre ~until_pre ~below_post ~max_rows
+          in
+          let want = List.filteri (fun i _ -> i < max_rows) naive in
+          let want_resume =
+            if max_rows < len then Some (List.nth naive max_rows).Page.pre else None
+          in
+          if pres got <> pres want || resume <> want_resume then fail "scan_range"
+        done)
+      bounds
+  in
+  check_range ~from_pre:0 ~below_post:max_int;
+  List.iter
+    (fun (r : Page.row) ->
+      let naive_desc =
+        List.filter (fun c -> c.Page.pre > r.Page.pre && c.Page.post < r.Page.post) sorted
+      in
+      if pres (Node_table.descendants t ~pre:r.Page.pre ~post:r.Page.post) <> pres naive_desc
+      then fail "descendants";
+      check_range ~from_pre:(r.Page.pre + 1) ~below_post:r.Page.post;
+      check_range ~from_pre:r.Page.pre ~below_post:(r.Page.post + 1))
+    rows;
+  true
 
 let node_table_model_suite =
   [
     qtest ~count:100 "axes match naive scans" gen_tree_rows (fun spec ->
-        let rows = build_rows spec in
-        let t = Node_table.create ~page_size:512 () in
-        List.iter (Node_table.insert t) rows;
         List.for_all
-          (fun (r : Page.row) ->
-            let naive_children =
-              List.filter (fun (c : Page.row) -> c.Page.parent = r.Page.pre) rows
-            in
-            let naive_desc =
-              List.filter
-                (fun (c : Page.row) -> c.Page.pre > r.Page.pre && c.Page.post < r.Page.post)
-                rows
-            in
-            pres (Node_table.children t ~parent:r.Page.pre) = pres naive_children
-            && pres (Node_table.descendants t ~pre:r.Page.pre ~post:r.Page.post)
-               = pres naive_desc)
-          rows);
+          (fun (order, rows) ->
+            let t = Node_table.create ~page_size:512 () in
+            List.iter (Node_table.insert t) rows;
+            check_axes (order ^ ", in memory") t rows
+            && with_temp_file (fun path ->
+                   let t = Node_table.create_file ~page_size:256 path in
+                   List.iter (Node_table.insert t) rows;
+                   check_axes (order ^ ", file-backed") t rows
+                   && begin
+                     Node_table.close t;
+                     match Node_table.open_file path with
+                     | Error e -> QCheck2.Test.fail_reportf "%s: reopen failed: %s" order e
+                     | Ok t ->
+                         let ok = check_axes (order ^ ", reopened") t rows in
+                         Node_table.close t;
+                         ok
+                   end))
+          (insertion_orders spec));
   ]
 
 let () =
   Alcotest.run "store"
     [
       ("crc32", [ Alcotest.test_case "vectors" `Quick test_crc32_vectors ]);
-      ( "btree",
-        [
-          Alcotest.test_case "basics" `Quick test_btree_basic;
-          Alcotest.test_case "sequential inserts" `Quick test_btree_sequential_inserts;
-          Alcotest.test_case "reverse inserts" `Quick test_btree_reverse_inserts;
-          Alcotest.test_case "range scans" `Quick test_btree_range;
-          Alcotest.test_case "delete with rebalancing" `Quick test_btree_delete;
-          Alcotest.test_case "negative keys rejected" `Quick test_btree_negative_rejected;
-        ]
-        @ btree_model_suite );
-      ( "index",
-        [
-          Alcotest.test_case "duplicate keys" `Quick test_index_duplicates;
-          Alcotest.test_case "fold_from" `Quick test_index_fold_from;
-          Alcotest.test_case "bounds" `Quick test_index_bounds;
-        ] );
       ( "page",
         [
           Alcotest.test_case "roundtrip" `Quick test_page_roundtrip;
@@ -1061,6 +1056,9 @@ let () =
           Alcotest.test_case "duplicate pre rejected" `Quick test_node_table_duplicate_pre;
           Alcotest.test_case "size accounting" `Quick test_node_table_sizes;
           Alcotest.test_case "file roundtrip" `Quick test_node_table_file_roundtrip;
+          Alcotest.test_case "pre bound refused on insert" `Quick
+            test_pre_bound_refused_on_insert;
+          Alcotest.test_case "pre bound refused on open" `Quick test_pre_bound_refused_on_open;
         ]
         @ node_table_model_suite );
       ( "write-ahead log",
