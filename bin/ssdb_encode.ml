@@ -20,7 +20,7 @@ let err = Cli.err
    secret file behind.  [true] marks a fresh one. *)
 let load_or_create_seed path =
   if Sys.file_exists path then Result.map (fun seed -> (seed, false)) (Seed.load path)
-  else Ok (Seed.generate (), true)
+  else Result.map (fun seed -> (seed, true)) (Seed.generate ())
 
 let load_or_create_mapping path ~q ~trie xml_path =
   if Sys.file_exists path then Result.map (fun m -> (m, false)) (Mapping.load path)
@@ -85,47 +85,50 @@ let encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
   match encode_file ring ~mapping ~seed ~trie ~agg_scale xml_path with
   | Error e -> err "encoding failed: %s" (Encode.error_to_string e)
   | Ok (stats, source, num_source) -> (
-      let dealer_seed = Seed.generate () in
-      let shard_db i = Manifest.shard_db_path db_path (i + 1) in
-      let sinks =
-        Array.init shards (fun i ->
-            Node_table.create_file ~durable ?checkpoint_every (shard_db i))
-      in
-      let num_sinks =
-        Array.init shards (fun i ->
-            Node_table.create_file ~durable ?checkpoint_every
-              (Cli.nums_path (shard_db i)))
-      in
-      let close_all () =
-        Array.iter Node_table.close sinks;
-        Array.iter Node_table.close num_sinks
-      in
-      match
-        let manifests =
-          Secshare_shard.Split.split_table ring ~threshold ~shards ~dealer_seed
-            ~source ~sinks
-        in
-        Secshare_shard.Split.split_numbers ~threshold ~shards ~dealer_seed
-          ~source:num_source ~sinks:num_sinks;
-        manifests
-      with
-      | exception Invalid_argument m ->
-          close_all ();
-          err "sharding failed: %s" m
-      | manifests ->
-          Array.iteri
-            (fun i manifest ->
-              Manifest.save (Manifest.manifest_path (shard_db i)) manifest)
-            manifests;
-          close_all ();
-          Printf.printf
-            "encoded %d nodes (%d elements, %d trie nodes, %d numeric) in %.2f s\n\
-             sharded %d-of-%d: %s.shard1..%d (+ .manifest, .nums each), %d partitions\n"
-            stats.Encode.nodes stats.Encode.elements stats.Encode.trie_nodes
-            stats.Encode.numeric_nodes stats.Encode.duration_seconds threshold shards
-            db_path shards
-            (Manifest.partitions manifests.(0));
-          `Ok 0)
+      match Seed.generate () with
+      | Error m -> err "dealer seed: %s" m
+      | Ok dealer_seed -> (
+          let shard_db i = Manifest.shard_db_path db_path (i + 1) in
+          let sinks =
+            Array.init shards (fun i ->
+                Node_table.create_file ~durable ?checkpoint_every (shard_db i))
+          in
+          let num_sinks =
+            Array.init shards (fun i ->
+                Node_table.create_file ~durable ?checkpoint_every
+                  (Cli.nums_path (shard_db i)))
+          in
+          let close_all () =
+            Array.iter Node_table.close sinks;
+            Array.iter Node_table.close num_sinks
+          in
+          match
+            let manifests =
+              Secshare_shard.Split.split_table ring ~threshold ~shards ~dealer_seed
+                ~source ~sinks
+            in
+            Secshare_shard.Split.split_numbers ~threshold ~shards ~dealer_seed
+              ~source:num_source ~sinks:num_sinks;
+            manifests
+          with
+          | exception Invalid_argument m ->
+              close_all ();
+              err "sharding failed: %s" m
+          | manifests ->
+              Array.iteri
+                (fun i manifest ->
+                  Manifest.save (Manifest.manifest_path (shard_db i)) manifest)
+                manifests;
+              close_all ();
+              Printf.printf
+                "encoded %d nodes (%d elements, %d trie nodes, %d numeric) in %.2f s\n\
+                 sharded %d-of-%d: %s.shard1..%d (+ .manifest, .nums each), %d \
+                 partitions\n"
+                stats.Encode.nodes stats.Encode.elements stats.Encode.trie_nodes
+                stats.Encode.numeric_nodes stats.Encode.duration_seconds threshold shards
+                db_path shards
+                (Manifest.partitions manifests.(0));
+              `Ok 0))
 
 let run xml_path map_path seed_path db_path ring trie_mode durable checkpoint_every
     shards threshold agg_scale =

@@ -83,11 +83,6 @@ let children t ~pre =
   | Protocol.Nodes metas -> metas
   | response -> protocol_error "Children" response
 
-let parent t ~pre =
-  match call t (Protocol.Parent pre) with
-  | Protocol.Node_opt meta -> meta
-  | response -> protocol_error "Parent" response
-
 (* --- scans (Scan_eval / Scan_next) --- *)
 
 let scan_eval t ~target ~points ~max_items =

@@ -52,7 +52,6 @@ val share_cache_stats : t -> Lru.stats option
 (** {2 Structure navigation} *)
 
 val root : t -> Secshare_rpc.Protocol.node_meta option
-val parent : t -> pre:int -> Secshare_rpc.Protocol.node_meta option
 
 (** {2 Scans}
 

@@ -45,8 +45,8 @@ let create ?ttl ?(now = Unix.gettimeofday) ~max ~on_remove () =
    raises. *)
 let with_lock t f =
   let removed = ref [] in
-  Mutex.lock t.lock;
   Obs.Race_check.acquired "cursor-table";
+  Mutex.lock t.lock;
   Obs.Race_check.access ~write:true "cursor_table.cursors";
   Fun.protect
     ~finally:(fun () ->

@@ -180,21 +180,22 @@ let create_tree ?(config = default_config) tree =
       | Error _ as e -> e
       | Ok map -> (
           let seed =
-            match config.seed with
-            | Some s -> s
-            | None -> Secshare_prg.Seed.generate ()
+            match config.seed with Some s -> Ok s | None -> Secshare_prg.Seed.generate ()
           in
-          let table = Node_table.create ~page_size:config.page_size () in
-          let numbers = Node_table.create ~page_size:config.page_size () in
-          match
-            Encode.encode_tree ring ~mapping:map ~seed ~table ~numbers
-              ?trie:config.trie tree
-          with
-          | Error e -> Error (Encode.error_to_string e)
-          | Ok encode_stats ->
-              Ok
-                (assemble_local ~client:config.client ~ring ~map ~seed ~table ~numbers
-                   ~encode_stats ())))
+          match seed with
+          | Error _ as e -> e
+          | Ok seed -> (
+              let table = Node_table.create ~page_size:config.page_size () in
+              let numbers = Node_table.create ~page_size:config.page_size () in
+              match
+                Encode.encode_tree ring ~mapping:map ~seed ~table ~numbers
+                  ?trie:config.trie tree
+              with
+              | Error e -> Error (Encode.error_to_string e)
+              | Ok encode_stats ->
+                  Ok
+                    (assemble_local ~client:config.client ~ring ~map ~seed ~table
+                       ~numbers ~encode_stats ()))))
 
 let zero_encode_stats =
   {

@@ -326,24 +326,32 @@ let pruned_scan name filter ~eval ~prune ~include_self input =
   in
   make ~close:(fun () -> !close_level ()) stats next_batch
 
-(* --- per-row transforms --------------------------------------------- *)
-
+(* The parents of each upstream batch's nodes: one point-free
+   [Scan_eval] per batch, a one-pre window [(p, p + 1)] for each
+   distinct nonzero parent [p], with no post bound (0xFFFFFFFF, the
+   wire's largest u32). *)
 let parent_step name filter input =
   let stats = Metrics.op_stats name in
-  let rec next_batch () =
-    match pull stats input with
-    | None -> None
-    | Some batch -> (
+  let next_batch, close =
+    fused_scan_stream filter stats ~points:[]
+      ~target_of_batch:(fun batch ->
         let parents =
-          List.filter_map
-            (fun (m : Protocol.node_meta) ->
-              with_rpc filter stats (fun () ->
-                  Client_filter.parent filter ~pre:m.Protocol.pre))
-            (Array.to_list batch)
+          Array.to_list batch
+          |> List.filter_map (fun (m : Protocol.node_meta) ->
+                 if m.Protocol.parent = 0 then None else Some m.Protocol.parent)
+          |> List.sort_uniq compare
         in
-        match parents with [] -> next_batch () | _ -> Some (Array.of_list parents))
+        match parents with
+        | [] -> None
+        | _ ->
+            Some
+              (Protocol.Bounded_pre_ranges
+                 (List.map (fun p -> (p, p + 1, 0xFFFFFFFF)) parents)))
+      (fun () -> pull stats input)
   in
-  make stats next_batch
+  make ~close stats next_batch
+
+(* --- per-row transforms --------------------------------------------- *)
 
 let filter_containment name filter ~points input =
   let stats = Metrics.op_stats name in

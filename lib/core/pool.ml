@@ -43,8 +43,8 @@ let run_task ~executor task =
 let worker_loop t i =
   let executor = "w" ^ string_of_int i in
   let rec loop () =
-    Mutex.lock t.lock;
     Obs.Race_check.acquired "pool-queue";
+    Mutex.lock t.lock;
     Obs.Race_check.access "pool.closed";
     while Queue.is_empty t.queue && not t.closed do
       Condition.wait t.work_available t.lock
@@ -87,8 +87,8 @@ let close t =
   (* the flag is part of the queue monitor even when no workers were
      spawned: a racing map on another domain must not observe a torn
      closed/queue pair *)
-  Mutex.lock t.lock;
   Obs.Race_check.acquired "pool-queue";
+  Mutex.lock t.lock;
   t.closed <- true;
   Obs.Race_check.access ~write:true "pool.closed";
   Condition.broadcast t.work_available;
@@ -126,13 +126,13 @@ let map_array t a ~f =
              results.(i) <- Some (f a.(i))
            done
          with exn ->
-           Mutex.lock t.lock;
            Obs.Race_check.acquired "pool-queue";
+           Mutex.lock t.lock;
            if !first_exn = None then first_exn := Some exn;
            Obs.Race_check.released "pool-queue";
            Mutex.unlock t.lock);
-        Mutex.lock t.lock;
         Obs.Race_check.acquired "pool-queue";
+        Mutex.lock t.lock;
         call.remaining <- call.remaining - 1;
         if call.remaining = 0 then Condition.signal call.finished;
         Obs.Race_check.released "pool-queue";
@@ -141,8 +141,8 @@ let map_array t a ~f =
     (* gauge goes up before the enqueue so a racing dequeue can only
        leave it transiently high, never negative *)
     Obs.Registry.gauge_add obs_queue_depth nchunks;
-    Mutex.lock t.lock;
     Obs.Race_check.acquired "pool-queue";
+    Mutex.lock t.lock;
     for c = 0 to nchunks - 1 do
       Queue.add (task (c * chunk_size)) t.queue
     done;
@@ -153,8 +153,8 @@ let map_array t a ~f =
     (* The caller helps: steal queued chunks (of any in-flight call)
        instead of sleeping, so a busy pool never makes a map slower
        than running it inline. *)
-    Mutex.lock t.lock;
     Obs.Race_check.acquired "pool-queue";
+    Mutex.lock t.lock;
     while call.remaining > 0 do
       if Queue.is_empty t.queue then Condition.wait call.finished t.lock
       else begin
@@ -164,8 +164,8 @@ let map_array t a ~f =
         Mutex.unlock t.lock;
         Obs.Registry.gauge_add obs_queue_depth (-1);
         run_task ~executor:"caller" task;
-        Mutex.lock t.lock;
-        Obs.Race_check.acquired "pool-queue"
+        Obs.Race_check.acquired "pool-queue";
+        Mutex.lock t.lock
       end
     done;
     Obs.Race_check.released "pool-queue";

@@ -220,8 +220,6 @@ let handle t (request : Protocol.request) : Protocol.response =
   | Protocol.Root -> Protocol.Node_opt (Option.map meta_of_row (Node_table.root t.table))
   | Protocol.Children parent ->
       Protocol.Nodes (List.map meta_of_row (Node_table.children t.table ~parent))
-  | Protocol.Parent pre ->
-      Protocol.Node_opt (Option.map meta_of_row (Node_table.parent_of t.table ~pre))
   | Protocol.Scan_eval { target; points; max_items } ->
       let points = List.map (Share.point t.ring) points in
       Obs.Registry.inc obs_queries;

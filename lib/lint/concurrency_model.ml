@@ -9,7 +9,7 @@
    Declaration kinds:
 
    - [Guarded_by cls]: every access (read or write) holds the lock
-     class [cls] from [Lock_table], lexically or via every call site.
+     class [cls] (a lock site's class in [Lock_table]), lexically or via every call site.
    - [Guarded_writes cls]: writes hold [cls]; reads are lock-free by
      a single-writer publication argument (node table readers).
    - [Domain_confined d]: only code running on domain [d] ("evloop")
@@ -144,9 +144,6 @@ let table : ((string * string) * guard) list =
       Atomic_ok "stripe array is built by create and never replaced" );
     ( ("lib/store/pager.ml", "barrier"),
       Atomic_ok "checkpoint quiesce counter; transitions happen under meta" );
-    ( ("lib/store/pager.ml", "enabled"),
-      Atomic_ok "read from SSDB_LOCK_CHECK once at startup, constant after" );
-    (("lib/store/pager.ml", "held"), Guarded_by "lock-witness");
     (* --- lib/store/wal.ml: append path serialised on the fd -------- *)
     (("lib/store/wal.ml", "entries"), Guarded_by "wal-append");
     (("lib/store/wal.ml", "lsn"), Guarded_by "wal-append");

@@ -1,14 +1,14 @@
-(* The declared lock table, shared by [Pass_lock_order] (intra-file
-   acquisition order) and [Pass_races] (guarded-by checking).  A lock
-   site is identified by the basename of the file that owns it and the
-   last identifier of the lock expression; its class name is the
-   handle the concurrency model's [Guarded_by] declarations use.
+(* The lock sites of the tree and the lexical lock regions around
+   them, shared by [Pass_lock_order] (acquisition order) and
+   [Pass_races] (guarded-by checking).  A lock site is identified by
+   the basename of the file that owns it and the last identifier of
+   the lock expression; its class name is the handle the concurrency
+   model's [Guarded_by] declarations and the runtime witness use.
 
-   New lock sites MUST be declared here (and in DESIGN.md §16) or the
-   lock-order pass reports lock-order/undeclared.  Ranks encode the
-   acquisition partial order: a lock may only be taken while holding
-   strictly lower-ranked locks.  Leaf ranks (>= 44) belong to the
-   observability locks, which are taken under everything. *)
+   New lock sites MUST be mapped here (and their class declared in
+   [Race_check.lock_order], the one table of ranks, and DESIGN.md §16)
+   or the lock-order pass reports lock-order/undeclared.  A lock may
+   only be taken while holding strictly lower-ranked locks. *)
 
 open Parsetree
 
@@ -20,53 +20,34 @@ let fixture_base base =
   in
   has_prefix "bad_race_" || has_prefix "good_race_"
 
-let classify ~file ~lock_name =
+let class_of_site ~file ~lock_name =
   match (Ast_util.basename file, lock_name) with
-  | "node_table.ml", "write_lock" -> Some { class_name = "table-writer"; rank = 10 }
-  | "cursor_table.ml", ("t" | "lock") -> Some { class_name = "cursor-table"; rank = 12 }
-  | "server.ml", ("t" | "lock") -> Some { class_name = "rpc-server-stats"; rank = 13 }
-  | "pool.ml", "lock" -> Some { class_name = "pool-queue"; rank = 15 }
-  | "metrics_http.ml", "lock" -> Some { class_name = "metrics-http"; rank = 17 }
-  | "pager.ml", "meta" -> Some { class_name = "pager-meta"; rank = 20 }
-  | "pager.ml", ("latch" | "stripe") -> Some { class_name = "pager-stripe"; rank = 30 }
-  | "wal.ml", "lock" -> Some { class_name = "wal-append"; rank = 35 }
-  | "pager.ml", "io" -> Some { class_name = "pager-io"; rank = 40 }
-  | "trace.ml", "ambient_lock" -> Some { class_name = "trace-ambient"; rank = 44 }
-  | "trace.ml", "ring_lock" -> Some { class_name = "trace-ring"; rank = 45 }
-  | "trace.ml", "log_lock" -> Some { class_name = "trace-log"; rank = 46 }
-  | "registry.ml", ("t" | "registry" | "lock") ->
-      Some { class_name = "obs-registry"; rank = 47 }
-  | "histogram.ml", ("t" | "lock" | "into") ->
-      Some { class_name = "obs-histogram"; rank = 48 }
-  | "events.ml", "emit_lock" -> Some { class_name = "events-sink"; rank = 49 }
-  | "pager.ml", "witness_lock" -> Some { class_name = "lock-witness"; rank = 50 }
-  | "race_check.ml", "lock" -> Some { class_name = "race-witness"; rank = 55 }
-  | base, ("lock" | "fixture_lock") when fixture_base base ->
-      Some { class_name = "fixture-lock"; rank = 60 }
+  | "node_table.ml", "write_lock" -> Some "table-writer"
+  | "cursor_table.ml", ("t" | "lock") -> Some "cursor-table"
+  | "server.ml", ("t" | "lock") -> Some "rpc-server-stats"
+  | "pool.ml", "lock" -> Some "pool-queue"
+  | "metrics_http.ml", "lock" -> Some "metrics-http"
+  | "pager.ml", "meta" -> Some "pager-meta"
+  | "pager.ml", ("latch" | "stripe") -> Some "pager-stripe"
+  | "wal.ml", "lock" -> Some "wal-append"
+  | "pager.ml", "io" -> Some "pager-io"
+  | "trace.ml", "ambient_lock" -> Some "trace-ambient"
+  | "trace.ml", "ring_lock" -> Some "trace-ring"
+  | "trace.ml", "log_lock" -> Some "trace-log"
+  | "registry.ml", ("t" | "registry" | "lock") -> Some "obs-registry"
+  | "histogram.ml", ("t" | "lock" | "into") -> Some "obs-histogram"
+  | "events.ml", "emit_lock" -> Some "events-sink"
+  | "race_check.ml", "lock" -> Some "race-witness"
+  | base, ("lock" | "fixture_lock") when fixture_base base -> Some "fixture-lock"
   | _ -> None
 
-(* Every class name above, for validating [Guarded_by] declarations. *)
-let class_names =
-  [
-    "table-writer";
-    "cursor-table";
-    "rpc-server-stats";
-    "pool-queue";
-    "metrics-http";
-    "pager-meta";
-    "pager-stripe";
-    "wal-append";
-    "pager-io";
-    "trace-ambient";
-    "trace-ring";
-    "trace-log";
-    "obs-registry";
-    "obs-histogram";
-    "events-sink";
-    "lock-witness";
-    "race-witness";
-    "fixture-lock";
-  ]
+(* A site whose class has no declared rank is as undeclared as an
+   unmapped one. *)
+let classify ~file ~lock_name =
+  Option.bind (class_of_site ~file ~lock_name) (fun class_name ->
+      Option.map
+        (fun rank -> { class_name; rank })
+        (Secshare_obs.Race_check.rank class_name))
 
 (* Directories whose lock sites the order pass analyzes.  Everything
    under lib/ outside this set must not create locks at all; the pass
@@ -84,10 +65,56 @@ let lock_name_of expr =
   | Pexp_ident { txt; _ } -> Some (Ast_util.last_of (Ast_util.flatten_longident txt))
   | _ -> None
 
+let class_of ~file lock_expr =
+  Option.bind (lock_name_of lock_expr) (fun lock_name -> classify ~file ~lock_name)
+
 let mutex_call expr which =
   match expr.pexp_desc with
   | Pexp_apply (fn, [ (Asttypes.Nolabel, arg) ]) -> (
       match Ast_util.ident_path fn with
       | Some [ "Mutex"; f ] when String.equal f which -> Some arg
       | _ -> None)
+  | _ -> None
+
+(* --- lexical lock regions ------------------------------------------- *)
+
+type region =
+  | Holding of {
+      lock : expression;
+      at : Location.t;  (** the acquisition *)
+      body : expression list;  (** runs with [lock] held *)
+      outside : expression list;  (** evaluated without it *)
+    }
+      (** [with_lock [~label] L F ...]: [F] and any later positional
+          argument run with [L] held; [Mutex.lock L; e]: [e], the rest
+          of the sequence, does. *)
+  | Releasing of { lock : expression; rest : expression }
+      (** [Mutex.unlock L; e]: [e] runs without [L]. *)
+
+(* The definition of a [with_lock] wrapper takes [Mutex.lock m] on its
+   parameter: inside it the bare mutex calls are no region, the
+   wrapper's call sites are. *)
+let is_wrapper_name name = String.equal name "with_lock"
+
+let is_wrapper_binding vb =
+  match vb.pvb_pat.ppat_desc with Ppat_var { txt; _ } -> is_wrapper_name txt | _ -> false
+
+let region ~in_wrapper e =
+  match e.pexp_desc with
+  | Pexp_apply (fn, args)
+    when (match Ast_util.ident_last fn with Some f -> is_wrapper_name f | None -> false)
+    -> (
+      let positional =
+        List.filter_map (fun (l, a) -> if l = Asttypes.Nolabel then Some a else None) args
+      in
+      match positional with
+      | lock :: (_ :: _ as body) ->
+          Some (Holding { lock; at = e.pexp_loc; body; outside = [ lock ] })
+      | _ -> None)
+  | Pexp_sequence (e1, rest) when not in_wrapper -> (
+      match (mutex_call e1 "lock", mutex_call e1 "unlock") with
+      | Some lock, _ ->
+          Some (Holding { lock; at = e1.pexp_loc; body = [ rest ]; outside = [] })
+      | None, Some lock -> Some (Releasing { lock; rest })
+      | None, None -> None)
   | _ -> None

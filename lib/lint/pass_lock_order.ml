@@ -1,15 +1,16 @@
 (* Lock-order: within the concurrent subtrees of lib/, nested
-   acquisitions must follow the declared partial order in
-   [Lock_table] (DESIGN.md §10: meta -> stripe -> io, with the cursor
-   table, table writer and pool queue as outer classes and the
-   observability locks as leaves), and every lock site must be
-   declared in the table.
+   acquisitions must follow the declared partial order (sites mapped in
+   [Lock_table], ranks in [Race_check.lock_order]; DESIGN.md §10: meta
+   -> stripe -> io, with the cursor table, table writer and pool queue
+   as outer classes and the observability locks as leaves), and every
+   lock site must be declared.
 
-   The analysis is lexical: [with_lock m (fun () -> ...)] holds the
-   lock for the wrapped closure, [Mutex.lock m] holds it for the rest
-   of the enclosing sequence (or until a matching [Mutex.unlock m]).
-   Cross-function nesting (a callee that locks) is out of scope and is
-   covered by the SSDB_LOCK_CHECK runtime witness in the pager.
+   The analysis is lexical ([Lock_table.region]): [with_lock m (fun ()
+   -> ...)] holds the lock for the wrapped closure, [Mutex.lock m]
+   holds it for the rest of the enclosing sequence (or until a matching
+   [Mutex.unlock m]).  Cross-function nesting (a callee that locks) is
+   out of scope and is covered by the runtime witness
+   (Race_check, SSDB_RACE_CHECK=1), which checks the same ranks.
 
    Files under lib/ but outside [Lock_table.in_scope] must not own
    locks at all; a lock primitive there is reported as
@@ -98,70 +99,31 @@ let run (source : Lint_source.t) : Finding.t list =
     in
     let super = Ast_iterator.default_iterator in
     let rec visit it e =
-      match e.pexp_desc with
-      (* with_lock [~rank] LOCK F : F runs with LOCK held *)
-      | Pexp_apply (fn, args)
-        when (match Ast_util.ident_last fn with
-             | Some "with_lock" -> true
-             | _ -> false)
-             && List.length (List.filter (fun (l, _) -> l = Asttypes.Nolabel) args) >= 2
-        ->
-          let positional = List.filter_map
-              (fun (l, a) -> if l = Asttypes.Nolabel then Some a else None)
-              args
-          in
-          let lock_expr = List.hd positional in
-          let body = List.nth positional 1 in
-          let k = check_and_classify ~loc:e.pexp_loc lock_expr in
-          (match k with
+      match Lock_table.region ~in_wrapper:(!wrapper_depth > 0) e with
+      | Some (Lock_table.Holding { lock; at; body; outside }) ->
+          (match check_and_classify ~loc:at lock with
           | Some k ->
               held := k :: !held;
               Fun.protect
-                ~finally:(fun () -> held := List.tl !held)
-                (fun () -> List.iter (fun b -> visit it b) (body :: List.tl (List.tl positional)))
-          | None -> List.iter (fun b -> visit it b) (List.tl positional));
-          visit it lock_expr
-      (* e1; e2 with e1 = Mutex.lock m : rest of sequence holds m *)
-      | Pexp_sequence (e1, e2) -> (
-          match Lock_table.mutex_call e1 "lock" with
-          | Some lock_expr when !wrapper_depth = 0 -> (
-              match check_and_classify ~loc:e1.pexp_loc lock_expr with
-              | Some k ->
-                  held := k :: !held;
-                  Fun.protect
-                    ~finally:(fun () ->
-                      held := List.filter (fun h -> h != k) !held)
-                    (fun () -> visit it e2)
-              | None -> visit it e2)
-          | _ -> (
-              (match Lock_table.mutex_call e1 "unlock" with
-              | Some lock_expr when !wrapper_depth = 0 -> (
-                  match Lock_table.lock_name_of lock_expr with
-                  | Some lock_name -> (
-                      match Lock_table.classify ~file ~lock_name with
-                      | Some k ->
-                          held :=
-                            List.filter
-                              (fun h ->
-                                not
-                                  (h.Lock_table.class_name = k.Lock_table.class_name))
-                              !held
-                      | None -> ())
-                  | None -> ())
-              | _ -> visit it e1);
-              visit it e2))
-      | _ -> super.expr it e
+                ~finally:(fun () -> held := List.filter (fun h -> h != k) !held)
+                (fun () -> List.iter (visit it) body)
+          | None -> List.iter (visit it) body);
+          List.iter (visit it) outside
+      | Some (Lock_table.Releasing { lock; rest }) ->
+          (match Lock_table.class_of ~file lock with
+          | Some k ->
+              held :=
+                List.filter
+                  (fun h ->
+                    not (String.equal h.Lock_table.class_name k.Lock_table.class_name))
+                  !held
+          | None -> ());
+          visit it rest
+      | None -> super.expr it e
     in
     let expr it e = visit it e in
     let value_binding it vb =
-      (* The definitions of [with_lock] wrappers contain [Mutex.lock m]
-         on their parameter; the call sites are what get classified. *)
-      let is_wrapper =
-        match vb.pvb_pat.ppat_desc with
-        | Ppat_var { txt; _ } -> String.equal txt "with_lock"
-        | _ -> false
-      in
-      if is_wrapper then begin
+      if Lock_table.is_wrapper_binding vb then begin
         incr wrapper_depth;
         Fun.protect
           ~finally:(fun () -> decr wrapper_depth)

@@ -284,11 +284,6 @@ let analyze_file (source : Lint_source.t) : file_info =
     | Some `Field | None ->
         if Hashtbl.mem local_muts name then record_access (local_key name) ~write ~loc
   in
-  let classify lock_expr =
-    match Lock_table.lock_name_of lock_expr with
-    | None -> None
-    | Some lock_name -> Lock_table.classify ~file:fi.fi_eff ~lock_name
-  in
   (* all identifiers mentioned in [e], for escape scanning *)
   let idents_of e =
     let acc = ref SS.empty in
@@ -336,45 +331,26 @@ let analyze_file (source : Lint_source.t) : file_info =
   in
   let super = Ast_iterator.default_iterator in
   let rec visit it e =
-    match e.pexp_desc with
-    (* with_lock [~rank] LOCK F : F runs with LOCK held *)
-    | Pexp_apply (fn, args)
-      when (match Ast_util.ident_last fn with
-           | Some "with_lock" -> true
-           | _ -> false)
-           && List.length (List.filter (fun (l, _) -> l = Asttypes.Nolabel) args) >= 2 ->
-        let positional =
-          List.filter_map (fun (l, a) -> if l = Asttypes.Nolabel then Some a else None) args
-        in
-        let lock_expr = List.hd positional in
-        let rest = List.tl positional in
-        (match classify lock_expr with
+    match Lock_table.region ~in_wrapper:(!wrapper_depth > 0) e with
+    | Some (Lock_table.Holding { lock; body; outside; _ }) ->
+        (match Lock_table.class_of ~file:fi.fi_eff lock with
         | Some k ->
             let saved = !held in
             held := SS.add k.Lock_table.class_name !held;
             Fun.protect
               ~finally:(fun () -> held := saved)
-              (fun () -> List.iter (visit it) rest)
-        | None -> List.iter (visit it) rest);
-        visit it lock_expr
-    (* e1; e2 with e1 = Mutex.lock m : rest of sequence holds m *)
-    | Pexp_sequence (e1, e2) -> (
-        match Lock_table.mutex_call e1 "lock" with
-        | Some lock_expr when !wrapper_depth = 0 -> (
-            match classify lock_expr with
-            | Some k ->
-                let saved = !held in
-                held := SS.add k.Lock_table.class_name !held;
-                Fun.protect ~finally:(fun () -> held := saved) (fun () -> visit it e2)
-            | None -> visit it e2)
-        | _ -> (
-            (match Lock_table.mutex_call e1 "unlock" with
-            | Some lock_expr when !wrapper_depth = 0 -> (
-                match classify lock_expr with
-                | Some k -> held := SS.remove k.Lock_table.class_name !held
-                | None -> ())
-            | _ -> visit it e1);
-            visit it e2))
+              (fun () -> List.iter (visit it) body)
+        | None -> List.iter (visit it) body);
+        List.iter (visit it) outside
+    | Some (Lock_table.Releasing { lock; rest }) ->
+        (match Lock_table.class_of ~file:fi.fi_eff lock with
+        | Some k -> held := SS.remove k.Lock_table.class_name !held
+        | None -> ());
+        visit it rest
+    | None -> visit_node it e
+  (* everything but a lock region *)
+  and visit_node it e =
+    match e.pexp_desc with
     | Pexp_apply (fn, args) -> (
         match Ast_util.ident_path fn with
         | Some path ->
@@ -484,12 +460,7 @@ let analyze_file (source : Lint_source.t) : file_info =
           | Pexp_fun _ | Pexp_function _ -> Hashtbl.replace local_funs name rhs
           | _ -> ())
     | _ -> ());
-    let is_wrapper =
-      match vb.pvb_pat.ppat_desc with
-      | Ppat_var { txt; _ } -> String.equal txt "with_lock"
-      | _ -> false
-    in
-    if is_wrapper then begin
+    if Lock_table.is_wrapper_binding vb then begin
       incr wrapper_depth;
       Fun.protect ~finally:(fun () -> decr wrapper_depth) (fun () -> super.value_binding it vb)
     end
@@ -524,7 +495,7 @@ let analyze_file (source : Lint_source.t) : file_info =
                             :: fi.fi_attr_errs);
                     (match requires_of_attributes vb.pvb_attributes with
                     | Some cls when String.length cls > 0 ->
-                        if List.mem cls Lock_table.class_names then
+                        if Option.is_some (Secshare_obs.Race_check.rank cls) then
                           fi.fi_requires <- (name, cls) :: fi.fi_requires
                         else
                           fi.fi_attr_errs <-
@@ -608,7 +579,7 @@ let analyze_file (source : Lint_source.t) : file_info =
                 cur_fn := name;
                 cur_ctx := Top;
                 held := SS.empty;
-                let is_wrapper = String.equal name "with_lock" in
+                let is_wrapper = Lock_table.is_wrapper_name name in
                 if is_wrapper then incr wrapper_depth;
                 visit it vb.pvb_expr;
                 if is_wrapper then decr wrapper_depth;
@@ -699,7 +670,7 @@ let run (sources : Lint_source.t list) : Finding.t list =
         (fun (f, _dom) -> Hashtbl.add sites (fkey fi f) (`Spawn, SS.empty))
         fi.fi_spawns)
     files;
-  let all_classes = SS.of_list Lock_table.class_names in
+  let all_classes = SS.of_list (List.map fst Secshare_obs.Race_check.lock_order) in
   (* [@@init_path] functions per key, and [@@requires] contracts *)
   let init_fns : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let requires : (string, string) Hashtbl.t = Hashtbl.create 16 in
@@ -879,7 +850,7 @@ let run (sources : Lint_source.t list) : Finding.t list =
               (match g with
               | Concurrency_model.Guarded_by cls | Concurrency_model.Guarded_writes cls
                 ->
-                  if not (List.mem cls Lock_table.class_names) then
+                  if Option.is_none (Secshare_obs.Race_check.rank cls) then
                     finding fi ~loc:root.root_loc ~rule:"races/bad-decl"
                       ~allow_key:"race-decl"
                       (Printf.sprintf

@@ -1,12 +1,14 @@
-(* Eraser-style dynamic lockset witness (SSDB_RACE_CHECK=1).
+(* The runtime lock witness (SSDB_RACE_CHECK=1).
 
-   The static races pass (lib/lint/pass_races.ml) proves the guarded-by
-   discipline lexically; this module is the dynamic backstop for what a
-   name-based analysis cannot see — aliases, first-class functions,
-   state reached through another compilation unit.  Instrumented
-   modules report lock acquisitions ([acquired]/[released], by lock
-   *class* name) and shared-state touches ([access], by root name);
-   the witness runs the classic Eraser refinement per root:
+   The static passes (lib/lint/pass_lock_order.ml, pass_races.ml) prove
+   the lock order and the guarded-by discipline lexically; this module
+   is the dynamic backstop for what a name-based analysis cannot see —
+   callees that lock, aliases, first-class functions, state reached
+   through another compilation unit.  Instrumented modules report lock
+   acquisitions ([acquired]/[released], by lock *class* name, before
+   they block on the mutex) and shared-state touches ([access], by root
+   name).  [acquired] checks the order of [lock_order] below; for
+   races the witness runs the classic Eraser refinement per root:
 
      - the first accesses stay in an initialization hole (a single
        executor owns the root; no refinement), because OCaml programs
@@ -19,17 +21,46 @@
        that is the single-writer publication pattern).
 
    An executor is a (domain, thread) pair, so Thread.t threads inside
-   one domain are distinguished from parallel domains.  Reports
+   one domain are distinguished from parallel domains.  Race reports
    accumulate; [reports] returns them and the test suites assert the
    list stays empty (and that a deliberately seeded race fills it).
 
-   Known limitation, documented in DESIGN.md §16: striped locks
-   (Pager's per-stripe latches) are reported under one merged class
-   name, so holding the *wrong* stripe still satisfies the witness.
-   The static pass has the same granularity; both are conservative in
-   the non-reporting direction. *)
+   Known limitation, documented in DESIGN.md §16: Pager's per-stripe
+   latches are reported under one merged class name, so holding the
+   *wrong* stripe still satisfies the lockset check.  The static pass
+   has the same granularity; both are conservative in the
+   non-reporting direction. *)
 
 module SS = Set.Make (String)
+
+(* Ascending ranks: a lock may only be taken while every held lock
+   ranks strictly lower.  Leaf ranks (>= 44) belong to the
+   observability locks, which are taken under everything; the
+   witness's own guard ranks above them because it is only ever the
+   innermost acquisition.  "fixture-lock" is the class of the lint
+   fixture corpus. *)
+let lock_order =
+  [
+    ("table-writer", 10);
+    ("cursor-table", 12);
+    ("rpc-server-stats", 13);
+    ("pool-queue", 15);
+    ("metrics-http", 17);
+    ("pager-meta", 20);
+    ("pager-stripe", 30);
+    ("wal-append", 35);
+    ("pager-io", 40);
+    ("trace-ambient", 44);
+    ("trace-ring", 45);
+    ("trace-log", 46);
+    ("obs-registry", 47);
+    ("obs-histogram", 48);
+    ("events-sink", 49);
+    ("race-witness", 55);
+    ("fixture-lock", 60);
+  ]
+
+let rank cls = List.assoc_opt cls lock_order
 
 let enabled_flag =
   Atomic.make
@@ -38,9 +69,7 @@ let enabled_flag =
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-(* The witness's own guard is declared as "race-witness" in
-   Lock_table: it ranks below every instrumented lock because it is
-   only ever the innermost acquisition. *)
+(* The witness's own guard, class "race-witness". *)
 let lock = Mutex.create ()
 
 let with_lock lock f =
@@ -65,11 +94,28 @@ let state : (string, root_state) Hashtbl.t = Hashtbl.create 32
 let report_acc : string list ref = ref []
 
 let acquired name =
-  if enabled () then
-    with_lock lock (fun () ->
-        let ex = self () in
-        let stack = Option.value ~default:[] (Hashtbl.find_opt held ex) in
-        Hashtbl.replace held ex (name :: stack))
+  if enabled () then begin
+    let refusal =
+      with_lock lock (fun () ->
+          let ex = self () in
+          let stack = Option.value ~default:[] (Hashtbl.find_opt held ex) in
+          match (rank name, stack) with
+          | None, _ ->
+              Some
+                (Printf.sprintf
+                   "undeclared lock class %s; declare its rank in Race_check.lock_order"
+                   name)
+          | Some r, top :: _ when Option.get (rank top) >= r ->
+              Some
+                (Printf.sprintf "acquiring %s (rank %d) while holding %s (rank %d)" name
+                   r top
+                   (Option.get (rank top)))
+          | Some _, _ ->
+              Hashtbl.replace held ex (name :: stack);
+              None)
+    in
+    Option.iter (fun why -> failwith ("Race_check: lock-order violation: " ^ why)) refusal
+  end
 
 let released name =
   if enabled () then

@@ -62,20 +62,15 @@ let of_passphrase phrase =
   Bytes.blit_string "seedderiv" 0 nonce 0 9;
   Chacha20.keystream ~key:key0 ~nonce ~counter:0 32
 
+(* Key material comes from the OS entropy source or not at all: a
+   clock-seeded fallback would make the key searchable by timestamp. *)
 let generate () =
-  match open_in_bin "/dev/urandom" with
-  | ic ->
-      let b = Bytes.create 32 in
-      really_input ic b 0 32;
-      close_in ic;
-      b
-  | exception Sys_error _ ->
-      let state = Splitmix64.create (Int64.of_float (Unix.gettimeofday () *. 1e6)) in
-      let b = Bytes.create 32 in
-      for i = 0 to 3 do
-        Bytes.set_int64_le b (8 * i) (Splitmix64.next state)
-      done;
-      b
+  match
+    In_channel.with_open_bin "/dev/urandom" (fun ic -> In_channel.really_input_string ic 32)
+  with
+  | Some key -> Ok (Bytes.of_string key)
+  | None -> Error "no entropy source: short read from /dev/urandom"
+  | exception Sys_error msg -> Error ("no entropy source: " ^ msg)
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -24,10 +24,11 @@ val of_passphrase : string -> t
     expansion of a length-prefixed FNV-1a digest; not a
     memory-hard KDF — convenience for examples and tests). *)
 
-val generate : unit -> t
-(** Fresh random seed from the OS entropy source
-    ([/dev/urandom]); falls back to [Random.self_init]-style stateful
-    entropy if unavailable. *)
+val generate : unit -> (t, string) result
+(** Fresh random seed from the OS entropy source ([/dev/urandom]).
+    [Error] when the source cannot be opened or reads short: there is
+    no fallback, because key material derived from anything weaker (a
+    clock, a process id) can be recovered by search. *)
 
 val load : string -> (t, string) result
 (** Read a seed file (64 hex chars, surrounding whitespace

@@ -24,7 +24,6 @@ type request =
   | Ping
   | Root
   | Children of int
-  | Parent of int
   | Cursor_close of int
   | Eval_batch of { pres : int list; point : int }
   | Shares of int list
@@ -80,15 +79,14 @@ let encode_request req =
   | Children pre ->
       Wire.write_u8 w 2;
       Wire.write_u32 w pre
-  | Parent pre ->
-      Wire.write_u8 w 3;
-      Wire.write_u32 w pre
-  (* tags 4 and 5, in both directions, belonged to a retired
-     materialising subtree cursor, request tag 9 / response tag 8 to
-     a retired single-share fetch, request tag 7 / response tag 6 to
-     the retired single-node evaluation (a one-row [Eval_batch] now)
-     and request tag 11 / response tag 10 to the retired table-stats
-     probe: decoders reject them, and they are never reused *)
+  (* request tag 3 belonged to the retired single-node parent lookup
+     (a point-free [Scan_eval] over one-pre windows now), tags 4 and 5,
+     in both directions, to a retired materialising subtree cursor,
+     request tag 9 / response tag 8 to a retired single-share fetch,
+     request tag 7 / response tag 6 to the retired single-node
+     evaluation (a one-row [Eval_batch] now) and request tag 11 /
+     response tag 10 to the retired table-stats probe: decoders reject
+     them, and they are never reused *)
   | Cursor_close cursor ->
       Wire.write_u8 w 6;
       Wire.write_u32 w cursor
@@ -139,7 +137,6 @@ let decode_request s =
     | 0 -> Ping
     | 1 -> Root
     | 2 -> Children (Wire.read_u32 r)
-    | 3 -> Parent (Wire.read_u32 r)
     | 6 -> Cursor_close (Wire.read_u32 r)
     | 8 ->
         let pres = Wire.read_list r (fun () -> Wire.read_u32 r) in
@@ -276,7 +273,6 @@ let request_name = function
   | Ping -> "ping"
   | Root -> "root"
   | Children _ -> "children"
-  | Parent _ -> "parent"
   | Cursor_close _ -> "cursor_close"
   | Eval_batch _ -> "eval_batch"
   | Shares _ -> "shares"
@@ -291,7 +287,6 @@ let pp_request fmt = function
   | Ping -> Format.pp_print_string fmt "Ping"
   | Root -> Format.pp_print_string fmt "Root"
   | Children pre -> Format.fprintf fmt "Children(%d)" pre
-  | Parent pre -> Format.fprintf fmt "Parent(%d)" pre
   | Cursor_close c -> Format.fprintf fmt "Cursor_close(%d)" c
   (* pp_request runs on the trusted client only (protocol_error
      diagnostics, tests); the server formats requests solely through

@@ -1,7 +1,7 @@
 (** The client/server filter protocol.
 
     This is the message vocabulary of the paper's [Filter] interface
-    (§5.2): tree-structure queries ([Root], [Children], [Parent]),
+    (§5.2): tree-structure queries ([Root], [Children]),
     share evaluation on the server ([Eval_batch]), raw share
     fetch for the equality test ([Shares]), and one cursor
     discipline mirroring the [nextNode()] pipeline — "the thin client
@@ -15,8 +15,10 @@
 
     Everything is structural metadata and share data; tag names and the
     map never cross the wire.  Request and response tags 4 and 5,
-    request tags 7, 9 and 11 and response tags 6, 8 and 10 are
-    retired: the decoders reject them and they are never reused. *)
+    request tags 3, 7, 9 and 11 and response tags 6, 8 and 10 are
+    retired: the decoders reject them and they are never reused.  A
+    parent step is a point-free [Scan_eval] over one-pre
+    [Bounded_pre_ranges] windows. *)
 
 type node_meta = { pre : int; post : int; parent : int }
 
@@ -54,7 +56,6 @@ type request =
   | Ping
   | Root
   | Children of int  (** parent's [pre] *)
-  | Parent of int  (** child's [pre] *)
   | Cursor_close of int  (** abandon a [Scan_eval] cursor; answered with [Pong] *)
   | Eval_batch of { pres : int list; point : int }
       (** evaluate the stored shares of the listed nodes at [point],

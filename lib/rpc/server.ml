@@ -89,8 +89,8 @@ type t = {
 }
 
 let with_lock t f =
-  Mutex.lock t.lock;
   Obs.Race_check.acquired "rpc-server-stats";
+  Mutex.lock t.lock;
   Obs.Race_check.access ~write:true "server.stats";
   Fun.protect
     ~finally:(fun () ->

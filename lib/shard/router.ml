@@ -549,7 +549,6 @@ let dispatch t request =
   | Protocol.Manifest -> Protocol.Manifest_data (Manifest.to_info t.manifest)
   | Protocol.Root -> forward_one t ~partition:0 request
   | Protocol.Children parent -> forward_one t ~partition:(partition_of t parent) request
-  | Protocol.Parent pre -> forward_one t ~partition:(partition_of t pre) request
   | Protocol.Eval_batch { pres; point } -> eval_batch t ~pres ~point
   | Protocol.Shares pres -> shares_batch t pres
   | Protocol.Agg_eval { pres } -> agg_eval t pres

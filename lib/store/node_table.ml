@@ -125,17 +125,19 @@ let[@init_path
 let mem t pre = allocated t pre && get t pre loc >= 0
 
 (* Refuse a row whose numbers would reach past [max_pre], or
-   whose pre is taken.  Runs before the row reaches a page or the log. *)
-let admit t (row : Page.row) =
+   whose pre is taken.  Runs before the row reaches a page or the log;
+   [op] names the public operation that met the row ("insert", or
+   "open_file" for a heap or logged row). *)
+let admit ~op t (row : Page.row) =
   let check what v ~lo =
     if v < lo || v > max_pre then
       invalid_arg
-        (Printf.sprintf "Node_table.insert: %s %d outside [%d, %d]" what v lo max_pre)
+        (Printf.sprintf "Node_table.%s: %s %d outside [%d, %d]" op what v lo max_pre)
   in
   check "pre" row.Page.pre ~lo:1;
   check "parent" row.Page.parent ~lo:0;
   if mem t row.Page.pre then
-    invalid_arg (Printf.sprintf "Node_table.insert: duplicate pre %d" row.Page.pre)
+    invalid_arg (Printf.sprintf "Node_table.%s: duplicate pre %d" op row.Page.pre)
 
 (* Allocate the chunk holding [pre]; the directory doubles, and the
    chunks already allocated stay where they are. *)
@@ -174,11 +176,11 @@ let index_row t (row : Page.row) row_loc =
 
 (* Insert into pages and columns without touching the log (used both
    by the public insert and by WAL recovery). *)
-let insert_unlogged t row =
-  admit t row;
+let insert_unlogged ~op t row =
+  admit ~op t row;
   if Bytes.length row.Page.share > Wal.max_share_len then
     invalid_arg
-      (Printf.sprintf "Node_table.insert: share of %d bytes exceeds the %d-byte limit"
+      (Printf.sprintf "Node_table.%s: share of %d bytes exceeds the %d-byte limit" op
          (Bytes.length row.Page.share) Wal.max_share_len);
   let try_add page_idx =
     let page = Pager.get t.pager page_idx in
@@ -198,7 +200,7 @@ let insert_unlogged t row =
         t.fill_page <- idx;
         (match try_add idx with
         | Some loc -> loc
-        | None -> invalid_arg "Node_table.insert: row does not fit in a fresh page")
+        | None -> invalid_arg ("Node_table." ^ op ^ ": row does not fit in a fresh page"))
   in
   index_row t row loc
 
@@ -229,7 +231,7 @@ let insert t row =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.write_lock)
     (fun () ->
-      insert_unlogged t row;
+      insert_unlogged ~op:"insert" t row;
       match t.wal with
       | None -> ()
       | Some wal -> (
@@ -273,7 +275,7 @@ let rebuild_indexes ?(tolerate_holes = false) t =
           Pager.get t.pager pidx
     in
     Page.iter_rows page ~f:(fun slot row ->
-        admit t row;
+        admit ~op:"open_file" t row;
         index_row t row (locator ~page:pidx ~slot))
   done;
   t.fill_page <- Pager.page_count t.pager - 1
@@ -345,7 +347,7 @@ let[@init_path
                flush). *)
             List.iter
               (fun row ->
-                if not (mem t row.Page.pre) then insert_unlogged t row)
+                if not (mem t row.Page.pre) then insert_unlogged ~op:"open_file" t row)
               plan.Wal.redo_rows
           with
           | exception Invalid_argument msg ->
@@ -471,12 +473,6 @@ let scan_range t ~from_pre ~until_pre ~below_post ~max_rows =
         end)
   in
   (List.rev rows, !resume)
-
-let parent_of t ~pre =
-  match find_by_pre t pre with
-  | None -> None
-  | Some row ->
-      if row.Page.parent = 0 then None else find_by_pre t row.Page.parent
 
 let row_count t = t.rows
 let data_bytes t = Pager.data_bytes t.pager

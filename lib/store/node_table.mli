@@ -139,10 +139,6 @@ val scan_range :
     subtree including the node itself is
     [(from_pre = pre, below_post = post + 1)]. *)
 
-val parent_of : t -> pre:int -> Page.row option
-(** The parent row of the node with the given [pre] (None for the
-    root or an unknown [pre]). *)
-
 val row_count : t -> int
 val data_bytes : t -> int
 (** Bytes of page images holding the rows (the paper's "output

@@ -50,66 +50,9 @@ type t = { psize : int; backing : backing }
 
 (* Lock order (never acquire upward): meta -> stripe latch -> io.
    ssdb_lint's lock-order pass checks this lexically at every
-   acquisition site; [Lock_check] below cross-validates it at runtime
-   (SSDB_LOCK_CHECK=1) by tracking held ranks per thread, including
+   acquisition site; [with_lock] reports each acquisition to the
+   runtime witness (SSDB_RACE_CHECK=1), which checks the declared ranks
    across function boundaries the static pass cannot see. *)
-module Lock_check = struct
-  type rank = Meta | Stripe | Io
-
-  let level = function Meta -> 1 | Stripe -> 2 | Io -> 3
-  let rank_name = function Meta -> "meta" | Stripe -> "stripe" | Io -> "io"
-
-  let enabled =
-    ref (match Sys.getenv_opt "SSDB_LOCK_CHECK" with Some "1" -> true | _ -> false)
-
-  let set_enabled b = enabled := b
-
-  (* Held-rank stacks keyed by thread id.  The witness table is shared
-     across threads, so its own guard ranks below every pager lock
-     ("lock-witness" in the declared order table): it is only ever the
-     innermost acquisition. *)
-  let witness_lock = Mutex.create ()
-  let held : (int, rank list) Hashtbl.t = Hashtbl.create 8
-
-  let stack_of tid = Option.value ~default:[] (Hashtbl.find_opt held tid)
-
-  let acquired rank =
-    if !enabled then begin
-      Mutex.lock witness_lock;
-      let tid = Thread.id (Thread.self ()) in
-      let stack = stack_of tid in
-      let violation =
-        match stack with top :: _ when level top >= level rank -> Some top | _ -> None
-      in
-      (match violation with
-      | None -> Hashtbl.replace held tid (rank :: stack)
-      | Some _ -> ());
-      Mutex.unlock witness_lock;
-      match violation with
-      | Some top ->
-          failwith
-            (Printf.sprintf
-               "Pager: lock-order violation: acquiring %s while holding %s (declared \
-                order is meta -> stripe -> io)"
-               (rank_name rank) (rank_name top))
-      | None -> ()
-    end
-
-  let released rank =
-    if !enabled then begin
-      Mutex.lock witness_lock;
-      let tid = Thread.id (Thread.self ()) in
-      let rec drop = function
-        | [] -> []
-        | r :: rest when level r = level rank -> rest
-        | r :: rest -> r :: drop rest
-      in
-      (match drop (stack_of tid) with
-      | [] -> Hashtbl.remove held tid
-      | stack -> Hashtbl.replace held tid stack);
-      Mutex.unlock witness_lock
-    end
-end
 
 (* Power-of-two stripe count scaled to the budget (at least 4 resident
    pages per stripe, at most 8 stripes), so a tiny cache keeps the
@@ -134,23 +77,18 @@ let make_stripes cache_pages =
 
 let stripe_of st idx = st.stripes.(idx land (Array.length st.stripes - 1))
 
-(* Witness class per rank.  All stripe latches report as one merged
-   "pager-stripe" class — holding the wrong stripe still satisfies the
-   witness; DESIGN.md §16 records the limitation. *)
-let race_class = function
-  | Lock_check.Meta -> "pager-meta"
-  | Lock_check.Stripe -> "pager-stripe"
-  | Lock_check.Io -> "pager-io"
-
-let with_lock ~rank m f =
-  Lock_check.acquired rank;
+(* [cls] is the lock's witness class.  All stripe latches report as
+   one merged "pager-stripe" class, so taking a second stripe while
+   holding one is refused as a re-entry, and holding the wrong stripe
+   still satisfies the lockset check; DESIGN.md §16 records the
+   limitation. *)
+let with_lock ~cls m f =
+  Obs.Race_check.acquired cls;
   Mutex.lock m;
-  Obs.Race_check.acquired (race_class rank);
   Fun.protect
     ~finally:(fun () ->
-      Obs.Race_check.released (race_class rank);
-      Mutex.unlock m;
-      Lock_check.released rank)
+      Obs.Race_check.released cls;
+      Mutex.unlock m)
     f
 
 let page_size t = t.psize
@@ -215,17 +153,17 @@ let open_file ?(cache_pages = 256) ?(recovery = false) path =
 let page_count t =
   match t.backing with
   | Memory (_, used) -> !used
-  | File st -> with_lock ~rank:Lock_check.Meta st.meta (fun () -> st.npages)
+  | File st -> with_lock ~cls:"pager-meta" st.meta (fun () -> st.npages)
 
 let write_image_at st psize idx image =
-  with_lock ~rank:Lock_check.Io st.io (fun () ->
+  with_lock ~cls:"pager-io" st.io (fun () ->
       ignore (Unix.lseek st.fd (header_size + (idx * psize)) Unix.SEEK_SET);
       Store_io.write_all ~kind:Store_io.Page_write st.fd image;
       Obs.Registry.inc obs_page_writes)
 
 let read_page_at st psize idx =
   let image = Bytes.create psize in
-  with_lock ~rank:Lock_check.Io st.io (fun () ->
+  with_lock ~cls:"pager-io" st.io (fun () ->
       ignore (Unix.lseek st.fd (header_size + (idx * psize)) Unix.SEEK_SET);
       match Store_io.really_read st.fd image 0 psize with
       | () -> ()
@@ -282,13 +220,13 @@ let append t page =
       !used - 1
   | File st ->
       let idx =
-        with_lock ~rank:Lock_check.Meta st.meta (fun () ->
+        with_lock ~cls:"pager-meta" st.meta (fun () ->
             let idx = st.npages in
             st.npages <- st.npages + 1;
             idx)
       in
       let stripe = stripe_of st idx in
-      with_lock ~rank:Lock_check.Stripe stripe.latch (fun () ->
+      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
           evict_locked st stripe t.psize;
           stripe.clock <- stripe.clock + 1;
           Obs.Race_check.access ~write:true "pager.cache";
@@ -303,7 +241,7 @@ let get t idx =
   | Memory (pages, _) -> !pages.(idx)
   | File st ->
       let stripe = stripe_of st idx in
-      with_lock ~rank:Lock_check.Stripe stripe.latch (fun () ->
+      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
           stripe.clock <- stripe.clock + 1;
           Obs.Race_check.access "pager.cache";
           match Hashtbl.find_opt stripe.cache idx with
@@ -328,7 +266,7 @@ let mark_dirty t idx =
   | Memory _ -> ()
   | File st -> (
       let stripe = stripe_of st idx in
-      with_lock ~rank:Lock_check.Stripe stripe.latch (fun () ->
+      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
           match Hashtbl.find_opt stripe.cache idx with
           | Some entry -> entry.dirty <- true
           | None -> ()))
@@ -340,7 +278,7 @@ let mark_dirty t idx =
 let dirty_images st =
   Array.fold_left
     (fun acc stripe ->
-      with_lock ~rank:Lock_check.Stripe stripe.latch (fun () ->
+      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
           Hashtbl.fold
             (fun idx entry acc ->
               if entry.dirty then (idx, Page.serialize entry.page) :: acc else acc)
@@ -361,20 +299,21 @@ let flush t =
       List.iter
         (fun (idx, image) ->
           let stripe = stripe_of st idx in
-          with_lock ~rank:Lock_check.Stripe stripe.latch (fun () ->
+          with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
               write_image_at st t.psize idx image;
               match Hashtbl.find_opt stripe.cache idx with
               | Some entry -> entry.dirty <- false
               | None -> ()))
         images;
-      with_lock ~rank:Lock_check.Meta st.meta (fun () ->
-          with_lock ~rank:Lock_check.Io st.io (fun () -> write_header st.fd t.psize st.npages))
+      with_lock ~cls:"pager-meta" st.meta (fun () ->
+          with_lock ~cls:"pager-io" st.io (fun () ->
+              write_header st.fd t.psize st.npages))
 
 let sync t =
   match t.backing with
   | Memory _ -> ()
   | File st ->
-      with_lock ~rank:Lock_check.Io st.io (fun () ->
+      with_lock ~cls:"pager-io" st.io (fun () ->
           Store_io.fsync st.fd;
           Obs.Registry.inc obs_fsyncs)
 
@@ -393,10 +332,10 @@ let install_page t idx image =
       | Ok _ -> ()
       | Error msg ->
           failwith (Printf.sprintf "Pager: redo image for page %d corrupt: %s" idx msg));
-      with_lock ~rank:Lock_check.Meta st.meta (fun () ->
+      with_lock ~cls:"pager-meta" st.meta (fun () ->
           if idx >= st.npages then st.npages <- idx + 1);
       let stripe = stripe_of st idx in
-      with_lock ~rank:Lock_check.Stripe stripe.latch (fun () ->
+      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
           Hashtbl.remove stripe.cache idx;
           write_image_at st t.psize idx image)
 
@@ -421,7 +360,7 @@ let cache_stats t =
   | File st ->
       Array.fold_left
         (fun (acc : cache_stats) stripe ->
-          with_lock ~rank:Lock_check.Stripe stripe.latch (fun () : cache_stats ->
+          with_lock ~cls:"pager-stripe" stripe.latch (fun () : cache_stats ->
               {
                 hits = acc.hits + stripe.hits;
                 misses = acc.misses + stripe.misses;

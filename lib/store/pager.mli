@@ -9,29 +9,15 @@
     pool is split into latch stripes (a page always hashes to the same
     stripe), so sessions faulting different pages rarely contend, and
     the shared file descriptor's seek+read/write pairs are serialised
-    by a dedicated I/O lock below the stripe latches.  Memory mode has
+    by a dedicated I/O lock below the stripe latches.  Every latch
+    acquisition is reported to the runtime lock witness
+    ([Secshare_obs.Race_check], armed by [SSDB_RACE_CHECK=1]), which
+    checks the declared order meta -> stripe -> io.  Memory mode has
     no latches: it is written by the single-threaded encoder and is
     safe for any number of readers once encoding has finished (the
     append path must not run concurrently with readers). *)
 
 type t
-
-(** Runtime witness for the pager's declared lock order (meta ->
-    stripe -> io).  Enabled by [SSDB_LOCK_CHECK=1] in the environment
-    (or [set_enabled true]); every acquisition then records its rank
-    on a per-thread stack and an out-of-order acquisition raises
-    [Failure] instead of risking a deadlock in production.  This
-    cross-validates ssdb_lint's lexical lock-order pass at runtime,
-    across the function boundaries the static pass cannot see.
-    [acquired]/[released] are exposed so tests can drive the witness
-    directly; pager internals call them on every latch operation. *)
-module Lock_check : sig
-  type rank = Meta | Stripe | Io
-
-  val set_enabled : bool -> unit
-  val acquired : rank -> unit
-  val released : rank -> unit
-end
 
 val in_memory : ?page_size:int -> unit -> t
 (** All pages live on the OCaml heap; [flush] is a no-op. *)

@@ -78,6 +78,10 @@ let pres_of_metas metas =
 
 let test_seed = Secshare_prg.Seed.of_passphrase "test-suite-seed"
 
+(* A fresh seed from the OS entropy source; a test cannot go on
+   without one. *)
+let fresh_seed () = Result.get_ok (Secshare_prg.Seed.generate ())
+
 let db_of_tree ?(p = 83) ?(e = 1) ?trie tree =
   let config =
     {

@@ -424,7 +424,7 @@ let make_deployment ?(threshold = 2) ?(shards = 3) tree =
   let db = Test_support.db_of_tree tree in
   let tables = Array.init shards (fun _ -> Node_table.create ()) in
   let num_tables = Array.init shards (fun _ -> Node_table.create ()) in
-  let dealer_seed = Seed.generate () in
+  let dealer_seed = Test_support.fresh_seed () in
   let manifests =
     Split.split_table ring ~threshold ~shards ~dealer_seed ~source:(DB.table db)
       ~sinks:tables

@@ -200,7 +200,7 @@ let test_seed_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let seed = Seed.generate () in
+      let seed = Test_support.fresh_seed () in
       Seed.save path seed;
       match Seed.load path with
       | Ok seed' -> check Alcotest.bool "roundtrip" true (Seed.equal seed seed')
@@ -208,7 +208,7 @@ let test_seed_file_roundtrip () =
 
 let test_seed_generate_distinct () =
   check Alcotest.bool "two fresh seeds differ" false
-    (Seed.equal (Seed.generate ()) (Seed.generate ()))
+    (Seed.equal (Test_support.fresh_seed ()) (Test_support.fresh_seed ()))
 
 (* --- node PRG --- *)
 

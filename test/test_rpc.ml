@@ -60,7 +60,6 @@ let gen_request =
         return Protocol.Ping;
         return Protocol.Root;
         map (fun p -> Protocol.Children p) (int_range 0 100000);
-        map (fun p -> Protocol.Parent p) (int_range 0 100000);
         map (fun c -> Protocol.Cursor_close c) (int_range 0 1000);
         map (fun (ps, x) -> Protocol.Eval_batch { pres = ps; point = x })
           (pair (list_size (int_range 0 20) (int_range 0 100000)) (int_range 1 82));
@@ -177,7 +176,6 @@ let pinned_requests =
     (Ping, "00");
     (Root, "01");
     (Children 17, "0211000000");
-    (Parent 18, "0312000000");
     (Cursor_close 9, "0609000000");
     (Eval_batch { pres = [ 1; 2; 70000 ]; point = 82 }, "080300000001000000020000007011010052000000");
     (Shares [ 4; 5 ], "0a020000000400000005000000");
@@ -238,12 +236,19 @@ let retired_frames = [ "\x04\x01\x00\x00\x00\x09\x00\x00\x00"; "\x05\x01\x00\x00
 (* Request tag 9 / response tag 8 belonged to the retired single-share
    fetch ([Share]/[Share_data]), request tag 7 / response tag 6 to the
    retired single-node evaluation ([Eval]/[Value], now a one-row
-   [Eval_batch]), and request tag 11 / response tag 10 to the retired
-   table-stats probe ([Table_stats]/[Stats]), each in the encoding it
-   used to have.  The other direction's tags 6 to 11 are live. *)
+   [Eval_batch]), request tag 11 / response tag 10 to the retired
+   table-stats probe ([Table_stats]/[Stats]), and request tag 3 to the
+   retired parent lookup ([Parent 18], now a point-free [Scan_eval]),
+   each in the encoding it used to have.  The other direction's tags 3
+   and 6 to 11 are live. *)
 let retired_requests =
   retired_frames
-  @ [ "\x09\x03\x00\x00\x00"; "\x07\x2a\x00\x00\x00\x05\x00\x00\x00"; "\x0b" ]
+  @ [
+      "\x09\x03\x00\x00\x00";
+      "\x07\x2a\x00\x00\x00\x05\x00\x00\x00";
+      "\x0b";
+      "\x03\x12\x00\x00\x00";
+    ]
 
 let retired_responses =
   retired_frames

@@ -183,7 +183,7 @@ let make_deployment ?(ring = ring) ?(threshold = 2) ?(shards = 3) ?max_cursors t
   let db = Test_support.db_of_tree ~p:ring.Ring.characteristic ~e:ring.Ring.degree tree in
   let tables = Array.init shards (fun _ -> Node_table.create ()) in
   let manifests =
-    Split.split_table ring ~threshold ~shards ~dealer_seed:(Seed.generate ())
+    Split.split_table ring ~threshold ~shards ~dealer_seed:(Test_support.fresh_seed ())
       ~source:(DB.table db) ~sinks:tables
   in
   let switches = Array.init shards (fun _ -> ref Healthy) in
@@ -375,11 +375,11 @@ let test_split_rejects_bad_geometry () =
           raises (name ^ " split_table") (fun () ->
               ignore
                 (Split.split_table ring ~threshold ~shards
-                   ~dealer_seed:(Seed.generate ()) ~source ~sinks
+                   ~dealer_seed:(Test_support.fresh_seed ()) ~source ~sinks
                   : Manifest.t array));
           raises (name ^ " split_numbers") (fun () ->
-              Split.split_numbers ~threshold ~shards ~dealer_seed:(Seed.generate ())
-                ~source:numbers ~sinks);
+              Split.split_numbers ~threshold ~shards
+                ~dealer_seed:(Test_support.fresh_seed ()) ~source:numbers ~sinks);
           Array.iter
             (fun t -> check Alcotest.int (name ^ ": nothing written") 0 (Node_table.row_count t))
             sinks)
@@ -407,6 +407,58 @@ let test_router_golden ?ring () =
               check_golden ~note:(name ^ " client: ") d client;
               check Alcotest.int (name ^ ": no cursor leaks") 0
                 (Router.open_cursors d.router)))
+        Test_support.rpc_modes)
+
+(* A parent step is one point-free scan of one-pre windows per batch;
+   through the router the windows split at partition bounds like any
+   range.  Both shapes must answer like [Reference] in every client
+   cost model, with fewer round trips than rows. *)
+let test_parent_steps_match_reference () =
+  let d = make_deployment xmark_tree in
+  let ring = DB.ring d.db in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      List.iter
+        (fun (name, rpc_mode) ->
+          let client = { DB.default_client_config with rpc_mode } in
+          let direct =
+            match
+              DB.of_parts ~client ~p:ring.Ring.characteristic ~e:ring.Ring.degree
+                ~mapping:(DB.mapping d.db) ~seed:(DB.seed d.db) ~table:(DB.table d.db) ()
+            with
+            | Ok db -> db
+            | Error e -> failwith e
+          in
+          let routed = client_of ~client d in
+          List.iter
+            (fun (shape, db) ->
+              List.iter
+                (fun q ->
+                  let ast = Secshare_xpath.Parser.parse_exn q in
+                  List.iter
+                    (fun (engine, strictness) ->
+                      let semantics =
+                        if strictness = QC.Strict then Secshare_core.Reference.Exact
+                        else Secshare_core.Reference.Containment
+                      in
+                      let note = Printf.sprintf "%s %s %s" name shape q in
+                      let r = Test_support.must_query ~engine ~strictness db q in
+                      check Alcotest.(list int) note
+                        (Secshare_core.Reference.run ~semantics xmark_tree ast)
+                        (pres (DB.result_nodes r));
+                      List.iter
+                        (fun (op : Secshare_core.Metrics.op_stats) ->
+                          if op.Secshare_core.Metrics.op_name = "parent" then
+                            check Alcotest.bool (note ^ ": fewer calls than rows") true
+                              (op.Secshare_core.Metrics.rpc_calls
+                              < op.Secshare_core.Metrics.rows_in))
+                        r.DB.operators)
+                    modes)
+                [ "//date/.."; "//city/../.." ])
+            [ ("direct", direct); ("2-of-3 router", routed) ];
+          DB.close routed;
+          DB.close direct)
         Test_support.rpc_modes)
 
 let test_router_single_shard () =
@@ -971,6 +1023,8 @@ let () =
             (test_router_golden ~ring:(Ring.of_prime ~p:257));
           Alcotest.test_case "trivial 1-shard deployment" `Quick
             test_router_single_shard;
+          Alcotest.test_case "parent steps match the reference" `Quick
+            test_parent_steps_match_reference;
           test_router_qcheck;
         ] );
       ( "degradation",

@@ -132,45 +132,81 @@ let test_pager_rejects_garbage () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "garbage accepted")
 
-(* --- lock-order witness (SSDB_LOCK_CHECK) --- *)
+(* --- the runtime lock witness (SSDB_RACE_CHECK) --- *)
 
-let with_lock_check f =
-  Pager.Lock_check.set_enabled true;
-  Fun.protect ~finally:(fun () -> Pager.Lock_check.set_enabled false) f
+module Race_check = Secshare_obs.Race_check
+module Cursor_table = Secshare_core.Cursor_table
+
+(* Quarantined: the witness is armed for [f] only and left as it was;
+   each test releases what it took, and a refused acquisition is never
+   recorded, so the held stacks stay balanced. *)
+let with_witness f =
+  let was = Race_check.enabled () in
+  Race_check.set_enabled true;
+  Fun.protect ~finally:(fun () -> Race_check.set_enabled was) f
+
+let refusal what f =
+  match f () with
+  | () -> Alcotest.failf "%s accepted" what
+  | exception Failure msg -> msg
+
+let violation what = "Race_check: lock-order violation: " ^ what
 
 let test_lock_witness_detects_inversion () =
-  with_lock_check (fun () ->
-      Pager.Lock_check.acquired Pager.Lock_check.Io;
-      let raised =
-        match Pager.Lock_check.acquired Pager.Lock_check.Meta with
-        | () -> false
-        | exception Failure msg ->
-            check Alcotest.bool "message names the ranks" true
-              (String.length msg > 0);
-            true
-      in
-      (* the failed acquisition must not stay on the held stack *)
-      Pager.Lock_check.released Pager.Lock_check.Io;
-      check Alcotest.bool "inversion raised" true raised;
-      (* with io released, meta -> io nests cleanly again *)
-      Pager.Lock_check.acquired Pager.Lock_check.Meta;
-      Pager.Lock_check.acquired Pager.Lock_check.Io;
-      Pager.Lock_check.released Pager.Lock_check.Io;
-      Pager.Lock_check.released Pager.Lock_check.Meta)
+  with_witness (fun () ->
+      (* A dirty eviction runs the write barrier under the stripe
+         latch; a barrier that takes the cursor table inverts the order
+         across three modules, which no lexical pass sees. *)
+      with_temp_file (fun path ->
+          let table = Cursor_table.create ~max:4 ~on_remove:(fun _ _ () -> ()) () in
+          let pager = Pager.create_file ~page_size:256 ~cache_pages:4 path in
+          Pager.set_write_barrier pager
+            (Some (fun _ -> ignore (Cursor_table.add table ())));
+          check Alcotest.string "cursor-table under pager-stripe"
+            (violation
+               "acquiring cursor-table (rank 12) while holding pager-stripe (rank 30)")
+            (refusal "cursor-table under pager-stripe" (fun () ->
+                 for _ = 0 to 4 do
+                   ignore (Pager.append pager (Page.create ~size:256))
+                 done));
+          (* refused before blocking: the table's mutex was never taken *)
+          Pager.set_write_barrier pager None;
+          ignore (Cursor_table.add table ());
+          check Alcotest.int "cursor table still usable" 1 (Cursor_table.size table);
+          Pager.abort pager);
+      Race_check.acquired "pager-io";
+      check Alcotest.string "meta under io"
+        (violation "acquiring pager-meta (rank 20) while holding pager-io (rank 40)")
+        (refusal "meta under io" (fun () -> Race_check.acquired "pager-meta"));
+      Race_check.released "pager-io";
+      (* the refused acquisition was not recorded: meta -> io nests again *)
+      Race_check.acquired "pager-meta";
+      Race_check.acquired "pager-io";
+      Race_check.released "pager-io";
+      Race_check.released "pager-meta")
 
 let test_lock_witness_rejects_same_rank_reentry () =
-  with_lock_check (fun () ->
-      Pager.Lock_check.acquired Pager.Lock_check.Stripe;
-      (match Pager.Lock_check.acquired Pager.Lock_check.Stripe with
-      | () -> Alcotest.fail "re-entrant same-rank acquisition accepted"
-      | exception Failure _ -> ());
-      Pager.Lock_check.released Pager.Lock_check.Stripe)
+  with_witness (fun () ->
+      Race_check.acquired "pager-stripe";
+      check Alcotest.string "second stripe"
+        (violation
+           "acquiring pager-stripe (rank 30) while holding pager-stripe (rank 30)")
+        (refusal "second stripe" (fun () -> Race_check.acquired "pager-stripe"));
+      Race_check.released "pager-stripe")
+
+let test_lock_witness_refuses_undeclared_class () =
+  with_witness (fun () ->
+      check Alcotest.string "undeclared class"
+        (violation
+           "undeclared lock class no-such-class; declare its rank in \
+            Race_check.lock_order")
+        (refusal "undeclared class" (fun () -> Race_check.acquired "no-such-class")))
 
 let test_lock_witness_passes_pager_traffic () =
   (* The real pager hot paths (append faults pages in, get evicts,
      flush nests meta -> io) must satisfy the declared order with the
      witness armed. *)
-  with_lock_check (fun () ->
+  with_witness (fun () ->
       with_temp_file (fun path ->
           let pager = Pager.create_file ~page_size:256 ~cache_pages:4 path in
           for i = 0 to 9 do
@@ -183,6 +219,13 @@ let test_lock_witness_passes_pager_traffic () =
           done;
           Pager.flush pager;
           Pager.close pager))
+
+(* Under SSDB_RACE_CHECK=1 every hook has been live since the process
+   started; whatever the suites above did must not have produced a
+   report. *)
+let test_witness_suite_silent () =
+  check Alcotest.(list string) "no reports from the suites above" []
+    (Race_check.reports ())
 
 (* --- node table --- *)
 
@@ -209,10 +252,6 @@ let test_node_table_axes () =
     (pres (Node_table.descendants t ~pre:1 ~post:5));
   check Alcotest.(list int) "descendants of 2" [ 3 ] (pres (Node_table.descendants t ~pre:2 ~post:2));
   check Alcotest.(list int) "descendants of leaf" [] (pres (Node_table.descendants t ~pre:3 ~post:1));
-  check Alcotest.(option int) "parent of 3" (Some 2)
-    (Option.map (fun r -> r.Page.pre) (Node_table.parent_of t ~pre:3));
-  check Alcotest.(option int) "parent of root" None
-    (Option.map (fun r -> r.Page.pre) (Node_table.parent_of t ~pre:1));
   check Alcotest.bool "find_by_pre" true
     (Page.row_equal (List.nth sample_rows 2) (Option.get (Node_table.find_by_pre t 3)));
   check Alcotest.bool "missing pre" true (Node_table.find_by_pre t 99 = None)
@@ -840,8 +879,8 @@ let test_pre_bound_refused_on_open () =
           | Ok _ -> Alcotest.failf "%s: pre beyond the bound accepted" what
           | Error msg ->
               check Alcotest.string (what ^ ": refusal")
-                (Printf.sprintf "Node_table.insert: pre %d outside [1, %d]" over.Page.pre
-                   Node_table.max_pre)
+                (Printf.sprintf "Node_table.open_file: pre %d outside [1, %d]"
+                   over.Page.pre Node_table.max_pre)
                 msg
         done;
         check Alcotest.int (what ^ ": fds after refused opens") before (open_fds ())
@@ -952,12 +991,12 @@ let check_axes what t rows =
       if not (same_row (Node_table.find_by_pre t pre) (find pre)) then fail "find_by_pre";
       let naive_children = List.filter (fun r -> r.Page.parent = pre) sorted in
       if pres (Node_table.children t ~parent:pre) <> pres naive_children then fail "children";
-      let naive_parent =
-        match find pre with
-        | Some r when r.Page.parent <> 0 -> find r.Page.parent
-        | _ -> None
+      (* the parent step's lookup: a one-pre window with no post bound *)
+      let window, _ =
+        Node_table.scan_range t ~from_pre:pre ~until_pre:(pre + 1) ~below_post:max_int
+          ~max_rows:2
       in
-      if not (same_row (Node_table.parent_of t ~pre) naive_parent) then fail "parent_of")
+      if pres window <> pres (Option.to_list (find pre)) then fail "one-pre window")
     probes;
   if not (same_row (Node_table.root t) (List.find_opt (fun r -> r.Page.parent = 0) sorted))
   then fail "root";
@@ -1047,6 +1086,8 @@ let () =
             test_lock_witness_detects_inversion;
           Alcotest.test_case "lock witness rejects same-rank re-entry" `Quick
             test_lock_witness_rejects_same_rank_reentry;
+          Alcotest.test_case "lock witness refuses undeclared class" `Quick
+            test_lock_witness_refuses_undeclared_class;
           Alcotest.test_case "lock witness passes pager traffic" `Quick
             test_lock_witness_passes_pager_traffic;
         ] );
@@ -1096,5 +1137,10 @@ let () =
             test_recovery_unix_errors_do_not_leak_fds;
           Alcotest.test_case "no fd leak on failed opens" `Quick
             test_no_fd_leak_on_failed_opens;
+        ] );
+      ( "race witness",
+        [
+          Alcotest.test_case "suites above left no reports" `Quick
+            test_witness_suite_silent;
         ] );
     ]
