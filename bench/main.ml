@@ -795,6 +795,121 @@ let reference_client_poly (ring : Secshare_poly.Ring.t) ~seed ~pre =
   in
   Secshare_poly.Cyclic.of_int_array ring (Array.init count (fun _ -> draw ()))
 
+(* The reference for the [keystream] row: the ChaCha20 block core as
+   it was written in OCaml before the C stub replaced it.  It works on
+   native 63-bit ints and never reduces a sum: it only needs each word
+   mod 2^32, and 2^32 divides the 2^63 that native arithmetic wraps at,
+   so [+], [lxor] and [lsl] leave the low 32 bits exact whatever sits
+   above them.  Only the right shift of a rotation reads high bits, so
+   it masks first; the output keeps just the low 32 bits of every word.
+   The sixteen state words live in local refs and the quarter rounds of
+   RFC 8439 §2.1 are written out in place, so a block allocates
+   nothing. *)
+module Ocaml_chacha20 = struct
+  type t = {
+    k0 : int;
+    k1 : int;
+    k2 : int;
+    k3 : int;
+    k4 : int;
+    k5 : int;
+    k6 : int;
+    k7 : int;
+    n0 : int;
+    n1 : int;
+    n2 : int;
+  }
+
+  let mask32 = 0xFFFFFFFF
+  let le32 buf off = Int32.to_int (Bytes.get_int32_le buf off) land mask32
+
+  let create ~key ~nonce =
+    {
+      k0 = le32 key 0;
+      k1 = le32 key 4;
+      k2 = le32 key 8;
+      k3 = le32 key 12;
+      k4 = le32 key 16;
+      k5 = le32 key 20;
+      k6 = le32 key 24;
+      k7 = le32 key 28;
+      n0 = le32 nonce 0;
+      n1 = le32 nonce 4;
+      n2 = le32 nonce 8;
+    }
+
+  let[@inline] rotl32 x k = (x lsl k) lor ((x land mask32) lsr (32 - k))
+
+  let[@inline] store_le32 buf off v =
+    Bytes.unsafe_set buf off (Char.unsafe_chr (v land 0xFF));
+    Bytes.unsafe_set buf (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
+    Bytes.unsafe_set buf (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
+    Bytes.unsafe_set buf (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
+
+  (* [counter] in [0, 2^32) and 64 bytes of [dst] from [off]: the row
+     only calls it that way. *)
+  let block_into t ~counter dst ~off =
+    let x0 = ref 0x61707865 and x1 = ref 0x3320646e in
+    let x2 = ref 0x79622d32 and x3 = ref 0x6b206574 in
+    let x4 = ref t.k0 and x5 = ref t.k1 and x6 = ref t.k2 and x7 = ref t.k3 in
+    let x8 = ref t.k4 and x9 = ref t.k5 and x10 = ref t.k6 and x11 = ref t.k7 in
+    let x12 = ref counter and x13 = ref t.n0 and x14 = ref t.n1 and x15 = ref t.n2 in
+    for _ = 1 to 10 do
+      (* column rounds: QR(0,4,8,12) QR(1,5,9,13) QR(2,6,10,14) QR(3,7,11,15) *)
+      x0 := !x0 + !x4; x12 := rotl32 (!x12 lxor !x0) 16;
+      x8 := !x8 + !x12; x4 := rotl32 (!x4 lxor !x8) 12;
+      x0 := !x0 + !x4; x12 := rotl32 (!x12 lxor !x0) 8;
+      x8 := !x8 + !x12; x4 := rotl32 (!x4 lxor !x8) 7;
+      x1 := !x1 + !x5; x13 := rotl32 (!x13 lxor !x1) 16;
+      x9 := !x9 + !x13; x5 := rotl32 (!x5 lxor !x9) 12;
+      x1 := !x1 + !x5; x13 := rotl32 (!x13 lxor !x1) 8;
+      x9 := !x9 + !x13; x5 := rotl32 (!x5 lxor !x9) 7;
+      x2 := !x2 + !x6; x14 := rotl32 (!x14 lxor !x2) 16;
+      x10 := !x10 + !x14; x6 := rotl32 (!x6 lxor !x10) 12;
+      x2 := !x2 + !x6; x14 := rotl32 (!x14 lxor !x2) 8;
+      x10 := !x10 + !x14; x6 := rotl32 (!x6 lxor !x10) 7;
+      x3 := !x3 + !x7; x15 := rotl32 (!x15 lxor !x3) 16;
+      x11 := !x11 + !x15; x7 := rotl32 (!x7 lxor !x11) 12;
+      x3 := !x3 + !x7; x15 := rotl32 (!x15 lxor !x3) 8;
+      x11 := !x11 + !x15; x7 := rotl32 (!x7 lxor !x11) 7;
+      (* diagonal rounds: QR(0,5,10,15) QR(1,6,11,12) QR(2,7,8,13) QR(3,4,9,14) *)
+      x0 := !x0 + !x5; x15 := rotl32 (!x15 lxor !x0) 16;
+      x10 := !x10 + !x15; x5 := rotl32 (!x5 lxor !x10) 12;
+      x0 := !x0 + !x5; x15 := rotl32 (!x15 lxor !x0) 8;
+      x10 := !x10 + !x15; x5 := rotl32 (!x5 lxor !x10) 7;
+      x1 := !x1 + !x6; x12 := rotl32 (!x12 lxor !x1) 16;
+      x11 := !x11 + !x12; x6 := rotl32 (!x6 lxor !x11) 12;
+      x1 := !x1 + !x6; x12 := rotl32 (!x12 lxor !x1) 8;
+      x11 := !x11 + !x12; x6 := rotl32 (!x6 lxor !x11) 7;
+      x2 := !x2 + !x7; x13 := rotl32 (!x13 lxor !x2) 16;
+      x8 := !x8 + !x13; x7 := rotl32 (!x7 lxor !x8) 12;
+      x2 := !x2 + !x7; x13 := rotl32 (!x13 lxor !x2) 8;
+      x8 := !x8 + !x13; x7 := rotl32 (!x7 lxor !x8) 7;
+      x3 := !x3 + !x4; x14 := rotl32 (!x14 lxor !x3) 16;
+      x9 := !x9 + !x14; x4 := rotl32 (!x4 lxor !x9) 12;
+      x3 := !x3 + !x4; x14 := rotl32 (!x14 lxor !x3) 8;
+      x9 := !x9 + !x14; x4 := rotl32 (!x4 lxor !x9) 7
+    done;
+    (* serialise state + initial state, word by word *)
+    store_le32 dst off (!x0 + 0x61707865);
+    store_le32 dst (off + 4) (!x1 + 0x3320646e);
+    store_le32 dst (off + 8) (!x2 + 0x79622d32);
+    store_le32 dst (off + 12) (!x3 + 0x6b206574);
+    store_le32 dst (off + 16) (!x4 + t.k0);
+    store_le32 dst (off + 20) (!x5 + t.k1);
+    store_le32 dst (off + 24) (!x6 + t.k2);
+    store_le32 dst (off + 28) (!x7 + t.k3);
+    store_le32 dst (off + 32) (!x8 + t.k4);
+    store_le32 dst (off + 36) (!x9 + t.k5);
+    store_le32 dst (off + 40) (!x10 + t.k6);
+    store_le32 dst (off + 44) (!x11 + t.k7);
+    store_le32 dst (off + 48) (!x12 + counter);
+    store_le32 dst (off + 52) (!x13 + t.n0);
+    store_le32 dst (off + 56) (!x14 + t.n1);
+    store_le32 dst (off + 60) (!x15 + t.n2)
+  [@@ocamlformat "disable"]
+end
+
 (* The regression gate: CI compares the speedup columns of this
    experiment's --json rows against bench/kernel_baseline.json.  The
    gate is on the *ratio* kernel-vs-reference (machine-independent),
@@ -803,8 +918,8 @@ let reference_client_poly (ring : Secshare_poly.Ring.t) ~seed ~pre =
    router call, so the gate also covers their dispatch. *)
 let kernel () =
   heading
-    "Flat field kernels vs reference (containment, equality, regen, reconstruct, \
-     recombine)";
+    "Flat field kernels vs reference (containment, equality, keystream, regen, \
+     reconstruct, recombine)";
   let db = xmark_db 100_000 in
   let ring = DB.ring db in
   let table = DB.table db in
@@ -910,6 +1025,50 @@ let kernel () =
       ("ref_us_per_product", J_float ref_us);
       ("kernel_us_per_product", J_float ker_us);
       ("speedup", J_float e_speedup);
+      ("identical", J_int 1);
+    ];
+  (* keystream: the C block core against the OCaml core it replaced,
+     over the same key, nonce and counters, in alternating passes *)
+  let blocks = if !quick then 20_000 else 100_000 in
+  let key = Secshare_prg.Seed.to_bytes seed in
+  let nonce = Bytes.of_string "kernel-bench" in
+  let c_core = Secshare_prg.Chacha20.create ~key ~nonce in
+  let ocaml_core = Ocaml_chacha20.create ~key ~nonce in
+  let pass = 1000 in
+  let ref_out = Bytes.create (64 * pass) and ker_out = Bytes.create (64 * pass) in
+  let ref_s = ref 0.0 and ker_s = ref 0.0 in
+  for p = 0 to (blocks / pass) - 1 do
+    let (), dt =
+      time_it (fun () ->
+          for b = 0 to pass - 1 do
+            Ocaml_chacha20.block_into ocaml_core ~counter:((p * pass) + b) ref_out
+              ~off:(64 * b)
+          done)
+    in
+    ref_s := !ref_s +. dt;
+    let (), dt =
+      time_it (fun () ->
+          for b = 0 to pass - 1 do
+            Secshare_prg.Chacha20.block_into c_core ~counter:((p * pass) + b) ker_out
+              ~off:(64 * b)
+          done)
+    in
+    ker_s := !ker_s +. dt;
+    if not (Bytes.equal ref_out ker_out) then
+      failwith "kernel bench: keystream blocks differ"
+  done;
+  let ref_ns = !ref_s /. float_of_int blocks *. 1e9 in
+  let ker_ns = !ker_s /. float_of_int blocks *. 1e9 in
+  let k_speedup = ref_ns /. ker_ns in
+  printf "%-24s %12.1f %12.1f %8.2fx  (%d blocks, identical keystream)\n"
+    "keystream(ns/block)" ref_ns ker_ns k_speedup blocks;
+  record "kernel"
+    [
+      ("op", J_str "keystream");
+      ("blocks", J_int blocks);
+      ("ref_ns_per_block", J_float ref_ns);
+      ("kernel_ns_per_block", J_float ker_ns);
+      ("speedup", J_float k_speedup);
       ("identical", J_int 1);
     ];
   (* regeneration: one client polynomial from the seed, the per-miss

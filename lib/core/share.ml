@@ -17,21 +17,29 @@ let combine_evaluations (ring : Secshare_poly.Ring.t) ~client ~server =
    ([Cyclic], [Codec]), which is also the kernels' test oracle.  Both
    give bit-identical results and reject the same inputs. *)
 
-type point = { x : int; kernel : (Secshare_field.Table.t * Bytes.t) option }
+type point = { x : int; kernel : (Secshare_field.Table.t * Flat.eval_table) option }
 
+(* A prime field evaluates as a dot product with the point's powers
+   (built by table multiplication, so no division); an extension
+   field's encodings are not integers mod q, so it keeps Horner. *)
 let point (ring : Ring.t) x =
   let x = ring.Ring.normalize x in
   if x = 0 then invalid_arg "Cyclic.eval: evaluation at 0 is not preserved by reduction";
-  { x; kernel = Option.map (fun tab -> (tab, Flat.point_row tab ~point:x)) ring.Ring.table }
+  let prepare tab =
+    if ring.Ring.degree = 1 then
+      (tab, Flat.Powers (Secshare_field.Table.powers tab ~point:x ~n:ring.Ring.n))
+    else (tab, Flat.Row (Flat.point_row tab ~point:x))
+  in
+  { x; kernel = Option.map prepare ring.Ring.table }
 
 let eval_packed (ring : Ring.t) pt packed =
   match pt.kernel with
-  | Some (tab, mul_row) -> Flat.eval_share tab ~mul_row ~n:ring.Ring.n packed
+  | Some (tab, et) -> Flat.eval_share tab et ~n:ring.Ring.n packed
   | None -> Cyclic.eval ring (Codec.unpack_cyclic ring packed) pt.x
 
 let eval_poly ring pt poly =
   match pt.kernel with
-  | Some (tab, mul_row) -> Flat.eval_coeffs tab ~mul_row (Cyclic.view poly)
+  | Some (tab, et) -> Flat.eval_coeffs tab et (Cyclic.view poly)
   | None -> Cyclic.eval ring poly pt.x
 
 let add_packed (ring : Ring.t) ~client packed =

@@ -45,7 +45,10 @@ val combine_evaluations : Secshare_poly.Ring.t -> client:int -> server:int -> in
 
 type point
 (** A query point prepared once per request or batch: normalised and,
-    with byte tables, carrying its {!Secshare_poly.Flat.point_row}. *)
+    with byte tables, carrying its evaluation table — the point's
+    powers ([Secshare_field.Table.powers]) on a prime field, whose
+    evaluation is one reduced integer dot product, and
+    {!Secshare_poly.Flat.point_row} for Horner on an extension field. *)
 
 val point : Secshare_poly.Ring.t -> int -> point
 (** The system's one zero-point check.

@@ -47,5 +47,6 @@ val mul_row : t -> point:int -> Bytes.t
 
 val powers : t -> point:int -> n:int -> Bytes.t
 (** [powers t ~point ~n] is the length-[n] byte string whose [i]-th
-    entry is [point^i] — the per-query point-power table used to jump
-    into the middle of a packed coefficient vector. *)
+    entry is [point^i], built by table multiplication (no division) —
+    the per-query table of the prime-field dot product
+    ([Secshare_poly.Flat.Powers]). *)

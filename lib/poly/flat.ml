@@ -11,14 +11,6 @@ let point_row tab ~point =
     invalid_arg "Flat.point_row: evaluation at 0 is not preserved by reduction";
   Table.mul_row tab ~point
 
-let eval_coeffs tab ~mul_row (a : int array) =
-  let acc = ref 0 in
-  for i = Array.length a - 1 downto 0 do
-    let shifted = Char.code (Bytes.unsafe_get mul_row !acc) in
-    acc := Table.unsafe_add tab shifted (Array.unsafe_get a i)
-  done;
-  !acc
-
 (* Decode coefficient [i] of a Codec-packed buffer: a little-endian
    window read at bit position [i * bits].  bits <= 8 always (q <= 256),
    so a coefficient spans at most two bytes. *)
@@ -39,21 +31,94 @@ let check_share fn tab ~n buf =
   if Bytes.length buf < needed then
     invalid_arg (Printf.sprintf "%s: need %d bytes, got %d" fn needed (Bytes.length buf))
 
-let eval_share tab ~mul_row ~n buf =
-  check_share "Flat.eval_share" tab ~n buf;
+type eval_table = Row of Bytes.t | Powers of Bytes.t
+
+let check_powers fn ~powers n =
+  if Bytes.length powers < n then
+    invalid_arg
+      (Printf.sprintf "%s: %d powers for %d coefficients" fn (Bytes.length powers) n)
+
+(* Horner through the multiplication row: a chain of dependent table
+   loads, right for any field with byte tables. *)
+let horner_coeffs tab ~mul_row (a : int array) =
+  let acc = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let shifted = Char.code (Bytes.unsafe_get mul_row !acc) in
+    acc := Table.unsafe_add tab shifted (Array.unsafe_get a i)
+  done;
+  !acc
+
+(* Prime fields only: the encodings are the integers mod q, so the
+   value is the integer dot product of coefficients and powers, reduced
+   once.  Each term is below q^2 and there are n = q - 1 < 255 of
+   them, so the sum stays below 255^3 and never overflows. *)
+let dot_coeffs tab ~powers (a : int array) =
+  let acc = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc + (Array.unsafe_get a i * Char.code (Bytes.unsafe_get powers i))
+  done;
+  !acc mod Table.order tab
+
+let eval_coeffs tab et (a : int array) =
+  match et with
+  | Row mul_row -> horner_coeffs tab ~mul_row a
+  | Powers powers ->
+      check_powers "Flat.eval_coeffs" ~powers (Array.length a);
+      dot_coeffs tab ~powers a
+
+let bad_coefficient c q =
+  invalid_arg (Printf.sprintf "Flat.eval_share: decoded coefficient %d >= %d" c q)
+
+let horner_share tab ~mul_row ~n buf =
   let bits = Table.bits tab in
   let mask = (1 lsl bits) - 1 in
   let q = Table.order tab in
   let acc = ref 0 in
   for i = n - 1 downto 0 do
     let c = coeff_at buf ~bits ~mask i in
-    if c >= q then
-      invalid_arg
-        (Printf.sprintf "Flat.eval_share: decoded coefficient %d >= %d" c q);
+    if c >= q then bad_coefficient c q;
     let shifted = Char.code (Bytes.unsafe_get mul_row !acc) in
     acc := Table.unsafe_add tab shifted c
   done;
   !acc
+
+(* The coefficients are decoded in order through a bit reader (a byte
+   joins the window whenever it holds fewer than [bits] bits), and the
+   range check is folded in without a branch: [bad] goes negative once
+   some [q - 1 - c] does.  Only a rejected share pays a second pass,
+   which names the highest bad coefficient, as Horner does. *)
+let dot_share tab ~powers ~n buf =
+  let bits = Table.bits tab in
+  let mask = (1 lsl bits) - 1 in
+  let q = Table.order tab in
+  let acc = ref 0 and bad = ref 0 in
+  let window = ref 0 and held = ref 0 and byte = ref 0 in
+  for i = 0 to n - 1 do
+    if !held < bits then begin
+      window := !window lor (Char.code (Bytes.unsafe_get buf !byte) lsl !held);
+      incr byte;
+      held := !held + 8
+    end;
+    let c = !window land mask in
+    window := !window lsr bits;
+    held := !held - bits;
+    bad := !bad lor (q - 1 - c);
+    acc := !acc + (c * Char.code (Bytes.unsafe_get powers i))
+  done;
+  if !bad < 0 then
+    for i = n - 1 downto 0 do
+      let c = coeff_at buf ~bits ~mask i in
+      if c >= q then bad_coefficient c q
+    done;
+  !acc mod q
+
+let eval_share tab et ~n buf =
+  check_share "Flat.eval_share" tab ~n buf;
+  match et with
+  | Row mul_row -> horner_share tab ~mul_row ~n buf
+  | Powers powers ->
+      check_powers "Flat.eval_share" ~powers n;
+      dot_share tab ~powers ~n buf
 
 let reconstruct_into tab ~n ~(client : int array) buf ~(out : int array) =
   check_share "Flat.reconstruct_into" tab ~n buf;

@@ -6,8 +6,9 @@
     implementations ({!Dense.eval}, {!Cyclic.eval}, {!Cyclic.mul})
     walk closure-cached field operations; the kernels here walk the
     flat byte tables of {!Secshare_field.Table} instead, so a Horner
-    step is two [Bytes.unsafe_get]s and results stay bit-identical
-    (the tables are built from the same field operations).
+    step is two [Bytes.unsafe_get]s, a prime-field evaluation is one
+    integer dot product, and results stay bit-identical (the tables
+    are built from the same field operations).
 
     Every entry point takes the table and any per-query scratch
     explicitly; none allocates on the per-coefficient path.  The
@@ -16,9 +17,10 @@
 
     Outside this library only [Secshare_core.Share] calls these
     kernels, choosing them whenever the ring has byte tables:
-    [Share.point] builds {!point_row}; [Share.eval_packed] (server
-    scans and batches) runs {!eval_share}; [Share.eval_poly] (client
-    containment) runs {!eval_coeffs}; [Share.add_packed] and
+    [Share.point] builds the point's {!eval_table} ([Powers] for a
+    prime field, {!point_row} for an extension field);
+    [Share.eval_packed] (server scans and batches) runs {!eval_share};
+    [Share.eval_poly] (client containment) runs {!eval_coeffs}; [Share.add_packed] and
     [Share.product] (client equality) run {!reconstruct_into} and
     {!mul_into}; [Share.reconstruct_packed] (shard router) runs
     {!combine_packed_into}.
@@ -37,19 +39,37 @@ val point_row : Secshare_field.Table.t -> point:int -> Bytes.t
     preserved by cyclic reduction; see {!Cyclic.eval}) or a
     non-canonical one. *)
 
-val eval_coeffs : Secshare_field.Table.t -> mul_row:Bytes.t -> int array -> int
-(** Horner evaluation of a coefficient vector (least degree first,
-    canonical encodings — e.g. {!Cyclic.view}) at the point whose
-    {!point_row} is [mul_row].  Bit-identical to {!Cyclic.eval}. *)
+(** How a prepared point is evaluated at. *)
+type eval_table =
+  | Row of Bytes.t
+      (** {!point_row}: Horner, one dependent multiplication-row load
+          per coefficient.  Right for every field with byte tables. *)
+  | Powers of Bytes.t
+      (** [Secshare_field.Table.powers]: [point^0 .. point^(n-1)], for
+          {e prime} fields only.  Their canonical encodings are the
+          integers mod q, so the value is the integer dot product of
+          coefficients and powers, reduced once; the terms are
+          independent, and the sum (fewer than 255 terms, each below
+          255{^2}) never overflows.  An extension field's encodings are
+          not integer arithmetic mod q, so it must use [Row]. *)
 
-val eval_share :
-  Secshare_field.Table.t -> mul_row:Bytes.t -> n:int -> Bytes.t -> int
-(** Horner evaluation straight over a {!Codec}-packed share — the
+val eval_coeffs : Secshare_field.Table.t -> eval_table -> int array -> int
+(** Evaluation of a coefficient vector (least degree first, canonical
+    encodings — e.g. {!Cyclic.view}) at a prepared point.
+    Bit-identical to {!Cyclic.eval}.
+    @raise Invalid_argument if a [Powers] table is shorter than the
+    vector. *)
+
+val eval_share : Secshare_field.Table.t -> eval_table -> n:int -> Bytes.t -> int
+(** Evaluation straight over a {!Codec}-packed share — the
     coefficients are field-decoded inline from the bit-packed buffer,
     so the per-row [Codec.unpack] allocation of the reference path
-    disappears entirely.  Validates exactly like [Codec.unpack]:
-    @raise Invalid_argument if the buffer is short or a decoded
-    coefficient is outside [0, q). *)
+    disappears entirely.  Validates exactly like [Codec.unpack], and
+    both tables reject a bad share with the same message, naming its
+    highest coefficient outside [0, q):
+    @raise Invalid_argument if the buffer is short, a decoded
+    coefficient is outside [0, q), or a [Powers] table is shorter than
+    [n]. *)
 
 val reconstruct_into :
   Secshare_field.Table.t ->

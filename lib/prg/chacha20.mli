@@ -8,13 +8,15 @@
     of the paper's §5.2.  Test vectors from RFC 8439 §2.3.2 (one block)
     and §2.4.2 (a multi-block keystream) are checked in the test suite.
 
-    One allocation-free core computes every block: the key and nonce
-    are parsed and validated once ({!create}), the state lives in local
-    variables, and {!block_into} writes the 64 output bytes into caller
-    scratch.  {!block}, {!keystream} and {!xor_with} are thin wrappers
-    over it.  The block counter is 32 bits; a block past [2^32 - 1] is
-    an error, never a silent wrap to block 0 (that would reuse the
-    keystream). *)
+    One allocation-free core computes every block: a C stub
+    (chacha20_stubs.c, built with plain [-O2]) that is reentrant, keeps
+    the state in local variables, allocates nothing and writes only the
+    64 output bytes of the caller's buffer.  The key and nonce are
+    validated once ({!create}), and {!block_into} checks the counter and
+    the destination before calling the core.  {!block}, {!keystream}
+    and {!xor_with} are thin wrappers over it.  The block counter is 32
+    bits; a block past [2^32 - 1] is an error, never a silent wrap to
+    block 0 (that would reuse the keystream). *)
 
 val key_length : int
 (** 32 bytes. *)

@@ -6,7 +6,9 @@
     little-endian), masks it, and accepts it when the masked word is
     below [below], storing it reduced mod [modulo]; a rejected word is
     simply skipped.  Blocks are generated lazily, one at a time, into a
-    single 64-byte buffer.
+    single 64-byte buffer.  One-byte draws ([width = 1], every field of
+    order up to 256) scan a whole block per step; wider draws run the
+    general byte-by-byte loop.  Both read the same stream.
 
     The stream is pinned bit for bit to the samplers this one replaced,
     including their first-refill quirk: they drew [first_chunk] bytes

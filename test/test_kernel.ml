@@ -63,27 +63,41 @@ let test_point_row_rejects_zero () =
 
 (* --- evaluation kernels vs Dense/Cyclic reference ------------------ *)
 
+(* Every evaluation table the ring supports: Horner through the
+   multiplication row always, the dot product with the point's powers
+   on a prime field. *)
+let eval_tables ring ~point =
+  let tab = table_of ring in
+  Flat.Row (Flat.point_row tab ~point)
+  ::
+  (if ring.Ring.degree = 1 then [ Flat.Powers (Table.powers tab ~point ~n:ring.Ring.n) ]
+   else [])
+
 let eval_suite ring name =
   let tab = table_of ring in
   let n = ring.Ring.n in
   let gc = gen_cyclic ring and gpt = gen_point ring in
+  let share_agrees buf point expected =
+    List.for_all
+      (fun et -> Flat.eval_share tab et ~n buf = expected)
+      (eval_tables ring ~point)
+  in
   [
     qtest
       (name ^ ": eval_coeffs = Cyclic.eval = Dense.eval")
       (QCheck2.Gen.pair gc gpt)
       (fun (c, point) ->
-        let mul_row = Flat.point_row tab ~point in
-        let kernel = Flat.eval_coeffs tab ~mul_row (Cyclic.view c) in
-        kernel = Cyclic.eval ring c point
-        && kernel = Dense.eval ring (Cyclic.to_dense ring c) point);
+        let reference = Cyclic.eval ring c point in
+        reference = Dense.eval ring (Cyclic.to_dense ring c) point
+        && List.for_all
+             (fun et -> Flat.eval_coeffs tab et (Cyclic.view c) = reference)
+             (eval_tables ring ~point));
     qtest
       (name ^ ": eval_share = unpack + Cyclic.eval")
       (QCheck2.Gen.pair gc gpt)
       (fun (c, point) ->
         let buf = Codec.pack_cyclic ring c in
-        let mul_row = Flat.point_row tab ~point in
-        Flat.eval_share tab ~mul_row ~n buf
-        = Cyclic.eval ring (Codec.unpack_cyclic ring buf) point);
+        share_agrees buf point (Cyclic.eval ring (Codec.unpack_cyclic ring buf) point));
     (* degree edges: a constant share evaluates to its constant
        everywhere, and a share with every coefficient live (max degree
        in the quotient) still matches the reference *)
@@ -94,8 +108,7 @@ let eval_suite ring name =
         let coeffs = Array.make n 0 in
         coeffs.(0) <- const;
         let buf = Codec.pack_cyclic ring (Cyclic.of_int_array ring coeffs) in
-        let mul_row = Flat.point_row tab ~point in
-        Flat.eval_share tab ~mul_row ~n buf = const);
+        share_agrees buf point const);
     qtest
       (name ^ ": max-degree share matches reference")
       (QCheck2.Gen.pair gc gpt)
@@ -104,9 +117,7 @@ let eval_suite ring name =
         (* force the top coefficient live so degree is exactly n-1 *)
         if coeffs.(n - 1) = 0 then coeffs.(n - 1) <- 1;
         let full = Cyclic.of_int_array ring coeffs in
-        let buf = Codec.pack_cyclic ring full in
-        let mul_row = Flat.point_row tab ~point in
-        Flat.eval_share tab ~mul_row ~n buf = Cyclic.eval ring full point);
+        share_agrees (Codec.pack_cyclic ring full) point (Cyclic.eval ring full point));
   ]
 
 let test_eval_share_rejects_bad_coeff () =
@@ -116,10 +127,12 @@ let test_eval_share_rejects_bad_coeff () =
   let tab = table_of r83 in
   let n = r83.Ring.n in
   let buf = Bytes.make (Codec.byte_length ~q:83 ~n) '\xff' in
-  let mul_row = Flat.point_row tab ~point:2 in
-  match Flat.eval_share tab ~mul_row ~n buf with
-  | (_ : int) -> Alcotest.fail "expected Invalid_argument on coefficient >= q"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun et ->
+      match Flat.eval_share tab et ~n buf with
+      | (_ : int) -> Alcotest.fail "expected Invalid_argument on coefficient >= q"
+      | exception Invalid_argument _ -> ())
+    (eval_tables r83 ~point:2)
 
 (* --- reconstruct kernel vs unpack + Cyclic.add ---------------------- *)
 
@@ -464,6 +477,86 @@ let test_share_rejects ring name () =
     rejects "a coefficient >= q" bad
   end
 
+(* --- evaluation paths at every nonzero point --------------------- *)
+
+let r251 = Ring.of_prime ~p:251
+
+(* A prime field evaluates through the powers' dot product, an
+   extension field through Horner on the multiplication row; both
+   [Share] entry points and the [Flat] table behind them must equal
+   [Cyclic.eval] at every point that survives the cyclic reduction. *)
+let every_point_suite ring name =
+  let tab = table_of ring in
+  let q = ring.Ring.order and n = ring.Ring.n in
+  qtest ~count:10
+    (name ^ ": eval_poly = eval_packed = Cyclic.eval at every point")
+    (gen_cyclic ring)
+    (fun c ->
+      let buf = Codec.pack_cyclic ring c in
+      List.for_all
+        (fun x ->
+          let reference = Cyclic.eval ring c x in
+          let pt = Share.point ring x in
+          Share.eval_poly ring pt c = reference
+          && Share.eval_packed ring pt buf = reference
+          && List.for_all
+               (fun et ->
+                 Flat.eval_coeffs tab et (Cyclic.view c) = reference
+                 && Flat.eval_share tab et ~n buf = reference)
+               (eval_tables ring ~point:x))
+        (List.init (q - 1) (fun i -> i + 1)))
+
+(* A share with two coefficients outside [0, q) — q itself at
+   position 1 and 2^bits - 1 at position n - 2 — raises exactly what
+   the path before the dot product raised: Horner's message naming
+   the highest bad coefficient on a field with byte tables,
+   [Codec.unpack]'s without. *)
+let test_bad_coefficient_same_error ring name () =
+  let q = ring.Ring.order and n = ring.Ring.n in
+  let bits = Codec.bits_per_coeff q in
+  let buf = Codec.pack ~q (Array.make n 0) in
+  let set_coeff i v =
+    for b = 0 to bits - 1 do
+      let pos = (i * bits) + b in
+      if (v lsr b) land 1 = 1 then
+        Bytes.set_uint8 buf (pos lsr 3)
+          (Bytes.get_uint8 buf (pos lsr 3) lor (1 lsl (pos land 7)))
+    done
+  in
+  set_coeff 1 q;
+  set_coeff (n - 2) ((1 lsl bits) - 1);
+  let raised f =
+    match f () with
+    | (_ : int) -> Alcotest.failf "%s: a coefficient >= q was accepted" name
+    | exception Invalid_argument msg -> msg
+  in
+  let before =
+    match ring.Ring.table with
+    | Some tab ->
+        let horner = Flat.Row (Flat.point_row tab ~point:1) in
+        raised (fun () -> Flat.eval_share tab horner ~n buf)
+    | None -> raised (fun () -> Cyclic.eval ring (Codec.unpack_cyclic ring buf) 1)
+  in
+  let paths =
+    ("Share.eval_packed", fun () -> Share.eval_packed ring (Share.point ring 1) buf)
+    ::
+    (match ring.Ring.table with
+    | Some tab ->
+        List.map
+          (fun et -> ("Flat.eval_share", fun () -> Flat.eval_share tab et ~n buf))
+          (eval_tables ring ~point:1)
+    | None -> [])
+  in
+  List.iter
+    (fun (what, f) -> Alcotest.(check string) (name ^ ": " ^ what) before (raised f))
+    paths;
+  if ring.Ring.table <> None then
+    Alcotest.(check string)
+      (name ^ ": names the highest bad coefficient")
+      (Printf.sprintf "Flat.eval_share: decoded coefficient %d >= %d"
+         ((1 lsl bits) - 1) q)
+      before
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -507,6 +600,23 @@ let () =
           Alcotest.test_case "GF256 rejects bad shares" `Quick
             (test_combine_rejects r256 "GF256");
         ] );
+      ( "all points",
+        List.map
+          (fun (ring, name) -> every_point_suite ring name)
+          [ (r5, "F5"); (r83, "F83"); (r251, "F251"); (r9, "GF9"); (r256, "GF256") ] );
+      ( "bad coeff",
+        List.map
+          (fun (ring, name) ->
+            Alcotest.test_case (name ^ " raises as before") `Quick
+              (test_bad_coefficient_same_error ring name))
+          [
+            (r5, "F5");
+            (r9, "GF9");
+            (r81, "GF81");
+            (r83, "F83");
+            (r251, "F251");
+            (r257, "F257");
+          ] );
       ( "share",
         List.concat_map
           (fun (ring, name) ->

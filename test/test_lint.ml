@@ -111,9 +111,51 @@ let tree_is_clean () =
   Alcotest.(check int) "exit 0" 0 (Driver.exit_code r);
   Alcotest.(check bool) "scanned a real tree" true (r.Driver.files_scanned > 50)
 
+(* Every (module, function) a secret-flow producer list names must be a
+   [val] of that module's one .mli under lib/: an entry naming a
+   function that does not exist tracks nothing. *)
+let producers_exist () =
+  let rec mlis dir =
+    Array.fold_left
+      (fun acc entry ->
+        let path = Filename.concat dir entry in
+        if Sys.is_directory path then mlis path @ acc
+        else if Filename.check_suffix entry ".mli" then path :: acc
+        else acc)
+      [] (Sys.readdir dir)
+  in
+  let all = mlis (Filename.concat repo_root "lib") in
+  let declares path f =
+    let ic = open_in path in
+    let rec scan () =
+      match input_line ic with
+      | line ->
+          let line = String.trim line in
+          let prefix = "val " ^ f in
+          let n = String.length prefix in
+          (String.length line > n
+          && String.equal (String.sub line 0 n) prefix
+          && (line.[n] = ' ' || line.[n] = ':'))
+          || scan ()
+      | exception End_of_file -> false
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+  in
+  List.iter
+    (fun (m, f) ->
+      let file = String.uncapitalize_ascii m ^ ".mli" in
+      match List.filter (fun p -> String.equal (Filename.basename p) file) all with
+      | [ path ] ->
+          Alcotest.(check bool) (Printf.sprintf "%s.%s is a val of %s" m f path) true
+            (declares path f)
+      | found ->
+          Alcotest.failf "%s: expected one %s under lib/, found %d" m file
+            (List.length found))
+    Secshare_lint.Pass_secret_flow.(secret_producers @ agg_secret_producers)
+
 let positive_cases =
   [
-    ("bad_secret_flow.ml", "secret-flow/sink", 5);
+    ("bad_secret_flow.ml", "secret-flow/sink", 8);
     ("bad_secret_flow.ml", "secret-flow/label", 1);
     ("bad_agg_log.ml", "secret-flow/agg-sink", 3);
     ("bad_lock_order.ml", "lock-order/inversion", 2);
@@ -174,6 +216,7 @@ let () =
           Alcotest.test_case "suppression honoured" `Quick suppression_is_honoured;
           Alcotest.test_case "no unused allows" `Quick unused_allow_is_flagged;
           Alcotest.test_case "pass selection" `Quick pass_selection;
+          Alcotest.test_case "secret producers are real vals" `Quick producers_exist;
         ] );
       ("tree", [ Alcotest.test_case "lib/bin/test/bench clean" `Quick tree_is_clean ]);
     ]

@@ -107,6 +107,67 @@ let test_chacha_counter_limit () =
   check Alcotest.bool "last block is not block 0" false
     (Bytes.equal top (Chacha.block ~key:rfc_key ~counter:0 ~nonce:rfc_nonce))
 
+(* The block function of RFC 8439 §2.3 transcribed over a word array,
+   independent of the C core: every word is reduced mod 2^32 after each
+   step. *)
+let reference_block ~key ~nonce ~counter =
+  let m = 0xFFFFFFFF in
+  let word b i = Int32.to_int (Bytes.get_int32_le b (4 * i)) land m in
+  let init =
+    Array.concat
+      [
+        [| 0x61707865; 0x3320646e; 0x79622d32; 0x6b206574 |];
+        Array.init 8 (word key);
+        [| counter |];
+        Array.init 3 (word nonce);
+      ]
+  in
+  let x = Array.copy init in
+  let rotl v k = ((v lsl k) lor (v lsr (32 - k))) land m in
+  let qr a b c d =
+    x.(a) <- (x.(a) + x.(b)) land m;
+    x.(d) <- rotl (x.(d) lxor x.(a)) 16;
+    x.(c) <- (x.(c) + x.(d)) land m;
+    x.(b) <- rotl (x.(b) lxor x.(c)) 12;
+    x.(a) <- (x.(a) + x.(b)) land m;
+    x.(d) <- rotl (x.(d) lxor x.(a)) 8;
+    x.(c) <- (x.(c) + x.(d)) land m;
+    x.(b) <- rotl (x.(b) lxor x.(c)) 7
+  in
+  for _ = 1 to 10 do
+    qr 0 4 8 12;
+    qr 1 5 9 13;
+    qr 2 6 10 14;
+    qr 3 7 11 15;
+    qr 0 5 10 15;
+    qr 1 6 11 12;
+    qr 2 7 8 13;
+    qr 3 4 9 14
+  done;
+  let out = Bytes.create 64 in
+  Array.iteri
+    (fun i v -> Bytes.set_int32_le out (4 * i) (Int32.of_int ((v + init.(i)) land m)))
+    x;
+  out
+
+(* The C core equals the transcription on random keys and nonces at the
+   first two counters and the last one, and [block_into] writes exactly
+   its 64 bytes: the guard bytes on either side stay untouched. *)
+let test_chacha_core_matches_reference =
+  qtest ~count:200 "C core = RFC transcription"
+    QCheck2.Gen.(pair (string_size (return 32)) (string_size (return 12)))
+    (fun (key, nonce) ->
+      let key = Bytes.of_string key and nonce = Bytes.of_string nonce in
+      let cipher = Chacha.create ~key ~nonce in
+      List.for_all
+        (fun counter ->
+          let dst = Bytes.make 80 '\xa5' in
+          Chacha.block_into cipher ~counter dst ~off:7;
+          Bytes.equal (Bytes.sub dst 7 64) (reference_block ~key ~nonce ~counter)
+          && Bytes.equal (Bytes.sub dst 0 7) (Bytes.make 7 '\xa5')
+          && Bytes.equal (Bytes.sub dst 71 9) (Bytes.make 9 '\xa5'))
+        [ 0; 1; 0xFFFFFFFF ])
+
 (* --- SplitMix64 / xoshiro --- *)
 
 let test_splitmix_reference () =
@@ -323,7 +384,7 @@ let test_numeric_golden () =
    keystream: draw [2 * count * k] bytes up front, then refill 256
    bytes at a time from block [len / 64] — re-reading the tail of the
    first chunk when its length is not a multiple of 64. *)
-let reference_coefficients ~seed ~pre ~q ~count =
+let reference_draw ~seed ~pre ~q ~count =
   let k =
     let rec go k cap = if cap >= q then k else go (k + 1) (cap * 256) in
     go 1 256
@@ -349,7 +410,40 @@ let reference_coefficients ~seed ~pre ~q ~count =
     pos := !pos + k;
     if !v < accept_below then !v mod q else draw ()
   in
-  Array.init count (fun _ -> draw ())
+  let coeffs = Array.init count (fun _ -> draw ()) in
+  (coeffs, !pos)
+
+let reference_coefficients ~seed ~pre ~q ~count =
+  fst (reference_draw ~seed ~pre ~q ~count)
+
+(* Every one-byte field order, at the ring dimension q - 1 the client
+   shares use: the block-at-a-time sampler equals the old sampler for
+   200 pres each.  Where the first chunk (2 * (q - 1) bytes) is not a
+   whole number of blocks and the draws run past it, the old sampler
+   re-read the head of the last block; the test also counts those
+   draws, so the rewind is known to have been exercised (with this
+   seed it fires for q = 130 .. 144; q = 129's first chunk of 256 bytes
+   is whole blocks, so its refill re-reads nothing). *)
+let test_byte_sampler_every_q () =
+  let rewound = Array.make 257 0 in
+  for q = 2 to 256 do
+    let count = q - 1 in
+    let first_chunk = max 64 (count * 2) in
+    for pre = 0 to 199 do
+      let expected, consumed = reference_draw ~seed:seed_a ~pre ~q ~count in
+      if Node_prg.coefficients ~seed:seed_a ~pre ~q ~count <> expected then
+        Alcotest.failf "q=%d pre=%d: sampler differs from the old sampler" q pre;
+      if first_chunk mod 64 <> 0 && consumed > first_chunk then
+        rewound.(q) <- rewound.(q) + 1
+    done
+  done;
+  List.iter
+    (fun q ->
+      check Alcotest.bool
+        (Printf.sprintf "q=%d: the rewind fired" q)
+        true
+        (rewound.(q) > 0))
+    [ 131; 137 ]
 
 let gen_seed =
   QCheck2.Gen.(map (fun s -> Seed.of_bytes (Bytes.of_string s)) (string_size (return 32)))
@@ -376,6 +470,7 @@ let () =
           Alcotest.test_case "input validation" `Quick test_chacha_rejects;
           Alcotest.test_case "RFC 8439 multi-block keystream" `Quick test_chacha_rfc_keystream;
           Alcotest.test_case "32-bit counter limit" `Quick test_chacha_counter_limit;
+          test_chacha_core_matches_reference;
         ] );
       ( "generators",
         [
@@ -416,6 +511,8 @@ let () =
         [
           Alcotest.test_case "coefficient digests" `Quick test_node_prg_golden;
           Alcotest.test_case "numeric digests" `Quick test_numeric_golden;
+          Alcotest.test_case "byte sampler = old sampler, q = 2 .. 256" `Quick
+            test_byte_sampler_every_q;
           sampler_matches_reference ~ring:(Secshare_poly.Ring.of_prime ~p:83) "F83";
           sampler_matches_reference ~ring:(Secshare_poly.Ring.of_prime_power ~p:3 ~e:4) "GF81";
         ] );
