@@ -763,8 +763,12 @@ let micro () =
    was before the single rejection sampler, over the public keystream.
    It draws 2 * n * k bytes up front, refills 256 bytes at a time from
    block [len / 64], and normalises every coefficient on the way into
-   the ring.  It must produce the same polynomial as
-   [Node_prg.client_poly]. *)
+   the ring.  So it also re-reads the head of that block once its draws
+   run past a prefix that ends mid-block, which the current sampler
+   never does.  The two agree only where that never happens, as at the
+   q = 83 the row runs at: 82 draws overrun the 164-byte prefix only if
+   more than 82 of its bytes fall among the 7 rejected values of 256.
+   The row asserts that they agree. *)
 let reference_client_poly (ring : Secshare_poly.Ring.t) ~seed ~pre =
   let module Chacha20 = Secshare_prg.Chacha20 in
   let q = ring.Secshare_poly.Ring.order and count = ring.Secshare_poly.Ring.n in
@@ -910,12 +914,29 @@ module Ocaml_chacha20 = struct
   [@@ocamlformat "disable"]
 end
 
+(* Times [reference] and [kernel] in [passes] alternating passes, so
+   load that comes and goes on a shared machine lands on both sides of
+   the ratio whatever ran before the row.  Each side gets the pass
+   number; [same] runs untimed after every pair and must hold.  Returns
+   the two sides' total seconds. *)
+let alternating ~what ~passes ~reference ~kernel ~same =
+  let ref_s = ref 0.0 and ker_s = ref 0.0 in
+  for p = 0 to passes - 1 do
+    let (), dt = time_it (fun () -> reference p) in
+    ref_s := !ref_s +. dt;
+    let (), dt = time_it (fun () -> kernel p) in
+    ker_s := !ker_s +. dt;
+    if not (same ()) then failwith ("kernel bench: " ^ what ^ " differ")
+  done;
+  (!ref_s, !ker_s)
+
 (* The regression gate: CI compares the speedup columns of this
    experiment's --json rows against bench/kernel_baseline.json.  The
    gate is on the *ratio* kernel-vs-reference (machine-independent),
    never on absolute nanoseconds.  The containment, equality and
    recombine rows time the [Share] entry points the filters and the
-   router call, so the gate also covers their dispatch. *)
+   router call, so the gate also covers their dispatch.  Every row
+   runs through [alternating]. *)
 let kernel () =
   heading
     "Flat field kernels vs reference (containment, equality, keystream, regen, \
@@ -951,30 +972,23 @@ let kernel () =
   let batch = Array.length shares in
   let point = 5 in
   let pt = Share.point ring point in
-  let out = Array.make batch 0 in
   let reps = if !quick then 20 else 100 in
   (* containment: whole batch evaluated at one point per pass, one
      share at a time as the server's scan does *)
-  let (), ref_s =
-    time_it (fun () ->
-        for _ = 1 to reps do
-          for i = 0 to batch - 1 do
-            let poly = Codec.unpack_cyclic ring (Array.unsafe_get shares i) in
-            out.(i) <- Cyclic.eval ring poly point
-          done
+  let expect = Array.make batch 0 and out = Array.make batch (-1) in
+  let ref_s, ker_s =
+    alternating ~what:"containment results" ~passes:reps
+      ~reference:(fun _ ->
+        for i = 0 to batch - 1 do
+          let poly = Codec.unpack_cyclic ring (Array.unsafe_get shares i) in
+          expect.(i) <- Cyclic.eval ring poly point
         done)
-  in
-  let expect = Array.copy out in
-  Array.fill out 0 batch (-1);
-  let (), ker_s =
-    time_it (fun () ->
-        for _ = 1 to reps do
-          for i = 0 to batch - 1 do
-            out.(i) <- Share.eval_packed ring pt (Array.unsafe_get shares i)
-          done
+      ~kernel:(fun _ ->
+        for i = 0 to batch - 1 do
+          out.(i) <- Share.eval_packed ring pt (Array.unsafe_get shares i)
         done)
+      ~same:(fun () -> out = expect)
   in
-  if out <> expect then failwith "kernel bench: containment results differ";
   let evals = float_of_int (reps * batch) in
   let ref_ns = ref_s /. evals *. 1e9 and ker_ns = ker_s /. evals *. 1e9 in
   let c_speedup = ref_ns /. ker_ns in
@@ -990,29 +1004,27 @@ let kernel () =
       ("speedup", J_float c_speedup);
       ("identical", J_int 1);
     ];
-  (* equality: the client-side product of child polynomials *)
+  (* equality: the client-side product of child polynomials, ten
+     products a pass *)
   let rng = Secshare_prg.Xoshiro.create 83L in
   let random_poly () =
     Cyclic.random ring ~gen:(fun () -> Secshare_prg.Xoshiro.next_int rng ~bound:83)
   in
   let child_list = List.init 8 (fun _ -> random_poly ()) in
   let prods = if !quick then 200 else 1000 in
-  let reference = ref (Cyclic.one ring) in
-  let (), ref_s =
-    time_it (fun () ->
-        for _ = 1 to prods do
+  let reference = ref (Cyclic.one ring) and kernel_result = ref (Cyclic.zero ring) in
+  let ref_s, ker_s =
+    alternating ~what:"equality products" ~passes:(prods / 10)
+      ~reference:(fun _ ->
+        for _ = 1 to 10 do
           reference := List.fold_left (Cyclic.mul ring) (Cyclic.one ring) child_list
         done)
-  in
-  let kernel_result = ref (Cyclic.one ring) in
-  let (), ker_s =
-    time_it (fun () ->
-        for _ = 1 to prods do
+      ~kernel:(fun _ ->
+        for _ = 1 to 10 do
           kernel_result := Share.product ring child_list
         done)
+      ~same:(fun () -> Cyclic.equal !reference !kernel_result)
   in
-  if not (Cyclic.equal !reference !kernel_result) then
-    failwith "kernel bench: equality products differ";
   let ref_us = ref_s /. float_of_int prods *. 1e6 in
   let ker_us = ker_s /. float_of_int prods *. 1e6 in
   let e_speedup = ref_us /. ker_us in
@@ -1028,7 +1040,7 @@ let kernel () =
       ("identical", J_int 1);
     ];
   (* keystream: the C block core against the OCaml core it replaced,
-     over the same key, nonce and counters, in alternating passes *)
+     over the same key, nonce and counters, 1 000 blocks a pass *)
   let blocks = if !quick then 20_000 else 100_000 in
   let key = Secshare_prg.Seed.to_bytes seed in
   let nonce = Bytes.of_string "kernel-bench" in
@@ -1036,29 +1048,22 @@ let kernel () =
   let ocaml_core = Ocaml_chacha20.create ~key ~nonce in
   let pass = 1000 in
   let ref_out = Bytes.create (64 * pass) and ker_out = Bytes.create (64 * pass) in
-  let ref_s = ref 0.0 and ker_s = ref 0.0 in
-  for p = 0 to (blocks / pass) - 1 do
-    let (), dt =
-      time_it (fun () ->
-          for b = 0 to pass - 1 do
-            Ocaml_chacha20.block_into ocaml_core ~counter:((p * pass) + b) ref_out
-              ~off:(64 * b)
-          done)
-    in
-    ref_s := !ref_s +. dt;
-    let (), dt =
-      time_it (fun () ->
-          for b = 0 to pass - 1 do
-            Secshare_prg.Chacha20.block_into c_core ~counter:((p * pass) + b) ker_out
-              ~off:(64 * b)
-          done)
-    in
-    ker_s := !ker_s +. dt;
-    if not (Bytes.equal ref_out ker_out) then
-      failwith "kernel bench: keystream blocks differ"
-  done;
-  let ref_ns = !ref_s /. float_of_int blocks *. 1e9 in
-  let ker_ns = !ker_s /. float_of_int blocks *. 1e9 in
+  let ref_s, ker_s =
+    alternating ~what:"keystream blocks" ~passes:(blocks / pass)
+      ~reference:(fun p ->
+        for b = 0 to pass - 1 do
+          Ocaml_chacha20.block_into ocaml_core ~counter:((p * pass) + b) ref_out
+            ~off:(64 * b)
+        done)
+      ~kernel:(fun p ->
+        for b = 0 to pass - 1 do
+          Secshare_prg.Chacha20.block_into c_core ~counter:((p * pass) + b) ker_out
+            ~off:(64 * b)
+        done)
+      ~same:(fun () -> Bytes.equal ref_out ker_out)
+  in
+  let ref_ns = ref_s /. float_of_int blocks *. 1e9 in
+  let ker_ns = ker_s /. float_of_int blocks *. 1e9 in
   let k_speedup = ref_ns /. ker_ns in
   printf "%-24s %12.1f %12.1f %8.2fx  (%d blocks, identical keystream)\n"
     "keystream(ns/block)" ref_ns ker_ns k_speedup blocks;
@@ -1072,35 +1077,26 @@ let kernel () =
       ("identical", J_int 1);
     ];
   (* regeneration: one client polynomial from the seed, the per-miss
-     cost of the client share cache *)
+     cost of the client share cache.  Passes of 200 pres are small
+     enough that the kept results never leave the minor heap: the row
+     times regeneration, not promotion of a large result array. *)
   let regens = if !quick then 2000 else 10_000 in
-  (* alternate the two paths in chunks small enough that the kept
-     results never leave the minor heap: the row times regeneration,
-     not promotion of a large result array *)
   let chunk = 200 in
   let reference = Array.make chunk (Cyclic.one ring) in
   let regenerated = Array.make chunk (Cyclic.one ring) in
-  let ref_s = ref 0.0 and ker_s = ref 0.0 in
-  for c = 0 to (regens / chunk) - 1 do
-    let (), dt =
-      time_it (fun () ->
-          for i = 0 to chunk - 1 do
-            reference.(i) <- reference_client_poly ring ~seed ~pre:((c * chunk) + i)
-          done)
-    in
-    ref_s := !ref_s +. dt;
-    let (), dt =
-      time_it (fun () ->
-          for i = 0 to chunk - 1 do
-            regenerated.(i) <-
-              Secshare_prg.Node_prg.client_poly ~ring ~seed ~pre:((c * chunk) + i)
-          done)
-    in
-    ker_s := !ker_s +. dt;
-    if not (Array.for_all2 Cyclic.equal reference regenerated) then
-      failwith "kernel bench: regenerated client polynomials differ"
-  done;
-  let ref_s = !ref_s and ker_s = !ker_s in
+  let ref_s, ker_s =
+    alternating ~what:"regenerated client polynomials" ~passes:(regens / chunk)
+      ~reference:(fun c ->
+        for i = 0 to chunk - 1 do
+          reference.(i) <- reference_client_poly ring ~seed ~pre:((c * chunk) + i)
+        done)
+      ~kernel:(fun c ->
+        for i = 0 to chunk - 1 do
+          regenerated.(i) <-
+            Secshare_prg.Node_prg.client_poly ~ring ~seed ~pre:((c * chunk) + i)
+        done)
+      ~same:(fun () -> Array.for_all2 Cyclic.equal reference regenerated)
+  in
   let ref_us = ref_s /. float_of_int regens *. 1e6 in
   let ker_us = ker_s /. float_of_int regens *. 1e6 in
   let g_speedup = ref_us /. ker_us in
@@ -1119,26 +1115,21 @@ let kernel () =
      every equality test *)
   let clients = Array.init batch (fun pre -> Secshare_prg.Node_prg.client_poly ~ring ~seed ~pre) in
   let expect = Array.make batch (Cyclic.one ring) in
-  let (), ref_s =
-    time_it (fun () ->
-        for _ = 1 to reps do
-          for i = 0 to batch - 1 do
-            expect.(i) <- Cyclic.add ring clients.(i) (Codec.unpack_cyclic ring shares.(i))
-          done
-        done)
-  in
   let outs = Array.init batch (fun _ -> Array.make n 0) in
-  let (), ker_s =
-    time_it (fun () ->
-        for _ = 1 to reps do
-          for i = 0 to batch - 1 do
-            Flat.reconstruct_into tab ~n ~client:(Cyclic.view clients.(i)) shares.(i)
-              ~out:outs.(i)
-          done
+  let ref_s, ker_s =
+    alternating ~what:"reconstructed polynomials" ~passes:reps
+      ~reference:(fun _ ->
+        for i = 0 to batch - 1 do
+          expect.(i) <- Cyclic.add ring clients.(i) (Codec.unpack_cyclic ring shares.(i))
         done)
+      ~kernel:(fun _ ->
+        for i = 0 to batch - 1 do
+          Flat.reconstruct_into tab ~n ~client:(Cyclic.view clients.(i)) shares.(i)
+            ~out:outs.(i)
+        done)
+      ~same:(fun () ->
+        Array.for_all2 (fun e o -> Array.for_all2 Int.equal (Cyclic.view e) o) expect outs)
   in
-  if not (Array.for_all2 (fun e o -> Cyclic.to_int_array e = o) expect outs) then
-    failwith "kernel bench: reconstructed polynomials differ";
   let ref_ns = ref_s /. evals *. 1e9 and ker_ns = ker_s /. evals *. 1e9 in
   let r_speedup = ref_ns /. ker_ns in
   printf "%-24s %12.1f %12.1f %8.2fx  (batch=%d, identical polynomials)\n"
@@ -1173,35 +1164,24 @@ let kernel () =
   let q = ring.Secshare_poly.Ring.order in
   let reference = Array.make polys Bytes.empty in
   let recombined = Array.make polys Bytes.empty in
-  (* the two paths alternate pass by pass, so load that comes and goes
-     on a shared machine lands on both sides of the ratio *)
-  let ref_s = ref 0.0 and ker_s = ref 0.0 in
-  for _ = 1 to reps do
-    let (), dt =
-      time_it (fun () ->
-          for i = 0 to polys - 1 do
-            reference.(i) <-
-              Codec.pack ~q
-                (Shamir.combine_vectors ring ~lambdas:lambdas.(i mod 3)
-                   (List.map (Codec.unpack ~q ~n) (members i)))
-          done)
-    in
-    ref_s := !ref_s +. dt;
-    let (), dt =
-      time_it (fun () ->
-          for i = 0 to polys - 1 do
-            recombined.(i) <-
-              Share.reconstruct_packed ring ~lambdas:lambdas.(i mod 3) (members i)
-          done)
-    in
-    ker_s := !ker_s +. dt
-  done;
-  let ref_s = !ref_s and ker_s = !ker_s in
-  if
-    not
-      (Array.for_all2 Bytes.equal reference recombined
-      && Array.for_all2 Bytes.equal recombined (Array.sub shares 0 polys))
-  then failwith "kernel bench: recombined shares differ";
+  let ref_s, ker_s =
+    alternating ~what:"recombined shares" ~passes:reps
+      ~reference:(fun _ ->
+        for i = 0 to polys - 1 do
+          reference.(i) <-
+            Codec.pack ~q
+              (Shamir.combine_vectors ring ~lambdas:lambdas.(i mod 3)
+                 (List.map (Codec.unpack ~q ~n) (members i)))
+        done)
+      ~kernel:(fun _ ->
+        for i = 0 to polys - 1 do
+          recombined.(i) <-
+            Share.reconstruct_packed ring ~lambdas:lambdas.(i mod 3) (members i)
+        done)
+      ~same:(fun () ->
+        Array.for_all2 Bytes.equal reference recombined
+        && Array.for_all2 Bytes.equal recombined (Array.sub shares 0 polys))
+  in
   let combos = float_of_int (reps * polys) in
   let ref_ns = ref_s /. combos *. 1e9 and ker_ns = ker_s /. combos *. 1e9 in
   let m_speedup = ref_ns /. ker_ns in

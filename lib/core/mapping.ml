@@ -171,8 +171,7 @@ let of_file_string contents =
   in
   go None lines
 
-let save path t =
-  Out_channel.with_open_text path (fun oc -> output_string oc (to_file_string t))
+let save path t = Secshare_prg.Seed.write_secret_file path (to_file_string t)
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with

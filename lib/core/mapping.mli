@@ -75,6 +75,9 @@ val of_file_string : string -> (t, string) result
     names/values, and aggregatable-flag lines. *)
 
 val save : string -> t -> unit
+(** Write the map file readable by its owner only
+    ({!Secshare_prg.Seed.write_secret_file}): it is a client secret. *)
+
 val load : string -> (t, string) result
 
 val equal : t -> t -> bool

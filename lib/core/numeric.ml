@@ -1,6 +1,3 @@
-module Chacha20 = Secshare_prg.Chacha20
-module Seed = Secshare_prg.Seed
-
 let modulus = (1 lsl 61) - 1
 let default_scale = 2
 let max_magnitude = (modulus - 1) / 2
@@ -83,15 +80,6 @@ let parse_decimal ~scale s =
 
 (* --- PRG draws ------------------------------------------------------- *)
 
-(* Same nonce shape as [Node_prg] (8 bytes of pre, 4-byte tag) but a
-   different tag, so numeric blinds and polynomial coefficients come
-   from disjoint ChaCha20 streams under one seed. *)
-let nonce ~pre ~tag =
-  let nonce = Bytes.make Chacha20.nonce_length '\000' in
-  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
-  Bytes.blit_string tag 0 nonce 8 4;
-  nonce
-
 let mask61 = (1 lsl 61) - 1
 
 let draws ~seed ~pre ~tag ~count =
@@ -102,8 +90,7 @@ let draws ~seed ~pre ~tag ~count =
      [0, 2^61); only the single value 2^61 - 1 = M falls outside the
      field and is redrawn *)
   Secshare_prg.Sampler.fill
-    (Chacha20.create ~key:(Seed.to_bytes seed) ~nonce:(nonce ~pre ~tag))
-    ~first_chunk:(max 64 (count * 8))
+    (Secshare_prg.Node_prg.cipher ~seed ~pre ~tag)
     ~width:8 ~big_endian:false ~mask:mask61 ~below:modulus ~modulo:modulus out;
   out
 

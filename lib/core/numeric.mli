@@ -53,13 +53,14 @@ val parse_decimal : scale:int -> string -> int option
 
 val blind : seed:Secshare_prg.Seed.t -> pre:int -> int
 (** The client's additive blind for node [pre]: a uniform field
-    element from a ChaCha20 stream keyed by the seed, domain-separated
-    from the polynomial-share PRG ({!Secshare_prg.Node_prg}). *)
+    element from the seed's ["nval"] stream
+    ({!Secshare_prg.Node_prg.cipher}), disjoint from the polynomial
+    shares' ["poly"] stream. *)
 
 val dealer_draws :
   seed:Secshare_prg.Seed.t -> pre:int -> count:int -> int array
 (** [count] uniform field elements for the offline dealer (Shamir
-    coefficients), again domain-separated per [pre]. *)
+    coefficients), from the seed's ["ndea"] stream. *)
 
 module Shamir : Secshare_poly.Shamir.S with type field := unit
 (** Shamir t-of-n sharing over F_M, the field handle being [()]:

@@ -55,6 +55,7 @@ let secret_producers =
     ("Mapping", "value_exn");
     ("Mapping", "name_of");
     ("Node_prg", "coefficients");
+    ("Node_prg", "cipher");
   ]
 
 (* Partial-aggregate vocabulary: server-side code folds numeric shares

@@ -2,12 +2,12 @@ let bytes_needed q =
   let rec go k cap = if cap >= q then k else go (k + 1) (cap * 256) in
   go 1 256
 
-let nonce_of_pre pre =
+let cipher ~seed ~pre ~tag =
   let nonce = Bytes.make Chacha20.nonce_length '\000' in
-  (* 8 bytes of pre, little-endian, then a 4-byte domain tag. *)
+  (* 8 bytes of pre, little-endian, then the 4-byte domain tag. *)
   Bytes.set_int64_le nonce 0 (Int64.of_int pre);
-  Bytes.blit_string "poly" 0 nonce 8 4;
-  nonce
+  Bytes.blit_string tag 0 nonce 8 4;
+  Chacha20.create ~key:(Seed.to_bytes seed) ~nonce
 
 let coefficients ~seed ~pre ~q ~count =
   if pre < 0 then invalid_arg "Node_prg: negative pre";
@@ -20,11 +20,9 @@ let coefficients ~seed ~pre ~q ~count =
   in
   let out = Array.make count 0 in
   (* k-byte big-endian words, uniform in [0, cap); keep those below the
-     largest multiple of q.  The first chunk of 2 * count * k bytes is
-     what the stream was pinned to (see Sampler). *)
+     largest multiple of q *)
   Sampler.fill
-    (Chacha20.create ~key:(Seed.to_bytes seed) ~nonce:(nonce_of_pre pre))
-    ~first_chunk:(max 64 (count * k * 2))
+    (cipher ~seed ~pre ~tag:"poly")
     ~width:k ~big_endian:true ~mask:(-1)
     ~below:(cap - (cap mod q))
     ~modulo:q out;

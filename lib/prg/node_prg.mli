@@ -10,11 +10,18 @@
     Each coefficient is a [k]-byte big-endian word of the keystream,
     with [k] the fewest bytes covering [q], kept when below the largest
     multiple of [q] that fits and then reduced mod [q].  The draw runs
-    on {!Sampler}, which generates the blocks lazily (two for q = 83)
-    and allocates only the output; the stream, including the
-    first-refill re-read documented there, is pinned bit for bit by
+    on {!Sampler}, which reads the keystream strictly forward, each
+    byte once, generates the blocks lazily (two for q = 83) and
+    allocates only the output.  The stream is pinned bit for bit by
     digests in the test suite, because every stored server share
     depends on it. *)
+
+val cipher : seed:Seed.t -> pre:int -> tag:string -> Chacha20.t
+(** The ChaCha20 stream of node [pre] under [seed]: the nonce is [pre]
+    as 8 little-endian bytes followed by the 4-byte domain [tag]
+    (["poly"] for the share coefficients here; [Secshare_core.Numeric]
+    uses ["nval"] and ["ndea"]), so every use of the seed reads its own
+    stream. *)
 
 val client_poly :
   ring:Secshare_poly.Ring.t -> seed:Seed.t -> pre:int -> Secshare_poly.Cyclic.t

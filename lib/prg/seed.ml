@@ -77,10 +77,21 @@ let load path =
   | contents -> of_hex contents
   | exception Sys_error msg -> Error msg
 
-let save path t =
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o600 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_hex t ^ "\n"))
+(* [Filename.temp_file] creates the file with permissions 0o600, and
+   the rename replaces [path] whole, mode included. *)
+let write_secret_file path contents =
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path) (Filename.basename path) ".tmp"
+  in
+  match
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc contents);
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+
+let save path t = write_secret_file path (to_hex t ^ "\n")
 
 let equal a b = Bytes.equal a b

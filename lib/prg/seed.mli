@@ -35,6 +35,13 @@ val load : string -> (t, string) result
     ignored). *)
 
 val save : string -> t -> unit
-(** Write a seed file with permissions 0o600. *)
+(** Write a seed file through {!write_secret_file}. *)
+
+val write_secret_file : string -> string -> unit
+(** [write_secret_file path contents] writes a client secret (the seed
+    file, the tag map) readable by its owner only: [contents] go to a
+    fresh 0o600 file in [path]'s directory, which is then renamed over
+    [path], so an existing file's wider mode never survives.
+    @raise Sys_error if the directory cannot be written. *)
 
 val equal : t -> t -> bool

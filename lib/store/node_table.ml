@@ -307,8 +307,9 @@ let[@init_path
       let pager_result =
         match Pager.open_file ?cache_pages ~recovery:recovering path with
         | Ok _ as ok -> ok
-        | Error _ as e when not recovering -> e
-        | Error _ -> (
+        | Error (Pager.Retired msg) -> Error msg
+        | Error (Pager.Unreadable msg) when not recovering -> Error msg
+        | Error (Pager.Unreadable _) -> (
             (* The heap file is unreadable (missing, empty, or torn
                header) while the log holds records.  A completed
                checkpoint always leaves a durable valid heap header

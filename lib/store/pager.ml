@@ -12,7 +12,14 @@ let obs_fsyncs =
 
 let default_page_size = 8192
 let header_size = 64
-let file_magic = "SSDBPAG1"
+let file_magic = "SSDBPAG2"
+
+(* The format before the sampler read each keystream byte once: its
+   shares no longer match the client stream, so it is refused, never
+   decoded or rebuilt. *)
+let retired_magic = "SSDBPAG1"
+
+type open_error = Unreadable of string | Retired of string
 
 type cache_entry = { page : Page.t; mutable dirty : bool; mutable last_used : int }
 
@@ -124,14 +131,21 @@ let create_file ?(page_size = default_page_size) ?(cache_pages = 256) path =
 
 let open_file ?(cache_pages = 256) ?(recovery = false) path =
   match Unix.openfile path [ Unix.O_RDWR ] 0o644 with
-  | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
+  | exception Unix.Unix_error (err, _, _) -> Error (Unreadable (Unix.error_message err))
   | fd -> (
       let hdr = Bytes.create header_size in
       let n = Unix.read fd hdr 0 header_size in
-      if n <> header_size || not (String.equal (Bytes.sub_string hdr 0 8) file_magic)
-      then begin
+      let magic = Bytes.sub_string hdr 0 (min n 8) in
+      if String.equal magic retired_magic then begin
         Unix.close fd;
-        Error "not a page file (bad header)"
+        Error
+          (Retired
+             "page file in the retired SSDBPAG1 format, whose shares follow the \
+              first-refill sampler: re-encode the document")
+      end
+      else if n <> header_size || not (String.equal magic file_magic) then begin
+        Unix.close fd;
+        Error (Unreadable "not a page file (bad header)")
       end
       else begin
         let psize = Int32.to_int (Bytes.get_int32_le hdr 8) in
@@ -141,8 +155,9 @@ let open_file ?(cache_pages = 256) ?(recovery = false) path =
         if actual < expected && not recovery then begin
           Unix.close fd;
           Error
-            (Printf.sprintf "torn page file: %d bytes, header promises %d" actual
-               expected)
+            (Unreadable
+               (Printf.sprintf "torn page file: %d bytes, header promises %d" actual
+                  expected))
         end
         else
           (* [recovery] tolerates a short file: the caller is about to

@@ -26,12 +26,24 @@ val create_file : ?page_size:int -> ?cache_pages:int -> string -> t
 (** Create (truncate) a page file.  [cache_pages] bounds the buffer
     pool (default 256). *)
 
-val open_file : ?cache_pages:int -> ?recovery:bool -> string -> (t, string) result
+(** Why {!open_file} failed. *)
+type open_error =
+  | Unreadable of string
+      (** The file is missing, its header is not a page-file header,
+          or it is shorter than its header promises. *)
+  | Retired of string
+      (** The header carries the magic of the retired format
+          ([SSDBPAG1]), whose shares follow the sampler that re-read
+          keystream bytes; the message says to re-encode.  Such a file
+          is refused and left untouched: never decoded, never rebuilt
+          from a log. *)
+
+val open_file : ?cache_pages:int -> ?recovery:bool -> string -> (t, open_error) result
 (** Open an existing page file; the page size is recovered from the
-    file header.  Fails on a bad header or torn page file.
-    [~recovery:true] tolerates a file shorter than its header promises
-    — the caller (WAL recovery) is about to [install_page] logged
-    images over the damage before anything reads it. *)
+    file header.  Fails on a bad or retired header or a torn page
+    file.  [~recovery:true] tolerates a file shorter than its header
+    promises — the caller (WAL recovery) is about to [install_page]
+    logged images over the damage before anything reads it. *)
 
 val page_size : t -> int
 val page_count : t -> int

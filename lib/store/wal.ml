@@ -1,7 +1,7 @@
 module Obs = Secshare_obs
 
 (* File layout:
-     8 bytes   magic "SSDBWAL2"
+     8 bytes   magic "SSDBWAL3"
      records   u32 payload length | u32 crc32(payload) | payload
 
    Payload encodings (all little-endian):
@@ -11,8 +11,12 @@ module Obs = Secshare_obs
      kind 3  Commit      u8 kind, u64 lsn
      kind 4  Checkpoint  u8 kind, u64 lsn *)
 
-let magic = "SSDBWAL2"
+let magic = "SSDBWAL3"
 let header_len = String.length magic
+
+(* The log of the retired format (see [Pager.retired_magic]): refused
+   before any record is read or the file is touched. *)
+let retired_magic = "SSDBWAL2"
 
 (* Shares live in page cells whose length field is u16; the log field
    is u32 so the format never truncates, and appends reject anything a
@@ -203,6 +207,10 @@ let scan path =
   | contents ->
       let len = String.length contents in
       if len > 0 && len < header_len then Error "wal file shorter than its header"
+      else if String.starts_with ~prefix:retired_magic contents then
+        Error
+          "write-ahead log in the retired SSDBWAL2 format, whose shares follow the \
+           first-refill sampler: re-encode the document"
       else if len >= header_len && not (String.equal (String.sub contents 0 header_len) magic)
       then Error "not a wal file (bad magic)"
       else begin

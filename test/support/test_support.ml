@@ -73,6 +73,31 @@ let digest_tables tables =
     tables;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* [sub] occurs somewhere in [s]. *)
+let contains ~sub s =
+  let n = String.length sub and len = String.length s in
+  let rec go i = i + n <= len && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Overwrite the first bytes of [path] with [magic], in place: this
+   build's page file or log stamped with a retired format's magic. *)
+let stamp path magic =
+  Out_channel.with_open_gen [ Open_wronly; Open_binary ] 0 path (fun oc ->
+      output_string oc magic)
+
+(* A write-ahead log at [path] in the retired format (magic
+   [SSDBWAL2]) holding one row record. *)
+let retired_log path =
+  let log = Secshare_store.Wal.create path in
+  (match
+     Secshare_store.Wal.append_row log
+       { Secshare_store.Page.pre = 1; post = 1; parent = 0; share = Bytes.empty }
+   with
+  | Ok () -> ()
+  | Error _ -> failwith "append_row refused an empty share");
+  Secshare_store.Wal.close log;
+  stamp path "SSDBWAL2"
+
 let pres_of_metas metas =
   List.map (fun (m : Secshare_rpc.Protocol.node_meta) -> m.Secshare_rpc.Protocol.pre) metas
 

@@ -27,11 +27,6 @@ let check = Alcotest.check
 let qtest ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let contains ~sub s =
-  let n = String.length sub and len = String.length s in
-  let rec go i = i + n <= len && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let value_eq a b =
   match (a, b) with
   | QC.Count a, QC.Count b -> a = b
@@ -398,7 +393,7 @@ let test_non_aggregatable_rejected_client_side () =
           check Alcotest.bool
             (Printf.sprintf "clear admission error (got %S)" e)
             true
-            (contains ~sub:"not aggregatable" e));
+            (Test_support.contains ~sub:"not aggregatable" e));
       check Alcotest.int "refused with zero RPCs" calls0
         (DB.rpc_counters db).Transport.calls;
       (* count() never needs the numeric column, so it still works *)

@@ -216,6 +216,35 @@ let test_query_refuses () =
           check_absent ~what dir [ "q.jsonl" ])
         bad_fields)
 
+(* A database in the retired format (this build's file with
+   "SSDBPAG1" stamped over its first 8 bytes), alone and then next to a
+   retired log holding a record: ssdb_query --db and ssdb_server --db
+   refuse it as they refuse a bad header, with the message naming the
+   retired format, and leave both files untouched. *)
+let test_retired_database_refused () =
+  with_encoded (fun dir ->
+      let db = Filename.concat dir "c.db" in
+      let wal = db ^ ".wal" in
+      let refused ~files message =
+        let before = List.map read_file files in
+        expect_refusal ~what:"ssdb_query --db" ~dir "ssdb_query"
+          [ "--db"; "c.db"; "--map"; "c.map"; "--seed"; "c.seed"; "//item" ]
+          message;
+        expect_refusal ~what:"ssdb_server --db" ~dir "ssdb_server"
+          [ "--db"; "c.db"; "--socket"; "s.sock" ]
+          message;
+        check_absent ~what:"ssdb_server --db" dir [ "s.sock" ];
+        check Alcotest.(list string) "files untouched" before (List.map read_file files)
+      in
+      Test_support.stamp db "SSDBPAG1";
+      refused ~files:[ db ]
+        "database: page file in the retired SSDBPAG1 format, whose shares follow the \
+         first-refill sampler: re-encode the document";
+      Test_support.retired_log wal;
+      refused ~files:[ db; wal ]
+        "database: wal: write-ahead log in the retired SSDBWAL2 format, whose shares \
+         follow the first-refill sampler: re-encode the document")
+
 let test_gen_refuses_small_targets () =
   with_dir (fun dir ->
       List.iter
@@ -244,6 +273,11 @@ let () =
         [
           Alcotest.test_case "a refused encode leaves no file" `Quick
             test_encode_failure_leaves_nothing;
+        ] );
+      ( "retired format",
+        [
+          Alcotest.test_case "ssdb_query and ssdb_server refuse it" `Quick
+            test_retired_database_refused;
         ] );
       ( "ssdb_gen",
         [

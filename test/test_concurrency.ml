@@ -382,13 +382,8 @@ let test_witness_flags_seeded_race () =
       match Race_check.reports () with
       | [] -> Alcotest.fail "seeded race produced no report"
       | report :: _ ->
-          let contains hay needle =
-            let nh = String.length hay and nn = String.length needle in
-            let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-            go 0
-          in
           check Alcotest.bool "report names the seeded root" true
-            (contains report "seeded.root"))
+            (Test_support.contains ~sub:"seeded.root" report))
 
 let () =
   Alcotest.run "concurrency"

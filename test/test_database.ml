@@ -82,6 +82,57 @@ let test_bundle_shares_public () =
             (pres (DB.result_nodes r));
           DB.close hijacked)
 
+(* A bundle whose shares table carries the retired format's magic
+   (this build's file with "SSDBPAG1" stamped over its first 8 bytes),
+   first alone and then next to a retired log holding a record: the
+   open names the retired format and touches neither file. *)
+let test_bundle_retired_format () =
+  with_temp_dir (fun dir ->
+      let db = sample_db () in
+      (match DB.save_bundle db ~dir with Ok () -> () | Error e -> Alcotest.fail e);
+      let shares = Filename.concat dir "shares.db" in
+      let wal = shares ^ ".wal" in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let expect_refusal what ~names files =
+        let before = List.map read files in
+        (match DB.open_bundle ~dir () with
+        | Ok _ -> Alcotest.failf "%s: opened" what
+        | Error msg ->
+            List.iter
+              (fun sub ->
+                check Alcotest.bool
+                  (Printf.sprintf "%s: %S names %s" what msg sub)
+                  true
+                  (Test_support.contains ~sub msg))
+              [ names; "first-refill sampler"; "re-encode" ]);
+        check Alcotest.(list string) (what ^ ": files untouched") before (List.map read files)
+      in
+      Test_support.stamp shares "SSDBPAG1";
+      expect_refusal "retired shares" ~names:"SSDBPAG1" [ shares ];
+      Test_support.retired_log wal;
+      expect_refusal "retired shares and log" ~names:"SSDBWAL2" [ shares; wal ])
+
+(* The seed and the map are client secrets: saving a bundle over
+   world-readable ones leaves both readable by their owner only. *)
+let test_bundle_secrets_private () =
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let secrets = [ "client.seed"; "client.map" ] in
+      List.iter
+        (fun name ->
+          let path = Filename.concat dir name in
+          Out_channel.with_open_bin path (fun oc -> output_string oc "stale\n");
+          Unix.chmod path 0o644)
+        secrets;
+      (match DB.save_bundle (sample_db ()) ~dir with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      List.iter
+        (fun name ->
+          check Alcotest.int (name ^ " mode") 0o600
+            ((Unix.stat (Filename.concat dir name)).Unix.st_perm land 0o777))
+        secrets)
+
 let test_rpc_batching_equivalence () =
   let doc = Secshare_xmark.Generate.generate ~factor:0.4 () in
   let mk rpc_mode =
@@ -164,17 +215,11 @@ let test_field_order_overflow_rejected () =
   List.iter
     (fun e ->
       let config = { DB.default_config with e; seed = Some Test_support.test_seed } in
-      let contains_bound msg =
-        let needle = "bound" in
-        let n = String.length needle and len = String.length msg in
-        let rec scan i = i + n <= len && (String.sub msg i n = needle || scan (i + 1)) in
-        scan 0
-      in
       match DB.create_tree ~config tree with
       | Error msg ->
           check Alcotest.bool
             (Printf.sprintf "e = %d names the bound: %s" e msg)
-            true (contains_bound msg)
+            true (Test_support.contains ~sub:"bound" msg)
       | Ok _ -> Alcotest.failf "e = %d accepted despite overflow" e)
     [ 4; 20; 40 ];
   (* a sane extension degree still works *)
@@ -198,6 +243,9 @@ let () =
           Alcotest.test_case "missing directory" `Quick test_bundle_missing_dir;
           Alcotest.test_case "corrupt config" `Quick test_bundle_corrupt_config;
           Alcotest.test_case "shares alone are useless" `Quick test_bundle_shares_public;
+          Alcotest.test_case "retired format refused" `Quick test_bundle_retired_format;
+          Alcotest.test_case "secrets readable by the owner only" `Quick
+            test_bundle_secrets_private;
         ] );
       ( "batching",
         [ Alcotest.test_case "batched = unbatched" `Quick test_rpc_batching_equivalence ] );

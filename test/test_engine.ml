@@ -134,7 +134,12 @@ let engine_reference_suite =
       ])
     (List.concat_map
        (fun field -> List.map (fun engine -> (field, engine)) engines)
-       [ ("", 83, 1, None); ("F_257 ", 257, 1, Some 20); ("F_81 ", 3, 4, Some 20) ])
+       [
+         ("", 83, 1, None);
+         ("F_257 ", 257, 1, Some 20);
+         ("F_81 ", 3, 4, Some 20);
+         ("F_131 ", 131, 1, Some 20);
+       ])
 
 let cross_engine_suite =
   [

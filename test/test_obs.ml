@@ -17,11 +17,6 @@ module Transport = Secshare_rpc.Transport
 module Protocol = Secshare_rpc.Protocol
 module Flaky = Test_support.Flaky
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let must = function Ok v -> v | Error m -> Alcotest.fail m
 
 (* --- histograms --------------------------------------------------- *)
@@ -99,7 +94,7 @@ let test_render_wellformed () =
   Histogram.observe h 0.01;
   let text = Registry.render r in
   let check_has what needle =
-    Alcotest.(check bool) what true (contains text needle)
+    Alcotest.(check bool) what true (Test_support.contains ~sub:needle text)
   in
   check_has "counter HELP" "# HELP t_requests_total Requests handled.";
   check_has "counter TYPE" "# TYPE t_requests_total counter";
@@ -273,7 +268,7 @@ let test_trace_log_jsonl () =
       Alcotest.(check bool) "JSON object shape" true
         (String.length line > 1 && line.[0] = '{' && line.[String.length line - 1] = '}');
       Alcotest.(check bool) "carries the trace id" true
-        (contains line (Span.trace_id_to_hex tid)))
+        (Test_support.contains ~sub:(Span.trace_id_to_hex tid) line))
     lines
 
 (* --- the metrics endpoint ----------------------------------------- *)
@@ -337,7 +332,7 @@ let test_metrics_endpoint_live () =
         (fun () ->
           let port = Obs.Metrics_http.port http in
           let body = http_get port "/metrics" in
-          Alcotest.(check bool) "200" true (contains body "200");
+          Alcotest.(check bool) "200" true (Test_support.contains ~sub:"200" body);
           let type_lines =
             List.filter
               (fun l ->
@@ -350,11 +345,13 @@ let test_metrics_endpoint_live () =
             true
             (List.length type_lines >= 12);
           let health = http_get port "/healthz" in
-          Alcotest.(check bool) "healthy" true (contains health "ok");
+          Alcotest.(check bool) "healthy" true (Test_support.contains ~sub:"ok" health);
           healthy := false;
           let drained = http_get port "/healthz" in
-          Alcotest.(check bool) "503 while draining" true (contains drained "503");
-          Alcotest.(check bool) "draining body" true (contains drained "draining")))
+          Alcotest.(check bool) "503 while draining" true
+            (Test_support.contains ~sub:"503" drained);
+          Alcotest.(check bool) "draining body" true
+            (Test_support.contains ~sub:"draining" drained)))
 
 let test_metrics_handler_reaping () =
   (* a long-lived endpoint must not accumulate one dead Thread.t per
@@ -368,7 +365,7 @@ let test_metrics_handler_reaping () =
       let scrapes = 50 in
       for _ = 1 to scrapes do
         let body = http_get port "/metrics" in
-        Alcotest.(check bool) "scrape ok" true (contains body "200")
+        Alcotest.(check bool) "scrape ok" true (Test_support.contains ~sub:"200" body)
       done;
       (* each handler reaps itself just after writing its response; give
          the last few a moment to get there *)
@@ -417,17 +414,19 @@ let test_slow_query_redaction () =
         (fun () ->
           ignore (must (DB.query db "/alpha/beta"));
           ignore (must (DB.query db "//gamma"))));
-  let slow_lines = List.filter (fun m -> contains m "slow-query") !captured in
+  let slow_lines = List.filter (Test_support.contains ~sub:"slow-query") !captured in
   Alcotest.(check bool) "slow-query lines were emitted" true (slow_lines <> []);
   List.iter
     (fun line ->
       List.iter
         (fun tag ->
-          Alcotest.(check bool) ("no tag name leaks: " ^ tag) false (contains line tag))
+          Alcotest.(check bool) ("no tag name leaks: " ^ tag) false
+            (Test_support.contains ~sub:tag line))
         Test_support.small_tags;
       List.iter
         (fun field ->
-          Alcotest.(check bool) ("has " ^ field) true (contains line field))
+          Alcotest.(check bool) ("has " ^ field) true
+            (Test_support.contains ~sub:field line))
         [ "trace="; "ops="; "batches="; "rows="; "bytes="; "duration_ms="; "reason=" ])
     slow_lines
 

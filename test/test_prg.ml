@@ -323,10 +323,12 @@ let test_client_poly_matches_coefficients () =
 
 (* --- the PRG stream, pinned bit for bit ---------------------------- *)
 
-(* Digests of the coefficient and numeric streams, computed before the
-   sampler was rewritten.  Any change to the keystream, the rejection
-   rule, or the first-refill re-read below changes every stored share,
-   so these must never be regenerated to make a test pass. *)
+(* Digests of the coefficient and numeric streams.  Any change to the
+   keystream, the nonce or the rejection rule changes every stored
+   share, so these must never be regenerated to make a test pass.  All
+   but two were computed before the sampler was rewritten; q = 129 and
+   q = 32769 were re-pinned once, when the sampler stopped re-reading
+   keystream bytes (see [test_sampler_every_q]). *)
 
 let digest_ints arrays =
   Digest.to_hex
@@ -338,17 +340,15 @@ let digest_ints arrays =
 
 let golden_pres = [ 0; 7; 4242 ]
 
-let node_prg_digest q =
+let node_prg_digest draw q =
   digest_ints
     (List.concat_map
        (fun pre ->
-         List.map
-           (fun count -> Node_prg.coefficients ~seed:seed_a ~pre ~q ~count)
-           [ 1; 40; 82; 500 ])
+         List.map (fun count -> draw ~seed:seed_a ~pre ~q ~count) [ 1; 40; 82; 500 ])
        golden_pres)
 
-(* q = 129 and q = 32769 reject about half their draws, so they reach
-   the first refill at every count *)
+(* q = 129 and q = 32769 reject about half their draws, so they read
+   past the old sampler's first chunk at every count *)
 let node_prg_golden =
   [
     (2, "f8d753a9e98084d84e587aefe25a0854");
@@ -356,16 +356,73 @@ let node_prg_golden =
     (29, "551a706932da0ea47bc81f395ca52ff1");
     (81, "726ee01aaf7d34d7ac32af51acedc4eb");
     (83, "c97de23f3042a4c495061389fdd2bba8");
-    (129, "818b63bdf20224898d26ee8aa37769bc");
+    (129, "f5e7c6d8b02c863cd6dbd0bb94cf4242");
     (257, "338d8572562f8537479ac04d068514ee");
     (1021, "832ad9135b9659a16542880d5a4caf1b");
-    (32769, "5f2d4e3f3d9f10f881eaa7855d247d55");
+    (32769, "3bf70c1d31b5dd6473f0a13c770b7fb5");
   ]
 
+(* The sampler's specification, written without its code: the
+   keystream of [(seed, pre, tag)] as [Chacha.keystream] hands it out,
+   from block 0, each byte read once.  Returns the byte reader and a
+   count of the bytes read so far. *)
+let forward_stream ~seed ~pre ~tag =
+  let key = Seed.to_bytes seed in
+  let nonce = Bytes.make Chacha.nonce_length '\000' in
+  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
+  Bytes.blit_string tag 0 nonce 8 4;
+  let block = ref Bytes.empty and read = ref 0 in
+  let next () =
+    if !read mod 64 = 0 then
+      block := Chacha.keystream ~key ~nonce ~counter:(!read / 64) 64;
+    let b = Bytes.get_uint8 !block (!read mod 64) in
+    incr read;
+    b
+  in
+  (next, fun () -> !read)
+
+(* Coefficients in [0, q): the next [k] bytes as a big-endian word, [k]
+   the fewest bytes covering [q], kept below the largest multiple of
+   [q] under [256^k] and reduced mod [q].  Also returns the bytes
+   read. *)
+let forward_coefficients ~seed ~pre ~q ~count =
+  let next, read = forward_stream ~seed ~pre ~tag:"poly" in
+  let k = if q <= 256 then 1 else if q <= 65536 then 2 else 3 in
+  let cap = 1 lsl (8 * k) in
+  let rec draw () =
+    let v = ref 0 in
+    for _ = 1 to k do
+      v := (!v lsl 8) lor next ()
+    done;
+    if !v < cap - (cap mod q) then !v mod q else draw ()
+  in
+  let coeffs = Array.init count (fun _ -> draw ()) in
+  (coeffs, read ())
+
+let forward ~seed ~pre ~q ~count = fst (forward_coefficients ~seed ~pre ~q ~count)
+
+(* Elements of F_M, M = 2^61 - 1: the next 8 bytes as a little-endian
+   word, masked to 61 bits, kept below M. *)
+let forward_numeric ~seed ~pre ~tag ~count =
+  let next, _ = forward_stream ~seed ~pre ~tag in
+  let rec draw () =
+    let v = ref 0 in
+    for j = 0 to 7 do
+      v := !v lor (next () lsl (8 * j))
+    done;
+    let v = !v land Numeric.modulus in
+    if v < Numeric.modulus then v else draw ()
+  in
+  Array.init count (fun _ -> draw ())
+
+(* The pins hold for the sampler and for its forward transcription. *)
 let test_node_prg_golden () =
   List.iter
     (fun (q, expected) ->
-      check Alcotest.string (Printf.sprintf "q=%d" q) expected (node_prg_digest q))
+      check Alcotest.string (Printf.sprintf "q=%d" q) expected
+        (node_prg_digest Node_prg.coefficients q);
+      check Alcotest.string (Printf.sprintf "q=%d, forward stream" q) expected
+        (node_prg_digest forward q))
     node_prg_golden
 
 let test_numeric_golden () =
@@ -380,70 +437,52 @@ let test_numeric_golden () =
               [ 1; 2; 5; 40 ])
           golden_pres))
 
-(* The sampler as it stood before the rewrite, over the public
-   keystream: draw [2 * count * k] bytes up front, then refill 256
-   bytes at a time from block [len / 64] — re-reading the tail of the
-   first chunk when its length is not a multiple of 64. *)
-let reference_draw ~seed ~pre ~q ~count =
-  let k =
-    let rec go k cap = if cap >= q then k else go (k + 1) (cap * 256) in
-    go 1 256
-  in
-  let cap = 1 lsl (8 * k) in
-  let accept_below = cap - (cap mod q) in
-  let key = Seed.to_bytes seed in
-  let nonce = Bytes.make Chacha.nonce_length '\000' in
-  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
-  Bytes.blit_string "poly" 0 nonce 8 4;
-  let buf = ref (Chacha.keystream ~key ~nonce ~counter:0 (max 64 (count * k * 2))) in
-  let pos = ref 0 in
-  let next_counter = ref (Bytes.length !buf / 64) in
-  let rec draw () =
-    if !pos + k > Bytes.length !buf then begin
-      buf := Bytes.cat !buf (Chacha.keystream ~key ~nonce ~counter:!next_counter 256);
-      next_counter := !next_counter + 4
-    end;
-    let v = ref 0 in
-    for i = 0 to k - 1 do
-      v := (!v lsl 8) lor Bytes.get_uint8 !buf (!pos + i)
-    done;
-    pos := !pos + k;
-    if !v < accept_below then !v mod q else draw ()
-  in
-  let coeffs = Array.init count (fun _ -> draw ()) in
-  (coeffs, !pos)
-
-let reference_coefficients ~seed ~pre ~q ~count =
-  fst (reference_draw ~seed ~pre ~q ~count)
-
-(* Every one-byte field order, at the ring dimension q - 1 the client
-   shares use: the block-at-a-time sampler equals the old sampler for
-   200 pres each.  Where the first chunk (2 * (q - 1) bytes) is not a
-   whole number of blocks and the draws run past it, the old sampler
-   re-read the head of the last block; the test also counts those
-   draws, so the rewind is known to have been exercised (with this
-   seed it fires for q = 130 .. 144; q = 129's first chunk of 256 bytes
-   is whole blocks, so its refill re-reads nothing). *)
-let test_byte_sampler_every_q () =
-  let rewound = Array.make 257 0 in
-  for q = 2 to 256 do
-    let count = q - 1 in
-    let first_chunk = max 64 (count * 2) in
-    for pre = 0 to 199 do
-      let expected, consumed = reference_draw ~seed:seed_a ~pre ~q ~count in
-      if Node_prg.coefficients ~seed:seed_a ~pre ~q ~count <> expected then
-        Alcotest.failf "q=%d pre=%d: sampler differs from the old sampler" q pre;
-      if first_chunk mod 64 <> 0 && consumed > first_chunk then
-        rewound.(q) <- rewound.(q) + 1
-    done
+(* Every field order from 2 to 1100 (one- and two-byte words, every
+   rejection rate between), at the ring dimension q - 1 the client
+   shares use and at 3q/2, 20 pres each: the sampler equals the forward
+   transcription.  The sampler before the rewrite drew [2 * count * k]
+   bytes, then refilled from the start of the block that prefix ended
+   in, reading its head a second time; the test counts the draws that
+   ran past such a mid-block prefix, so the stream where the two
+   samplers differ is known to be covered (with this seed it is, at
+   q = 131 and q = 137 among others). *)
+let test_sampler_every_q () =
+  let overran = Array.make 1101 0 in
+  for q = 2 to 1100 do
+    List.iter
+      (fun count ->
+        for pre = 0 to 19 do
+          let expected, read = forward_coefficients ~seed:seed_a ~pre ~q ~count in
+          if Node_prg.coefficients ~seed:seed_a ~pre ~q ~count <> expected then
+            Alcotest.failf "q=%d count=%d pre=%d: sampler differs from the forward stream"
+              q count pre;
+          let prefix = max 64 (2 * count * if q <= 256 then 1 else 2) in
+          if prefix mod 64 <> 0 && read > prefix then overran.(q) <- overran.(q) + 1
+        done)
+      [ q - 1; 3 * q / 2 ]
   done;
   List.iter
     (fun q ->
       check Alcotest.bool
-        (Printf.sprintf "q=%d: the rewind fired" q)
+        (Printf.sprintf "q=%d: draws ran past a mid-block prefix" q)
         true
-        (rewound.(q) > 0))
-    [ 131; 137 ]
+        (overran.(q) > 0))
+    [ 131; 137 ];
+  for pre = 0 to 199 do
+    check Alcotest.int (Printf.sprintf "blind pre=%d" pre)
+      (forward_numeric ~seed:seed_a ~pre ~tag:"nval" ~count:1).(0)
+      (Numeric.blind ~seed:seed_a ~pre)
+  done;
+  for pre = 0 to 19 do
+    List.iter
+      (fun count ->
+        check
+          Alcotest.(array int)
+          (Printf.sprintf "dealer_draws pre=%d count=%d" pre count)
+          (forward_numeric ~seed:seed_a ~pre ~tag:"ndea" ~count)
+          (Numeric.dealer_draws ~seed:seed_a ~pre ~count))
+      [ 0; 1; 2; 3; 8; 9; 40; 100 ]
+  done
 
 let gen_seed =
   QCheck2.Gen.(map (fun s -> Seed.of_bytes (Bytes.of_string s)) (string_size (return 32)))
@@ -454,10 +493,9 @@ let sampler_matches_reference ~ring name =
     (name ^ ": client_poly = reference sampler")
     QCheck2.Gen.(triple gen_seed (int_range 0 1_000_000) (int_range 0 (3 * q)))
     (fun (seed, pre, count) ->
-      Node_prg.coefficients ~seed ~pre ~q ~count
-      = reference_coefficients ~seed ~pre ~q ~count
+      Node_prg.coefficients ~seed ~pre ~q ~count = forward ~seed ~pre ~q ~count
       && Secshare_poly.Cyclic.to_int_array (Node_prg.client_poly ~ring ~seed ~pre)
-         = reference_coefficients ~seed ~pre ~q ~count:ring.Secshare_poly.Ring.n)
+         = forward ~seed ~pre ~q ~count:ring.Secshare_poly.Ring.n)
 
 let () =
   Alcotest.run "prg"
@@ -511,8 +549,8 @@ let () =
         [
           Alcotest.test_case "coefficient digests" `Quick test_node_prg_golden;
           Alcotest.test_case "numeric digests" `Quick test_numeric_golden;
-          Alcotest.test_case "byte sampler = old sampler, q = 2 .. 256" `Quick
-            test_byte_sampler_every_q;
+          Alcotest.test_case "sampler = forward stream at small q" `Quick
+            test_sampler_every_q;
           sampler_matches_reference ~ring:(Secshare_poly.Ring.of_prime ~p:83) "F83";
           sampler_matches_reference ~ring:(Secshare_poly.Ring.of_prime_power ~p:3 ~e:4) "GF81";
         ] );

@@ -30,11 +30,6 @@ let qtest ?(count = 15) name gen prop =
 let ring = Ring.of_prime ~p:83
 let pres = Test_support.pres_of_metas
 
-let contains ~sub s =
-  let n = String.length sub and len = String.length s in
-  let rec go i = i + n <= len && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (* --- manifest --- *)
 
 let m0 =
@@ -557,7 +552,7 @@ let test_below_threshold_fails_cleanly () =
               check Alcotest.bool
                 (Printf.sprintf "clean unavailable error (got %S)" e)
                 true
-                (contains ~sub:"unavailable" e)))
+                (Test_support.contains ~sub:"unavailable" e)))
 
 let test_app_error_propagates () =
   let d = make_deployment xmark_tree in
@@ -575,7 +570,7 @@ let test_app_error_propagates () =
               check Alcotest.bool
                 (Printf.sprintf "error propagated verbatim (got %S)" e)
                 true
-                (contains ~sub:"injected application error" e);
+                (Test_support.contains ~sub:"injected application error" e);
               check Alcotest.int "the shard is still considered live" 3
                 (Router.live_shards d.router)))
 
@@ -679,7 +674,7 @@ let expect_router_error ~what ?naming d request =
       Option.iter
         (fun sub ->
           check Alcotest.bool (Printf.sprintf "%s: %S names %s" what msg sub) true
-            (contains ~sub msg))
+            (Test_support.contains ~sub msg))
         naming
   | r -> Alcotest.failf "%s: expected an error, got %a" what Protocol.pp_response r
 

@@ -114,7 +114,7 @@ let test_pager_file_roundtrip () =
       done;
       Pager.close pager;
       match Pager.open_file ~cache_pages:4 path with
-      | Error e -> Alcotest.fail e
+      | Error (Pager.Unreadable e | Pager.Retired e) -> Alcotest.fail e
       | Ok pager' ->
           check Alcotest.int "page count" 10 (Pager.page_count pager');
           for i = 9 downto 0 do
@@ -129,7 +129,8 @@ let test_pager_rejects_garbage () =
   with_temp_file (fun path ->
       Out_channel.with_open_bin path (fun oc -> output_string oc "not a page file at all");
       match Pager.open_file path with
-      | Error _ -> ()
+      | Error (Pager.Unreadable _) -> ()
+      | Error (Pager.Retired e) -> Alcotest.failf "garbage read as the retired format: %s" e
       | Ok _ -> Alcotest.fail "garbage accepted")
 
 (* --- the runtime lock witness (SSDB_RACE_CHECK) --- *)
@@ -659,6 +660,55 @@ let test_heap_rebuilt_from_wal_alone () =
             (pres (Node_table.children t' ~parent:1));
           Node_table.close t')
 
+(* A table written before the sampler read each keystream byte once:
+   this build's files with the retired magic stamped over their first
+   8 bytes (the headers are otherwise unchanged).  Its shares no longer
+   match the client stream, so every open refuses it by name and
+   leaves both files byte for byte as they were, even when the log
+   holds records, which for an unreadable heap would have it rebuilt
+   from the log. *)
+let test_retired_format_refused () =
+  with_temp_file (fun path ->
+      let read () =
+        List.map
+          (fun p ->
+            if Sys.file_exists p then In_channel.with_open_bin p In_channel.input_all
+            else "(absent)")
+          [ path; path ^ ".wal" ]
+      in
+      let t = Node_table.create_file ~page_size:512 ~durable:true path in
+      List.iter (Node_table.insert t) sample_rows;
+      Node_table.close t;
+      (* two more acknowledged rows, never checkpointed: the log holds
+         records *)
+      let t = Result.get_ok (Node_table.open_file ~durable:true path) in
+      List.iter (Node_table.insert t) [ row 6 6 1 "e"; row 7 7 1 "f" ];
+      let expect_refusal what ~names =
+        let before = read () in
+        List.iter
+          (fun durable ->
+            match Node_table.open_file ~durable path with
+            | Ok _ -> Alcotest.failf "%s: opened" what
+            | Error msg ->
+                List.iter
+                  (fun sub ->
+                    check Alcotest.bool
+                      (Printf.sprintf "%s: %S names %s" what msg sub)
+                      true
+                      (Test_support.contains ~sub msg))
+                  [ names; "first-refill sampler"; "re-encode" ])
+          [ false; true ];
+        check Alcotest.(list string) (what ^ ": files untouched") before (read ())
+      in
+      Test_support.stamp path "SSDBPAG1";
+      expect_refusal "retired heap, current log with records" ~names:"SSDBPAG1";
+      Test_support.stamp (path ^ ".wal") "SSDBWAL2";
+      expect_refusal "retired heap and log with records" ~names:"SSDBWAL2";
+      Out_channel.with_open_bin (path ^ ".wal") (fun _ -> ());
+      expect_refusal "retired heap, empty log" ~names:"SSDBPAG1";
+      Sys.remove (path ^ ".wal");
+      expect_refusal "retired heap, no log" ~names:"SSDBPAG1")
+
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_recovery_tolerates_hole_pages () =
@@ -1137,6 +1187,8 @@ let () =
             test_recovery_unix_errors_do_not_leak_fds;
           Alcotest.test_case "no fd leak on failed opens" `Quick
             test_no_fd_leak_on_failed_opens;
+          Alcotest.test_case "retired format refused, files untouched" `Quick
+            test_retired_format_refused;
         ] );
       ( "race witness",
         [

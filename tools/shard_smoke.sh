@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the sharded serving path with real processes:
+# End-to-end smoke of the sharded serving path with real processes.
+# It generates one XMark document, then runs the whole sequence below
+# at p = 83 and again at p = 131, a field where the rejection sampler
+# often reads past its first keystream blocks:
 #
-#   1. generate an XMark document, encode it twice — one single-server
-#      database and one 2-of-3 Shamir shard deployment;
+#   1. encode the document twice — one single-server database and one
+#      2-of-3 Shamir shard deployment;
 #   2. boot three shard servers and the router over Unix sockets;
 #   3. run the golden queries through the router and diff the full
 #      ssdb_query output (matches, metrics, rpc/byte counts; only the
@@ -45,47 +48,18 @@ cd "$WORK" || die "no workdir"
 log "generating document"
 "$B/ssdb_gen.exe" --size-kb 60 --factor 0.1 --seed 7 -o doc.xml >/dev/null || die "ssdb_gen"
 
-log "encoding single-server and 2-of-3 sharded databases"
-"$B/ssdb_encode.exe" doc.xml --map c.map --seed c.seed -o single.db >/dev/null 2>&1 \
-  || die "encode single"
-"$B/ssdb_encode.exe" doc.xml --map c.map --seed c.seed -o sharded.db --shards 3 -t 2 \
-  >/dev/null 2>&1 || die "encode sharded"
-
-for i in 1 2 3; do
-  "$B/ssdb_server.exe" --db "sharded.db.shard$i" --socket "s$i.sock" \
-    >"server$i.log" 2>&1 &
-  PIDS+=($!)
-  eval "SERVER${i}_PID=$!"
-  disown $!
-done
-for _ in $(seq 50); do
-  [ -S s1.sock ] && [ -S s2.sock ] && [ -S s3.sock ] && break
-  sleep 0.1
-done
-[ -S s1.sock ] || die "shard servers did not come up ($(cat server1.log))"
-
-"$B/ssdb_router.exe" --shard s1.sock --shard s2.sock --shard s3.sock \
-  --socket r.sock >router.log 2>&1 &
-PIDS+=($!)
-disown $!
-
-for _ in $(seq 50); do
-  [ -S r.sock ] && break
-  sleep 0.1
-done
-[ -S r.sock ] || die "router did not come up (router.log: $(cat router.log))"
-
 QUERIES=('/site' '/site/regions' '//item' '/site/people/person' '//keyword')
 
 # The counter line starts "time: <s> s | "; only that prefix varies.
 untimed() { sed -E 's/^time: [0-9.]+ s \| //'; }
 
+# Runs in the current p's directory; $P names the field.
 run_golden() {
-  local note=$1 q
+  local note="p = $P, $1" q
   for q in "${QUERIES[@]}"; do
-    "$B/ssdb_query.exe" --db single.db --map c.map --seed c.seed "$q" 2>&1 \
+    "$B/ssdb_query.exe" -p "$P" --db single.db --map c.map --seed c.seed "$q" 2>&1 \
       | untimed >single.out
-    "$B/ssdb_query.exe" --connect r.sock --map c.map --seed c.seed "$q" 2>&1 \
+    "$B/ssdb_query.exe" -p "$P" --connect r.sock --map c.map --seed c.seed "$q" 2>&1 \
       | untimed >routed.out
     if ! diff -u single.out routed.out >diff.out; then
       die "$note: '$q' diverged: $(head -5 diff.out)"
@@ -94,25 +68,64 @@ run_golden() {
   done
 }
 
-run_golden "3 shards live"
+for P in 83 131; do
+  mkdir "p$P" && cd "p$P" || die "no workdir for p = $P"
 
-log "SIGKILL shard 2 (pid $SERVER2_PID)"
-kill -9 "$SERVER2_PID" || die "could not kill shard 2"
-sleep 0.3
+  log "p = $P: encoding single-server and 2-of-3 sharded databases"
+  "$B/ssdb_encode.exe" ../doc.xml -p "$P" --map c.map --seed c.seed -o single.db \
+    >/dev/null 2>&1 || die "p = $P: encode single"
+  "$B/ssdb_encode.exe" ../doc.xml -p "$P" --map c.map --seed c.seed -o sharded.db \
+    --shards 3 -t 2 >/dev/null 2>&1 || die "p = $P: encode sharded"
 
-run_golden "shard 2 dead, 2-of-3 serving"
+  SERVERS=()
+  for i in 1 2 3; do
+    "$B/ssdb_server.exe" -p "$P" --db "sharded.db.shard$i" --socket "s$i.sock" \
+      >"server$i.log" 2>&1 &
+    PIDS+=($!)
+    SERVERS+=($!)
+    disown $!
+  done
+  for _ in $(seq 50); do
+    [ -S s1.sock ] && [ -S s2.sock ] && [ -S s3.sock ] && break
+    sleep 0.1
+  done
+  [ -S s1.sock ] || die "p = $P: shard servers did not come up ($(cat server1.log))"
 
-log "SIGKILL shard 3 (pid $SERVER3_PID)"
-kill -9 "$SERVER3_PID" || die "could not kill shard 3"
-sleep 0.3
+  "$B/ssdb_router.exe" -p "$P" --shard s1.sock --shard s2.sock --shard s3.sock \
+    --socket r.sock >router.log 2>&1 &
+  PIDS+=($!)
+  ROUTER=$!
+  disown $!
 
-out=$("$B/ssdb_query.exe" --connect r.sock --map c.map --seed c.seed '//item' 2>&1)
-if [ $? -eq 0 ]; then
-  die "query succeeded below the threshold: $out"
-fi
-case $out in
-  *unavailable*) log "below threshold: clean refusal ($out)" ;;
-  *) die "expected an 'unavailable' error, got: $out" ;;
-esac
+  for _ in $(seq 50); do
+    [ -S r.sock ] && break
+    sleep 0.1
+  done
+  [ -S r.sock ] || die "p = $P: router did not come up (router.log: $(cat router.log))"
+
+  run_golden "3 shards live"
+
+  log "p = $P: SIGKILL shard 2 (pid ${SERVERS[1]})"
+  kill -9 "${SERVERS[1]}" || die "p = $P: could not kill shard 2"
+  sleep 0.3
+
+  run_golden "shard 2 dead, 2-of-3 serving"
+
+  log "p = $P: SIGKILL shard 3 (pid ${SERVERS[2]})"
+  kill -9 "${SERVERS[2]}" || die "p = $P: could not kill shard 3"
+  sleep 0.3
+
+  out=$("$B/ssdb_query.exe" -p "$P" --connect r.sock --map c.map --seed c.seed '//item' 2>&1)
+  if [ $? -eq 0 ]; then
+    die "p = $P: query succeeded below the threshold: $out"
+  fi
+  case $out in
+    *unavailable*) log "p = $P: below threshold: clean refusal ($out)" ;;
+    *) die "p = $P: expected an 'unavailable' error, got: $out" ;;
+  esac
+
+  kill -9 "${SERVERS[0]}" "$ROUTER" 2>/dev/null
+  cd .. || die "no workdir"
+done
 
 log "PASS"
