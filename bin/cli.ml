@@ -1,34 +1,13 @@
 (* The front end the ssdb_* binaries share: one definition of each
-   common flag, the field admission every binary runs before it opens
-   a file or a socket, the numeric column's path, and the one serve
-   loop of ssdb_server and ssdb_router. *)
+   common flag, the numeric column's path, and the one serve loop of
+   ssdb_server and ssdb_router. *)
 
 open Cmdliner
 module Obs = Secshare_obs
-module Ring = Secshare_poly.Ring
 module Node_table = Secshare_store.Node_table
 module Server = Secshare_rpc.Server
 
 let err fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
-
-(* --- the field --- *)
-
-let p_arg =
-  Arg.(value & opt int 83 & info [ "p" ] ~docv:"P" ~doc:"Field characteristic (prime).")
-
-let e_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "e" ] ~docv:"E" ~doc:"Field extension degree; p^e must be at most 2^20.")
-
-(* [-p] and [-e], admitted by [Ring.checked] while the command line is
-   evaluated: a refused pair is a command-line error before [run]
-   touches anything. *)
-let ring =
-  let admit p e =
-    match Ring.checked ~p ~e with Ok ring -> `Ok ring | Error m -> `Error (false, m)
-  in
-  Term.(ret (const admit $ p_arg $ e_arg))
 
 (* --- files --- *)
 
@@ -133,7 +112,8 @@ type service = {
       (** release the service after the drain; returns the final report *)
 }
 
-(* Set up the event and trace logs, open the service with [start], then
+(* Set up the event log, open the service with [start] (a refusal
+   leaves no trace log and no socket behind), open the trace log, then
    serve it on the listener's socket (and /metrics + /healthz) until
    SIGINT or SIGTERM, drain, and print the service's final report. *)
 let serve l ~start =
@@ -141,10 +121,10 @@ let serve l ~start =
   | Result.Error m -> err "%s" m
   | Result.Ok level -> (
       Obs.Events.set_level level;
-      Obs.Trace.set_log_file l.trace_log;
       match start () with
       | Result.Error m -> err "%s" m
       | Result.Ok service ->
+          Obs.Trace.set_log_file l.trace_log;
           let draining = ref false in
           let started = Unix.gettimeofday () in
           Obs.Registry.gauge_fn ~help:"Seconds since this server started."

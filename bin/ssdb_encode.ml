@@ -2,7 +2,8 @@
    a server-side database file of polynomial shares.
 
    As in §5.1, the encoder takes a map file, a seed file and the XML
-   document; both secret files can be created on the fly. *)
+   document; both secret files can be created on the fly.  Only the
+   encoder takes the field (-p, -e); the map and the manifests record it. *)
 
 open Cmdliner
 
@@ -23,7 +24,11 @@ let load_or_create_seed path =
   else Result.map (fun seed -> (seed, true)) (Seed.generate ())
 
 let load_or_create_mapping path ~q ~trie xml_path =
-  if Sys.file_exists path then Result.map (fun m -> (m, false)) (Mapping.load path)
+  if Sys.file_exists path then
+    Result.bind (Mapping.load path) (fun m ->
+        let q' = Mapping.field_order m in
+        if q' = q then Ok (m, false)
+        else Error (Printf.sprintf "%s has q = %d, not p^e = %d" path q' q))
   else begin
     match In_channel.with_open_bin xml_path In_channel.input_all with
     | exception Sys_error m -> Error m
@@ -66,9 +71,13 @@ let encode_single ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
           Node_table.iter table ~f:(Node_table.insert file);
           Node_table.close file)
         [ (source, db_path); (num_source, Cli.nums_path db_path) ];
+      Manifest.save (Manifest.manifest_path db_path)
+        (Manifest.of_info
+           (Secshare_rpc.Protocol.single_server ~p:ring.Ring.characteristic
+              ~e:ring.Ring.degree ~rows:(Node_table.row_count source)));
       Printf.printf
         "encoded %d nodes (%d elements, %d trie nodes, %d numeric) in %.2f s\n\
-         database: %s (%d data bytes), numeric column: %s\n"
+         database: %s (%d data bytes, + .manifest), numeric column: %s\n"
         stats.Encode.nodes stats.Encode.elements stats.Encode.trie_nodes
         stats.Encode.numeric_nodes stats.Encode.duration_seconds db_path
         (Node_table.data_bytes source) (Cli.nums_path db_path);
@@ -182,6 +191,19 @@ let run xml_path map_path seed_path db_path ring trie_mode durable checkpoint_ev
 let xml_path =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"XML" ~doc:"Input XML document.")
 
+let p_arg =
+  Arg.(value & opt int 83 & info [ "p" ] ~docv:"P" ~doc:"Field characteristic (prime).")
+
+let e_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "e" ] ~docv:"E" ~doc:"Field extension degree; p^e must be at most 2^20.")
+
+(* [-p] and [-e], admitted by [Ring.checked] while the command line is
+   evaluated: a refused pair is a command-line error before [run]
+   touches anything. *)
+let ring = Term.(term_result' (const (fun p e -> Ring.checked ~p ~e) $ p_arg $ e_arg))
+
 let db_path =
   Arg.(
     value & opt string "secshare.db"
@@ -241,7 +263,7 @@ let cmd =
         (const run $ xml_path
         $ Cli.map_path ~doc:"Map file (created from the document if missing)."
         $ Cli.seed_path ~doc:"Seed file (generated if missing); keep it secret."
-        $ db_path $ Cli.ring $ trie_arg
+        $ db_path $ ring $ trie_arg
        $ durable_arg $ checkpoint_every_arg $ shards_arg $ threshold_arg
        $ agg_scale_arg))
 

@@ -37,9 +37,8 @@ let report ~explain ~trace query result =
     Format.printf "%a@." Metrics.pp_op_table r.DB.operators
   end
 
-let run db_path socket_path map_path seed_path ring engine_name strictness_name timeout
+let run db_path socket_path map_path seed_path engine_name strictness_name timeout
     max_retries explain trace trace_log queries =
-  Obs.Trace.set_log_file trace_log;
   let engine =
     match engine_name with
     | "simple" -> Ok DB.Simple
@@ -55,12 +54,16 @@ let run db_path socket_path map_path seed_path ring engine_name strictness_name 
   match (engine, strictness) with
   | Error m, _ | _, Error m -> err "%s" m
   | Ok engine, Ok strictness -> (
+      (* the field is the one the map's q header names *)
+      let field m = Ring.of_order (Secshare_core.Mapping.field_order m) in
       match Secshare_core.Mapping.load map_path with
       | Error m -> err "map: %s" m
       | Ok mapping -> (
-          match Secshare_prg.Seed.load seed_path with
-          | Error m -> err "seed: %s" m
-          | Ok seed -> (
+          match (field mapping, Secshare_prg.Seed.load seed_path) with
+          | Error m, _ -> err "map: %s" m
+          | _, Error m -> err "seed: %s" m
+          | Ok ring, Ok seed -> (
+              Obs.Trace.set_log_file trace_log;
               let client = { DB.default_client_config with timeout; max_retries } in
               let p = ring.Ring.characteristic and e = ring.Ring.degree in
               let with_db db =
@@ -90,9 +93,7 @@ let run db_path socket_path map_path seed_path ring engine_name strictness_name 
                       match Cli.open_numbers db_path with
                       | Error m -> err "numeric column: %s" m
                       | Ok numbers -> (
-                          match
-                            DB.of_parts ~client ~p ~e ~mapping ~seed ~table ?numbers ()
-                          with
+                          match DB.of_parts ~client ~mapping ~seed ~table ?numbers () with
                           | Error m -> err "%s" m
                           | Ok db -> with_db db))))))
 
@@ -157,7 +158,7 @@ let cmd =
         (const run $ Cli.db_path $ socket_path
         $ Cli.map_path ~doc:"Map file."
         $ Cli.seed_path ~doc:"Seed file."
-        $ Cli.ring $ engine_arg $ strictness_arg $ timeout_arg $ max_retries_arg
+        $ engine_arg $ strictness_arg $ timeout_arg $ max_retries_arg
         $ explain_arg $ trace_arg
         $ Cli.trace_log ~spans:"client-side span (query, operators, RPCs)"
         $ queries))

@@ -2,19 +2,18 @@
    socket speaking the ordinary filter protocol.
 
    Clients connect exactly as they would to a single ssdb_server
-   (ssdb_query --connect works unchanged); the router fans point
-   lookups and fused scans out over the shard deployment described by
-   the shards' manifests, folds the Shamir shares back together, and
-   keeps answering while at least the threshold number of shards is
-   live. *)
+   (ssdb_query --connect works unchanged); the router learns the field
+   and the deployment from the shards' manifest handshakes, fans point
+   lookups and fused scans out over the shards, folds the Shamir shares
+   back together, and keeps answering while at least the threshold
+   number of shards is live. *)
 
 open Cmdliner
 module Obs = Secshare_obs
-module Ring = Secshare_poly.Ring
 module Router = Secshare_shard.Router
 module Manifest = Secshare_shard.Manifest
 
-let open_service ring shard_paths timeout max_retries max_cursors () =
+let open_service shard_paths timeout max_retries max_cursors () =
   if shard_paths = [] then Error "need at least one --shard SOCKET"
   else
     let policy =
@@ -25,11 +24,8 @@ let open_service ring shard_paths timeout max_retries max_cursors () =
         max_retries;
       }
     in
-    match
-      Router.connect ~policy ~p:ring.Ring.characteristic ~e:ring.Ring.degree ~max_cursors
-        shard_paths
-    with
-    | Error m -> Error ("router: " ^ m)
+    match Router.connect ~policy ~max_cursors shard_paths with
+    | Error _ as e -> e
     | Ok router ->
         let m = Router.manifest router in
         Obs.Registry.gauge_fn ~help:"Shards in the deployment." "ssdb_router_shards"
@@ -56,9 +52,9 @@ let open_service ring shard_paths timeout max_retries max_cursors () =
                   (Router.shards router));
           }
 
-let run ring shard_paths timeout max_retries max_cursors listener =
+let run shard_paths timeout max_retries max_cursors listener =
   Cli.serve listener
-    ~start:(open_service ring shard_paths timeout max_retries max_cursors)
+    ~start:(open_service shard_paths timeout max_retries max_cursors)
 
 let shard_paths =
   Arg.(
@@ -83,7 +79,7 @@ let cmd =
   Cmd.v (Cmd.info "ssdb_router" ~doc)
     Term.(
       ret
-        (const run $ Cli.ring $ shard_paths $ timeout_arg $ max_retries_arg
+        (const run $ shard_paths $ timeout_arg $ max_retries_arg
        $ Cli.max_cursors
         $ Cli.listener ~socket:"/tmp/secshare-router.sock" ~spans:"router-side span"
             ~healthz:

@@ -15,91 +15,84 @@ module Node_table = Secshare_store.Node_table
 module Manifest = Secshare_shard.Manifest
 module Server_filter = Secshare_core.Server_filter
 
-let open_service ring db_path durable cursor_ttl max_cursors workers slow_query_ms () =
-  match Node_table.open_file ~durable db_path with
-  | Error m -> Error ("database: " ^ m)
-  | Ok table ->
-      (match Node_table.recovery_stats table with
-      | None -> ()
-      | Some r ->
-          Obs.Events.info
-            "wal recovery: %d page images and %d rows replayed (%d log records, %d torn \
-             bytes discarded)"
-            r.Node_table.redo_pages r.Node_table.redo_rows r.Node_table.wal_records
-            r.Node_table.discarded_bytes;
-          Printf.printf
-            "recovered %s: %d page images, %d rows replayed from the write-ahead log\n%!"
-            db_path r.Node_table.redo_pages r.Node_table.redo_rows);
-      let cursor_ttl = if cursor_ttl > 0.0 then Some cursor_ttl else None in
-      let slow_query_ms = if slow_query_ms > 0.0 then Some slow_query_ms else None in
-      (* a shard table written by ssdb_encode --shards carries a
-         manifest next to it; serve it so the router's handshake sees
-         this server's place in the deployment *)
-      let manifest =
-        let path = Manifest.manifest_path db_path in
-        let p = ring.Ring.characteristic and e = ring.Ring.degree in
-        if not (Sys.file_exists path) then None
-        else
-          match Manifest.load path with
-          | Ok m when m.Manifest.p <> p || m.Manifest.e <> e ->
-              Printf.eprintf "ignoring %s: field %d^%d disagrees with --p %d --e %d\n%!"
-                path m.Manifest.p m.Manifest.e p e;
-              None
-          | Ok m ->
-              Printf.printf "shard %d of %d (threshold %d) per %s\n%!" m.Manifest.shard_id
-                m.Manifest.shards m.Manifest.threshold path;
-              Some (Manifest.to_info m)
-          | Error msg ->
-              Printf.eprintf "ignoring %s: %s\n%!" path msg;
-              None
-      in
-      (* the numeric share column lives next to the polynomial table;
-         without it sum()/avg() queries fail server-side with a clear
-         message, count() still works *)
-      let numbers =
-        match Cli.open_numbers ~durable db_path with
-        | Ok None -> None
-        | Ok (Some t) ->
-            Printf.printf "numeric column %s (%d rows)\n%!" (Cli.nums_path db_path)
-              (Node_table.row_count t);
-            Some t
-        | Error msg ->
-            Printf.eprintf "ignoring %s: %s\n%!" (Cli.nums_path db_path) msg;
-            None
-      in
-      let filter =
-        Server_filter.create ?cursor_ttl ~max_cursors ?slow_query_ms ~workers ?manifest
-          ?numbers ring table
-      in
-      Ok
-        {
-          Cli.connection = (fun () -> Server_filter.connection filter);
-          healthy = (fun () -> true);
-          announce =
-            (fun socket ->
-              let rows = Node_table.row_count table in
-              Obs.Events.info "serving db=%s rows=%d socket=%s" db_path rows socket;
-              Printf.printf "serving %s (%d rows) on %s\n%!" db_path rows socket);
-          shutdown =
-            (fun srv ->
-              let cur = Server_filter.cursor_stats filter in
-              Server_filter.close filter;
-              Node_table.close table;
-              Option.iter Node_table.close numbers;
-              Printf.sprintf
-                "server stopped: %d connections, %d requests, %d accept errors; \
-                 cursors: %d open, %d evicted (%d by ttl)\n"
-                srv.Secshare_rpc.Server.connections_accepted
-                srv.Secshare_rpc.Server.requests_handled
-                srv.Secshare_rpc.Server.accept_errors
-                cur.Server_filter.open_cursors cur.Server_filter.evicted_cursors
-                cur.Server_filter.expired_cursors);
-        }
+(* The field is the one in the manifest ssdb_encode writes next to
+   every database; without an admissible one nothing else opens. *)
+let load_manifest db_path =
+  let path = Manifest.manifest_path db_path in
+  if not (Sys.file_exists path) then
+    Error (Printf.sprintf "no manifest %s: re-encode the document with ssdb_encode" path)
+  else
+    Result.bind (Manifest.load path) (fun m ->
+        match Ring.checked ~p:m.Manifest.p ~e:m.Manifest.e with
+        | Ok ring -> Ok (m, ring)
+        | Error msg -> Error (Printf.sprintf "manifest %s: %s" path msg))
 
-let run ring db_path durable cursor_ttl max_cursors workers slow_query_ms listener =
+let open_service db_path durable cursor_ttl max_cursors workers slow_query_ms () =
+  let ( let* ) = Result.bind in
+  let* m, ring = load_manifest db_path in
+  let* table =
+    Result.map_error (( ^ ) "database: ") (Node_table.open_file ~durable db_path)
+  in
+  (match Node_table.recovery_stats table with
+  | None -> ()
+  | Some r ->
+      Obs.Events.info
+        "wal recovery: %d page images and %d rows replayed (%d log records, %d torn \
+         bytes discarded)"
+        r.Node_table.redo_pages r.Node_table.redo_rows r.Node_table.wal_records
+        r.Node_table.discarded_bytes;
+      Printf.printf
+        "recovered %s: %d page images, %d rows replayed from the write-ahead log\n%!"
+        db_path r.Node_table.redo_pages r.Node_table.redo_rows);
+  let cursor_ttl = if cursor_ttl > 0.0 then Some cursor_ttl else None in
+  let slow_query_ms = if slow_query_ms > 0.0 then Some slow_query_ms else None in
+  (* the numeric share column lives next to the polynomial table;
+     without it sum()/avg() queries fail server-side with a clear
+     message, count() still works *)
+  let numbers =
+    match Cli.open_numbers ~durable db_path with
+    | Ok None -> None
+    | Ok (Some t) ->
+        Printf.printf "numeric column %s (%d rows)\n%!" (Cli.nums_path db_path)
+          (Node_table.row_count t);
+        Some t
+    | Error msg ->
+        Printf.eprintf "ignoring %s: %s\n%!" (Cli.nums_path db_path) msg;
+        None
+  in
+  let filter =
+    Server_filter.create ?cursor_ttl ~max_cursors ?slow_query_ms ~workers
+      ~manifest:(Manifest.to_info m) ?numbers ring table
+  in
+  Ok
+    {
+      Cli.connection = (fun () -> Server_filter.connection filter);
+      healthy = (fun () -> true);
+      announce =
+        (fun socket ->
+          let rows = Node_table.row_count table in
+          Obs.Events.info "serving db=%s rows=%d socket=%s" db_path rows socket;
+          Printf.printf "serving %s (%d rows, field %d^%d, shard %d of %d) on %s\n%!"
+            db_path rows m.Manifest.p m.Manifest.e m.Manifest.shard_id m.Manifest.shards
+            socket);
+      shutdown =
+        (fun srv ->
+          let cur = Server_filter.cursor_stats filter in
+          Server_filter.close filter;
+          Node_table.close table;
+          Option.iter Node_table.close numbers;
+          Printf.sprintf
+            "server stopped: %d connections, %d requests, %d accept errors; cursors: %d \
+             open, %d evicted (%d by ttl)\n"
+            srv.Secshare_rpc.Server.connections_accepted
+            srv.Secshare_rpc.Server.requests_handled srv.Secshare_rpc.Server.accept_errors
+            cur.Server_filter.open_cursors cur.Server_filter.evicted_cursors
+            cur.Server_filter.expired_cursors);
+    }
+
+let run db_path durable cursor_ttl max_cursors workers slow_query_ms listener =
   Cli.serve listener
-    ~start:
-      (open_service ring db_path durable cursor_ttl max_cursors workers slow_query_ms)
+    ~start:(open_service db_path durable cursor_ttl max_cursors workers slow_query_ms)
 
 let durable_arg =
   Cli.durable
@@ -136,7 +129,7 @@ let cmd =
   Cmd.v (Cmd.info "ssdb_server" ~doc)
     Term.(
       ret
-        (const run $ Cli.ring $ Cli.db_path $ durable_arg $ cursor_ttl_arg
+        (const run $ Cli.db_path $ durable_arg $ cursor_ttl_arg
        $ Cli.max_cursors $ workers_arg $ slow_query_ms_arg
        $ Cli.listener ~socket:"/tmp/secshare.sock" ~spans:"server-side span"
            ~healthz:""))

@@ -207,13 +207,20 @@ let zero_encode_stats =
     duration_seconds = 0.0;
   }
 
-let of_parts ?(client = default_client_config) ~p ~e ~mapping:map ~seed ~table ?numbers
-    () =
-  Result.map
-    (fun ring ->
-      assemble_local ~client ~ring ~map ~seed ~table ?numbers
-        ~encode_stats:zero_encode_stats ())
-    (Ring.checked ~p ~e)
+(* The client's field is the one its map's [q] header names. *)
+let ring_of_map map =
+  Result.map_error (fun m -> "map: " ^ m) (Ring.of_order (Mapping.field_order map))
+
+let of_parts ?(client = default_client_config) ~mapping:map ~seed ~table ?numbers () =
+  match ring_of_map map with
+  | Error _ as err ->
+      Node_table.close table;
+      Option.iter Node_table.close numbers;
+      err
+  | Ok ring ->
+      Ok
+        (assemble_local ~client ~ring ~map ~seed ~table ?numbers
+           ~encode_stats:zero_encode_stats ())
 
 let create ?config xml =
   match Secshare_xml.Tree.of_string xml with
@@ -372,8 +379,18 @@ let open_cursors t = Server_filter.open_cursors (local_exn t "open_cursors").ser
 let cursor_stats t = Server_filter.cursor_stats (local_exn t "cursor_stats").server
 let sweep_cursors t = Server_filter.sweep_cursors (local_exn t "sweep_cursors").server
 
-let of_transport ?(client = default_client_config) ~p ~e ~mapping ~seed transport =
+(* The caller's (p, e), admitted and held to the map's [q] header: a
+   map of another field would fail every query inside the kernel. *)
+let checked_ring ~p ~e map =
   match Ring.checked ~p ~e with
+  | Ok ring when ring.Ring.order <> Mapping.field_order map ->
+      Error
+        (Printf.sprintf "field %d^%d = %d differs from the map's q = %d" p e
+           ring.Ring.order (Mapping.field_order map))
+  | checked -> checked
+
+let of_transport ?(client = default_client_config) ~p ~e ~mapping ~seed transport =
+  match checked_ring ~p ~e mapping with
   | Error _ as err ->
       Transport.close transport;
       err
@@ -388,7 +405,7 @@ let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
     }
   in
   (* validate before the socket opens, so a bad (p, e) leaks nothing *)
-  match Ring.checked ~p ~e with
+  match checked_ring ~p ~e mapping with
   | Error _ as err -> err
   | Ok ring -> (
       match Transport.socket ~policy path with
@@ -406,29 +423,6 @@ let close t =
       Option.iter Node_table.close local.numbers
 
 (* --- bundles: a complete database persisted to a directory --- *)
-
-let bundle_config_string t =
-  Printf.sprintf "p = %d\ne = %d\n" t.ring.Ring.characteristic t.ring.Ring.degree
-
-let parse_bundle_config contents =
-  let table = Hashtbl.create 4 in
-  List.iter
-    (fun line ->
-      let line = String.trim line in
-      if line <> "" && line.[0] <> '#' then
-        match String.index_opt line '=' with
-        | Some i ->
-            let key = String.trim (String.sub line 0 i) in
-            let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-            Hashtbl.replace table key value
-        | None -> ())
-    (String.split_on_char '\n' contents);
-  match (Hashtbl.find_opt table "p", Hashtbl.find_opt table "e") with
-  | Some p, Some e -> (
-      match (int_of_string_opt p, int_of_string_opt e) with
-      | Some p, Some e -> Ok (p, e)
-      | _ -> Error "bundle config: p and e must be integers")
-  | _ -> Error "bundle config: missing p or e"
 
 let save_bundle ?durable ?checkpoint_every t ~dir =
   let local = local_exn t "save_bundle" in
@@ -450,41 +444,33 @@ let save_bundle ?durable ?checkpoint_every t ~dir =
         Node_table.close file_nums)
       local.numbers;
     Mapping.save (Filename.concat dir "client.map") t.map;
-    Secshare_prg.Seed.save (Filename.concat dir "client.seed") t.seed;
-    Out_channel.with_open_text (Filename.concat dir "config") (fun oc ->
-        output_string oc (bundle_config_string t))
+    Secshare_prg.Seed.save (Filename.concat dir "client.seed") t.seed
   with
   | () -> Ok ()
   | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
   | exception Sys_error msg -> Error msg
   | exception Invalid_argument msg -> Error msg
 
-let open_bundle ?client ?durable ?checkpoint_every ~dir () =
-  match In_channel.with_open_text (Filename.concat dir "config") In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | contents -> (
-      match parse_bundle_config contents with
-      | Error _ as e -> e
-      | Ok (p, e) -> (
-          match Mapping.load (Filename.concat dir "client.map") with
-          | Error msg -> Error ("map: " ^ msg)
-          | Ok mapping -> (
-              match Secshare_prg.Seed.load (Filename.concat dir "client.seed") with
-              | Error msg -> Error ("seed: " ^ msg)
-              | Ok seed -> (
-                  match
-                    Node_table.open_file ?durable ?checkpoint_every
-                      (Filename.concat dir "shares.db")
-                  with
-                  | Error msg -> Error ("shares: " ^ msg)
-                  | Ok table -> (
-                      let nums_path = Filename.concat dir "nums.db" in
-                      if not (Sys.file_exists nums_path) then
-                        of_parts ?client ~p ~e ~mapping ~seed ~table ()
-                      else
-                        match
-                          Node_table.open_file ?durable ?checkpoint_every nums_path
-                        with
-                        | Error msg -> Error ("nums: " ^ msg)
-                        | Ok numbers ->
-                            of_parts ?client ~p ~e ~mapping ~seed ~table ~numbers ())))))
+(* The map's field is checked before any table opens. *)
+let open_bundle ?(client = default_client_config) ?durable ?checkpoint_every ~dir () =
+  let ( let* ) = Result.bind in
+  let path = Filename.concat dir in
+  let* map = Result.map_error (( ^ ) "map: ") (Mapping.load (path "client.map")) in
+  let* ring = ring_of_map map in
+  let* seed =
+    Result.map_error (( ^ ) "seed: ") (Secshare_prg.Seed.load (path "client.seed"))
+  in
+  let open_table name = Node_table.open_file ?durable ?checkpoint_every (path name) in
+  let* table = Result.map_error (( ^ ) "shares: ") (open_table "shares.db") in
+  let* numbers =
+    if not (Sys.file_exists (path "nums.db")) then Ok None
+    else
+      match open_table "nums.db" with
+      | Ok numbers -> Ok (Some numbers)
+      | Error msg ->
+          Node_table.close table;
+          Error ("nums: " ^ msg)
+  in
+  Ok
+    (assemble_local ~client ~ring ~map ~seed ~table ?numbers
+       ~encode_stats:zero_encode_stats ())

@@ -107,8 +107,6 @@ val create : ?config:config -> string -> (t, string) result
 
 val of_parts :
   ?client:client_config ->
-  p:int ->
-  e:int ->
   mapping:Mapping.t ->
   seed:Secshare_prg.Seed.t ->
   table:Secshare_store.Node_table.t ->
@@ -116,7 +114,8 @@ val of_parts :
   unit ->
   (t, string) result
 (** Assemble a database from an already-encoded node table (e.g. one
-    re-opened from a page file) plus the client's secret state.
+    re-opened from a page file) plus the client's secret state, over
+    the field the map's [q] names (a refused [q] closes both tables).
     [numbers] is the numeric share column; without it [sum]/[avg]
     queries fail server-side. *)
 
@@ -224,8 +223,9 @@ val of_transport :
 (** A remote handle over an already-built transport — any endpoint
     speaking the filter protocol: a socket to one server, an
     in-process handler, or a shard router.  The handle owns the
-    transport and closes it with {!close}; an [Error] (a bad [p]/[e])
-    closes it at once. *)
+    transport and closes it with {!close}; an [Error] — a [p]/[e] that
+    {!Secshare_poly.Ring.checked} refuses, or a p^e other than the
+    map's [q] — closes it at once. *)
 
 val connect :
   ?client:client_config ->
@@ -237,8 +237,8 @@ val connect :
   unit ->
   (t, string) result
 (** {!of_transport} over a socket: the client's secret state across a
-    Unix-domain-socket transport; [p] and [e] are checked before the
-    socket opens.  [client.timeout],
+    Unix-domain-socket transport; [p] and [e] are checked, against the
+    map's [q] too, before the socket opens.  [client.timeout],
     [client.max_retries] configure the transport; the cursor and
     worker fields are server-side and ignored here. *)
 
@@ -251,8 +251,8 @@ val close : t -> unit
     A bundle is a directory holding everything needed to reopen a
     database: the server's page files ([shares.db] and, when the
     database has a numeric column, [nums.db] — both safe to publish)
-    and the client's secrets ([client.map], [client.seed], [config]).
-    In a real deployment the two halves live on different machines;
+    and the client's secrets ([client.map], whose [q] names the field,
+    and [client.seed]).  In a real deployment the two halves live on different machines;
     the bundle is the single-machine convenience form. *)
 
 val save_bundle :
@@ -271,8 +271,9 @@ val open_bundle :
   dir:string ->
   unit ->
   (t, string) result
-(** Reopen a saved bundle.  If [shares.db.wal] holds records from a
-    crashed writer, recovery replays them before the handle is
-    returned ({!Secshare_store.Node_table.recovery_stats} on {!table}
-    reports what was redone).  [durable]/[checkpoint_every] keep the
-    reopened table writing through its write-ahead log. *)
+(** Reopen a saved bundle; a refused open leaves no table open.  If
+    [shares.db.wal] holds records from a crashed writer, recovery
+    replays them before the handle is returned
+    ({!Secshare_store.Node_table.recovery_stats} on {!table} reports
+    what was redone).  [durable]/[checkpoint_every] keep the reopened
+    table writing through its write-ahead log. *)

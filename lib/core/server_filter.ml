@@ -338,18 +338,12 @@ let handle t (request : Protocol.request) : Protocol.response =
       | shares -> Protocol.Shares_data shares
       | exception Failure msg -> Protocol.Error_msg msg)
   | Protocol.Manifest ->
+      (* the field is always this server's own ring's *)
+      let p = t.ring.Secshare_poly.Ring.characteristic and e = t.ring.degree in
       Protocol.Manifest_data
         (match t.manifest with
-        | Some m -> m
-        | None ->
-            (* unsharded: one shard holding everything, one partition *)
-            {
-              Protocol.shard_id = 1;
-              shards = 1;
-              threshold = 1;
-              total_rows = Node_table.row_count t.table;
-              bounds = [ 1 ];
-            })
+        | Some m -> { m with p; e }
+        | None -> Protocol.single_server ~p ~e ~rows:(Node_table.row_count t.table))
   | Protocol.Agg_eval { pres } -> (
       (* Fold numeric shares into one field element.  The sum is an
          additive share, uniformly random on its own — but it must

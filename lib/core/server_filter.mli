@@ -48,7 +48,8 @@ val create :
     cursor table stays behind its own lock, and evaluation happens
     outside it.  [manifest] (default: the trivial 1-of-1 topology over
     the table's rows) is what the [Manifest] handshake reports — set it
-    when this server is one shard of a threshold deployment. *)
+    when this server is one shard of a threshold deployment.  Its [p]
+    and [e] are always [ring]'s, whatever [manifest] says. *)
 
 val workers : t -> int
 (** The configured evaluation-pool size (1 = inline). *)

@@ -52,10 +52,10 @@ let of_prime ~p = make (Secshare_field.Modp.create ~p)
 let max_order = 1 lsl 20
 
 (** The one (p, e) admission check: p prime, e >= 1 and p^e <= 2^20,
-    computed without letting p^e wrap around.  Every binary and every
-    constructor that takes a (p, e) pair runs it before it opens a file
-    or a socket, so a bad pair is an [Error], never an exception out of
-    {!of_prime_power}. *)
+    computed without letting p^e wrap around.  It admits ssdb_encode's
+    -p/-e and every field read back from a manifest or a map's [q]
+    ({!of_order}) before a file or socket opens, so a bad field is an
+    [Error], never an exception out of {!of_prime_power}. *)
 let checked ~p ~e =
   let rec order_ok acc i =
     i = 0 || (acc <= max_order / p && order_ok (acc * p) (i - 1))
@@ -69,3 +69,13 @@ let checked ~p ~e =
          "p^e = %d^%d exceeds the safe field-order bound of %d (would overflow)" p e
          max_order)
   else Ok (of_prime_power ~p ~e)
+
+(** The field of order [q] (a map's header), admitted by {!checked};
+    the bound is tested first, so a huge [q] is never factored. *)
+let of_order q =
+  if q > max_order then
+    Error (Printf.sprintf "q = %d exceeds the safe field-order bound of %d" q max_order)
+  else
+    match Secshare_field.Prime.is_prime_power q with
+    | None -> Error (Printf.sprintf "q = %d is not a prime power" q)
+    | Some (p, e) -> checked ~p ~e

@@ -15,7 +15,7 @@
 
     Everything is structural metadata and share data; tag names and the
     map never cross the wire.  Request and response tags 4 and 5,
-    request tags 3, 7, 9 and 11 and response tags 6, 8 and 10 are
+    request tags 3, 7, 9 and 11 and response tags 6, 8, 10 and 13 are
     retired: the decoders reject them and they are never reused.  A
     parent step is a point-free [Scan_eval] over one-pre
     [Bounded_pre_ranges] windows. *)
@@ -45,12 +45,17 @@ type manifest_info = {
           0 identifies a router answering for the whole group *)
   shards : int;  (** n: shard servers in the deployment *)
   threshold : int;  (** t: shards needed to reconstruct (1 = plain) *)
+  p : int;  (** characteristic of the field the shares live in *)
+  e : int;  (** extension degree of that field *)
   total_rows : int;  (** rows of the full table (every shard holds all rows) *)
   bounds : int list;
       (** ascending partition start [pre]s — the pre-range routing
           overlay; partition [k] spans [bounds(k)] up to [bounds(k+1)]
           (the last one is unbounded) *)
 }
+
+val single_server : p:int -> e:int -> rows:int -> manifest_info
+(** The 1-of-1 manifest of an unsharded server: one shard, one partition. *)
 
 type request =
   | Ping
@@ -75,8 +80,8 @@ type request =
           idempotent: it advances the cursor, so a resend could skip a
           batch. *)
   | Manifest
-      (** Topology handshake: answered with [Manifest_data].  A
-          non-sharded server reports the trivial 1-of-1 manifest, so
+      (** Topology and field handshake: answered with [Manifest_data].
+          A non-sharded server reports the trivial 1-of-1 manifest, so
           clients can probe any deployment uniformly. *)
   | Agg_eval of { pres : int list }
       (** Fold the numeric-column shares of the listed rows into one

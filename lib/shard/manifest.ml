@@ -73,17 +73,19 @@ let to_info m =
     Protocol.shard_id = m.shard_id;
     shards = m.shards;
     threshold = m.threshold;
+    p = m.p;
+    e = m.e;
     total_rows = m.rows;
     bounds = Array.to_list m.bounds;
   }
 
-let of_info ~p ~e (i : Protocol.manifest_info) =
+let of_info (i : Protocol.manifest_info) =
   {
     shard_id = i.Protocol.shard_id;
     shards = i.Protocol.shards;
     threshold = i.Protocol.threshold;
-    p;
-    e;
+    p = i.Protocol.p;
+    e = i.Protocol.e;
     rows = i.Protocol.total_rows;
     bounds = Array.of_list i.Protocol.bounds;
   }
@@ -110,47 +112,37 @@ let save path m =
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | contents -> (
-      let table = Hashtbl.create 8 in
-      List.iter
-        (fun line ->
-          let line = String.trim line in
-          if line <> "" && line.[0] <> '#' then
+  | contents ->
+      let ( let* ) = Result.bind in
+      let lines = String.split_on_char '\n' contents in
+      let value key =
+        List.find_map
+          (fun line ->
             match String.index_opt line '=' with
-            | Some i ->
-                let key = String.trim (String.sub line 0 i) in
-                let value =
-                  String.trim (String.sub line (i + 1) (String.length line - i - 1))
-                in
-                Hashtbl.replace table key value
-            | None -> ())
-        (String.split_on_char '\n' contents);
-      let int_field key =
-        match Hashtbl.find_opt table key with
-        | None -> Error (Printf.sprintf "manifest %s: missing %s" path key)
-        | Some v -> (
-            match int_of_string_opt v with
-            | Some n -> Ok n
-            | None -> Error (Printf.sprintf "manifest %s: %s is not an integer" path key))
+            | Some i when String.trim (String.sub line 0 i) = key ->
+                Some (String.sub line (i + 1) (String.length line - i - 1))
+            | _ -> None)
+          lines
       in
-      let ( let* ) r f = Result.bind r f in
-      let* shard_id = int_field "shard_id" in
-      let* shards = int_field "shards" in
-      let* threshold = int_field "threshold" in
-      let* p = int_field "p" in
-      let* e = int_field "e" in
-      let* rows = int_field "rows" in
-      let* bounds =
-        match Hashtbl.find_opt table "bounds" with
-        | None -> Error (Printf.sprintf "manifest %s: missing bounds" path)
+      let fail fmt = Printf.ksprintf (fun m -> Error ("manifest " ^ path ^ ": " ^ m)) fmt in
+      let ints key =
+        match value key with
+        | None -> fail "missing %s" key
         | Some v -> (
-            let parts = String.split_on_char ',' v in
-            match
-              List.map (fun s -> int_of_string_opt (String.trim s)) parts
-            with
-            | ints when List.for_all Option.is_some ints ->
-                Ok (Array.of_list (List.map Option.get ints))
-            | _ -> Error (Printf.sprintf "manifest %s: malformed bounds" path))
+            let ints = String.split_on_char ',' v in
+            match List.map (fun s -> int_of_string_opt (String.trim s)) ints with
+            | ints when List.for_all Option.is_some ints -> Ok (List.map Option.get ints)
+            | _ -> fail "malformed %s" key)
       in
-      let m = { shard_id; shards; threshold; p; e; rows; bounds } in
-      match validate m with Error msg -> Error msg | Ok () -> Ok m)
+      let int key =
+        Result.bind (ints key) (function [ n ] -> Ok n | _ -> fail "malformed %s" key)
+      in
+      let* shard_id = int "shard_id" in
+      let* shards = int "shards" in
+      let* threshold = int "threshold" in
+      let* p = int "p" in
+      let* e = int "e" in
+      let* rows = int "rows" in
+      let* bounds = ints "bounds" in
+      let m = { shard_id; shards; threshold; p; e; rows; bounds = Array.of_list bounds } in
+      Result.map (fun () -> m) (validate m)

@@ -1,12 +1,13 @@
-(** The deployment descriptor of a sharded database.
+(** The deployment descriptor of a database.
 
-    [ssdb_encode --shards n --threshold t] writes one table file per
-    shard plus one manifest next to each; servers load theirs and
-    answer the [Manifest] handshake with it; the router collects the
-    manifests from every shard, checks that they describe one
+    [ssdb_encode] writes one next to every table file (1-of-1 for a
+    single server, one per shard with [--shards n --threshold t]);
+    servers take their field from it and answer the [Manifest]
+    handshake with it; the router collects the manifests from every
+    shard, learns the field from them, checks that they describe one
     deployment, and derives its routing table from the [bounds].
 
-    Two facts the manifest records:
+    The manifest records the {e field} ([p], [e]) and:
 
     - the {e threshold geometry} ([shards], [threshold], [shard_id]):
       every shard stores {e all} rows, each row carrying that shard's
@@ -46,9 +47,9 @@ val partition_of : t -> pre:int -> int
     [bounds.(0)] fall into partition 0). *)
 
 val to_info : t -> Secshare_rpc.Protocol.manifest_info
-val of_info : p:int -> e:int -> Secshare_rpc.Protocol.manifest_info -> t
-(** Convert to/from the wire handshake, which does not carry the field
-    parameters (those are deployment config the client already has). *)
+val of_info : Secshare_rpc.Protocol.manifest_info -> t
+(** Convert to/from the wire handshake, which carries every field of
+    the manifest, the field parameters included. *)
 
 val shard_db_path : string -> int -> string
 (** [shard_db_path base i] is the table file of shard [i]:

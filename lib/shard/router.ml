@@ -611,66 +611,80 @@ let shard_calls_counter id =
     ~labels:[ ("shard", string_of_int id) ]
     "ssdb_router_shard_calls_total"
 
-let of_transports (ring : Ring.t) ?(max_cursors = 1024) transports =
-  let p = ring.Ring.characteristic and e = ring.Ring.degree in
+(* Ask every shard for its manifest, take the field from [ring] or else
+   from the first shard's, and build the router.  A shard serving
+   another field is refused first, naming both fields: its shares
+   cannot be recombined with the others, and a query would blame it. *)
+let start ?ring ?(max_cursors = 1024) transports =
+  let ( let* ) = Result.bind in
   let rec handshake acc = function
     | [] -> Ok (List.rev acc)
     | transport :: rest -> (
         match Transport.call transport Protocol.Manifest with
         | Protocol.Manifest_data info ->
-            handshake ((transport, Manifest.of_info ~p ~e info) :: acc) rest
+            handshake ((transport, Manifest.of_info info) :: acc) rest
         | Protocol.Error_msg msg -> Error ("manifest handshake: " ^ msg)
         | _ -> Error "manifest handshake: unexpected response")
   in
-  match transports with
-  | [] -> Error "router: no shard transports"
-  | _ -> (
-      match handshake [] transports with
-      | Error _ as e -> e
-      | Ok pairs -> (
-          match Manifest.group_consistent (List.map snd pairs) with
-          | Error _ as e -> e
-          | Ok summary ->
-              let n = summary.Manifest.shards in
-              if List.length pairs <> n then
-                Error
-                  (Printf.sprintf
-                     "router: %d transports for a %d-shard deployment (need all %d)"
-                     (List.length pairs) n n)
-              else if n >= ring.Ring.order then
-                Error
-                  (Printf.sprintf
-                     "router: %d shards need %d nonzero field points but the field \
-                      has only %d"
-                     n n (ring.Ring.order - 1))
-              else begin
-                let members = Array.make n None in
-                List.iter
-                  (fun (transport, (m : Manifest.t)) ->
-                    let calls = shard_calls_counter m.Manifest.shard_id in
-                    (* the manifest handshake was the shard's first request *)
-                    Obs.Registry.inc calls;
-                    members.(m.Manifest.shard_id - 1) <-
-                      Some { id = m.Manifest.shard_id; transport; alive = true; calls })
-                  pairs;
-                let members_by_id = Array.map Option.get members in
-                Obs.Registry.gauge_set obs_live_gauge n;
-                Ok
-                  {
-                    ring;
-                    share_len = Codec.byte_length ~q:ring.Ring.order ~n:ring.Ring.n;
-                    manifest = summary;
-                    members_by_id;
-                    cursors =
-                      Cursor_table.create ~max:max_cursors
-                        ~on_remove:(fun _reason _id scan -> close_scan scan)
-                        ();
-                    failovers = obs_failovers;
-                    live_gauge = obs_live_gauge;
-                  }
-              end))
+  let* pairs = handshake [] transports in
+  let* (ring : Ring.t) =
+    match (ring, pairs) with
+    | Some ring, _ -> Ok ring
+    | None, [] -> Error "router: no shard transports"
+    | None, (_, (m : Manifest.t)) :: _ ->
+        Result.map_error
+          (Printf.sprintf "router: shard %d: %s" m.Manifest.shard_id)
+          (Ring.checked ~p:m.Manifest.p ~e:m.Manifest.e)
+  in
+  let p = ring.Ring.characteristic and e = ring.Ring.degree in
+  match List.find_opt (fun (_, m) -> m.Manifest.p <> p || m.Manifest.e <> e) pairs with
+  | Some (_, m) ->
+      Error
+        (Printf.sprintf
+           "router: shard %d serves the field %d^%d but the deployment's field is %d^%d"
+           m.Manifest.shard_id m.Manifest.p m.Manifest.e p e)
+  | None ->
+      let* summary = Manifest.group_consistent (List.map snd pairs) in
+      let n = summary.Manifest.shards in
+      if List.length pairs <> n then
+        Error
+          (Printf.sprintf "router: %d transports for a %d-shard deployment (need all %d)"
+             (List.length pairs) n n)
+      else if n >= ring.Ring.order then
+        Error
+          (Printf.sprintf
+             "router: %d shards need %d nonzero field points but the field has only %d" n
+             n (ring.Ring.order - 1))
+      else begin
+        let members = Array.make n None in
+        List.iter
+          (fun (transport, (m : Manifest.t)) ->
+            let calls = shard_calls_counter m.Manifest.shard_id in
+            (* the manifest handshake was the shard's first request *)
+            Obs.Registry.inc calls;
+            members.(m.Manifest.shard_id - 1) <-
+              Some { id = m.Manifest.shard_id; transport; alive = true; calls })
+          pairs;
+        let members_by_id = Array.map Option.get members in
+        Obs.Registry.gauge_set obs_live_gauge n;
+        Ok
+          {
+            ring;
+            share_len = Codec.byte_length ~q:ring.Ring.order ~n:ring.Ring.n;
+            manifest = summary;
+            members_by_id;
+            cursors =
+              Cursor_table.create ~max:max_cursors
+                ~on_remove:(fun _reason _id scan -> close_scan scan)
+                ();
+            failovers = obs_failovers;
+            live_gauge = obs_live_gauge;
+          }
+      end
 
-let connect ?policy ~p ~e ?max_cursors paths =
+let of_transports ring ?max_cursors transports = start ~ring ?max_cursors transports
+
+let connect ?policy ?max_cursors paths =
   let rec open_all acc = function
     | [] -> Ok (List.rev acc)
     | path :: rest -> (
@@ -680,18 +694,10 @@ let connect ?policy ~p ~e ?max_cursors paths =
             List.iter Transport.close acc;
             Error (Printf.sprintf "shard %s: %s" path msg))
   in
-  (* validate before any socket opens, so a bad (p, e) leaks nothing *)
-  match Ring.checked ~p ~e with
-  | Error _ as e -> e
-  | Ok ring -> (
-      match open_all [] paths with
-      | Error _ as e -> e
-      | Ok transports -> (
-          match of_transports ring ?max_cursors transports with
-          | Ok _ as ok -> ok
-          | Error _ as e ->
-              List.iter Transport.close transports;
-              e))
+  Result.bind (open_all [] paths) (fun transports ->
+      let started = start ?max_cursors transports in
+      if Result.is_error started then List.iter Transport.close transports;
+      started)
 
 let close t =
   Cursor_table.clear t.cursors;

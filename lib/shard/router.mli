@@ -33,22 +33,22 @@ val of_transports :
   (t, string) result
 (** Build a router over already-connected transports, one per shard.
     Each shard is asked for its {!Manifest.t} via the [Manifest]
-    handshake; the group must be consistent and complete (exactly
-    [shards] members with distinct ids 1..n).  [max_cursors] (default
+    handshake; a shard serving another field than [ring] is refused
+    with an error naming both fields, and the group must be consistent
+    and complete (exactly [shards] members with distinct ids 1..n).  [max_cursors] (default
     1024) bounds concurrently open router cursors, evicting the least
     recently used past the cap. *)
 
 val connect :
   ?policy:Secshare_rpc.Transport.policy ->
-  p:int ->
-  e:int ->
   ?max_cursors:int ->
   string list ->
   (t, string) result
 (** [of_transports] over socket transports to the given Unix-socket
-    paths, each carrying the retry/deadline [policy].  A (p, e) that
-    {!Secshare_poly.Ring.checked} refuses is an [Error] before any
-    socket opens. *)
+    paths, each carrying the retry/deadline [policy].  The field is the
+    one the first shard's handshake reports, admitted by
+    {!Secshare_poly.Ring.checked}; every other shard must serve the
+    same.  On an [Error] every socket opened is closed again. *)
 
 val handler :
   t -> Secshare_rpc.Protocol.request -> Secshare_rpc.Protocol.response

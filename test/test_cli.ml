@@ -1,10 +1,13 @@
 (* The binaries' shared front end, driven through the built
-   executables: every binary refuses a bad (p, e) with the one
-   admission check's message and cmdliner's usage exit code (124)
-   before it writes a file, binds a socket or dials a shard;
-   ssdb_encode refuses a shard geometry or document it cannot encode
-   without leaving a file behind; and ssdb_gen refuses a target it
-   cannot meet the same way. *)
+   executables.  Only ssdb_encode takes the field (-p, -e); the others
+   read it from the files that hold it — ssdb_query from the map's q
+   header, ssdb_server from the database's manifest, ssdb_router from
+   its shards' handshakes — and every binary refuses a bad field with
+   the one admission check's message and cmdliner's usage exit code
+   (124) before it writes a file, binds a socket or opens its trace
+   log.  ssdb_encode refuses a shard geometry or document it cannot
+   encode without leaving a file behind; and ssdb_gen refuses a target
+   it cannot meet the same way. *)
 
 let check = Alcotest.check
 
@@ -110,7 +113,14 @@ let test_encode_refuses () =
             @ field_args ~p ~e)
             (message ~p ~e);
           check_absent ~what dir [ "n.map"; "n.seed"; "n.db"; "n.db.nums" ])
-        bad_fields)
+        bad_fields;
+      (* an existing map is over its own field: the map and the
+         manifest would otherwise name two fields *)
+      expect_refusal ~what:"ssdb_encode -p 131 over a q = 83 map" ~dir "ssdb_encode"
+        [ "doc.xml"; "-p"; "131"; "--map"; "c.map"; "--seed"; "c.seed"; "-o"; "n.db" ]
+        "map: c.map has q = 83, not p^e = 131";
+      check_absent ~what:"ssdb_encode over another field's map" dir
+        [ "n.db"; "n.db.nums"; "n.db.manifest" ])
 
 (* A refused encode leaves no file behind: the shard geometry is
    checked before anything is written, a fresh seed or map is saved
@@ -167,54 +177,208 @@ let test_encode_failure_leaves_nothing () =
         "d and d.nums unchanged by the refused encode" before
         (List.map (fun n -> read_file (Filename.concat dir n)) existing))
 
+(* Rewrite the [key = value] line of a map or manifest file. *)
+let set_line path key value =
+  let prefix = key ^ " = " in
+  let is_key l =
+    String.length l >= String.length prefix
+    && String.sub l 0 (String.length prefix) = prefix
+  in
+  let lines = String.split_on_char '\n' (read_file path) in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (String.concat "\n"
+           (List.map (fun l -> if is_key l then prefix ^ value else l) lines)))
+
+let set_field path ~p ~e =
+  set_line path "p" (string_of_int p);
+  set_line path "e" (string_of_int e)
+
+(* A listening socket nobody accepts on: a connection made to it would
+   be waiting in its accept queue. *)
+let with_bare_socket dir f =
+  let path = Filename.concat dir "bare.sock" in
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close sock;
+      Sys.remove path)
+    (fun () ->
+      Unix.bind sock (Unix.ADDR_UNIX path);
+      Unix.listen sock 8;
+      f (fun what ->
+          let pending, _, _ = Unix.select [ sock ] [] [] 0.0 in
+          check Alcotest.int (what ^ ": no connection") 0 (List.length pending)))
+
+(* ssdb_server's field is its database's manifest: a manifest naming a
+   bad field is refused before the trace log or the socket exists. *)
 let test_server_refuses () =
   with_encoded (fun dir ->
+      let manifest = Filename.concat dir "c.db.manifest" in
       List.iter
         (fun (p, e) ->
-          let what = Printf.sprintf "ssdb_server -p %d -e %d" p e in
+          let what = Printf.sprintf "ssdb_server over a manifest with p = %d, e = %d" p e in
+          set_field manifest ~p ~e;
           expect_refusal ~what ~dir "ssdb_server"
-            ([ "--db"; "c.db"; "--socket"; "s.sock"; "--trace-log"; "s.jsonl" ]
-            @ field_args ~p ~e)
-            (message ~p ~e);
+            [ "--db"; "c.db"; "--socket"; "s.sock"; "--trace-log"; "s.jsonl" ]
+            ("manifest c.db.manifest: " ^ message ~p ~e);
           check_absent ~what dir [ "s.sock"; "s.jsonl" ])
         bad_fields)
 
-(* The router's shard is a bare listening socket: a connection the
-   router opened would be waiting in its accept queue. *)
+let test_server_needs_manifest () =
+  with_encoded (fun dir ->
+      Sys.remove (Filename.concat dir "c.db.manifest");
+      expect_refusal ~what:"ssdb_server without a manifest" ~dir "ssdb_server"
+        [ "--db"; "c.db"; "--socket"; "s.sock"; "--trace-log"; "s.jsonl" ]
+        "no manifest c.db.manifest: re-encode the document with ssdb_encode";
+      check_absent ~what:"ssdb_server without a manifest" dir [ "s.sock"; "s.jsonl" ])
+
+(* The router learns the field from its shards' handshakes.  The shard
+   here is a stand-in in this process answering with a manifest file
+   that names a bad field: the router refuses it after that one
+   request, before its trace log or its socket exists. *)
 let test_router_refuses () =
   with_encoded (fun dir ->
-      let shard_path = Filename.concat dir "shard.sock" in
-      let shard = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () ->
-          Unix.close shard;
-          Sys.remove shard_path)
-        (fun () ->
-          Unix.bind shard (Unix.ADDR_UNIX shard_path);
-          Unix.listen shard 8;
-          List.iter
-            (fun (p, e) ->
-              let what = Printf.sprintf "ssdb_router -p %d -e %d" p e in
-              expect_refusal ~what ~dir "ssdb_router"
-                ([ "--shard"; "shard.sock"; "--socket"; "r.sock" ]
-                @ [ "--trace-log"; "r.jsonl" ] @ field_args ~p ~e)
-                (message ~p ~e);
-              check_absent ~what dir [ "r.sock"; "r.jsonl" ];
-              let pending, _, _ = Unix.select [ shard ] [] [] 0.0 in
-              check Alcotest.int (what ^ ": no shard connection") 0 (List.length pending))
-            bad_fields))
-
-let test_query_refuses () =
-  with_encoded (fun dir ->
+      let module Manifest = Secshare_shard.Manifest in
+      let module Protocol = Secshare_rpc.Protocol in
+      let module Server = Secshare_rpc.Server in
+      let manifest = Filename.concat dir "c.db.manifest" in
       List.iter
         (fun (p, e) ->
-          let what = Printf.sprintf "ssdb_query -p %d -e %d" p e in
-          expect_refusal ~what ~dir "ssdb_query"
-            ([ "--db"; "c.db"; "--map"; "c.map"; "--seed"; "c.seed" ]
-            @ [ "--trace-log"; "q.jsonl" ] @ field_args ~p ~e @ [ "//item" ])
-            (message ~p ~e);
-          check_absent ~what dir [ "q.jsonl" ])
+          let what = Printf.sprintf "ssdb_router over a shard with p = %d, e = %d" p e in
+          set_field manifest ~p ~e;
+          let info =
+            match Manifest.load manifest with
+            | Ok m -> Manifest.to_info m
+            | Error msg -> Alcotest.fail msg
+          in
+          let requests = ref [] in
+          let on_request request =
+            requests := Protocol.request_name request :: !requests;
+            match request with
+            | Protocol.Manifest -> Protocol.Manifest_data info
+            | _ -> Protocol.Error_msg "stand-in shard"
+          in
+          let shard =
+            Server.start_sessions ~path:(Filename.concat dir "shard.sock")
+              ~session:(fun () -> { Server.on_request; on_close = ignore })
+              ()
+          in
+          Fun.protect
+            ~finally:(fun () -> Server.stop shard)
+            (fun () ->
+              expect_refusal ~what ~dir "ssdb_router"
+                [ "--shard"; "shard.sock"; "--socket"; "r.sock"; "--trace-log"; "r.jsonl" ]
+                ("router: shard 1: " ^ message ~p ~e));
+          check Alcotest.(list string) (what ^ ": requests") [ "manifest" ] !requests;
+          check_absent ~what dir [ "r.sock"; "r.jsonl" ])
         bad_fields)
+
+(* ssdb_query's field is its map's q header: a q naming no admissible
+   field is refused before the trace log, the database or the socket
+   is touched. *)
+let test_query_refuses () =
+  with_encoded (fun dir ->
+      with_bare_socket dir (fun no_connection ->
+          List.iter
+            (fun q ->
+              set_line (Filename.concat dir "c.map") "q" (string_of_int q);
+              let refusal =
+                match Secshare_poly.Ring.of_order q with
+                | Error m -> "map: " ^ m
+                | Ok _ -> Alcotest.failf "q = %d admitted" q
+              in
+              List.iter
+                (fun target ->
+                  let what =
+                    Printf.sprintf "ssdb_query %s with q = %d" (String.concat " " target) q
+                  in
+                  expect_refusal ~what ~dir "ssdb_query"
+                    (target @ [ "--map"; "c.map"; "--seed"; "c.seed" ]
+                    @ [ "--trace-log"; "q.jsonl"; "//item" ])
+                    refusal;
+                  check_absent ~what dir [ "q.jsonl" ];
+                  no_connection what)
+                [ [ "--db"; "c.db" ]; [ "--connect"; "bare.sock" ] ])
+            [ 84; 1 lsl 21 ]))
+
+(* Start [name args] in [dir], wait until it listens on [socket], run
+   [f], then kill it. *)
+let with_background ~dir name args ~socket f =
+  let prog = exe name in
+  let null = Unix.openfile "/dev/null" [ O_WRONLY ] 0 in
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  let pid =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.chdir cwd;
+        Unix.close null)
+      (fun () -> Unix.create_process prog (Array.of_list (name :: args)) Unix.stdin null null)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid : int * Unix.process_status))
+    (fun () ->
+      let rec wait n =
+        if not (Sys.file_exists (Filename.concat dir socket)) then
+          if n = 0 then Alcotest.failf "%s never listened on %s" name socket
+          else begin
+            Unix.sleepf 0.05;
+            wait (n - 1)
+          end
+      in
+      wait 200;
+      f ())
+
+(* A database encoded with -p 131 is served, routed and queried with
+   no field flag anywhere: the server reads its manifest, the router
+   the handshake and the query the map, and all three answer alike. *)
+let test_field_from_files () =
+  with_dir (fun dir ->
+      must_succeed ~dir "ssdb_gen" [ "--size-kb"; "20"; "-o"; "doc.xml" ];
+      must_succeed ~dir "ssdb_encode"
+        [ "doc.xml"; "-p"; "131"; "--map"; "h.map"; "--seed"; "h.seed"; "-o"; "h.db" ];
+      let query target =
+        match
+          run_exe ~dir "ssdb_query"
+            (target @ [ "--map"; "h.map"; "--seed"; "h.seed"; "//item"; "//keyword" ])
+        with
+        | Some 0, out, _ ->
+            (* only the wall-time prefix of the counter line varies *)
+            String.split_on_char '\n' out
+            |> List.map (fun l ->
+                   if String.length l > 6 && String.sub l 0 6 = "time: " then
+                     String.sub l (String.index l '|') (String.length l - String.index l '|')
+                   else l)
+        | Some code, _, err -> Alcotest.failf "ssdb_query exited %d: %s" code err
+        | None, _, _ -> Alcotest.fail "ssdb_query hung"
+      in
+      let local = query [ "--db"; "h.db" ] in
+      check Alcotest.bool "matches found" true
+        (List.exists (fun l -> l <> "" && String.sub l 0 8 = "matches ") local);
+      with_background ~dir "ssdb_server" [ "--db"; "h.db"; "--socket"; "s.sock" ]
+        ~socket:"s.sock" (fun () ->
+          check Alcotest.(list string) "served" local (query [ "--connect"; "s.sock" ]);
+          with_background ~dir "ssdb_router" [ "--shard"; "s.sock"; "--socket"; "r.sock" ]
+            ~socket:"r.sock" (fun () ->
+              check Alcotest.(list string) "routed" local (query [ "--connect"; "r.sock" ]))))
+
+(* A router given shards of two fields refuses to start, naming both. *)
+let test_router_refuses_mixed_fields () =
+  with_encoded (fun dir ->
+      must_succeed ~dir "ssdb_encode"
+        [ "doc.xml"; "-p"; "131"; "--map"; "h.map"; "--seed"; "h.seed"; "-o"; "h.db" ];
+      with_background ~dir "ssdb_server" [ "--db"; "c.db"; "--socket"; "c.sock" ]
+        ~socket:"c.sock" (fun () ->
+          with_background ~dir "ssdb_server" [ "--db"; "h.db"; "--socket"; "h.sock" ]
+            ~socket:"h.sock" (fun () ->
+              expect_refusal ~what:"ssdb_router over F_83 and F_131" ~dir "ssdb_router"
+                [ "--shard"; "h.sock"; "--shard"; "c.sock"; "--socket"; "r.sock" ]
+                "router: shard 1 serves the field 83^1 but the deployment's field is \
+                 131^1";
+              check_absent ~what:"ssdb_router over two fields" dir [ "r.sock" ])))
 
 (* A database in the retired format (this build's file with
    "SSDBPAG1" stamped over its first 8 bytes), alone and then next to a
@@ -268,6 +432,11 @@ let () =
           Alcotest.test_case "ssdb_server refuses a bad field" `Quick test_server_refuses;
           Alcotest.test_case "ssdb_router refuses a bad field" `Quick test_router_refuses;
           Alcotest.test_case "ssdb_query refuses a bad field" `Quick test_query_refuses;
+          Alcotest.test_case "ssdb_server without a manifest is refused" `Quick
+            test_server_needs_manifest;
+          Alcotest.test_case "the field is read from files" `Quick test_field_from_files;
+          Alcotest.test_case "ssdb_router refuses shards of two fields" `Quick
+            test_router_refuses_mixed_fields;
         ] );
       ( "ssdb_encode",
         [

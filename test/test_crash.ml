@@ -191,7 +191,7 @@ let assert_integrity ~ctx t =
 
 let golden_queries ~ctx table =
   let mapping, _ = Lazy.force encoded_parts in
-  match DB.of_parts ~p:83 ~e:1 ~mapping ~seed ~table () with
+  match DB.of_parts ~mapping ~seed ~table () with
   | Error e -> Alcotest.failf "%s: of_parts: %s" ctx e
   | Ok db ->
       List.iter

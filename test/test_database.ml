@@ -54,15 +54,81 @@ let test_bundle_missing_dir () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "opened a missing bundle"
 
-let test_bundle_corrupt_config () =
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* The bundle's field is its map's [q] header, and a bundle has no
+   other config file: a header naming no admissible field refuses the
+   open before any table opens. *)
+let test_bundle_corrupt_map_header () =
   with_temp_dir (fun dir ->
       let db = sample_db () in
       (match DB.save_bundle db ~dir with Ok () -> () | Error e -> Alcotest.fail e);
-      Out_channel.with_open_text (Filename.concat dir "config") (fun oc ->
-          output_string oc "p = not_a_number\ne = 1\n");
-      match DB.open_bundle ~dir () with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "opened a bundle with a corrupt config")
+      check Alcotest.(list string) "bundle files"
+        [ "client.map"; "client.seed"; "nums.db"; "shares.db" ]
+        (List.sort compare (Array.to_list (Sys.readdir dir)));
+      let map = Filename.concat dir "client.map" in
+      let body = In_channel.with_open_text map In_channel.input_all in
+      let eol = String.index body '\n' in
+      let rest = String.sub body eol (String.length body - eol) in
+      let before = open_fds () in
+      List.iter
+        (fun (q, want) ->
+          Out_channel.with_open_text map (fun oc -> Printf.fprintf oc "q = %d%s" q rest);
+          match DB.open_bundle ~dir () with
+          | Error msg -> check Alcotest.string (Printf.sprintf "q = %d" q) want msg
+          | Ok _ -> Alcotest.failf "opened a bundle whose map has q = %d" q)
+        [
+          (84, "map: q = 84 is not a prime power");
+          (1 lsl 21, "map: q = 2097152 exceeds the safe field-order bound of 1048576");
+        ];
+      check Alcotest.int "no table left open" before (open_fds ()))
+
+(* A bundle whose numeric column is refused leaves its shares table
+   closed: 20 refused opens leave the descriptor count where it was. *)
+let test_bundle_refused_nums_closes_shares () =
+  with_temp_dir (fun dir ->
+      let db = sample_db () in
+      (match DB.save_bundle db ~dir with Ok () -> () | Error e -> Alcotest.fail e);
+      DB.close db;
+      Test_support.stamp (Filename.concat dir "nums.db") "NOTATABL";
+      let before = open_fds () in
+      for _ = 1 to 20 do
+        match DB.open_bundle ~dir () with
+        | Error msg ->
+            check Alcotest.bool ("refused: " ^ msg) true
+              (Test_support.contains ~sub:"nums: " msg)
+        | Ok _ -> Alcotest.fail "opened a bundle whose nums.db header is overwritten"
+      done;
+      check Alcotest.int "open descriptors" before (open_fds ()))
+
+(* [of_transport] and [connect] hold the caller's (p, e) to the map's
+   [q]: a mismatch is refused up front, naming both fields, and the
+   transport handed to [of_transport] is closed. *)
+let test_field_must_match_map () =
+  let db = sample_db () in
+  let path = Filename.temp_file "ssdb-db" ".sock" in
+  Sys.remove path;
+  let server = DB.serve db ~path in
+  Fun.protect
+    ~finally:(fun () ->
+      Secshare_rpc.Server.stop server;
+      DB.close db)
+    (fun () ->
+      let mapping = DB.mapping db and seed = DB.seed db in
+      let want = "field 131^1 = 131 differs from the map's q = 83" in
+      (match DB.connect ~p:131 ~e:1 ~mapping ~seed ~path () with
+      | Error msg -> check Alcotest.string "connect" want msg
+      | Ok _ -> Alcotest.fail "connect accepted p = 131 with a q = 83 map");
+      match Secshare_rpc.Transport.socket path with
+      | Error msg -> Alcotest.fail msg
+      | Ok transport -> (
+          (match DB.of_transport ~p:131 ~e:1 ~mapping ~seed transport with
+          | Error msg -> check Alcotest.string "of_transport" want msg
+          | Ok _ -> Alcotest.fail "of_transport accepted p = 131 with a q = 83 map");
+          match Secshare_rpc.Transport.call transport Secshare_rpc.Protocol.Ping with
+          | Secshare_rpc.Protocol.Error_msg "transport closed" -> ()
+          | r ->
+              Alcotest.failf "transport still open: %a" Secshare_rpc.Protocol.pp_response r))
 
 let test_bundle_shares_public () =
   (* re-opening the shares with a *different* seed must yield garbage:
@@ -241,7 +307,9 @@ let () =
         [
           Alcotest.test_case "save/open roundtrip" `Quick test_bundle_roundtrip;
           Alcotest.test_case "missing directory" `Quick test_bundle_missing_dir;
-          Alcotest.test_case "corrupt config" `Quick test_bundle_corrupt_config;
+          Alcotest.test_case "corrupt map header" `Quick test_bundle_corrupt_map_header;
+          Alcotest.test_case "refused nums.db closes shares.db" `Quick
+            test_bundle_refused_nums_closes_shares;
           Alcotest.test_case "shares alone are useless" `Quick test_bundle_shares_public;
           Alcotest.test_case "retired format refused" `Quick test_bundle_retired_format;
           Alcotest.test_case "secrets readable by the owner only" `Quick
@@ -260,6 +328,7 @@ let () =
           Alcotest.test_case "storage stats" `Quick test_storage_stats_consistency;
           Alcotest.test_case "field-order overflow rejected" `Quick
             test_field_order_overflow_rejected;
+          Alcotest.test_case "the field must match the map" `Quick test_field_must_match_map;
           Alcotest.test_case "accuracy of empty results" `Quick test_accuracy_empty_result;
         ] );
     ]

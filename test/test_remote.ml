@@ -342,6 +342,31 @@ let fds_settle_to target =
   in
   go 100
 
+(* A stand-in shard whose handshake reports the manifest saved in a
+   file with the field [p], [e]; every other request is an error. *)
+let with_manifest_shard ~p ~e f =
+  let module Manifest = Secshare_shard.Manifest in
+  let file = Filename.temp_file "ssdb-remote" ".manifest" in
+  let path = Filename.temp_file "ssdb-remote" ".sock" in
+  Sys.remove path;
+  Manifest.save file
+    { Manifest.shard_id = 1; shards = 1; threshold = 1; p; e; rows = 1; bounds = [| 1 |] };
+  let info = Manifest.to_info (Result.get_ok (Manifest.load file)) in
+  Sys.remove file;
+  let on_request = function
+    | Protocol.Manifest -> Protocol.Manifest_data info
+    | _ -> Protocol.Error_msg "stand-in shard"
+  in
+  let server =
+    Secshare_rpc.Server.start_sessions ~path
+      ~session:(fun () -> { Secshare_rpc.Server.on_request; on_close = ignore })
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Secshare_rpc.Server.stop server) (fun () -> f path)
+
+(* The client's (p, e) and a shard's manifest field both pass the one
+   admission check: a refused field leaves no socket open, and the
+   router's refusal names the shard and the reason. *)
 let test_bad_field_rejected_without_leak () =
   with_served_db (fun db path ->
       let mapping = DB.mapping db and seed = DB.seed db in
@@ -356,15 +381,22 @@ let test_bad_field_rejected_without_leak () =
                 Alcotest.failf "%s: %s accepted a bad field" label what
           in
           refused "connect" (DB.connect ~p ~e ~mapping ~seed ~path ());
-          (match Secshare_shard.Router.connect ~p ~e [ path ] with
-          | Error _ -> ()
-          | Ok router ->
-              Secshare_shard.Router.close router;
-              Alcotest.failf "%s: Router.connect accepted a bad field" label);
-          match Transport.socket path with
+          (match Transport.socket path with
           | Error msg -> Alcotest.failf "%s: socket: %s" label msg
           | Ok transport ->
-              refused "of_transport" (DB.of_transport ~p ~e ~mapping ~seed transport))
+              refused "of_transport" (DB.of_transport ~p ~e ~mapping ~seed transport));
+          with_manifest_shard ~p ~e (fun shard ->
+              match Secshare_shard.Router.connect [ shard ] with
+              | Error msg ->
+                  let want =
+                    match Secshare_poly.Ring.checked ~p ~e with
+                    | Error m -> "router: shard 1: " ^ m
+                    | Ok _ -> Alcotest.failf "%s admitted" label
+                  in
+                  check Alcotest.string (label ^ ": Router.connect") want msg
+              | Ok router ->
+                  Secshare_shard.Router.close router;
+                  Alcotest.failf "%s: Router.connect accepted a bad field" label))
         [ (83, 0); (84, 1); (2, 21); (2, 70) ];
       check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
 

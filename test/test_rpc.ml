@@ -113,12 +113,14 @@ let gen_response =
                 (pair gen_meta (list_size (int_range 0 5) (int_range 0 100000))))
           @@ map (fun c -> if c = 0 then None else Some c) (int_range 0 1000));
         map
-          (fun ((id, (n, t)), (rows, bounds)) ->
+          (fun ((id, (n, t)), ((p, e), (rows, bounds))) ->
             Protocol.Manifest_data
-              { shard_id = id; shards = n; threshold = t; total_rows = rows; bounds })
+              { shard_id = id; shards = n; threshold = t; p; e; total_rows = rows; bounds })
           (pair
              (pair (int_range 0 8) (pair (int_range 1 8) (int_range 1 8)))
-             (pair (int_range 0 100000) (list_size (int_range 1 8) (int_range 1 100000))));
+             (pair
+                (pair (int_range 0 100000) (int_range 0 64))
+                (pair (int_range 0 100000) (list_size (int_range 1 8) (int_range 1 100000)))));
         map
           (fun (count, sum) -> Protocol.Agg_partial { count; sum })
           (pair (int_range 0 100000) (int_range 0 ((1 lsl 61) - 2)));
@@ -204,8 +206,18 @@ let pinned_responses =
     ( Scan_batch { rows = [ (meta, [ 1; 2 ]) ]; cursor = Some 5 },
       "0c01000000070000002c010000010000000200000001000000020000000105000000" );
     (Scan_batch { rows = []; cursor = None }, "0c0000000000");
-    ( Manifest_data { shard_id = 2; shards = 3; threshold = 2; total_rows = 100; bounds = [ 1; 50 ] },
-      "0d02000000030000000200000064000000020000000100000032000000" );
+    ( Manifest_data
+        {
+          shard_id = 2;
+          shards = 3;
+          threshold = 2;
+          p = 131;
+          e = 1;
+          total_rows = 100;
+          bounds = [ 1; 50 ];
+        },
+      "0f0200000003000000020000008300000001000000640000000200000001000000\
+       32000000" );
     (Agg_partial { count = 3; sum = (1 lsl 61) - 2 }, "0e03000000feffffffffffff1f");
   ]
 
@@ -237,10 +249,11 @@ let retired_frames = [ "\x04\x01\x00\x00\x00\x09\x00\x00\x00"; "\x05\x01\x00\x00
    fetch ([Share]/[Share_data]), request tag 7 / response tag 6 to the
    retired single-node evaluation ([Eval]/[Value], now a one-row
    [Eval_batch]), request tag 11 / response tag 10 to the retired
-   table-stats probe ([Table_stats]/[Stats]), and request tag 3 to the
+   table-stats probe ([Table_stats]/[Stats]), request tag 3 to the
    retired parent lookup ([Parent 18], now a point-free [Scan_eval]),
-   each in the encoding it used to have.  The other direction's tags 3
-   and 6 to 11 are live. *)
+   and response tag 13 to the manifest reply without the field, each
+   in the encoding it used to have.  The other direction's tags 3, 6
+   to 11 and 13 are live. *)
 let retired_requests =
   retired_frames
   @ [
@@ -256,6 +269,8 @@ let retired_responses =
       "\x08\x04\x00\x00\x00\x00\xff\x61\x62";
       "\x06\x51\x00\x00\x00";
       "\x0a\x0c\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00";
+      "\x0d\x02\x00\x00\x00\x03\x00\x00\x00\x02\x00\x00\x00\x64\x00\x00\x00\x02\x00\x00\x00\
+       \x01\x00\x00\x00\x32\x00\x00\x00";
     ]
 
 let test_retired_tags_rejected () =

@@ -106,7 +106,7 @@ let test_partition_of () =
     [ (0, 0); (1, 0); (9, 0); (10, 1); (19, 1); (20, 2); (100000, 2) ]
 
 let test_wire_roundtrip () =
-  let m = Manifest.of_info ~p:83 ~e:1 (Manifest.to_info m0) in
+  let m = Manifest.of_info (Manifest.to_info m0) in
   check Alcotest.bool "to_info/of_info roundtrip" true (m = m0)
 
 (* --- an in-process threshold deployment ---
@@ -410,7 +410,6 @@ let test_router_golden ?ring () =
    cost model, with fewer round trips than rows. *)
 let test_parent_steps_match_reference () =
   let d = make_deployment xmark_tree in
-  let ring = DB.ring d.db in
   Fun.protect
     ~finally:(fun () -> teardown d)
     (fun () ->
@@ -419,8 +418,8 @@ let test_parent_steps_match_reference () =
           let client = { DB.default_client_config with rpc_mode } in
           let direct =
             match
-              DB.of_parts ~client ~p:ring.Ring.characteristic ~e:ring.Ring.degree
-                ~mapping:(DB.mapping d.db) ~seed:(DB.seed d.db) ~table:(DB.table d.db) ()
+              DB.of_parts ~client ~mapping:(DB.mapping d.db) ~seed:(DB.seed d.db)
+                ~table:(DB.table d.db) ()
             with
             | Ok db -> db
             | Error e -> failwith e
@@ -920,7 +919,7 @@ let test_routed_trace_over_sockets () =
       shard_paths
   in
   let router =
-    match Router.connect ~p:83 ~e:1 shard_paths with
+    match Router.connect shard_paths with
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
@@ -984,6 +983,89 @@ let test_routed_trace_over_sockets () =
       check Alcotest.int "every served request joined the client's trace"
         (List.length client_rpc + member_calls)
         (List.length serve))
+
+(* --- the field travels with the data --- *)
+
+let f131 = Ring.of_prime ~p:131
+
+(* Serve every shard of [d] on its own socket for [f]. *)
+let with_shard_sockets d f =
+  let serve filter =
+    let path = Filename.temp_file "ssdb-shard" ".sock" in
+    Sys.remove path;
+    let session () =
+      let on_request, on_close = Server_filter.connection filter in
+      { Server.on_request; on_close }
+    in
+    (path, Server.start_sessions ~path ~session ())
+  in
+  let served = Array.to_list (Array.map serve d.filters) in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, s) -> Server.stop s) served)
+    (fun () -> f (List.map fst served))
+
+(* [Router.connect] takes no field: it learns F_131 from the shards'
+   handshakes and answers exactly as the single server does. *)
+let test_router_learns_field () =
+  let d = make_deployment ~ring:f131 xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      with_shard_sockets d (fun paths ->
+          match Router.connect paths with
+          | Error e -> Alcotest.fail e
+          | Ok router ->
+              let client =
+                Result.get_ok
+                  (DB.of_transport ~p:131 ~e:1 ~mapping:(DB.mapping d.db)
+                     ~seed:(DB.seed d.db)
+                     (Transport.local ~handler:(Router.handler router)))
+              in
+              Fun.protect
+                ~finally:(fun () ->
+                  DB.close client;
+                  Router.close router)
+                (fun () ->
+                  check Alcotest.int "field learned" 131 (Router.manifest router).Manifest.p;
+                  check_golden ~note:"F_131, learned: " { d with router } client)))
+
+(* A shard of another deployment's field is refused when the router
+   starts, with both fields named, in-process and over sockets (where
+   every socket opened is closed again). *)
+let test_mixed_fields_refused () =
+  let d83 = make_deployment xmark_tree and d131 = make_deployment ~ring:f131 xmark_tree in
+  Fun.protect
+    ~finally:(fun () ->
+      teardown d83;
+      teardown d131)
+    (fun () ->
+      let local (d : deployment) i =
+        Transport.local ~handler:(Server_filter.handler d.filters.(i))
+      in
+      (match Router.of_transports ring [ local d83 0; local d131 1; local d83 2 ] with
+      | Ok _ -> Alcotest.fail "of_transports accepted a shard of F_131 in an F_83 router"
+      | Error msg ->
+          check Alcotest.string "of_transports"
+            "router: shard 2 serves the field 131^1 but the deployment's field is 83^1" msg);
+      with_shard_sockets d83 (fun p83 ->
+          with_shard_sockets d131 (fun p131 ->
+              let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+              let before = fds () in
+              (match Router.connect [ List.nth p131 0; List.nth p83 1; List.nth p83 2 ] with
+              | Ok _ -> Alcotest.fail "connect accepted shards of two fields"
+              | Error msg ->
+                  check Alcotest.string "connect"
+                    "router: shard 2 serves the field 83^1 but the deployment's field is \
+                     131^1"
+                    msg);
+              let rec settle tries =
+                if fds () <> before && tries > 0 then begin
+                  Unix.sleepf 0.02;
+                  settle (tries - 1)
+                end
+              in
+              settle 100;
+              check Alcotest.int "every socket closed" before (fds ()))))
 
 let () =
   Alcotest.run "shard"
@@ -1058,5 +1140,11 @@ let () =
         [
           Alcotest.test_case "routed trace over sockets" `Quick
             test_routed_trace_over_sockets;
+        ] );
+      ( "field",
+        [
+          Alcotest.test_case "the router learns the field" `Quick test_router_learns_field;
+          Alcotest.test_case "a shard of another field is refused" `Quick
+            test_mixed_fields_refused;
         ] );
     ]

@@ -16,6 +16,12 @@
 #   5. SIGKILL a second shard: the router must refuse with a clean
 #      "unavailable" error, never a wrong answer.
 #
+# Only ssdb_encode is told the field (-p): the servers read it from
+# their manifests, the router from the shards' handshakes and the
+# queries from the map.  A last step hands the router one shard socket
+# from each field's deployment: it must refuse to start, naming both
+# fields, and never listen.
+#
 # Exits non-zero on the first divergence.  Run from the repo root:
 #   tools/shard_smoke.sh
 # Scratch files go under $TMPDIR (default /tmp) and are removed on exit.
@@ -57,9 +63,9 @@ untimed() { sed -E 's/^time: [0-9.]+ s \| //'; }
 run_golden() {
   local note="p = $P, $1" q
   for q in "${QUERIES[@]}"; do
-    "$B/ssdb_query.exe" -p "$P" --db single.db --map c.map --seed c.seed "$q" 2>&1 \
+    "$B/ssdb_query.exe" --db single.db --map c.map --seed c.seed "$q" 2>&1 \
       | untimed >single.out
-    "$B/ssdb_query.exe" -p "$P" --connect r.sock --map c.map --seed c.seed "$q" 2>&1 \
+    "$B/ssdb_query.exe" --connect r.sock --map c.map --seed c.seed "$q" 2>&1 \
       | untimed >routed.out
     if ! diff -u single.out routed.out >diff.out; then
       die "$note: '$q' diverged: $(head -5 diff.out)"
@@ -79,7 +85,7 @@ for P in 83 131; do
 
   SERVERS=()
   for i in 1 2 3; do
-    "$B/ssdb_server.exe" -p "$P" --db "sharded.db.shard$i" --socket "s$i.sock" \
+    "$B/ssdb_server.exe" --db "sharded.db.shard$i" --socket "s$i.sock" \
       >"server$i.log" 2>&1 &
     PIDS+=($!)
     SERVERS+=($!)
@@ -91,7 +97,7 @@ for P in 83 131; do
   done
   [ -S s1.sock ] || die "p = $P: shard servers did not come up ($(cat server1.log))"
 
-  "$B/ssdb_router.exe" -p "$P" --shard s1.sock --shard s2.sock --shard s3.sock \
+  "$B/ssdb_router.exe" --shard s1.sock --shard s2.sock --shard s3.sock \
     --socket r.sock >router.log 2>&1 &
   PIDS+=($!)
   ROUTER=$!
@@ -115,7 +121,7 @@ for P in 83 131; do
   kill -9 "${SERVERS[2]}" || die "p = $P: could not kill shard 3"
   sleep 0.3
 
-  out=$("$B/ssdb_query.exe" -p "$P" --connect r.sock --map c.map --seed c.seed '//item' 2>&1)
+  out=$("$B/ssdb_query.exe" --connect r.sock --map c.map --seed c.seed '//item' 2>&1)
   if [ $? -eq 0 ]; then
     die "p = $P: query succeeded below the threshold: $out"
   fi
@@ -127,5 +133,34 @@ for P in 83 131; do
   kill -9 "${SERVERS[0]}" "$ROUTER" 2>/dev/null
   cd .. || die "no workdir"
 done
+
+log "mixed fields: shard 1 of the p = 83 deployment, shard 2 of the p = 131 one"
+MIXED=()
+for P in 83 131; do
+  shard=$([ "$P" = 83 ] && echo 1 || echo 2)
+  "$B/ssdb_server.exe" --db "p$P/sharded.db.shard$shard" --socket "m$P.sock" \
+    >"m$P.log" 2>&1 &
+  PIDS+=($!)
+  MIXED+=($!)
+  disown $!
+done
+for _ in $(seq 50); do
+  [ -S m83.sock ] && [ -S m131.sock ] && break
+  sleep 0.1
+done
+[ -S m131.sock ] || die "mixed fields: shard servers did not come up ($(cat m131.log))"
+# a router that started would serve until killed (exit 137)
+out=$(timeout -s KILL 10 "$B/ssdb_router.exe" --shard m83.sock --shard m131.sock \
+  --socket mixed.sock 2>&1)
+code=$?
+if [ "$code" -eq 0 ] || [ "$code" -eq 137 ]; then
+  die "mixed fields: the router started (exit $code): $out"
+fi
+[ -e mixed.sock ] && die "mixed fields: the router listened"
+case $out in
+  *83^1*131^1* | *131^1*83^1*) log "mixed fields: refused (exit $code): $out" ;;
+  *) die "mixed fields: expected both fields named, got: $out" ;;
+esac
+kill -9 "${MIXED[@]}" 2>/dev/null
 
 log "PASS"
