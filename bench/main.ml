@@ -1337,14 +1337,14 @@ let shard_ablation () =
   (* shard-count series: routing overhead vs the 1-shard deployment *)
   List.iter (fun shards -> run_deployment ~shards ~threshold:(min 2 shards)) [ 1; 2; 4 ];
   (* threshold series at a fixed 3-shard deployment: the t-of-n cost is
-     t-fold fan-out per partition plus the Lagrange fold *)
+     the t-fold fan-out to the serving group plus the Lagrange fold *)
   List.iter (fun threshold -> run_deployment ~shards:3 ~threshold) [ 1; 2; 3 ];
   DB.close db;
   printf
-    "\nEvery shard stores all rows (partitions are a routing overlay), so a\n\
-     single client sees the t-fold call fan-out as overhead, not a speedup;\n\
-     sharding buys aggregate capacity across clients and survives n - t dead\n\
-     shards — bit-identical answers throughout (asserted above).\n"
+    "\nEvery shard stores all rows and one serving group of t shards answers\n\
+     every request, so a single client sees the t-fold call fan-out as\n\
+     overhead, not a speedup; sharding buys no capacity, but survives n - t\n\
+     dead shards — bit-identical answers throughout (asserted above).\n"
 
 (* ------------------------------------------------------------------ *)
 (* Extra ablation: server-side aggregation vs node-set fetch          *)

@@ -1,11 +1,13 @@
 (* The front end the ssdb_* binaries share: one definition of each
-   common flag, the numeric column's path, and the one serve loop of
-   ssdb_server and ssdb_router. *)
+   common flag, the numeric column's path, a database's manifest, and
+   the one serve loop of ssdb_server and ssdb_router. *)
 
 open Cmdliner
 module Obs = Secshare_obs
 module Node_table = Secshare_store.Node_table
 module Server = Secshare_rpc.Server
+module Manifest = Secshare_shard.Manifest
+module Ring = Secshare_poly.Ring
 
 let err fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
 
@@ -39,6 +41,18 @@ let open_numbers ?durable db_path =
   let path = nums_path db_path in
   if not (Sys.file_exists path) then Ok None
   else Result.map Option.some (Node_table.open_file ?durable path)
+
+(* The manifest ssdb_encode writes next to every database, and the
+   field it names; without an admissible one nothing else opens. *)
+let load_manifest db_path =
+  let path = Manifest.manifest_path db_path in
+  if not (Sys.file_exists path) then
+    Error (Printf.sprintf "no manifest %s: re-encode the document with ssdb_encode" path)
+  else
+    Result.bind (Manifest.load path) (fun m ->
+        match Ring.checked ~p:m.Manifest.p ~e:m.Manifest.e with
+        | Ok ring -> Ok (m, ring)
+        | Error msg -> Error (Printf.sprintf "manifest %s: %s" path msg))
 
 (* --- connections --- *)
 

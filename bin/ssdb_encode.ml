@@ -131,12 +131,10 @@ let encode_sharded ~ring ~mapping ~seed ~trie ~agg_scale ~db_path ~durable
               close_all ();
               Printf.printf
                 "encoded %d nodes (%d elements, %d trie nodes, %d numeric) in %.2f s\n\
-                 sharded %d-of-%d: %s.shard1..%d (+ .manifest, .nums each), %d \
-                 partitions\n"
+                 sharded %d-of-%d: %s.shard1..%d (+ .manifest, .nums each)\n"
                 stats.Encode.nodes stats.Encode.elements stats.Encode.trie_nodes
                 stats.Encode.numeric_nodes stats.Encode.duration_seconds threshold shards
-                db_path shards
-                (Manifest.partitions manifests.(0));
+                db_path shards;
               `Ok 0))
 
 let run xml_path map_path seed_path db_path ring trie_mode durable checkpoint_every

@@ -8,6 +8,7 @@ module QC = Secshare_core.Query_common
 module Metrics = Secshare_core.Metrics
 module Obs = Secshare_obs
 module Ring = Secshare_poly.Ring
+module Manifest = Secshare_shard.Manifest
 
 let err = Cli.err
 
@@ -87,15 +88,27 @@ let run db_path socket_path map_path seed_path engine_name strictness_name timeo
                   | Error m -> err "connect: %s" m
                   | Ok db -> with_db db)
               | None -> (
-                  match Secshare_store.Node_table.open_file db_path with
-                  | Error m -> err "database: %s" m
-                  | Ok table -> (
-                      match Cli.open_numbers db_path with
-                      | Error m -> err "numeric column: %s" m
-                      | Ok numbers -> (
-                          match DB.of_parts ~client ~mapping ~seed ~table ?numbers () with
-                          | Error m -> err "%s" m
-                          | Ok db -> with_db db))))))
+                  let ( let* ) = Result.bind in
+                  let opened =
+                    (* the check a server's handshake gets, on the
+                       manifest next to the database *)
+                    let* m, _ = Cli.load_manifest db_path in
+                    let path = Manifest.manifest_path db_path in
+                    let* () =
+                      DB.check_manifest ring (Manifest.to_info m)
+                      |> Result.map_error (Printf.sprintf "manifest %s: %s" path)
+                    in
+                    let* table =
+                      Result.map_error (( ^ ) "database: ")
+                        (Secshare_store.Node_table.open_file db_path)
+                    in
+                    let* numbers =
+                      Result.map_error (( ^ ) "numeric column: ")
+                        (Cli.open_numbers db_path)
+                    in
+                    DB.of_parts ~client ~mapping ~seed ~table ?numbers ()
+                  in
+                  match opened with Error m -> err "%s" m | Ok db -> with_db db))))
 
 let socket_path =
   Arg.(

@@ -3,10 +3,10 @@
 
    Clients connect exactly as they would to a single ssdb_server
    (ssdb_query --connect works unchanged); the router learns the field
-   and the deployment from the shards' manifest handshakes, fans point
-   lookups and fused scans out over the shards, folds the Shamir shares
-   back together, and keeps answering while at least the threshold
-   number of shards is live. *)
+   and the deployment from the shards' manifest handshakes, sends point
+   lookups and fused scans to one serving group of threshold shards,
+   folds the Shamir shares back together, and keeps answering while at
+   least the threshold number of shards is live. *)
 
 open Cmdliner
 module Obs = Secshare_obs
@@ -36,11 +36,10 @@ let open_service shard_paths timeout max_retries max_cursors () =
             healthy = (fun () -> Router.live_shards router >= Router.threshold router);
             announce =
               (fun socket ->
-                Obs.Events.info "routing %d-of-%d shards (%d partitions) on %s"
-                  m.Manifest.threshold m.Manifest.shards (Manifest.partitions m) socket;
-                Printf.printf "routing %d-of-%d shards (%d rows, %d partitions) on %s\n%!"
-                  m.Manifest.threshold m.Manifest.shards m.Manifest.rows
-                  (Manifest.partitions m) socket);
+                Obs.Events.info "routing %d-of-%d shards on %s" m.Manifest.threshold
+                  m.Manifest.shards socket;
+                Printf.printf "routing %d-of-%d shards (%d rows) on %s\n%!"
+                  m.Manifest.threshold m.Manifest.shards m.Manifest.rows socket);
             shutdown =
               (fun srv ->
                 Router.close router;

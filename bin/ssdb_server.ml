@@ -10,26 +10,13 @@
 
 open Cmdliner
 module Obs = Secshare_obs
-module Ring = Secshare_poly.Ring
 module Node_table = Secshare_store.Node_table
 module Manifest = Secshare_shard.Manifest
 module Server_filter = Secshare_core.Server_filter
 
-(* The field is the one in the manifest ssdb_encode writes next to
-   every database; without an admissible one nothing else opens. *)
-let load_manifest db_path =
-  let path = Manifest.manifest_path db_path in
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "no manifest %s: re-encode the document with ssdb_encode" path)
-  else
-    Result.bind (Manifest.load path) (fun m ->
-        match Ring.checked ~p:m.Manifest.p ~e:m.Manifest.e with
-        | Ok ring -> Ok (m, ring)
-        | Error msg -> Error (Printf.sprintf "manifest %s: %s" path msg))
-
 let open_service db_path durable cursor_ttl max_cursors workers slow_query_ms () =
   let ( let* ) = Result.bind in
-  let* m, ring = load_manifest db_path in
+  let* m, ring = Cli.load_manifest db_path in
   let* table =
     Result.map_error (( ^ ) "database: ") (Node_table.open_file ~durable db_path)
   in

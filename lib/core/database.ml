@@ -1,6 +1,7 @@
 module Ring = Secshare_poly.Ring
 module Node_table = Secshare_store.Node_table
 module Transport = Secshare_rpc.Transport
+module Protocol = Secshare_rpc.Protocol
 module Ast = Secshare_xpath.Ast
 module Obs = Secshare_obs
 
@@ -389,12 +390,48 @@ let checked_ring ~p ~e map =
            ring.Ring.order (Mapping.field_order map))
   | checked -> checked
 
+(* Whether a server with manifest [m] can answer this client alone.  A
+   server of another field would fail mid-query and be blamed for it;
+   one shard of a t > 1 deployment holds a Shamir share only its router
+   can recombine, so every test would read "no match".  A router
+   (shard 0) and a 1-of-1 server pass. *)
+let check_manifest (ring : Ring.t) (m : Protocol.manifest_info) =
+  if m.Protocol.p <> ring.Ring.characteristic || m.Protocol.e <> ring.Ring.degree then
+    Error
+      (Printf.sprintf "field %d^%d differs from the map's q = %d" m.Protocol.p
+         m.Protocol.e ring.Ring.order)
+  else if m.Protocol.shard_id >= 1 && m.Protocol.threshold > 1 then
+    Error
+      (Printf.sprintf
+         "shard %d of a %d-of-%d deployment cannot answer alone: query its router"
+         m.Protocol.shard_id m.Protocol.threshold m.Protocol.shards)
+  else Ok ()
+
+(* One [Manifest] handshake per connection, before the first query. *)
+let check_server ring transport =
+  match Transport.call transport Protocol.Manifest with
+  | Protocol.Manifest_data m ->
+      Result.map_error (fun msg -> "server: " ^ msg) (check_manifest ring m)
+  | Protocol.Error_msg msg -> Error ("manifest handshake: " ^ msg)
+  | response ->
+      Error
+        (Format.asprintf "manifest handshake: unexpected %a" Protocol.pp_response response)
+
+(* A remote handle over [transport] once the server passes
+   [check_server]; otherwise the transport is closed. *)
+let remote_handle ~client ~ring ~mapping ~seed transport =
+  match check_server ring transport with
+  | Error _ as err ->
+      Transport.close transport;
+      err
+  | Ok () -> Ok (client_handle ~client ~ring ~map:mapping ~seed ~local:None transport)
+
 let of_transport ?(client = default_client_config) ~p ~e ~mapping ~seed transport =
   match checked_ring ~p ~e mapping with
   | Error _ as err ->
       Transport.close transport;
       err
-  | Ok ring -> Ok (client_handle ~client ~ring ~map:mapping ~seed ~local:None transport)
+  | Ok ring -> remote_handle ~client ~ring ~mapping ~seed transport
 
 let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
   let policy =
@@ -410,8 +447,7 @@ let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
   | Ok ring -> (
       match Transport.socket ~policy path with
       | Error msg -> Error ("connect: " ^ msg)
-      | Ok transport ->
-          Ok (client_handle ~client ~ring ~map:mapping ~seed ~local:None transport))
+      | Ok transport -> remote_handle ~client ~ring ~mapping ~seed transport)
 
 let close t =
   Client_filter.close t.filter;

@@ -222,10 +222,20 @@ val of_transport :
   (t, string) result
 (** A remote handle over an already-built transport — any endpoint
     speaking the filter protocol: a socket to one server, an
-    in-process handler, or a shard router.  The handle owns the
-    transport and closes it with {!close}; an [Error] — a [p]/[e] that
-    {!Secshare_poly.Ring.checked} refuses, or a p^e other than the
-    map's [q] — closes it at once. *)
+    in-process handler, or a shard router.  Before returning it sends
+    one [Manifest] handshake and holds the reply to {!check_manifest}.
+    The handle owns the transport and closes it with {!close}; an
+    [Error] — a [p]/[e] that {!Secshare_poly.Ring.checked} refuses, a
+    p^e other than the map's [q], a failed handshake or a server
+    {!check_manifest} refuses — closes it at once. *)
+
+val check_manifest :
+  Secshare_poly.Ring.t -> Secshare_rpc.Protocol.manifest_info -> (unit, string) result
+(** Whether a server reporting this manifest can answer a client whose
+    map is over [ring]: its field must be [ring]'s, and it must not be
+    one shard of a deployment with [threshold > 1] (whose share only a
+    router recombines).  A router ([shard_id = 0]) and a 1-of-1 server
+    pass.  The error names the field or the shard. *)
 
 val connect :
   ?client:client_config ->
@@ -238,7 +248,8 @@ val connect :
   (t, string) result
 (** {!of_transport} over a socket: the client's secret state across a
     Unix-domain-socket transport; [p] and [e] are checked, against the
-    map's [q] too, before the socket opens.  [client.timeout],
+    map's [q] too, before the socket opens, and the server's manifest
+    right after; a refused server's socket is closed.  [client.timeout],
     [client.max_retries] configure the transport; the cursor and
     worker fields are server-side and ignored here. *)
 

@@ -230,8 +230,8 @@ let handle t (request : Protocol.request) : Protocol.response =
         | Protocol.Pre_ranges ranges ->
             ([], List.map (fun (a, b) -> (a, max_int, b)) (dedup_ranges ranges))
         | Protocol.Bounded_pre_ranges ranges ->
-            (* Router-issued pieces: already disjoint, just ordered;
-               empty windows are dropped rather than scanned. *)
+            (* Parent-step windows, taken in order; empty windows
+               are dropped rather than scanned. *)
             ([], List.filter (fun (a, u, _) -> a < u) (List.sort compare ranges))
       in
       let scan =

@@ -54,13 +54,6 @@ val create :
 val workers : t -> int
 (** The configured evaluation-pool size (1 = inline). *)
 
-val dedup_ranges : (int * int) list -> (int * int) list
-(** The server's [Pre_ranges] normalisation — sort by [from_pre] and
-    drop ranges nested inside an earlier one.  Exposed for the
-    sharding router, which must replicate it exactly before splitting
-    a scan at partition boundaries so the merged shard streams emit
-    rows in the single server's order. *)
-
 val close : t -> unit
 (** Stop and join the evaluation pool.  Idempotent; a closed filter
     still answers requests (evaluating inline). *)

@@ -112,8 +112,6 @@ let table : ((string * string) * guard) list =
     (("lib/shard/router.ml", "exhausted"), Domain_confined "caller");
     (("lib/shard/router.ml", "merged"), Domain_confined "caller");
     (("lib/shard/router.ml", "skip"), Domain_confined "caller");
-    (("lib/shard/router.ml", "pending"), Domain_confined "caller");
-    (("lib/shard/router.ml", "active"), Domain_confined "caller");
     (* --- lib/store: the node table's pages and pre-indexed columns,
        written under the table writer lock.  Readers are lock-free
        against published structure, so structural fields are

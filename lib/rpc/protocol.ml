@@ -10,8 +10,8 @@ type scan_target =
   | Bounded_pre_ranges of (int * int * int) list
 
 (* A shard server's place in a sharded deployment (or the whole
-   deployment, summarised by a router).  Carries topology only —
-   shard/partition geometry, never key material or share bytes. *)
+   deployment, summarised by a router).  Carries topology and the
+   field only, never key material or share bytes. *)
 type manifest_info = {
   shard_id : int;  (** 1-based Shamir x-coordinate; 0 identifies a router *)
   shards : int;  (** n: how many shard servers exist *)
@@ -19,11 +19,10 @@ type manifest_info = {
   p : int;  (** field characteristic of the shares served *)
   e : int;  (** field extension degree *)
   total_rows : int;
-  bounds : int list;  (** ascending partition start [pre]s, one per partition *)
 }
 
 let single_server ~p ~e ~rows =
-  { shard_id = 1; shards = 1; threshold = 1; p; e; total_rows = rows; bounds = [ 1 ] }
+  { shard_id = 1; shards = 1; threshold = 1; p; e; total_rows = rows }
 
 type request =
   | Ping
@@ -90,9 +89,10 @@ let encode_request req =
      request tag 9 / response tag 8 to a retired single-share fetch,
      request tag 7 / response tag 6 to the retired single-node
      evaluation (a one-row [Eval_batch] now), request tag 11 /
-     response tag 10 to the retired table-stats probe and response tag
-     13 to the manifest reply without the field: decoders reject them,
-     and they are never reused *)
+     response tag 10 to the retired table-stats probe, response tag 13
+     to the manifest reply without the field and response tag 15 to
+     the one with partition bounds: decoders reject them, and they are
+     never reused *)
   | Cursor_close cursor ->
       Wire.write_u8 w 6;
       Wire.write_u32 w cursor
@@ -215,15 +215,14 @@ let encode_response resp =
       | Some c ->
           Wire.write_u8 w 1;
           Wire.write_u32 w c)
-  | Manifest_data { shard_id; shards; threshold; p; e; total_rows; bounds } ->
-      Wire.write_u8 w 15;
+  | Manifest_data { shard_id; shards; threshold; p; e; total_rows } ->
+      Wire.write_u8 w 16;
       Wire.write_u32 w shard_id;
       Wire.write_u32 w shards;
       Wire.write_u32 w threshold;
       Wire.write_u32 w p;
       Wire.write_u32 w e;
-      Wire.write_u32 w total_rows;
-      Wire.write_list w (Wire.write_u32 w) bounds
+      Wire.write_u32 w total_rows
   | Agg_partial { count; sum } ->
       Wire.write_u8 w 14;
       Wire.write_u32 w count;
@@ -256,15 +255,14 @@ let decode_response s =
               raise (Wire.Decode_error (Printf.sprintf "unknown cursor flag %d" tag))
         in
         Scan_batch { rows; cursor }
-    | 15 ->
+    | 16 ->
         let shard_id = Wire.read_u32 r in
         let shards = Wire.read_u32 r in
         let threshold = Wire.read_u32 r in
         let p = Wire.read_u32 r in
         let e = Wire.read_u32 r in
         let total_rows = Wire.read_u32 r in
-        let bounds = Wire.read_list r (fun () -> Wire.read_u32 r) in
-        Manifest_data { shard_id; shards; threshold; p; e; total_rows; bounds }
+        Manifest_data { shard_id; shards; threshold; p; e; total_rows }
     | 14 ->
         let count = Wire.read_u32 r in
         let sum = Wire.read_i64 r in
@@ -331,10 +329,9 @@ let pp_response fmt = function
   | Scan_batch { rows; cursor } ->
       Format.fprintf fmt "Scan_batch(%d,%s)" (List.length rows)
         (match cursor with None -> "exhausted" | Some c -> Printf.sprintf "cursor=%d" c)
-  | Manifest_data { shard_id; shards; threshold; p; e; total_rows; bounds } ->
-      Format.fprintf fmt
-        "Manifest_data(shard=%d/%d,t=%d,field=%d^%d,rows=%d,%d partitions)" shard_id
-        shards threshold p e total_rows (List.length bounds)
+  | Manifest_data { shard_id; shards; threshold; p; e; total_rows } ->
+      Format.fprintf fmt "Manifest_data(shard=%d/%d,t=%d,field=%d^%d,rows=%d)" shard_id
+        shards threshold p e total_rows
   (* Only the count: the share sum is key-dependent material and must
      never reach logs (lint rule secret-flow/agg-sink). *)
   | Agg_partial { count; sum = _ } -> Format.fprintf fmt "Agg_partial(count=%d)" count

@@ -15,9 +15,9 @@
 
     Everything is structural metadata and share data; tag names and the
     map never cross the wire.  Request and response tags 4 and 5,
-    request tags 3, 7, 9 and 11 and response tags 6, 8, 10 and 13 are
-    retired: the decoders reject them and they are never reused.  A
-    parent step is a point-free [Scan_eval] over one-pre
+    request tags 3, 7, 9 and 11 and response tags 6, 8, 10, 13 and 15
+    are retired: the decoders reject them and they are never reused.
+    A parent step is a point-free [Scan_eval] over one-pre
     [Bounded_pre_ranges] windows. *)
 
 type node_meta = { pre : int; post : int; parent : int }
@@ -33,11 +33,9 @@ type scan_target =
   | Bounded_pre_ranges of (int * int * int) list
       (** [(from_pre, until_pre, below_post)]: like [Pre_ranges] but
           also stopping before any row with [pre >= until_pre].  The
-          sharding router splits a range at partition boundaries with
-          these; because subtree ranges are pre-contiguous, the
-          concatenation of the bounded pieces equals the original
-          range exactly.  Pieces are taken as given (sorted by
-          [from_pre]), not deduplicated. *)
+          parent step sends one-pre windows [(p, p + 1, 0xFFFFFFFF)]
+          with these.  Windows are scanned in [from_pre] order, empty
+          ones skipped, and not deduplicated. *)
 
 type manifest_info = {
   shard_id : int;
@@ -48,14 +46,12 @@ type manifest_info = {
   p : int;  (** characteristic of the field the shares live in *)
   e : int;  (** extension degree of that field *)
   total_rows : int;  (** rows of the full table (every shard holds all rows) *)
-  bounds : int list;
-      (** ascending partition start [pre]s — the pre-range routing
-          overlay; partition [k] spans [bounds(k)] up to [bounds(k+1)]
-          (the last one is unbounded) *)
 }
+(** Sent as response tag 16; retired tag 15 also carried pre-range
+    partition bounds. *)
 
 val single_server : p:int -> e:int -> rows:int -> manifest_info
-(** The 1-of-1 manifest of an unsharded server: one shard, one partition. *)
+(** The 1-of-1 manifest of an unsharded server. *)
 
 type request =
   | Ping
@@ -81,8 +77,9 @@ type request =
           batch. *)
   | Manifest
       (** Topology and field handshake: answered with [Manifest_data].
-          A non-sharded server reports the trivial 1-of-1 manifest, so
-          clients can probe any deployment uniformly. *)
+          A non-sharded server reports the trivial 1-of-1 manifest and
+          a router the group summary ([shard_id = 0]), so clients can
+          probe any deployment uniformly. *)
   | Agg_eval of { pres : int list }
       (** Fold the numeric-column shares of the listed rows into one
           blinded partial sum (answered with [Agg_partial]).  The

@@ -9,7 +9,6 @@ type t = {
   p : int;
   e : int;
   rows : int;
-  bounds : int array;
 }
 
 let validate m =
@@ -21,19 +20,11 @@ let validate m =
     Error
       (Printf.sprintf "manifest: shard_id %d outside [0, %d]" m.shard_id m.shards)
   else if m.rows < 0 then Error (Printf.sprintf "manifest: rows = %d < 0" m.rows)
-  else if Array.length m.bounds = 0 then Error "manifest: empty bounds"
-  else begin
-    let ascending = ref true in
-    Array.iteri
-      (fun i b -> if i > 0 && b <= m.bounds.(i - 1) then ascending := false)
-      m.bounds;
-    if not !ascending then Error "manifest: bounds not strictly ascending"
-    else Ok ()
-  end
+  else Ok ()
 
 let same_deployment a b =
   a.shards = b.shards && a.threshold = b.threshold && a.p = b.p && a.e = b.e
-  && a.rows = b.rows && a.bounds = b.bounds
+  && a.rows = b.rows
 
 let group_consistent = function
   | [] -> Error "manifest group: no shards"
@@ -59,15 +50,6 @@ let group_consistent = function
       in
       check [] all)
 
-let partitions m = Array.length m.bounds
-
-let partition_of m ~pre =
-  (* bounds is tiny (one entry per partition); a linear walk reads
-     better than a binary search here *)
-  let k = ref 0 in
-  Array.iteri (fun i b -> if b <= pre then k := i) m.bounds;
-  !k
-
 let to_info m =
   {
     Protocol.shard_id = m.shard_id;
@@ -76,7 +58,6 @@ let to_info m =
     p = m.p;
     e = m.e;
     total_rows = m.rows;
-    bounds = Array.to_list m.bounds;
   }
 
 let of_info (i : Protocol.manifest_info) =
@@ -87,16 +68,12 @@ let of_info (i : Protocol.manifest_info) =
     p = i.Protocol.p;
     e = i.Protocol.e;
     rows = i.Protocol.total_rows;
-    bounds = Array.of_list i.Protocol.bounds;
   }
 
 let shard_db_path base i = Printf.sprintf "%s.shard%d" base i
 let manifest_path db = db ^ ".manifest"
 
 let save path m =
-  let bounds =
-    String.concat "," (List.map string_of_int (Array.to_list m.bounds))
-  in
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc
         "# secshare shard manifest\n\
@@ -105,9 +82,8 @@ let save path m =
          threshold = %d\n\
          p = %d\n\
          e = %d\n\
-         rows = %d\n\
-         bounds = %s\n"
-        m.shard_id m.shards m.threshold m.p m.e m.rows bounds)
+         rows = %d\n"
+        m.shard_id m.shards m.threshold m.p m.e m.rows)
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -125,17 +101,13 @@ let load path =
           lines
       in
       let fail fmt = Printf.ksprintf (fun m -> Error ("manifest " ^ path ^ ": " ^ m)) fmt in
-      let ints key =
+      let int key =
         match value key with
         | None -> fail "missing %s" key
         | Some v -> (
-            let ints = String.split_on_char ',' v in
-            match List.map (fun s -> int_of_string_opt (String.trim s)) ints with
-            | ints when List.for_all Option.is_some ints -> Ok (List.map Option.get ints)
-            | _ -> fail "malformed %s" key)
-      in
-      let int key =
-        Result.bind (ints key) (function [ n ] -> Ok n | _ -> fail "malformed %s" key)
+            match int_of_string_opt (String.trim v) with
+            | Some n -> Ok n
+            | None -> fail "malformed %s" key)
       in
       let* shard_id = int "shard_id" in
       let* shards = int "shards" in
@@ -143,6 +115,5 @@ let load path =
       let* p = int "p" in
       let* e = int "e" in
       let* rows = int "rows" in
-      let* bounds = ints "bounds" in
-      let m = { shard_id; shards; threshold; p; e; rows; bounds = Array.of_list bounds } in
+      let m = { shard_id; shards; threshold; p; e; rows } in
       Result.map (fun () -> m) (validate m)

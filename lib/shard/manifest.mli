@@ -4,21 +4,18 @@
     single server, one per shard with [--shards n --threshold t]);
     servers take their field from it and answer the [Manifest]
     handshake with it; the router collects the manifests from every
-    shard, learns the field from them, checks that they describe one
-    deployment, and derives its routing table from the [bounds].
+    shard, learns the field from them and checks that they describe
+    one deployment.
 
-    The manifest records the {e field} ([p], [e]) and:
+    The manifest records the {e field} ([p], [e]) and the {e threshold
+    geometry} ([shards], [threshold], [shard_id]): every shard stores
+    {e all} rows, each row carrying that shard's Shamir share of the
+    server polynomial (x-coordinate = [shard_id]), so any [threshold]
+    shards serve any row and up to [shards - threshold] may be down.
 
-    - the {e threshold geometry} ([shards], [threshold], [shard_id]):
-      every shard stores {e all} rows, each row carrying that shard's
-      Shamir share of the server polynomial (x-coordinate =
-      [shard_id]), so any [threshold] shards serve any row and up to
-      [shards - threshold] may be down;
-    - the {e pre-range partition overlay} ([bounds]): ascending
-      partition start [pre]s used purely for routing — partition [k]
-      spans [bounds.(k)] up to [bounds.(k+1)] (the last unbounded) and
-      is served by a rotating group of [threshold] shards, spreading
-      scan load across the deployment. *)
+    Manifests written by earlier encoders also carry a [bounds = ...]
+    line (a retired pre-range routing overlay); [load] ignores it, as
+    it ignores every key it does not know. *)
 
 type t = {
   shard_id : int;  (** 1-based Shamir x-coordinate; 0 names a router *)
@@ -27,24 +24,17 @@ type t = {
   p : int;  (** field characteristic of the encoded shares *)
   e : int;  (** field extension degree *)
   rows : int;  (** rows of the full table (each shard holds all of them) *)
-  bounds : int array;  (** ascending partition start [pre]s, non-empty *)
 }
 
 val validate : t -> (unit, string) result
 (** Structural sanity: [1 <= threshold <= shards], [shard_id] in
-    [0, shards], non-negative [rows], and strictly ascending non-empty
-    [bounds]. *)
+    [0, shards] and non-negative [rows]. *)
 
 val group_consistent : t list -> (t, string) result
 (** Check that a list of shard manifests describes one deployment —
-    identical geometry, field, rows and bounds; distinct in-range
+    identical geometry, field and rows; distinct in-range
     shard ids — and return the group summary (the first manifest with
     [shard_id = 0]). *)
-
-val partitions : t -> int
-val partition_of : t -> pre:int -> int
-(** The partition index whose [pre] window contains [pre] (pres below
-    [bounds.(0)] fall into partition 0). *)
 
 val to_info : t -> Secshare_rpc.Protocol.manifest_info
 val of_info : Secshare_rpc.Protocol.manifest_info -> t
@@ -60,5 +50,5 @@ val manifest_path : string -> string
 
 val save : string -> t -> unit
 val load : string -> (t, string) result
-(** Key-value text format, one [key = value] per line ([bounds]
-    comma-separated); [load] reports missing or malformed fields. *)
+(** Key-value text format, one [key = value] per line; [load] reports
+    missing or malformed fields and ignores unknown keys. *)

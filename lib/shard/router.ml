@@ -2,22 +2,21 @@
 
    One invariant carries the whole file: shard scans are
    DETERMINISTIC.  Every shard stores the same rows in the same order
-   (only the share bytes differ), so issuing identical sub-targets
-   with identical batch sizes to the [threshold] members of a group
-   yields identical metadata streams — the router zip-merges them row
-   by row, folds the evaluations with the group's Lagrange
-   multipliers, and any metadata mismatch is a hard "streams diverged"
-   error rather than a silent wrong answer.
+   (only the share bytes differ), so forwarding the client's target
+   unchanged, with identical batch sizes, to the [threshold] members
+   of the serving group yields identical metadata streams — the router
+   zip-merges them row by row, folds the evaluations with the group's
+   Lagrange multipliers, and any metadata mismatch is a hard "streams
+   diverged" error rather than a silent wrong answer.
 
    Failure discipline: a transport-level failure (probed by [Ping])
    marks the shard dead and the work fails over; an application error
    from a live shard propagates to the client untouched.  Mid-scan
-   failover reopens the active sub-target on a fresh group and
-   skip-drains the rows already merged.  A reply the router cannot
-   combine (wrong shape, a share of the wrong length or with a
-   coefficient outside the field, a value outside the field) is a
-   lying member: [Diverged], naming the shard, never a raw exception
-   or a silently wrong combination. *)
+   failover reopens the scan on a fresh group and skip-drains the rows
+   already merged.  A reply the router cannot combine (wrong shape, a
+   share of the wrong length or with a coefficient outside the field,
+   a value outside the field) is a lying member: [Diverged], naming
+   the shard, never a raw exception or a silently wrong combination. *)
 
 module Protocol = Secshare_rpc.Protocol
 module Transport = Secshare_rpc.Transport
@@ -46,25 +45,18 @@ type shard = {
   calls : Obs.Registry.counter;
 }
 
-(* One member of the group serving the active scan sub-target. *)
+(* One member of the group draining a scan. *)
 type member = { shard : shard; mutable remote : int option }
 
-type active = {
+type scan_state = {
   target : Protocol.scan_target;
-  partition : int;
+  points : int list;
   mutable members : member list;
   mutable lambdas : int list;
   mutable opened : bool;
   mutable exhausted : bool;
   mutable merged : int;  (* rows already combined and handed out *)
   mutable skip : int;  (* rows to discard after a failover reopen *)
-}
-
-type scan_state = {
-  points : int list;
-  mutable pending : (int * Protocol.scan_target) list;
-      (* (partition, sub-target) pieces not yet opened, in emission order *)
-  mutable active : active option;
 }
 
 type t = {
@@ -120,26 +112,18 @@ let call_shard t shard request =
           raise Member_down)
   | response -> response
 
-(* The group of [threshold] live shards serving a partition: walk the
-   ring of shards from [partition mod n] so different partitions land
-   on different (rotated) groups — the load-spreading overlay. *)
-let group_for t ~partition =
-  let n = Array.length t.members_by_id in
+(* The serving group: the [threshold] live shards with the lowest ids.
+   Every request goes to it; a shard marked dead drops out and the next
+   live one takes its place. *)
+let group t =
   let needed = threshold t in
-  let start = ((partition mod n) + n) mod n in
-  let rec collect acc count i =
-    if count = needed then List.rev acc
-    else if i = n then
-      raise
-        (Unavailable
-           (Printf.sprintf "%d of %d shards live but the threshold is %d"
-              (live_shards t) n needed))
-    else
-      let s = t.members_by_id.((start + i) mod n) in
-      if s.alive then collect (s :: acc) (count + 1) (i + 1)
-      else collect acc count (i + 1)
-  in
-  collect [] 0 0
+  let live = List.filter (fun s -> s.alive) (Array.to_list t.members_by_id) in
+  if List.length live < needed then
+    raise
+      (Unavailable
+         (Printf.sprintf "%d of %d shards live but the threshold is %d" (List.length live)
+            (shards t) needed));
+  List.filteri (fun i _ -> i < needed) live
 
 let ids group = List.map (fun s -> s.id) group
 let lambdas_of t group = Shamir.lambdas_at_zero t.ring ~xs:(ids group)
@@ -147,18 +131,18 @@ let lambdas_of t group = Shamir.lambdas_at_zero t.ring ~xs:(ids group)
 (* Run [f] against a fresh group, retrying with the survivors whenever
    a member dies mid-flight.  Only for stateless (idempotent) work —
    scans carry their own failover. *)
-let rec on_group : 'a. t -> partition:int -> (shard list -> int list -> 'a) -> 'a =
- fun t ~partition f ->
-  let group = group_for t ~partition in
+let rec on_group : 'a. t -> (shard list -> int list -> 'a) -> 'a =
+ fun t f ->
+  let group = group t in
   match f group (lambdas_of t group) with
   | v -> v
-  | exception Member_down -> on_group t ~partition f
+  | exception Member_down -> on_group t f
 
-let rec on_one : 'a. t -> partition:int -> (shard -> 'a) -> 'a =
- fun t ~partition f ->
-  match group_for t ~partition with
+let rec on_one : 'a. t -> (shard -> 'a) -> 'a =
+ fun t f ->
+  match group t with
   | [] -> assert false (* threshold >= 1 *)
-  | s :: _ -> ( match f s with v -> v | exception Member_down -> on_one t ~partition f)
+  | s :: _ -> ( match f s with v -> v | exception Member_down -> on_one t f)
 
 (* --- checking and combining member replies --- *)
 
@@ -219,87 +203,16 @@ let combine_points t ~lambdas member_vals =
     (fun column -> Shamir.combine t.ring ~lambdas column)
     (transpose member_vals)
 
-(* --- scan sub-targets --- *)
-
-let partition_of t pre = Manifest.partition_of t.manifest ~pre
-
-(* Group consecutive items sharing a key, preserving order. *)
-let runs ~key items =
-  List.fold_left
-    (fun acc item ->
-      let k = key item in
-      match acc with
-      | (k', run) :: rest when k' = k -> (k', item :: run) :: rest
-      | _ -> (k, [ item ]) :: acc)
-    [] items
-  |> List.rev_map (fun (k, run) -> (k, List.rev run))
-
-(* Cut one bounded range at the partition boundaries.  Exact because
-   subtree ranges are pre-contiguous and the below-post stop is
-   monotone in pre: pieces past the true stop simply emit nothing. *)
-let split_bounded t (from_pre, until_pre, below_post) =
-  let bounds = t.manifest.Manifest.bounds in
-  let m = Array.length bounds in
-  let k0 = Manifest.partition_of t.manifest ~pre:from_pre in
-  let rec go k acc =
-    if k >= m || bounds.(k) >= until_pre then List.rev acc
-    else begin
-      let lo = max from_pre bounds.(k) in
-      let hi = if k + 1 < m then min until_pre bounds.(k + 1) else until_pre in
-      let acc = if lo < hi then (k, (lo, hi, below_post)) :: acc else acc in
-      go (k + 1) acc
-    end
-  in
-  (* the first partition's window starts below bounds.(k0) only for
-     pres before bounds.(0); from_pre itself is always inside k0 *)
-  let first_lo = from_pre in
-  let first_hi =
-    if k0 + 1 < m then min until_pre bounds.(k0 + 1) else until_pre
-  in
-  let first = if first_lo < first_hi then [ (k0, (first_lo, first_hi, below_post)) ] else [] in
-  first @ go (k0 + 1) []
-
-let sub_targets t target =
-  match target with
-  | Protocol.Children_of parents ->
-      runs parents ~key:(fun parent -> partition_of t parent)
-      |> List.map (fun (partition, run) -> (partition, Protocol.Children_of run))
-  | Protocol.Pre_ranges ranges ->
-      (* normalise exactly like the single server, then split *)
-      Secshare_core.Server_filter.dedup_ranges ranges
-      |> List.concat_map (fun (from_pre, below_post) ->
-             split_bounded t (from_pre, max_int, below_post))
-      |> runs ~key:fst
-      |> List.map (fun (partition, run) ->
-             (partition, Protocol.Bounded_pre_ranges (List.map snd run)))
-  | Protocol.Bounded_pre_ranges ranges ->
-      List.sort compare ranges
-      |> List.filter (fun (a, u, _) -> a < u)
-      |> List.concat_map (fun piece -> split_bounded t piece)
-      |> runs ~key:fst
-      |> List.map (fun (partition, run) ->
-             (partition, Protocol.Bounded_pre_ranges (List.map snd run)))
-
-(* Unbounded pieces carry [max_int] internally; the wire caps a u32.
-   Pres are below 2^31, so the cap is still past every row. *)
-let max_wire_pre = 0xFFFFFFFF
-
-let wire_target = function
-  | Protocol.Bounded_pre_ranges pieces ->
-      Protocol.Bounded_pre_ranges
-        (List.map
-           (fun (a, u, b) -> (a, min u max_wire_pre, min b max_wire_pre))
-           pieces)
-  | target -> target
-
 (* --- the lockstep scan merge --- *)
 
-let fresh_active t (partition, target) =
-  let group = group_for t ~partition in
+let members_of group = List.map (fun s -> { shard = s; remote = None }) group
+
+let fresh_scan t target points =
+  let group = group t in
   {
     target;
-    partition;
-    members = List.map (fun s -> { shard = s; remote = None }) group;
+    points;
+    members = members_of group;
     lambdas = lambdas_of t group;
     opened = false;
     exhausted = false;
@@ -307,7 +220,9 @@ let fresh_active t (partition, target) =
     skip = 0;
   }
 
-let close_active_members active =
+(* Close a scan's member cursors.  The cursor table runs this for every
+   cursor it removes, outside its lock: closing is network I/O. *)
+let close_scan scan =
   List.iter
     (fun m ->
       (match m.remote with
@@ -316,29 +231,29 @@ let close_active_members active =
           try ignore (send m.shard (Protocol.Cursor_close c)) with _ -> ())
       | None -> ());
       m.remote <- None)
-    active.members
+    scan.members
 
-let failover_active t active =
-  close_active_members active;
-  let group = group_for t ~partition:active.partition in
-  active.members <- List.map (fun s -> { shard = s; remote = None }) group;
-  active.lambdas <- lambdas_of t group;
-  active.opened <- false;
-  active.exhausted <- false;
-  active.skip <- active.merged
+let failover_scan t scan =
+  close_scan scan;
+  let group = group t in
+  scan.members <- members_of group;
+  scan.lambdas <- lambdas_of t group;
+  scan.opened <- false;
+  scan.exhausted <- false;
+  scan.skip <- scan.merged
 
 (* One lockstep round: the same request size to every member, metas
    zip-checked, values folded with the lambdas.  Every row must carry
    one field value per point. *)
-let pull_round t scan active ~req =
+let pull_round t scan ~req =
   let arity = List.length scan.points in
   let per_member =
     List.map
       (fun m ->
         let request =
-          if not active.opened then
+          if not scan.opened then
             Protocol.Scan_eval
-              { target = wire_target active.target; points = scan.points; max_items = req }
+              { target = scan.target; points = scan.points; max_items = req }
           else
             match m.remote with
             | Some c -> Protocol.Scan_next { cursor = c; max_items = req }
@@ -355,9 +270,9 @@ let pull_round t scan active ~req =
               (Diverged
                  (Format.asprintf "unexpected scan reply from shard %d: %a" m.shard.id
                     Protocol.pp_response response)))
-      active.members
+      scan.members
   in
-  active.opened <- true;
+  scan.opened <- true;
   let arrays = List.map snd per_member in
   let first =
     match arrays with [] -> raise (Unavailable "scan group is empty") | a :: _ -> a
@@ -371,7 +286,7 @@ let pull_round t scan active ~req =
   let exhausted = List.length exhausted_members = List.length per_member in
   if (not exhausted) && exhausted_members <> [] then
     raise (Diverged "shard scan streams diverged (cursor state differs)");
-  if exhausted then active.exhausted <- true;
+  if exhausted then scan.exhausted <- true;
   Array.to_list
     (Array.mapi
        (fun i (meta, _) ->
@@ -384,54 +299,25 @@ let pull_round t scan active ~req =
                values)
              arrays
          in
-         (meta, combine_points t ~lambdas:active.lambdas member_vals))
+         (meta, combine_points t ~lambdas:scan.lambdas member_vals))
        first)
 
-let scan_more scan =
-  (match scan.active with Some a -> not a.exhausted | None -> false)
-  || scan.pending <> []
-
-(* Collect up to [want] combined rows, advancing through sub-targets
-   and failing over dead members as needed. *)
+(* Collect up to [want] combined rows, failing over dead members as
+   needed. *)
 let rec fill t scan ~want acc =
-  if want <= 0 then List.concat (List.rev acc)
+  if want <= 0 || scan.exhausted then List.concat (List.rev acc)
   else
-    match scan.active with
-    | None -> (
-        match scan.pending with
-        | [] -> List.concat (List.rev acc)
-        | sub :: rest ->
-            scan.pending <- rest;
-            scan.active <- Some (fresh_active t sub);
-            fill t scan ~want acc)
-    | Some active ->
-        if active.exhausted then begin
-          scan.active <- None;
-          fill t scan ~want acc
-        end
-        else begin
-          let req = if active.skip > 0 then min active.skip 512 else want in
-          match pull_round t scan active ~req with
-          | rows when active.skip > 0 ->
-              active.skip <- active.skip - List.length rows;
-              fill t scan ~want acc
-          | rows ->
-              active.merged <- active.merged + List.length rows;
-              fill t scan ~want:(want - List.length rows) (rows :: acc)
-          | exception Member_down ->
-              failover_active t active;
-              fill t scan ~want acc
-        end
-
-(* Close a scan's member cursors.  The cursor table runs this for every
-   cursor it removes, outside its lock: closing is network I/O. *)
-let close_scan scan =
-  scan.pending <- [];
-  match scan.active with
-  | Some active ->
-      close_active_members active;
-      scan.active <- None
-  | None -> ()
+    let req = if scan.skip > 0 then min scan.skip 512 else want in
+    match pull_round t scan ~req with
+    | rows when scan.skip > 0 ->
+        scan.skip <- scan.skip - List.length rows;
+        fill t scan ~want acc
+    | rows ->
+        scan.merged <- scan.merged + List.length rows;
+        fill t scan ~want:(want - List.length rows) (rows :: acc)
+    | exception Member_down ->
+        failover_scan t scan;
+        fill t scan ~want acc
 
 let open_cursors t = Cursor_table.size t.cursors
 
@@ -462,93 +348,64 @@ let with_arity ~expected vs =
             (List.length expected)));
   Some vs
 
-(* Split [pres] at partition boundaries, run [f] on each run's group,
-   and put every result back at its caller-visible index. *)
-let per_partition t pres ~empty f =
-  let results = Array.make (List.length pres) empty in
-  let chunks =
-    runs (List.mapi (fun i pre -> (i, pre)) pres) ~key:(fun (_, pre) -> partition_of t pre)
-  in
-  List.iter
-    (fun (partition, chunk) ->
-      let sub_pres = List.map snd chunk in
-      let combined = on_group t ~partition (fun group lambdas -> f group lambdas sub_pres) in
-      List.iter2 (fun (i, _) v -> results.(i) <- v) chunk combined)
-    chunks;
-  Array.to_list results
-
 let eval_batch t ~pres ~point =
   Protocol.Values
-    (per_partition t pres ~empty:0 (fun group lambdas sub_pres ->
-         gather t group ~what:"eval batch" (Protocol.Eval_batch { pres = sub_pres; point })
-           (function
+    (on_group t (fun group lambdas ->
+         gather t group ~what:"eval batch" (Protocol.Eval_batch { pres; point }) (function
            | Protocol.Values vs ->
                check_values t vs;
-               with_arity ~expected:sub_pres vs
+               with_arity ~expected:pres vs
            | _ -> None)
          |> combine_points t ~lambdas))
 
 let shares_batch t pres =
   Protocol.Shares_data
-    (per_partition t pres ~empty:Bytes.empty (fun group lambdas sub_pres ->
+    (on_group t (fun group lambdas ->
          let replies =
-           gather t group ~what:"shares" (Protocol.Shares sub_pres)
-             (function
+           gather t group ~what:"shares" (Protocol.Shares pres) (function
              | Protocol.Shares_data bs ->
                  List.iter (check_share_len t) bs;
-                 Option.map Array.of_list (with_arity ~expected:sub_pres bs)
+                 Option.map Array.of_list (with_arity ~expected:pres bs)
              | _ -> None)
          in
          List.mapi
            (fun j _ -> recombine t group ~lambdas (List.map (fun bs -> bs.(j)) replies))
-           sub_pres))
+           pres))
 
 (* --- aggregation --- *)
 
 (* Numeric shares are Shamir-dealt in F_M, not the polynomial ring, so
    per-shard partial sums recombine with F_M Lagrange-at-zero weights.
-   The fold is linear: any [threshold] live shards can answer a
-   partition — including a group formed by mid-flight failover — and
-   partitions then add up in F_M. *)
+   The fold is linear: any [threshold] live shards can answer —
+   including a group formed by mid-flight failover. *)
 let agg_eval t pres =
-  let chunks = runs pres ~key:(fun pre -> partition_of t pre) in
-  let total_count = ref 0 and total_sum = ref 0 in
-  List.iter
-    (fun (partition, sub_pres) ->
-      let count, sum =
-        on_group t ~partition (fun group _poly_lambdas ->
-            let per_member =
-              gather t group ~what:"aggregate"
-                (Protocol.Agg_eval { pres = sub_pres }) (function
-                | Protocol.Agg_partial { count; sum } -> Some (count, sum)
-                | _ -> None)
-            in
-            let expected = List.length sub_pres in
-            List.iter2
-              (fun s (count, sum) ->
-                if count <> expected then
-                  raise (Diverged "aggregate partials diverged (row counts differ)");
-                if sum < 0 || sum >= Numeric.modulus then
-                  raise (malformed ~what:"aggregate" s "sum outside the field"))
-              group per_member;
-            let lambdas = Numeric.Shamir.lambdas_at_zero () ~xs:(ids group) in
-            (expected, Numeric.Shamir.combine () ~lambdas (List.map snd per_member)))
+  on_group t (fun group _poly_lambdas ->
+      let per_member =
+        gather t group ~what:"aggregate" (Protocol.Agg_eval { pres }) (function
+          | Protocol.Agg_partial { count; sum } -> Some (count, sum)
+          | _ -> None)
       in
-      total_count := !total_count + count;
-      total_sum := Numeric.add !total_sum sum)
-    chunks;
-  Protocol.Agg_partial { count = !total_count; sum = !total_sum }
+      let expected = List.length pres in
+      List.iter2
+        (fun s (count, sum) ->
+          if count <> expected then
+            raise (Diverged "aggregate partials diverged (row counts differ)");
+          if sum < 0 || sum >= Numeric.modulus then
+            raise (malformed ~what:"aggregate" s "sum outside the field"))
+        group per_member;
+      let lambdas = Numeric.Shamir.lambdas_at_zero () ~xs:(ids group) in
+      let sum = Numeric.Shamir.combine () ~lambdas (List.map snd per_member) in
+      Protocol.Agg_partial { count = expected; sum })
 
 (* --- dispatch --- *)
 
-let forward_one t ~partition request = on_one t ~partition (fun s -> call_shard t s request)
+let forward_one t request = on_one t (fun s -> call_shard t s request)
 
 let dispatch t request =
   match request with
   | Protocol.Ping -> Protocol.Pong
   | Protocol.Manifest -> Protocol.Manifest_data (Manifest.to_info t.manifest)
-  | Protocol.Root -> forward_one t ~partition:0 request
-  | Protocol.Children parent -> forward_one t ~partition:(partition_of t parent) request
+  | Protocol.Root | Protocol.Children _ -> forward_one t request
   | Protocol.Eval_batch { pres; point } -> eval_batch t ~pres ~point
   | Protocol.Shares pres -> shares_batch t pres
   | Protocol.Agg_eval { pres } -> agg_eval t pres
@@ -556,7 +413,7 @@ let dispatch t request =
       Cursor_table.remove t.cursors cursor Client_close;
       Protocol.Pong
   | Protocol.Scan_eval { target; points; max_items } ->
-      let scan = { points; pending = sub_targets t target; active = None } in
+      let scan = fresh_scan t target points in
       let rows =
         (* a failed scan must not strand the member cursors it opened *)
         try fill t scan ~want:(max 1 max_items) []
@@ -564,15 +421,15 @@ let dispatch t request =
           close_scan scan;
           raise e
       in
-      if scan_more scan then
-        Protocol.Scan_batch { rows; cursor = Some (Cursor_table.add t.cursors scan) }
-      else Protocol.Scan_batch { rows; cursor = None }
+      if scan.exhausted then Protocol.Scan_batch { rows; cursor = None }
+      else Protocol.Scan_batch { rows; cursor = Some (Cursor_table.add t.cursors scan) }
   | Protocol.Scan_next { cursor; max_items } -> (
       (* the table lock is not held while the members are drained *)
       match Cursor_table.use t.cursors cursor Fun.id with
       | Some scan -> (
           match fill t scan ~want:(max 1 max_items) [] with
-          | rows when scan_more scan -> Protocol.Scan_batch { rows; cursor = Some cursor }
+          | rows when not scan.exhausted ->
+              Protocol.Scan_batch { rows; cursor = Some cursor }
           | rows ->
               Cursor_table.remove t.cursors cursor Drained;
               Protocol.Scan_batch { rows; cursor = None }

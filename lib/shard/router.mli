@@ -3,18 +3,19 @@
 
     The router speaks exactly the single-server protocol on both
     sides, so clients (and the whole query layer above them) are
-    unchanged: point lookups and share fetches go to a group of
-    [threshold] shards and the replies are folded with the fixed
-    Lagrange multipliers ({!Secshare_core.Share}); fused scans are
-    split at the manifest's partition boundaries, each piece drained
-    in lockstep from its partition's shard group, and the combined
-    rows streamed back in the exact order the single server would
-    have produced — bit-identical results by construction.
+    unchanged.  Every request goes to one serving group: the
+    [threshold] live shards with the lowest ids.  Point lookups and
+    share fetches are folded with the group's fixed Lagrange
+    multipliers ({!Secshare_core.Share}); a fused scan forwards the
+    client's target unchanged as one member scan per group member,
+    drains them in lockstep, and streams the combined rows back in
+    the exact order the single server would have produced —
+    bit-identical results by construction.  The other shards stand by.
 
     {b Degradation.}  A shard whose transport dies is marked dead and
-    its work fails over to the surviving shards — including mid-scan:
-    the router reopens the scan on a fresh group and skips the rows
-    already delivered.  Queries keep succeeding until fewer than
+    the next live shard takes its place in the group — including
+    mid-scan: the router reopens the scan on the rebuilt group and
+    skips the rows already delivered.  Queries keep succeeding until fewer than
     [threshold] shards are live, at which point requests fail with a
     clear error rather than wrong answers.  An application-level error
     from a {e live} shard (distinguished by a [Ping] probe) is

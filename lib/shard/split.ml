@@ -7,22 +7,6 @@ module Share = Secshare_core.Share
 module Node_prg = Secshare_prg.Node_prg
 module Numeric = Secshare_core.Numeric
 
-let bounds_of_table ~shards table =
-  if shards < 1 then invalid_arg "Split.bounds_of_table: shards < 1";
-  let pres = ref [] in
-  Node_table.iter table ~f:(fun row -> pres := row.Page.pre :: !pres);
-  let pres = Array.of_list !pres in
-  Array.sort compare pres;
-  let rows = Array.length pres in
-  let bounds = Array.make shards 0 in
-  for k = 0 to shards - 1 do
-    let target = if rows = 0 then k + 1 else pres.(k * rows / shards) in
-    (* keep the windows strictly ascending even when the balanced
-       candidates collide (tiny tables) *)
-    bounds.(k) <- (if k = 0 then target else max target (bounds.(k - 1) + 1))
-  done;
-  bounds
-
 (* The one geometry check both dealers run before writing a row: a
    group of [threshold] must exist among [shards] distinct nonzero
    x-coordinates of a field of [order] elements. *)
@@ -65,7 +49,6 @@ let split_table (ring : Ring.t) ~threshold ~shards ~dealer_seed ~source ~sinks =
   deal ~what:"split_table" ~order:q ~threshold ~shards ~source ~sinks
     ~draws:(fun pre -> Node_prg.coefficients ~seed:dealer_seed ~pre ~q ~count)
     (Share.shard_server_share ring ~threshold ~shards);
-  let bounds = bounds_of_table ~shards source in
   let rows = Node_table.row_count source in
   Array.init shards (fun i ->
       {
@@ -75,7 +58,6 @@ let split_table (ring : Ring.t) ~threshold ~shards ~dealer_seed ~source ~sinks =
         p = ring.Ring.characteristic;
         e = ring.Ring.degree;
         rows;
-        bounds;
       })
 
 let split_numbers ~threshold ~shards ~dealer_seed ~source ~sinks =

@@ -10,12 +10,6 @@
     can strip the threshold masking down to the ordinary single-server
     share, which is still uniform but defeats the t-of-n property). *)
 
-val bounds_of_table : shards:int -> Secshare_store.Node_table.t -> int array
-(** Balanced partition start [pre]s: [shards] windows holding roughly
-    equal row counts, derived from the sorted [pre]s of the table.
-    Strictly ascending even on tiny tables (later windows may then be
-    empty, which only costs routing balance, never correctness). *)
-
 val split_table :
   Secshare_poly.Ring.t ->
   threshold:int ->
@@ -26,7 +20,7 @@ val split_table :
   Manifest.t array
 (** Re-share every row of [source] into the [shards] tables of [sinks]
     (index [i] receives x-coordinate [i + 1]'s shares) and return the
-    per-shard manifests, bounds included.  Rows are inserted in the
+    per-shard manifests.  Rows are inserted in the
     source's insertion order, so shard tables scan in the same order
     the single-server table does.
     @raise Invalid_argument if [sinks] has the wrong length or the

@@ -380,6 +380,40 @@ let test_router_refuses_mixed_fields () =
                  131^1";
               check_absent ~what:"ssdb_router over two fields" dir [ "r.sock" ])))
 
+(* ssdb_query holds what it queries to its map before the first query:
+   one shard of a 2-of-3 deployment, or a database of another field,
+   is refused naming the shard or the field, whether read locally
+   (--db, through its manifest) or served (--connect, through the
+   handshake). *)
+let test_query_refuses_foreign_server () =
+  with_encoded (fun dir ->
+      must_succeed ~dir "ssdb_encode"
+        [
+          "doc.xml"; "--map"; "c.map"; "--seed"; "c.seed"; "-o"; "sh.db"; "--shards"; "3";
+          "-t"; "2";
+        ];
+      must_succeed ~dir "ssdb_encode"
+        [ "doc.xml"; "-p"; "131"; "--map"; "h.map"; "--seed"; "h.seed"; "-o"; "h.db" ];
+      List.iter
+        (fun (db, socket, message) ->
+          let query target =
+            target @ [ "--map"; "c.map"; "--seed"; "c.seed"; "//item" ]
+          in
+          expect_refusal ~what:("ssdb_query --db " ^ db) ~dir "ssdb_query"
+            (query [ "--db"; db ])
+            (Printf.sprintf "manifest %s.manifest: %s" db message);
+          with_background ~dir "ssdb_server" [ "--db"; db; "--socket"; socket ] ~socket
+            (fun () ->
+              expect_refusal ~what:("ssdb_query --connect to " ^ db) ~dir "ssdb_query"
+                (query [ "--connect"; socket ])
+                ("connect: server: " ^ message)))
+        [
+          ( "sh.db.shard1",
+            "s1.sock",
+            "shard 1 of a 2-of-3 deployment cannot answer alone: query its router" );
+          ("h.db", "h.sock", "field 131^1 differs from the map's q = 83");
+        ])
+
 (* A database in the retired format (this build's file with
    "SSDBPAG1" stamped over its first 8 bytes), alone and then next to a
    retired log holding a record: ssdb_query --db and ssdb_server --db
@@ -437,6 +471,8 @@ let () =
           Alcotest.test_case "the field is read from files" `Quick test_field_from_files;
           Alcotest.test_case "ssdb_router refuses shards of two fields" `Quick
             test_router_refuses_mixed_fields;
+          Alcotest.test_case "ssdb_query refuses a lone shard or a foreign field" `Quick
+            test_query_refuses_foreign_server;
         ] );
       ( "ssdb_encode",
         [

@@ -343,14 +343,15 @@ let fds_settle_to target =
   go 100
 
 (* A stand-in shard whose handshake reports the manifest saved in a
-   file with the field [p], [e]; every other request is an error. *)
-let with_manifest_shard ~p ~e f =
+   file with the field [p], [e] (1-of-1 unless told otherwise); every
+   other request is an error. *)
+let with_manifest_shard ?(shard_id = 1) ?(shards = 1) ?(threshold = 1) ~p ~e f =
   let module Manifest = Secshare_shard.Manifest in
   let file = Filename.temp_file "ssdb-remote" ".manifest" in
   let path = Filename.temp_file "ssdb-remote" ".sock" in
   Sys.remove path;
   Manifest.save file
-    { Manifest.shard_id = 1; shards = 1; threshold = 1; p; e; rows = 1; bounds = [| 1 |] };
+    { Manifest.shard_id; shards; threshold; p; e; rows = 1 };
   let info = Manifest.to_info (Result.get_ok (Manifest.load file)) in
   Sys.remove file;
   let on_request = function
@@ -398,6 +399,54 @@ let test_bad_field_rejected_without_leak () =
                   Secshare_shard.Router.close router;
                   Alcotest.failf "%s: Router.connect accepted a bad field" label))
         [ (83, 0); (84, 1); (2, 21); (2, 70) ];
+      check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
+
+(* The client holds the server's handshake to its map before the first
+   query: a server of another field, or one shard of a 2-of-3
+   deployment, is refused by [connect] and by [of_transport], naming
+   the field or the shard, and leaves no descriptor open.  A router
+   (shard 0) and a 1-of-1 server of the map's field pass. *)
+let test_foreign_server_refused () =
+  let db = Test_support.db_of_tree (Secshare_xmark.Generate.generate ~factor:0.05 ()) in
+  let mapping = DB.mapping db and seed = DB.seed db in
+  Fun.protect
+    ~finally:(fun () -> DB.close db)
+    (fun () ->
+      let before = open_fds () in
+      List.iter
+        (fun ((shard_id, threshold, shards), p, want) ->
+          let label =
+            Printf.sprintf "shard %d of a %d-of-%d deployment over F_%d" shard_id
+              threshold shards p
+          in
+          with_manifest_shard ~shard_id ~shards ~threshold ~p ~e:1 (fun path ->
+              let outcome what = function
+                | Ok handle -> (
+                    DB.close handle;
+                    match want with
+                    | Some _ -> Alcotest.failf "%s: %s accepted" label what
+                    | None -> ())
+                | Error msg -> (
+                    match want with
+                    | Some want -> check Alcotest.string (label ^ ": " ^ what) want msg
+                    | None -> Alcotest.failf "%s: %s refused: %s" label what msg)
+              in
+              outcome "connect" (DB.connect ~p:83 ~e:1 ~mapping ~seed ~path ());
+              match Transport.socket path with
+              | Error msg -> Alcotest.failf "%s: socket: %s" label msg
+              | Ok transport ->
+                  outcome "of_transport"
+                    (DB.of_transport ~p:83 ~e:1 ~mapping ~seed transport)))
+        [
+          ((1, 1, 1), 131, Some "server: field 131^1 differs from the map's q = 83");
+          ( (1, 2, 3),
+            83,
+            Some
+              "server: shard 1 of a 2-of-3 deployment cannot answer alone: query its router"
+          );
+          ((0, 2, 3), 83, None);
+          ((1, 1, 1), 83, None);
+        ];
       check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
 
 (* A server whose replies are malformed.  The client checks every
@@ -554,6 +603,8 @@ let () =
           Alcotest.test_case "server stop surfaces errors" `Quick test_session_after_server_stop;
           Alcotest.test_case "bad field refused, nothing leaked" `Quick
             test_bad_field_rejected_without_leak;
+          Alcotest.test_case "foreign server refused, nothing leaked" `Quick
+            test_foreign_server_refused;
           Alcotest.test_case "malformed shares reply is an error" `Quick
             test_malformed_shares_reply;
         ] );

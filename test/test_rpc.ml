@@ -113,14 +113,12 @@ let gen_response =
                 (pair gen_meta (list_size (int_range 0 5) (int_range 0 100000))))
           @@ map (fun c -> if c = 0 then None else Some c) (int_range 0 1000));
         map
-          (fun ((id, (n, t)), ((p, e), (rows, bounds))) ->
+          (fun ((id, (n, t)), ((p, e), rows)) ->
             Protocol.Manifest_data
-              { shard_id = id; shards = n; threshold = t; p; e; total_rows = rows; bounds })
+              { shard_id = id; shards = n; threshold = t; p; e; total_rows = rows })
           (pair
              (pair (int_range 0 8) (pair (int_range 1 8) (int_range 1 8)))
-             (pair
-                (pair (int_range 0 100000) (int_range 0 64))
-                (pair (int_range 0 100000) (list_size (int_range 1 8) (int_range 1 100000)))));
+             (pair (pair (int_range 0 100000) (int_range 0 64)) (int_range 0 100000)));
         map
           (fun (count, sum) -> Protocol.Agg_partial { count; sum })
           (pair (int_range 0 100000) (int_range 0 ((1 lsl 61) - 2)));
@@ -214,10 +212,8 @@ let pinned_responses =
           p = 131;
           e = 1;
           total_rows = 100;
-          bounds = [ 1; 50 ];
         },
-      "0f0200000003000000020000008300000001000000640000000200000001000000\
-       32000000" );
+      "10020000000300000002000000830000000100000064000000" );
     (Agg_partial { count = 3; sum = (1 lsl 61) - 2 }, "0e03000000feffffffffffff1f");
   ]
 
@@ -251,9 +247,15 @@ let retired_frames = [ "\x04\x01\x00\x00\x00\x09\x00\x00\x00"; "\x05\x01\x00\x00
    [Eval_batch]), request tag 11 / response tag 10 to the retired
    table-stats probe ([Table_stats]/[Stats]), request tag 3 to the
    retired parent lookup ([Parent 18], now a point-free [Scan_eval]),
-   and response tag 13 to the manifest reply without the field, each
-   in the encoding it used to have.  The other direction's tags 3, 6
-   to 11 and 13 are live. *)
+   response tag 13 to the manifest reply without the field and
+   response tag 15 to the one with partition bounds, each in the
+   encoding it used to have.  The other direction's tags 3, 6 to 11
+   and 13 are live; request tag 15 is [Agg_eval], and the old tag-15
+   manifest frame does not parse as one. *)
+let retired_manifest_15 =
+  "\x0f\x02\x00\x00\x00\x03\x00\x00\x00\x02\x00\x00\x00\x83\x00\x00\x00\x01\x00\x00\x00\
+   \x64\x00\x00\x00\x02\x00\x00\x00\x01\x00\x00\x00\x32\x00\x00\x00"
+
 let retired_requests =
   retired_frames
   @ [
@@ -261,6 +263,7 @@ let retired_requests =
       "\x07\x2a\x00\x00\x00\x05\x00\x00\x00";
       "\x0b";
       "\x03\x12\x00\x00\x00";
+      retired_manifest_15;
     ]
 
 let retired_responses =
@@ -271,6 +274,7 @@ let retired_responses =
       "\x0a\x0c\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00";
       "\x0d\x02\x00\x00\x00\x03\x00\x00\x00\x02\x00\x00\x00\x64\x00\x00\x00\x02\x00\x00\x00\
        \x01\x00\x00\x00\x32\x00\x00\x00";
+      retired_manifest_15;
     ]
 
 let test_retired_tags_rejected () =

@@ -40,7 +40,6 @@ let m0 =
     p = 83;
     e = 1;
     rows = 100;
-    bounds = [| 1; 10; 20 |];
   }
 
 let test_manifest_roundtrip () =
@@ -56,6 +55,27 @@ let test_manifest_roundtrip () =
   | Ok _ -> Alcotest.fail "loaded a missing file"
   | Error _ -> ()
 
+(* Manifests written by earlier encoders carry a [bounds] line; it is
+   ignored like any unknown key, so their shard files still serve. *)
+let test_manifest_legacy_bounds () =
+  let path = Filename.temp_file "ssdb-shard" ".manifest" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            "# secshare shard manifest\n\
+             shard_id = 1\n\
+             shards = 3\n\
+             threshold = 2\n\
+             p = 83\n\
+             e = 1\n\
+             rows = 100\n\
+             bounds = 1,10,20\n");
+      match Manifest.load path with
+      | Error e -> Alcotest.fail e
+      | Ok m -> check Alcotest.bool "the bounds line is ignored" true (m = m0))
+
 let test_manifest_validate () =
   let bad name m =
     match Manifest.validate m with
@@ -66,9 +86,7 @@ let test_manifest_validate () =
   bad "threshold 0" { m0 with Manifest.threshold = 0 };
   bad "threshold > shards" { m0 with Manifest.threshold = 4 };
   bad "shard_id out of range" { m0 with Manifest.shard_id = 9 };
-  bad "negative rows" { m0 with Manifest.rows = -1 };
-  bad "empty bounds" { m0 with Manifest.bounds = [||] };
-  bad "non-ascending bounds" { m0 with Manifest.bounds = [| 1; 10; 10 |] }
+  bad "negative rows" { m0 with Manifest.rows = -1 }
 
 let test_manifest_group () =
   let group = List.init 3 (fun i -> { m0 with Manifest.shard_id = i + 1 }) in
@@ -89,21 +107,7 @@ let test_manifest_group () =
       { m0 with Manifest.shard_id = 2; rows = 99 };
       { m0 with Manifest.shard_id = 3 };
     ];
-  bad "diverging bounds"
-    [
-      m0;
-      { m0 with Manifest.shard_id = 2; bounds = [| 1; 10; 21 |] };
-      { m0 with Manifest.shard_id = 3 };
-    ];
   bad "empty group" []
-
-let test_partition_of () =
-  check Alcotest.int "partitions" 3 (Manifest.partitions m0);
-  List.iter
-    (fun (pre, want) ->
-      check Alcotest.int (Printf.sprintf "pre %d" pre) want
-        (Manifest.partition_of m0 ~pre))
-    [ (0, 0); (1, 0); (9, 0); (10, 1); (19, 1); (20, 2); (100000, 2) ]
 
 let test_wire_roundtrip () =
   let m = Manifest.of_info (Manifest.to_info m0) in
@@ -293,20 +297,6 @@ let test_split_metadata_and_masking () =
         !shard1_differs;
       check Alcotest.bool "shards hold distinct shares" true !shards_differ)
 
-let test_bounds_of_table () =
-  let d = make_deployment xmark_tree in
-  Fun.protect
-    ~finally:(fun () -> teardown d)
-    (fun () ->
-      let bounds = Split.bounds_of_table ~shards:4 (DB.table d.db) in
-      check Alcotest.int "one window per shard" 4 (Array.length bounds);
-      Array.iteri
-        (fun i b ->
-          if i > 0 then
-            check Alcotest.bool "strictly ascending" true (b > bounds.(i - 1)))
-        bounds;
-      check Alcotest.int "first window starts at the first pre" 1 bounds.(0))
-
 (* A fixed document with numeric leaves, so both dealer paths have
    rows to share. *)
 let dealer_db =
@@ -404,10 +394,10 @@ let test_router_golden ?ring () =
                 (Router.open_cursors d.router)))
         Test_support.rpc_modes)
 
-(* A parent step is one point-free scan of one-pre windows per batch;
-   through the router the windows split at partition bounds like any
-   range.  Both shapes must answer like [Reference] in every client
-   cost model, with fewer round trips than rows. *)
+(* A parent step is one point-free scan of one-pre windows per batch,
+   which the router forwards unchanged.  Both shapes must answer like
+   [Reference] in every client cost model, with fewer round trips than
+   rows. *)
 let test_parent_steps_match_reference () =
   let d = make_deployment xmark_tree in
   Fun.protect
@@ -527,12 +517,13 @@ let test_kill_shard_hook () =
   Fun.protect
     ~finally:(fun () -> teardown d)
     (fun () ->
-      Router.kill_shard d.router 3;
+      (* shard 1 is in the serving group, so the group is rebuilt *)
+      Router.kill_shard d.router 1;
       check Alcotest.int "marked dead" 2 (Router.live_shards d.router);
       let client = client_of d in
       Fun.protect
         ~finally:(fun () -> DB.close client)
-        (fun () -> check_golden ~note:"shard 3 marked dead: " d client))
+        (fun () -> check_golden ~note:"shard 1 marked dead: " d client))
 
 let test_below_threshold_fails_cleanly () =
   let d = make_deployment xmark_tree in
@@ -614,7 +605,7 @@ let test_bounded_target_equivalence () =
           (Protocol.Bounded_pre_ranges
              [ (1, mid, rows + 1); (mid, max_int, rows + 1) ])
       in
-      check Alcotest.bool "splitting at a partition boundary is exact" true
+      check Alcotest.bool "splitting at a pre boundary is exact" true
         (full = split))
 
 (* Both scan shapes: with points (the fused step) and point-free (the
@@ -653,8 +644,8 @@ let test_mid_scan_failover () =
 
 (* --- lying members ---
 
-   Shard 1 sits in partition 0's group (shards 1 and 2), which serves
-   the root and the start of every full-table scan. *)
+   Shard 1 is in the serving group (shards 1 and 2), which serves every
+   request. *)
 
 let router_call d request =
   match Router.handler d.router request with
@@ -984,6 +975,83 @@ let test_routed_trace_over_sockets () =
         (List.length client_rpc + member_calls)
         (List.length serve))
 
+(* --- the routing policy ---
+
+   One serving group: the [threshold] live shards with the lowest ids
+   serve every request, and shard 3 only steps in when one of them
+   dies. *)
+
+(* Every golden query in every mode, against [Reference]. *)
+let check_reference ~note client =
+  List.iter
+    (fun q ->
+      let ast = Secshare_xpath.Parser.parse_exn q in
+      List.iter
+        (fun (engine, strictness) ->
+          let semantics =
+            if strictness = QC.Strict then Secshare_core.Reference.Exact
+            else Secshare_core.Reference.Containment
+          in
+          match DB.query ~engine ~strictness client q with
+          | Error e -> Alcotest.failf "%s%s: %s" note q e
+          | Ok r ->
+              check Alcotest.(list int) (note ^ q)
+                (Secshare_core.Reference.run ~semantics xmark_tree ast)
+                (pres (DB.result_nodes r)))
+        modes)
+    golden_queries
+
+let test_spare_shard_idle () =
+  let d = make_deployment xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      check Alcotest.int "shard 3 saw the handshake" 1 !(d.seen.(2));
+      List.iter
+        (fun (name, rpc_mode) ->
+          let client = client_of ~client:{ DB.default_client_config with rpc_mode } d in
+          Fun.protect
+            ~finally:(fun () -> DB.close client)
+            (fun () -> check_golden ~note:(name ^ " client: ") d client))
+        Test_support.rpc_modes;
+      check Alcotest.int "shard 3 saw nothing after the handshake" 1 !(d.seen.(2));
+      check Alcotest.bool "shards 1 and 2 served" true
+        (!(d.seen.(0)) > 1 && !(d.seen.(1)) > 1))
+
+(* The client's target goes to each group member unchanged: one member
+   scan per member, however many rows it covers. *)
+let test_one_scan_per_member () =
+  let d = make_deployment xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      let rows = Node_table.row_count (DB.table d.db) in
+      let before = Array.map ( ! ) d.seen in
+      let routed =
+        scan_all (Router.handler d.router) ~points ~max_items:(rows + 1)
+          (Protocol.Pre_ranges [ (1, rows + 1) ])
+      in
+      check Alcotest.int "every row" rows (List.length routed);
+      check
+        Alcotest.(array int)
+        "member scans on shards 1, 2 and 3" [| 1; 1; 0 |]
+        (Array.mapi (fun i n -> !(d.seen.(i)) - n) before);
+      check_no_open_cursors ~what:"full-table scan" d)
+
+let test_dead_member_replaced () =
+  let d = make_deployment xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      d.switches.(0) := Transport_down;
+      let client = client_of d in
+      Fun.protect
+        ~finally:(fun () -> DB.close client)
+        (fun () ->
+          check_reference ~note:"shard 1 down: " client;
+          check Alcotest.int "shard 1 was marked dead" 2 (Router.live_shards d.router);
+          check Alcotest.bool "shard 3 served" true (!(d.seen.(2)) > 1)))
+
 (* --- the field travels with the data --- *)
 
 let f131 = Ring.of_prime ~p:131
@@ -1075,7 +1143,8 @@ let () =
           Alcotest.test_case "save/load roundtrip" `Quick test_manifest_roundtrip;
           Alcotest.test_case "validate" `Quick test_manifest_validate;
           Alcotest.test_case "group consistency" `Quick test_manifest_group;
-          Alcotest.test_case "partition_of" `Quick test_partition_of;
+          Alcotest.test_case "a legacy bounds line is ignored" `Quick
+            test_manifest_legacy_bounds;
           Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
         ] );
       ( "split",
@@ -1084,7 +1153,6 @@ let () =
             test_split_reconstructs;
           Alcotest.test_case "metadata preserved, shares masked" `Quick
             test_split_metadata_and_masking;
-          Alcotest.test_case "balanced ascending bounds" `Quick test_bounds_of_table;
           Alcotest.test_case "dealer output is byte-identical" `Quick
             test_dealer_digests;
           Alcotest.test_case "bad threshold geometry is rejected" `Quick
@@ -1113,6 +1181,14 @@ let () =
             test_below_threshold_fails_cleanly;
           Alcotest.test_case "application errors propagate" `Quick
             test_app_error_propagates;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "the spare shard stays idle" `Quick test_spare_shard_idle;
+          Alcotest.test_case "one member scan per group member" `Quick
+            test_one_scan_per_member;
+          Alcotest.test_case "a dead member is replaced by the spare" `Quick
+            test_dead_member_replaced;
         ] );
       ( "scans",
         [

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Micro-bench regression gate for the flat field kernels.
 
-Usage: check_kernel_gate.py RESULTS.json BASELINE.json
+Usage: check_kernel_gate.py RESULTS.json [RESULTS.json ...] BASELINE.json
        check_kernel_gate.py --validate-shard RESULTS.json
        check_kernel_gate.py --validate-agg RESULTS.json
 
-RESULTS.json is the output of `bench/main.exe --json RESULTS.json kernel`;
-BASELINE.json is the committed bench/kernel_baseline.json.  The gate
-compares kernel-vs-reference speedup ratios (machine-independent)
-within a tolerance band, plus a hard floor, and requires the bench's
-own bit-identical-results assertion to have passed.  The hard floor is
-the baseline's global "hard_floor" unless an op names its own (an op
+Each RESULTS.json is the output of one
+`bench/main.exe --json RESULTS.json kernel` run; BASELINE.json is the
+committed bench/kernel_baseline.json.  The gate compares each op's
+MEDIAN kernel-vs-reference speedup ratio over the runs
+(machine-independent, and one noisy run cannot fail it alone) within a
+tolerance band, plus a hard floor, and requires the bench's own
+bit-identical-results assertion to have passed in every run.  The hard
+floor is the baseline's global "hard_floor" unless an op names its own (an op
 whose whole-path ratio is inherently smaller, such as share
 regeneration, where the reference already shares the ChaCha20 core).
 
@@ -29,6 +31,7 @@ that is identical across every selectivity.
 """
 
 import json
+import statistics
 import sys
 
 
@@ -141,44 +144,52 @@ def main() -> None:
     if len(sys.argv) == 3 and sys.argv[1] == "--validate-agg":
         validate_agg(sys.argv[2])
         return
-    if len(sys.argv) != 3:
+    if len(sys.argv) < 3 or sys.argv[1].startswith("--"):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
 
-    with open(sys.argv[1]) as f:
-        rows = json.load(f)
-    with open(sys.argv[2]) as f:
+    runs = []
+    for path in sys.argv[1:-1]:
+        with open(path) as f:
+            rows = json.load(f)
+        kernel_rows = {
+            row["op"]: row for row in rows if row.get("experiment") == "kernel"
+        }
+        if not kernel_rows:
+            fail(f"no kernel rows in {path} (did the kernel experiment run?)")
+        runs.append((path, kernel_rows))
+    with open(sys.argv[-1]) as f:
         baseline = json.load(f)
 
     tolerance = float(baseline["tolerance"])
     hard_floor = float(baseline["hard_floor"])
-    kernel_rows = {
-        row["op"]: row for row in rows if row.get("experiment") == "kernel"
-    }
-    if not kernel_rows:
-        fail("no kernel rows in results (did the kernel experiment run?)")
 
     ok = True
     for op, spec in baseline["ops"].items():
-        row = kernel_rows.get(op)
-        if row is None:
-            fail(f"op {op!r} missing from results")
-        speedup = float(row["speedup"])
+        speedups = []
+        identical = True
+        for path, kernel_rows in runs:
+            row = kernel_rows.get(op)
+            if row is None:
+                fail(f"op {op!r} missing from {path}")
+            speedups.append(float(row["speedup"]))
+            if int(row.get("identical", 0)) != 1:
+                print(
+                    f"kernel gate: {op}: results were not bit-identical in {path}",
+                    file=sys.stderr,
+                )
+                identical = False
+        speedup = statistics.median(speedups)
         op_floor = float(spec.get("hard_floor", hard_floor))
         floor = max(op_floor, float(spec["baseline_speedup"]) * (1.0 - tolerance))
-        identical = int(row.get("identical", 0))
-        status = "ok" if speedup >= floor and identical == 1 else "FAIL"
+        status = "ok" if speedup >= floor and identical else "FAIL"
+        runs_text = ", ".join(f"{s:.2f}" for s in speedups)
         print(
-            f"kernel gate: {op}: speedup {speedup:.2f}x "
-            f"(floor {floor:.2f}x, identical={identical}) {status}"
+            f"kernel gate: {op}: median speedup {speedup:.2f}x over {len(speedups)} "
+            f"run(s) [{runs_text}] (floor {floor:.2f}x, "
+            f"identical={int(identical)}) {status}"
         )
-        if identical != 1:
-            print(
-                f"kernel gate: {op}: results were not bit-identical",
-                file=sys.stderr,
-            )
-            ok = False
-        if speedup < floor:
+        if not identical or speedup < floor:
             ok = False
 
     if not ok:

@@ -20,7 +20,9 @@
 # their manifests, the router from the shards' handshakes and the
 # queries from the map.  A last step hands the router one shard socket
 # from each field's deployment: it must refuse to start, naming both
-# fields, and never listen.
+# fields, and never listen.  With the p = 83 shard still up, a query
+# sent straight to it (no router) must be refused, naming the shard:
+# alone, a shard's Shamir share cannot answer.
 #
 # Exits non-zero on the first divergence.  Run from the repo root:
 #   tools/shard_smoke.sh
@@ -160,6 +162,15 @@ fi
 case $out in
   *83^1*131^1* | *131^1*83^1*) log "mixed fields: refused (exit $code): $out" ;;
   *) die "mixed fields: expected both fields named, got: $out" ;;
+esac
+
+log "lone shard: ssdb_query straight to shard 1 of the p = 83 deployment"
+out=$("$B/ssdb_query.exe" --connect m83.sock --map p83/c.map --seed p83/c.seed '//item' 2>&1)
+code=$?
+[ "$code" -eq 0 ] && die "lone shard: the query ran: $out"
+case $out in
+  *"shard 1 of a 2-of-3"*) log "lone shard: refused (exit $code): $out" ;;
+  *) die "lone shard: expected shard 1 named, got: $out" ;;
 esac
 kill -9 "${MIXED[@]}" 2>/dev/null
 
