@@ -759,8 +759,9 @@ let micro () =
 (* Kernel micro bench: flat byte-table kernels vs the reference path  *)
 (* ------------------------------------------------------------------ *)
 
-(* The reference for the [regen] row: the client-share sampler as it
-   was before the single rejection sampler, over the public keystream.
+(* The reference for the [regen] row: the coefficient-domain client
+   sampler as it was before the single rejection sampler, over the
+   public keystream.
    It draws 2 * n * k bytes up front, refills 256 bytes at a time from
    block [len / 64], and normalises every coefficient on the way into
    the ring.  So it also re-reads the head of that block once its draws
@@ -768,7 +769,8 @@ let micro () =
    never does.  The two agree only where that never happens, as at the
    q = 83 the row runs at: 82 draws overrun the 164-byte prefix only if
    more than 82 of its bytes fall among the 7 rejected values of 256.
-   The row asserts that they agree. *)
+   It is the row's timed reference only: client shares now come from
+   the slot sampler, which the row checks against [reference_slots]. *)
 let reference_client_poly (ring : Secshare_poly.Ring.t) ~seed ~pre =
   let module Chacha20 = Secshare_prg.Chacha20 in
   let q = ring.Secshare_poly.Ring.order and count = ring.Secshare_poly.Ring.n in
@@ -798,6 +800,40 @@ let reference_client_poly (ring : Secshare_poly.Ring.t) ~seed ~pre =
     if !v < accept_below then !v mod q else draw ()
   in
   Secshare_poly.Cyclic.of_int_array ring (Array.init count (fun _ -> draw ()))
+
+(* The slot sampler written from its specification, for the [regen]
+   row's identity check: slot [j] is the [w]-byte little-endian word at
+   [(j mod per) * w] of block [j / per] of the "slot" stream, accepted
+   below the largest multiple of q under [2^(8w)] and reduced mod q; a
+   rejected slot scans the words of blocks [main + j + k * n]. *)
+let reference_slots (ring : Secshare_poly.Ring.t) ~seed ~pre =
+  let module Chacha20 = Secshare_prg.Chacha20 in
+  let q = ring.Secshare_poly.Ring.order and n = ring.Secshare_poly.Ring.n in
+  let w = if q <= 256 then 2 else if q <= 65536 then 3 else 4 in
+  let per = 64 / w in
+  let main = (n + per - 1) / per in
+  let cap = 1 lsl (8 * w) in
+  let key = Secshare_prg.Seed.to_bytes seed in
+  let nonce = Bytes.make Chacha20.nonce_length '\000' in
+  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
+  Bytes.blit_string "slot" 0 nonce 8 4;
+  let word block i =
+    let v = ref 0 in
+    for b = w - 1 downto 0 do
+      v := (!v lsl 8) lor Bytes.get_uint8 block ((i * w) + b)
+    done;
+    !v
+  in
+  let rec overflow j k i =
+    let block = Chacha20.keystream ~key ~nonce ~counter:(main + j + (k * n)) 64 in
+    if i = per then overflow j (k + 1) 0
+    else
+      let v = word block i in
+      if v < cap - (cap mod q) then v mod q else overflow j k (i + 1)
+  in
+  Array.init n (fun j ->
+      let v = word (Chacha20.keystream ~key ~nonce ~counter:(j / per) 64) (j mod per) in
+      if v < cap - (cap mod q) then v mod q else overflow j 0 0)
 
 (* The reference for the [keystream] row: the ChaCha20 block core as
    it was written in OCaml before the C stub replaced it.  It works on
@@ -933,13 +969,16 @@ let alternating ~what ~passes ~reference ~kernel ~same =
 (* The regression gate: CI compares the speedup columns of this
    experiment's --json rows against bench/kernel_baseline.json.  The
    gate is on the *ratio* kernel-vs-reference (machine-independent),
-   never on absolute nanoseconds.  The containment, equality and
-   recombine rows time the [Share] entry points the filters and the
-   router call, so the gate also covers their dispatch.  Every row
-   runs through [alternating]. *)
+   never on absolute nanoseconds.  The containment, equality, encode
+   and recombine rows time the [Share] entry points the filters, the
+   encoder and the router call, so the gate also covers their dispatch.
+   Shares live in the evaluation domain; each reference side is the
+   coefficient-domain path it replaced, fed the same polynomials
+   through [Evals.to_cyclic] / [Evals.of_cyclic] outside the timed
+   loops.  Every row runs through [alternating]. *)
 let kernel () =
   heading
-    "Flat field kernels vs reference (containment, equality, keystream, regen, \
+    "Flat field kernels vs reference (containment, equality, encode, keystream, regen, \
      reconstruct, recombine)";
   let db = xmark_db 100_000 in
   let ring = DB.ring db in
@@ -951,6 +990,7 @@ let kernel () =
   in
   let n = ring.Secshare_poly.Ring.n in
   let module Cyclic = Secshare_poly.Cyclic in
+  let module Evals = Secshare_poly.Evals in
   let module Codec = Secshare_poly.Codec in
   let module Flat = Secshare_poly.Flat in
   let module Share = Secshare_core.Share in
@@ -974,13 +1014,19 @@ let kernel () =
   let pt = Share.point ring point in
   let reps = if !quick then 20 else 100 in
   (* containment: whole batch evaluated at one point per pass, one
-     share at a time as the server's scan does *)
+     share at a time as the server's scan does.  The reference
+     evaluates the same shares in coefficient form. *)
+  let coeff_shares =
+    Array.map
+      (fun share -> Codec.pack_cyclic ring (Evals.to_cyclic ring (Codec.unpack_evals ring share)))
+      shares
+  in
   let expect = Array.make batch 0 and out = Array.make batch (-1) in
   let ref_s, ker_s =
     alternating ~what:"containment results" ~passes:reps
       ~reference:(fun _ ->
         for i = 0 to batch - 1 do
-          let poly = Codec.unpack_cyclic ring (Array.unsafe_get shares i) in
+          let poly = Codec.unpack_cyclic ring (Array.unsafe_get coeff_shares i) in
           expect.(i) <- Cyclic.eval ring poly point
         done)
       ~kernel:(fun _ ->
@@ -1005,14 +1051,15 @@ let kernel () =
       ("identical", J_int 1);
     ];
   (* equality: the client-side product of child polynomials, ten
-     products a pass *)
+     products a pass; the kernel multiplies their values pointwise *)
   let rng = Secshare_prg.Xoshiro.create 83L in
   let random_poly () =
     Cyclic.random ring ~gen:(fun () -> Secshare_prg.Xoshiro.next_int rng ~bound:83)
   in
   let child_list = List.init 8 (fun _ -> random_poly ()) in
+  let child_values = List.map (Evals.of_cyclic ring) child_list in
   let prods = if !quick then 200 else 1000 in
-  let reference = ref (Cyclic.one ring) and kernel_result = ref (Cyclic.zero ring) in
+  let reference = ref (Cyclic.one ring) and kernel_result = ref (Evals.one ring) in
   let ref_s, ker_s =
     alternating ~what:"equality products" ~passes:(prods / 10)
       ~reference:(fun _ ->
@@ -1021,9 +1068,9 @@ let kernel () =
         done)
       ~kernel:(fun _ ->
         for _ = 1 to 10 do
-          kernel_result := Share.product ring child_list
+          kernel_result := Share.product ring child_values
         done)
-      ~same:(fun () -> Cyclic.equal !reference !kernel_result)
+      ~same:(fun () -> Evals.equal (Evals.of_cyclic ring !reference) !kernel_result)
   in
   let ref_us = ref_s /. float_of_int prods *. 1e6 in
   let ker_us = ker_s /. float_of_int prods *. 1e6 in
@@ -1037,6 +1084,48 @@ let kernel () =
       ("ref_us_per_product", J_float ref_us);
       ("kernel_us_per_product", J_float ker_us);
       ("speedup", J_float e_speedup);
+      ("identical", J_int 1);
+    ];
+  (* encode: one inner node of the encoder, f = (x - v) * prod f(child)
+     over four children (two dense subtree products, two leaves), ten
+     nodes a pass.  The reference is the coefficient-domain fold the
+     encoder ran ([Cyclic.mul] child by child, then [Cyclic.mul_linear]);
+     the kernel is the pointwise [Share.product] and
+     [Share.encode_node]. *)
+  let encode_children =
+    [ random_poly (); Cyclic.linear ring ~root:7; random_poly (); Cyclic.linear ring ~root:40 ]
+  in
+  let encode_values = List.map (Evals.of_cyclic ring) encode_children in
+  let root = 23 in
+  let nodes = if !quick then 400 else 2000 in
+  let reference = ref (Cyclic.one ring) and kernel_result = ref (Evals.one ring) in
+  let ref_s, ker_s =
+    alternating ~what:"encoded nodes" ~passes:(nodes / 10)
+      ~reference:(fun _ ->
+        for _ = 1 to 10 do
+          reference :=
+            Cyclic.mul_linear ring ~root
+              (List.fold_left (Cyclic.mul ring) (Cyclic.one ring) encode_children)
+        done)
+      ~kernel:(fun _ ->
+        for _ = 1 to 10 do
+          kernel_result :=
+            Share.encode_node ring ~root (Some (Share.product ring encode_values))
+        done)
+      ~same:(fun () -> Evals.equal (Evals.of_cyclic ring !reference) !kernel_result)
+  in
+  let ref_us = ref_s /. float_of_int nodes *. 1e6 in
+  let ker_us = ker_s /. float_of_int nodes *. 1e6 in
+  let n_speedup = ref_us /. ker_us in
+  printf "%-24s %12.2f %12.2f %8.2fx  (4 children, identical node values)\n"
+    "encode-node(us)" ref_us ker_us n_speedup;
+  record "kernel"
+    [
+      ("op", J_str "encode");
+      ("children", J_int 4);
+      ("ref_us_per_node", J_float ref_us);
+      ("kernel_us_per_node", J_float ker_us);
+      ("speedup", J_float n_speedup);
       ("identical", J_int 1);
     ];
   (* keystream: the C block core against the OCaml core it replaced,
@@ -1076,14 +1165,17 @@ let kernel () =
       ("speedup", J_float k_speedup);
       ("identical", J_int 1);
     ];
-  (* regeneration: one client polynomial from the seed, the per-miss
-     cost of the client share cache.  Passes of 200 pres are small
-     enough that the kept results never leave the minor heap: the row
-     times regeneration, not promotion of a large result array. *)
+  (* regeneration: one whole client share from the seed, the per-miss
+     cost of the client share cache.  The reference is the
+     coefficient-domain sampler it replaced; the kernel's shares are
+     checked against the slot sampler's transcription.  Passes of 200
+     pres are small enough that the kept results never leave the minor
+     heap: the row times regeneration, not promotion of a large result
+     array. *)
   let regens = if !quick then 2000 else 10_000 in
   let chunk = 200 in
   let reference = Array.make chunk (Cyclic.one ring) in
-  let regenerated = Array.make chunk (Cyclic.one ring) in
+  let regenerated = Array.make chunk (Evals.one ring) and regen_pass = ref 0 in
   let ref_s, ker_s =
     alternating ~what:"regenerated client polynomials" ~passes:(regens / chunk)
       ~reference:(fun c ->
@@ -1091,16 +1183,22 @@ let kernel () =
           reference.(i) <- reference_client_poly ring ~seed ~pre:((c * chunk) + i)
         done)
       ~kernel:(fun c ->
+        regen_pass := c;
         for i = 0 to chunk - 1 do
           regenerated.(i) <-
             Secshare_prg.Node_prg.client_poly ~ring ~seed ~pre:((c * chunk) + i)
         done)
-      ~same:(fun () -> Array.for_all2 Cyclic.equal reference regenerated)
+      ~same:(fun () ->
+        Array.for_all
+          (fun i ->
+            Evals.to_int_array regenerated.(i)
+            = reference_slots ring ~seed ~pre:((!regen_pass * chunk) + i))
+          (Array.init chunk Fun.id))
   in
   let ref_us = ref_s /. float_of_int regens *. 1e6 in
   let ker_us = ker_s /. float_of_int regens *. 1e6 in
   let g_speedup = ref_us /. ker_us in
-  printf "%-24s %12.2f %12.2f %8.2fx  (%d pres, identical polynomials)\n"
+  printf "%-24s %12.2f %12.2f %8.2fx  (%d pres, shares = slot transcription)\n"
     "regen(us)" ref_us ker_us g_speedup regens;
   record "kernel"
     [
@@ -1114,17 +1212,22 @@ let kernel () =
   (* reconstruct: client half + packed server half, once per child of
      every equality test *)
   let clients = Array.init batch (fun pre -> Secshare_prg.Node_prg.client_poly ~ring ~seed ~pre) in
+  (* the reference adds the same values as coefficient vectors:
+     addition is coordinatewise in either domain *)
+  let client_vectors =
+    Array.map (fun c -> Cyclic.of_canonical ring (Evals.to_int_array c)) clients
+  in
   let expect = Array.make batch (Cyclic.one ring) in
   let outs = Array.init batch (fun _ -> Array.make n 0) in
   let ref_s, ker_s =
     alternating ~what:"reconstructed polynomials" ~passes:reps
       ~reference:(fun _ ->
         for i = 0 to batch - 1 do
-          expect.(i) <- Cyclic.add ring clients.(i) (Codec.unpack_cyclic ring shares.(i))
+          expect.(i) <- Cyclic.add ring client_vectors.(i) (Codec.unpack_cyclic ring shares.(i))
         done)
       ~kernel:(fun _ ->
         for i = 0 to batch - 1 do
-          Flat.reconstruct_into tab ~n ~client:(Cyclic.view clients.(i)) shares.(i)
+          Flat.reconstruct_into tab ~n ~client:(Evals.view clients.(i)) shares.(i)
             ~out:outs.(i)
         done)
       ~same:(fun () ->

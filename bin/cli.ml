@@ -9,7 +9,22 @@ module Server = Secshare_rpc.Server
 module Manifest = Secshare_shard.Manifest
 module Ring = Secshare_poly.Ring
 
-let err fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
+(* Exit codes: 124 (cmdliner's) when the command line itself is wrong,
+   1 when a run fails on a file, a socket or a document, so a script
+   can tell a mistyped flag from a dead server. *)
+
+(* A command-line error: cmdliner prints it and exits 124. *)
+let usage_err fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
+
+(* A runtime failure: "<binary>: <message>" on stderr, exit 1. *)
+let err fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "%s: %s\n%!"
+        (Filename.remove_extension (Filename.basename Sys.executable_name))
+        m;
+      `Ok 1)
+    fmt
 
 (* --- files --- *)
 
@@ -132,7 +147,7 @@ type service = {
    SIGINT or SIGTERM, drain, and print the service's final report. *)
 let serve l ~start =
   match Obs.Events.level_of_string l.log_level with
-  | Result.Error m -> err "%s" m
+  | Result.Error m -> usage_err "%s" m
   | Result.Ok level -> (
       Obs.Events.set_level level;
       match start () with

@@ -15,6 +15,7 @@ module Node_table = Secshare_store.Node_table
 module Manifest = Secshare_shard.Manifest
 
 let err = Cli.err
+let usage_err = Cli.usage_err
 
 (* The seed and the map are made in memory; [run] writes a fresh one
    only once the encode has succeeded, so a refused document leaves no
@@ -147,15 +148,16 @@ let run xml_path map_path seed_path db_path ring trie_mode durable checkpoint_ev
     | other -> Error other
   in
   match trie with
-  | Error other -> err "unknown --trie mode %S (none|compressed|uncompressed)" other
-  | Ok _ when shards < 1 -> err "--shards must be >= 1"
+  | Error other -> usage_err "unknown --trie mode %S (none|compressed|uncompressed)" other
+  | Ok _ when shards < 1 -> usage_err "--shards must be >= 1"
   | Ok _ when threshold < 1 || threshold > shards ->
-      err "--threshold %d outside [1, %d]" threshold shards
+      usage_err "--threshold %d outside [1, %d]" threshold shards
   | Ok _ when shards >= ring.Ring.order ->
-      err "--shards %d needs %d distinct nonzero x-coordinates but the field has only %d"
+      usage_err
+        "--shards %d needs %d distinct nonzero x-coordinates but the field has only %d"
         shards shards ring.Ring.n
   | Ok _ when agg_scale < 0 || agg_scale > Mapping.max_agg_scale ->
-      err "--agg-scale %d outside [0, %d]" agg_scale Mapping.max_agg_scale
+      usage_err "--agg-scale %d outside [0, %d]" agg_scale Mapping.max_agg_scale
   | Ok trie -> (
       match load_or_create_seed seed_path with
       | Error m -> err "seed: %s" m

@@ -10,7 +10,7 @@ let run target_kb factor gen_seed output pretty =
     | None -> Secshare_xmark.Generate.generate ~seed ~factor ()
   with
   (* a target the generator cannot meet is a command-line error *)
-  | exception Invalid_argument m -> Cli.err "%s" m
+  | exception Invalid_argument m -> Cli.usage_err "%s" m
   | doc ->
       let indent = if pretty then Some 2 else None in
       let text = Secshare_xml.Print.to_string ~decl:true ?indent doc in

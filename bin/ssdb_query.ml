@@ -53,7 +53,7 @@ let run db_path socket_path map_path seed_path engine_name strictness_name timeo
     | other -> Error ("unknown strictness " ^ other)
   in
   match (engine, strictness) with
-  | Error m, _ | _, Error m -> err "%s" m
+  | Error m, _ | _, Error m -> Cli.usage_err "%s" m
   | Ok engine, Ok strictness -> (
       (* the field is the one the map's q header names *)
       let field m = Ring.of_order (Secshare_core.Mapping.field_order m) in

@@ -14,46 +14,45 @@ module Router = Secshare_shard.Router
 module Manifest = Secshare_shard.Manifest
 
 let open_service shard_paths timeout max_retries max_cursors () =
-  if shard_paths = [] then Error "need at least one --shard SOCKET"
-  else
-    let policy =
-      {
-        Secshare_rpc.Transport.default_policy with
-        Secshare_rpc.Transport.call_timeout =
-          (if timeout > 0.0 then Some timeout else None);
-        max_retries;
-      }
-    in
-    match Router.connect ~policy ~max_cursors shard_paths with
-    | Error _ as e -> e
-    | Ok router ->
-        let m = Router.manifest router in
-        Obs.Registry.gauge_fn ~help:"Shards in the deployment." "ssdb_router_shards"
-          (fun () -> float_of_int (Router.shards router));
-        Ok
-          {
-            Cli.connection = (fun () -> Router.connection router);
-            healthy = (fun () -> Router.live_shards router >= Router.threshold router);
-            announce =
-              (fun socket ->
-                Obs.Events.info "routing %d-of-%d shards on %s" m.Manifest.threshold
-                  m.Manifest.shards socket;
-                Printf.printf "routing %d-of-%d shards (%d rows) on %s\n%!"
-                  m.Manifest.threshold m.Manifest.shards m.Manifest.rows socket);
-            shutdown =
-              (fun srv ->
-                Router.close router;
-                Printf.sprintf
-                  "router stopped: %d connections, %d requests; %d of %d shards still \
-                   live\n"
-                  srv.Secshare_rpc.Server.connections_accepted
-                  srv.Secshare_rpc.Server.requests_handled (Router.live_shards router)
-                  (Router.shards router));
-          }
+  let policy =
+    {
+      Secshare_rpc.Transport.default_policy with
+      Secshare_rpc.Transport.call_timeout =
+        (if timeout > 0.0 then Some timeout else None);
+      max_retries;
+    }
+  in
+  match Router.connect ~policy ~max_cursors shard_paths with
+  | Error _ as e -> e
+  | Ok router ->
+      let m = Router.manifest router in
+      Obs.Registry.gauge_fn ~help:"Shards in the deployment." "ssdb_router_shards"
+        (fun () -> float_of_int (Router.shards router));
+      Ok
+        {
+          Cli.connection = (fun () -> Router.connection router);
+          healthy = (fun () -> Router.live_shards router >= Router.threshold router);
+          announce =
+            (fun socket ->
+              Obs.Events.info "routing %d-of-%d shards on %s" m.Manifest.threshold
+                m.Manifest.shards socket;
+              Printf.printf "routing %d-of-%d shards (%d rows) on %s\n%!"
+                m.Manifest.threshold m.Manifest.shards m.Manifest.rows socket);
+          shutdown =
+            (fun srv ->
+              Router.close router;
+              Printf.sprintf
+                "router stopped: %d connections, %d requests; %d of %d shards still \
+                 live\n"
+                srv.Secshare_rpc.Server.connections_accepted
+                srv.Secshare_rpc.Server.requests_handled (Router.live_shards router)
+                (Router.shards router));
+        }
 
 let run shard_paths timeout max_retries max_cursors listener =
-  Cli.serve listener
-    ~start:(open_service shard_paths timeout max_retries max_cursors)
+  if shard_paths = [] then Cli.usage_err "need at least one --shard SOCKET"
+  else
+    Cli.serve listener ~start:(open_service shard_paths timeout max_retries max_cursors)
 
 let shard_paths =
   Arg.(

@@ -45,14 +45,16 @@ let () =
   print_endline "\nreconstructed node polynomials (client side, fig 1(d)):";
   let ring = DB.ring db in
   Secshare_store.Node_table.iter (DB.table db) ~f:(fun row ->
-      let server = Secshare_poly.Codec.unpack_cyclic ring row.Secshare_store.Page.share in
-      let poly =
+      let server = Secshare_poly.Codec.unpack_evals ring row.Secshare_store.Page.share in
+      let values =
         Secshare_core.Share.reconstruct ring ~seed:(DB.seed db)
           ~pre:row.Secshare_store.Page.pre ~server
       in
+      (* shares hold values at the nonzero points; interpolate them
+         back to the coefficients of the figure *)
       Printf.printf "  pre=%d  %s\n" row.Secshare_store.Page.pre
         (Format.asprintf "%a" Secshare_poly.Dense.pp
-           (Secshare_poly.Cyclic.to_dense ring poly)));
+           (Secshare_poly.Cyclic.to_dense ring (Secshare_poly.Evals.to_cyclic ring values))));
 
   (* Queries. *)
   print_endline "\nqueries:";

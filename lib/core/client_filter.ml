@@ -1,6 +1,6 @@
 module Protocol = Secshare_rpc.Protocol
 module Transport = Secshare_rpc.Transport
-module Cyclic = Secshare_poly.Cyclic
+module Evals = Secshare_poly.Evals
 module Obs = Secshare_obs
 
 exception Filter_error of string
@@ -25,9 +25,12 @@ type t = {
   transport : Transport.t;
   scan_batch : int;
   batch_eval : bool;
-  share_cache : (int, Cyclic.t) Lru.t option;
-      (* pre -> regenerated client polynomial; [Cyclic] ops are pure,
-         so cached polynomials can never be mutated through use *)
+  share_cache : (int, Evals.t) Lru.t option;
+      (* pre -> regenerated client share, for the equality test; [Evals]
+         ops are pure, so cached shares can never be mutated through
+         use *)
+  reader : Secshare_prg.Node_prg.reader;
+      (* the containment test's single slots; never cached *)
 }
 
 let create ring ~seed ?(scan_batch = 256) ?(batch_eval = true) ?(share_cache = 4096)
@@ -39,13 +42,14 @@ let create ring ~seed ?(scan_batch = 256) ?(batch_eval = true) ?(share_cache = 4
     scan_batch = max 1 scan_batch;
     batch_eval;
     share_cache = (if share_cache <= 0 then None else Some (Lru.create share_cache));
+    reader = Secshare_prg.Node_prg.reader ~ring ~seed;
   }
 
 let rpc_counters t = Transport.counters t.transport
 let scan_batch t = t.scan_batch
 let share_cache_stats t = Option.map Lru.stats t.share_cache
 
-(* Regenerate (or recall) the client polynomial for [pre]. *)
+(* Regenerate (or recall) the whole client share of [pre]. *)
 let client_poly t ~pre =
   match t.share_cache with
   | None -> Share.client t.ring ~seed:t.seed ~pre
@@ -101,14 +105,14 @@ let cursor_close t cursor =
   | response -> protocol_error "Cursor_close" response
 
 (* The containment test (paper §5.2), the one place it is decided:
-   for each point, regenerate the client share of [meta], evaluate it,
+   for each point, read the client share of [meta] at the point's slot,
    add the server's value, and keep the node when every sum is zero.
-   [pts] are prepared once per batch ({!Share.point}); [reply] names
-   the response in errors.  A server value outside the field is the
+   [pts] are prepared once per batch ({!prepare}); [reply] names the
+   response in errors.  A server value outside the field is the
    server's fault, refused like any other bad reply rather than
    silently reduced. *)
 let verdict t ~(counts : Metrics.t) ~reply pts (meta : Protocol.node_meta) server_values =
-  if List.length server_values <> List.length pts then
+  if List.length server_values <> Array.length pts then
     raise (Filter_error (reply ^ " arity mismatch"));
   List.iter
     (fun v ->
@@ -116,12 +120,23 @@ let verdict t ~(counts : Metrics.t) ~reply pts (meta : Protocol.node_meta) serve
         raise (Filter_error ("malformed " ^ reply ^ " reply: value outside the field")))
     server_values;
   counts.nodes_examined <- counts.nodes_examined + 1;
-  counts.evaluations <- counts.evaluations + List.length pts;
-  let poly = client_poly t ~pre:meta.Protocol.pre in
-  let contains pt server =
-    Share.combine_evaluations t.ring ~client:(Share.eval_poly t.ring pt poly) ~server = 0
-  in
-  List.for_all2 contains pts server_values
+  counts.evaluations <- counts.evaluations + Array.length pts;
+  let values = Array.of_list server_values and pre = meta.Protocol.pre in
+  Array.for_all
+    (fun (pt, i) ->
+      Share.combine_evaluations t.ring
+        ~client:(Share.client_value t.reader ~pre pt)
+        ~server:values.(i)
+      = 0)
+    pts
+
+(* A batch's points in slot order, each with its position in a row's
+   values, so a node's values in one keystream block cost that block
+   once. *)
+let prepare t points =
+  List.mapi (fun i x -> (Share.point t.ring x, i)) points
+  |> List.stable_sort (fun (a, _) (b, _) -> Share.compare_points a b)
+  |> Array.of_list
 
 (* Merge one fused batch: each row carries its server evaluations at
    every point, in order. *)
@@ -129,7 +144,7 @@ let filter_scan_rows t ~counts rows ~points =
   match points with
   | [] -> List.map fst rows
   | _ ->
-      let pts = List.map (Share.point t.ring) points in
+      let pts = prepare t points in
       List.filter_map
         (fun (meta, server_values) ->
           if verdict t ~counts ~reply:"Scan_batch" pts meta server_values then Some meta
@@ -143,7 +158,7 @@ let eval_batch t ~counts metas ~point =
   | Protocol.Values values ->
       if List.length values <> List.length metas then
         raise (Filter_error "Eval_batch arity mismatch");
-      let pts = [ Share.point t.ring point ] in
+      let pts = prepare t [ point ] in
       List.filter_map
         (fun (meta, v) ->
           if verdict t ~counts ~reply:"Values" pts meta [ v ] then Some meta else None)
@@ -207,7 +222,7 @@ let tag_value t ~(counts : Metrics.t) (meta : Protocol.node_meta) =
   | [] -> assert false
   | node_poly :: child_polys -> (
       let product = Share.product t.ring child_polys in
-      match Cyclic.recover_linear_factor t.ring ~product ~node:node_poly with
+      match Share.linear_factor t.ring ~product ~node:node_poly with
       | Ok value -> value
       | Error `Degenerate ->
           counts.degenerate_divisions <- counts.degenerate_divisions + 1;

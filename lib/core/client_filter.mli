@@ -33,11 +33,13 @@ val create :
     model of the paper's RMI filter (see the batching ablation).
     Whether a scan also evaluates shares is not the filter's choice:
     the plan puts the points in each [Scan_eval].  [share_cache]
-    (default 4096 polynomials, 0 = off) bounds the LRU cache of
-    regenerated client polynomials keyed by [pre]; regeneration is a
-    pure function of the seed and [pre], so a cached entry is exact
-    forever and eviction can only cost time, never correctness.  It is
-    the client's only cache.
+    (default 4096 shares, 0 = off) bounds the LRU cache of regenerated
+    whole client shares keyed by [pre], which the equality test
+    reconstructs from; regeneration is a pure function of the seed and
+    [pre], so a cached entry is exact forever and eviction can only
+    cost time, never correctness.  It is the client's only cache: the
+    containment test reads single slots of the client share (at most
+    one keystream block each) and never touches it.
 
     The filter keeps no counters: every counting call below takes the
     calling operator's [~counts] and adds its work there. *)
@@ -46,7 +48,7 @@ val rpc_counters : t -> Secshare_rpc.Transport.counters
 val scan_batch : t -> int
 
 val share_cache_stats : t -> Lru.stats option
-(** Hit/miss/eviction counts of the polynomial cache; [None] when the
+(** Hit/miss/eviction counts of the share cache; [None] when the
     cache is disabled. *)
 
 (** {2 Structure navigation} *)
@@ -87,7 +89,8 @@ val filter_scan_rows :
   points:int list ->
   Secshare_rpc.Protocol.node_meta list
 (** Client half of a fused batch: combine each row's server
-    evaluations with regenerated client shares and keep the rows
+    evaluations with the client share's value at each point (one slot,
+    {!Share.client_value}) and keep the rows
     passing the containment test at every point (counted in [counts],
     one evaluation pair per point).  With no points, strips the
     (empty) value lists.
@@ -124,8 +127,10 @@ val containment_batch :
 val equality :
   t -> counts:Metrics.t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool
 (** Strict: is the node itself mapped to [point]?  Reconstructs the
-    node and all its children and divides out the child product; one
-    equality test plus one reconstruction per polynomial in [counts].
+    node and all its children (their values at every nonzero point) and
+    divides out the child product pointwise ({!Share.linear_factor});
+    one equality test plus one reconstruction per polynomial in
+    [counts].
     @raise Filter_error when the division has no answer, never a guess:
     a zero child product (possible only when the map leaves no spare
     point; counted as a degenerate division, and the message names the

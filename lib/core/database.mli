@@ -31,8 +31,9 @@ type rpc_mode = Per_node | Batched | Fused
 type client_config = {
   rpc_mode : rpc_mode;  (** default [Fused] *)
   share_cache : int;
-      (** capacity, in polynomials, of the client's LRU cache over
-          regenerated share polynomials (default 4096; 0 disables).
+      (** capacity, in shares, of the client's LRU cache over
+          regenerated whole client shares, which the equality test
+          reconstructs from (default 4096; 0 disables).
           Regeneration is a pure function of seed and [pre], so cached
           entries are exact forever — see {!Client_filter.create} *)
   timeout : float option;

@@ -1,4 +1,3 @@
-module Cyclic = Secshare_poly.Cyclic
 module Sax = Secshare_xml.Sax
 module Trie = Secshare_trie.Trie
 module Tokenize = Secshare_trie.Tokenize
@@ -26,8 +25,9 @@ type frame = {
   pre : int;
   parent : int;
   synthetic : bool;  (** a trie character/marker node, not a real tag *)
-  mutable product : Cyclic.t;  (** prod f(child) over closed children *)
-  mutable has_children : bool;
+  mutable product : Secshare_poly.Evals.t option;
+      (** prod f(child) over closed children, pointwise; [None] before
+          the first child closes *)
   mutable real_children : bool;  (** has a real element child (trie nodes don't count) *)
   mutable text : string list;  (** direct text chunks, reversed *)
 }
@@ -96,8 +96,7 @@ let open_element ?(synthetic = false) t name =
       pre = t.pre_counter;
       parent;
       synthetic;
-      product = Cyclic.one t.ring;
-      has_children = false;
+      product = None;
       real_children = false;
       text = [];
     }
@@ -155,18 +154,15 @@ let close_element t =
       t.stack <- rest;
       t.post_counter <- t.post_counter + 1;
       (* A leaf is (x - v); an inner node multiplies the accumulated
-         child product by its own linear factor. *)
-      let own =
-        if frame.has_children then Cyclic.mul_linear t.ring ~root:frame.value frame.product
-        else Cyclic.linear t.ring ~root:frame.value
-      in
+         child product by its own linear factor, slot by slot. *)
+      let own = Share.encode_node t.ring ~root:frame.value frame.product in
       let server = Share.server_share t.ring ~seed:t.seed ~pre:frame.pre own in
       let row =
         {
           Secshare_store.Page.pre = frame.pre;
           post = t.post_counter;
           parent = frame.parent;
-          share = Secshare_poly.Codec.pack_cyclic t.ring server;
+          share = Secshare_poly.Codec.pack_evals t.ring server;
         }
       in
       Secshare_store.Node_table.insert t.table row;
@@ -175,9 +171,10 @@ let close_element t =
       | [] -> ()
       | parent_frame :: _ ->
           parent_frame.product <-
-            (if parent_frame.has_children then Cyclic.mul t.ring parent_frame.product own
-             else own);
-          parent_frame.has_children <- true;
+            Some
+              (match parent_frame.product with
+              | None -> own
+              | Some product -> Share.product t.ring [ product; own ]);
           if not frame.synthetic then parent_frame.real_children <- true)
 
 (* Trie expansion: text becomes synthetic single-character elements

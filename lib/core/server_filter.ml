@@ -311,8 +311,8 @@ let handle t (request : Protocol.request) : Protocol.response =
       Cursor_table.remove t.cursors cursor Client_close;
       Protocol.Pong
   | Protocol.Eval_batch { pres; point } -> (
-      (* one prepared point for the whole batch; each pool task is then
-         a single Horner pass *)
+      (* one prepared point for the whole batch; each pool task then
+         validates one row and reads the point's slot *)
       let pt = Share.point t.ring point in
       (* row lookups stay on the handler thread (cheap, latch-striped);
          the evaluations fan out across the pool *)

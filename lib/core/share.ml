@@ -1,84 +1,94 @@
-module Cyclic = Secshare_poly.Cyclic
 module Codec = Secshare_poly.Codec
+module Evals = Secshare_poly.Evals
 module Flat = Secshare_poly.Flat
 module Ring = Secshare_poly.Ring
+module Node_prg = Secshare_prg.Node_prg
 
-let client ring ~seed ~pre = Secshare_prg.Node_prg.client_poly ~ring ~seed ~pre
-let server_share ring ~seed ~pre f = Cyclic.sub ring f (client ring ~seed ~pre)
-let reconstruct ring ~seed ~pre ~server = Cyclic.add ring (client ring ~seed ~pre) server
-let combine_evaluations (ring : Secshare_poly.Ring.t) ~client ~server =
-  ring.Secshare_poly.Ring.add client server
+(* --- the filters' and the encoder's share arithmetic (DESIGN.md §13) ---
 
-(* --- the filters' share arithmetic (DESIGN.md §13) ---
-
+   Every share is a vector of values at the nonzero points (Evals).
    The one per-ring choice of the system: a field with byte tables
    (q <= 256, the paper's F_83 included) runs the allocation-free
    kernels in [Flat]; a larger field runs the closure-based reference
-   ([Cyclic], [Codec]), which is also the kernels' test oracle.  Both
+   ([Evals], [Codec]), which is also the kernels' test oracle.  Both
    give bit-identical results and reject the same inputs. *)
 
-type point = { x : int; kernel : (Secshare_field.Table.t * Flat.eval_table) option }
+let client ring ~seed ~pre = Node_prg.client_poly ~ring ~seed ~pre
 
-(* A prime field evaluates as a dot product with the point's powers
-   (built by table multiplication, so no division); an extension
-   field's encodings are not integers mod q, so it keeps Horner. *)
-let point (ring : Ring.t) x =
-  let x = ring.Ring.normalize x in
-  if x = 0 then invalid_arg "Cyclic.eval: evaluation at 0 is not preserved by reduction";
-  let prepare tab =
-    if ring.Ring.degree = 1 then
-      (tab, Flat.Powers (Secshare_field.Table.powers tab ~point:x ~n:ring.Ring.n))
-    else (tab, Flat.Row (Flat.point_row tab ~point:x))
-  in
-  { x; kernel = Option.map prepare ring.Ring.table }
+(* A fresh vector from a kernel writing [n] canonical values. *)
+let via_kernel (ring : Ring.t) kernel =
+  let out = Array.make ring.Ring.n 0 in
+  kernel out;
+  Evals.of_canonical ring out
+
+let server_share (ring : Ring.t) ~seed ~pre f =
+  let c = client ring ~seed ~pre in
+  match ring.Ring.table with
+  | Some tab ->
+      via_kernel ring (fun out ->
+          Flat.sub_into tab ~n:ring.Ring.n ~a:(Evals.view f) ~b:(Evals.view c) ~out)
+  | None -> Evals.sub ring f c
+
+let reconstruct ring ~seed ~pre ~server = Evals.add ring (client ring ~seed ~pre) server
+let combine_evaluations (ring : Ring.t) ~client ~server = ring.Ring.add client server
+
+type point = { slot : int }
+
+let point ring x = { slot = Evals.slot ring x }
 
 let eval_packed (ring : Ring.t) pt packed =
-  match pt.kernel with
-  | Some (tab, et) -> Flat.eval_share tab et ~n:ring.Ring.n packed
-  | None -> Cyclic.eval ring (Codec.unpack_cyclic ring packed) pt.x
+  match ring.Ring.table with
+  | Some tab -> Flat.eval_share tab ~n:ring.Ring.n ~slot:pt.slot packed
+  | None -> (Codec.unpack ~q:ring.Ring.order ~n:ring.Ring.n packed).(pt.slot)
 
-let eval_poly ring pt poly =
-  match pt.kernel with
-  | Some (tab, et) -> Flat.eval_coeffs tab et (Cyclic.view poly)
-  | None -> Cyclic.eval ring poly pt.x
+let eval_poly (_ : Ring.t) pt v = Evals.get v pt.slot
+let client_value reader ~pre pt = Node_prg.client_value reader ~pre ~slot:pt.slot
+let compare_points a b = Int.compare a.slot b.slot
 
 let add_packed (ring : Ring.t) ~client packed =
   match ring.Ring.table with
   | Some tab ->
-      let n = ring.Ring.n in
-      let out = Array.make n 0 in
-      Flat.reconstruct_into tab ~n ~client:(Cyclic.view client) packed ~out;
-      Cyclic.of_canonical ring out
-  | None -> Cyclic.add ring client (Codec.unpack_cyclic ring packed)
+      let client = Evals.view client and n = ring.Ring.n in
+      via_kernel ring (fun out -> Flat.reconstruct_into tab ~n ~client packed ~out)
+  | None -> Evals.add ring client (Codec.unpack_evals ring packed)
 
-(* The kernel ping-pongs two scratch buffers through [Flat.mul_into],
-   so an arbitrarily wide node costs two allocations; same fold order
-   as the reference. *)
+(* One buffer: the first factor's copy, multiplied into in place. *)
 let product (ring : Ring.t) polys =
   match (ring.Ring.table, polys) with
-  | None, _ | _, [] -> List.fold_left (Cyclic.mul ring) (Cyclic.one ring) polys
+  | None, _ | _, [] -> List.fold_left (Evals.mul ring) (Evals.one ring) polys
   | Some tab, first :: rest ->
       let n = ring.Ring.n in
-      let acc = ref (Array.copy (Cyclic.view first)) in
-      let scratch = ref (Array.make n 0) in
+      let acc = Evals.to_int_array first in
       List.iter
-        (fun p ->
-          Flat.mul_into tab ~n ~a:!acc ~b:(Cyclic.view p) ~out:!scratch;
-          let swap = !acc in
-          acc := !scratch;
-          scratch := swap)
+        (fun p -> Flat.pointwise_mul_into tab ~n ~a:acc ~b:(Evals.view p) ~out:acc)
         rest;
-      Cyclic.of_canonical ring !acc
+      Evals.of_canonical ring acc
+
+let encode_node (ring : Ring.t) ~root children =
+  let root = ring.Ring.normalize root in
+  match (ring.Ring.table, children) with
+  | _, None -> Evals.linear ring ~root
+  | Some tab, Some product ->
+      via_kernel ring (fun out ->
+          Flat.linear_mul_into tab ~n:ring.Ring.n ~root ~a:(Evals.view product) ~out)
+  | None, Some product -> Evals.mul ring (Evals.linear ring ~root) product
+
+let linear_factor (ring : Ring.t) ~product ~node =
+  match ring.Ring.table with
+  | Some tab ->
+      Flat.recover_linear_factor tab ~n:ring.Ring.n ~product:(Evals.view product)
+        ~node:(Evals.view node)
+  | None -> Evals.recover_linear_factor ring ~product ~node
 
 (* --- Shamir t-of-n re-sharing of the server share (lib/shard) ---
 
    The 2-party split above is unchanged: client + server = f.  Sharded
-   serving re-shares the SERVER half coefficient-wise across n shard
+   serving re-shares the SERVER half value by value across n shard
    servers so any t reconstruct it and t-1 learn nothing beyond what
    one server already held (a uniform masking of f).  Packing is
    byte-compatible with the single-server share format: every shard
-   table row is a valid [Codec]-packed coefficient vector, so the flat
-   kernels evaluate shard shares unchanged. *)
+   table row is a valid [Codec]-packed vector, so the flat kernels read
+   shard shares unchanged. *)
 
 module Shamir = Secshare_poly.Shamir
 

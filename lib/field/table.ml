@@ -3,6 +3,8 @@ type t = {
   bits : int;
   add_tab : Bytes.t;  (* q * 256 entries: [(a lsl 8) lor b] -> a + b *)
   mul_tab : Bytes.t;  (* likewise for a * b *)
+  neg_tab : Bytes.t;  (* q entries: a -> -a *)
+  inv_tab : Bytes.t;  (* q entries: a -> a^-1, and 0 -> 0 *)
 }
 
 (* Rows are 256 wide (not q) so the flat index is a shift-or rather
@@ -20,16 +22,19 @@ let create field =
     let q = F.order in
     let add_tab = Bytes.make (q * 256) '\000' in
     let mul_tab = Bytes.make (q * 256) '\000' in
+    let neg_tab = Bytes.make q '\000' and inv_tab = Bytes.make q '\000' in
     for a = 0 to q - 1 do
       let fa = F.of_int a in
       let base = a lsl 8 in
+      Bytes.set_uint8 neg_tab a (F.to_int (F.neg fa));
+      if a <> 0 then Bytes.set_uint8 inv_tab a (F.to_int (F.inv fa));
       for b = 0 to q - 1 do
         let fb = F.of_int b in
         Bytes.set_uint8 add_tab (base lor b) (F.to_int (F.add fa fb));
         Bytes.set_uint8 mul_tab (base lor b) (F.to_int (F.mul fa fb))
       done
     done;
-    Some { q; bits = bits_for q; add_tab; mul_tab }
+    Some { q; bits = bits_for q; add_tab; mul_tab; neg_tab; inv_tab }
   end
 
 let order t = t.q
@@ -51,20 +56,11 @@ let mul t a b =
 
 let unsafe_add t a b = Char.code (Bytes.unsafe_get t.add_tab ((a lsl 8) lor b))
 let unsafe_mul t a b = Char.code (Bytes.unsafe_get t.mul_tab ((a lsl 8) lor b))
+let unsafe_neg t a = Char.code (Bytes.unsafe_get t.neg_tab a)
+let unsafe_inv t a = Char.code (Bytes.unsafe_get t.inv_tab a)
 
 let mul_row t ~point =
   check t "mul_row" point;
   let row = Bytes.create t.q in
   Bytes.blit t.mul_tab (point lsl 8) row 0 t.q;
   row
-
-let powers t ~point ~n =
-  check t "powers" point;
-  if n < 0 then invalid_arg "Table.powers: negative length";
-  let out = Bytes.create n in
-  let acc = ref 1 in
-  for i = 0 to n - 1 do
-    Bytes.unsafe_set out i (Char.unsafe_chr !acc);
-    acc := unsafe_mul t !acc point
-  done;
-  out

@@ -1,11 +1,12 @@
 (** Flat operation tables for small fields: the arithmetic kernel
-    behind the packed polynomial evaluators in [lib/poly].
+    behind the packed share kernels in [lib/poly].
 
     For fields with [order <= 256] every element fits in one byte, so
-    the whole addition and multiplication tables fit in 64 KiB each and
-    a Horner step becomes two byte loads — no closure calls, no
-    module projections, no allocation.  The tables are built once per
-    ring from the field's own [add]/[mul], so kernel results are
+    the whole addition and multiplication tables fit in 64 KiB each,
+    negation and inversion in [q] bytes, and a pointwise sum, product
+    or quotient is a byte load or two — no closure calls, no module
+    projections, no allocation.  The tables are built once per ring
+    from the field's own operations, so kernel results are
     bit-identical to the reference path for prime fields *and*
     extension fields alike (whose canonical integer encodings are not
     integer arithmetic mod q).
@@ -39,14 +40,14 @@ val unsafe_add : t -> int -> int -> int
 
 val unsafe_mul : t -> int -> int -> int
 
+val unsafe_neg : t -> int -> int
+(** [-a], unchecked like {!unsafe_add}. *)
+
+val unsafe_inv : t -> int -> int
+(** [a^-1] for [a <> 0] (and 0 for 0), unchecked like {!unsafe_add}. *)
+
 val mul_row : t -> point:int -> Bytes.t
 (** The length-[q] row [x -> x * point] of the multiplication table,
-    as a fresh byte string: the per-query table a Horner kernel walks
-    so the hot loop never recomputes the 2-d index.  [point] must be a
-    canonical encoding. *)
-
-val powers : t -> point:int -> n:int -> Bytes.t
-(** [powers t ~point ~n] is the length-[n] byte string whose [i]-th
-    entry is [point^i], built by table multiplication (no division) —
-    the per-query table of the prime-field dot product
-    ([Secshare_poly.Flat.Powers]). *)
+    as a fresh byte string, so a kernel scaling by [point] (a Shamir
+    Lagrange multiplier) never recomputes the 2-d index.  [point] must
+    be a canonical encoding. *)

@@ -94,16 +94,23 @@ let poly_names =
 let poly_fns =
   [
     ("Codec", "unpack_cyclic");
+    ("Codec", "unpack_evals");
     ("Cyclic", "add");
     ("Cyclic", "sub");
     ("Cyclic", "mul");
     ("Cyclic", "one");
     ("Cyclic", "of_dense");
+    ("Evals", "add");
+    ("Evals", "sub");
+    ("Evals", "mul");
+    ("Evals", "one");
+    ("Evals", "of_cyclic");
     ("Share", "client");
     ("Share", "server_share");
     ("Share", "reconstruct");
     ("Share", "add_packed");
     ("Share", "product");
+    ("Share", "encode_node");
   ]
 
 let rec polyish expr =

@@ -46,7 +46,11 @@ let secret_producers =
     ("Share", "reconstruct");
     ("Share", "add_packed");
     ("Share", "product");
+    ("Share", "client_value");
+    ("Share", "encode_node");
+    ("Share", "linear_factor");
     ("Codec", "unpack_cyclic");
+    ("Codec", "unpack_evals");
     ("Seed", "generate");
     ("Seed", "load");
     ("Seed", "of_hex");
@@ -56,6 +60,8 @@ let secret_producers =
     ("Mapping", "name_of");
     ("Node_prg", "coefficients");
     ("Node_prg", "cipher");
+    ("Node_prg", "client_poly");
+    ("Node_prg", "client_value");
   ]
 
 (* Partial-aggregate vocabulary: server-side code folds numeric shares

@@ -52,3 +52,8 @@ let pack_cyclic (r : Ring.t) v = pack ~q:r.Ring.order (Cyclic.to_int_array v)
 
 let unpack_cyclic (r : Ring.t) buf =
   Cyclic.of_int_array r (unpack ~q:r.Ring.order ~n:r.Ring.n buf)
+
+let pack_evals (r : Ring.t) v = pack ~q:r.Ring.order (Evals.view v)
+
+let unpack_evals (r : Ring.t) buf =
+  Evals.of_canonical r (unpack ~q:r.Ring.order ~n:r.Ring.n buf)

@@ -27,3 +27,10 @@ val pack_cyclic : Ring.t -> Cyclic.t -> bytes
 
 val unpack_cyclic : Ring.t -> bytes -> Cyclic.t
 (** Inverse of [pack_cyclic]. *)
+
+val pack_evals : Ring.t -> Evals.t -> bytes
+(** Pack a share in the evaluation domain: its [n] slot values, in the
+    same layout as coefficients. *)
+
+val unpack_evals : Ring.t -> bytes -> Evals.t
+(** Inverse of [pack_evals]; validates like {!unpack}. *)

@@ -6,11 +6,6 @@
 
 module Table = Secshare_field.Table
 
-let point_row tab ~point =
-  if point = 0 then
-    invalid_arg "Flat.point_row: evaluation at 0 is not preserved by reduction";
-  Table.mul_row tab ~point
-
 (* Decode coefficient [i] of a Codec-packed buffer: a little-endian
    window read at bit position [i * bits].  bits <= 8 always (q <= 256),
    so a coefficient spans at most two bytes. *)
@@ -31,94 +26,40 @@ let check_share fn tab ~n buf =
   if Bytes.length buf < needed then
     invalid_arg (Printf.sprintf "%s: need %d bytes, got %d" fn needed (Bytes.length buf))
 
-type eval_table = Row of Bytes.t | Powers of Bytes.t
-
-let check_powers fn ~powers n =
-  if Bytes.length powers < n then
-    invalid_arg
-      (Printf.sprintf "%s: %d powers for %d coefficients" fn (Bytes.length powers) n)
-
-(* Horner through the multiplication row: a chain of dependent table
-   loads, right for any field with byte tables. *)
-let horner_coeffs tab ~mul_row (a : int array) =
-  let acc = ref 0 in
-  for i = Array.length a - 1 downto 0 do
-    let shifted = Char.code (Bytes.unsafe_get mul_row !acc) in
-    acc := Table.unsafe_add tab shifted (Array.unsafe_get a i)
-  done;
-  !acc
-
-(* Prime fields only: the encodings are the integers mod q, so the
-   value is the integer dot product of coefficients and powers, reduced
-   once.  Each term is below q^2 and there are n = q - 1 < 255 of
-   them, so the sum stays below 255^3 and never overflows. *)
-let dot_coeffs tab ~powers (a : int array) =
-  let acc = ref 0 in
-  for i = 0 to Array.length a - 1 do
-    acc := !acc + (Array.unsafe_get a i * Char.code (Bytes.unsafe_get powers i))
-  done;
-  !acc mod Table.order tab
-
-let eval_coeffs tab et (a : int array) =
-  match et with
-  | Row mul_row -> horner_coeffs tab ~mul_row a
-  | Powers powers ->
-      check_powers "Flat.eval_coeffs" ~powers (Array.length a);
-      dot_coeffs tab ~powers a
-
-let bad_coefficient c q =
-  invalid_arg (Printf.sprintf "Flat.eval_share: decoded coefficient %d >= %d" c q)
-
-let horner_share tab ~mul_row ~n buf =
+(* Every value is decoded in order through a bit reader (a byte joins
+   the window whenever it holds fewer than [bits] bits), and the range
+   check is folded in without a branch: [bad] goes negative once some
+   [q - 1 - c] does.  Only a rejected share pays a second pass, which
+   names its highest bad value. *)
+let eval_share tab ~n ~slot buf =
+  check_share "Flat.eval_share" tab ~n buf;
+  if slot < 0 || slot >= n then
+    invalid_arg (Printf.sprintf "Flat.eval_share: slot %d outside [0, %d)" slot n);
   let bits = Table.bits tab in
   let mask = (1 lsl bits) - 1 in
   let q = Table.order tab in
-  let acc = ref 0 in
-  for i = n - 1 downto 0 do
-    let c = coeff_at buf ~bits ~mask i in
-    if c >= q then bad_coefficient c q;
-    let shifted = Char.code (Bytes.unsafe_get mul_row !acc) in
-    acc := Table.unsafe_add tab shifted c
-  done;
-  !acc
-
-(* The coefficients are decoded in order through a bit reader (a byte
-   joins the window whenever it holds fewer than [bits] bits), and the
-   range check is folded in without a branch: [bad] goes negative once
-   some [q - 1 - c] does.  Only a rejected share pays a second pass,
-   which names the highest bad coefficient, as Horner does. *)
-let dot_share tab ~powers ~n buf =
-  let bits = Table.bits tab in
-  let mask = (1 lsl bits) - 1 in
-  let q = Table.order tab in
-  let acc = ref 0 and bad = ref 0 in
-  let window = ref 0 and held = ref 0 and byte = ref 0 in
-  for i = 0 to n - 1 do
+  let bad = ref 0 and window = ref 0 and held = ref 0 and byte = ref 0 in
+  for _ = 0 to n - 1 do
     if !held < bits then begin
       window := !window lor (Char.code (Bytes.unsafe_get buf !byte) lsl !held);
       incr byte;
       held := !held + 8
     end;
-    let c = !window land mask in
+    bad := !bad lor (q - 1 - (!window land mask));
     window := !window lsr bits;
-    held := !held - bits;
-    bad := !bad lor (q - 1 - c);
-    acc := !acc + (c * Char.code (Bytes.unsafe_get powers i))
+    held := !held - bits
   done;
   if !bad < 0 then
     for i = n - 1 downto 0 do
       let c = coeff_at buf ~bits ~mask i in
-      if c >= q then bad_coefficient c q
+      if c >= q then
+        invalid_arg (Printf.sprintf "Flat.eval_share: decoded coefficient %d >= %d" c q)
     done;
-  !acc mod q
+  coeff_at buf ~bits ~mask slot
 
-let eval_share tab et ~n buf =
-  check_share "Flat.eval_share" tab ~n buf;
-  match et with
-  | Row mul_row -> horner_share tab ~mul_row ~n buf
-  | Powers powers ->
-      check_powers "Flat.eval_share" ~powers n;
-      dot_share tab ~powers ~n buf
+let check_length fn ~n (a : int array) =
+  if Array.length a < n then
+    invalid_arg (fn ^ ": buffers shorter than the ring dimension")
 
 let reconstruct_into tab ~n ~(client : int array) buf ~(out : int array) =
   check_share "Flat.reconstruct_into" tab ~n buf;
@@ -135,30 +76,69 @@ let reconstruct_into tab ~n ~(client : int array) buf ~(out : int array) =
     Array.unsafe_set out i (Table.unsafe_add tab (Array.unsafe_get client i) c)
   done
 
-let mul_into tab ~n ~(a : int array) ~(b : int array) ~(out : int array) =
-  if Array.length a < n || Array.length b < n || Array.length out < n then
-    invalid_arg "Flat.mul_into: buffers shorter than the ring dimension";
-  if out == a || out == b then
-    invalid_arg "Flat.mul_into: out must be distinct from the operands";
-  (* Run the convolution from the sparser operand, as {!Cyclic.mul}
-     does: one counting pass, then min(nnz a, nnz b) * n steps. *)
-  let d = ref 0 in
-  for i = 0 to n - 1 do
-    if Array.unsafe_get a i <> 0 then incr d;
-    if Array.unsafe_get b i <> 0 then decr d
-  done;
-  let a, b = if !d > 0 then (b, a) else (a, b) in
-  Array.fill out 0 n 0;
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a i in
-    if ai <> 0 then
-      for j = 0 to n - 1 do
-        let k = if i + j >= n then i + j - n else i + j in
-        Array.unsafe_set out k
-          (Table.unsafe_add tab (Array.unsafe_get out k)
-             (Table.unsafe_mul tab ai (Array.unsafe_get b j)))
-      done
+let pointwise_mul_into tab ~n ~(a : int array) ~(b : int array) ~(out : int array) =
+  check_length "Flat.pointwise_mul_into" ~n a;
+  check_length "Flat.pointwise_mul_into" ~n b;
+  check_length "Flat.pointwise_mul_into" ~n out;
+  for j = 0 to n - 1 do
+    Array.unsafe_set out j
+      (Table.unsafe_mul tab (Array.unsafe_get a j) (Array.unsafe_get b j))
   done
+
+let sub_into tab ~n ~(a : int array) ~(b : int array) ~(out : int array) =
+  check_length "Flat.sub_into" ~n a;
+  check_length "Flat.sub_into" ~n b;
+  check_length "Flat.sub_into" ~n out;
+  for j = 0 to n - 1 do
+    let neg_b = Table.unsafe_neg tab (Array.unsafe_get b j) in
+    Array.unsafe_set out j (Table.unsafe_add tab (Array.unsafe_get a j) neg_b)
+  done
+
+(* Slot [j] holds the value at the point encoded [j + 1]. *)
+let linear_mul_into tab ~n ~root ~(a : int array) ~(out : int array) =
+  check_length "Flat.linear_mul_into" ~n a;
+  check_length "Flat.linear_mul_into" ~n out;
+  if root < 0 || root >= Table.order tab then
+    invalid_arg (Printf.sprintf "Flat.linear_mul_into: root %d is not canonical" root);
+  let neg_root = Table.unsafe_neg tab root in
+  for j = 0 to n - 1 do
+    let factor = Table.unsafe_add tab (j + 1) neg_root in
+    Array.unsafe_set out j (Table.unsafe_mul tab factor (Array.unsafe_get a j))
+  done
+
+(* One quotient at the first slot where the product is nonzero gives
+   the only candidate [t]; every slot then checks
+   [node = (point - t) * product] by table lookups, which also demands
+   [node = 0] wherever the product vanishes. *)
+let recover_linear_factor tab ~n ~(product : int array) ~(node : int array) =
+  check_length "Flat.recover_linear_factor" ~n product;
+  check_length "Flat.recover_linear_factor" ~n node;
+  let pivot = ref (-1) and j = ref 0 in
+  while !pivot < 0 && !j < n do
+    if Array.unsafe_get product !j <> 0 then pivot := !j;
+    incr j
+  done;
+  if !pivot < 0 then Error `Degenerate
+  else begin
+    let p = !pivot in
+    let quotient =
+      Table.unsafe_mul tab (Array.unsafe_get node p)
+        (Table.unsafe_inv tab (Array.unsafe_get product p))
+    in
+    let t = Table.unsafe_add tab (p + 1) (Table.unsafe_neg tab quotient) in
+    let neg_t = Table.unsafe_neg tab t in
+    let fits = ref true and k = ref 0 in
+    while !fits && !k < n do
+      let expected =
+        Table.unsafe_mul tab
+          (Table.unsafe_add tab (!k + 1) neg_t)
+          (Array.unsafe_get product !k)
+      in
+      if expected <> Array.unsafe_get node !k then fits := false;
+      incr k
+    done;
+    if !fits then Ok t else Error `Not_linear
+  end
 
 let combine_packed_into tab ~n ~(rows : Bytes.t array) (shares : Bytes.t array)
     ~(out : Bytes.t) =

@@ -14,6 +14,11 @@ let make fn ~key ~nonce =
 
 let create ~key ~nonce = make "Chacha20.create" ~key ~nonce
 
+let set_nonce t nonce =
+  if Bytes.length nonce <> nonce_length then
+    invalid_arg "Chacha20.set_nonce: nonce must be 12 bytes";
+  Bytes.blit nonce 0 t key_length nonce_length
+
 (* Blocks [counter, counter + blocks) must all have a 32-bit counter. *)
 let check_counter fn ~counter ~blocks =
   if counter < 0 then invalid_arg (fn ^ ": negative counter");

@@ -30,6 +30,12 @@ type t
 val create : key:bytes -> nonce:bytes -> t
 (** @raise Invalid_argument on a wrong key or nonce length. *)
 
+val set_nonce : t -> bytes -> unit
+(** Replace the nonce of [t] in place, keeping its key: one state reused
+    across nodes, with no allocation.  Only for a state that one owner
+    uses at a time.
+    @raise Invalid_argument on a wrong nonce length. *)
+
 val block_into : t -> counter:int -> bytes -> off:int -> unit
 (** [block_into t ~counter dst ~off] writes keystream block [counter]
     to [dst.[off] .. dst.[off + 63]], allocating nothing.

@@ -54,3 +54,106 @@ let fill cipher ~width ~big_endian ~mask ~below ~modulo out =
   let block = Bytes.create 64 in
   if width = 1 then fill_bytes cipher block ~mask ~below ~modulo out
   else fill_words cipher block ~width ~big_endian ~mask ~below ~modulo out
+
+(* --- slots: random access, one word per draw ---
+
+   Slot [j] is the [width]-byte little-endian word at offset
+   [(j mod per_block) * width] of block [j / per_block]; no word
+   straddles two blocks (the last [64 mod width] bytes of a block are
+   unused).  A rejected word is redrawn from the slot's own overflow
+   blocks, [main_blocks + j + k * count] for k = 0, 1, ..., scanned a
+   word at a time, so every slot reads keystream bytes no other slot
+   reads. *)
+
+let bytes_needed q =
+  let rec go k cap = if cap >= q then k else go (k + 1) (cap * 256) in
+  go 1 256
+
+type slots = {
+  q : int;
+  count : int;
+  width : int;
+  per_block : int;
+  main_blocks : int;
+  below : int;
+  recip : int;  (* ceil (2^shift / q) *)
+  shift : int;  (* 0: reduce with [mod] *)
+}
+
+let slots ~q ~count =
+  if q < 2 then invalid_arg "Sampler.slots: field order must be >= 2";
+  if count < 0 then invalid_arg "Sampler.slots: negative count";
+  let width = bytes_needed q + 1 in
+  if width > 7 then invalid_arg "Sampler.slots: field order too large";
+  let cap = 1 lsl (8 * width) in
+  let per_block = 64 / width in
+  (* A word v < 2^k reduces without a division: with q <= 2^l,
+     shift = k + l and recip = ceil (2^shift / q), (v * recip) lsr shift
+     is v / q, because v * (recip * q - 2^shift) < 2^k * q <= 2^shift.
+     The product is below 2^(2k + 1) (recip <= 2^(k + 1)), so words of
+     up to 3 bytes stay within a 63-bit int; wider ones use [mod]. *)
+  let k = 8 * width in
+  let l =
+    let rec go l = if 1 lsl l >= q then l else go (l + 1) in
+    go 1
+  in
+  let shift = if k + (k + 1) <= 62 then k + l else 0 in
+  {
+    q;
+    count;
+    width;
+    per_block;
+    main_blocks = (count + per_block - 1) / per_block;
+    below = cap - (cap mod q);
+    recip = (if shift = 0 then 0 else ((1 lsl shift) + q - 1) / q);
+    shift;
+  }
+
+let slot_count s = s.count
+let slot_block s j = j / s.per_block
+
+let[@inline] word block ~off ~width =
+  if width = 2 then Bytes.get_uint16_le block off
+  else begin
+    let v = ref 0 in
+    for i = width - 1 downto 0 do
+      v := (!v lsl 8) lor Char.code (Bytes.unsafe_get block (off + i))
+    done;
+    !v
+  end
+
+let[@inline] reduce s v =
+  if s.shift = 0 then v mod s.q else v - (s.q * ((v * s.recip) lsr s.shift))
+
+let overflow cipher s scratch j =
+  let rec from_block k =
+    let counter = s.main_blocks + j + (k * s.count) in
+    Chacha20.block_into cipher ~counter scratch ~off:0;
+    let rec scan i =
+      if i = s.per_block then from_block (k + 1)
+      else
+        let v = word scratch ~off:(i * s.width) ~width:s.width in
+        if v < s.below then reduce s v else scan (i + 1)
+    in
+    scan 0
+  in
+  from_block 0
+
+let slot_value cipher s ~block ~scratch j =
+  if j < 0 || j >= s.count then invalid_arg "Sampler.slot_value: slot out of range";
+  let v = word block ~off:(j mod s.per_block * s.width) ~width:s.width in
+  if v < s.below then reduce s v else overflow cipher s scratch j
+
+let fill_slots cipher s out =
+  if Array.length out <> s.count then invalid_arg "Sampler.fill_slots: wrong length";
+  let block = Bytes.create 64 in
+  let width = s.width and below = s.below in
+  for b = 0 to s.main_blocks - 1 do
+    Chacha20.block_into cipher ~counter:b block ~off:0;
+    let first = b * s.per_block in
+    for j = first to min s.count (first + s.per_block) - 1 do
+      let v = word block ~off:((j - first) * width) ~width in
+      Array.unsafe_set out j
+        (if v < below then reduce s v else overflow cipher s (Bytes.create 64) j)
+    done
+  done

@@ -90,9 +90,10 @@ let encode_request req =
      request tag 7 / response tag 6 to the retired single-node
      evaluation (a one-row [Eval_batch] now), request tag 11 /
      response tag 10 to the retired table-stats probe, response tag 13
-     to the manifest reply without the field and response tag 15 to
-     the one with partition bounds: decoders reject them, and they are
-     never reused *)
+     to the manifest reply without the field, response tag 15 to the
+     one with partition bounds and response tag 16 to the one of
+     servers storing coefficient-domain shares: decoders reject them,
+     and they are never reused *)
   | Cursor_close cursor ->
       Wire.write_u8 w 6;
       Wire.write_u32 w cursor
@@ -183,8 +184,20 @@ let decode_request s =
   Wire.expect_end r;
   req
 
+(* The encoded length of the replies that grow with a batch, so their
+   writer allocates the frame once (Wire.writer). *)
+let response_size = function
+  | Scan_batch { rows; cursor } ->
+      5
+      + List.fold_left (fun acc (_, values) -> acc + 16 + (4 * List.length values)) 0 rows
+      + if cursor = None then 1 else 5
+  | Values vs -> 5 + (4 * List.length vs)
+  | Nodes metas -> 5 + (12 * List.length metas)
+  | Shares_data bs -> 5 + List.fold_left (fun acc b -> acc + 4 + Bytes.length b) 0 bs
+  | _ -> 64
+
 let encode_response resp =
-  let w = Wire.writer () in
+  let w = Wire.writer ~size:(response_size resp) () in
   (match resp with
   | Pong -> Wire.write_u8 w 0
   | Node_opt None -> Wire.write_u8 w 1
@@ -216,7 +229,7 @@ let encode_response resp =
           Wire.write_u8 w 1;
           Wire.write_u32 w c)
   | Manifest_data { shard_id; shards; threshold; p; e; total_rows } ->
-      Wire.write_u8 w 16;
+      Wire.write_u8 w 17;
       Wire.write_u32 w shard_id;
       Wire.write_u32 w shards;
       Wire.write_u32 w threshold;
@@ -255,7 +268,7 @@ let decode_response s =
               raise (Wire.Decode_error (Printf.sprintf "unknown cursor flag %d" tag))
         in
         Scan_batch { rows; cursor }
-    | 16 ->
+    | 17 ->
         let shard_id = Wire.read_u32 r in
         let shards = Wire.read_u32 r in
         let threshold = Wire.read_u32 r in

@@ -15,8 +15,8 @@
 
     Everything is structural metadata and share data; tag names and the
     map never cross the wire.  Request and response tags 4 and 5,
-    request tags 3, 7, 9 and 11 and response tags 6, 8, 10, 13 and 15
-    are retired: the decoders reject them and they are never reused.
+    request tags 3, 7, 9 and 11 and response tags 6, 8, 10, 13, 15 and
+    16 are retired: the decoders reject them and they are never reused.
     A parent step is a point-free [Scan_eval] over one-pre
     [Bounded_pre_ranges] windows. *)
 
@@ -47,8 +47,11 @@ type manifest_info = {
   e : int;  (** extension degree of that field *)
   total_rows : int;  (** rows of the full table (every shard holds all rows) *)
 }
-(** Sent as response tag 16; retired tag 15 also carried pre-range
-    partition bounds. *)
+(** Sent as response tag 17.  Retired tag 15 also carried pre-range
+    partition bounds; retired tag 16 carried this record from servers
+    whose shares were coefficient vectors, so a client of this build
+    refuses such a server at its handshake instead of reading its
+    stored values as evaluations. *)
 
 val single_server : p:int -> e:int -> rows:int -> manifest_info
 (** The 1-of-1 manifest of an unsharded server. *)

@@ -1,26 +1,60 @@
 exception Decode_error of string
 
-type writer = Buffer.t
+(* Bytes written so far are [buf.[0 .. len - 1]].  A writer sized to
+   its message ([?size]) never grows, and [contents] then hands its
+   buffer over without a copy: one allocation per message. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
 type reader = { src : string; mutable pos : int }
 
-let writer () = Buffer.create 256
-let contents w = Buffer.contents w
-let write_u8 w v = Buffer.add_uint8 w (v land 0xFF)
+let writer ?(size = 256) () = { buf = Bytes.create (max 1 size); len = 0 }
+
+let contents w =
+  if w.len = Bytes.length w.buf then begin
+    let s = Bytes.unsafe_to_string w.buf in
+    w.buf <- Bytes.empty;
+    w.len <- 0;
+    s
+  end
+  else Bytes.sub_string w.buf 0 w.len
+
+let reserve w n =
+  let cap = Bytes.length w.buf in
+  if w.len + n > cap then begin
+    let buf = Bytes.create (max (w.len + n) (2 * cap)) in
+    Bytes.blit w.buf 0 buf 0 w.len;
+    w.buf <- buf
+  end
+
+let write_u8 w v =
+  reserve w 1;
+  Bytes.set_uint8 w.buf w.len (v land 0xFF);
+  w.len <- w.len + 1
 
 let write_u32 w v =
   if v < 0 || v > 0xFFFFFFFF then
     invalid_arg (Printf.sprintf "Wire.write_u32: %d out of range" v);
-  Buffer.add_int32_le w (Int32.of_int (if v > 0x7FFFFFFF then v - 0x100000000 else v))
+  reserve w 4;
+  let signed = if v > 0x7FFFFFFF then v - 0x100000000 else v in
+  Bytes.set_int32_le w.buf w.len (Int32.of_int signed);
+  w.len <- w.len + 4
 
-let write_i64 w v = Buffer.add_int64_le w (Int64.of_int v)
+let write_i64 w v =
+  reserve w 8;
+  Bytes.set_int64_le w.buf w.len (Int64.of_int v);
+  w.len <- w.len + 8
+
+let write_raw w s ~len =
+  reserve w len;
+  Bytes.blit_string s 0 w.buf w.len len;
+  w.len <- w.len + len
 
 let write_bytes w b =
   write_u32 w (Bytes.length b);
-  Buffer.add_bytes w b
+  write_raw w (Bytes.unsafe_to_string b) ~len:(Bytes.length b)
 
 let write_string w s =
   write_u32 w (String.length s);
-  Buffer.add_string w s
+  write_raw w s ~len:(String.length s)
 
 let write_list w f items =
   write_u32 w (List.length items);

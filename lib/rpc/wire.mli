@@ -1,7 +1,7 @@
 (** Binary wire primitives for the filter protocol.
 
     Little-endian fixed-width integers and length-prefixed blobs over
-    a growable buffer (writing) or a string cursor (reading).  All
+    a growable byte buffer (writing) or a string cursor (reading).  All
     reads validate bounds and fail with [Decode_error] rather than
     raising out-of-bounds exceptions. *)
 
@@ -10,8 +10,15 @@ exception Decode_error of string
 type writer
 type reader
 
-val writer : unit -> writer
+val writer : ?size:int -> unit -> writer
+(** [size] (default 256) is the initial capacity.  A writer given its
+    message's exact length allocates that message once: large replies
+    then never pass through the intermediate buffers of a doubling
+    growth, which in-process deployments would otherwise allocate, and
+    drop, on the major heap for every scan batch. *)
+
 val contents : writer -> string
+(** The bytes written.  The writer must not be used afterwards. *)
 
 val write_u8 : writer -> int -> unit
 val write_u32 : writer -> int -> unit

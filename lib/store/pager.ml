@@ -12,12 +12,15 @@ let obs_fsyncs =
 
 let default_page_size = 8192
 let header_size = 64
-let file_magic = "SSDBPAG2"
+let file_magic = "SSDBPAG3"
 
-(* The format before the sampler read each keystream byte once: its
-   shares no longer match the client stream, so it is refused, never
-   decoded or rebuilt. *)
-let retired_magic = "SSDBPAG1"
+(* Retired formats, each with why its shares no longer match the
+   client's: such a file is refused, never decoded or rebuilt. *)
+let retired_magics =
+  [
+    ("SSDBPAG1", "whose shares follow the first-refill sampler");
+    ("SSDBPAG2", "whose shares are coefficient vectors");
+  ]
 
 type open_error = Unreadable of string | Retired of string
 
@@ -136,34 +139,36 @@ let open_file ?(cache_pages = 256) ?(recovery = false) path =
       let hdr = Bytes.create header_size in
       let n = Unix.read fd hdr 0 header_size in
       let magic = Bytes.sub_string hdr 0 (min n 8) in
-      if String.equal magic retired_magic then begin
-        Unix.close fd;
-        Error
-          (Retired
-             "page file in the retired SSDBPAG1 format, whose shares follow the \
-              first-refill sampler: re-encode the document")
-      end
-      else if n <> header_size || not (String.equal magic file_magic) then begin
-        Unix.close fd;
-        Error (Unreadable "not a page file (bad header)")
-      end
-      else begin
-        let psize = Int32.to_int (Bytes.get_int32_le hdr 8) in
-        let npages = Int32.to_int (Bytes.get_int32_le hdr 12) in
-        let expected = header_size + (npages * psize) in
-        let actual = (Unix.fstat fd).Unix.st_size in
-        if actual < expected && not recovery then begin
+      match List.assoc_opt magic retired_magics with
+      | Some why ->
           Unix.close fd;
           Error
-            (Unreadable
-               (Printf.sprintf "torn page file: %d bytes, header promises %d" actual
-                  expected))
-        end
-        else
-          (* [recovery] tolerates a short file: the caller is about to
-             lay WAL page images over the damage before any read. *)
-          Ok { psize; backing = File (make_file_state fd npages cache_pages) }
-      end)
+            (Retired
+               (Printf.sprintf
+                  "page file in the retired %s format, %s: re-encode the document" magic
+                  why))
+      | None ->
+          if n <> header_size || not (String.equal magic file_magic) then begin
+            Unix.close fd;
+            Error (Unreadable "not a page file (bad header)")
+          end
+          else begin
+            let psize = Int32.to_int (Bytes.get_int32_le hdr 8) in
+            let npages = Int32.to_int (Bytes.get_int32_le hdr 12) in
+            let expected = header_size + (npages * psize) in
+            let actual = (Unix.fstat fd).Unix.st_size in
+            if actual < expected && not recovery then begin
+              Unix.close fd;
+              Error
+                (Unreadable
+                   (Printf.sprintf "torn page file: %d bytes, header promises %d" actual
+                      expected))
+            end
+            else
+              (* [recovery] tolerates a short file: the caller is about to
+                 lay WAL page images over the damage before any read. *)
+              Ok { psize; backing = File (make_file_state fd npages cache_pages) }
+          end)
 
 let page_count t =
   match t.backing with

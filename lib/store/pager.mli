@@ -32,11 +32,12 @@ type open_error =
       (** The file is missing, its header is not a page-file header,
           or it is shorter than its header promises. *)
   | Retired of string
-      (** The header carries the magic of the retired format
-          ([SSDBPAG1]), whose shares follow the sampler that re-read
-          keystream bytes; the message says to re-encode.  Such a file
-          is refused and left untouched: never decoded, never rebuilt
-          from a log. *)
+      (** The header carries the magic of a retired format: [SSDBPAG1],
+          whose shares follow the sampler that re-read keystream bytes,
+          or [SSDBPAG2], whose shares are coefficient vectors rather
+          than values at the nonzero points.  The message says to
+          re-encode.  Such a file is refused and left untouched: never
+          decoded, never rebuilt from a log. *)
 
 val open_file : ?cache_pages:int -> ?recovery:bool -> string -> (t, open_error) result
 (** Open an existing page file; the page size is recovered from the

@@ -1,7 +1,7 @@
 module Obs = Secshare_obs
 
 (* File layout:
-     8 bytes   magic "SSDBWAL3"
+     8 bytes   magic "SSDBWAL4"
      records   u32 payload length | u32 crc32(payload) | payload
 
    Payload encodings (all little-endian):
@@ -11,12 +11,16 @@ module Obs = Secshare_obs
      kind 3  Commit      u8 kind, u64 lsn
      kind 4  Checkpoint  u8 kind, u64 lsn *)
 
-let magic = "SSDBWAL3"
+let magic = "SSDBWAL4"
 let header_len = String.length magic
 
-(* The log of the retired format (see [Pager.retired_magic]): refused
+(* Logs of the retired formats (see [Pager.retired_magics]): refused
    before any record is read or the file is touched. *)
-let retired_magic = "SSDBWAL2"
+let retired_magics =
+  [
+    ("SSDBWAL2", "whose shares follow the first-refill sampler");
+    ("SSDBWAL3", "whose shares are coefficient vectors");
+  ]
 
 (* Shares live in page cells whose length field is u16; the log field
    is u32 so the format never truncates, and appends reject anything a
@@ -206,11 +210,15 @@ let scan path =
   | exception Sys_error msg -> Error msg
   | contents ->
       let len = String.length contents in
+      let retired =
+        List.find_opt (fun (m, _) -> String.starts_with ~prefix:m contents) retired_magics
+      in
       if len > 0 && len < header_len then Error "wal file shorter than its header"
-      else if String.starts_with ~prefix:retired_magic contents then
+      else if Option.is_some retired then
+        let m, why = Option.get retired in
         Error
-          "write-ahead log in the retired SSDBWAL2 format, whose shares follow the \
-           first-refill sampler: re-encode the document"
+          (Printf.sprintf
+             "write-ahead log in the retired %s format, %s: re-encode the document" m why)
       else if len >= header_len && not (String.equal (String.sub contents 0 header_len) magic)
       then Error "not a wal file (bad magic)"
       else begin

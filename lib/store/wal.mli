@@ -85,10 +85,10 @@ type recovery_plan = {
 val scan : string -> (recovery_plan, string) result
 (** Read a log file and compute its recovery plan.  A torn or
     CRC-corrupt record ends the scan cleanly (the valid prefix is
-    used); an unreadable file, a foreign header or the header of the
-    retired format ([SSDBWAL2], whose shares follow the sampler that
-    re-read keystream bytes) is an [Error], the last one saying to
-    re-encode. *)
+    used); an unreadable file, a foreign header or the header of a
+    retired format is an [Error], the last one saying to re-encode:
+    [SSDBWAL2], whose shares follow the sampler that re-read keystream
+    bytes, and [SSDBWAL3], whose shares are coefficient vectors. *)
 
 val entry_count : t -> int
 (** Records in the log right now: counted on open, incremented per

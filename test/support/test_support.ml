@@ -85,9 +85,9 @@ let stamp path magic =
   Out_channel.with_open_gen [ Open_wronly; Open_binary ] 0 path (fun oc ->
       output_string oc magic)
 
-(* A write-ahead log at [path] in the retired format (magic
-   [SSDBWAL2]) holding one row record. *)
-let retired_log path =
+(* A write-ahead log at [path] in a retired format (magic [SSDBWAL2]
+   unless [magic] names another) holding one row record. *)
+let retired_log ?(magic = "SSDBWAL2") path =
   let log = Secshare_store.Wal.create path in
   (match
      Secshare_store.Wal.append_row log
@@ -96,7 +96,7 @@ let retired_log path =
   | Ok () -> ()
   | Error _ -> failwith "append_row refused an empty share");
   Secshare_store.Wal.close log;
-  stamp path "SSDBWAL2"
+  stamp path magic
 
 let pres_of_metas metas =
   List.map (fun (m : Secshare_rpc.Protocol.node_meta) -> m.Secshare_rpc.Protocol.pre) metas
@@ -148,11 +148,12 @@ module Flaky = struct
   type t = {
     path : string;
     listen_fd : Unix.file_descr;
-    mutable running : bool;
+    mutable running : bool;  (** written under [lock] *)
     mutable calls : int;
     mutable trace_ids : int64 list;  (** newest first; see {!trace_ids} *)
     lock : Mutex.t;
-    mutable threads : Thread.t list;
+    mutable threads : Thread.t list;  (** serve threads *)
+    mutable accept_thread : Thread.t option;
     mutable client_fds : Unix.file_descr list;
   }
 
@@ -223,9 +224,13 @@ module Flaky = struct
         trace_ids = [];
         lock = Mutex.create ();
         threads = [];
+        accept_thread = None;
         client_fds = [];
       }
     in
+    (* A connection accepted once [stop] has begun (its own wake-up
+       connection, say) is closed here, never served: every serve
+       thread is started before [stop] joins this loop. *)
     let accept_thread =
       Thread.create
         (fun () ->
@@ -233,16 +238,21 @@ module Flaky = struct
             match Unix.accept t.listen_fd with
             | fd, _ ->
                 Mutex.lock t.lock;
-                t.client_fds <- fd :: t.client_fds;
-                t.threads <- Thread.create (serve_connection t ~handler ~plan) fd :: t.threads;
-                Mutex.unlock t.lock
+                if t.running then begin
+                  t.client_fds <- fd :: t.client_fds;
+                  let serve = Thread.create (serve_connection t ~handler ~plan) fd in
+                  t.threads <- serve :: t.threads;
+                  Mutex.unlock t.lock
+                end
+                else begin
+                  Mutex.unlock t.lock;
+                  try Unix.close fd with Unix.Unix_error _ -> ()
+                end
             | exception Unix.Unix_error _ -> Thread.yield ()
           done)
         ()
     in
-    Mutex.lock t.lock;
-    t.threads <- accept_thread :: t.threads;
-    Mutex.unlock t.lock;
+    t.accept_thread <- Some accept_thread;
     t
 
   let calls t =
@@ -260,14 +270,20 @@ module Flaky = struct
     Mutex.unlock t.lock;
     ids
 
+  (* The accept loop is joined before the serve threads are collected,
+     so none can start after the snapshot and go unjoined. *)
   let stop t =
-    if t.running then begin
-      t.running <- false;
+    Mutex.lock t.lock;
+    let was_running = t.running in
+    t.running <- false;
+    Mutex.unlock t.lock;
+    if was_running then begin
       (try
          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
          (try Unix.connect fd (Unix.ADDR_UNIX t.path) with Unix.Unix_error _ -> ());
          Unix.close fd
        with Unix.Unix_error _ -> ());
+      Option.iter Thread.join t.accept_thread;
       (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
       Mutex.lock t.lock;
       List.iter

@@ -3,11 +3,13 @@
    read it from the files that hold it — ssdb_query from the map's q
    header, ssdb_server from the database's manifest, ssdb_router from
    its shards' handshakes — and every binary refuses a bad field with
-   the one admission check's message and cmdliner's usage exit code
-   (124) before it writes a file, binds a socket or opens its trace
-   log.  ssdb_encode refuses a shard geometry or document it cannot
-   encode without leaving a file behind; and ssdb_gen refuses a target
-   it cannot meet the same way. *)
+   the one admission check's message before it writes a file, binds a
+   socket or opens its trace log.  A bad command line (a flag's value,
+   an unknown flag) exits with cmdliner's usage code 124; a failure of
+   the run itself (a file, a socket, a document) exits 1.  ssdb_encode
+   refuses a shard geometry or document it cannot encode without
+   leaving a file behind; and ssdb_gen refuses a target it cannot meet
+   the same way. *)
 
 let check = Alcotest.check
 
@@ -52,11 +54,12 @@ let run_exe ?(limit = 10.0) ~dir name args =
   let code = wait () in
   (code, read_file out_path, read_file err_path)
 
-let expect_refusal ~what ~dir name args message =
+let expect_refusal ?(code = 1) ~what ~dir name args message =
+  let want = code in
   match run_exe ~dir name args with
   | None, _, _ -> Alcotest.failf "%s: still running after 10 s" what
   | Some code, out, err ->
-      check Alcotest.int (what ^ ": exit code") 124 code;
+      check Alcotest.int (what ^ ": exit code") want code;
       check Alcotest.string (what ^ ": stderr")
         (Printf.sprintf "%s: %s\n" name message)
         err;
@@ -108,7 +111,7 @@ let test_encode_refuses () =
       List.iter
         (fun (p, e) ->
           let what = Printf.sprintf "ssdb_encode -p %d -e %d" p e in
-          expect_refusal ~what ~dir "ssdb_encode"
+          expect_refusal ~code:124 ~what ~dir "ssdb_encode"
             ([ "doc.xml"; "--map"; "n.map"; "--seed"; "n.seed"; "-o"; "n.db" ]
             @ field_args ~p ~e)
             (message ~p ~e);
@@ -146,19 +149,22 @@ let test_encode_failure_leaves_nothing () =
             [ 1; 2; 3; 4; 5 ]
       in
       List.iter
-        (fun (what, args, message) ->
-          expect_refusal ~what ~dir "ssdb_encode"
+        (fun (what, code, args, message) ->
+          expect_refusal ~code ~what ~dir "ssdb_encode"
             (args @ [ "--map"; "n.map"; "--seed"; "n.seed"; "-o"; "n.db" ])
             message;
           check_absent ~what dir outputs)
         [
           ( "--shards 5 at p = 5",
+            124,
             [ "three.xml"; "-p"; "5"; "--shards"; "5"; "-t"; "2" ],
             "--shards 5 needs 5 distinct nonzero x-coordinates but the field has only 4" );
           ( "an unclosed element",
+            1,
             [ "open.xml" ],
             "map: line 1, column 4: unexpected end of input: '<a>' is not closed" );
           ( "5 names at p = 5",
+            1,
             [ "wide.xml"; "-p"; "5" ],
             "map: field F_5 has only 4 nonzero values; cannot map 5 distinct names" );
         ];
@@ -330,7 +336,7 @@ let with_background ~dir name args ~socket f =
           end
       in
       wait 200;
-      f ())
+      f pid)
 
 (* A database encoded with -p 131 is served, routed and queried with
    no field flag anywhere: the server reads its manifest, the router
@@ -359,10 +365,10 @@ let test_field_from_files () =
       check Alcotest.bool "matches found" true
         (List.exists (fun l -> l <> "" && String.sub l 0 8 = "matches ") local);
       with_background ~dir "ssdb_server" [ "--db"; "h.db"; "--socket"; "s.sock" ]
-        ~socket:"s.sock" (fun () ->
+        ~socket:"s.sock" (fun _ ->
           check Alcotest.(list string) "served" local (query [ "--connect"; "s.sock" ]);
           with_background ~dir "ssdb_router" [ "--shard"; "s.sock"; "--socket"; "r.sock" ]
-            ~socket:"r.sock" (fun () ->
+            ~socket:"r.sock" (fun _ ->
               check Alcotest.(list string) "routed" local (query [ "--connect"; "r.sock" ]))))
 
 (* A router given shards of two fields refuses to start, naming both. *)
@@ -371,9 +377,9 @@ let test_router_refuses_mixed_fields () =
       must_succeed ~dir "ssdb_encode"
         [ "doc.xml"; "-p"; "131"; "--map"; "h.map"; "--seed"; "h.seed"; "-o"; "h.db" ];
       with_background ~dir "ssdb_server" [ "--db"; "c.db"; "--socket"; "c.sock" ]
-        ~socket:"c.sock" (fun () ->
+        ~socket:"c.sock" (fun _ ->
           with_background ~dir "ssdb_server" [ "--db"; "h.db"; "--socket"; "h.sock" ]
-            ~socket:"h.sock" (fun () ->
+            ~socket:"h.sock" (fun _ ->
               expect_refusal ~what:"ssdb_router over F_83 and F_131" ~dir "ssdb_router"
                 [ "--shard"; "h.sock"; "--shard"; "c.sock"; "--socket"; "r.sock" ]
                 "router: shard 1 serves the field 83^1 but the deployment's field is \
@@ -403,7 +409,7 @@ let test_query_refuses_foreign_server () =
             (query [ "--db"; db ])
             (Printf.sprintf "manifest %s.manifest: %s" db message);
           with_background ~dir "ssdb_server" [ "--db"; db; "--socket"; socket ] ~socket
-            (fun () ->
+            (fun _ ->
               expect_refusal ~what:("ssdb_query --connect to " ^ db) ~dir "ssdb_query"
                 (query [ "--connect"; socket ])
                 ("connect: server: " ^ message)))
@@ -441,13 +447,50 @@ let test_retired_database_refused () =
       Test_support.retired_log wal;
       refused ~files:[ db; wal ]
         "database: wal: write-ahead log in the retired SSDBWAL2 format, whose shares \
-         follow the first-refill sampler: re-encode the document")
+         follow the first-refill sampler: re-encode the document";
+      Sys.remove wal;
+      Test_support.stamp db "SSDBPAG2";
+      refused ~files:[ db ]
+        "database: page file in the retired SSDBPAG2 format, whose shares are \
+         coefficient vectors: re-encode the document";
+      Test_support.retired_log ~magic:"SSDBWAL3" wal;
+      refused ~files:[ db; wal ]
+        "database: wal: write-ahead log in the retired SSDBWAL3 format, whose shares \
+         are coefficient vectors: re-encode the document")
+
+(* Exit codes: a query that cannot reach its server exits 1, whether
+   the socket is missing or the server is stopped; a flag the binary
+   does not know exits with cmdliner's usage code 124. *)
+let test_exit_codes () =
+  with_encoded (fun dir ->
+      let exits ~what code args =
+        match run_exe ~dir "ssdb_query" args with
+        | None, _, _ -> Alcotest.failf "%s: still running after 10 s" what
+        | Some got, _, err ->
+            check Alcotest.int (what ^ ": exit code") code got;
+            check Alcotest.bool
+              (Printf.sprintf "%s: %S names the binary" what err)
+              true
+              (String.starts_with ~prefix:"ssdb_query: " err)
+      in
+      let query socket =
+        [ "--connect"; socket; "--map"; "c.map"; "--seed"; "c.seed" ]
+        @ [ "--timeout"; "0.3"; "--max-retries"; "1"; "//item" ]
+      in
+      exits ~what:"a missing server" 1 (query "none.sock");
+      with_background ~dir "ssdb_server" [ "--db"; "c.db"; "--socket"; "s.sock" ]
+        ~socket:"s.sock" (fun pid ->
+          Unix.kill pid Sys.sigstop;
+          Fun.protect
+            ~finally:(fun () -> Unix.kill pid Sys.sigcont)
+            (fun () -> exits ~what:"a stopped server" 1 (query "s.sock")));
+      exits ~what:"an unknown flag" 124 ("--no-such-flag" :: query "s.sock"))
 
 let test_gen_refuses_small_targets () =
   with_dir (fun dir ->
       List.iter
         (fun (args, message) ->
-          expect_refusal
+          expect_refusal ~code:124
             ~what:("ssdb_gen " ^ String.concat " " args)
             ~dir "ssdb_gen" (args @ [ "-o"; "doc.xml" ]) message;
           check_absent ~what:"ssdb_gen" dir [ "doc.xml" ])
@@ -483,6 +526,11 @@ let () =
         [
           Alcotest.test_case "ssdb_query and ssdb_server refuse it" `Quick
             test_retired_database_refused;
+        ] );
+      ( "exit codes",
+        [
+          Alcotest.test_case "runtime failures exit 1, bad flags 124" `Quick
+            test_exit_codes;
         ] );
       ( "ssdb_gen",
         [

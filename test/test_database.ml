@@ -148,11 +148,11 @@ let test_bundle_shares_public () =
             (pres (DB.result_nodes r));
           DB.close hijacked)
 
-(* A bundle whose shares table carries the retired format's magic
-   (this build's file with "SSDBPAG1" stamped over its first 8 bytes),
-   first alone and then next to a retired log holding a record: the
-   open names the retired format and touches neither file. *)
-let test_bundle_retired_format () =
+(* A bundle whose shares table carries a retired format's magic (this
+   build's file with [page] stamped over its first 8 bytes), first
+   alone and then next to a retired log holding a record: the open
+   names the retired format and touches neither file. *)
+let test_bundle_retired_format ~page ~log ~why () =
   with_temp_dir (fun dir ->
       let db = sample_db () in
       (match DB.save_bundle db ~dir with Ok () -> () | Error e -> Alcotest.fail e);
@@ -170,13 +170,13 @@ let test_bundle_retired_format () =
                   (Printf.sprintf "%s: %S names %s" what msg sub)
                   true
                   (Test_support.contains ~sub msg))
-              [ names; "first-refill sampler"; "re-encode" ]);
+              [ names; why; "re-encode" ]);
         check Alcotest.(list string) (what ^ ": files untouched") before (List.map read files)
       in
-      Test_support.stamp shares "SSDBPAG1";
-      expect_refusal "retired shares" ~names:"SSDBPAG1" [ shares ];
-      Test_support.retired_log wal;
-      expect_refusal "retired shares and log" ~names:"SSDBWAL2" [ shares; wal ])
+      Test_support.stamp shares page;
+      expect_refusal "retired shares" ~names:page [ shares ];
+      Test_support.retired_log ~magic:log wal;
+      expect_refusal "retired shares and log" ~names:log [ shares; wal ])
 
 (* The seed and the map are client secrets: saving a bundle over
    world-readable ones leaves both readable by their owner only. *)
@@ -311,7 +311,12 @@ let () =
           Alcotest.test_case "refused nums.db closes shares.db" `Quick
             test_bundle_refused_nums_closes_shares;
           Alcotest.test_case "shares alone are useless" `Quick test_bundle_shares_public;
-          Alcotest.test_case "retired format refused" `Quick test_bundle_retired_format;
+          Alcotest.test_case "retired format refused" `Quick
+            (test_bundle_retired_format ~page:"SSDBPAG1" ~log:"SSDBWAL2"
+               ~why:"first-refill sampler");
+          Alcotest.test_case "coefficient-domain format refused" `Quick
+            (test_bundle_retired_format ~page:"SSDBPAG2" ~log:"SSDBWAL3"
+               ~why:"coefficient vectors");
           Alcotest.test_case "secrets readable by the owner only" `Quick
             test_bundle_secrets_private;
         ] );

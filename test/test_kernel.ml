@@ -1,6 +1,7 @@
 (* Equivalence of the flat byte-table kernels (Secshare_poly.Flat /
    Secshare_field.Table) against the closure-based reference path
-   (Dense.eval / Cyclic.eval / Cyclic.mul / Codec.unpack).  The
+   (Evals / Codec.unpack) and, through phi (Evals.of_cyclic), against
+   the coefficient form (Dense.eval / Cyclic.eval / Cyclic.mul).  The
    kernels must be BIT-IDENTICAL to the reference — the server swaps
    them in underneath Scan_eval/Eval_batch without renegotiating
    anything with the client, so any divergence is silent data
@@ -11,6 +12,7 @@
 module Ring = Secshare_poly.Ring
 module Dense = Secshare_poly.Dense
 module Cyclic = Secshare_poly.Cyclic
+module Evals = Secshare_poly.Evals
 module Codec = Secshare_poly.Codec
 module Flat = Secshare_poly.Flat
 module Table = Secshare_field.Table
@@ -33,6 +35,27 @@ let gen_cyclic ring =
 
 let gen_point ring = QCheck2.Gen.int_range 1 (ring.Ring.order - 1)
 
+(* [c]'s values at every nonzero point in slot order: phi, by Horner
+   through the byte tables where the ring has them (an oracle
+   independent of [Evals.of_cyclic], which "of_cyclic = Cyclic.eval"
+   checks against [Cyclic.eval]), else [Evals.of_cyclic]. *)
+let values ring c =
+  match ring.Ring.table with
+  | None -> Evals.to_int_array (Evals.of_cyclic ring c)
+  | Some tab ->
+      let a = Cyclic.view c in
+      Array.init ring.Ring.n (fun j ->
+          let acc = ref 0 in
+          for i = Array.length a - 1 downto 0 do
+            acc := Table.add tab (Table.mul tab !acc (j + 1)) a.(i)
+          done;
+          !acc)
+
+let phi ring c = Evals.of_canonical ring (values ring c)
+
+(* A share in the evaluation domain, packed. *)
+let pack_values ring c = Codec.pack_evals ring (phi ring c)
+
 (* --- the tables themselves ----------------------------------------- *)
 
 (* Exhaustive, not sampled: both tables are only q * q entries. *)
@@ -47,57 +70,42 @@ let test_table_matches_field ring name () =
         Alcotest.failf "%s: add table wrong at (%d, %d)" name a b;
       if Table.mul tab a b <> ring.Ring.mul a b then
         Alcotest.failf "%s: mul table wrong at (%d, %d)" name a b
-    done
+    done;
+    if Table.unsafe_neg tab a <> ring.Ring.neg a then
+      Alcotest.failf "%s: neg table wrong at %d" name a;
+    if a <> 0 && Table.unsafe_inv tab a <> ring.Ring.inv a then
+      Alcotest.failf "%s: inv table wrong at %d" name a
   done
 
 let test_no_table_above_256 () =
   let ring = Ring.of_prime ~p:257 in
   Alcotest.(check bool) "order 257 has no byte table" true (ring.Ring.table = None)
 
-let test_point_row_rejects_zero () =
-  let tab = table_of r83 in
-  Alcotest.check_raises "zero point"
-    (Invalid_argument
-       "Flat.point_row: evaluation at 0 is not preserved by reduction")
-    (fun () -> ignore (Flat.point_row tab ~point:0))
-
-(* --- evaluation kernels vs Dense/Cyclic reference ------------------ *)
-
-(* Every evaluation table the ring supports: Horner through the
-   multiplication row always, the dot product with the point's powers
-   on a prime field. *)
-let eval_tables ring ~point =
-  let tab = table_of ring in
-  Flat.Row (Flat.point_row tab ~point)
-  ::
-  (if ring.Ring.degree = 1 then [ Flat.Powers (Table.powers tab ~point ~n:ring.Ring.n) ]
-   else [])
+(* --- the slot read kernel vs unpack + interpolate + Cyclic.eval ---- *)
 
 let eval_suite ring name =
   let tab = table_of ring in
   let n = ring.Ring.n in
   let gc = gen_cyclic ring and gpt = gen_point ring in
   let share_agrees buf point expected =
-    List.for_all
-      (fun et -> Flat.eval_share tab et ~n buf = expected)
-      (eval_tables ring ~point)
+    Flat.eval_share tab ~n ~slot:(Evals.slot ring point) buf = expected
   in
   [
     qtest
-      (name ^ ": eval_coeffs = Cyclic.eval = Dense.eval")
+      (name ^ ": of_cyclic = Cyclic.eval = Dense.eval")
       (QCheck2.Gen.pair gc gpt)
       (fun (c, point) ->
         let reference = Cyclic.eval ring c point in
         reference = Dense.eval ring (Cyclic.to_dense ring c) point
-        && List.for_all
-             (fun et -> Flat.eval_coeffs tab et (Cyclic.view c) = reference)
-             (eval_tables ring ~point));
+        && Evals.get (Evals.of_cyclic ring c) (Evals.slot ring point) = reference);
     qtest
       (name ^ ": eval_share = unpack + Cyclic.eval")
       (QCheck2.Gen.pair gc gpt)
       (fun (c, point) ->
-        let buf = Codec.pack_cyclic ring c in
-        share_agrees buf point (Cyclic.eval ring (Codec.unpack_cyclic ring buf) point));
+        let buf = pack_values ring c in
+        let reference = Cyclic.eval ring c point in
+        Evals.get (Codec.unpack_evals ring buf) (Evals.slot ring point) = reference
+        && share_agrees buf point reference);
     (* degree edges: a constant share evaluates to its constant
        everywhere, and a share with every coefficient live (max degree
        in the quotient) still matches the reference *)
@@ -107,8 +115,7 @@ let eval_suite ring name =
       (fun (const, point) ->
         let coeffs = Array.make n 0 in
         coeffs.(0) <- const;
-        let buf = Codec.pack_cyclic ring (Cyclic.of_int_array ring coeffs) in
-        share_agrees buf point const);
+        share_agrees (pack_values ring (Cyclic.of_int_array ring coeffs)) point const);
     qtest
       (name ^ ": max-degree share matches reference")
       (QCheck2.Gen.pair gc gpt)
@@ -117,7 +124,7 @@ let eval_suite ring name =
         (* force the top coefficient live so degree is exactly n-1 *)
         if coeffs.(n - 1) = 0 then coeffs.(n - 1) <- 1;
         let full = Cyclic.of_int_array ring coeffs in
-        share_agrees (Codec.pack_cyclic ring full) point (Cyclic.eval ring full point));
+        share_agrees (pack_values ring full) point (Cyclic.eval ring full point));
   ]
 
 let test_eval_share_rejects_bad_coeff () =
@@ -128,11 +135,11 @@ let test_eval_share_rejects_bad_coeff () =
   let n = r83.Ring.n in
   let buf = Bytes.make (Codec.byte_length ~q:83 ~n) '\xff' in
   List.iter
-    (fun et ->
-      match Flat.eval_share tab et ~n buf with
+    (fun slot ->
+      match Flat.eval_share tab ~n ~slot buf with
       | (_ : int) -> Alcotest.fail "expected Invalid_argument on coefficient >= q"
       | exception Invalid_argument _ -> ())
-    (eval_tables r83 ~point:2)
+    [ 0; 1; n - 1 ]
 
 (* --- reconstruct kernel vs unpack + Cyclic.add ---------------------- *)
 
@@ -204,44 +211,49 @@ let test_reconstruct_rejects ring name () =
   | (_ : Cyclic.t) -> Alcotest.failf "%s: reference accepted a bad buffer" name
   | exception Invalid_argument _ -> ()
 
-(* --- product kernel vs Cyclic.mul ---------------------------------- *)
+(* --- pointwise kernels vs the coefficient form, through phi -------- *)
 
-(* Both kernels run the convolution from the operand with fewer
-   nonzero coefficients, so operands also come as tree-shaped factors
-   ((x - v), short products of linear factors, one, zero) and every
-   product is checked in both operand orders. *)
+(* Operands also come as tree-shaped factors ((x - v), short products
+   of linear factors, one, zero), and every product is checked in both
+   operand orders. *)
 let mul_suite ring name =
   let tab = table_of ring in
-  let n = ring.Ring.n in
+  let n = ring.Ring.n and q = ring.Ring.order in
   let gc = gen_cyclic ring in
   let operand = QCheck2.Gen.oneof [ gc; Test_support.gen_tree_factor ring ] in
   let mul_agrees a b =
     let out = Array.make n (-1) in
-    Flat.mul_into tab ~n ~a:(Cyclic.view a) ~b:(Cyclic.view b) ~out;
-    Cyclic.equal (Cyclic.of_int_array ring out) (Cyclic.mul ring a b)
+    Flat.pointwise_mul_into tab ~n ~a:(values ring a) ~b:(values ring b) ~out;
+    out = values ring (Cyclic.mul ring a b)
   in
   let fold_agrees children =
     let reference = List.fold_left (Cyclic.mul ring) (Cyclic.one ring) children in
-    let acc = ref (Cyclic.to_int_array (Cyclic.one ring)) in
-    let scratch = ref (Array.make n 0) in
+    let acc = values ring (Cyclic.one ring) in
     List.iter
-      (fun child ->
-        Flat.mul_into tab ~n ~a:!acc ~b:(Cyclic.view child) ~out:!scratch;
-        let t = !acc in
-        acc := !scratch;
-        scratch := t)
+      (fun child -> Flat.pointwise_mul_into tab ~n ~a:acc ~b:(values ring child) ~out:acc)
       children;
-    Cyclic.equal (Cyclic.of_int_array ring !acc) reference
+    acc = values ring reference
   in
   [
-    qtest (name ^ ": mul_into = Cyclic.mul") (QCheck2.Gen.pair operand gc) (fun (a, b) ->
-        mul_agrees a b && mul_agrees b a);
+    qtest (name ^ ": pointwise_mul_into = Cyclic.mul") (QCheck2.Gen.pair operand gc)
+      (fun (a, b) -> mul_agrees a b && mul_agrees b a);
     qtest ~count:50
-      (name ^ ": ping-pong product fold = Cyclic.mul fold")
+      (name ^ ": in-place product fold = Cyclic.mul fold")
       QCheck2.Gen.(
         let* k = int_range 0 6 in
         list_repeat k operand)
       (fun children -> fold_agrees children && fold_agrees (List.rev children));
+    qtest
+      (name ^ ": linear_mul_into = Cyclic.mul_linear")
+      QCheck2.Gen.(pair operand (int_range 0 (q - 1)))
+      (fun (a, root) ->
+        let out = values ring a in
+        Flat.linear_mul_into tab ~n ~root ~a:out ~out;
+        out = values ring (Cyclic.mul_linear ring ~root a));
+    qtest (name ^ ": sub_into = Cyclic.sub") (QCheck2.Gen.pair gc operand) (fun (a, b) ->
+        let out = Array.make n (-1) in
+        Flat.sub_into tab ~n ~a:(values ring a) ~b:(values ring b) ~out;
+        out = values ring (Cyclic.sub ring a b));
   ]
 
 (* --- Shamir recombination kernel vs unpack + combine_vectors + pack -- *)
@@ -408,30 +420,35 @@ module Share = Secshare_core.Share
 let r257 = Ring.of_prime ~p:257
 
 (* [Share] picks the kernel or the reference path per ring; either way
-   each entry point must equal its reference composition.  F_257 has no
-   byte tables, so it pins the reference branch. *)
+   each entry point must equal its reference composition, through phi
+   ([Evals.of_cyclic]) where the reference is the coefficient form.
+   F_257 has no byte tables, so it pins the reference branch. *)
 let share_suite ring name =
   let gc = gen_cyclic ring and gpt = gen_point ring in
+  let q = ring.Ring.order in
+  let tree = QCheck2.Gen.oneof [ gc; Test_support.gen_tree_factor ring ] in
+  let phi = phi ring in
   [
     qtest ~count:100
       (name ^ ": eval_packed = unpack + Cyclic.eval")
       (QCheck2.Gen.pair gc gpt)
       (fun (c, x) ->
-        let buf = Codec.pack_cyclic ring c in
-        Share.eval_packed ring (Share.point ring x) buf
-        = Cyclic.eval ring (Codec.unpack_cyclic ring buf) x);
+        let buf = pack_values ring c in
+        let reference = Cyclic.eval ring c x in
+        Evals.get (Codec.unpack_evals ring buf) (Evals.slot ring x) = reference
+        && Share.eval_packed ring (Share.point ring x) buf = reference);
     qtest ~count:100
       (name ^ ": eval_poly = Cyclic.eval")
       (QCheck2.Gen.pair gc gpt)
-      (fun (c, x) -> Share.eval_poly ring (Share.point ring x) c = Cyclic.eval ring c x);
+      (fun (c, x) -> Share.eval_poly ring (Share.point ring x) (phi c) = Cyclic.eval ring c x);
     qtest ~count:100
       (name ^ ": add_packed = Cyclic.add client (unpack)")
       (QCheck2.Gen.pair gc gc)
       (fun (client, server) ->
-        let buf = Codec.pack_cyclic ring server in
-        Cyclic.equal
-          (Share.add_packed ring ~client buf)
-          (Cyclic.add ring client (Codec.unpack_cyclic ring buf)));
+        let buf = pack_values ring server in
+        Evals.equal
+          (Share.add_packed ring ~client:(phi client) buf)
+          (phi (Cyclic.add ring client server)));
     (* few cases: the GF(2^8) reference multiplies through the field's
        closures, about 65 000 of them per dense product step; operands
        also come as tree-shaped factors, folded in both orders *)
@@ -439,13 +456,44 @@ let share_suite ring name =
       (name ^ ": product = Cyclic.mul fold")
       QCheck2.Gen.(
         let* k = int_range 0 3 in
-        list_repeat k (oneof [ gc; Test_support.gen_tree_factor ring ]))
+        list_repeat k tree)
       (fun polys ->
         List.for_all
           (fun polys ->
-            Cyclic.equal (Share.product ring polys)
-              (List.fold_left (Cyclic.mul ring) (Cyclic.one ring) polys))
+            Evals.equal
+              (Share.product ring (List.map phi polys))
+              (phi (List.fold_left (Cyclic.mul ring) (Cyclic.one ring) polys)))
           [ polys; List.rev polys ]);
+    qtest ~count:12
+      (name ^ ": encode_node = Cyclic.mul_linear")
+      QCheck2.Gen.(pair (option tree) (int_range 0 (2 * q)))
+      (fun (children, root) ->
+        let expected =
+          match children with
+          | None -> Cyclic.linear ring ~root
+          | Some product -> Cyclic.mul_linear ring ~root product
+        in
+        Evals.equal
+          (Share.encode_node ring ~root (Option.map phi children))
+          (phi expected));
+    (* a node (x - t) * g, the same node with one value moved, and a
+       zero product: the verdict equals the coefficient form's *)
+    qtest ~count:12
+      (name ^ ": linear_factor = Cyclic.recover_linear_factor")
+      QCheck2.Gen.(triple tree (int_range 0 (q - 1)) (int_range 0 (ring.Ring.n - 1)))
+      (fun (g, t, slot) ->
+        let node = Cyclic.mul_linear ring ~root:t g in
+        let tampered = Evals.to_int_array (phi node) in
+        tampered.(slot) <- ring.Ring.add tampered.(slot) 1;
+        let agrees ~product ~node node_values =
+          Share.linear_factor ring ~product:(phi product) ~node:node_values
+          = Cyclic.recover_linear_factor ring ~product ~node
+        in
+        agrees ~product:g ~node (phi node)
+        && agrees ~product:g
+             ~node:(Evals.to_cyclic ring (Evals.of_canonical ring tampered))
+             (Evals.of_canonical ring (Array.copy tampered))
+        && agrees ~product:(Cyclic.zero ring) ~node (phi node));
   ]
 
 (* The zero point (also written as q) and malformed shares raise on
@@ -455,16 +503,16 @@ let test_share_rejects ring name () =
   let zero_point = Invalid_argument "Cyclic.eval: evaluation at 0 is not preserved by reduction" in
   Alcotest.check_raises (name ^ ": point 0") zero_point (fun () -> ignore (Share.point ring 0));
   Alcotest.check_raises (name ^ ": point q") zero_point (fun () -> ignore (Share.point ring q));
-  let pt = Share.point ring 1 and client = Cyclic.one ring in
+  let pt = Share.point ring 1 and client = Evals.one ring in
   let rejects what buf =
     (match Share.eval_packed ring pt buf with
     | (_ : int) -> Alcotest.failf "%s: eval_packed accepted %s" name what
     | exception Invalid_argument _ -> ());
     match Share.add_packed ring ~client buf with
-    | (_ : Cyclic.t) -> Alcotest.failf "%s: add_packed accepted %s" name what
+    | (_ : Evals.t) -> Alcotest.failf "%s: add_packed accepted %s" name what
     | exception Invalid_argument _ -> ()
   in
-  let good = Codec.pack_cyclic ring client in
+  let good = Codec.pack_evals ring client in
   rejects "a short share" (Bytes.sub good 0 (Bytes.length good - 1));
   rejects "an empty share" Bytes.empty;
   (* a first coefficient of 2^bits - 1, outside [0, q) *)
@@ -481,10 +529,10 @@ let test_share_rejects ring name () =
 
 let r251 = Ring.of_prime ~p:251
 
-(* A prime field evaluates through the powers' dot product, an
-   extension field through Horner on the multiplication row; both
-   [Share] entry points and the [Flat] table behind them must equal
-   [Cyclic.eval] at every point that survives the cyclic reduction. *)
+(* Every point that survives the cyclic reduction has its slot: the
+   [Share] entry points and the [Flat] read behind them return
+   [Cyclic.eval] there, and the values interpolate back to the
+   polynomial. *)
 let every_point_suite ring name =
   let tab = table_of ring in
   let q = ring.Ring.order and n = ring.Ring.n in
@@ -492,25 +540,22 @@ let every_point_suite ring name =
     (name ^ ": eval_poly = eval_packed = Cyclic.eval at every point")
     (gen_cyclic ring)
     (fun c ->
-      let buf = Codec.pack_cyclic ring c in
-      List.for_all
-        (fun x ->
-          let reference = Cyclic.eval ring c x in
-          let pt = Share.point ring x in
-          Share.eval_poly ring pt c = reference
-          && Share.eval_packed ring pt buf = reference
-          && List.for_all
-               (fun et ->
-                 Flat.eval_coeffs tab et (Cyclic.view c) = reference
-                 && Flat.eval_share tab et ~n buf = reference)
-               (eval_tables ring ~point:x))
-        (List.init (q - 1) (fun i -> i + 1)))
+      let v = phi ring c in
+      let buf = Codec.pack_evals ring v in
+      Cyclic.equal (Evals.to_cyclic ring v) c
+      && List.for_all
+           (fun x ->
+             let reference = Cyclic.eval ring c x in
+             let pt = Share.point ring x in
+             Share.eval_poly ring pt v = reference
+             && Share.eval_packed ring pt buf = reference
+             && Flat.eval_share tab ~n ~slot:(Evals.slot ring x) buf = reference)
+           (List.init (q - 1) (fun i -> i + 1)))
 
-(* A share with two coefficients outside [0, q) — q itself at
-   position 1 and 2^bits - 1 at position n - 2 — raises exactly what
-   the path before the dot product raised: Horner's message naming
-   the highest bad coefficient on a field with byte tables,
-   [Codec.unpack]'s without. *)
+(* A share with two values outside [0, q) — q itself in slot 1 and
+   2^bits - 1 in slot n - 2 — raises exactly what the evaluating path
+   raised, whichever slot is read: the message naming the highest bad
+   value on a field with byte tables, [Codec.unpack]'s without. *)
 let test_bad_coefficient_same_error ring name () =
   let q = ring.Ring.order and n = ring.Ring.n in
   let bits = Codec.bits_per_coeff q in
@@ -532,30 +577,28 @@ let test_bad_coefficient_same_error ring name () =
   in
   let before =
     match ring.Ring.table with
-    | Some tab ->
-        let horner = Flat.Row (Flat.point_row tab ~point:1) in
-        raised (fun () -> Flat.eval_share tab horner ~n buf)
+    | Some _ ->
+        Printf.sprintf "Flat.eval_share: decoded coefficient %d >= %d" ((1 lsl bits) - 1) q
     | None -> raised (fun () -> Cyclic.eval ring (Codec.unpack_cyclic ring buf) 1)
   in
   let paths =
-    ("Share.eval_packed", fun () -> Share.eval_packed ring (Share.point ring 1) buf)
-    ::
-    (match ring.Ring.table with
-    | Some tab ->
-        List.map
-          (fun et -> ("Flat.eval_share", fun () -> Flat.eval_share tab et ~n buf))
-          (eval_tables ring ~point:1)
-    | None -> [])
+    List.concat_map
+      (fun x ->
+        ( Printf.sprintf "Share.eval_packed at %d" x,
+          fun () -> Share.eval_packed ring (Share.point ring x) buf )
+        ::
+        (match ring.Ring.table with
+        | Some tab ->
+            [
+              ( Printf.sprintf "Flat.eval_share at %d" x,
+                fun () -> Flat.eval_share tab ~n ~slot:(Evals.slot ring x) buf );
+            ]
+        | None -> []))
+      [ 1; 2; q - 1 ]
   in
   List.iter
     (fun (what, f) -> Alcotest.(check string) (name ^ ": " ^ what) before (raised f))
-    paths;
-  if ring.Ring.table <> None then
-    Alcotest.(check string)
-      (name ^ ": names the highest bad coefficient")
-      (Printf.sprintf "Flat.eval_share: decoded coefficient %d >= %d"
-         ((1 lsl bits) - 1) q)
-      before
+    paths
 
 (* ------------------------------------------------------------------ *)
 
@@ -569,8 +612,6 @@ let () =
           Alcotest.test_case "GF(3^4) table = field ops" `Quick
             (test_table_matches_field r81 "GF81");
           Alcotest.test_case "no table above 256" `Quick test_no_table_above_256;
-          Alcotest.test_case "point_row rejects zero" `Quick
-            test_point_row_rejects_zero;
         ] );
       ("eval F83", eval_suite r83 "F83");
       ("eval GF81", eval_suite r81 "GF81");

@@ -2,6 +2,8 @@ module Ring = Secshare_poly.Ring
 module Dense = Secshare_poly.Dense
 module Cyclic = Secshare_poly.Cyclic
 module Codec = Secshare_poly.Codec
+module Evals = Secshare_poly.Evals
+module Flat = Secshare_poly.Flat
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -279,6 +281,166 @@ let cyclic_codec_suite ring name =
         Cyclic.equal v (Codec.unpack_cyclic ring (Codec.pack_cyclic ring v)));
   ]
 
+(* --- the evaluation domain: phi is a ring isomorphism ------------- *)
+
+let r131 = Ring.of_prime ~p:131
+
+(* phi respects both operations and the unit on [a] and [b], and
+   [to_cyclic] undoes it. *)
+let homomorphic ring a b =
+  let phi = Evals.of_cyclic ring in
+  Evals.equal (phi (Cyclic.mul ring a b)) (Evals.mul ring (phi a) (phi b))
+  && Evals.equal (phi (Cyclic.add ring a b)) (Evals.add ring (phi a) (phi b))
+  && Cyclic.equal (Evals.to_cyclic ring (phi a)) a
+
+(* Every element of F_5[x]/(x^4 - 1), every pair of them: phi maps 1 to
+   1, is a bijection (625 distinct images, each mapped back) and
+   multiplies and adds pointwise. *)
+let test_phi_exhaustive_f5 () =
+  let ring = r5 in
+  let n = ring.Ring.n in
+  let elements =
+    Array.init 625 (fun k ->
+        Cyclic.of_int_array ring (Array.init n (fun i -> k / int_of_float (5. ** float i) mod 5)))
+  in
+  let images = Array.map (Evals.of_cyclic ring) elements in
+  check Alcotest.bool "phi 1 = 1" true
+    (Evals.equal (Evals.of_cyclic ring (Cyclic.one ring)) (Evals.one ring));
+  let distinct = Hashtbl.create 625 in
+  Array.iteri
+    (fun k v ->
+      Hashtbl.replace distinct (Evals.to_int_array v) ();
+      if not (Cyclic.equal (Evals.to_cyclic ring v) elements.(k)) then
+        Alcotest.failf "element %d: to_cyclic does not undo phi" k)
+    images;
+  check Alcotest.int "625 distinct images" 625 (Hashtbl.length distinct);
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          if
+            not
+              (Evals.equal (Evals.of_cyclic ring (Cyclic.mul ring a b))
+                 (Evals.mul ring images.(i) images.(j))
+              && Evals.equal (Evals.of_cyclic ring (Cyclic.add ring a b))
+                   (Evals.add ring images.(i) images.(j)))
+          then Alcotest.failf "pair (%d, %d): phi is not a homomorphism" i j)
+        elements)
+    elements
+
+(* GF(3^2)[x]/(x^8 - 1) has 9^8 elements, too many for every pair.
+   But phi and phi^-1 are linear (evaluation and interpolation are),
+   so checking every scaled monomial c x^i settles every element: each
+   pair of them (72^2) multiplies and adds pointwise, and phi^-1 undoes
+   phi on each, so phi^-1 . phi is the identity and phi a bijection. *)
+let test_phi_exhaustive_gf9 () =
+  let ring = r9 in
+  let n = ring.Ring.n in
+  let scaled =
+    List.concat_map
+      (fun c ->
+        List.init n (fun i ->
+            let v = Array.make n 0 in
+            v.(i) <- c;
+            Cyclic.of_int_array ring v))
+      (List.init 9 Fun.id)
+  in
+  check Alcotest.bool "phi 1 = 1" true
+    (Evals.equal (Evals.of_cyclic ring (Cyclic.one ring)) (Evals.one ring));
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if not (homomorphic ring a b) then
+            Alcotest.failf "%s, %s: phi is not a homomorphism"
+              (Format.asprintf "%a" Cyclic.pp a)
+              (Format.asprintf "%a" Cyclic.pp b))
+        scaled)
+    scaled
+
+let phi_qcheck ring name =
+  let gc = gen_cyclic ring in
+  qtest ~count:100
+    (name ^ ": phi is a ring isomorphism")
+    (QCheck2.Gen.pair gc gc)
+    (fun (a, b) ->
+      homomorphic ring a b
+      && Evals.equal
+           (Evals.of_cyclic ring (Evals.to_cyclic ring (Evals.of_cyclic ring b)))
+           (Evals.of_cyclic ring b))
+
+(* One (node, product) pair of a tree: the node's polynomial and its
+   children's product, in coefficient form, from the encoder's fold. *)
+let rec tree_nodes ring value (tree : Secshare_xml.Tree.t) acc =
+  match tree with
+  | Secshare_xml.Tree.Text _ -> (None, acc)
+  | Secshare_xml.Tree.Element { name; children; _ } ->
+      let child_polys, acc =
+        List.fold_left
+          (fun (polys, acc) child ->
+            match tree_nodes ring value child acc with
+            | Some f, acc -> (f :: polys, acc)
+            | None, acc -> (polys, acc))
+          ([], acc) children
+      in
+      let product = List.fold_left (Cyclic.mul ring) (Cyclic.one ring) child_polys in
+      let node = Cyclic.mul_linear ring ~root:(value name) product in
+      (Some node, (node, product) :: acc)
+
+(* Random trees whose nodes carry random values (a map with a name per
+   node): the pointwise recovery ([Evals] and, with byte tables,
+   [Flat]) returns the coefficient form's verdict for every node, on
+   its own polynomial and with one value of it moved; so every (node,
+   tag) verdict of the equality test agrees.  F_5 and GF(3^2) have at
+   most 8 nonzero points, so such maps are full and make degenerate
+   products; the counts prove that each verdict occurred. *)
+let test_recovery_matches_cyclic ring name () =
+  let q = ring.Ring.order and n = ring.Ring.n in
+  let rand = Random.State.make [| q |] in
+  let trees = QCheck2.Gen.generate ~rand ~n:60 Test_support.gen_tree in
+  let seen = Hashtbl.create 3 in
+  List.iter
+    (fun tree ->
+      let value _ = 1 + Random.State.int rand (q - 1) in
+      let _, pairs = tree_nodes ring value tree [] in
+      List.iter
+        (fun (node, product) ->
+          let slot = Random.State.int rand n in
+          let moved = Evals.to_int_array (Evals.of_cyclic ring node) in
+          moved.(slot) <- ring.Ring.add moved.(slot) (1 + Random.State.int rand (q - 1));
+          List.iter
+            (fun (node, node_values) ->
+              let expected = Cyclic.recover_linear_factor ring ~product ~node in
+              let product_values = Evals.of_cyclic ring product in
+              let got = Evals.recover_linear_factor ring ~product:product_values ~node:node_values in
+              if got <> expected then Alcotest.failf "%s: Evals verdict differs" name;
+              (match ring.Ring.table with
+              | Some tab ->
+                  if
+                    Flat.recover_linear_factor tab ~n ~product:(Evals.view product_values)
+                      ~node:(Evals.view node_values)
+                    <> expected
+                  then Alcotest.failf "%s: Flat verdict differs" name
+              | None -> ());
+              Hashtbl.replace seen
+                (match expected with
+                | Ok _ -> "ok"
+                | Error `Degenerate -> "degenerate"
+                | Error `Not_linear -> "not linear")
+                ())
+            [
+              (node, Evals.of_cyclic ring node);
+              (Evals.to_cyclic ring (Evals.of_canonical ring (Array.copy moved)),
+               Evals.of_canonical ring moved);
+            ])
+        pairs)
+    trees;
+  List.iter
+    (fun verdict ->
+      check Alcotest.bool (Printf.sprintf "%s: a %s verdict occurred" name verdict) true
+        (Hashtbl.mem seen verdict))
+    ("ok" :: "not linear" :: (if q <= 9 then [ "degenerate" ] else []))
+
 let () =
   Alcotest.run "poly"
     [
@@ -318,4 +480,19 @@ let () =
         @ codec_roundtrip_suite
         @ cyclic_codec_suite r83 "F83"
         @ cyclic_codec_suite r9 "F9" );
+      ( "phi",
+        [
+          Alcotest.test_case "phi is a ring isomorphism, F5 exhaustive" `Quick
+            test_phi_exhaustive_f5;
+          Alcotest.test_case "phi is a ring isomorphism, GF9 every scaled monomial" `Quick
+            test_phi_exhaustive_gf9;
+          phi_qcheck r83 "F83";
+        ]
+        @ List.map
+            (fun (ring, name) ->
+              Alcotest.test_case
+                (name ^ ": pointwise recovery = Cyclic.recover_linear_factor")
+                `Quick
+                (test_recovery_matches_cyclic ring name))
+            [ (r5, "F5"); (r9, "GF9"); (r83, "F83"); (r131, "F131") ] );
     ]

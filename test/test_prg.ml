@@ -315,11 +315,15 @@ let test_node_prg_rejects () =
   Alcotest.check_raises "negative pre" (Invalid_argument "Node_prg: negative pre")
     (fun () -> ignore (Node_prg.coefficients ~seed:seed_a ~pre:(-1) ~q:5 ~count:1))
 
+(* The whole client share and its single slots are one stream. *)
 let test_client_poly_matches_coefficients () =
   let ring = Secshare_poly.Ring.of_prime ~p:83 in
   let poly = Node_prg.client_poly ~ring ~seed:seed_a ~pre:9 in
-  let raw = Node_prg.coefficients ~seed:seed_a ~pre:9 ~q:83 ~count:82 in
-  check Alcotest.(array int) "same coefficients" raw (Secshare_poly.Cyclic.to_int_array poly)
+  let reader = Node_prg.reader ~ring ~seed:seed_a in
+  check
+    Alcotest.(array int)
+    "same values" (Secshare_poly.Evals.to_int_array poly)
+    (Array.init 82 (fun slot -> Node_prg.client_value reader ~pre:9 ~slot))
 
 (* --- the PRG stream, pinned bit for bit ---------------------------- *)
 
@@ -484,6 +488,122 @@ let test_sampler_every_q () =
       [ 0; 1; 2; 3; 8; 9; 40; 100 ]
   done
 
+(* The client share's slot layout, written without its code: slot [j]
+   is the [w]-byte little-endian word at [(j mod per) * w] of block
+   [j / per] of the "slot" stream, [w] one more than the fewest bytes
+   covering [q] and [per = 64 / w]; it is accepted below the largest
+   multiple of [q] under [2^(8w)] and reduced mod [q], and a rejected
+   slot scans the words of blocks [main + j + k * count], k = 0, 1, ...,
+   in order.  Returns the values and the slots that were redrawn. *)
+let forward_slots ~seed ~pre ~q ~count =
+  let key = Seed.to_bytes seed in
+  let nonce = Bytes.make Chacha.nonce_length '\000' in
+  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
+  Bytes.blit_string "slot" 0 nonce 8 4;
+  let w = (if q <= 256 then 1 else if q <= 65536 then 2 else 3) + 1 in
+  let per = 64 / w in
+  let main = (count + per - 1) / per in
+  let cap = 1 lsl (8 * w) in
+  let word counter i =
+    let block = Chacha.keystream ~key ~nonce ~counter 64 in
+    let v = ref 0 in
+    for b = 0 to w - 1 do
+      v := !v lor (Bytes.get_uint8 block ((i * w) + b) lsl (8 * b))
+    done;
+    !v
+  in
+  let accepted v = v < cap - (cap mod q) in
+  let redrawn = ref [] in
+  let values =
+    Array.init count (fun j ->
+        let v = word (j / per) (j mod per) in
+        if accepted v then v mod q
+        else begin
+          redrawn := j :: !redrawn;
+          let rec scan k i =
+            if i = per then scan (k + 1) 0
+            else
+              let v = word (main + j + (k * count)) i in
+              if accepted v then v mod q else scan k (i + 1)
+          in
+          scan 0 0
+        end)
+  in
+  (values, List.rev !redrawn)
+
+let slot_orders = [ 2; 4; 5; 9; 83; 131; 256; 257; 1024 ]
+
+(* At every order, over 40 pres: the full share equals the
+   transcription, and every single slot read (slots taken in reverse,
+   so a reader crosses blocks both ways) equals the same slot of the
+   full share.  At q = 83 and q = 131 some slot of these pres has its
+   main word rejected, so the overflow path is covered. *)
+let test_slots_match_forward () =
+  List.iter
+    (fun q ->
+      let ring = Secshare_poly.Ring.of_order q |> Result.get_ok in
+      let count = q - 1 in
+      let reader = Node_prg.reader ~ring ~seed:seed_a in
+      let redrawn = ref 0 in
+      for pre = 0 to 39 do
+        let expected, rejected = forward_slots ~seed:seed_a ~pre ~q ~count in
+        redrawn := !redrawn + List.length rejected;
+        let full = Secshare_poly.Evals.to_int_array (Node_prg.client_poly ~ring ~seed:seed_a ~pre) in
+        if full <> expected then
+          Alcotest.failf "q=%d pre=%d: client_poly differs from the slot transcription" q pre;
+        for slot = count - 1 downto 0 do
+          if Node_prg.client_value reader ~pre ~slot <> full.(slot) then
+            Alcotest.failf "q=%d pre=%d slot=%d: one slot differs from the full share" q pre slot
+        done
+      done;
+      if List.mem q [ 83; 131 ] then
+        check Alcotest.bool (Printf.sprintf "q=%d: a rejected slot was redrawn" q) true
+          (!redrawn > 0))
+    slot_orders
+
+(* Digests of the client slot stream at every order above, over the
+   golden pres.  Any change to the layout, the nonce tag or the
+   rejection rule changes every stored share. *)
+let slot_golden =
+  [
+    (2, "afc41ce51197d6175ca4953fdbb8157e");
+    (4, "18135aface0dfc88c40129656a2ab204");
+    (5, "a118f7e1c26a9b514162dd47af35e424");
+    (9, "bb1ff65c35b3ce717beca34cf32a79f4");
+    (83, "f19757f78b8f0672b7cbb1836c215204");
+    (131, "ed66e8cadf64bf9b14cb918f76803de4");
+    (256, "d4248d78273b06d9cb95a185ce5bbada");
+    (257, "8c381e559e6049e1ed047dfec78f30cf");
+    (1024, "4c27ecf58bcbb86aa5519b326894fdd2");
+  ]
+
+let test_slot_golden () =
+  List.iter
+    (fun (q, expected) ->
+      let ring = Secshare_poly.Ring.of_order q |> Result.get_ok in
+      let digest =
+        digest_ints
+          (List.map
+             (fun pre ->
+               Secshare_poly.Evals.to_int_array (Node_prg.client_poly ~ring ~seed:seed_a ~pre))
+             golden_pres)
+      in
+      check Alcotest.string (Printf.sprintf "q=%d" q) expected digest;
+      check Alcotest.string (Printf.sprintf "q=%d, transcription" q) expected
+        (digest_ints
+           (List.map (fun pre -> fst (forward_slots ~seed:seed_a ~pre ~q ~count:(q - 1))) golden_pres)))
+    slot_golden
+
+let test_client_value_rejects () =
+  let ring = Secshare_poly.Ring.of_prime ~p:83 in
+  let reader = Node_prg.reader ~ring ~seed:seed_a in
+  List.iter
+    (fun (what, pre, slot) ->
+      match Node_prg.client_value reader ~pre ~slot with
+      | (_ : int) -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [ ("slot -1", 0, -1); ("slot q - 1", 0, 82); ("pre -1", -1, 0) ]
+
 let gen_seed =
   QCheck2.Gen.(map (fun s -> Seed.of_bytes (Bytes.of_string s)) (string_size (return 32)))
 
@@ -494,8 +614,8 @@ let sampler_matches_reference ~ring name =
     QCheck2.Gen.(triple gen_seed (int_range 0 1_000_000) (int_range 0 (3 * q)))
     (fun (seed, pre, count) ->
       Node_prg.coefficients ~seed ~pre ~q ~count = forward ~seed ~pre ~q ~count
-      && Secshare_poly.Cyclic.to_int_array (Node_prg.client_poly ~ring ~seed ~pre)
-         = forward ~seed ~pre ~q ~count:ring.Secshare_poly.Ring.n)
+      && Secshare_poly.Evals.to_int_array (Node_prg.client_poly ~ring ~seed ~pre)
+         = fst (forward_slots ~seed ~pre ~q ~count:ring.Secshare_poly.Ring.n))
 
 let () =
   Alcotest.run "prg"
@@ -551,6 +671,11 @@ let () =
           Alcotest.test_case "numeric digests" `Quick test_numeric_golden;
           Alcotest.test_case "sampler = forward stream at small q" `Quick
             test_sampler_every_q;
+          Alcotest.test_case "client slots = slot transcription" `Quick
+            test_slots_match_forward;
+          Alcotest.test_case "client slot digests" `Quick test_slot_golden;
+          Alcotest.test_case "client_value rejects bad slots" `Quick
+            test_client_value_rejects;
           sampler_matches_reference ~ring:(Secshare_poly.Ring.of_prime ~p:83) "F83";
           sampler_matches_reference ~ring:(Secshare_poly.Ring.of_prime_power ~p:3 ~e:4) "GF81";
         ] );

@@ -449,6 +449,54 @@ let test_foreign_server_refused () =
         ];
       check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
 
+(* A server of the build before shares moved to the evaluation domain
+   answers the handshake with the retired response tag 16.  Its stored
+   values are coefficients, not evaluations, so reading them would
+   give silently wrong answers; the client and the router refuse it at
+   connect instead, and no descriptor stays open. *)
+let test_previous_build_refused () =
+  let db = Test_support.db_of_tree (Secshare_xmark.Generate.generate ~factor:0.05 ()) in
+  let mapping = DB.mapping db and seed = DB.seed db in
+  let path = Filename.temp_file "ssdb-remote" ".sock" in
+  Sys.remove path;
+  (* Manifest_data of a 1-of-1 server over F_83, in the old encoding *)
+  let old_manifest =
+    "\x10\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x53\x00\x00\x00\x01\x00\x00\x00\
+     \x0a\x00\x00\x00"
+  in
+  Fun.protect
+    ~finally:(fun () -> DB.close db)
+    (fun () ->
+      let before = open_fds () in
+      let server =
+        Test_support.Flaky.start
+          ~plan:(fun _ -> Some (Test_support.Flaky.Garbage_reply old_manifest))
+          path
+      in
+      Fun.protect
+        ~finally:(fun () -> Test_support.Flaky.stop server)
+        (fun () ->
+          let retired = "manifest handshake: codec: unknown response tag 16" in
+          let refused what = function
+            | Ok _ -> Alcotest.failf "%s accepted a server of the previous build" what
+            | Error msg ->
+                check Alcotest.bool
+                  (Printf.sprintf "%s: %S names the retired tag" what msg)
+                  true
+                  (Test_support.contains ~sub:retired msg)
+          in
+          refused "connect" (DB.connect ~p:83 ~e:1 ~mapping ~seed ~path ());
+          match Secshare_shard.Router.connect [ path ] with
+          | Ok router ->
+              Secshare_shard.Router.close router;
+              Alcotest.fail "Router.connect accepted a server of the previous build"
+          | Error msg ->
+              check Alcotest.bool
+                (Printf.sprintf "router: %S names the retired tag" msg)
+                true
+                (Test_support.contains ~sub:retired msg));
+      check Alcotest.int "no descriptor leaked" before (fds_settle_to before))
+
 (* A server whose replies are malformed.  The client checks every
    share it reconstructs, every evaluation it combines and every
    aggregate sum it unblinds, so the query fails with a filter error,
@@ -603,10 +651,12 @@ let () =
           Alcotest.test_case "server stop surfaces errors" `Quick test_session_after_server_stop;
           Alcotest.test_case "bad field refused, nothing leaked" `Quick
             test_bad_field_rejected_without_leak;
-          Alcotest.test_case "foreign server refused, nothing leaked" `Quick
-            test_foreign_server_refused;
           Alcotest.test_case "malformed shares reply is an error" `Quick
             test_malformed_shares_reply;
+          Alcotest.test_case "foreign server refused, nothing leaked" `Quick
+            test_foreign_server_refused;
+          Alcotest.test_case "previous build's server refused at connect" `Quick
+            test_previous_build_refused;
         ] );
       ( "resilience",
         [

@@ -213,7 +213,7 @@ let pinned_responses =
           e = 1;
           total_rows = 100;
         },
-      "10020000000300000002000000830000000100000064000000" );
+      "11020000000300000002000000830000000100000064000000" );
     (Agg_partial { count = 3; sum = (1 lsl 61) - 2 }, "0e03000000feffffffffffff1f");
   ]
 
@@ -247,14 +247,19 @@ let retired_frames = [ "\x04\x01\x00\x00\x00\x09\x00\x00\x00"; "\x05\x01\x00\x00
    [Eval_batch]), request tag 11 / response tag 10 to the retired
    table-stats probe ([Table_stats]/[Stats]), request tag 3 to the
    retired parent lookup ([Parent 18], now a point-free [Scan_eval]),
-   response tag 13 to the manifest reply without the field and
-   response tag 15 to the one with partition bounds, each in the
+   response tag 13 to the manifest reply without the field, response
+   tag 15 to the one with partition bounds and response tag 16 to the
+   one of servers storing coefficient-domain shares, each in the
    encoding it used to have.  The other direction's tags 3, 6 to 11
    and 13 are live; request tag 15 is [Agg_eval], and the old tag-15
    manifest frame does not parse as one. *)
 let retired_manifest_15 =
   "\x0f\x02\x00\x00\x00\x03\x00\x00\x00\x02\x00\x00\x00\x83\x00\x00\x00\x01\x00\x00\x00\
    \x64\x00\x00\x00\x02\x00\x00\x00\x01\x00\x00\x00\x32\x00\x00\x00"
+
+let retired_manifest_16 =
+  "\x10\x02\x00\x00\x00\x03\x00\x00\x00\x02\x00\x00\x00\x83\x00\x00\x00\x01\x00\x00\x00\
+   \x64\x00\x00\x00"
 
 let retired_requests =
   retired_frames
@@ -264,6 +269,7 @@ let retired_requests =
       "\x0b";
       "\x03\x12\x00\x00\x00";
       retired_manifest_15;
+      retired_manifest_16;
     ]
 
 let retired_responses =
@@ -275,6 +281,7 @@ let retired_responses =
       "\x0d\x02\x00\x00\x00\x03\x00\x00\x00\x02\x00\x00\x00\x64\x00\x00\x00\x02\x00\x00\x00\
        \x01\x00\x00\x00\x32\x00\x00\x00";
       retired_manifest_15;
+      retired_manifest_16;
     ]
 
 let test_retired_tags_rejected () =

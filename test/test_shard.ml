@@ -318,8 +318,8 @@ let numbers_of db =
    shards), (polynomial tables, numeric tables)). *)
 let pinned_dealer_digests =
   [
-    ((2, 3), ("ad5db840bf4a89113f0826fe39fe64fa", "d85e7435237c7cc882be84e0c3aa61dd"));
-    ((3, 4), ("0a521a2e467cba8bde09b59102c681cb", "41b6669810f44c754d45c39925be8f8f"));
+    ((2, 3), ("6d0b769db4f3bb9e349022ed6ac9605e", "d85e7435237c7cc882be84e0c3aa61dd"));
+    ((3, 4), ("5f30db05b6a55712b791a6956c3d2f86", "41b6669810f44c754d45c39925be8f8f"));
   ]
 
 let test_dealer_digests () =

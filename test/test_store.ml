@@ -667,7 +667,9 @@ let test_heap_rebuilt_from_wal_alone () =
    leaves both files byte for byte as they were, even when the log
    holds records, which for an unreadable heap would have it rebuilt
    from the log. *)
-let test_retired_format_refused () =
+(* Both retired formats: [SSDBPAG1]/[SSDBWAL2] (the first-refill
+   sampler) and [SSDBPAG2]/[SSDBWAL3] (coefficient-domain shares). *)
+let test_retired_format_refused ~page ~log ~why () =
   with_temp_file (fun path ->
       let read () =
         List.map
@@ -696,18 +698,18 @@ let test_retired_format_refused () =
                       (Printf.sprintf "%s: %S names %s" what msg sub)
                       true
                       (Test_support.contains ~sub msg))
-                  [ names; "first-refill sampler"; "re-encode" ])
+                  [ names; why; "re-encode" ])
           [ false; true ];
         check Alcotest.(list string) (what ^ ": files untouched") before (read ())
       in
-      Test_support.stamp path "SSDBPAG1";
-      expect_refusal "retired heap, current log with records" ~names:"SSDBPAG1";
-      Test_support.stamp (path ^ ".wal") "SSDBWAL2";
-      expect_refusal "retired heap and log with records" ~names:"SSDBWAL2";
+      Test_support.stamp path page;
+      expect_refusal "retired heap, current log with records" ~names:page;
+      Test_support.stamp (path ^ ".wal") log;
+      expect_refusal "retired heap and log with records" ~names:log;
       Out_channel.with_open_bin (path ^ ".wal") (fun _ -> ());
-      expect_refusal "retired heap, empty log" ~names:"SSDBPAG1";
+      expect_refusal "retired heap, empty log" ~names:page;
       Sys.remove (path ^ ".wal");
-      expect_refusal "retired heap, no log" ~names:"SSDBPAG1")
+      expect_refusal "retired heap, no log" ~names:page)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
@@ -1188,7 +1190,11 @@ let () =
           Alcotest.test_case "no fd leak on failed opens" `Quick
             test_no_fd_leak_on_failed_opens;
           Alcotest.test_case "retired format refused, files untouched" `Quick
-            test_retired_format_refused;
+            (test_retired_format_refused ~page:"SSDBPAG1" ~log:"SSDBWAL2"
+               ~why:"first-refill sampler");
+          Alcotest.test_case "coefficient-domain format refused, files untouched" `Quick
+            (test_retired_format_refused ~page:"SSDBPAG2" ~log:"SSDBWAL3"
+               ~why:"coefficient vectors");
         ] );
       ( "race witness",
         [
