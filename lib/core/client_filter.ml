@@ -107,12 +107,12 @@ let cursor_close t cursor =
 (* The containment test (paper §5.2), the one place it is decided:
    for each point, read the client share of [meta] at the point's slot,
    add the server's value, and keep the node when every sum is zero.
-   [pts] are prepared once per batch ({!prepare}); [reply] names the
-   response in errors.  A server value outside the field is the
+   [pts] are prepared once per batch ({!Share.point}); [reply] names
+   the response in errors.  A server value outside the field is the
    server's fault, refused like any other bad reply rather than
    silently reduced. *)
 let verdict t ~(counts : Metrics.t) ~reply pts (meta : Protocol.node_meta) server_values =
-  if List.length server_values <> Array.length pts then
+  if List.length server_values <> List.length pts then
     raise (Filter_error (reply ^ " arity mismatch"));
   List.iter
     (fun v ->
@@ -120,23 +120,13 @@ let verdict t ~(counts : Metrics.t) ~reply pts (meta : Protocol.node_meta) serve
         raise (Filter_error ("malformed " ^ reply ^ " reply: value outside the field")))
     server_values;
   counts.nodes_examined <- counts.nodes_examined + 1;
-  counts.evaluations <- counts.evaluations + Array.length pts;
-  let values = Array.of_list server_values and pre = meta.Protocol.pre in
-  Array.for_all
-    (fun (pt, i) ->
-      Share.combine_evaluations t.ring
-        ~client:(Share.client_value t.reader ~pre pt)
-        ~server:values.(i)
-      = 0)
-    pts
-
-(* A batch's points in slot order, each with its position in a row's
-   values, so a node's values in one keystream block cost that block
-   once. *)
-let prepare t points =
-  List.mapi (fun i x -> (Share.point t.ring x, i)) points
-  |> List.stable_sort (fun (a, _) (b, _) -> Share.compare_points a b)
-  |> Array.of_list
+  counts.evaluations <- counts.evaluations + List.length pts;
+  let pre = meta.Protocol.pre in
+  let contains pt server =
+    Share.combine_evaluations t.ring ~client:(Share.client_value t.reader ~pre pt) ~server
+    = 0
+  in
+  List.for_all2 contains pts server_values
 
 (* Merge one fused batch: each row carries its server evaluations at
    every point, in order. *)
@@ -144,7 +134,7 @@ let filter_scan_rows t ~counts rows ~points =
   match points with
   | [] -> List.map fst rows
   | _ ->
-      let pts = prepare t points in
+      let pts = List.map (Share.point t.ring) points in
       List.filter_map
         (fun (meta, server_values) ->
           if verdict t ~counts ~reply:"Scan_batch" pts meta server_values then Some meta
@@ -158,7 +148,7 @@ let eval_batch t ~counts metas ~point =
   | Protocol.Values values ->
       if List.length values <> List.length metas then
         raise (Filter_error "Eval_batch arity mismatch");
-      let pts = prepare t [ point ] in
+      let pts = [ Share.point t.ring point ] in
       List.filter_map
         (fun (meta, v) ->
           if verdict t ~counts ~reply:"Values" pts meta [ v ] then Some meta else None)
@@ -222,7 +212,7 @@ let tag_value t ~(counts : Metrics.t) (meta : Protocol.node_meta) =
   | [] -> assert false
   | node_poly :: child_polys -> (
       let product = Share.product t.ring child_polys in
-      match Share.linear_factor t.ring ~product ~node:node_poly with
+      match Evals.recover_linear_factor t.ring ~product ~node:node_poly with
       | Ok value -> value
       | Error `Degenerate ->
           counts.degenerate_divisions <- counts.degenerate_divisions + 1;

@@ -128,8 +128,8 @@ val equality :
   t -> counts:Metrics.t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool
 (** Strict: is the node itself mapped to [point]?  Reconstructs the
     node and all its children (their values at every nonzero point) and
-    divides out the child product pointwise ({!Share.linear_factor});
-    one equality test plus one reconstruction per polynomial in
+    divides out the child product pointwise
+    ({!Secshare_poly.Evals.recover_linear_factor}); one equality test plus one reconstruction per polynomial in
     [counts].
     @raise Filter_error when the division has no answer, never a guess:
     a zero child product (possible only when the map leaves no spare

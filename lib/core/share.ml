@@ -41,9 +41,7 @@ let eval_packed (ring : Ring.t) pt packed =
   | Some tab -> Flat.eval_share tab ~n:ring.Ring.n ~slot:pt.slot packed
   | None -> (Codec.unpack ~q:ring.Ring.order ~n:ring.Ring.n packed).(pt.slot)
 
-let eval_poly (_ : Ring.t) pt v = Evals.get v pt.slot
 let client_value reader ~pre pt = Node_prg.client_value reader ~pre ~slot:pt.slot
-let compare_points a b = Int.compare a.slot b.slot
 
 let add_packed (ring : Ring.t) ~client packed =
   match ring.Ring.table with
@@ -72,13 +70,6 @@ let encode_node (ring : Ring.t) ~root children =
       via_kernel ring (fun out ->
           Flat.linear_mul_into tab ~n:ring.Ring.n ~root ~a:(Evals.view product) ~out)
   | None, Some product -> Evals.mul ring (Evals.linear ring ~root) product
-
-let linear_factor (ring : Ring.t) ~product ~node =
-  match ring.Ring.table with
-  | Some tab ->
-      Flat.recover_linear_factor tab ~n:ring.Ring.n ~product:(Evals.view product)
-        ~node:(Evals.view node)
-  | None -> Evals.recover_linear_factor ring ~product ~node
 
 (* --- Shamir t-of-n re-sharing of the server share (lib/shard) ---
 

@@ -39,7 +39,7 @@ val combine_evaluations : Secshare_poly.Ring.t -> client:int -> server:int -> in
     transforms between domains: a containment test reads one slot, and
     products are pointwise.  {!Server_filter} calls {!point} and
     {!eval_packed}; {!Client_filter} calls {!point}, {!client_value},
-    {!add_packed}, {!product} and {!linear_factor}; {!Encode} calls
+    {!add_packed} and {!product}; {!Encode} calls
     {!encode_node}, {!product} and {!server_share}. *)
 
 type point
@@ -51,10 +51,6 @@ val point : Secshare_poly.Ring.t -> int -> point
     @raise Invalid_argument on a point that normalises to 0, with
     {!Secshare_poly.Cyclic.eval}'s message (0 has no slot). *)
 
-val compare_points : point -> point -> int
-(** Slot order: the order in which a node's values at several points
-    share keystream blocks ({!client_value}). *)
-
 val eval_packed : Secshare_poly.Ring.t -> point -> bytes -> int
 (** A packed server share's value at the point: its stored value in
     the point's slot.  The whole share is validated exactly like
@@ -62,16 +58,10 @@ val eval_packed : Secshare_poly.Ring.t -> point -> bytes -> int
     @raise Invalid_argument on a short share or a value outside
     [\[0, q)]. *)
 
-val eval_poly : Secshare_poly.Ring.t -> point -> Evals.t -> int
-(** A share's value at the point: {!Evals.get} at its slot. *)
-
 val client_value : Secshare_prg.Node_prg.reader -> pre:int -> point -> int
 (** The client share of node [pre] at the point, through the client's
     slot reader ({!Secshare_prg.Node_prg.reader}): one slot, at most
-    one keystream block, and the same value as [eval_poly] of
-    {!client}.
-    Asking for a node's points in {!compare_points} order generates
-    each block once. *)
+    one keystream block, and the same value as {!client}'s slot. *)
 
 val add_packed : Secshare_poly.Ring.t -> client:Evals.t -> bytes -> Evals.t
 (** [client + server] with the server half packed: the node's true
@@ -85,14 +75,6 @@ val encode_node :
   Secshare_poly.Ring.t -> root:int -> Evals.t option -> Evals.t
 (** The encoding step [f(node) = (x - root) * prod f(children)], with
     [None] for a leaf (no children: [x - root]). *)
-
-val linear_factor :
-  Secshare_poly.Ring.t ->
-  product:Evals.t ->
-  node:Evals.t ->
-  (int, [ `Degenerate | `Not_linear ]) result
-(** The equality test's division, pointwise:
-    {!Evals.recover_linear_factor}. *)
 
 (** {2 Shamir t-of-n re-sharing of the server share}
 

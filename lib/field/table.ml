@@ -4,7 +4,6 @@ type t = {
   add_tab : Bytes.t;  (* q * 256 entries: [(a lsl 8) lor b] -> a + b *)
   mul_tab : Bytes.t;  (* likewise for a * b *)
   neg_tab : Bytes.t;  (* q entries: a -> -a *)
-  inv_tab : Bytes.t;  (* q entries: a -> a^-1, and 0 -> 0 *)
 }
 
 (* Rows are 256 wide (not q) so the flat index is a shift-or rather
@@ -22,19 +21,18 @@ let create field =
     let q = F.order in
     let add_tab = Bytes.make (q * 256) '\000' in
     let mul_tab = Bytes.make (q * 256) '\000' in
-    let neg_tab = Bytes.make q '\000' and inv_tab = Bytes.make q '\000' in
+    let neg_tab = Bytes.make q '\000' in
     for a = 0 to q - 1 do
       let fa = F.of_int a in
       let base = a lsl 8 in
       Bytes.set_uint8 neg_tab a (F.to_int (F.neg fa));
-      if a <> 0 then Bytes.set_uint8 inv_tab a (F.to_int (F.inv fa));
       for b = 0 to q - 1 do
         let fb = F.of_int b in
         Bytes.set_uint8 add_tab (base lor b) (F.to_int (F.add fa fb));
         Bytes.set_uint8 mul_tab (base lor b) (F.to_int (F.mul fa fb))
       done
     done;
-    Some { q; bits = bits_for q; add_tab; mul_tab; neg_tab; inv_tab }
+    Some { q; bits = bits_for q; add_tab; mul_tab; neg_tab }
   end
 
 let order t = t.q
@@ -57,7 +55,6 @@ let mul t a b =
 let unsafe_add t a b = Char.code (Bytes.unsafe_get t.add_tab ((a lsl 8) lor b))
 let unsafe_mul t a b = Char.code (Bytes.unsafe_get t.mul_tab ((a lsl 8) lor b))
 let unsafe_neg t a = Char.code (Bytes.unsafe_get t.neg_tab a)
-let unsafe_inv t a = Char.code (Bytes.unsafe_get t.inv_tab a)
 
 let mul_row t ~point =
   check t "mul_row" point;

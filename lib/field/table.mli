@@ -3,8 +3,8 @@
 
     For fields with [order <= 256] every element fits in one byte, so
     the whole addition and multiplication tables fit in 64 KiB each,
-    negation and inversion in [q] bytes, and a pointwise sum, product
-    or quotient is a byte load or two — no closure calls, no module
+    negation in [q] bytes, and a pointwise sum, difference or product
+    is a byte load or two — no closure calls, no module
     projections, no allocation.  The tables are built once per ring
     from the field's own operations, so kernel results are
     bit-identical to the reference path for prime fields *and*
@@ -42,9 +42,6 @@ val unsafe_mul : t -> int -> int -> int
 
 val unsafe_neg : t -> int -> int
 (** [-a], unchecked like {!unsafe_add}. *)
-
-val unsafe_inv : t -> int -> int
-(** [a^-1] for [a <> 0] (and 0 for 0), unchecked like {!unsafe_add}. *)
 
 val mul_row : t -> point:int -> Bytes.t
 (** The length-[q] row [x -> x * point] of the multiplication table,

@@ -48,9 +48,9 @@ let secret_producers =
     ("Share", "product");
     ("Share", "client_value");
     ("Share", "encode_node");
-    ("Share", "linear_factor");
     ("Codec", "unpack_cyclic");
     ("Codec", "unpack_evals");
+    ("Evals", "recover_linear_factor");
     ("Seed", "generate");
     ("Seed", "load");
     ("Seed", "of_hex");

@@ -106,40 +106,6 @@ let linear_mul_into tab ~n ~root ~(a : int array) ~(out : int array) =
     Array.unsafe_set out j (Table.unsafe_mul tab factor (Array.unsafe_get a j))
   done
 
-(* One quotient at the first slot where the product is nonzero gives
-   the only candidate [t]; every slot then checks
-   [node = (point - t) * product] by table lookups, which also demands
-   [node = 0] wherever the product vanishes. *)
-let recover_linear_factor tab ~n ~(product : int array) ~(node : int array) =
-  check_length "Flat.recover_linear_factor" ~n product;
-  check_length "Flat.recover_linear_factor" ~n node;
-  let pivot = ref (-1) and j = ref 0 in
-  while !pivot < 0 && !j < n do
-    if Array.unsafe_get product !j <> 0 then pivot := !j;
-    incr j
-  done;
-  if !pivot < 0 then Error `Degenerate
-  else begin
-    let p = !pivot in
-    let quotient =
-      Table.unsafe_mul tab (Array.unsafe_get node p)
-        (Table.unsafe_inv tab (Array.unsafe_get product p))
-    in
-    let t = Table.unsafe_add tab (p + 1) (Table.unsafe_neg tab quotient) in
-    let neg_t = Table.unsafe_neg tab t in
-    let fits = ref true and k = ref 0 in
-    while !fits && !k < n do
-      let expected =
-        Table.unsafe_mul tab
-          (Table.unsafe_add tab (!k + 1) neg_t)
-          (Array.unsafe_get product !k)
-      in
-      if expected <> Array.unsafe_get node !k then fits := false;
-      incr k
-    done;
-    if !fits then Ok t else Error `Not_linear
-  end
-
 let combine_packed_into tab ~n ~(rows : Bytes.t array) (shares : Bytes.t array)
     ~(out : Bytes.t) =
   let t = Array.length shares in

@@ -21,9 +21,9 @@
     Outside this library only [Secshare_core.Share] calls these
     kernels, choosing them whenever the ring has byte tables:
     [Share.eval_packed] (server scans and batches) runs {!eval_share};
-    [Share.add_packed], [Share.product] and [Share.tag_value] (client
-    equality) run {!reconstruct_into}, {!pointwise_mul_into} and
-    {!recover_linear_factor}; [Share.encode_node] (the encoder) runs
+    [Share.add_packed] and [Share.product] (client equality) run
+    {!reconstruct_into} and {!pointwise_mul_into}; [Share.product],
+    [Share.encode_node] and [Share.server_share] (the encoder) run
     {!pointwise_mul_into}, {!linear_mul_into} and {!sub_into};
     [Share.reconstruct_packed] (shard router) runs
     {!combine_packed_into}. *)
@@ -70,17 +70,6 @@ val linear_mul_into :
     may be [a].
     @raise Invalid_argument if [root] is not canonical or a buffer is
     shorter than [n]. *)
-
-val recover_linear_factor :
-  Secshare_field.Table.t ->
-  n:int ->
-  product:int array ->
-  node:int array ->
-  (int, [ `Degenerate | `Not_linear ]) result
-(** {!Evals.recover_linear_factor} through the tables: one inversion at
-    the first slot where [product] is nonzero, then one multiply-compare
-    per slot.
-    @raise Invalid_argument if a buffer is shorter than [n]. *)
 
 val combine_packed_into :
   Secshare_field.Table.t ->

@@ -39,19 +39,15 @@ let client_poly ~ring ~seed ~pre =
   Sampler.fill_slots (cipher ~seed ~pre ~tag:client_tag) s out;
   Secshare_poly.Evals.of_canonical ring out
 
-(* One cipher state, its nonce rewritten in place per node, and the
-   block last generated, keyed by (pre, counter): a node asked at
-   several slots in one block pays for the block once, and a node costs
-   no allocation.  A reader belongs to one client filter, used by one
-   caller at a time. *)
+(* One cipher state, its nonce rewritten in place per node, and two
+   scratch blocks: a slot read allocates nothing.  A reader belongs to
+   one client filter, used by one caller at a time. *)
 type reader = {
   cipher : Chacha20.t;
   nonce : Bytes.t;
   slots : Sampler.slots;
   block : Bytes.t;
   scratch : Bytes.t;
-  mutable pre : int; [@domain_confined "caller"]
-  mutable counter : int; [@domain_confined "caller"]
 }
 
 let reader ~ring ~seed =
@@ -61,23 +57,13 @@ let reader ~ring ~seed =
     slots = ring_slots ring;
     block = Bytes.create 64;
     scratch = Bytes.create 64;
-    pre = -1;
-    counter = -1;
   }
 
 let client_value r ~pre ~slot =
   check_pre pre;
   if slot < 0 || slot >= Sampler.slot_count r.slots then
     invalid_arg "Node_prg.client_value: slot out of range";
-  if pre <> r.pre then begin
-    set_nonce r.nonce ~pre ~tag:client_tag;
-    Chacha20.set_nonce r.cipher r.nonce;
-    r.pre <- pre;
-    r.counter <- -1
-  end;
-  let counter = Sampler.slot_block r.slots slot in
-  if counter <> r.counter then begin
-    Chacha20.block_into r.cipher ~counter r.block ~off:0;
-    r.counter <- counter
-  end;
+  set_nonce r.nonce ~pre ~tag:client_tag;
+  Chacha20.set_nonce r.cipher r.nonce;
+  Chacha20.block_into r.cipher ~counter:(Sampler.slot_block r.slots slot) r.block ~off:0;
   Sampler.slot_value r.cipher r.slots ~block:r.block ~scratch:r.scratch slot

@@ -28,10 +28,9 @@ val client_poly :
     @raise Invalid_argument on negative [pre]. *)
 
 type reader
-(** One client's random access to single slots: it keeps the keystream
-    block it generated last, so a node asked at several slots of one
-    block (points of one batch, taken in slot order) pays for that block
-    once. *)
+(** One client's random access to single slots: a cipher state whose
+    nonce is rewritten per node, and scratch blocks, so a slot read
+    allocates nothing.  Used by one caller at a time. *)
 
 val reader : ring:Secshare_poly.Ring.t -> seed:Seed.t -> reader
 

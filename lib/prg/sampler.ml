@@ -112,8 +112,16 @@ let slots ~q ~count =
 let slot_count s = s.count
 let slot_block s j = j / s.per_block
 
+(* Callers keep [off + width <= 64] on a block of at least 64 bytes
+   ([slot_value] checks a block it is given), so the reads skip the
+   bounds check. *)
+external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external swap16 : int -> int = "%bswap16"
+
 let[@inline] word block ~off ~width =
-  if width = 2 then Bytes.get_uint16_le block off
+  if width = 2 then
+    let v = unsafe_get16 block off in
+    if Sys.big_endian then swap16 v else v
   else begin
     let v = ref 0 in
     for i = width - 1 downto 0 do
@@ -141,19 +149,24 @@ let overflow cipher s scratch j =
 
 let slot_value cipher s ~block ~scratch j =
   if j < 0 || j >= s.count then invalid_arg "Sampler.slot_value: slot out of range";
+  if Bytes.length block < 64 then invalid_arg "Sampler.slot_value: block shorter than 64 bytes";
   let v = word block ~off:(j mod s.per_block * s.width) ~width:s.width in
   if v < s.below then reduce s v else overflow cipher s scratch j
 
+(* The fields are read into locals once, so the per-slot loop is a
+   word load, a compare and a multiply-shift. *)
 let fill_slots cipher s out =
   if Array.length out <> s.count then invalid_arg "Sampler.fill_slots: wrong length";
   let block = Bytes.create 64 in
-  let width = s.width and below = s.below in
-  for b = 0 to s.main_blocks - 1 do
+  let { q; count; width; per_block; main_blocks; below; recip; shift } = s in
+  for b = 0 to main_blocks - 1 do
     Chacha20.block_into cipher ~counter:b block ~off:0;
-    let first = b * s.per_block in
-    for j = first to min s.count (first + s.per_block) - 1 do
+    let first = b * per_block in
+    for j = first to min count (first + per_block) - 1 do
       let v = word block ~off:((j - first) * width) ~width in
       Array.unsafe_set out j
-        (if v < below then reduce s v else overflow cipher s (Bytes.create 64) j)
+        (if v >= below then overflow cipher s (Bytes.create 64) j
+         else if shift = 0 then v mod q
+         else v - (q * ((v * recip) lsr shift)))
     done
   done

@@ -69,7 +69,8 @@ val slot_value : Chacha20.t -> slots -> block:bytes -> scratch:bytes -> int -> i
     given [block] holding keystream block [slot_block s j].  [scratch]
     (64 bytes) receives overflow blocks, only when the slot's word is
     rejected.
-    @raise Invalid_argument if [j] is outside [\[0, count)]. *)
+    @raise Invalid_argument if [j] is outside [\[0, count)] or [block]
+    is shorter than 64 bytes. *)
 
 val fill_slots : Chacha20.t -> slots -> int array -> unit
 (** Every slot, in order, each block generated once.

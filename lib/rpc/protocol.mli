@@ -118,6 +118,13 @@ val decode_request : string -> request
 (** @raise Wire.Decode_error on malformed input. *)
 
 val encode_response : response -> string
+
+val response_size : response -> int
+(** The exact encoded length of the replies that grow with a batch
+    ([Scan_batch], [Values], [Nodes], [Shares_data]), so their frame is
+    allocated once; a small initial capacity for every other reply.
+    The test suite pins it to {!encode_response}'s output. *)
+
 val decode_response : string -> response
 (** @raise Wire.Decode_error on malformed input. *)
 

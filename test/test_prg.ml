@@ -602,7 +602,15 @@ let test_client_value_rejects () =
       match Node_prg.client_value reader ~pre ~slot with
       | (_ : int) -> Alcotest.failf "%s accepted" what
       | exception Invalid_argument _ -> ())
-    [ ("slot -1", 0, -1); ("slot q - 1", 0, 82); ("pre -1", -1, 0) ]
+    [ ("slot -1", 0, -1); ("slot q - 1", 0, 82); ("pre -1", -1, 0) ];
+  (* the word reads are unchecked, so a short block must be refused *)
+  let cipher = Node_prg.cipher ~seed:seed_a ~pre:0 ~tag:"slot" in
+  Alcotest.check_raises "short block"
+    (Invalid_argument "Sampler.slot_value: block shorter than 64 bytes") (fun () ->
+      ignore
+        (Secshare_prg.Sampler.slot_value cipher (Secshare_prg.Sampler.slots ~q:83 ~count:82)
+           ~block:(Bytes.create 63)
+           ~scratch:(Bytes.create 64) 0))
 
 let gen_seed =
   QCheck2.Gen.(map (fun s -> Seed.of_bytes (Bytes.of_string s)) (string_size (return 32)))

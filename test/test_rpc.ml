@@ -130,6 +130,12 @@ let protocol_codec_suite =
         Protocol.decode_request (Protocol.encode_request req) = req);
     qtest "response roundtrip" gen_response (fun resp ->
         Protocol.decode_response (Protocol.encode_response resp) = resp);
+    qtest "batch replies are sized exactly" gen_response (fun resp ->
+        match resp with
+        | Protocol.Scan_batch _ | Protocol.Values _ | Protocol.Nodes _
+        | Protocol.Shares_data _ ->
+            String.length (Protocol.encode_response resp) = Protocol.response_size resp
+        | _ -> true);
   ]
 
 let fuzz_suite =
