@@ -131,7 +131,7 @@ let run ?(sessions = 10_000) ?(rate = 4000.0) ?(duration = 10.0) db () =
   let payload = Protocol.encode_request request in
   (* golden: the same filter logic the server runs, computed locally *)
   let golden =
-    let filter = Server_filter.create ~workers:1 ring table in
+    let filter = Server_filter.create ring table in
     let reply = Server_filter.handler filter request in
     Server_filter.close filter;
     Protocol.encode_response reply

@@ -14,7 +14,7 @@ module Node_table = Secshare_store.Node_table
 module Manifest = Secshare_shard.Manifest
 module Server_filter = Secshare_core.Server_filter
 
-let open_service db_path durable cursor_ttl max_cursors workers slow_query_ms () =
+let open_service db_path durable cursor_ttl max_cursors slow_query_ms () =
   let ( let* ) = Result.bind in
   let* m, ring = Cli.load_manifest db_path in
   let* table =
@@ -48,7 +48,7 @@ let open_service db_path durable cursor_ttl max_cursors workers slow_query_ms ()
         None
   in
   let filter =
-    Server_filter.create ?cursor_ttl ~max_cursors ?slow_query_ms ~workers
+    Server_filter.create ?cursor_ttl ~max_cursors ?slow_query_ms
       ~manifest:(Manifest.to_info m) ?numbers ring table
   in
   Ok
@@ -77,9 +77,9 @@ let open_service db_path durable cursor_ttl max_cursors workers slow_query_ms ()
             cur.Server_filter.expired_cursors);
     }
 
-let run db_path durable cursor_ttl max_cursors workers slow_query_ms listener =
+let run db_path durable cursor_ttl max_cursors slow_query_ms listener =
   Cli.serve listener
-    ~start:(open_service db_path durable cursor_ttl max_cursors workers slow_query_ms)
+    ~start:(open_service db_path durable cursor_ttl max_cursors slow_query_ms)
 
 let durable_arg =
   Cli.durable
@@ -92,15 +92,6 @@ let cursor_ttl_arg =
     value & opt float 300.0
     & info [ "cursor-ttl" ] ~docv:"SECONDS"
         ~doc:"Evict scan cursors idle longer than this; 0 disables the TTL.")
-
-let workers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Size of the share-evaluation worker pool: N domains evaluate each scan or \
-           eval batch in parallel.  1 (the default) evaluates inline on the handler \
-           thread.")
 
 let slow_query_ms_arg =
   Arg.(
@@ -117,7 +108,7 @@ let cmd =
     Term.(
       ret
         (const run $ Cli.db_path $ durable_arg $ cursor_ttl_arg
-       $ Cli.max_cursors $ workers_arg $ slow_query_ms_arg
+       $ Cli.max_cursors $ slow_query_ms_arg
        $ Cli.listener ~socket:"/tmp/secshare.sock" ~spans:"server-side span"
            ~healthz:""))
 

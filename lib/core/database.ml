@@ -15,7 +15,6 @@ type client_config = {
   cursor_ttl : float option;
   max_cursors : int;
   slow_query_ms : float option;
-  workers : int;
 }
 
 let default_client_config =
@@ -27,7 +26,6 @@ let default_client_config =
     cursor_ttl = None;
     max_cursors = 1024;
     slow_query_ms = None;
-    workers = 1;
   }
 
 type config = {
@@ -161,13 +159,13 @@ let client_handle ~(client : client_config) ~ring ~map ~seed ~local transport =
   { ring; map; seed; filter; fused = client.rpc_mode = Fused; local }
 
 (* Assemble the in-process client/server pair every local constructor
-   ends in: one server filter (with its evaluation pool) over the
-   table, a local transport, and a caching client filter on top. *)
+   ends in: one server filter over the table, a local transport, and a
+   caching client filter on top. *)
 let assemble_local ~(client : client_config) ~ring ~map ~seed ~table ?numbers
     ~encode_stats () =
   let server =
     Server_filter.create ?cursor_ttl:client.cursor_ttl ~max_cursors:client.max_cursors
-      ?slow_query_ms:client.slow_query_ms ~workers:client.workers ?numbers ring table
+      ?slow_query_ms:client.slow_query_ms ?numbers ring table
   in
   client_handle ~client ~ring ~map ~seed
     ~local:(Some { table; numbers; server; encode_stats })
@@ -364,7 +362,6 @@ let numbers_table t = (local_exn t "numbers_table").numbers
 let is_remote t = t.local = None
 let rpc_counters t = Client_filter.rpc_counters t.filter
 let share_cache_stats t = Client_filter.share_cache_stats t.filter
-let workers t = Server_filter.workers (local_exn t "workers").server
 
 let serve ?send_timeout t ~path =
   let local = local_exn t "serve" in

@@ -14,9 +14,9 @@
 
     Every client-side knob enters through one {!client_config} record
     — the round-trip cost model, the share-regeneration cache, socket
-    deadlines and retries, server cursor policy and the evaluation
-    worker pool — so a configuration can be built once and reused
-    across {!create}, {!of_parts}, {!connect} and {!open_bundle}. *)
+    deadlines and retries, and the server's cursor policy — so a
+    configuration can be built once and reused across {!create},
+    {!of_parts}, {!connect} and {!open_bundle}. *)
 
 type t
 (** A client handle, local or remote. *)
@@ -54,16 +54,11 @@ type client_config = {
           lifetime at least this slow (default [None]: off); the line
           carries trace id, opcode mix, batch/row/byte counts and
           duration only — see {!Server_filter.create} *)
-  workers : int;
-      (** size of the server's evaluation worker pool — the number of
-          domains batch share evaluation fans out over (default 1 =
-          inline, the single-threaded behaviour; [ssdb_server
-          --workers]) *)
 }
 
 val default_client_config : client_config
 (** The defaults spelled out above; build variations with record
-    update syntax: [{ default_client_config with workers = 4 }]. *)
+    update syntax: [{ default_client_config with share_cache = 0 }]. *)
 
 type config = {
   p : int;  (** field characteristic (a prime); default 83 *)
@@ -194,9 +189,6 @@ val share_cache_stats : t -> Lru.stats option
 (** Hit/miss/eviction counts of the client share-regeneration cache;
     [None] when [share_cache] is 0. *)
 
-val workers : t -> int
-(** The server evaluation-pool size (local handles only). *)
-
 (** {2 Remote deployment} *)
 
 val serve : ?send_timeout:float -> t -> path:string -> Secshare_rpc.Server.t
@@ -251,12 +243,12 @@ val connect :
     Unix-domain-socket transport; [p] and [e] are checked, against the
     map's [q] too, before the socket opens, and the server's manifest
     right after; a refused server's socket is closed.  [client.timeout],
-    [client.max_retries] configure the transport; the cursor and
-    worker fields are server-side and ignored here. *)
+    [client.max_retries] configure the transport; the cursor fields
+    are server-side and ignored here. *)
 
 val close : t -> unit
-(** Close the transport; on a local handle also stop the server's
-    evaluation pool and close the node table(s). *)
+(** Close the transport; on a local handle also evict the server's
+    open cursors (reason [shutdown]) and close the node table(s). *)
 
 (** {2 Bundles}
 

@@ -59,7 +59,8 @@ type cursor = {
 
 type cursor_stats = Cursor_table.stats = {
   open_cursors : int;
-  evicted_cursors : int;  (** removed by TTL, cap pressure, or connection close *)
+  evicted_cursors : int;
+      (** removed by TTL, cap pressure, connection close or {!close} *)
   expired_cursors : int;  (** the TTL subset of [evicted_cursors] *)
 }
 
@@ -69,7 +70,6 @@ type t = {
   cursors : cursor Cursor_table.t;
   slow_query_ms : float option;
   now : unit -> float;
-  pool : Pool.t;  (** share evaluation fans out here, outside the table lock *)
   manifest : Protocol.manifest_info option;
       (** this server's place in a sharded deployment; [None] answers
           the handshake with the trivial 1-of-1 manifest *)
@@ -120,7 +120,7 @@ let finish_cursor ~slow_query_ms ~now reason id c =
     ~reason:(Cursor_table.reason_label reason)
 
 let create ?cursor_ttl ?(max_cursors = 1024) ?slow_query_ms ?(now = Unix.gettimeofday)
-    ?(workers = 1) ?manifest ?numbers ring table =
+    ?manifest ?numbers ring table =
   {
     ring;
     table;
@@ -129,13 +129,11 @@ let create ?cursor_ttl ?(max_cursors = 1024) ?slow_query_ms ?(now = Unix.gettime
         ~on_remove:(finish_cursor ~slow_query_ms ~now) ();
     slow_query_ms;
     now;
-    pool = Pool.create ~workers ();
     manifest;
     numbers;
   }
 
-let workers t = Pool.size t.pool
-let close t = Pool.close t.pool
+let close t = Cursor_table.clear t.cursors
 
 let meta_of_row (row : Page.row) =
   { Protocol.pre = row.Page.pre; post = row.Page.post; parent = row.Page.parent }
@@ -161,15 +159,13 @@ let dedup_ranges ranges =
   in
   keep min_int sorted
 
-(* Evaluate one row's share at every point of the scan.  Pure: reads
-   only the immutable row payload, so it is safe on any pool worker. *)
-let row_values t (scan : scan_state) (row : Page.row) =
-  (meta_of_row row, List.map (fun pt -> eval_row t pt row) scan.points)
-
-(* Fan a batch's share evaluations out across the worker pool.  Called
-   OUTSIDE the cursor lock: evaluation is the dominant cost of a scan
-   and must not serialise concurrent sessions. *)
-let eval_rows t scan rows = Pool.map_list t.pool rows ~f:(row_values t scan)
+(* Evaluate a batch's rows at every point of the scan.  Pure: reads
+   only the immutable row payloads, so it runs OUTSIDE the cursor lock
+   and concurrent sessions never serialise on it. *)
+let eval_rows t (scan : scan_state) rows =
+  List.map
+    (fun row -> (meta_of_row row, List.map (fun pt -> eval_row t pt row) scan.points))
+    rows
 
 (* Pull up to [max_items] rows out of a scan, advancing its resumable
    position.  Returns the raw rows (unevaluated — see [eval_rows]) and
@@ -245,8 +241,8 @@ let handle t (request : Protocol.request) : Protocol.response =
       in
       (* The scan is still private (no cursor registered), and table
          reads are latch-striped, so both the row collection and the
-         pool-parallel evaluation run without the cursor lock; only
-         cursor registration takes it. *)
+         evaluation run without the cursor lock; only cursor
+         registration takes it. *)
       let rows_raw, done_ = scan_collect t scan ~max_items:(max 1 max_items) in
       let rows = eval_rows t scan rows_raw in
       let bytes = batch_bytes rows in
@@ -292,7 +288,7 @@ let handle t (request : Protocol.request) : Protocol.response =
       match step with
       | None -> Secshare_rpc.Session_cursors.unknown_cursor cursor
       | Some (scan, (rows_raw, done_)) ->
-          (* Phase 2 (unlocked): pool-parallel share evaluation. *)
+          (* Phase 2 (unlocked): share evaluation. *)
           let rows = eval_rows t scan rows_raw in
           (* Phase 3 (locked): accounting, then removal when the scan
              drained.  The cursor may have been evicted (TTL/cap/
@@ -311,11 +307,9 @@ let handle t (request : Protocol.request) : Protocol.response =
       Cursor_table.remove t.cursors cursor Client_close;
       Protocol.Pong
   | Protocol.Eval_batch { pres; point } -> (
-      (* one prepared point for the whole batch; each pool task then
+      (* one prepared point for the whole batch; each evaluation then
          validates one row and reads the point's slot *)
       let pt = Share.point t.ring point in
-      (* row lookups stay on the handler thread (cheap, latch-striped);
-         the evaluations fan out across the pool *)
       match
         List.map
           (fun pre ->
@@ -324,7 +318,7 @@ let handle t (request : Protocol.request) : Protocol.response =
             | Some row -> row)
           pres
       with
-      | rows -> Protocol.Values (Pool.map_list t.pool rows ~f:(eval_row t pt))
+      | rows -> Protocol.Values (List.map (eval_row t pt) rows)
       | exception Failure msg -> Protocol.Error_msg msg)
   | Protocol.Shares pres -> (
       match

@@ -25,7 +25,6 @@ val create :
   ?max_cursors:int ->
   ?slow_query_ms:float ->
   ?now:(unit -> float) ->
-  ?workers:int ->
   ?manifest:Secshare_rpc.Protocol.manifest_info ->
   ?numbers:Secshare_store.Node_table.t ->
   Secshare_poly.Ring.t ->
@@ -43,20 +42,16 @@ val create :
     that took at least this many milliseconds: trace id, opcode mix,
     batch/row/byte counts and duration only, never evaluation points,
     node numbers or share values.  [now] is the clock, injectable for
-    tests.  [workers] (default 1 = inline) sizes the {!Pool} of
-    evaluator domains that batch share evaluation fans out over; the
-    cursor table stays behind its own lock, and evaluation happens
-    outside it.  [manifest] (default: the trivial 1-of-1 topology over
-    the table's rows) is what the [Manifest] handshake reports — set it
-    when this server is one shard of a threshold deployment.  Its [p]
-    and [e] are always [ring]'s, whatever [manifest] says. *)
-
-val workers : t -> int
-(** The configured evaluation-pool size (1 = inline). *)
+    tests.  The cursor table stays behind its own lock, and share
+    evaluation happens outside it.  [manifest] (default: the trivial
+    1-of-1 topology over the table's rows) is what the [Manifest]
+    handshake reports — set it when this server is one shard of a
+    threshold deployment.  Its [p] and [e] are always [ring]'s,
+    whatever [manifest] says. *)
 
 val close : t -> unit
-(** Stop and join the evaluation pool.  Idempotent; a closed filter
-    still answers requests (evaluating inline). *)
+(** Evict every open cursor with reason [shutdown].  Idempotent; a
+    closed filter still answers requests. *)
 
 val handler : t -> Secshare_rpc.Protocol.request -> Secshare_rpc.Protocol.response
 (** Total: errors come back as [Error_msg]. *)
@@ -78,7 +73,8 @@ val open_cursors : t -> int
 
 type cursor_stats = Cursor_table.stats = {
   open_cursors : int;
-  evicted_cursors : int;  (** removed by TTL, cap pressure, or connection close *)
+  evicted_cursors : int;
+      (** removed by TTL, cap pressure, connection close or {!close} *)
   expired_cursors : int;  (** the TTL subset of [evicted_cursors] *)
 }
 

@@ -42,7 +42,7 @@ let path_ends_with path ~suffix =
        suffix
 
 (* Normalize an on-disk or pretend path to repo-relative with forward
-   slashes, e.g. "/root/repo/lib/core/pool.ml" -> "lib/core/pool.ml"
+   slashes, e.g. "/src/repo/lib/core/share.ml" -> "lib/core/share.ml"
    when the repo root is a prefix; otherwise returned as-is. *)
 let normalize_path path =
   let path =

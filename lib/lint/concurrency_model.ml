@@ -21,8 +21,8 @@
      copies).  The reason is mandatory.
 
    Inline attributes override this table:
-     [@@guarded_by "pool-queue"]      on a module-level binding
-     [@guarded_by "pool-queue"]       on a record field (after its type)
+     [@@guarded_by "cursor-table"]    on a module-level binding
+     [@guarded_by "cursor-table"]     on a record field (after its type)
      [@@domain_confined "evloop"]  /  [@@atomic_ok "why"]
      [let[@atomic_ok "why"] x = ref ... in ...] on an escaping local
      [@@runs_on "evloop"]             seeds a function's domain. *)
@@ -39,21 +39,12 @@ type guard =
    own domain identity. *)
 let spawn_fns = [ [ "Domain"; "spawn" ]; [ "Thread"; "create" ] ]
 
-(* Pool.map_array/map_list task closures run on worker domains. *)
-let pool_fns = [ [ "Pool"; "map_array" ]; [ "Pool"; "map_list" ] ]
-
-(* Per-file escape points: a closure passed here outlives the call and
-   runs on another executor even though the callee is not a spawn
-   primitive (the pool's task queue). *)
-let escape_fns = [ ("pool.ml", [ "Queue"; "add" ]) ]
-
 (* Files whose [array]/[bytes]-typed record fields join the inventory.
    Everywhere else only ref/Hashtbl/Queue/Buffer/Atomic fields do:
    array payloads in the math layers are immutable by convention and
    never cross an executor. *)
 let strict_container_files =
   [
-    "pool.ml";
     "pager.ml";
     "page.ml";
     "node_table.ml";
@@ -65,17 +56,11 @@ let strict_container_files =
   ]
 
 (* The guarded-by table, keyed (normalized file path, root name).
-   Inline attributes in the showcase files (pool, rpc server, the
-   witness itself) carry their own declarations; everything declared
+   Inline attributes in the showcase files (rpc server, the witness
+   itself) carry their own declarations; everything declared
    here instead keeps the annotation burden off stable code. *)
 let table : ((string * string) * guard) list =
   [
-    (* --- lib/core/pool.ml: the evaluation worker pool -------------- *)
-    (("lib/core/pool.ml", "queue"), Guarded_by "pool-queue");
-    (("lib/core/pool.ml", "closed"), Guarded_by "pool-queue");
-    (("lib/core/pool.ml", "remaining"), Guarded_by "pool-queue");
-    ( ("lib/core/pool.ml", "domains"),
-      Atomic_ok "written once by create before the pool is shared" );
     (* --- lib/rpc/evloop.ml: poll interest set, loop-domain only ---- *)
     (("lib/rpc/evloop.ml", "fds"), Domain_confined "evloop");
     (("lib/rpc/evloop.ml", "events"), Domain_confined "evloop");

@@ -25,7 +25,6 @@ let class_of_site ~file ~lock_name =
   | "node_table.ml", "write_lock" -> Some "table-writer"
   | "cursor_table.ml", ("t" | "lock") -> Some "cursor-table"
   | "server.ml", ("t" | "lock") -> Some "rpc-server-stats"
-  | "pool.ml", "lock" -> Some "pool-queue"
   | "metrics_http.ml", "lock" -> Some "metrics-http"
   | "pager.ml", "meta" -> Some "pager-meta"
   | "pager.ml", ("latch" | "stripe") -> Some "pager-stripe"

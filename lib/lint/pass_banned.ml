@@ -13,9 +13,9 @@
      function whose name ends in [_locked] (the called-with-lock-held
      convention).
    - [Thread.create] anywhere under lib/rpc: the RPC layer is
-     event-driven (one loop domain + the eval pool); spawning ad-hoc
-     threads there reintroduces the per-connection-thread model the
-     event loop replaced.
+     event-driven (one loop domain); spawning ad-hoc threads there
+     reintroduces the per-connection-thread model the event loop
+     replaced.
    - [Thread.create] anywhere under lib/shard: the router serves
      every connection from the RPC event loop and fans shard calls
      out synchronously per request; spawning threads there would
@@ -40,7 +40,6 @@ let concurrent_files =
   [
     "lib/core/server_filter.ml";
     "lib/core/cursor_table.ml";
-    "lib/core/pool.ml";
     "lib/store/pager.ml";
     "lib/obs/trace.ml";
     "lib/obs/registry.ml";
@@ -168,8 +167,8 @@ let run (source : Lint_source.t) : Finding.t list =
             finding ~loc:e.pexp_loc ~severity:Finding.Error ~rule:"banned/thread-in-rpc"
               ~allow_key:"thread-in-rpc"
               "Thread.create inside lib/rpc: the RPC layer is event-driven; put \
-               the work on the event loop or the eval pool instead of spawning a \
-               thread per connection"
+               the work on the event loop instead of spawning a thread per \
+               connection"
         | ([ "Thread"; "create" ] | [ "Stdlib"; "Thread"; "create" ]) when in_shard ->
             finding ~loc:e.pexp_loc ~severity:Finding.Error
               ~rule:"banned/thread-in-shard" ~allow_key:"thread-in-shard"

@@ -1,8 +1,8 @@
 (* Lock-order: within the concurrent subtrees of lib/, nested
    acquisitions must follow the declared partial order (sites mapped in
    [Lock_table], ranks in [Race_check.lock_order]; DESIGN.md §10: meta
-   -> stripe -> io, with the cursor table, table writer and pool queue
-   as outer classes and the observability locks as leaves), and every
+   -> stripe -> io, with the cursor table and table writer as outer
+   classes and the observability locks as leaves), and every
    lock site must be declared.
 
    The analysis is lexical ([Lock_table.region]): [with_lock m (fun ()
@@ -90,7 +90,7 @@ let run (source : Lint_source.t) : Finding.t list =
                   finding ~loc ~rule:"lock-order/inversion" ~allow_key:"lock-order"
                     (Printf.sprintf
                        "acquires %s (rank %d) while holding %s (rank %d); declared \
-                        order is table-writer/cursor-table/pool-queue -> meta -> \
+                        order is table-writer/cursor-table -> meta -> \
                         stripe -> io"
                        k.Lock_table.class_name k.Lock_table.rank
                        top.Lock_table.class_name top.Lock_table.rank)

@@ -7,7 +7,7 @@
    mutable bindings that escape into spawned closures — and records
    every access with its lexical lockset (the [with_lock]/[Mutex.lock]
    discipline of [Pass_lock_order]) and executor context (closures
-   passed to Domain.spawn/Thread.create/Pool.map_* run elsewhere).
+   passed to Domain.spawn/Thread.create run elsewhere).
 
    Phase 2 (whole program) resolves calls across files, then runs two
    fixpoints: a callee's *entry lockset* is the intersection over all
@@ -205,14 +205,6 @@ let mutator_arg path =
 let is_spawn path =
   List.exists (fun p -> Ast_util.path_ends_with path ~suffix:p) Concurrency_model.spawn_fns
 
-let is_pool_fanout path =
-  List.exists (fun p -> Ast_util.path_ends_with path ~suffix:p) Concurrency_model.pool_fns
-
-let is_escape ~base path =
-  List.exists
-    (fun (b, p) -> String.equal b base && Ast_util.path_ends_with path ~suffix:p)
-    Concurrency_model.escape_fns
-
 (* --- per-file analysis -------------------------------------------- *)
 
 let analyze_file (source : Lint_source.t) : file_info =
@@ -354,14 +346,12 @@ let analyze_file (source : Lint_source.t) : file_info =
     | Pexp_apply (fn, args) -> (
         match Ast_util.ident_path fn with
         | Some path ->
-            let spawnish = is_spawn path || is_pool_fanout path in
-            let escapish = is_escape ~base:fi.fi_base path in
-            if spawnish || escapish then begin
+            if is_spawn path then begin
               List.iter (fun (_, a) -> mark_escapes a) args;
               List.iter
                 (fun ((_ : Asttypes.arg_label), a) ->
                   match (strip_constraint a).pexp_desc with
-                  | Pexp_fun _ | Pexp_function _ when spawnish ->
+                  | Pexp_fun _ | Pexp_function _ ->
                       (* the closure runs on another executor: fresh
                          lockset, its own domain *)
                       let dom = spawn_domain ~loc:e.pexp_loc a in
@@ -378,7 +368,7 @@ let analyze_file (source : Lint_source.t) : file_info =
                           held := saved_held)
                         (fun () -> visit it a)
                   | Pexp_ident { txt = Longident.Lident f; _ }
-                    when spawnish && SS.mem f fi.fi_defined ->
+                    when SS.mem f fi.fi_defined ->
                       let line, _ = Ast_util.line_col e.pexp_loc in
                       fi.fi_spawns <-
                         (f, Printf.sprintf "spawn:%s:%d" fi.fi_base line)

@@ -44,7 +44,6 @@ let lock_order =
     ("table-writer", 10);
     ("cursor-table", 12);
     ("rpc-server-stats", 13);
-    ("pool-queue", 15);
     ("metrics-http", 17);
     ("pager-meta", 20);
     ("pager-stripe", 30);

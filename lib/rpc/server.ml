@@ -488,9 +488,8 @@ let start_sessions ?send_timeout ~path ~session () =
   Evloop.add t.evloop t.listen_fd ~read:true ~write:false;
   Evloop.add t.evloop t.wake_r ~read:true ~write:false;
   (* the loop gets its own domain (not a thread: ssdb_lint bans
-     Thread.create in lib/rpc) -- handlers run inline on it, and
-     evaluation parallelism comes from the core Pool, whose map calls
-     from the loop domain steal work like any caller *)
+     Thread.create in lib/rpc) -- handlers, share evaluation
+     included, run inline on it *)
   t.loop_domain := Some (Domain.spawn (fun () -> run_loop t));
   t
 

@@ -2,9 +2,9 @@
     the "big server" side of the paper's architecture (figure 3).
 
     One loop domain multiplexes every connection over [poll(2)]
-    ({!Evloop}); request handlers run inline on the loop and fan
-    evaluation work out through the server filter's pool, so
-    connection count is bounded by descriptors, not threads.  The
+    ({!Evloop}); request handlers, share evaluation included, run
+    inline on the loop, so connection count is bounded by
+    descriptors, not threads.  The
     server keeps per-connection accounting, backs off instead of
     spinning when [accept] fails persistently (e.g. EMFILE), and
     {!stop} performs a graceful drain: stop accepting, flush in-flight

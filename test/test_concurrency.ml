@@ -1,7 +1,6 @@
 (* Concurrent query serving: many clients against one served database,
-   parallel server-side evaluation workers, and the client's
-   share-regeneration cache — all asserted equal to the plaintext
-   reference and to each other. *)
+   and the client's share-regeneration cache — all asserted equal to
+   the plaintext reference and to each other. *)
 
 module DB = Secshare_core.Database
 module QC = Secshare_core.Query_common
@@ -32,7 +31,7 @@ let reference_pres doc q =
 
 let test_concurrent_clients_match_reference () =
   let doc = Lazy.force xmark_doc in
-  let db = db_with { DB.default_client_config with workers = 2 } doc in
+  let db = db_with DB.default_client_config doc in
   let expected = List.map (fun q -> (q, reference_pres doc q)) queries in
   let path = Filename.temp_file "ssdb-conc" ".sock" in
   Sys.remove path;
@@ -68,32 +67,6 @@ let test_concurrent_clients_match_reference () =
     (Atomic.get failures);
   check Alcotest.int "no cursors leaked" 0 (DB.open_cursors db);
   DB.close db
-
-(* --- worker-pool equivalence: 1 worker = 4 workers, bit for bit ----- *)
-
-let test_workers_do_not_change_answers () =
-  let doc = Lazy.force xmark_doc in
-  let solo = db_with { DB.default_client_config with workers = 1 } doc in
-  let pooled = db_with { DB.default_client_config with workers = 4 } doc in
-  Fun.protect
-    ~finally:(fun () ->
-      DB.close solo;
-      DB.close pooled)
-    (fun () ->
-      check Alcotest.int "pool size" 4 (DB.workers pooled);
-      List.iter
-        (fun q ->
-          List.iter
-            (fun (engine, strictness) ->
-              let a = Test_support.must_query ~engine ~strictness solo q in
-              let b = Test_support.must_query ~engine ~strictness pooled q in
-              check
-                Alcotest.(list int)
-                (Printf.sprintf "%s identical across pool sizes" q)
-                (Test_support.pres_of_metas (DB.result_nodes a))
-                (Test_support.pres_of_metas (DB.result_nodes b)))
-            [ (DB.Simple, QC.Non_strict); (DB.Advanced, QC.Non_strict); (DB.Advanced, QC.Strict) ])
-        queries)
 
 (* --- share cache: on = off, and repeats actually hit ---------------- *)
 
@@ -343,7 +316,9 @@ let test_cursor_table_concurrent_cap () =
 (* --- the lockset witness: real traffic silent, seeded race fires ---- *)
 
 module Race_check = Secshare_obs.Race_check
-module Pool = Secshare_core.Pool
+module Server_filter = Secshare_core.Server_filter
+module Transport = Secshare_rpc.Transport
+module Protocol = Secshare_rpc.Protocol
 
 let with_witness f =
   let was = Race_check.enabled () in
@@ -355,29 +330,77 @@ let with_witness f =
       Race_check.set_enabled was)
     f
 
-(* Under SSDB_RACE_CHECK=1 every hook in pool/pager/server has been
+(* Under SSDB_RACE_CHECK=1 every hook in pager/cursor-table/server has been
    live since the process started; whatever the suites above did must
    not have produced a report. *)
 let test_witness_suite_silent () =
   check Alcotest.(list string) "no reports from the suites above" []
     (Race_check.reports ())
 
-let test_witness_silent_on_pool_traffic () =
+(* 4 domains query one local handle's server half at once, each through
+   its own client (a client filter and its share cache belong to one
+   caller), then page through the whole table on a session of their
+   own.  The paged scans register cursors, and every row read goes
+   through the pager's latches. *)
+let test_witness_silent_on_local_traffic () =
+  let doc = Lazy.force xmark_doc in
+  let db = db_with DB.default_client_config doc in
+  let server = Server_filter.create (DB.ring db) (DB.table db) in
+  let expected = List.map (fun q -> (q, reference_pres doc q)) queries in
+  let failures = Atomic.make 0 in
+  let paged_scan () =
+    let on_request, on_close = Server_filter.connection server in
+    let rec drain seen = function
+      | Protocol.Scan_batch { rows; cursor = None } -> seen + List.length rows
+      | Protocol.Scan_batch { rows; cursor = Some cursor } ->
+          drain (seen + List.length rows)
+            (on_request (Protocol.Scan_next { cursor; max_items = 16 }))
+      | _ -> -1
+    in
+    let target = Protocol.Pre_ranges [ (1, max_int) ] in
+    let first = on_request (Protocol.Scan_eval { target; points = []; max_items = 16 }) in
+    let seen = drain 0 first in
+    on_close ();
+    seen
+  in
+  let all_rows = paged_scan () in
+  let client () =
+    if paged_scan () <> all_rows then Atomic.incr failures;
+    match
+      DB.of_transport ~p:83 ~e:1 ~mapping:(DB.mapping db) ~seed:(DB.seed db)
+        (Transport.local ~handler:(Server_filter.handler server))
+    with
+    | Error _ -> Atomic.incr failures
+    | Ok session ->
+        Fun.protect
+          ~finally:(fun () -> DB.close session)
+          (fun () ->
+            List.iter
+              (fun (q, want) ->
+                match DB.query ~engine:DB.Advanced ~strictness:QC.Strict session q with
+                | Ok r when Test_support.pres_of_metas (DB.result_nodes r) = want -> ()
+                | _ -> Atomic.incr failures)
+              expected)
+  in
+  let opened = Secshare_obs.Registry.counter "ssdb_server_cursors_opened_total" in
+  let opened0 = Secshare_obs.Registry.counter_value opened in
   with_witness (fun () ->
-      let pool = Pool.create ~workers:4 () in
-      let doubled = Pool.map_array pool (Array.init 512 Fun.id) ~f:(fun x -> x * 2) in
-      Pool.close pool;
-      check Alcotest.int "pool math still right" 1022 doubled.(511);
-      check Alcotest.(list string) "witness stayed silent" [] (Race_check.reports ()))
+      List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn client));
+      check Alcotest.(list string) "witness stayed silent" [] (Race_check.reports ()));
+  check Alcotest.bool "scans registered cursors" true
+    (Secshare_obs.Registry.counter_value opened > opened0);
+  check Alcotest.int "every query matched the reference" 0 (Atomic.get failures);
+  check Alcotest.int "no cursors leaked" 0 (Server_filter.open_cursors server);
+  DB.close db
 
 (* Quarantined: the deliberately seeded race runs against its own root
    name and the report list is drained before the witness state is
    restored, so nothing leaks into other tests. *)
 let test_witness_flags_seeded_race () =
   with_witness (fun () ->
-      Race_check.acquired "pool-queue";
+      Race_check.acquired "cursor-table";
       Race_check.access ~write:true "seeded.root";
-      Race_check.released "pool-queue";
+      Race_check.released "cursor-table";
       Domain.join (Domain.spawn (fun () -> Race_check.access ~write:true "seeded.root"));
       match Race_check.reports () with
       | [] -> Alcotest.fail "seeded race produced no report"
@@ -392,8 +415,6 @@ let () =
         [
           Alcotest.test_case "N clients x M queries = reference, no leaks" `Slow
             test_concurrent_clients_match_reference;
-          Alcotest.test_case "workers do not change answers" `Slow
-            test_workers_do_not_change_answers;
         ] );
       ( "share cache",
         [
@@ -416,8 +437,8 @@ let () =
         [
           Alcotest.test_case "suites above left no reports" `Quick
             test_witness_suite_silent;
-          Alcotest.test_case "pool traffic leaves no reports" `Quick
-            test_witness_silent_on_pool_traffic;
+          Alcotest.test_case "local traffic leaves no reports" `Quick
+            test_witness_silent_on_local_traffic;
           Alcotest.test_case "seeded race fires (quarantined)" `Quick
             test_witness_flags_seeded_race;
         ] );

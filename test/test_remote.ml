@@ -233,6 +233,36 @@ let test_cursor_cap_evicts_lru () =
   let stats = Server_filter.cursor_stats filter in
   check Alcotest.int "one cap eviction" 1 stats.Server_filter.evicted_cursors
 
+(* Closing the filter — what [Database.close] does to a local handle —
+   evicts the cursors nobody drained, as shutdown, and lowers the
+   process-wide open-cursor gauge with them. *)
+let test_close_evicts_cursors () =
+  let module Registry = Secshare_obs.Registry in
+  let doc = Secshare_xmark.Generate.generate ~factor:0.2 () in
+  let config = { DB.default_config with seed = Some Test_support.test_seed } in
+  let db = match DB.create_tree ~config doc with Ok db -> db | Error e -> failwith e in
+  let filter = Server_filter.create (DB.ring db) (DB.table db) in
+  let gauge = Registry.gauge "ssdb_server_open_cursors" in
+  let shutdowns =
+    Registry.counter ~labels:[ ("reason", "shutdown") ]
+      "ssdb_server_cursor_evictions_total"
+  in
+  let gauge0 = Registry.gauge_value gauge in
+  let shutdowns0 = Registry.counter_value shutdowns in
+  let handler = Server_filter.handler filter in
+  (match handler (subtree_scan ~max_items:1 (root_of handler)) with
+  | Protocol.Scan_batch { cursor = Some _; _ } -> ()
+  | r -> Alcotest.failf "expected a cursor: %a" Protocol.pp_response r);
+  check Alcotest.int "cursor open" 1 (Server_filter.open_cursors filter);
+  Server_filter.close filter;
+  check Alcotest.int "none left" 0 (Server_filter.open_cursors filter);
+  check Alcotest.int "one shutdown eviction" 1
+    (Registry.counter_value shutdowns - shutdowns0);
+  check Alcotest.int "gauge back where it started" gauge0 (Registry.gauge_value gauge);
+  check Alcotest.bool "a closed filter still answers" true
+    (handler Protocol.Ping = Protocol.Pong);
+  DB.close db
+
 let test_sessions_own_their_cursors () =
   (* Cursor ids are sequential and process-wide, so a second session
      can name the first one's cursor.  It must get exactly the reply an
@@ -665,6 +695,7 @@ let () =
           Alcotest.test_case "drain evicts cursors" `Quick test_drain_evicts_cursors;
           Alcotest.test_case "cursor ttl eviction" `Quick test_cursor_ttl_eviction;
           Alcotest.test_case "cursor cap evicts lru" `Quick test_cursor_cap_evicts_lru;
+          Alcotest.test_case "close evicts open cursors" `Quick test_close_evicts_cursors;
           Alcotest.test_case "sessions own their cursors" `Quick
             test_sessions_own_their_cursors;
           Alcotest.test_case "session recovers across restart" `Quick
