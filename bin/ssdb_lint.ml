@@ -2,8 +2,8 @@
 
    Parses every .ml under the given paths and runs the pass registry:
    secret-flow (no share/seed/poly/tag material into logs, error
-   strings or metric labels), lock-order (declared meta -> stripe ->
-   io partial order), banned-API (Stdlib.Random, Obj.magic,
+   strings or metric labels), lock-order (the ranks declared in
+   Race_check.lock_order), banned-API (Stdlib.Random, Obj.magic,
    polymorphic compare on polynomials, unguarded Hashtbl mutation in
    concurrent modules), accounting discipline (single cursor removal
    path, Metrics merged only via Metrics.add) and races (whole-program

@@ -240,9 +240,9 @@ let handle t (request : Protocol.request) : Protocol.response =
         }
       in
       (* The scan is still private (no cursor registered), and table
-         reads are latch-striped, so both the row collection and the
-         evaluation run without the cursor lock; only cursor
-         registration takes it. *)
+         reads take only the pager's own latch, so both the row
+         collection and the evaluation run without the cursor lock;
+         only cursor registration takes it. *)
       let rows_raw, done_ = scan_collect t scan ~max_items:(max 1 max_items) in
       let rows = eval_rows t scan rows_raw in
       let bytes = batch_bytes rows in

@@ -114,19 +114,19 @@ let table : ((string * string) * guard) list =
     (("lib/store/page.ml", "free_off"), Guarded_writes "table-writer");
     ( ("lib/store/page.ml", "share"),
       Atomic_ok "row payloads are written once at insert and immutable after" );
-    (* --- lib/store/pager.ml: striped page cache -------------------- *)
-    (("lib/store/pager.ml", "cache"), Guarded_by "pager-stripe");
-    (("lib/store/pager.ml", "clock"), Guarded_by "pager-stripe");
-    (("lib/store/pager.ml", "hits"), Guarded_by "pager-stripe");
-    (("lib/store/pager.ml", "misses"), Guarded_by "pager-stripe");
-    (("lib/store/pager.ml", "evictions"), Guarded_by "pager-stripe");
-    (("lib/store/pager.ml", "dirty"), Guarded_by "pager-stripe");
-    (("lib/store/pager.ml", "last_used"), Guarded_by "pager-stripe");
-    (("lib/store/pager.ml", "npages"), Guarded_by "pager-meta");
-    ( ("lib/store/pager.ml", "stripes"),
-      Atomic_ok "stripe array is built by create and never replaced" );
+    (* --- lib/store/pager.ml: the buffer pool, one latch ------------ *)
+    (("lib/store/pager.ml", "cache"), Guarded_by "pager-latch");
+    (("lib/store/pager.ml", "clock"), Guarded_by "pager-latch");
+    (("lib/store/pager.ml", "hits"), Guarded_by "pager-latch");
+    (("lib/store/pager.ml", "misses"), Guarded_by "pager-latch");
+    (("lib/store/pager.ml", "evictions"), Guarded_by "pager-latch");
+    (("lib/store/pager.ml", "dirty"), Guarded_by "pager-latch");
+    (("lib/store/pager.ml", "last_used"), Guarded_by "pager-latch");
+    (("lib/store/pager.ml", "npages"), Guarded_by "pager-latch");
     ( ("lib/store/pager.ml", "barrier"),
-      Atomic_ok "checkpoint quiesce counter; transitions happen under meta" );
+      Atomic_ok
+        "set only by Node_table.create_file/open_file (attach_wal, and the recovery \
+         path's detach) before the table is returned" );
     (* --- lib/store/wal.ml: append path serialised on the fd -------- *)
     (("lib/store/wal.ml", "entries"), Guarded_by "wal-append");
     (("lib/store/wal.ml", "lsn"), Guarded_by "wal-append");

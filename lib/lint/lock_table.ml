@@ -26,8 +26,7 @@ let class_of_site ~file ~lock_name =
   | "cursor_table.ml", ("t" | "lock") -> Some "cursor-table"
   | "server.ml", ("t" | "lock") -> Some "rpc-server-stats"
   | "metrics_http.ml", "lock" -> Some "metrics-http"
-  | "pager.ml", "meta" -> Some "pager-meta"
-  | "pager.ml", ("latch" | "stripe") -> Some "pager-stripe"
+  | "pager.ml", "latch" -> Some "pager-latch"
   | "wal.ml", "lock" -> Some "wal-append"
   | "pager.ml", "io" -> Some "pager-io"
   | "trace.ml", "ambient_lock" -> Some "trace-ambient"
@@ -56,8 +55,8 @@ let in_scope path =
     (fun prefix -> Ast_util.path_has_prefix path ~prefix)
     [ "lib/store/"; "lib/core/"; "lib/rpc/"; "lib/obs/"; "lib/shard/" ]
 
-(* Last identifier of a lock expression: [st.meta] -> "meta",
-   [stripe.latch] -> "latch", [t] -> "t". *)
+(* Last identifier of a lock expression: [st.latch] -> "latch",
+   [t] -> "t". *)
 let lock_name_of expr =
   match expr.pexp_desc with
   | Pexp_field (_, lid) -> Some (Ast_util.field_last lid)

@@ -1,9 +1,7 @@
 (* Lock-order: within the concurrent subtrees of lib/, nested
    acquisitions must follow the declared partial order (sites mapped in
-   [Lock_table], ranks in [Race_check.lock_order]; DESIGN.md §10: meta
-   -> stripe -> io, with the cursor table and table writer as outer
-   classes and the observability locks as leaves), and every
-   lock site must be declared.
+   [Lock_table], ranks in [Race_check.lock_order], the one rank table;
+   DESIGN.md §16), and every lock site must be declared.
 
    The analysis is lexical ([Lock_table.region]): [with_lock m (fun ()
    -> ...)] holds the lock for the wrapped closure, [Mutex.lock m]
@@ -89,9 +87,9 @@ let run (source : Lint_source.t) : Finding.t list =
               | top :: _ when top.Lock_table.rank >= k.Lock_table.rank ->
                   finding ~loc ~rule:"lock-order/inversion" ~allow_key:"lock-order"
                     (Printf.sprintf
-                       "acquires %s (rank %d) while holding %s (rank %d); declared \
-                        order is table-writer/cursor-table -> meta -> \
-                        stripe -> io"
+                       "acquires %s (rank %d) while holding %s (rank %d); a lock \
+                        may only be taken under strictly lower ranks (see \
+                        Race_check.lock_order)"
                        k.Lock_table.class_name k.Lock_table.rank
                        top.Lock_table.class_name top.Lock_table.rank)
               | _ -> ());

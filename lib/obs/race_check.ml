@@ -23,13 +23,7 @@
    An executor is a (domain, thread) pair, so Thread.t threads inside
    one domain are distinguished from parallel domains.  Race reports
    accumulate; [reports] returns them and the test suites assert the
-   list stays empty (and that a deliberately seeded race fills it).
-
-   Known limitation, documented in DESIGN.md §16: Pager's per-stripe
-   latches are reported under one merged class name, so holding the
-   *wrong* stripe still satisfies the lockset check.  The static pass
-   has the same granularity; both are conservative in the
-   non-reporting direction. *)
+   list stays empty (and that a deliberately seeded race fills it). *)
 
 module SS = Set.Make (String)
 
@@ -45,8 +39,7 @@ let lock_order =
     ("cursor-table", 12);
     ("rpc-server-stats", 13);
     ("metrics-http", 17);
-    ("pager-meta", 20);
-    ("pager-stripe", 30);
+    ("pager-latch", 30);
     ("wal-append", 35);
     ("pager-io", 40);
     ("trace-ambient", 44);

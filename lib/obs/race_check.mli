@@ -12,8 +12,8 @@
 
     - Order: {!acquired} raises [Failure] when the class is undeclared
       or its rank is not strictly above the innermost class the calling
-      executor holds (so two locks of one class, such as two pager
-      stripes, are refused too).  The check runs before the caller
+      executor holds (so re-taking a held class, such as the pager
+      latch, is refused too).  The check runs before the caller
       blocks on the mutex, and a refused acquisition is not recorded,
       so nothing is left held.
     - Races: a root written by two executors that share no lock class

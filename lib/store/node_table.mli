@@ -23,10 +23,11 @@
     rows land, so both numbers are bounded by {!max_pre}.
 
     {b Concurrency.}  The read paths ([find_by_pre], [children],
-    [scan_range], [fold_descendants], …) take no latches: they read
-    the columns and fetch rows through the pager's striped buffer-pool
-    latches, so any number of sessions can scan one table in
-    parallel.  Writes are serialised by an internal writer lock, but
+    [scan_range], [fold_descendants], …) take no lock of their own:
+    they read the columns without one and fetch rows through the
+    pager, whose one buffer-pool latch each row read takes, so any
+    number of sessions can scan one table at once (a file-backed
+    table's row reads take turns on that latch).  Writes are serialised by an internal writer lock, but
     an insert may replace the chunk directory while it grows it — the
     supported discipline is the serving lifecycle: load/encode first
     (single writer, or [insert] calls from several threads), then
@@ -58,7 +59,8 @@ val create_file :
     before being acknowledged, and every dirty page image is logged
     and fsynced before it overwrites the heap file (torn-write
     protection); [flush]/[close] checkpoint — heap pages written, heap
-    fd fsynced, {e then} the log truncated.  [checkpoint_every:n]
+    fd fsynced, {e then} the log truncated.  The buffer pool holds
+    [max 1 cache_pages] pages (default 256).  [checkpoint_every:n]
     additionally checkpoints automatically after every [n] inserts,
     bounding log growth and recovery time. *)
 
@@ -87,7 +89,8 @@ val open_file :
     replayed.  [durable]/[checkpoint_every] select the same durable
     write path as [create_file] (a table created without [durable] is
     adopted: a fresh log is started for it); without [durable] the log
-    is detached again once recovery completes.  No file descriptor is
+    is detached again once recovery completes.  [cache_pages] sizes
+    the buffer pool as in [create_file].  No file descriptor is
     leaked on any error path. *)
 
 val recovery_stats : t -> recovery_stats option

@@ -26,28 +26,17 @@ type open_error = Unreadable of string | Retired of string
 
 type cache_entry = { page : Page.t; mutable dirty : bool; mutable last_used : int }
 
-(* One latch stripe of the buffer pool: its own hash table, LRU clock
-   and counters, guarded by its own mutex.  A page always hashes to
-   the same stripe, so two sessions faulting different pages contend
-   only when the pages share a stripe.  Eviction is per-stripe (each
-   stripe gets an equal slice of the [cache_pages] budget), which
-   keeps the latch hold time bounded by the stripe size. *)
-type stripe = {
+type file_state = {
+  fd : Unix.file_descr;
+  latch : Mutex.t;  (** guards the buffer pool and [npages] *)
+  io : Mutex.t;  (** serialises lseek+read/write pairs on the shared fd *)
+  capacity : int;  (** max resident pages *)
   cache : (int, cache_entry) Hashtbl.t;
-  latch : Mutex.t;
-  capacity : int;  (** max resident entries in this stripe *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-}
-
-type file_state = {
-  fd : Unix.file_descr;
-  io : Mutex.t;  (** serialises lseek+read/write pairs on the shared fd *)
-  meta : Mutex.t;  (** guards [npages] (the file-growth frontier) *)
-  mutable npages : int;
-  stripes : stripe array;
+  mutable npages : int;  (** the file-growth frontier *)
   mutable barrier : ((int * bytes) list -> unit) option;
       (** write-ahead hook: called with the exact serialized images
           about to be written to the heap file, before any of them is.
@@ -58,40 +47,11 @@ type file_state = {
 type backing = Memory of Page.t array ref * int ref | File of file_state
 type t = { psize : int; backing : backing }
 
-(* Lock order (never acquire upward): meta -> stripe latch -> io.
-   ssdb_lint's lock-order pass checks this lexically at every
-   acquisition site; [with_lock] reports each acquisition to the
-   runtime witness (SSDB_RACE_CHECK=1), which checks the declared ranks
-   across function boundaries the static pass cannot see. *)
-
-(* Power-of-two stripe count scaled to the budget (at least 4 resident
-   pages per stripe, at most 8 stripes), so a tiny cache keeps the
-   configured total capacity instead of being rounded up per stripe. *)
-let stripe_count_for cache_pages =
-  let rec fit n = if n < 8 && n * 8 <= cache_pages then fit (n * 2) else n in
-  fit 1
-
-let make_stripes cache_pages =
-  let count = stripe_count_for cache_pages in
-  let capacity = max 1 (cache_pages / count) in
-  Array.init count (fun _ ->
-      {
-        cache = Hashtbl.create 16;
-        latch = Mutex.create ();
-        capacity;
-        clock = 0;
-        hits = 0;
-        misses = 0;
-        evictions = 0;
-      })
-
-let stripe_of st idx = st.stripes.(idx land (Array.length st.stripes - 1))
-
-(* [cls] is the lock's witness class.  All stripe latches report as
-   one merged "pager-stripe" class, so taking a second stripe while
-   holding one is refused as a re-entry, and holding the wrong stripe
-   still satisfies the lockset check; DESIGN.md §16 records the
-   limitation. *)
+(* Lock order (never acquire upward): latch -> io.  ssdb_lint's
+   lock-order pass checks this lexically at every acquisition site;
+   [with_lock] reports each acquisition to the runtime witness
+   (SSDB_RACE_CHECK=1) under its class [cls], which checks the declared
+   ranks across function boundaries the static pass cannot see. *)
 let with_lock ~cls m f =
   Obs.Race_check.acquired cls;
   Mutex.lock m;
@@ -120,10 +80,15 @@ let write_header fd psize npages =
 let make_file_state fd npages cache_pages =
   {
     fd;
+    latch = Mutex.create ();
     io = Mutex.create ();
-    meta = Mutex.create ();
+    capacity = max 1 cache_pages;
+    cache = Hashtbl.create 64;
+    clock = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
     npages;
-    stripes = make_stripes (max 4 cache_pages);
     barrier = None;
   }
 
@@ -173,7 +138,7 @@ let open_file ?(cache_pages = 256) ?(recovery = false) path =
 let page_count t =
   match t.backing with
   | Memory (_, used) -> !used
-  | File st -> with_lock ~cls:"pager-meta" st.meta (fun () -> st.npages)
+  | File st -> with_lock ~cls:"pager-latch" st.latch (fun () -> st.npages)
 
 let write_image_at st psize idx image =
   with_lock ~cls:"pager-io" st.io (fun () ->
@@ -193,16 +158,16 @@ let read_page_at st psize idx =
   | Error msg -> failwith (Printf.sprintf "Pager: page %d corrupt: %s" idx msg)
 
 (* The _locked suffix is the called-with-lock-held convention ssdb_lint
-   enforces: the caller owns the stripe latch. *)
-let evict_locked st stripe psize =
-  while Hashtbl.length stripe.cache >= stripe.capacity do
+   enforces: the caller owns the latch. *)
+let evict_locked st psize =
+  while Hashtbl.length st.cache >= st.capacity do
     let victim = ref None in
     Hashtbl.iter
       (fun idx entry ->
         match !victim with
         | Some (_, best) when best.last_used <= entry.last_used -> ()
         | _ -> victim := Some (idx, entry))
-      stripe.cache;
+      st.cache;
     match !victim with
     | None -> failwith "Pager: cannot evict from an empty cache"
     | Some (idx, entry) ->
@@ -210,20 +175,19 @@ let evict_locked st stripe psize =
           (* log-before-write: the exact image about to overwrite the
              heap page is WAL-logged and fsynced first (the barrier
              does both), so a crash that tears this write is repaired
-             by redo on the next open.  The barrier runs under this
-             stripe's latch — unlike flush, which batches images and
-             runs it latch-free — so a dirty eviction stalls same-
-             stripe cache misses behind the log fsync; acceptable
-             because dirty evictions are rare under a sane cache
-             budget, and the alternative (dropping the latch around
-             the write) would let a concurrent mark_dirty on the
-             victim be lost. *)
+             by redo on the next open.  The barrier runs under the
+             latch — unlike flush, which batches images and runs it
+             latch-free — so a dirty eviction stalls every cache read
+             behind the log fsync; acceptable because dirty evictions
+             are rare under a sane cache budget, and the alternative
+             (dropping the latch around the write) would let a
+             concurrent mark_dirty on the victim be lost. *)
           let image = Page.serialize entry.page in
           (match st.barrier with Some log -> log [ (idx, image) ] | None -> ());
           write_image_at st psize idx image
         end;
-        Hashtbl.remove stripe.cache idx;
-        stripe.evictions <- stripe.evictions + 1
+        Hashtbl.remove st.cache idx;
+        st.evictions <- st.evictions + 1
   done
 
 let append t page =
@@ -239,71 +203,63 @@ let append t page =
       incr used;
       !used - 1
   | File st ->
-      let idx =
-        with_lock ~cls:"pager-meta" st.meta (fun () ->
-            let idx = st.npages in
-            st.npages <- st.npages + 1;
-            idx)
-      in
-      let stripe = stripe_of st idx in
-      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
-          evict_locked st stripe t.psize;
-          stripe.clock <- stripe.clock + 1;
+      with_lock ~cls:"pager-latch" st.latch (fun () ->
+          let idx = st.npages in
+          st.npages <- st.npages + 1;
+          evict_locked st t.psize;
+          st.clock <- st.clock + 1;
           Obs.Race_check.access ~write:true "pager.cache";
-          Hashtbl.replace stripe.cache idx
-            { page; dirty = true; last_used = stripe.clock });
-      idx
+          Hashtbl.replace st.cache idx { page; dirty = true; last_used = st.clock };
+          idx)
+
+let out_of_range idx count =
+  invalid_arg (Printf.sprintf "Pager.get: page %d out of [0, %d)" idx count)
 
 let get t idx =
-  if idx < 0 || idx >= page_count t then
-    invalid_arg (Printf.sprintf "Pager.get: page %d out of [0, %d)" idx (page_count t));
   match t.backing with
-  | Memory (pages, _) -> !pages.(idx)
+  | Memory (pages, used) ->
+      if idx < 0 || idx >= !used then out_of_range idx !used;
+      !pages.(idx)
   | File st ->
-      let stripe = stripe_of st idx in
-      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
-          stripe.clock <- stripe.clock + 1;
-          Obs.Race_check.access "pager.cache";
-          match Hashtbl.find_opt stripe.cache idx with
+      with_lock ~cls:"pager-latch" st.latch (fun () ->
+          if idx < 0 || idx >= st.npages then out_of_range idx st.npages;
+          st.clock <- st.clock + 1;
+          (* a write: even a hit advances the clock and the counters *)
+          Obs.Race_check.access ~write:true "pager.cache";
+          match Hashtbl.find_opt st.cache idx with
           | Some entry ->
-              entry.last_used <- stripe.clock;
-              stripe.hits <- stripe.hits + 1;
+              entry.last_used <- st.clock;
+              st.hits <- st.hits + 1;
               entry.page
           | None ->
-              (* The disk read happens under the stripe latch: it blocks
-                 only this stripe, and guarantees a page is faulted in
-                 exactly once even when several sessions miss on it
-                 simultaneously. *)
-              stripe.misses <- stripe.misses + 1;
+              (* The disk read happens under the latch, so a page is
+                 faulted in exactly once even when several sessions
+                 miss on it at once. *)
+              st.misses <- st.misses + 1;
               let page = read_page_at st t.psize idx in
-              evict_locked st stripe t.psize;
-              Hashtbl.replace stripe.cache idx
-                { page; dirty = false; last_used = stripe.clock };
+              evict_locked st t.psize;
+              Hashtbl.replace st.cache idx { page; dirty = false; last_used = st.clock };
               page)
 
 let mark_dirty t idx =
   match t.backing with
   | Memory _ -> ()
-  | File st -> (
-      let stripe = stripe_of st idx in
-      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
-          match Hashtbl.find_opt stripe.cache idx with
+  | File st ->
+      with_lock ~cls:"pager-latch" st.latch (fun () ->
+          match Hashtbl.find_opt st.cache idx with
           | Some entry -> entry.dirty <- true
-          | None -> ()))
+          | None -> ())
 
-(* Serialized snapshots of every dirty page, taken under the stripe
-   latches.  These exact images are what the barrier logs and what the
-   write phase puts on disk, so the logged redo image always matches
-   the heap write it protects. *)
+(* Serialized snapshots of every dirty page, taken under the latch.
+   These exact images are what the barrier logs and what the write
+   phase puts on disk, so the logged redo image always matches the
+   heap write it protects. *)
 let dirty_images st =
-  Array.fold_left
-    (fun acc stripe ->
-      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
-          Hashtbl.fold
-            (fun idx entry acc ->
-              if entry.dirty then (idx, Page.serialize entry.page) :: acc else acc)
-            stripe.cache acc))
-    [] st.stripes
+  with_lock ~cls:"pager-latch" st.latch (fun () ->
+      Hashtbl.fold
+        (fun idx entry acc ->
+          if entry.dirty then (idx, Page.serialize entry.page) :: acc else acc)
+        st.cache [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let flush t =
@@ -311,21 +267,19 @@ let flush t =
   | Memory _ -> ()
   | File st ->
       let images = dirty_images st in
-      (* the barrier runs with no latches held: it appends to the WAL
-         and fsyncs, which must not block other stripes *)
+      (* the barrier runs with no latch held: it appends to the WAL
+         and fsyncs, which must not block cache reads *)
       (match st.barrier with
       | Some log when images <> [] -> log images
       | _ -> ());
-      List.iter
-        (fun (idx, image) ->
-          let stripe = stripe_of st idx in
-          with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
+      with_lock ~cls:"pager-latch" st.latch (fun () ->
+          List.iter
+            (fun (idx, image) ->
               write_image_at st t.psize idx image;
-              match Hashtbl.find_opt stripe.cache idx with
+              match Hashtbl.find_opt st.cache idx with
               | Some entry -> entry.dirty <- false
-              | None -> ()))
-        images;
-      with_lock ~cls:"pager-meta" st.meta (fun () ->
+              | None -> ())
+            images;
           with_lock ~cls:"pager-io" st.io (fun () ->
               write_header st.fd t.psize st.npages))
 
@@ -352,11 +306,9 @@ let install_page t idx image =
       | Ok _ -> ()
       | Error msg ->
           failwith (Printf.sprintf "Pager: redo image for page %d corrupt: %s" idx msg));
-      with_lock ~cls:"pager-meta" st.meta (fun () ->
-          if idx >= st.npages then st.npages <- idx + 1);
-      let stripe = stripe_of st idx in
-      with_lock ~cls:"pager-stripe" stripe.latch (fun () ->
-          Hashtbl.remove stripe.cache idx;
+      with_lock ~cls:"pager-latch" st.latch (fun () ->
+          if idx >= st.npages then st.npages <- idx + 1;
+          Hashtbl.remove st.cache idx;
           write_image_at st t.psize idx image)
 
 let close t =
@@ -378,13 +330,5 @@ let cache_stats t =
   match t.backing with
   | Memory _ -> { hits = 0; misses = 0; evictions = 0 }
   | File st ->
-      Array.fold_left
-        (fun (acc : cache_stats) stripe ->
-          with_lock ~cls:"pager-stripe" stripe.latch (fun () : cache_stats ->
-              {
-                hits = acc.hits + stripe.hits;
-                misses = acc.misses + stripe.misses;
-                evictions = acc.evictions + stripe.evictions;
-              }))
-        { hits = 0; misses = 0; evictions = 0 }
-        st.stripes
+      with_lock ~cls:"pager-latch" st.latch (fun () ->
+          { hits = st.hits; misses = st.misses; evictions = st.evictions })

@@ -5,14 +5,15 @@
     cache of deserialised pages and writes dirty pages back on
     eviction and flush.
 
-    {b Concurrency.}  File mode is safe for concurrent use: the buffer
-    pool is split into latch stripes (a page always hashes to the same
-    stripe), so sessions faulting different pages rarely contend, and
-    the shared file descriptor's seek+read/write pairs are serialised
-    by a dedicated I/O lock below the stripe latches.  Every latch
-    acquisition is reported to the runtime lock witness
-    ([Secshare_obs.Race_check], armed by [SSDB_RACE_CHECK=1]), which
-    checks the declared order meta -> stripe -> io.  Memory mode has
+    {b Concurrency.}  File mode is safe for concurrent use: one latch
+    guards the buffer pool and the file-growth frontier, so callers
+    on different domains take turns (the server reads from one
+    domain, so in practice nothing waits), and the shared file
+    descriptor's seek+read/write pairs are serialised by an I/O lock
+    below the latch.  Every acquisition is reported to the runtime
+    lock witness ([Secshare_obs.Race_check], armed by
+    [SSDB_RACE_CHECK=1]), which checks the declared order
+    latch -> io.  Memory mode has
     no latches: it is written by the single-threaded encoder and is
     safe for any number of readers once encoding has finished (the
     append path must not run concurrently with readers). *)
@@ -23,8 +24,8 @@ val in_memory : ?page_size:int -> unit -> t
 (** All pages live on the OCaml heap; [flush] is a no-op. *)
 
 val create_file : ?page_size:int -> ?cache_pages:int -> string -> t
-(** Create (truncate) a page file.  [cache_pages] bounds the buffer
-    pool (default 256). *)
+(** Create (truncate) a page file.  The buffer pool holds
+    [max 1 cache_pages] pages (default 256). *)
 
 (** Why {!open_file} failed. *)
 type open_error =
@@ -44,7 +45,8 @@ val open_file : ?cache_pages:int -> ?recovery:bool -> string -> (t, open_error) 
     file header.  Fails on a bad or retired header or a torn page
     file.  [~recovery:true] tolerates a file shorter than its header
     promises — the caller (WAL recovery) is about to [install_page]
-    logged images over the damage before anything reads it. *)
+    logged images over the damage before anything reads it.
+    [cache_pages] sizes the buffer pool as in {!create_file}. *)
 
 val page_size : t -> int
 val page_count : t -> int
@@ -67,11 +69,11 @@ val set_write_barrier : t -> ((int * bytes) list -> unit) option -> unit
     — the barrier is called with the exact serialized images about to
     land.  The durable node table points this at the WAL: it logs the
     images and fsyncs, so a torn heap write is always repairable by
-    redo.  Latency caveat: [flush] runs the barrier with no latches
-    held, but evicting a {e dirty} victim runs it under that stripe's
-    latch, so a cache-miss read on the same stripe stalls behind the
-    log append + fsync — size [cache_pages] so dirty evictions are
-    rare under read-heavy load.  No-op in memory mode. *)
+    redo.  Latency caveat: [flush] runs the barrier with no latch
+    held, but evicting a {e dirty} victim runs it under the latch, so
+    every [get] stalls behind the log append + fsync — size
+    [cache_pages] so dirty evictions are rare under read-heavy load.
+    No-op in memory mode. *)
 
 val flush : t -> unit
 (** Write every dirty cached page (through the barrier, if set) and

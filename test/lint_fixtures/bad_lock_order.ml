@@ -2,12 +2,12 @@
 (* Positive fixture: two inversions and an undeclared lock site. *)
 
 let closure_inversion st =
-  with_lock st.io (fun () -> with_lock st.meta (fun () -> ()))
+  with_lock st.io (fun () -> with_lock st.latch (fun () -> ()))
 
-let sequence_inversion st stripe =
-  Mutex.lock stripe.latch;
-  with_lock st.meta (fun () -> ());
-  Mutex.unlock stripe.latch
+let sequence_inversion st =
+  Mutex.lock st.io;
+  with_lock st.latch (fun () -> ());
+  Mutex.unlock st.io
 
 let undeclared st =
   Mutex.lock st.mystery_lock;

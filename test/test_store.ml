@@ -125,6 +125,28 @@ let test_pager_file_roundtrip () =
           check Alcotest.bool "evictions happened" true (stats.Pager.evictions > 0);
           Pager.close pager')
 
+let test_pager_get_bounds () =
+  let refuses what pager =
+    List.iter
+      (fun (idx, msg) ->
+        Alcotest.check_raises (Printf.sprintf "%s: page %d" what idx) (Invalid_argument msg)
+          (fun () -> ignore (Pager.get pager idx)))
+      [ (-1, "Pager.get: page -1 out of [0, 3)"); (3, "Pager.get: page 3 out of [0, 3)") ]
+  in
+  let fill pager =
+    for _ = 1 to 3 do
+      ignore (Pager.append pager (Page.create ~size:256))
+    done
+  in
+  let memory = Pager.in_memory ~page_size:256 () in
+  fill memory;
+  refuses "memory" memory;
+  with_temp_file (fun path ->
+      let pager = Pager.create_file ~page_size:256 ~cache_pages:4 path in
+      fill pager;
+      refuses "file" pager;
+      Pager.close pager)
+
 let test_pager_rejects_garbage () =
   with_temp_file (fun path ->
       Out_channel.with_open_bin path (fun oc -> output_string oc "not a page file at all");
@@ -155,7 +177,7 @@ let violation what = "Race_check: lock-order violation: " ^ what
 
 let test_lock_witness_detects_inversion () =
   with_witness (fun () ->
-      (* A dirty eviction runs the write barrier under the stripe
+      (* A dirty eviction runs the write barrier under the pager
          latch; a barrier that takes the cursor table inverts the order
          across three modules, which no lexical pass sees. *)
       with_temp_file (fun path ->
@@ -163,10 +185,10 @@ let test_lock_witness_detects_inversion () =
           let pager = Pager.create_file ~page_size:256 ~cache_pages:4 path in
           Pager.set_write_barrier pager
             (Some (fun _ -> ignore (Cursor_table.add table ())));
-          check Alcotest.string "cursor-table under pager-stripe"
+          check Alcotest.string "cursor-table under pager-latch"
             (violation
-               "acquiring cursor-table (rank 12) while holding pager-stripe (rank 30)")
-            (refusal "cursor-table under pager-stripe" (fun () ->
+               "acquiring cursor-table (rank 12) while holding pager-latch (rank 30)")
+            (refusal "cursor-table under pager-latch" (fun () ->
                  for _ = 0 to 4 do
                    ignore (Pager.append pager (Page.create ~size:256))
                  done));
@@ -176,24 +198,23 @@ let test_lock_witness_detects_inversion () =
           check Alcotest.int "cursor table still usable" 1 (Cursor_table.size table);
           Pager.abort pager);
       Race_check.acquired "pager-io";
-      check Alcotest.string "meta under io"
-        (violation "acquiring pager-meta (rank 20) while holding pager-io (rank 40)")
-        (refusal "meta under io" (fun () -> Race_check.acquired "pager-meta"));
+      check Alcotest.string "latch under io"
+        (violation "acquiring pager-latch (rank 30) while holding pager-io (rank 40)")
+        (refusal "latch under io" (fun () -> Race_check.acquired "pager-latch"));
       Race_check.released "pager-io";
-      (* the refused acquisition was not recorded: meta -> io nests again *)
-      Race_check.acquired "pager-meta";
+      (* the refused acquisition was not recorded: latch -> io nests again *)
+      Race_check.acquired "pager-latch";
       Race_check.acquired "pager-io";
       Race_check.released "pager-io";
-      Race_check.released "pager-meta")
+      Race_check.released "pager-latch")
 
 let test_lock_witness_rejects_same_rank_reentry () =
   with_witness (fun () ->
-      Race_check.acquired "pager-stripe";
-      check Alcotest.string "second stripe"
-        (violation
-           "acquiring pager-stripe (rank 30) while holding pager-stripe (rank 30)")
-        (refusal "second stripe" (fun () -> Race_check.acquired "pager-stripe"));
-      Race_check.released "pager-stripe")
+      Race_check.acquired "pager-latch";
+      check Alcotest.string "latch re-entry"
+        (violation "acquiring pager-latch (rank 30) while holding pager-latch (rank 30)")
+        (refusal "latch re-entry" (fun () -> Race_check.acquired "pager-latch"));
+      Race_check.released "pager-latch")
 
 let test_lock_witness_refuses_undeclared_class () =
   with_witness (fun () ->
@@ -205,7 +226,7 @@ let test_lock_witness_refuses_undeclared_class () =
 
 let test_lock_witness_passes_pager_traffic () =
   (* The real pager hot paths (append faults pages in, get evicts,
-     flush nests meta -> io) must satisfy the declared order with the
+     flush nests latch -> io) must satisfy the declared order with the
      witness armed. *)
   with_witness (fun () ->
       with_temp_file (fun path ->
@@ -219,6 +240,45 @@ let test_lock_witness_passes_pager_traffic () =
             ignore (Pager.get pager i)
           done;
           Pager.flush pager;
+          Pager.close pager))
+
+(* Four domains read one file pager whose pool holds a quarter of its
+   pages, each in its own rotated order, so misses, evictions and hits
+   interleave under the one latch. *)
+let test_pager_latch_under_contention () =
+  let pages = 16 and domains = 4 and rounds = 8 in
+  let written i = row (i + 1) (i + 2) 0 (Printf.sprintf "page%d" i) in
+  with_witness (fun () ->
+      with_temp_file (fun path ->
+          let pager = Pager.create_file ~page_size:256 ~cache_pages:4 path in
+          for i = 0 to pages - 1 do
+            let page = Page.create ~size:256 in
+            ignore (Page.add_row page (written i));
+            ignore (Pager.append pager page)
+          done;
+          let before = Pager.cache_stats pager in
+          let reader d () =
+            let wrong = ref 0 in
+            for round = 0 to rounds - 1 do
+              for k = 0 to pages - 1 do
+                let i = (k + (d * pages / domains) + round) mod pages in
+                if not (Page.row_equal (written i) (Page.get_row (Pager.get pager i) 0))
+                then incr wrong
+              done
+            done;
+            !wrong
+          in
+          let wrong =
+            List.init domains (fun d -> Domain.spawn (reader d))
+            |> List.fold_left (fun acc d -> acc + Domain.join d) 0
+          in
+          let after = Pager.cache_stats pager in
+          check Alcotest.int "every row reads back as written" 0 wrong;
+          check Alcotest.int "hits + misses = gets" (domains * rounds * pages)
+            (after.Pager.hits - before.Pager.hits + (after.Pager.misses - before.Pager.misses));
+          check Alcotest.bool "the reads evicted" true
+            (after.Pager.evictions > before.Pager.evictions);
+          check Alcotest.(list string) "no race reports" [] (Race_check.reports ());
           Pager.close pager))
 
 (* Under SSDB_RACE_CHECK=1 every hook has been live since the process
@@ -1134,6 +1194,7 @@ let () =
         [
           Alcotest.test_case "file roundtrip with eviction" `Quick test_pager_file_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_pager_rejects_garbage;
+          Alcotest.test_case "get refuses out-of-range pages" `Quick test_pager_get_bounds;
           Alcotest.test_case "lock witness detects inversion" `Quick
             test_lock_witness_detects_inversion;
           Alcotest.test_case "lock witness rejects same-rank re-entry" `Quick
@@ -1142,6 +1203,8 @@ let () =
             test_lock_witness_refuses_undeclared_class;
           Alcotest.test_case "lock witness passes pager traffic" `Quick
             test_lock_witness_passes_pager_traffic;
+          Alcotest.test_case "latch under contention from 4 domains" `Quick
+            test_pager_latch_under_contention;
         ] );
       ( "node table",
         [
